@@ -9,6 +9,7 @@ failure, 2 usage/input error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -17,7 +18,12 @@ import sys
 from . import decompose as dec
 from . import neural, verify
 from .corpus import count_ngrams, load_corpus, read_count_table, write_count_table
-from .ngram import empirical_conditional, read_conditional_lm, write_conditional_lm
+from .ngram import (
+    NormalizationError,
+    empirical_conditional,
+    read_conditional_lm,
+    write_conditional_lm,
+)
 from .smoothers import canonical_method, default_params, smooth
 
 EXIT_OK = 0
@@ -76,12 +82,10 @@ def _smoothed_lm(args):
     params = {**default_params(method, table.order), **_parse_params(args.params)}
     try:
         lm = smooth(table, method, params)
-    except ValueError as exc:
+    except NormalizationError as exc:
         # a smoother emitting an unnormalized or negative row is our bug,
         # not a usage error
-        if "sum to" in str(exc) or "negative probability" in str(exc):
-            raise InternalInvariantError(str(exc)) from exc
-        raise
+        raise InternalInvariantError(str(exc)) from exc
     lm.params = params
     return table, lm
 
@@ -125,45 +129,63 @@ def _default_lr(cfg) -> float:
     return 0.5 if cfg["arch"] == "tabular" else 0.05
 
 
-def _build_model(cfg, vocab):
-    if cfg["arch"] == "tabular":
-        raise ValueError("tabular models are built per corpus; use _model_for_corpus")
-    return neural.FeedForwardLM(
-        cfg["order"], vocab, cfg["embed_dim"], cfg["hidden_dim"],
-        seed=cfg["seed"], init_scale=cfg["init_scale"],
-    )
-
-
-def _model_for(cfg, corpus):
-    if cfg["arch"] == "tabular":
-        return neural.TabularSoftmaxLM.for_corpus(corpus, cfg["order"])
-    if cfg["arch"] == "feedforward":
-        return _build_model(cfg, corpus.vocab)
-    raise ValueError(f"unknown architecture {cfg['arch']!r}")
-
-
-def _train_once(cfg):
-    corpus = load_corpus(cfg["corpus_path"])
-    heldout = None
-    if cfg.get("heldout_path"):
-        heldout = load_corpus(cfg["heldout_path"], vocab=corpus.vocab)
-    lr = _default_lr(cfg)
-    config = neural.TrainConfig(
+def _train_config(cfg) -> neural.TrainConfig:
+    return neural.TrainConfig(
         objective=cfg["objective"],
         method=cfg["method"],
         method_params=_parse_params(cfg.get("method_params")),
         gamma_ls=cfg["gamma_ls"],
         gamma_plus=cfg["gamma_plus"],
         gamma_minus=cfg["gamma_minus"],
-        lr=lr,
+        lr=_default_lr(cfg),
         epochs=cfg["epochs"],
         patience=cfg["patience"],
         seed=cfg["seed"],
         init_scale=cfg["init_scale"],
     )
-    model = _model_for(cfg, corpus)
-    model, metrics = neural.train(model, corpus, config, heldout=heldout)
-    return model, metrics, heldout
+
+
+def _model_for(cfg, table):
+    if cfg["arch"] == "tabular":
+        return neural.TabularSoftmaxLM.for_table(table)
+    if cfg["arch"] == "feedforward":
+        return neural.FeedForwardLM(
+            cfg["order"], table.vocab, cfg["embed_dim"], cfg["hidden_dim"],
+            seed=cfg["seed"], init_scale=cfg["init_scale"],
+        )
+    raise ValueError(f"unknown architecture {cfg['arch']!r}")
+
+
+class _TrainingData:
+    """What every model trained on one run config shares, built once: the
+    corpora, their count aggregates, and one regularizer bundle per
+    method_params value (the decomposition does not depend on the gammas).
+    A grid call keeps one of these for its cells and drops it when it ends,
+    so a later call sees rewritten input files."""
+
+    def __init__(self, cfg):
+        self.corpus = load_corpus(cfg["corpus_path"])
+        self.table = count_ngrams(self.corpus, cfg["order"])
+        self.counts = neural.EmissionCounts.from_table(self.table)
+        self.heldout = None
+        if cfg.get("heldout_path"):
+            heldout = load_corpus(cfg["heldout_path"], vocab=self.corpus.vocab)
+            self.heldout = neural.EmissionCounts.from_table(count_ngrams(heldout, cfg["order"]))
+        self._bundles = {}
+
+    def _bundle(self, config):
+        key = json.dumps(config.method_params, sort_keys=True)
+        if key not in self._bundles:
+            _, self._bundles[key] = neural.make_bundle_for(self.corpus, self.table.order, config)
+        return dataclasses.replace(
+            self._bundles[key], gamma_plus=config.gamma_plus, gamma_minus=config.gamma_minus
+        )
+
+    def train(self, cfg):
+        config = _train_config(cfg)
+        bundle = self._bundle(config) if config.objective in neural.BUNDLE_OBJECTIVES else None
+        model = _model_for(cfg, self.table)
+        return neural.train(model, self.counts, config, bundle, self.heldout)
 
 
 def _write_metrics(metrics, path):
@@ -181,7 +203,7 @@ def cmd_train(args) -> int:
     if not cfg.get("out_dir"):
         raise ValueError("need out_dir (flag --out-dir or config key)")
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    model, metrics, heldout = _train_once(cfg)
+    model, metrics = _TrainingData(cfg).train(cfg)
     neural.save_model(model, os.path.join(cfg["out_dir"], "model.json"))
     _write_metrics(metrics, os.path.join(cfg["out_dir"], "metrics.tsv"))
     if metrics.heldout_ppl:
@@ -223,34 +245,32 @@ def _grid_values(cfg) -> tuple[list[str], list[tuple]]:
     return keys, combos
 
 
-def _run_grid_combo(task):
-    """One grid cell; module-level so worker processes can unpickle it."""
-    cfg, param_keys, combo = task
+def _grid_cell(data: _TrainingData, cfg, param_keys, combo):
     g_plus, g_minus = combo[0], combo[1]
     params = dict(zip(param_keys, combo[2:]))
-    config = neural.TrainConfig(
-        objective=cfg["objective"],
-        method=cfg["method"],
-        method_params=params,
-        gamma_ls=cfg["gamma_ls"],
-        gamma_plus=g_plus,
-        gamma_minus=g_minus,
-        lr=_default_lr(cfg),
-        epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-        init_scale=cfg["init_scale"],
-    )
-    corpus = load_corpus(cfg["corpus_path"])
-    heldout = load_corpus(cfg["heldout_path"], vocab=corpus.vocab)
-    model = _model_for(cfg, corpus)
-    _, metrics = neural.train(model, corpus, config, heldout=heldout)
+    cell = {**cfg, "method_params": params, "gamma_plus": g_plus, "gamma_minus": g_minus}
+    _, metrics = data.train(cell)
     best = min(metrics.heldout_ppl) if metrics.heldout_ppl else float("inf")
     return (
         json.dumps(params, sort_keys=True, separators=(",", ":")),
         g_plus, g_minus,
         metrics.train_loss[-1], best, metrics.epochs_run,
     )
+
+
+# the grid data of a worker process, set by the pool's initializer; it
+# lives only as long as the pool of one grid call
+_worker_data: _TrainingData | None = None
+
+
+def _init_grid_worker(data: _TrainingData) -> None:
+    global _worker_data
+    _worker_data = data
+
+
+def _run_grid_cell(task):
+    """One grid cell in a worker process; module-level so it unpickles."""
+    return _grid_cell(_worker_data, *task)
 
 
 def cmd_grid(args) -> int:
@@ -266,16 +286,20 @@ def cmd_grid(args) -> int:
             f"grid size {len(combos)} exceeds cap {args.cap}; rerun with --cap {len(combos)}"
         )
     os.makedirs(cfg["out_dir"], exist_ok=True)
+    # loaded here, not in the workers, so that bad input fails with its own
+    # message; each worker gets one copy and builds the bundles it needs
+    data = _TrainingData(cfg)
     tasks = [(cfg, param_keys, combo) for combo in combos]
     if args.workers > 1:
         # results are gathered in submission order, so completion order
         # cannot affect the output file
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_run_grid_combo, tasks))
+        with ProcessPoolExecutor(max_workers=args.workers, initializer=_init_grid_worker,
+                                 initargs=(data,)) as pool:
+            rows = list(pool.map(_run_grid_cell, tasks))
     else:
-        rows = [_run_grid_combo(t) for t in tasks]
+        rows = [_grid_cell(data, *t) for t in tasks]
     rows.sort(key=lambda r: (r[4], r[0], r[1], r[2]))
     out_path = os.path.join(cfg["out_dir"], "grid_results.tsv")
     with open(out_path, "w", encoding="utf-8", newline="\n") as f:

@@ -33,6 +33,7 @@ from .ngram import entropy as _entropy
 from .ngram import empirical_conditional, padded_history
 
 OBJECTIVES = ("mle", "label_smoothing", "smoothed_target", "split_regularizer")
+BUNDLE_OBJECTIVES = ("smoothed_target", "split_regularizer")
 
 
 class TrainingError(RuntimeError):
@@ -62,6 +63,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.objective == "label_smoothing" and self.gamma_ls < 0:
             raise ValueError("gamma_ls must be >= 0")
+        if self.objective in BUNDLE_OBJECTIVES and min(self.gamma_plus, self.gamma_minus) < 0:
+            raise ValueError("gamma weights must be nonnegative")
 
 
 @dataclass
@@ -119,12 +122,17 @@ class TabularSoftmaxLM:
         return {"logits": self.logits}
 
     def forward(self, history: Sequence[int]) -> np.ndarray:
-        h = _check_history(self.vocab, self.order, history)
-        i = self.history_index.get(h)
-        if i is None:
-            return np.full(self.vocab.out_dim, 1.0 / self.vocab.out_dim)
-        _, q = _log_softmax(self.logits[i:i + 1])
-        return q[0]
+        return self.forward_batch([_check_history(self.vocab, self.order, history)])[0]
+
+    def forward_batch(self, hists: Sequence[History]) -> np.ndarray:
+        """q(.|h) for each history, one row each; histories outside the
+        table get the uniform row."""
+        idx = np.fromiter((self.history_index.get(h, -1) for h in hists),
+                          dtype=int, count=len(hists))
+        known = idx >= 0
+        q = np.full((len(idx), self.vocab.out_dim), 1.0 / self.vocab.out_dim)
+        q[known] = _log_softmax(self.logits[idx[known]])[1]
+        return q
 
     def conditional_table(self) -> dict[History, np.ndarray]:
         _, q = _log_softmax(self.logits)
@@ -193,19 +201,23 @@ class FeedForwardLM:
         n = idx.shape[0]
         return self.E[idx].reshape(n, (self.order - 1) * self.embed_dim)
 
-    def forward(self, history: Sequence[int]) -> np.ndarray:
-        h = _check_history(self.vocab, self.order, history)
-        idx = np.asarray([h], dtype=int)
-        e = self._embed(idx)
-        a = np.tanh(e @ self.W1 + self.b1)
-        _, q = _log_softmax(a @ self.W2 + self.b2)
-        return q[0]
-
-    def batch_loss_grads(self, hists, alpha):
+    def _activations(self, hists: Sequence[History]):
+        """(history ids, embeddings, hidden layer, log q, q) of a batch."""
         idx = np.asarray(hists, dtype=int).reshape(len(hists), self.order - 1)
         e = self._embed(idx)
         a = np.tanh(e @ self.W1 + self.b1)
         logq, q = _log_softmax(a @ self.W2 + self.b2)
+        return idx, e, a, logq, q
+
+    def forward(self, history: Sequence[int]) -> np.ndarray:
+        return self.forward_batch([_check_history(self.vocab, self.order, history)])[0]
+
+    def forward_batch(self, hists: Sequence[History]) -> np.ndarray:
+        """q(.|h) for each history, one row each."""
+        return self._activations(hists)[-1]
+
+    def batch_loss_grads(self, hists, alpha):
+        idx, e, a, logq, q = self._activations(hists)
         loss = float(-(alpha * logq).sum())
         delta2 = alpha.sum(axis=1, keepdims=True) * q - alpha
         gW2 = a.T @ delta2
@@ -246,6 +258,34 @@ def _aggregate(batch, vocab: Vocabulary) -> tuple[list[History], np.ndarray]:
     for (h, j), c in counts.items():
         C[pos[h], j] = c
     return hists, C
+
+
+@dataclass(frozen=True)
+class EmissionCounts:
+    """Dense (history x emission) counts of a corpus at one order: C[i, j]
+    is how often the sorted history hists[i] emits out-index j."""
+
+    order: int
+    hists: list[History]
+    C: np.ndarray
+
+    @classmethod
+    def from_table(cls, table: CountTable) -> "EmissionCounts":
+        hists = sorted(table.history_count)
+        pos = {h: i for i, h in enumerate(hists)}
+        C = np.zeros((len(hists), table.vocab.out_dim))
+        for (h, x), c in table.gram_count.items():
+            C[pos[h], table.vocab.out_index(x)] = c
+        return cls(table.order, hists, C)
+
+
+def emission_counts(data: Corpus | EmissionCounts, order: int) -> EmissionCounts:
+    """The counts of a corpus at `order`; counts already built pass through."""
+    if isinstance(data, EmissionCounts):
+        if data.order != order:
+            raise ValueError(f"counts are at order {data.order}, model at order {order}")
+        return data
+    return EmissionCounts.from_table(count_ngrams(data, order))
 
 
 def _objective_weights(
@@ -311,25 +351,20 @@ def loss_and_grad(
         raise ValueError("batch must be nonempty")
     config.validate()
     hists, C = _aggregate(batch, model.vocab)
-    return _loss_and_grad_counts(model, hists, C, config, bundle)
-
-
-def _loss_and_grad_counts(model, hists, C, config, bundle):
     alpha, const = _objective_weights(hists, C, config, bundle, model.vocab.out_dim)
     loss, grads = model.batch_loss_grads(hists, alpha)
     return loss + const, grads
 
 
-def model_perplexity(model, corpus: Corpus) -> float:
-    """Perplexity of a differentiable model on a corpus (softmax rows are
-    strictly positive, so this is always finite barring overflow)."""
-    hists, C = _aggregate(batch_from_corpus(corpus, model.order), corpus.vocab)
-    nll = 0.0
-    for i, h in enumerate(hists):
-        q = model.forward(h)
-        mask = C[i] > 0
-        nll -= float(np.dot(C[i][mask], np.log(q[mask])))
-    return math.exp(nll / C.sum())
+def model_perplexity(model, data: Corpus | EmissionCounts) -> float:
+    """Perplexity of a differentiable model on a corpus or its counts, from
+    one batched forward pass (softmax rows are strictly positive, so this is
+    always finite barring overflow)."""
+    counts = emission_counts(data, model.order)
+    q = model.forward_batch(counts.hists)
+    mask = counts.C > 0
+    nll = -float(np.dot(counts.C[mask], np.log(q[mask])))
+    return math.exp(nll / counts.C.sum())
 
 
 def make_bundle_for(
@@ -351,54 +386,60 @@ def make_bundle_for(
 
 def train(
     model,
-    corpus: Corpus,
+    corpus: Corpus | EmissionCounts,
     config: TrainConfig,
     bundle: RegularizerBundle | None = None,
-    heldout: Corpus | None = None,
+    heldout: Corpus | EmissionCounts | None = None,
 ) -> tuple[object, TrainMetrics]:
     """Full-batch gradient descent; returns the best-held-out checkpoint.
 
     Without a held-out corpus all `epochs` steps run and the final state is
     returned.  With one, training stops once held-out perplexity has not
     improved for `patience` consecutive epochs, and the parameters of the
-    best epoch are restored.
+    best epoch are restored.  Either corpus may be given as its
+    EmissionCounts at the model's order, so that callers training many
+    models on the same data count it once; the bundle, if the objective
+    needs one, must then be given too.
     """
     config.validate()
-    if config.objective in ("smoothed_target", "split_regularizer") and bundle is None:
+    if config.objective in BUNDLE_OBJECTIVES and bundle is None:
+        if not isinstance(corpus, Corpus):
+            raise ValueError(f"objective {config.objective} needs a regularizer bundle")
         _, bundle = make_bundle_for(corpus, model.order, config)
-    hists, C = _aggregate(batch_from_corpus(corpus, model.order), corpus.vocab)
-    return _train_counts(model, hists, C, config, bundle, heldout)
+    if heldout is not None:
+        heldout = emission_counts(heldout, model.order)
+    return _train_counts(model, emission_counts(corpus, model.order), config, bundle, heldout)
 
 
 def train_smoothed_target(model, smoothed_lm, table: CountTable, config: TrainConfig):
     """Fit the model to a smoothed conditional table by gradient descent."""
     cfg = TrainConfig(**{**config.__dict__, "objective": "smoothed_target"})
     bundle = build_regularizer(empirical_conditional(table), smoothed_lm, table, 1.0, 1.0)
-    hists = sorted(table.history_count)
-    C = np.stack([table.row(h).astype(float) for h in hists])
-    model, _ = _train_counts(model, hists, C, cfg, bundle, None)
+    model, _ = _train_counts(model, EmissionCounts.from_table(table), cfg, bundle, None)
     return model
 
 
-def _train_counts(model, hists, C, config, bundle, heldout):
+def _train_counts(model, counts, config, bundle, heldout):
+    # the objective weights do not depend on the parameters: build them once
+    alpha, const = _objective_weights(
+        counts.hists, counts.C, config, bundle, model.vocab.out_dim
+    )
     metrics = TrainMetrics()
     params = model.param_arrays()
-    heldout_agg = None
-    if heldout is not None:
-        heldout_agg = _aggregate(batch_from_corpus(heldout, model.order), heldout.vocab)
     best_ppl = math.inf
     best_params = None
     stale = 0
     for epoch in range(config.epochs):
-        loss, grads = _loss_and_grad_counts(model, hists, C, config, bundle)
+        loss, grads = model.batch_loss_grads(counts.hists, alpha)
+        loss += const
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss!r} at epoch {epoch}")
         for name, arr in params.items():
             arr -= config.lr * grads[name]
         metrics.train_loss.append(loss)
         metrics.epochs_run = epoch + 1
-        if heldout_agg is not None:
-            ppl = _agg_perplexity(model, heldout_agg)
+        if heldout is not None:
+            ppl = model_perplexity(model, heldout)
             metrics.heldout_ppl.append(ppl)
             if ppl < best_ppl:
                 best_ppl = ppl
@@ -413,16 +454,6 @@ def _train_counts(model, hists, C, config, bundle, heldout):
         for name, arr in params.items():
             arr[...] = best_params[name]
     return model, metrics
-
-
-def _agg_perplexity(model, agg) -> float:
-    hists, C = agg
-    nll = 0.0
-    for i, h in enumerate(hists):
-        q = model.forward(h)
-        mask = C[i] > 0
-        nll -= float(np.dot(C[i][mask], np.log(q[mask])))
-    return math.exp(nll / C.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ class UnseenHistoryError(KeyError):
     """Lookup of a history with no stored distribution and no backstop rule."""
 
 
+class NormalizationError(ValueError):
+    """A conditional row is negative somewhere or does not sum to 1."""
+
+
 class EnumerationCapError(RuntimeError):
     """String enumeration would exceed the configured node cap."""
 
@@ -77,10 +81,10 @@ class ConditionalLM:
             if v.shape != (self.vocab.out_dim,):
                 raise ValueError(f"history {h}: wrong vector length {v.shape}")
             if np.any(v < 0):
-                raise ValueError(f"history {h}: negative probability")
+                raise NormalizationError(f"history {h}: negative probability")
             s = float(v.sum())
             if abs(s - 1.0) > PROB_ATOL:
-                raise ValueError(f"history {h}: probabilities sum to {s!r}, not 1")
+                raise NormalizationError(f"history {h}: probabilities sum to {s!r}, not 1")
 
     def histories(self) -> list[History]:
         return list(self.table.keys())

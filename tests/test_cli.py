@@ -1,10 +1,14 @@
 """End-to-end CLI tests: exit codes, file formats, idempotence."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from smoothlm import neural
 from smoothlm.cli import main
+from smoothlm.corpus import load_corpus
+from smoothlm.ngram import NormalizationError
 from smoothlm.verify import zipf_lines
 
 
@@ -94,13 +98,26 @@ class TestSmooth:
         import smoothlm.cli as cli_mod
 
         def broken_smooth(table, method, params=None):
-            raise ValueError("history a: probabilities sum to 0.7, not 1")
+            raise NormalizationError("history a: probabilities sum to 0.7, not 1")
 
         monkeypatch.setattr(cli_mod, "smooth", broken_smooth)
         code = main(["smooth", "--corpus", str(tiny), "--order", "2",
                      "--method", "addlambda", "--out", str(tmp_path / "x.tsv")])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_plain_value_error_naming_a_sum_exit_2(self, tiny, tmp_path, capsys, monkeypatch):
+        # only the typed error is an invariant breach, whatever a message says
+        import smoothlm.cli as cli_mod
+
+        def bad_params(table, method, params=None):
+            raise ValueError("weights must sum to 1")
+
+        monkeypatch.setattr(cli_mod, "smooth", bad_params)
+        code = main(["smooth", "--corpus", str(tiny), "--order", "2",
+                     "--method", "addlambda", "--out", str(tmp_path / "x.tsv")])
+        assert code == 2
+        assert "internal error" not in capsys.readouterr().err
 
     def test_from_counts_file(self, tiny, tmp_path):
         counts = tmp_path / "c.tsv"
@@ -173,7 +190,7 @@ class TestTrainEval:
 
 
 class TestGrid:
-    def make_config(self, tmp_path, train, held, out_dir, seed=0):
+    def make_config(self, tmp_path, train, held, out_dir, seed=0, gamma_minus=(0.5,)):
         cfg = {
             "corpus_path": str(train),
             "heldout_path": str(held),
@@ -182,7 +199,7 @@ class TestGrid:
             "method": "jelinek_mercer",
             "method_params": {"lambdas": [[0.5, 0.5], [0.75, 0.75]]},
             "gamma_plus": [0.5, 1.0],
-            "gamma_minus": [0.5],
+            "gamma_minus": list(gamma_minus),
             "lr": 0.3,
             "epochs": 25,
             "patience": 10,
@@ -230,6 +247,68 @@ class TestGrid:
         main(["grid", "--config", str(c1)])
         main(["grid", "--config", str(c2), "--workers", "2"])
         assert (d1 / "grid_results.tsv").read_bytes() == (d2 / "grid_results.tsv").read_bytes()
+
+    @staticmethod
+    def read_rows(out_dir):
+        lines = (out_dir / "grid_results.tsv").read_text().splitlines()[1:]
+        return {tuple(ln.split("\t")[:3]): ln.split("\t")[3:] for ln in lines}
+
+    def test_cell_matches_library_training(self, zipf, tmp_path):
+        train, held = zipf
+        out_dir = tmp_path / "g"
+        assert main(["grid", "--config", str(self.make_config(tmp_path, train, held, out_dir,
+                                                              seed=2))]) == 0
+        corpus = load_corpus(str(train))
+        heldout = load_corpus(str(held), vocab=corpus.vocab)
+        # the second gamma pair of a method_params candidate, so the grid
+        # trains it on a bundle it built for another cell
+        config = neural.TrainConfig(
+            objective="split_regularizer", method="jelinek_mercer",
+            method_params={"lambdas": [0.5, 0.5]}, gamma_plus=1.0, gamma_minus=0.5,
+            lr=0.3, epochs=25, patience=10, seed=2)
+        model = neural.FeedForwardLM(2, corpus.vocab, 4, 6, seed=2, init_scale=0.1)
+        _, m = neural.train(model, corpus, config, heldout=heldout)
+        row = self.read_rows(out_dir)[('{"lambdas":[0.5,0.5]}', "1", "0.5")]
+        assert row == [f"{m.train_loss[-1]:.10g}", f"{min(m.heldout_ppl):.10g}",
+                       str(m.epochs_run)]
+
+    def test_corpora_and_bundles_built_once(self, zipf, tmp_path, monkeypatch):
+        import smoothlm.cli as cli_mod
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli_mod, "load_corpus", counted("load_corpus", load_corpus))
+        monkeypatch.setattr(neural, "make_bundle_for",
+                            counted("make_bundle_for", neural.make_bundle_for))
+        train, held = zipf
+        out_dir = tmp_path / "g"
+        cfg = self.make_config(tmp_path, train, held, out_dir, gamma_minus=(0.25, 0.5))
+        assert main(["grid", "--config", str(cfg)]) == 0
+        assert len(self.read_rows(out_dir)) == 2 * 4  # lambda candidates x gamma pairs
+        assert calls == {"load_corpus": 2, "make_bundle_for": 2}
+
+    def test_second_call_reads_rewritten_corpus(self, zipf, tmp_path):
+        train, held = zipf
+        other = tmp_path / "other.txt"
+        other.write_text("\n".join(zipf_lines(80, 8, seed=5)) + "\n", encoding="utf-8")
+        expected_dir = tmp_path / "expected"
+        assert main(["grid", "--config",
+                     str(self.make_config(tmp_path, other, held, expected_dir))]) == 0
+        out_dir = tmp_path / "g"
+        cfg = self.make_config(tmp_path, train, held, out_dir)
+        assert main(["grid", "--config", str(cfg)]) == 0
+        first = (out_dir / "grid_results.tsv").read_bytes()
+        train.write_text(other.read_text(encoding="utf-8"), encoding="utf-8")
+        assert main(["grid", "--config", str(cfg)]) == 0
+        second = (out_dir / "grid_results.tsv").read_bytes()
+        assert second != first
+        assert second == (expected_dir / "grid_results.tsv").read_bytes()
 
 
 class TestVerifyCommand:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlm.corpus import corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
@@ -108,6 +110,35 @@ class TestForward:
             q = ff.forward(h)
             assert (q > 0).all()
             assert q.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_forward_batch_matches_forward_rows(data):
+    lines = data.draw(st.lists(
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=5).map(" ".join),
+        min_size=1, max_size=6))
+    order = data.draw(st.integers(2, 3))
+    corpus = corpus_from_lines(lines)
+    vocab = corpus.vocab
+    ids = list(range(vocab.n_symbols)) + [vocab.bos_id]
+    hists = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * (order - 1)),
+                               min_size=1, max_size=8))
+    # the tabular model leaves out one observed history, so at least one
+    # queried history is outside its table
+    table_hists = sorted(count_ngrams(corpus, order).history_count)
+    outside = table_hists[0]
+    hists.append(outside)
+    tab = TabularSoftmaxLM(order, vocab, table_hists[1:])
+    tab.logits[...] = np.random.default_rng(len(lines)).normal(size=tab.logits.shape)
+    ff = FeedForwardLM(order, vocab, 3, 4, seed=order, init_scale=1.0)
+    for model in (tab, ff):
+        batch = model.forward_batch(hists)
+        assert batch.shape == (len(hists), vocab.out_dim)
+        np.testing.assert_allclose(batch, np.stack([model.forward(h) for h in hists]),
+                                   rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(tab.forward_batch([outside])[0],
+                                  np.full(vocab.out_dim, 1.0 / vocab.out_dim))
 
 
 class TestLossAndGrad:
