@@ -9,7 +9,6 @@ from .corpus import (
     corpus_from_lines,
     count_ngrams,
     count_substrings,
-    counts_of_counts,
     load_corpus,
 )
 from .decompose import (
@@ -57,7 +56,7 @@ __all__ = [
     "TabularSoftmaxLM", "TrainConfig", "VerificationReport", "Vocabulary",
     "build_regularizer", "build_type_counts", "build_vocabulary",
     "corpus_from_lines", "count_ngrams", "count_substrings",
-    "counts_of_counts", "empirical_conditional", "empirical_prefix",
+    "empirical_conditional", "empirical_prefix",
     "kl_divergence", "lm_string_distribution", "load_corpus",
     "loss_and_grad", "perplexity", "regularizer_loss", "run_all", "smooth",
     "smooth_add_lambda", "smooth_good_turing", "smooth_jelinek_mercer",

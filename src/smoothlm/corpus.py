@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,13 +127,28 @@ class Corpus:
 
 
 @dataclass(frozen=True)
+class GramArrays:
+    """Array form of a CountTable.  Row i is the history hists[i] (the
+    order of history_count); gram g adds count[g] at row hist[g], emission
+    index out[g]; totals[i] is history_count[hists[i]]."""
+
+    hists: tuple[History, ...]
+    index: dict[History, int]
+    hist: np.ndarray
+    out: np.ndarray
+    count: np.ndarray
+    totals: np.ndarray
+
+
+@dataclass(frozen=True)
 class CountTable:
     """Occurrence counts of (history, symbol) pairs at a fixed order n.
 
     gram_count[(h, x)] is the number of positions whose length-(n-1) padded
     history equals h and whose emitted symbol (a vocabulary id or EOS) is x;
     history_count[h] is the row total; count_of_counts[i] is the number of
-    distinct positive-count grams occurring exactly i times.
+    distinct positive-count grams occurring exactly i times.  `arrays` holds
+    the same grams as index arrays, derived once from gram_count.
     """
 
     order: int
@@ -145,15 +161,29 @@ class CountTable:
     def histories(self) -> list[History]:
         return list(self.history_count.keys())
 
-    def row(self, history: History) -> np.ndarray:
-        """Dense count vector over the emission alphabet for one history."""
+    @cached_property
+    def arrays(self) -> GramArrays:
+        hists = tuple(self.history_count)
+        index = {h: i for i, h in enumerate(hists)}
+        n = len(self.gram_count)
+        try:
+            hist = np.fromiter((index[h] for h, _ in self.gram_count), dtype=np.intp, count=n)
+        except KeyError as exc:
+            raise ValueError(f"gram history {exc.args[0]} has no history_count entry") from None
+        ids = np.fromiter((x for _, x in self.gram_count), dtype=np.intp, count=n)
         vocab = self.vocab
-        out = np.zeros(vocab.out_dim, dtype=np.int64)
-        for j in range(vocab.out_dim):
-            c = self.gram_count.get((history, vocab.id_at_out(j)))
-            if c:
-                out[j] = c
-        return out
+        is_eos = ids == vocab.eos_id
+        if not ((ids >= 0) & ((ids < vocab.n_symbols) | is_eos)).all():
+            raise ValueError("gram symbol is not an emittable id")
+        ids[is_eos] = vocab.n_symbols
+        return GramArrays(
+            hists=hists,
+            index=index,
+            hist=hist,
+            out=ids,
+            count=np.fromiter(self.gram_count.values(), dtype=np.int64, count=n),
+            totals=np.fromiter(self.history_count.values(), dtype=np.int64, count=len(hists)),
+        )
 
 
 def build_vocabulary(lines: Iterable[str]) -> Vocabulary:
@@ -275,11 +305,6 @@ def _tally_counts(gram: dict[tuple[History, int], int]) -> dict[int, int]:
     for c in gram.values():
         out[c] += 1
     return dict(out)
-
-
-def counts_of_counts(table: CountTable) -> dict[int, int]:
-    """r_i: number of distinct grams with positive count exactly i."""
-    return dict(table.count_of_counts)
 
 
 def zero_gram_count(table: CountTable) -> int:

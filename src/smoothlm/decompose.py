@@ -14,7 +14,7 @@ attached to any differentiable conditional model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,31 +49,89 @@ def signed_decompose(empirical: np.ndarray, smoothed: np.ndarray) -> SignedDecom
     q = np.asarray(smoothed, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    for name, v in (("empirical", p), ("smoothed", q)):
-        if np.any(v < 0):
-            raise ValueError(f"{name} vector has negative entries")
-        s = float(v.sum())
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"{name} vector sums to {s!r}, not 1")
-    diff = q - p
-    pos = np.maximum(diff, 0.0)
-    neg = np.maximum(-diff, 0.0)
-    z_plus = float(pos.sum())
-    z_minus = float(neg.sum())
-    p_plus = pos / z_plus if z_plus > 0 else np.zeros_like(pos)
-    p_minus = neg / z_minus if z_minus > 0 else np.zeros_like(neg)
-    return SignedDecomposition(p_plus=p_plus, p_minus=p_minus, z_plus=z_plus, z_minus=z_minus)
+    rows = _split_rows(p.reshape(1, -1), q.reshape(1, -1))
+    return SignedDecomposition(
+        rows.p_plus[0], rows.p_minus[0], float(rows.z_plus[0]), float(rows.z_minus[0])
+    )
+
+
+@dataclass(frozen=True)
+class DecompositionRows:
+    """Signed decompositions of many rows at once: row i of the matrices
+    p_plus and p_minus, and entry i of z_plus and z_minus, belong to row i
+    of the inputs."""
+
+    p_plus: np.ndarray
+    p_minus: np.ndarray
+    z_plus: np.ndarray
+    z_minus: np.ndarray
+
+
+def _check_rows(name: str, rows: np.ndarray, hists) -> None:
+    sums = rows.sum(axis=1)
+    negative = rows.min(axis=1) < 0
+    bad = negative | (np.abs(sums - 1.0) > 1e-9)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    where = f" (history {hists[i]})" if hists is not None else ""
+    if negative[i]:
+        raise ValueError(f"{name} vector has negative entries{where}")
+    raise ValueError(f"{name} vector sums to {float(sums[i])!r}, not 1{where}")
+
+
+def _split_rows(empirical: np.ndarray, smoothed: np.ndarray, hists=None) -> DecompositionRows:
+    """Decompose every row pair of two (rows x emissions) matrices.  Builds
+    the two output matrices and no other matrix-sized array; `hists` names
+    the rows in input errors."""
+    if empirical.shape != smoothed.shape:
+        raise ValueError(f"shape mismatch: {empirical.shape} vs {smoothed.shape}")
+    _check_rows("empirical", empirical, hists)
+    _check_rows("smoothed", smoothed, hists)
+    pos = np.subtract(smoothed, empirical)
+    neg = np.negative(pos)
+    np.maximum(pos, 0.0, out=pos)
+    np.maximum(neg, 0.0, out=neg)
+    parts = []
+    for m in (pos, neg):
+        z = m.sum(axis=1)
+        zero = z == 0.0
+        # max(-0.0, 0.0) keeps -0.0; a part with no mass is +0.0 throughout
+        m[zero] = 0.0
+        m /= np.where(zero, 1.0, z)[:, None]
+        parts.append(z)
+    return DecompositionRows(pos, neg, parts[0], parts[1])
 
 
 @dataclass(frozen=True)
 class RegularizerBundle:
-    """Per-history signed decompositions with occurrence-count weights."""
+    """Per-history signed decompositions with occurrence-count weights.
+
+    `rows` holds the decompositions as matrices, one row per history of
+    `hists`, and `per_history` maps each history to a SignedDecomposition
+    of views into them.  A bundle made from `per_history` alone stacks its
+    rows once."""
 
     order: int
     per_history: dict[History, SignedDecomposition]
     weights: dict[History, int]
     gamma_plus: float
     gamma_minus: float
+    rows: DecompositionRows | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            decs = list(self.per_history.values())
+            object.__setattr__(self, "rows", DecompositionRows(
+                np.array([d.p_plus for d in decs], dtype=float),
+                np.array([d.p_minus for d in decs], dtype=float),
+                np.array([d.z_plus for d in decs], dtype=float),
+                np.array([d.z_minus for d in decs], dtype=float),
+            ))
+
+    @property
+    def hists(self) -> list[History]:
+        return list(self.per_history)
 
     @property
     def total_weight(self) -> int:
@@ -96,17 +154,21 @@ def build_regularizer(
     if missing:
         rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
         raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")
-    per_history = {}
-    weights = {}
-    for h, emp in empirical_lm.table.items():
-        per_history[h] = signed_decompose(emp, smoothed_lm.table[h])
-        weights[h] = table.history_count[h]
+    hists = list(empirical_lm.table)
+    rows = _split_rows(empirical_lm.rows(hists), smoothed_lm.rows(hists), hists)
+    zp = rows.z_plus.tolist()
+    zm = rows.z_minus.tolist()
+    per_history = {
+        h: SignedDecomposition(rows.p_plus[i], rows.p_minus[i], zp[i], zm[i])
+        for i, h in enumerate(hists)
+    }
     return RegularizerBundle(
         order=empirical_lm.order,
         per_history=per_history,
-        weights=weights,
+        weights={h: table.history_count[h] for h in hists},
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
+        rows=rows,
     )
 
 

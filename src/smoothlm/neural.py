@@ -29,7 +29,6 @@ import numpy as np
 
 from .corpus import Corpus, CountTable, History, Vocabulary, count_ngrams
 from .decompose import RegularizerBundle, build_regularizer
-from .ngram import entropy as _entropy
 from .ngram import empirical_conditional, padded_history
 
 OBJECTIVES = ("mle", "label_smoothing", "smoothed_target", "split_regularizer")
@@ -271,12 +270,13 @@ class EmissionCounts:
 
     @classmethod
     def from_table(cls, table: CountTable) -> "EmissionCounts":
-        hists = sorted(table.history_count)
-        pos = {h: i for i, h in enumerate(hists)}
-        C = np.zeros((len(hists), table.vocab.out_dim))
-        for (h, x), c in table.gram_count.items():
-            C[pos[h], table.vocab.out_index(x)] = c
-        return cls(table.order, hists, C)
+        a = table.arrays
+        by_history = sorted(range(len(a.hists)), key=a.hists.__getitem__)
+        rank = np.empty(len(by_history), dtype=np.intp)
+        rank[by_history] = np.arange(len(by_history))
+        C = np.zeros((len(by_history), table.vocab.out_dim))
+        C[rank[a.hist], a.out] = a.count
+        return cls(table.order, [a.hists[i] for i in by_history], C)
 
 
 def emission_counts(data: Corpus | EmissionCounts, order: int) -> EmissionCounts:
@@ -314,30 +314,46 @@ def _objective_weights(
             "gamma_minus > 1 makes the split objective unbounded below "
             "(the -log q coefficient of an overrepresented symbol turns negative)"
         )
+    index = {h: i for i, h in enumerate(bundle.hists)}
+    try:
+        # the bundle's rows in the order of `hists`
+        idx = np.fromiter((index[h] for h in hists), dtype=np.intp, count=len(hists))
+    except KeyError as exc:
+        raise ValueError(f"bundle does not cover history {exc.args[0]}") from None
+    w = np.fromiter((bundle.weights[h] for h in hists), dtype=float, count=len(hists)) / N
+    zp = bundle.rows.z_plus[idx]
+    zm = bundle.rows.z_minus[idx]
+    part = bundle.rows.p_plus[idx]
+    if config.objective == "smoothed_target":
+        target = C / C.sum(axis=1, keepdims=True)
+        part *= zp[:, None]
+        target += part
+        np.take(bundle.rows.p_minus, idx, axis=0, out=part, mode="clip")
+        part *= zm[:, None]
+        target -= part
+        np.maximum(target, 0.0, out=target)
+        const = -float(np.dot(w, _row_entropies(target)))
+        target *= w[:, None]
+        return target, const
+    gp, gm = bundle.gamma_plus, bundle.gamma_minus
     alpha = alpha.copy()
-    for i, h in enumerate(hists):
-        dec = bundle.per_history.get(h)
-        if dec is None:
-            raise ValueError(f"bundle does not cover history {h}")
-        w = bundle.weights[h] / N
-        if config.objective == "smoothed_target":
-            target = C[i] / C[i].sum()
-            if dec.z_plus > 0:
-                target = target + dec.z_plus * dec.p_plus
-            if dec.z_minus > 0:
-                target = target - dec.z_minus * dec.p_minus
-            target = np.maximum(target, 0.0)
-            alpha[i] = w * target
-            const -= w * _entropy(target)
-        else:
-            gp, gm = bundle.gamma_plus, bundle.gamma_minus
-            if dec.z_plus > 0:
-                alpha[i] += w * gp * dec.z_plus * dec.p_plus
-                const -= w * gp * dec.z_plus * _entropy(dec.p_plus)
-            if dec.z_minus > 0:
-                alpha[i] -= w * gm * dec.z_minus * dec.p_minus
-                const += w * gm * dec.z_minus * _entropy(dec.p_minus)
+    coef = w * gp * zp
+    const -= float(np.dot(coef, _row_entropies(part)))
+    part *= coef[:, None]
+    alpha += part
+    np.take(bundle.rows.p_minus, idx, axis=0, out=part, mode="clip")
+    coef = w * gm * zm
+    const += float(np.dot(coef, _row_entropies(part)))
+    part *= coef[:, None]
+    alpha -= part
     return alpha, const
+
+
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Entropy of each row, summed over its positive cells."""
+    i, j = np.nonzero(rows > 0.0)
+    p = rows[i, j]
+    return -np.bincount(i, weights=p * np.log(p), minlength=len(rows))
 
 
 def loss_and_grad(

@@ -12,7 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +42,12 @@ class ConditionalLM:
     """Map from each length-(n-1) history to a probability vector over
     the emission alphabet (symbols in id order, EOS last).
 
+    `table` is a mapping history -> vector, or a pair (histories, matrix)
+    whose row i belongs to histories[i]; a matrix is kept as given, a
+    mapping is stacked into one.  Either way `matrix` holds the rows, `hists`
+    their histories, and `table` maps each history to a view of its row.
+    Lookups go through `table`.
+
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
     conditional is 0/0), otherwise it is a callable history -> vector.
@@ -51,7 +57,7 @@ class ConditionalLM:
         self,
         order: int,
         vocab: Vocabulary,
-        table: dict[History, np.ndarray],
+        table: Mapping[History, np.ndarray] | tuple[Sequence[History], np.ndarray],
         backstop: Callable[[History], np.ndarray] | None = None,
         method: str = "",
         params: dict | None = None,
@@ -59,7 +65,14 @@ class ConditionalLM:
     ) -> None:
         self.order = order
         self.vocab = vocab
-        self.table = {h: np.asarray(v, dtype=float) for h, v in table.items()}
+        if isinstance(table, tuple):
+            hists, matrix = table
+            self.hists = list(hists)
+            self.matrix = matrix
+        else:
+            self.hists = list(table)
+            self.matrix = _stack_rows(table, vocab.out_dim)
+        self.table = dict(zip(self.hists, self.matrix))
         self.backstop = backstop
         self.method = method
         self.params = dict(params) if params else {}
@@ -67,30 +80,46 @@ class ConditionalLM:
             self._validate()
 
     def _validate(self) -> None:
-        bos = self.vocab.bos_id
-        for h, v in self.table.items():
-            if len(h) != self.order - 1:
-                raise ValueError(f"history {h} has length {len(h)}, expected {self.order - 1}")
-            non_bos_seen = False
-            for i in h:
-                if i == bos:
-                    if non_bos_seen:
-                        raise ValueError(f"history {h}: BOS must form a contiguous prefix")
-                else:
-                    non_bos_seen = True
-            if v.shape != (self.vocab.out_dim,):
-                raise ValueError(f"history {h}: wrong vector length {v.shape}")
-            if np.any(v < 0):
-                raise NormalizationError(f"history {h}: negative probability")
-            s = float(v.sum())
-            if abs(s - 1.0) > PROB_ATOL:
-                raise NormalizationError(f"history {h}: probabilities sum to {s!r}, not 1")
+        """Check every row at once; an error names the first bad history."""
+        n = self.order - 1
+        for h in self.hists:
+            if len(h) != n:
+                raise ValueError(f"history {h} has length {len(h)}, expected {n}")
+        if self.matrix.shape != (len(self.hists), self.vocab.out_dim):
+            raise ValueError(f"row matrix has shape {self.matrix.shape}, expected "
+                             f"{(len(self.hists), self.vocab.out_dim)}")
+        if not self.hists:
+            return
+        is_bos = np.array(self.hists, dtype=np.int64).reshape(len(self.hists), n) == self.vocab.bos_id
+        # BOS may only form a contiguous prefix: no BOS right after a non-BOS
+        bad_bos = (is_bos[:, 1:] & ~is_bos[:, :-1]).any(axis=1)
+        negative = self.matrix.min(axis=1) < 0
+        sums = self.matrix.sum(axis=1)
+        bad = bad_bos | negative | (np.abs(sums - 1.0) > PROB_ATOL)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        h = self.hists[i]
+        if bad_bos[i]:
+            raise ValueError(f"history {h}: BOS must form a contiguous prefix")
+        if negative[i]:
+            raise NormalizationError(f"history {h}: negative probability")
+        raise NormalizationError(f"history {h}: probabilities sum to {float(sums[i])!r}, not 1")
 
     def histories(self) -> list[History]:
         return list(self.table.keys())
 
+    def rows(self, hists: Sequence[History]) -> np.ndarray:
+        """Row matrix of `hists` in that order: `matrix` itself when they are
+        its histories, otherwise a stacked copy of the `table` rows."""
+        if len(self.table) == len(self.hists) and list(hists) == self.hists:
+            return self.matrix
+        return _stack_rows({h: self.table[h] for h in hists}, self.vocab.out_dim)
+
     def conditional(self, history: Sequence[int]) -> np.ndarray:
         h = tuple(history)
+        if len(h) != self.order - 1:
+            raise ValueError(f"history {h} has length {len(h)}, expected {self.order - 1}")
         v = self.table.get(h)
         if v is not None:
             return v
@@ -102,6 +131,16 @@ class ConditionalLM:
         return float(self.conditional(history)[self.vocab.out_index(symbol_id)])
 
 
+def _stack_rows(table: Mapping[History, np.ndarray], out_dim: int) -> np.ndarray:
+    matrix = np.empty((len(table), out_dim))
+    for i, (h, v) in enumerate(table.items()):
+        v = np.asarray(v, dtype=float)
+        if v.shape != (out_dim,):
+            raise ValueError(f"history {h}: wrong vector length {v.shape}")
+        matrix[i] = v
+    return matrix
+
+
 def padded_history(vocab: Vocabulary, order: int, prefix: Sequence[int]) -> History:
     """The length-(order-1) BOS-padded history preceding the next position."""
     if order == 1:
@@ -110,12 +149,21 @@ def padded_history(vocab: Vocabulary, order: int, prefix: Sequence[int]) -> Hist
     return padded[-(order - 1):]
 
 
+def empirical_rows(table: CountTable) -> np.ndarray:
+    """Count ratios, one row per history of `table.arrays`."""
+    a = table.arrays
+    rows = np.zeros((len(a.hists), table.vocab.out_dim))
+    rows[a.hist, a.out] = a.count
+    rows /= a.totals[:, None]
+    return rows
+
+
 def empirical_conditional(table: CountTable) -> ConditionalLM:
     """Count-ratio conditional model; unseen histories are left undefined."""
-    rows = {}
-    for h, tot in table.history_count.items():
-        rows[h] = table.row(h).astype(float) / float(tot)
-    return ConditionalLM(table.order, table.vocab, rows, backstop=None, method="empirical")
+    return ConditionalLM(
+        table.order, table.vocab, (table.arrays.hists, empirical_rows(table)),
+        backstop=None, method="empirical",
+    )
 
 
 @dataclass(frozen=True)
@@ -307,5 +355,7 @@ def read_conditional_lm(path: str, backstop: str = "error") -> ConditionalLM:
         if h not in table:
             table[h] = np.zeros(vocab.out_dim)
         table[h][vocab.out_index(vocab.parse(x_str))] = p
+    # free the parsed text before ConditionalLM stacks the rows into a matrix
+    del lines, parsed
     bs = uniform_backstop(vocab) if backstop == "uniform" else None
     return ConditionalLM(order, vocab, table, backstop=bs, method=method, params=params)

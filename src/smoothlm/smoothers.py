@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CountTable, History, tables_down_to_unigram, zero_gram_count
-from .ngram import ConditionalLM, uniform_backstop
+from .ngram import ConditionalLM, empirical_rows, uniform_backstop
 
 log = logging.getLogger(__name__)
 
@@ -96,12 +96,12 @@ def smooth_add_lambda(table: CountTable, lam: float) -> ConditionalLM:
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     vocab = table.vocab
-    denom_add = vocab.out_dim * lam
-    rows = {}
-    for h, tot in table.history_count.items():
-        rows[h] = (table.row(h) + lam) / (tot + denom_add)
+    a = table.arrays
+    rows = np.full((len(a.hists), vocab.out_dim), lam)
+    rows[a.hist, a.out] += a.count
+    rows /= (a.totals + vocab.out_dim * lam)[:, None]
     return ConditionalLM(
-        table.order, vocab, rows,
+        table.order, vocab, (a.hists, rows),
         backstop=uniform_backstop(vocab),
         method="add_lambda", params={"lambda": lam},
     )
@@ -135,27 +135,24 @@ def good_turing_global(table: CountTable) -> dict[tuple[History, int], float]:
     }
 
 
-def _renormalized_rows(
-    table: CountTable, weight_of_count, unseen_weight: float
-) -> dict[History, np.ndarray]:
+def _renormalized_rows(table: CountTable, weight_of_count, unseen_weight: float) -> np.ndarray:
     """Build per-history rows from a count -> weight map plus an unseen-cell
     weight, renormalizing each history; an all-zero row falls back to uniform."""
-    vocab = table.vocab
-    rows = {}
-    for h in table.history_count:
-        counts = table.row(h)
-        v = np.empty(vocab.out_dim)
-        for j in range(vocab.out_dim):
-            c = int(counts[j])
-            v[j] = weight_of_count(c) if c > 0 else unseen_weight
-        s = v.sum()
-        if s <= 0.0:
-            log.warning("history %s: all adjusted weights zero, using uniform",
-                        vocab.render_history(h))
-            v[:] = 1.0 / vocab.out_dim
-        else:
-            v /= s
-        rows[h] = v
+    out_dim = table.vocab.out_dim
+    a = table.arrays
+    rows = np.full((len(a.hists), out_dim), unseen_weight)
+    seen = a.count > 0
+    counts, inverse = np.unique(a.count[seen], return_inverse=True)
+    weights = np.array([weight_of_count(int(c)) for c in counts], dtype=float)
+    rows[a.hist[seen], a.out[seen]] = weights[inverse]
+    sums = rows.sum(axis=1)
+    empty = sums <= 0.0
+    if empty.any():
+        log.warning("%d of %d histories have all adjusted weights zero, using uniform",
+                    int(empty.sum()), len(a.hists))
+        rows[empty] = 1.0 / out_dim
+        sums[empty] = 1.0
+    rows /= sums[:, None]
     return rows
 
 
@@ -176,7 +173,7 @@ def smooth_good_turing(table: CountTable) -> ConditionalLM:
         good_turing_adjusted_count(0, r, r0),
     )
     return ConditionalLM(
-        table.order, table.vocab, rows,
+        table.order, table.vocab, (table.arrays.hists, rows),
         backstop=uniform_backstop(table.vocab),
         method="good_turing", params={},
     )
@@ -280,7 +277,7 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
         unseen,
     )
     return ConditionalLM(
-        table.order, table.vocab, rows,
+        table.order, table.vocab, (table.arrays.hists, rows),
         backstop=uniform_backstop(table.vocab),
         method="simple_good_turing", params={},
     )
@@ -305,33 +302,18 @@ def smooth_jelinek_mercer(table: CountTable, lambdas: list[float]) -> Conditiona
             raise ValueError(f"interpolation weight {lam} outside [0, 1]")
     vocab = table.vocab
     chain = tables_down_to_unigram(table)
-    uniform = np.full(vocab.out_dim, 1.0 / vocab.out_dim)
-
-    levels: list[dict[History, np.ndarray]] = []
+    levels: list[tuple[dict[History, int], np.ndarray]] = []
     for k, tab in enumerate(chain, start=1):
         lam = lambdas[k - 1]
-        lower = levels[-1] if levels else None
-        rows = {}
-        for h, tot in tab.history_count.items():
-            mle = tab.row(h) / float(tot)
-            low = uniform if lower is None else lower[h[1:]]
-            rows[h] = lam * mle + (1.0 - lam) * low
-        levels.append(rows)
-
-    def backstop(history: History) -> np.ndarray:
-        # Descend until some suffix is an observed history at its level.
-        for k in range(table.order - 1, 0, -1):
-            suffix = history[len(history) - (k - 1):] if k > 1 else ()
-            v = levels[k - 1].get(suffix)
-            if v is not None:
-                return v
-        return uniform
-
-    return ConditionalLM(
-        table.order, vocab, levels[-1],
-        backstop=backstop,
-        method="jelinek_mercer", params={"lambdas": list(lambdas)},
-    )
+        a = tab.arrays
+        if levels:
+            rows = _lower_rows(tab, levels[-1])
+            rows *= 1.0 - lam
+        else:
+            rows = np.full((len(a.hists), vocab.out_dim), (1.0 - lam) * (1.0 / vocab.out_dim))
+        rows[a.hist, a.out] += lam * (a.count / a.totals[a.hist])
+        levels.append((a.index, rows))
+    return _backoff_lm(table, levels, "jelinek_mercer", {"lambdas": list(lambdas)})
 
 
 # ---------------------------------------------------------------------------
@@ -350,80 +332,74 @@ def smooth_katz(table: CountTable, k: int) -> ConditionalLM:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    vocab = table.vocab
     chain = tables_down_to_unigram(table)
-
-    uni = chain[0]
-    lower_rows: dict[History, np.ndarray] = {
-        h: uni.row(h) / float(tot) for h, tot in uni.history_count.items()
-    }
-    levels = [lower_rows]
-
+    levels = [(chain[0].arrays.index, empirical_rows(chain[0]))]
     for tab in chain[1:]:
-        r = tab.count_of_counts
-        r1 = r.get(1, 0)
-        ratio = 0.0
-        if r.get(k + 1, 0):
-            if r1 == 0:
-                raise KatzConfigError(f"k={k}: r_1 == 0 at order {tab.order}, discounts undefined")
-            ratio = (k + 1) * r[k + 1] / r1
-        if ratio >= 1.0:
-            raise KatzConfigError(
-                f"k={k}: discount denominator 1 - (k+1) r_(k+1)/r_1 = {1 - ratio:.4g} <= 0"
-            )
+        levels.append((tab.arrays.index, _katz_rows(tab, k, levels[-1])))
+    return _backoff_lm(table, levels, "katz", {"k": k})
 
-        def discount(c: int) -> float:
-            if c > k:
-                return 1.0
-            gt_ratio = good_turing_adjusted_count(c, r, 1) / c
-            d = (gt_ratio - ratio) / (1.0 - ratio)
-            if d < 0.0:
-                log.warning("order %d: discount for count %d is %.4g, clamping to 0",
-                            tab.order, c, d)
-                return 0.0
-            return d
 
-        lower = levels[-1]
-        rows = {}
-        for h, tot in tab.history_count.items():
-            counts = tab.row(h)
-            seen = counts > 0
-            v = np.zeros(vocab.out_dim)
-            for j in np.flatnonzero(seen):
-                c = int(counts[j])
-                v[j] = discount(c) * c / tot
-            leftover = 1.0 - v.sum()
-            low = lower[h[1:]]
-            unseen_mass = float(low[~seen].sum())
-            if leftover > 0.0 and unseen_mass > 0.0:
-                v[~seen] = leftover * low[~seen] / unseen_mass
-            elif leftover != 0.0:
-                if leftover < -1e-12:
-                    log.warning("order %d history %s: discounted mass exceeds 1, renormalizing",
-                                tab.order, vocab.render_history(h))
-                s = v.sum()
-                if s <= 0.0:
-                    log.warning("order %d history %s: no mass survived discounting, "
-                                "using lower-order row", tab.order, vocab.render_history(h))
-                    v = low.copy()
-                else:
-                    v /= s
-            rows[h] = v
-        levels.append(rows)
+def _katz_discounts(tab: CountTable, k: int, counts: np.ndarray) -> np.ndarray:
+    """The Katz discount of each count in `counts` at one order."""
+    r = tab.count_of_counts
+    r1 = r.get(1, 0)
+    ratio = 0.0
+    if r.get(k + 1, 0):
+        if r1 == 0:
+            raise KatzConfigError(f"k={k}: r_1 == 0 at order {tab.order}, discounts undefined")
+        ratio = (k + 1) * r[k + 1] / r1
+    if ratio >= 1.0:
+        raise KatzConfigError(
+            f"k={k}: discount denominator 1 - (k+1) r_(k+1)/r_1 = {1 - ratio:.4g} <= 0"
+        )
+    values, inverse = np.unique(counts, return_inverse=True)
+    d = np.ones(len(values))
+    for i, c in enumerate(values.tolist()):
+        if c <= k:
+            d[i] = (good_turing_adjusted_count(c, r, 1) / c - ratio) / (1.0 - ratio)
+    negative = d < 0.0
+    if negative.any():
+        log.warning("order %d: discounts for counts %s are negative, clamping to 0 (%d cells)",
+                    tab.order, values[negative].tolist(), int(negative[inverse].sum()))
+        d[negative] = 0.0
+    return d[inverse]
 
-    def backstop(history: History) -> np.ndarray:
-        for k_ord in range(table.order - 1, 0, -1):
-            suffix = history[len(history) - (k_ord - 1):] if k_ord > 1 else ()
-            v = levels[k_ord - 1].get(suffix)
-            if v is not None:
-                return v
-        return np.full(vocab.out_dim, 1.0 / vocab.out_dim)
 
-    return ConditionalLM(
-        table.order, vocab, levels[-1],
-        backstop=backstop,
-        method="katz", params={"k": k},
-    )
+def _katz_rows(tab: CountTable, k: int, lower: tuple[dict[History, int], np.ndarray]) -> np.ndarray:
+    """One Katz level: discounted seen cells, the freed mass spread over the
+    unseen cells in proportion to the lower-order row."""
+    a = tab.arrays
+    seen = a.count > 0
+    hist, out, counts = a.hist[seen], a.out[seen], a.count[seen]
+    kept = _katz_discounts(tab, k, counts) * counts / a.totals[hist]
+    # summing the dense rows adds in the same order as summing each row
+    # alone, so `leftover`, and the branch each row takes, stay exact
+    rows = np.zeros((len(a.hists), tab.vocab.out_dim))
+    rows[hist, out] = kept
+    kept_mass = rows.sum(axis=1)
+    leftover = 1.0 - kept_mass
+    _lower_rows(tab, lower, out=rows)
+    rows[hist, out] = 0.0
+    unseen_mass = rows.sum(axis=1)
+    spread = (leftover > 0.0) & (unseen_mass > 0.0)
+    rows *= np.where(spread, leftover, 0.0)[:, None]
+    rows /= np.where(spread, unseen_mass, 1.0)[:, None]
+    rows[hist, out] = kept
+    # rows with nothing to spread keep only their discounted cells, renormalized
+    renorm = ~spread & (leftover != 0.0)
+    if renorm.any():
+        over = renorm & (leftover < -1e-12)
+        if over.any():
+            log.warning("order %d: discounted mass exceeds 1 in %d of %d histories, "
+                        "renormalizing", tab.order, int(over.sum()), len(a.hists))
+        dead = renorm & (kept_mass <= 0.0)
+        if dead.any():
+            log.warning("order %d: no mass survived discounting in %d of %d histories, "
+                        "using lower-order rows", tab.order, int(dead.sum()), len(a.hists))
+            rows[dead] = lower[1][_parents(tab, lower[0])[dead]]
+        live = renorm & ~dead
+        rows[live] /= kept_mass[live, None]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -477,33 +453,55 @@ def smooth_kneser_essen_ney(table: CountTable, D: float = 0.75) -> ConditionalLM
     vocab = table.vocab
     chain = tables_down_to_unigram(table)
 
-    bigram_types = build_type_counts(chain[1])
-    q1 = np.zeros(vocab.out_dim)
-    for x, c in bigram_types.left_marginal.items():
-        q1[vocab.out_index(x)] = c / bigram_types.grand_total
-
-    levels: list[dict[History, np.ndarray]] = [{(): q1}]
+    # unigram level: how many distinct histories precede each emission
+    bigrams = chain[1].arrays
+    q1 = np.bincount(bigrams.out, minlength=vocab.out_dim) / len(bigrams.out)
+    levels = [(chain[0].arrays.index, q1[None, :])]
     for tab in chain[1:]:
-        types = build_type_counts(tab)
-        lower = levels[-1]
-        rows = {}
-        for h, tot in tab.history_count.items():
-            counts = tab.row(h).astype(float)
-            low = lower[h[1:]]
-            distinct = types.right_marginal[h]
-            rows[h] = (np.maximum(counts - D, 0.0) + D * distinct * low) / tot
-        levels.append(rows)
+        a = tab.arrays
+        distinct = np.bincount(a.hist, minlength=len(a.hists))
+        rows = _lower_rows(tab, levels[-1])
+        rows *= (D * distinct)[:, None]
+        rows[a.hist, a.out] += np.maximum(a.count - D, 0.0)
+        rows /= a.totals[:, None]
+        levels.append((a.index, rows))
+    return _backoff_lm(table, levels, "kneser_essen_ney", {"D": D})
+
+
+# ---------------------------------------------------------------------------
+# backoff levels
+
+
+def _parents(tab: CountTable, lower_index: dict[History, int]) -> np.ndarray:
+    """Row of each history's parent (the history minus its oldest symbol)
+    in the next-lower-order level."""
+    hists = tab.arrays.hists
+    return np.fromiter((lower_index[h[1:]] for h in hists), dtype=np.intp, count=len(hists))
+
+
+def _lower_rows(tab, lower, out=None) -> np.ndarray:
+    """Each history's parent row of the lower level (index, rows), gathered
+    into one new matrix or into `out`."""
+    index, rows = lower
+    # mode="clip" writes straight into `out` (the default mode buffers)
+    return np.take(rows, _parents(tab, index), axis=0, out=out, mode="clip")
+
+
+def _backoff_lm(table: CountTable, levels, method: str, params: dict) -> ConditionalLM:
+    """LM over the top level of `levels` (one (index, rows) pair per order,
+    lowest first).  An unseen history gets the row of its longest suffix
+    seen at a lower order, or the uniform row below them all."""
+    vocab = table.vocab
+    uniform = np.full(vocab.out_dim, 1.0 / vocab.out_dim)
 
     def backstop(history: History) -> np.ndarray:
-        for k_ord in range(table.order - 1, 0, -1):
-            suffix = history[len(history) - (k_ord - 1):] if k_ord > 1 else ()
-            v = levels[k_ord - 1].get(suffix)
-            if v is not None:
-                return v
-        return q1
+        for k in range(len(levels) - 1, 0, -1):
+            index, rows = levels[k - 1]
+            i = index.get(history[len(history) - (k - 1):] if k > 1 else ())
+            if i is not None:
+                return rows[i]
+        return uniform
 
-    return ConditionalLM(
-        table.order, vocab, levels[-1],
-        backstop=backstop,
-        method="kneser_essen_ney", params={"D": D},
-    )
+    index, rows = levels[-1]
+    return ConditionalLM(table.order, vocab, (list(index), rows),
+                         backstop=backstop, method=method, params=params)

@@ -318,7 +318,10 @@ def fit_tabular_label_smoothing(
     is negligible.  Returns (history -> fitted distribution, steps used)."""
     vocab = table.vocab
     hists = sorted(table.history_count)
-    C = np.stack([table.row(h).astype(float) for h in hists])
+    pos = {h: i for i, h in enumerate(hists)}
+    C = np.zeros((len(hists), vocab.out_dim))
+    for (h, x), c in table.gram_count.items():
+        C[pos[h], vocab.out_index(x)] = c
     n = C.sum()
     alpha = C / n + gamma / (n * vocab.out_dim)
     w = alpha.sum(axis=1, keepdims=True)

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from smoothlm.corpus import corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import (
+    EmissionCounts,
     FeedForwardLM,
     TabularSoftmaxLM,
     TrainConfig,
     TrainingError,
+    _objective_weights,
     batch_from_corpus,
     load_model,
     loss_and_grad,
@@ -27,7 +29,7 @@ from smoothlm.neural import (
     train,
     train_smoothed_target,
 )
-from smoothlm.ngram import empirical_conditional
+from smoothlm.ngram import empirical_conditional, entropy
 from smoothlm.smoothers import smooth, smooth_add_lambda
 from smoothlm.verify import synthetic_corpus
 
@@ -112,7 +114,7 @@ class TestForward:
             assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_forward_batch_matches_forward_rows(data):
     lines = data.draw(st.lists(
@@ -355,3 +357,44 @@ class TestSerialization:
             np.testing.assert_array_equal(arr, m2.param_arrays()[k])
         q1, q2 = m.forward((0, 1)), m2.forward((0, 1))
         np.testing.assert_array_equal(q1, q2)
+
+
+def loop_objective_weights(counts, config, bundle):
+    """Reference: the bundle objectives' weights one history at a time."""
+    N = counts.C.sum()
+    alpha = counts.C / N
+    const = 0.0
+    for i, h in enumerate(counts.hists):
+        dec = bundle.per_history[h]
+        w = bundle.weights[h] / N
+        if config.objective == "smoothed_target":
+            target = counts.C[i] / counts.C[i].sum()
+            if dec.z_plus > 0:
+                target = target + dec.z_plus * dec.p_plus
+            if dec.z_minus > 0:
+                target = target - dec.z_minus * dec.p_minus
+            target = np.maximum(target, 0.0)
+            alpha[i] = w * target
+            const -= w * entropy(target)
+        else:
+            if dec.z_plus > 0:
+                alpha[i] += w * bundle.gamma_plus * dec.z_plus * dec.p_plus
+                const -= w * bundle.gamma_plus * dec.z_plus * entropy(dec.p_plus)
+            if dec.z_minus > 0:
+                alpha[i] -= w * bundle.gamma_minus * dec.z_minus * dec.p_minus
+                const += w * bundle.gamma_minus * dec.z_minus * entropy(dec.p_minus)
+    return alpha, const
+
+
+@pytest.mark.parametrize("objective", ["smoothed_target", "split_regularizer"])
+@pytest.mark.parametrize("method", ["add_lambda", "jelinek_mercer", "kneser_essen_ney"])
+def test_objective_weights_match_per_history_loop(objective, method):
+    # alpha keeps the loop's arithmetic; const sums in another order
+    table = count_ngrams(synthetic_corpus(21, n_sequences=80, n_symbols=6), 3)
+    bundle = build_regularizer(empirical_conditional(table), smooth(table, method), table, 0.3, 0.7)
+    config = TrainConfig(objective=objective, method=method, gamma_plus=0.3, gamma_minus=0.7)
+    counts = EmissionCounts.from_table(table)
+    alpha, const = _objective_weights(counts.hists, counts.C, config, bundle, table.vocab.out_dim)
+    ref_alpha, ref_const = loop_objective_weights(counts, config, bundle)
+    np.testing.assert_array_equal(alpha, ref_alpha)
+    assert const == pytest.approx(ref_const, rel=1e-12)

@@ -25,7 +25,7 @@ from smoothlm.smoothers import (
     smooth_kneser_essen_ney,
     smooth_simple_good_turing,
 )
-from smoothlm.verify import synthetic_corpus
+from smoothlm.verify import markov_zipf_lines, synthetic_corpus
 
 
 def toy():
@@ -402,3 +402,45 @@ class TestCrossMethodInvariants:
                 unseen = v == 0
                 gained += float(lm.table[h][unseen].sum())
             assert gained > 0.0, method
+
+
+ALL_SMOOTHERS = ["add_lambda", "good_turing", "simple_good_turing",
+                 "jelinek_mercer", "katz", "kneser_essen_ney"]
+
+
+class TestHistoryLength:
+    @pytest.mark.parametrize("method", ALL_SMOOTHERS + ["empirical"])
+    def test_wrong_length_rejected_before_backstop(self, method):
+        # every smoother's backstop would otherwise return a row for these,
+        # by backing off to a suffix of the wrong-length history
+        table = count_ngrams(synthetic_corpus(2, n_sequences=100, n_symbols=5), 3)
+        lm = empirical_conditional(table) if method == "empirical" else smooth(table, method)
+        assert lm.conditional((0, 1)).shape == (table.vocab.out_dim,)
+        for history in [(0,), (), (0, 1, 2)]:
+            with pytest.raises(ValueError, match="length"):
+                lm.conditional(history)
+            with pytest.raises(ValueError, match="length"):
+                lm.prob(history, 0)
+
+
+class TestOneWarningPerCause:
+    def test_katz_clamp_and_renormalize_logged_once(self, caplog):
+        # every negative discount and every overfull history used to log a line of its own
+        table = count_ngrams(corpus_from_lines(markov_zipf_lines(2000, 50, seed=0)), 3)
+        with caplog.at_level(logging.WARNING, logger="smoothlm.smoothers"):
+            smooth_katz(table, 6)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert "clamping" in messages[0] and "736 cells" in messages[0]
+        assert "renormalizing" in messages[1] and "48 of" in messages[1]
+
+    def test_good_turing_all_zero_rows_logged_once(self, caplog):
+        # r = {2: 4}, every cell seen: r_3 == 0 zeroes every weight in both rows
+        v = Vocabulary(symbols=("a",))
+        grams = {((0,), 0): 2, ((0,), v.eos_id): 2, ((v.bos_id,), 0): 2, ((v.bos_id,), v.eos_id): 2}
+        with caplog.at_level(logging.WARNING, logger="smoothlm.smoothers"):
+            lm = smooth_good_turing(make_table(v, 2, grams))
+        assert len(caplog.records) == 1
+        assert "2 of 2 histories" in caplog.text
+        for row in lm.table.values():
+            np.testing.assert_array_equal(row, [0.5, 0.5])
