@@ -32,12 +32,10 @@ from .ngram import (
     empirical_conditional,
     empirical_prefix,
     kl_divergence,
-    lm_string_distribution,
     perplexity,
     string_logprob,
 )
 from .smoothers import (
-    build_type_counts,
     smooth,
     smooth_add_lambda,
     smooth_good_turing,
@@ -54,10 +52,10 @@ __all__ = [
     "ConditionalLM", "Corpus", "CountTable", "FeedForwardLM",
     "PrefixProbability", "RegularizerBundle", "SignedDecomposition",
     "TabularSoftmaxLM", "TrainConfig", "VerificationReport", "Vocabulary",
-    "build_regularizer", "build_type_counts", "build_vocabulary",
+    "build_regularizer", "build_vocabulary",
     "corpus_from_lines", "count_ngrams", "count_substrings",
     "empirical_conditional", "empirical_prefix",
-    "kl_divergence", "lm_string_distribution", "load_corpus",
+    "kl_divergence", "load_corpus",
     "loss_and_grad", "perplexity", "regularizer_loss", "run_all", "smooth",
     "smooth_add_lambda", "smooth_good_turing", "smooth_jelinek_mercer",
     "smooth_katz", "smooth_kneser_essen_ney", "smooth_simple_good_turing",

@@ -1,9 +1,10 @@
 """Command-line pipeline: count, smooth, decompose, train, eval, grid, verify.
 
-All data files are the TSV formats owned by the library modules; runs are
-deterministic for a fixed seed and rerunning any command with identical
-inputs rewrites byte-identical outputs.  Exit codes: 0 ok, 1 verification
-failure, 2 usage/input error, 3 internal invariant breach.
+Counts, LMs and decompositions share the one TSV format of
+corpus.write_cells.  Runs are deterministic for a fixed seed, and rerunning
+any command with identical inputs rewrites byte-identical outputs.  Exit
+codes: 0 ok, 1 verification failure, 2 usage/input error, 3 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .ngram import (
     read_conditional_lm,
     write_conditional_lm,
 )
-from .smoothers import canonical_method, default_params, smooth
+from .smoothers import smooth
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -78,15 +79,12 @@ def _smoothed_lm(args):
         if not args.corpus:
             raise ValueError("need --counts or --corpus")
         table = count_ngrams(load_corpus(args.corpus), args.order)
-    method = canonical_method(args.method)
-    params = {**default_params(method, table.order), **_parse_params(args.params)}
     try:
-        lm = smooth(table, method, params)
+        lm = smooth(table, args.method, _parse_params(args.params))
     except NormalizationError as exc:
         # a smoother emitting an unnormalized or negative row is our bug,
         # not a usage error
         raise InternalInvariantError(str(exc)) from exc
-    lm.params = params
     return table, lm
 
 
@@ -220,7 +218,7 @@ def cmd_eval(args) -> int:
         corpus = load_corpus(args.corpus, vocab=model.vocab)
         ppl = neural.model_perplexity(model, corpus)
     elif args.lm:
-        lm = read_conditional_lm(args.lm, backstop="uniform")
+        lm = read_conditional_lm(args.lm)
         corpus = load_corpus(args.corpus, vocab=lm.vocab)
         from .ngram import perplexity
 

@@ -10,6 +10,7 @@ weights) are defined in terms of the tables built here.
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -290,21 +291,19 @@ def count_ngrams(corpus: Corpus, order: int) -> CountTable:
             gram[(h, x)] += 1
             hist[h] += 1
             total += 1
+    return _count_table(order, vocab, gram, hist, total)
+
+
+def _count_table(order: int, vocab: Vocabulary, gram: dict, hist: dict, total: int) -> CountTable:
+    """A CountTable of the given tallies, with their counts-of-counts."""
     return CountTable(
         order=order,
         vocab=vocab,
         gram_count=dict(gram),
         history_count=dict(hist),
-        count_of_counts=_tally_counts(gram),
+        count_of_counts=dict(Counter(gram.values())),
         total_tokens=total,
     )
-
-
-def _tally_counts(gram: dict[tuple[History, int], int]) -> dict[int, int]:
-    out: Counter[int] = Counter()
-    for c in gram.values():
-        out[c] += 1
-    return dict(out)
 
 
 def zero_gram_count(table: CountTable) -> int:
@@ -325,14 +324,7 @@ def marginalize(table: CountTable) -> CountTable:
     for (h, x), c in table.gram_count.items():
         gram[(h[1:], x)] += c
         hist[h[1:]] += c
-    return CountTable(
-        order=table.order - 1,
-        vocab=table.vocab,
-        gram_count=dict(gram),
-        history_count=dict(hist),
-        count_of_counts=_tally_counts(gram),
-        total_tokens=table.total_tokens,
-    )
+    return _count_table(table.order - 1, table.vocab, gram, hist, table.total_tokens)
 
 
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
@@ -363,71 +355,101 @@ def merge_count_tables(tables: list[CountTable]) -> CountTable:
         gram.update(t.gram_count)
         hist.update(t.history_count)
         total += t.total_tokens
-    return CountTable(
-        order=first.order,
-        vocab=first.vocab,
-        gram_count=dict(gram),
-        history_count=dict(hist),
-        count_of_counts=_tally_counts(gram),
-        total_tokens=total,
-    )
+    return _count_table(first.order, first.vocab, gram, hist, total)
 
 
 def write_count_table(table: CountTable, path: str) -> None:
-    """Export as TSV `history<TAB>symbol<TAB>count`, lexicographically sorted."""
-    vocab = table.vocab
-    rows = [
-        (vocab.render_history(h), vocab.render(x), c)
-        for (h, x), c in table.gram_count.items()
-    ]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("history\tsymbol\tcount\n")
-        for h, x, c in rows:
-            f.write(f"{h}\t{x}\t{c}\n")
+    """Export as TSV `history<TAB>symbol<TAB>count`, one line per gram."""
+    a = table.arrays
+    write_cells(path, table.vocab, a.hists, {"count": (a.count, "d")}, cells=(a.hist, a.out))
 
 
 def read_count_table(path: str) -> CountTable:
     """Load a count TSV, rebuilding a vocabulary in file order."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != "history\tsymbol\tcount":
-        raise ValueError(f"{path}: not a count table (bad header)")
-    parsed = []
+    _, vocab, hists, hist, out, (counts,) = read_cells(path, {"count": int})
+    ids = np.where(out == vocab.n_symbols, vocab.eos_id, out).tolist()
+    keys = zip((hists[i] for i in hist.tolist()), ids)
+    gram = dict(zip(keys, counts.tolist()))
+    totals = np.bincount(hist, weights=counts, minlength=len(hists)).astype(np.int64)
+    return _count_table(len(hists[0]) + 1, vocab, gram, dict(zip(hists, totals.tolist())),
+                        int(counts.sum()))
+
+
+# ---------------------------------------------------------------------------
+# The one TSV format of count tables, smoothed LMs and decompositions
+
+
+def write_cells(path: str, vocab: Vocabulary, hists: Sequence[History], columns: dict,
+                cells: tuple[np.ndarray, np.ndarray] | None = None,
+                comment: str | None = None) -> None:
+    """Write an optional `# comment` line, the column header and one line per
+    cell, sorted by rendered history, then rendered symbol.  `columns` maps
+    names to (values, format spec), one value per cell of `cells` = (history
+    rows, emission indices); without `cells`, every cell of the values
+    broadcast to (histories x emissions) is written."""
+    shape = (len(hists), vocab.out_dim)
+    if cells is None:
+        cells = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+        columns = {name: (np.broadcast_to(v, shape)[cells], spec)
+                   for name, (v, spec) in columns.items()}
+    hist, out = cells
+    h_str = np.array([vocab.render_history(h) for h in hists], dtype=object)
+    x_str = np.array([vocab.render(vocab.id_at_out(j)) for j in range(shape[1])], dtype=object)
+    # a string's rank among the sorted strings orders the cells
+    h_rank = np.unique(h_str, return_inverse=True)[1]
+    x_rank = np.unique(x_str, return_inverse=True)[1]
+    order = np.argsort(h_rank[hist] * shape[1] + x_rank[out], kind="stable")
+    line = "{}\t{}" + "".join(f"\t{{:{spec}}}" for _, spec in columns.values()) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        f.write("\t".join(["history", "symbol", *columns]) + "\n")
+        for part in np.array_split(order, len(order) // 65536 + 1):
+            f.writelines(map(line.format, h_str[hist[part]], x_str[out[part]],
+                             *(v[part].tolist() for v, _ in columns.values())))
+
+
+def read_cells(path: str, columns: dict) -> tuple:
+    """Read a write_cells file; `columns` maps names to parsers (int, float).
+    Returns the comment or None, the vocabulary in order of first appearance,
+    the histories, and per cell its history row, emission index and values."""
+    hist_ids: dict[str, int] = {}
+    sym_ids: dict[str, int] = {}
     tokens: dict[str, None] = {}
-    order = None
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        h_str, x_str, c_str = ln.split("\t")
-        h_toks = h_str.split(" ") if h_str else []
-        if order is None:
-            order = len(h_toks) + 1
-        elif order != len(h_toks) + 1:
-            raise ValueError(f"{path}: inconsistent history lengths")
-        for t in h_toks + [x_str]:
-            if t not in (BOS_TOKEN, EOS_TOKEN):
-                tokens.setdefault(t, None)
-        parsed.append((h_toks, x_str, int(c_str)))
-    if order is None:
+    hist, sym = array("q"), array("q")
+    values = [(array("q" if parse is int else "d"), parse) for parse in columns.values()]
+    with open(path, encoding="utf-8") as f:
+        comment, header = None, f.readline().rstrip("\n")
+        if header.startswith("# "):
+            comment, header = header[2:], f.readline().rstrip("\n")
+        if header != "\t".join(["history", "symbol", *columns]):
+            raise ValueError(f"{path}: bad column header")
+        for line in f:
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                continue
+            if len(fields) != len(columns) + 2:
+                raise ValueError(f"{path}: expected {len(columns) + 2} columns in {line!r}")
+            h, x = fields[0], fields[1]
+            if h not in hist_ids:
+                hist_ids[h] = len(hist_ids)
+                tokens.update(dict.fromkeys(h.split(" ") if h else ()))
+            if x not in sym_ids:
+                sym_ids[x] = len(sym_ids)
+                tokens.setdefault(x)
+            hist.append(hist_ids[h])
+            sym.append(sym_ids[x])
+            for (col, parse), v in zip(values, fields[2:]):
+                col.append(parse(v))
+    if not hist_ids:
         raise ValueError(f"{path}: no data rows")
-    vocab = Vocabulary(symbols=tuple(tokens.keys()))
-    gram: dict[tuple[History, int], int] = {}
-    hist: Counter[History] = Counter()
-    total = 0
-    for h_toks, x_str, c in parsed:
-        h = tuple(vocab.parse(t) for t in h_toks)
-        key = (h, vocab.parse(x_str))
-        if key in gram:
-            raise ValueError(f"{path}: duplicate gram row")
-        gram[key] = c
-        hist[h] += c
-        total += c
-    return CountTable(
-        order=order,
-        vocab=vocab,
-        gram_count=gram,
-        history_count=dict(hist),
-        count_of_counts=_tally_counts(gram),
-        total_tokens=total,
-    )
+    vocab = Vocabulary(symbols=tuple(t for t in tokens if t not in (BOS_TOKEN, EOS_TOKEN)))
+    hists = [tuple(map(vocab.parse, h.split(" "))) if h else () for h in hist_ids]
+    if len({len(h) for h in hists}) > 1:
+        raise ValueError(f"{path}: inconsistent history lengths")
+    hist = np.frombuffer(hist, dtype=np.int64)
+    out_of_sym = np.array([vocab.out_index(vocab.parse(x)) for x in sym_ids])
+    out = out_of_sym[np.frombuffer(sym, dtype=np.int64)]
+    if len(np.unique(hist * vocab.out_dim + out)) < len(out):
+        raise ValueError(f"{path}: duplicate gram row")
+    return comment, vocab, hists, hist, out, [np.frombuffer(c, c.typecode) for c, _ in values]

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .corpus import CountTable, History
+from .corpus import CountTable, History, write_cells
 from .ngram import ConditionalLM, cross_entropy, entropy, kl_divergence
 
 RECON_ATOL = 1e-12
@@ -70,7 +70,8 @@ class DecompositionRows:
 def _check_rows(name: str, rows: np.ndarray, hists) -> None:
     sums = rows.sum(axis=1)
     negative = rows.min(axis=1) < 0
-    bad = negative | (np.abs(sums - 1.0) > 1e-9)
+    # a NaN compares false, so a row holding one fails the closeness test
+    bad = negative | ~(np.abs(sums - 1.0) <= 1e-9)
     if not bad.any():
         return
     i = int(np.argmax(bad))
@@ -253,21 +254,9 @@ def bracket_constant(empirical: np.ndarray, smoothed: np.ndarray) -> float:
 
 
 def write_decomposition(bundle: RegularizerBundle, vocab, path: str) -> None:
-    """TSV export: history, symbol, p_plus, p_minus, z_plus, z_minus per row."""
-    rows = []
-    for h, dec in bundle.per_history.items():
-        rh = vocab.render_history(h)
-        for j in range(vocab.out_dim):
-            rows.append((
-                rh,
-                vocab.render(vocab.id_at_out(j)),
-                float(dec.p_plus[j]),
-                float(dec.p_minus[j]),
-                dec.z_plus,
-                dec.z_minus,
-            ))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("history\tsymbol\tp_plus\tp_minus\tz_plus\tz_minus\n")
-        for rh, rx, pp, pm, zp, zm in rows:
-            f.write(f"{rh}\t{rx}\t{pp:.12g}\t{pm:.12g}\t{zp:.12g}\t{zm:.12g}\n")
+    """TSV export: history, symbol, p_plus, p_minus, z_plus, z_minus per line."""
+    r = bundle.rows
+    write_cells(path, vocab, bundle.hists, {
+        "p_plus": (r.p_plus, ".12g"), "p_minus": (r.p_minus, ".12g"),
+        "z_plus": (r.z_plus[:, None], ".12g"), "z_minus": (r.z_minus[:, None], ".12g"),
+    })

@@ -1,9 +1,9 @@
 """Conditional n-gram language models and their evaluation.
 
 Hosts the empirical conditional (count-ratio) model, prefix statistics,
-log-likelihood/perplexity evaluation, exhaustive string-distribution
-enumeration for small alphabets, and KL/cross-entropy helpers shared by the
-decomposition and verification code.  Natural log throughout.
+log-likelihood/perplexity evaluation, KL/cross-entropy helpers shared by the
+decomposition and verification code, and the LM TSV reader and writer.
+Natural log throughout.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CountTable, History, Vocabulary
+from .corpus import Corpus, CountTable, History, Vocabulary, read_cells, write_cells
 
 PROB_ATOL = 1e-9
 
@@ -27,10 +27,6 @@ class UnseenHistoryError(KeyError):
 
 class NormalizationError(ValueError):
     """A conditional row is negative somewhere or does not sum to 1."""
-
-
-class EnumerationCapError(RuntimeError):
-    """String enumeration would exceed the configured node cap."""
 
 
 def uniform_backstop(vocab: Vocabulary) -> Callable[[History], np.ndarray]:
@@ -95,7 +91,8 @@ class ConditionalLM:
         bad_bos = (is_bos[:, 1:] & ~is_bos[:, :-1]).any(axis=1)
         negative = self.matrix.min(axis=1) < 0
         sums = self.matrix.sum(axis=1)
-        bad = bad_bos | negative | (np.abs(sums - 1.0) > PROB_ATOL)
+        # a NaN compares false, so a row holding one fails the closeness test
+        bad = bad_bos | negative | ~(np.abs(sums - 1.0) <= PROB_ATOL)
         if not bad.any():
             return
         i = int(np.argmax(bad))
@@ -239,44 +236,6 @@ def perplexity(lm: ConditionalLM, corpus: Corpus) -> float:
     return math.exp(-total / corpus.total_emissions)
 
 
-def lm_string_distribution(
-    lm: ConditionalLM, max_len: int, cap: int = 1_000_000
-) -> tuple[dict[History, float], float]:
-    """Exact product probabilities of every string of length <= max_len.
-
-    Returns ({string: probability} over positive-probability strings,
-    tail_mass = 1 - total enumerated mass).  Zero-probability branches are
-    pruned.  Raises EnumerationCapError when more than `cap` prefixes would
-    be expanded.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    vocab = lm.vocab
-    eos_j = vocab.n_symbols
-    strings: dict[History, float] = {}
-    frontier: list[tuple[History, float]] = [((), 1.0)]
-    visited = 0
-    for length in range(max_len + 1):
-        next_frontier: list[tuple[History, float]] = []
-        for prefix, mass in frontier:
-            visited += 1
-            if visited > cap:
-                raise EnumerationCapError(f"more than {cap} prefixes at length {length}")
-            v = lm.conditional(padded_history(vocab, lm.order, prefix))
-            p_end = mass * float(v[eos_j])
-            if p_end > 0.0:
-                strings[prefix] = p_end
-            if length == max_len:
-                continue
-            for j in range(vocab.n_symbols):
-                p = mass * float(v[j])
-                if p > 0.0:
-                    next_frontier.append((prefix + (j,), p))
-        frontier = next_frontier
-    tail = 1.0 - math.fsum(strings.values())
-    return strings, tail
-
-
 def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
     """H(p, q) = -sum p log q with 0 log 0 := 0; +inf when q vanishes on p's support."""
     p = np.asarray(p, dtype=float)
@@ -301,61 +260,21 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def write_conditional_lm(lm: ConditionalLM, path: str) -> None:
-    """TSV export: `history<TAB>symbol<TAB>probability` (12 significant digits),
-    preceded by a `# method=... params=...` comment; rows sorted as rendered."""
-    vocab = lm.vocab
-    rows = []
-    for h, v in lm.table.items():
-        rh = vocab.render_history(h)
-        for j in range(vocab.out_dim):
-            rows.append((rh, vocab.render(vocab.id_at_out(j)), float(v[j])))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    """TSV export of every row, after a `# method=... params=...` line."""
+    hists = list(lm.table)
     params_json = json.dumps(lm.params, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# method={lm.method or 'unknown'} params={params_json}\n")
-        f.write("history\tsymbol\tprobability\n")
-        for rh, rx, p in rows:
-            f.write(f"{rh}\t{rx}\t{p:.12g}\n")
+    write_cells(path, lm.vocab, hists, {"probability": (lm.rows(hists), ".12g")},
+                comment=f"method={lm.method or 'unknown'} params={params_json}")
 
 
-def read_conditional_lm(path: str, backstop: str = "error") -> ConditionalLM:
-    """Load an LM TSV.  `backstop` is 'error' or 'uniform' for unseen histories."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("# method="):
+def read_conditional_lm(path: str) -> ConditionalLM:
+    """Load an LM TSV; a history it does not list gets the uniform row."""
+    comment, vocab, hists, hist, out, (probs,) = read_cells(path, {"probability": float})
+    if not (comment or "").startswith("method="):
         raise ValueError(f"{path}: missing method header")
-    head = lines[0][2:]
-    method, _, params_part = head.partition(" params=")
-    method = method.removeprefix("method=")
-    params = json.loads(params_part) if params_part else {}
-    if len(lines) < 2 or lines[1] != "history\tsymbol\tprobability":
-        raise ValueError(f"{path}: bad column header")
-    parsed: list[tuple[list[str], str, float]] = []
-    tokens: dict[str, None] = {}
-    order = None
-    for ln in lines[2:]:
-        if not ln:
-            continue
-        h_str, x_str, p_str = ln.split("\t")
-        h_toks = h_str.split(" ") if h_str else []
-        if order is None:
-            order = len(h_toks) + 1
-        elif order != len(h_toks) + 1:
-            raise ValueError(f"{path}: inconsistent history lengths")
-        for t in h_toks + [x_str]:
-            if t not in ("<bos>", "</s>"):
-                tokens.setdefault(t, None)
-        parsed.append((h_toks, x_str, float(p_str)))
-    if order is None:
-        raise ValueError(f"{path}: no data rows")
-    vocab = Vocabulary(symbols=tuple(tokens.keys()))
-    table: dict[History, np.ndarray] = {}
-    for h_toks, x_str, p in parsed:
-        h = tuple(vocab.parse(t) for t in h_toks)
-        if h not in table:
-            table[h] = np.zeros(vocab.out_dim)
-        table[h][vocab.out_index(vocab.parse(x_str))] = p
-    # free the parsed text before ConditionalLM stacks the rows into a matrix
-    del lines, parsed
-    bs = uniform_backstop(vocab) if backstop == "uniform" else None
-    return ConditionalLM(order, vocab, table, backstop=bs, method=method, params=params)
+    method, _, params = comment.removeprefix("method=").partition(" params=")
+    matrix = np.zeros((len(hists), vocab.out_dim))
+    matrix[hist, out] = probs
+    return ConditionalLM(len(hists[0]) + 1, vocab, (hists, matrix),
+                         backstop=uniform_backstop(vocab), method=method,
+                         params=json.loads(params) if params else {})

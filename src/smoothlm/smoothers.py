@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,23 +53,22 @@ def canonical_method(name: str) -> str:
 
 
 def smooth(table: CountTable, method: str, params: dict | None = None) -> ConditionalLM:
-    """Dispatch by method name; `params` uses the keys documented per method."""
-    params = dict(params or {})
+    """Dispatch by method name; `params` overrides default_params' keys, and
+    a None value (a JSON null) keeps the default."""
     method = canonical_method(method)
+    given = {key: val for key, val in (params or {}).items() if val is not None}
+    params = {**default_params(method, table.order), **given}
     if method == "add_lambda":
-        return smooth_add_lambda(table, params.get("lambda", 1.0))
+        return smooth_add_lambda(table, params["lambda"])
     if method == "good_turing":
         return smooth_good_turing(table)
     if method == "simple_good_turing":
         return smooth_simple_good_turing(table)
     if method == "jelinek_mercer":
-        lambdas = params.get("lambdas")
-        if lambdas is None:
-            lambdas = [0.5] * table.order
-        return smooth_jelinek_mercer(table, lambdas)
+        return smooth_jelinek_mercer(table, params["lambdas"])
     if method == "katz":
-        return smooth_katz(table, int(params.get("k", 5)))
-    return smooth_kneser_essen_ney(table, float(params.get("D", 0.75)))
+        return smooth_katz(table, int(params["k"]))
+    return smooth_kneser_essen_ney(table, float(params["D"]))
 
 
 def default_params(method: str, table_order: int) -> dict:
@@ -97,7 +95,7 @@ def smooth_add_lambda(table: CountTable, lam: float) -> ConditionalLM:
         raise ValueError(f"lambda must be > 0, got {lam}")
     vocab = table.vocab
     a = table.arrays
-    rows = np.full((len(a.hists), vocab.out_dim), lam)
+    rows = np.full((len(a.hists), vocab.out_dim), lam, dtype=float)
     rows[a.hist, a.out] += a.count
     rows /= (a.totals + vocab.out_dim * lam)[:, None]
     return ConditionalLM(
@@ -404,38 +402,6 @@ def _katz_rows(tab: CountTable, k: int, lower: tuple[dict[History, int], np.ndar
 
 # ---------------------------------------------------------------------------
 # Kneser-Essen-Ney
-
-
-@dataclass(frozen=True)
-class TypeCountTable:
-    """Distinct-context indicators of a count table.
-
-    cont[(h, x)] == 1 iff the gram was observed; left_marginal[x] counts the
-    distinct histories preceding x, right_marginal[h] the distinct
-    continuations of h, and grand_total the number of distinct observed grams.
-    """
-
-    order: int
-    cont: dict[tuple[History, int], int]
-    left_marginal: dict[int, int]
-    right_marginal: dict[History, int]
-    grand_total: int
-
-
-def build_type_counts(table: CountTable) -> TypeCountTable:
-    cont = {key: 1 for key in table.gram_count}
-    left: Counter[int] = Counter()
-    right: Counter[History] = Counter()
-    for (h, x) in cont:
-        left[x] += 1
-        right[h] += 1
-    return TypeCountTable(
-        order=table.order,
-        cont=cont,
-        left_marginal=dict(left),
-        right_marginal=dict(right),
-        grand_total=len(cont),
-    )
 
 
 def smooth_kneser_essen_ney(table: CountTable, D: float = 0.75) -> ConditionalLM:

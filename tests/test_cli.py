@@ -89,6 +89,17 @@ class TestSmooth:
               "--out", str(out)])
         assert '"D":0.75' in out.read_text().splitlines()[0]
 
+    def test_sgt_fallback_recorded(self, tmp_path):
+        # every bigram occurs once, so the SGT regression is undefined and
+        # the rows are add-lambda 1e-3; the header must say so
+        corpus = tmp_path / "flat.txt"
+        corpus.write_text("a b\nc d\n", encoding="utf-8")
+        out = tmp_path / "lm.tsv"
+        assert main(["smooth", "--corpus", str(corpus), "--order", "2", "--method", "sgt",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == (
+            '# method=simple_good_turing params={"fallback":"add_lambda","lambda":0.001}')
+
     def test_unknown_method_exit_2(self, tiny, tmp_path, capsys):
         code = main(["smooth", "--corpus", str(tiny), "--order", "2",
                      "--method", "mystery", "--out", str(tmp_path / "x.tsv")])
@@ -187,6 +198,19 @@ class TestTrainEval:
         code = main(["eval", "--lm", str(lm), "--corpus", str(tiny)])
         assert code == 0
         assert capsys.readouterr().out.startswith("perplexity\t")
+
+
+    def test_eval_lm_with_nan_exit_2(self, tiny, tmp_path, capsys):
+        lm = tmp_path / "lm.tsv"
+        main(["smooth", "--corpus", str(tiny), "--order", "2",
+              "--method", "addlambda", "--out", str(lm)])
+        lines = lm.read_text().splitlines()
+        h, x, _ = lines[2].split("\t")
+        lines[2] = f"{h}\t{x}\tnan"
+        lm.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--lm", str(lm), "--corpus", str(tiny)]) == 2
+        assert "nan" in capsys.readouterr().err
 
 
 class TestGrid:

@@ -52,6 +52,10 @@ class TestSignedDecompose:
         with pytest.raises(ValueError, match="0.9"):
             signed_decompose([0.5, 0.4], [0.5, 0.5])
 
+    def test_rejects_nan_row(self):
+        with pytest.raises(ValueError, match="nan"):
+            signed_decompose([math.nan, 1.0], [0.5, 0.5])
+
     def test_randomized_invariants(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):

@@ -1,8 +1,7 @@
 """Conditional-model and evaluation tests.
 
 Expected values are frozen from independent recomputation: hand tallies of
-the toy corpora, exhaustive product enumeration for string distributions,
-and the two-route identities via the prefix tree.
+the toy corpora and the two-route identities via the prefix tree.
 """
 
 import math
@@ -10,17 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from smoothlm.corpus import corpus_from_lines, count_ngrams
+from smoothlm.corpus import Vocabulary, corpus_from_lines, count_ngrams
 from smoothlm.ngram import (
     ConditionalLM,
-    EnumerationCapError,
+    NormalizationError,
     UnseenHistoryError,
     cross_entropy,
     empirical_conditional,
     empirical_prefix,
     entropy,
     kl_divergence,
-    lm_string_distribution,
     perplexity,
     read_conditional_lm,
     string_logprob,
@@ -93,6 +91,10 @@ class TestValidation:
         c = toy()
         with pytest.raises(ValueError, match="length"):
             ConditionalLM(2, c.vocab, {(0, 1): np.array([0.5, 0.25, 0.25])})
+
+    def test_rejects_nan_row(self):
+        with pytest.raises(NormalizationError, match="nan"):
+            ConditionalLM(1, Vocabulary(("a",)), {(): [math.nan, 1.0]})
 
 
 class TestEmpiricalPrefix:
@@ -189,61 +191,6 @@ class TestPerplexity:
         assert perplexity(lm, c1) == pytest.approx(perplexity(lm, c2), rel=1e-14)
 
 
-class TestStringDistribution:
-    def test_toy_enumeration(self):
-        # all conditionals of the toy MLE bigram are 1/2, so a length-1
-        # string has two factors (1/4) and a length-2 string three (1/8);
-        # the chain can continue past length 2, leaving 1/4 in the tail
-        c = toy()
-        lm = mle(c, 2)
-        a, b = c.vocab.id_of["a"], c.vocab.id_of["b"]
-        dist, tail = lm_string_distribution(lm, 2)
-        assert dist[(a,)] == pytest.approx(0.25)
-        assert dist[(b,)] == pytest.approx(0.25)
-        assert dist[(a, b)] == pytest.approx(0.125)
-        assert dist[(b, a)] == pytest.approx(0.125)
-        assert (a, a) not in dist and (b, b) not in dist
-        assert () not in dist  # p(EOS | BOS) = 0
-        assert tail == pytest.approx(0.25, abs=1e-15)
-
-    def test_deterministic_chain(self):
-        c = corpus_from_lines(["a b"])
-        lm = mle(c, 2)
-        dist, tail = lm_string_distribution(lm, 5)
-        assert list(dist.values()) == [pytest.approx(1.0)]
-        assert tail == pytest.approx(0.0, abs=1e-15)
-
-    def test_uniform_geometric(self):
-        c = corpus_from_lines(["a"])
-        u = np.array([0.5, 0.5])
-        lm = ConditionalLM(1, c.vocab, {(): u})
-        dist, tail = lm_string_distribution(lm, 1)
-        assert dist[()] == pytest.approx(0.5)
-        assert dist[(0,)] == pytest.approx(0.25)
-        assert tail == pytest.approx(0.25)
-
-    def test_high_order_reproduces_empirical(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            corpus = random_corpus(rng, max_symbols=2, max_len=4)
-            max_len = max(len(s) for s in corpus.sequences)
-            lm = mle(corpus, max_len + 2)
-            dist, tail = lm_string_distribution(lm, max_len)
-            assert abs(tail) < 1e-12
-            from collections import Counter
-
-            mult = Counter(corpus.sequences)
-            assert set(dist) == set(mult)
-            for s, m in mult.items():
-                assert dist[s] == pytest.approx(m / corpus.M, rel=1e-12)
-
-    def test_cap_guard(self):
-        c = corpus_from_lines(["a b", "b a"])
-        lm = mle(c, 2)
-        with pytest.raises(EnumerationCapError):
-            lm_string_distribution(lm, 30, cap=10)
-
-
 class TestDivergences:
     def test_zero_times_log_zero(self):
         assert kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
@@ -310,6 +257,15 @@ class TestLmTsv:
         write_conditional_lm(lm2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert lm2.method == "empirical"
+
+    def test_unlisted_history_gets_uniform_row(self, tmp_path):
+        c = corpus_from_lines(["a b", "b a"])
+        p = tmp_path / "lm.tsv"
+        write_conditional_lm(mle(c, 3), str(p))
+        lm = read_conditional_lm(str(p))
+        a = lm.vocab.id_of["a"]
+        assert (a, a) not in lm.table
+        np.testing.assert_array_equal(lm.conditional((a, a)), [1 / 3] * 3)
 
     def test_probabilities_preserved(self, tmp_path):
         c = corpus_from_lines(["a b a b b", "b a"])

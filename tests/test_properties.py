@@ -1,15 +1,23 @@
-"""Hypothesis properties of the table layers over random small corpora
-(2-8 symbols, orders 1-3), with per-cell oracles written from gram_count."""
+"""Hypothesis properties of the table layers and their TSV files over random
+small corpora (2-8 symbols, orders 1-3), with per-cell oracles written from
+gram_count."""
 
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothlm.corpus import Corpus, Vocabulary, count_ngrams
+from smoothlm.corpus import Corpus, Vocabulary, count_ngrams, read_count_table, write_count_table
 from smoothlm.decompose import RECON_ATOL, build_regularizer
-from smoothlm.ngram import PROB_ATOL, empirical_conditional
+from smoothlm.ngram import (
+    PROB_ATOL,
+    empirical_conditional,
+    read_conditional_lm,
+    write_conditional_lm,
+)
 from smoothlm.smoothers import (
     METHODS,
     KatzConfigError,
@@ -110,3 +118,43 @@ def test_kneser_essen_ney_cells_exact(corpus, order, D):
     assert set(lm.table) == set(expected)
     for h, row in expected.items():
         assert lm.table[h].tolist() == row
+
+
+def gram_strings(table):
+    """gram_count keyed by rendered strings, which survive a file's new ids."""
+    v = table.vocab
+    return {(v.render_history(h), v.render(x)): c for (h, x), c in table.gram_count.items()}
+
+
+def history_strings(table):
+    return {table.vocab.render_history(h): c for h, c in table.history_count.items()}
+
+
+@given(corpora(), orders)
+def test_tsv_files_round_trip(corpus, order):
+    table = count_ngrams(corpus, order)
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "first.tsv"), os.path.join(d, "second.tsv")
+        write_count_table(table, first)
+        back = read_count_table(first)
+        assert gram_strings(back) == gram_strings(table)
+        assert history_strings(back) == history_strings(table)
+        assert back.count_of_counts == table.count_of_counts
+        assert back.total_tokens == table.total_tokens
+        for method in METHODS:
+            if method == "kneser_essen_ney" and order < 2:
+                continue
+            try:
+                lm = smooth(table, method)
+            except KatzConfigError:
+                continue
+            write_conditional_lm(lm, first)
+            lm2 = read_conditional_lm(first)
+            write_conditional_lm(lm2, second)
+            with open(first, "rb") as f1, open(second, "rb") as f2:
+                assert f1.read() == f2.read(), method
+            v, v2 = lm.vocab, lm2.vocab
+            cols = [v2.out_index(v2.parse(v.render(v.id_at_out(j)))) for j in range(v.out_dim)]
+            for h, row in zip(lm.hists, lm.matrix):
+                h2 = tuple(v2.parse(v.render(i)) for i in h)
+                np.testing.assert_allclose(lm2.conditional(h2)[cols], row, rtol=1e-11, atol=0)
