@@ -156,25 +156,24 @@ def _model_for(cfg, table):
 
 class _TrainingData:
     """What every model trained on one run config shares, built once: the
-    corpora, their count aggregates, and one regularizer bundle per
-    method_params value (the decomposition does not depend on the gammas).
-    A grid call keeps one of these for its cells and drops it when it ends,
-    so a later call sees rewritten input files."""
+    count tables of the training and held-out corpora, and one regularizer
+    bundle per method_params value (the decomposition does not depend on
+    the gammas).  A grid call keeps one of these for its cells and drops it
+    when it ends, so a later call sees rewritten input files."""
 
     def __init__(self, cfg):
-        self.corpus = load_corpus(cfg["corpus_path"])
-        self.table = count_ngrams(self.corpus, cfg["order"])
-        self.counts = neural.EmissionCounts.from_table(self.table)
+        corpus = load_corpus(cfg["corpus_path"])
+        self.table = count_ngrams(corpus, cfg["order"])
         self.heldout = None
         if cfg.get("heldout_path"):
-            heldout = load_corpus(cfg["heldout_path"], vocab=self.corpus.vocab)
-            self.heldout = neural.EmissionCounts.from_table(count_ngrams(heldout, cfg["order"]))
+            heldout = load_corpus(cfg["heldout_path"], vocab=corpus.vocab)
+            self.heldout = count_ngrams(heldout, cfg["order"])
         self._bundles = {}
 
     def _bundle(self, config):
         key = json.dumps(config.method_params, sort_keys=True)
         if key not in self._bundles:
-            _, self._bundles[key] = neural.make_bundle_for(self.corpus, self.table.order, config)
+            self._bundles[key] = neural.make_bundle_for(self.table, self.table.order, config)
         return dataclasses.replace(
             self._bundles[key], gamma_plus=config.gamma_plus, gamma_minus=config.gamma_minus
         )
@@ -183,7 +182,7 @@ class _TrainingData:
         config = _train_config(cfg)
         bundle = self._bundle(config) if config.objective in neural.BUNDLE_OBJECTIVES else None
         model = _model_for(cfg, self.table)
-        return neural.train(model, self.counts, config, bundle, self.heldout)
+        return neural.train(model, self.table, config, bundle, self.heldout)
 
 
 def _write_metrics(metrics, path):

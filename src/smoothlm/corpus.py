@@ -130,8 +130,8 @@ class Corpus:
 @dataclass(frozen=True)
 class GramArrays:
     """Array form of a CountTable.  Row i is the history hists[i] (the
-    order of history_count); gram g adds count[g] at row hist[g], emission
-    index out[g]; totals[i] is history_count[hists[i]]."""
+    histories in sorted order); gram g adds count[g] at row hist[g],
+    emission index out[g]; totals[i] is history_count[hists[i]]."""
 
     hists: tuple[History, ...]
     index: dict[History, int]
@@ -149,7 +149,8 @@ class CountTable:
     history equals h and whose emitted symbol (a vocabulary id or EOS) is x;
     history_count[h] is the row total; count_of_counts[i] is the number of
     distinct positive-count grams occurring exactly i times.  `arrays` holds
-    the same grams as index arrays, derived once from gram_count.
+    the same grams as index arrays, derived once from gram_count; every
+    consumer of the counts (smoothers, training, perplexity) reads them.
     """
 
     order: int
@@ -159,12 +160,9 @@ class CountTable:
     count_of_counts: dict[int, int]
     total_tokens: int
 
-    def histories(self) -> list[History]:
-        return list(self.history_count.keys())
-
     @cached_property
     def arrays(self) -> GramArrays:
-        hists = tuple(self.history_count)
+        hists = tuple(sorted(self.history_count))
         index = {h: i for i, h in enumerate(hists)}
         n = len(self.gram_count)
         try:
@@ -183,8 +181,16 @@ class CountTable:
             hist=hist,
             out=ids,
             count=np.fromiter(self.gram_count.values(), dtype=np.int64, count=n),
-            totals=np.fromiter(self.history_count.values(), dtype=np.int64, count=len(hists)),
+            totals=np.fromiter(map(self.history_count.__getitem__, hists), dtype=np.int64,
+                               count=len(hists)),
         )
+
+    def dense_counts(self) -> np.ndarray:
+        """The counts as one (histories x emissions) matrix in `arrays` row order."""
+        a = self.arrays
+        counts = np.zeros((len(a.hists), self.vocab.out_dim))
+        counts[a.hist, a.out] = a.count
+        return counts
 
 
 def build_vocabulary(lines: Iterable[str]) -> Vocabulary:
@@ -334,28 +340,6 @@ def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
         chain.append(marginalize(chain[-1]))
     chain.reverse()
     return chain
-
-
-def merge_count_tables(tables: list[CountTable]) -> CountTable:
-    """Merge per-shard tables by commutative addition (shard order irrelevant).
-
-    Counting a corpus in shards and merging gives the same table as counting
-    it whole, since every tallied quantity is a plain sum over positions.
-    """
-    if not tables:
-        raise ValueError("nothing to merge")
-    first = tables[0]
-    for t in tables[1:]:
-        if t.order != first.order or t.vocab.symbols != first.vocab.symbols:
-            raise ValueError("shards disagree on order or vocabulary")
-    gram: Counter[tuple[History, int]] = Counter()
-    hist: Counter[History] = Counter()
-    total = 0
-    for t in tables:
-        gram.update(t.gram_count)
-        hist.update(t.history_count)
-        total += t.total_tokens
-    return _count_table(first.order, first.vocab, gram, hist, total)
 
 
 def write_count_table(table: CountTable, path: str) -> None:

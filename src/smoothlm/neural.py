@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CountTable, History, Vocabulary, count_ngrams
+from .corpus import Corpus, CountTable, History, Vocabulary, _count_table, count_ngrams
 from .decompose import RegularizerBundle, build_regularizer
 from .ngram import empirical_conditional, padded_history
 
@@ -111,11 +111,7 @@ class TabularSoftmaxLM:
 
     @classmethod
     def for_table(cls, table: CountTable) -> "TabularSoftmaxLM":
-        return cls(table.order, table.vocab, sorted(table.history_count))
-
-    @classmethod
-    def for_corpus(cls, corpus: Corpus, order: int) -> "TabularSoftmaxLM":
-        return cls.for_table(count_ngrams(corpus, order))
+        return cls(table.order, table.vocab, table.arrays.hists)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"logits": self.logits}
@@ -132,10 +128,6 @@ class TabularSoftmaxLM:
         q = np.full((len(idx), self.vocab.out_dim), 1.0 / self.vocab.out_dim)
         q[known] = _log_softmax(self.logits[idx[known]])[1]
         return q
-
-    def conditional_table(self) -> dict[History, np.ndarray]:
-        _, q = _log_softmax(self.logits)
-        return {h: q[i] for h, i in self.history_index.items()}
 
     def _rows_for(self, hists: list[History]) -> np.ndarray:
         idx = []
@@ -247,56 +239,24 @@ def batch_from_corpus(corpus: Corpus, order: int) -> list[tuple[History, int]]:
     return out
 
 
-def _aggregate(batch, vocab: Vocabulary) -> tuple[list[History], np.ndarray]:
-    counts: Counter[tuple[History, int]] = Counter()
-    for h, x in batch:
-        counts[(tuple(h), vocab.out_index(x))] += 1
-    hists = sorted({h for h, _ in counts})
-    pos = {h: i for i, h in enumerate(hists)}
-    C = np.zeros((len(hists), vocab.out_dim))
-    for (h, j), c in counts.items():
-        C[pos[h], j] = c
-    return hists, C
-
-
-@dataclass(frozen=True)
-class EmissionCounts:
-    """Dense (history x emission) counts of a corpus at one order: C[i, j]
-    is how often the sorted history hists[i] emits out-index j."""
-
-    order: int
-    hists: list[History]
-    C: np.ndarray
-
-    @classmethod
-    def from_table(cls, table: CountTable) -> "EmissionCounts":
-        a = table.arrays
-        by_history = sorted(range(len(a.hists)), key=a.hists.__getitem__)
-        rank = np.empty(len(by_history), dtype=np.intp)
-        rank[by_history] = np.arange(len(by_history))
-        C = np.zeros((len(by_history), table.vocab.out_dim))
-        C[rank[a.hist], a.out] = a.count
-        return cls(table.order, [a.hists[i] for i in by_history], C)
-
-
-def emission_counts(data: Corpus | EmissionCounts, order: int) -> EmissionCounts:
-    """The counts of a corpus at `order`; counts already built pass through."""
-    if isinstance(data, EmissionCounts):
+def _table(data: Corpus | CountTable, order: int) -> CountTable:
+    """The count table of a corpus at `order`; a table passes through."""
+    if isinstance(data, CountTable):
         if data.order != order:
             raise ValueError(f"counts are at order {data.order}, model at order {order}")
         return data
-    return EmissionCounts.from_table(count_ngrams(data, order))
+    return count_ngrams(data, order)
 
 
 def _objective_weights(
-    hists: list[History],
-    C: np.ndarray,
-    config: TrainConfig,
-    bundle: RegularizerBundle | None,
-    out_dim: int,
+    table: CountTable, config: TrainConfig, bundle: RegularizerBundle | None
 ) -> tuple[np.ndarray, float]:
-    """Per-history coefficient vectors alpha and the theta-independent constant
-    such that loss = sum_h alpha_h . (-log q(.|h)) + const."""
+    """Per-history coefficient vectors alpha, one row per history of
+    `table.arrays`, and the theta-independent constant such that
+    loss = sum_h alpha_h . (-log q(.|h)) + const."""
+    hists = table.arrays.hists
+    C = table.dense_counts()
+    out_dim = table.vocab.out_dim
     N = C.sum()
     alpha = C / N
     const = 0.0
@@ -366,87 +326,94 @@ def loss_and_grad(
     if not batch:
         raise ValueError("batch must be nonempty")
     config.validate()
-    hists, C = _aggregate(batch, model.vocab)
-    alpha, const = _objective_weights(hists, C, config, bundle, model.vocab.out_dim)
-    loss, grads = model.batch_loss_grads(hists, alpha)
+    pairs = [(tuple(h), x) for h, x in batch]
+    table = _count_table(model.order, model.vocab, Counter(pairs),
+                         Counter(h for h, _ in pairs), len(pairs))
+    alpha, const = _objective_weights(table, config, bundle)
+    loss, grads = model.batch_loss_grads(table.arrays.hists, alpha)
     return loss + const, grads
 
 
-def model_perplexity(model, data: Corpus | EmissionCounts) -> float:
-    """Perplexity of a differentiable model on a corpus or its counts, from
-    one batched forward pass (softmax rows are strictly positive, so this is
-    always finite barring overflow)."""
-    counts = emission_counts(data, model.order)
-    q = model.forward_batch(counts.hists)
-    mask = counts.C > 0
-    nll = -float(np.dot(counts.C[mask], np.log(q[mask])))
-    return math.exp(nll / counts.C.sum())
+def model_perplexity(model, data: Corpus | CountTable) -> float:
+    """Perplexity of a differentiable model on a corpus or its count table at
+    the model's order, from one batched forward pass (softmax rows are
+    strictly positive, so this is always finite barring overflow)."""
+    table = _table(data, model.order)
+    return _perplexity(model, table.arrays.hists, table.dense_counts())
+
+
+def _perplexity(model, hists: Sequence[History], C: np.ndarray) -> float:
+    """Perplexity over the count matrix C, whose row i counts hists[i]."""
+    q = model.forward_batch(hists)
+    mask = C > 0
+    nll = -float(np.dot(C[mask], np.log(q[mask])))
+    return math.exp(nll / C.sum())
 
 
 def make_bundle_for(
-    corpus: Corpus, order: int, config: TrainConfig
-) -> tuple[CountTable, RegularizerBundle]:
-    """Build the regularizer bundle a config's objective asks for."""
+    data: Corpus | CountTable, order: int, config: TrainConfig
+) -> RegularizerBundle:
+    """The regularizer bundle a config's objective asks for, built from a
+    corpus or its count table at `order`."""
     if config.method is None:
         raise ValueError(f"objective {config.objective} needs a smoothing method")
     from .smoothers import smooth  # local import to avoid a cycle
 
-    table = count_ngrams(corpus, order)
+    table = _table(data, order)
     smoothed = smooth(table, config.method, config.method_params)
-    bundle = build_regularizer(
+    return build_regularizer(
         empirical_conditional(table), smoothed, table,
         config.gamma_plus, config.gamma_minus,
     )
-    return table, bundle
 
 
 def train(
     model,
-    corpus: Corpus | EmissionCounts,
+    data: Corpus | CountTable,
     config: TrainConfig,
     bundle: RegularizerBundle | None = None,
-    heldout: Corpus | EmissionCounts | None = None,
+    heldout: Corpus | CountTable | None = None,
 ) -> tuple[object, TrainMetrics]:
     """Full-batch gradient descent; returns the best-held-out checkpoint.
 
     Without a held-out corpus all `epochs` steps run and the final state is
     returned.  With one, training stops once held-out perplexity has not
     improved for `patience` consecutive epochs, and the parameters of the
-    best epoch are restored.  Either corpus may be given as its
-    EmissionCounts at the model's order, so that callers training many
-    models on the same data count it once; the bundle, if the objective
-    needs one, must then be given too.
+    best epoch are restored.  Either corpus may be given as its count table
+    at the model's order; only a corpus is counted here.  A bundle the
+    objective needs is built from the training counts unless one is given,
+    so callers training many models on the same data pass the tables and
+    a shared bundle.
     """
     config.validate()
+    table = _table(data, model.order)
     if config.objective in BUNDLE_OBJECTIVES and bundle is None:
-        if not isinstance(corpus, Corpus):
-            raise ValueError(f"objective {config.objective} needs a regularizer bundle")
-        _, bundle = make_bundle_for(corpus, model.order, config)
+        bundle = make_bundle_for(table, model.order, config)
     if heldout is not None:
-        heldout = emission_counts(heldout, model.order)
-    return _train_counts(model, emission_counts(corpus, model.order), config, bundle, heldout)
+        heldout = _table(heldout, model.order)
+    return _train_counts(model, table, config, bundle, heldout)
 
 
 def train_smoothed_target(model, smoothed_lm, table: CountTable, config: TrainConfig):
     """Fit the model to a smoothed conditional table by gradient descent."""
     cfg = TrainConfig(**{**config.__dict__, "objective": "smoothed_target"})
     bundle = build_regularizer(empirical_conditional(table), smoothed_lm, table, 1.0, 1.0)
-    model, _ = _train_counts(model, EmissionCounts.from_table(table), cfg, bundle, None)
+    model, _ = _train_counts(model, table, cfg, bundle, None)
     return model
 
 
-def _train_counts(model, counts, config, bundle, heldout):
+def _train_counts(model, table, config, bundle, heldout):
     # the objective weights do not depend on the parameters: build them once
-    alpha, const = _objective_weights(
-        counts.hists, counts.C, config, bundle, model.vocab.out_dim
-    )
+    alpha, const = _objective_weights(table, config, bundle)
+    if heldout is not None:
+        heldout = (heldout.arrays.hists, heldout.dense_counts())
     metrics = TrainMetrics()
     params = model.param_arrays()
     best_ppl = math.inf
     best_params = None
     stale = 0
     for epoch in range(config.epochs):
-        loss, grads = model.batch_loss_grads(counts.hists, alpha)
+        loss, grads = model.batch_loss_grads(table.arrays.hists, alpha)
         loss += const
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss!r} at epoch {epoch}")
@@ -455,7 +422,7 @@ def _train_counts(model, counts, config, bundle, heldout):
         metrics.train_loss.append(loss)
         metrics.epochs_run = epoch + 1
         if heldout is not None:
-            ppl = model_perplexity(model, heldout)
+            ppl = _perplexity(model, *heldout)
             metrics.heldout_ppl.append(ppl)
             if ppl < best_ppl:
                 best_ppl = ppl

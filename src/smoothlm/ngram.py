@@ -103,9 +103,6 @@ class ConditionalLM:
             raise NormalizationError(f"history {h}: negative probability")
         raise NormalizationError(f"history {h}: probabilities sum to {float(sums[i])!r}, not 1")
 
-    def histories(self) -> list[History]:
-        return list(self.table.keys())
-
     def rows(self, hists: Sequence[History]) -> np.ndarray:
         """Row matrix of `hists` in that order: `matrix` itself when they are
         its histories, otherwise a stacked copy of the `table` rows."""
@@ -148,10 +145,8 @@ def padded_history(vocab: Vocabulary, order: int, prefix: Sequence[int]) -> Hist
 
 def empirical_rows(table: CountTable) -> np.ndarray:
     """Count ratios, one row per history of `table.arrays`."""
-    a = table.arrays
-    rows = np.zeros((len(a.hists), table.vocab.out_dim))
-    rows[a.hist, a.out] = a.count
-    rows /= a.totals[:, None]
+    rows = table.dense_counts()
+    rows /= table.arrays.totals[:, None]
     return rows
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +55,34 @@ def canonical_method(name: str) -> str:
 
 def smooth(table: CountTable, method: str, params: dict | None = None) -> ConditionalLM:
     """Dispatch by method name; `params` overrides default_params' keys, and
-    a None value (a JSON null) keeps the default."""
+    a None value (a JSON null) keeps the default.  A value of the wrong type
+    raises ValueError naming its parameter."""
     method = canonical_method(method)
+    if not isinstance(params, (dict, type(None))):
+        raise ValueError(f"smoother params must be a JSON object, got {params!r}")
     given = {key: val for key, val in (params or {}).items() if val is not None}
     params = {**default_params(method, table.order), **given}
     if method == "add_lambda":
-        return smooth_add_lambda(table, params["lambda"])
+        return smooth_add_lambda(table, _number("lambda", params["lambda"]))
     if method == "good_turing":
         return smooth_good_turing(table)
     if method == "simple_good_turing":
         return smooth_simple_good_turing(table)
     if method == "jelinek_mercer":
-        return smooth_jelinek_mercer(table, params["lambdas"])
+        lambdas = params["lambdas"]
+        if not isinstance(lambdas, (list, tuple)):
+            raise ValueError(f"parameter 'lambdas' must be a list of numbers, got {lambdas!r}")
+        return smooth_jelinek_mercer(table, [_number("lambdas", lam) for lam in lambdas])
     if method == "katz":
-        return smooth_katz(table, int(params["k"]))
-    return smooth_kneser_essen_ney(table, float(params["D"]))
+        return smooth_katz(table, int(_number("k", params["k"])))
+    return smooth_kneser_essen_ney(table, float(_number("D", params["D"])))
+
+
+def _number(name: str, value):
+    """`value` if it is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"parameter {name!r} must be a finite number, got {value!r}")
+    return value
 
 
 def default_params(method: str, table_order: int) -> dict:

@@ -139,6 +139,32 @@ class TestSmooth:
         assert code == 0
 
 
+BAD_PARAMS = [
+    ("addlambda", '{"lambda":"x"}', "'lambda' must be a finite number"),
+    ("addlambda", "[1]", "params must be a JSON object"),
+    ("jm", '{"lambdas":0.5}', "'lambdas' must be a list of numbers"),
+]
+
+
+@pytest.mark.parametrize("method,params,message", BAD_PARAMS)
+@pytest.mark.parametrize("command", ["smooth", "decompose"])
+def test_badly_typed_params_exit_2(tiny, tmp_path, capsys, command, method, params, message):
+    code = main([command, "--corpus", str(tiny), "--order", "2", "--method", method,
+                 "--params", params, "--out", str(tmp_path / "x.tsv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,params,message", BAD_PARAMS)
+def test_badly_typed_method_params_exit_2_in_train(tiny, tmp_path, capsys, method, params,
+                                                   message):
+    code = main(["train", "--corpus-path", str(tiny), "--arch", "tabular",
+                 "--objective", "split_regularizer", "--method", method,
+                 "--method-params", params, "--epochs", "1", "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestDecompose:
     def test_writes_rows(self, tiny, tmp_path):
         out = tmp_path / "dec.tsv"
@@ -298,6 +324,7 @@ class TestGrid:
 
     def test_corpora_and_bundles_built_once(self, zipf, tmp_path, monkeypatch):
         import smoothlm.cli as cli_mod
+        import smoothlm.corpus as corpus_mod
 
         calls = Counter()
 
@@ -310,12 +337,17 @@ class TestGrid:
         monkeypatch.setattr(cli_mod, "load_corpus", counted("load_corpus", load_corpus))
         monkeypatch.setattr(neural, "make_bundle_for",
                             counted("make_bundle_for", neural.make_bundle_for))
+        # every module that counts a corpus: the grid counts each corpus
+        # once, and the bundles are built from the training table
+        count_ngrams = counted("count_ngrams", corpus_mod.count_ngrams)
+        for mod in (cli_mod, neural, corpus_mod):
+            monkeypatch.setattr(mod, "count_ngrams", count_ngrams)
         train, held = zipf
         out_dir = tmp_path / "g"
         cfg = self.make_config(tmp_path, train, held, out_dir, gamma_minus=(0.25, 0.5))
         assert main(["grid", "--config", str(cfg)]) == 0
         assert len(self.read_rows(out_dir)) == 2 * 4  # lambda candidates x gamma pairs
-        assert calls == {"load_corpus": 2, "make_bundle_for": 2}
+        assert calls == {"load_corpus": 2, "make_bundle_for": 2, "count_ngrams": 2}
 
     def test_second_call_reads_rewritten_corpus(self, zipf, tmp_path):
         train, held = zipf

@@ -21,7 +21,6 @@ from smoothlm.corpus import (
     count_substrings,
     load_corpus,
     marginalize,
-    merge_count_tables,
     read_count_table,
     write_count_table,
     zero_gram_count,
@@ -223,42 +222,6 @@ class TestCountsOfCounts:
         t = count_ngrams(c, 2)
         # 3 observed histories x 3 emissions - 6 observed grams
         assert zero_gram_count(t) == 3
-
-
-class TestShardMerge:
-    def test_sharded_counting_matches_whole(self):
-        lines = ["a b a", "b a", "c a b", "a", "b b c"]
-        whole = corpus_from_lines(lines)
-        vocab = whole.vocab
-        shards = [
-            count_ngrams(Corpus(vocab=vocab, sequences=whole.sequences[i:i + 2]), 2)
-            for i in range(0, len(lines), 2)
-        ]
-        merged = merge_count_tables(shards)
-        full = count_ngrams(whole, 2)
-        assert merged.gram_count == full.gram_count
-        assert merged.history_count == full.history_count
-        assert merged.count_of_counts == full.count_of_counts
-        assert merged.total_tokens == full.total_tokens
-
-    def test_merge_order_irrelevant(self):
-        lines = ["a b a", "b a", "c a b", "a"]
-        whole = corpus_from_lines(lines)
-        vocab = whole.vocab
-        shards = [
-            count_ngrams(Corpus(vocab=vocab, sequences=(s,)), 2)
-            for s in whole.sequences
-        ]
-        fwd = merge_count_tables(shards)
-        rev = merge_count_tables(list(reversed(shards)))
-        assert fwd.gram_count == rev.gram_count
-        assert fwd.count_of_counts == rev.count_of_counts
-
-    def test_mismatched_shards_rejected(self):
-        a = count_ngrams(corpus_from_lines(["a b"]), 2)
-        b = count_ngrams(corpus_from_lines(["a b"]), 3)
-        with pytest.raises(ValueError, match="disagree"):
-            merge_count_tables([a, b])
 
 
 class TestMarginalize:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from smoothlm.corpus import corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import (
-    EmissionCounts,
+    OBJECTIVES,
     FeedForwardLM,
     TabularSoftmaxLM,
     TrainConfig,
@@ -24,6 +24,7 @@ from smoothlm.neural import (
     batch_from_corpus,
     load_model,
     loss_and_grad,
+    make_bundle_for,
     model_perplexity,
     save_model,
     train,
@@ -75,7 +76,7 @@ def finite_difference_check(model, batch, config, bundle=None, eps=1e-5):
 class TestForward:
     def test_zero_parameters_uniform(self):
         c = toy()
-        m = TabularSoftmaxLM.for_corpus(c, 2)
+        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         np.testing.assert_allclose(m.forward((0,)), [1 / 3] * 3)
         ff = FeedForwardLM(2, c.vocab, 4, 5, seed=0, init_scale=0.0)
         np.testing.assert_allclose(ff.forward((0,)), [1 / 3] * 3)
@@ -95,7 +96,7 @@ class TestForward:
 
     def test_wrong_history_length(self):
         c = toy()
-        m = TabularSoftmaxLM.for_corpus(c, 2)
+        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         with pytest.raises(ValueError, match="length"):
             m.forward((0, 1))
 
@@ -114,12 +115,15 @@ class TestForward:
             assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def lines_over(symbols):
+    return st.lists(st.lists(st.sampled_from(symbols), min_size=1, max_size=5).map(" ".join),
+                    min_size=1, max_size=6)
+
+
 @settings(max_examples=60)
 @given(st.data())
 def test_forward_batch_matches_forward_rows(data):
-    lines = data.draw(st.lists(
-        st.lists(st.sampled_from("abcd"), min_size=1, max_size=5).map(" ".join),
-        min_size=1, max_size=6))
+    lines = data.draw(lines_over("abcd"))
     order = data.draw(st.integers(2, 3))
     corpus = corpus_from_lines(lines)
     vocab = corpus.vocab
@@ -143,10 +147,49 @@ def test_forward_batch_matches_forward_rows(data):
                                   np.full(vocab.out_dim, 1.0 / vocab.out_dim))
 
 
+@settings(max_examples=30)
+@given(st.data())
+def test_corpus_and_its_table_train_alike(data):
+    corpus = corpus_from_lines(data.draw(lines_over("abcd")))
+    heldout = corpus_from_lines(data.draw(lines_over(corpus.vocab.symbols)), vocab=corpus.vocab)
+    order = data.draw(st.integers(2, 3))
+    method, params = data.draw(st.sampled_from([
+        ("add_lambda", {"lambda": 0.3}),
+        ("jelinek_mercer", {"lambdas": [0.3] * order}),
+        ("kneser_essen_ney", {"D": 0.4}),
+    ]))
+    config = TrainConfig(
+        objective=data.draw(st.sampled_from(OBJECTIVES)), method=method, method_params=params,
+        gamma_ls=0.5, gamma_plus=0.5, gamma_minus=0.25, lr=0.5, epochs=4, patience=2)
+    table, held_table = count_ngrams(corpus, order), count_ngrams(heldout, order)
+    b1, b2 = make_bundle_for(corpus, order, config), make_bundle_for(table, order, config)
+    assert b1.hists == b2.hists and b1.weights == b2.weights
+    for name in ("p_plus", "p_minus", "z_plus", "z_minus"):
+        np.testing.assert_array_equal(getattr(b1.rows, name), getattr(b2.rows, name))
+    for make in (lambda: TabularSoftmaxLM.for_table(table),
+                 lambda: FeedForwardLM(order, corpus.vocab, 3, 4, seed=order, init_scale=0.5)):
+        m1, metrics1 = train(make(), corpus, config, heldout=heldout)
+        m2, metrics2 = train(make(), table, config, heldout=held_table)
+        assert metrics1 == metrics2
+        for name, arr in m1.param_arrays().items():
+            np.testing.assert_array_equal(arr, m2.param_arrays()[name])
+        assert model_perplexity(m1, heldout) == model_perplexity(m2, held_table)
+        assert model_perplexity(m1, corpus) == model_perplexity(m2, table)
+
+
+def test_table_at_another_order_rejected():
+    c = toy()
+    m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
+    with pytest.raises(ValueError, match="order 3, model at order 2"):
+        train(m, count_ngrams(c, 3), TrainConfig(objective="mle", epochs=1))
+    with pytest.raises(ValueError, match="order 3, model at order 2"):
+        model_perplexity(m, count_ngrams(c, 3))
+
+
 class TestLossAndGrad:
     def test_softmax_ce_gradient_identity(self):
         c = toy()
-        m = TabularSoftmaxLM.for_corpus(c, 2)
+        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         rng = np.random.default_rng(0)
         m.logits[...] = rng.normal(size=m.logits.shape)
         h = (c.vocab.id_of["a"],)
@@ -186,7 +229,7 @@ class TestLossAndGrad:
 
     def test_empty_batch_rejected(self):
         c = toy()
-        m = TabularSoftmaxLM.for_corpus(c, 2)
+        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         with pytest.raises(ValueError, match="nonempty"):
             loss_and_grad(m, [], TrainConfig())
 
@@ -232,7 +275,7 @@ class TestGradientsAgainstFiniteDifferences:
 class TestTraining:
     def test_tabular_mle_recovers_empirical(self):
         c = toy()
-        m = TabularSoftmaxLM.for_corpus(c, 2)
+        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         config = TrainConfig(objective="mle", lr=4.0, epochs=8000)
         m, metrics = train(m, c, config)
         emp = empirical_conditional(count_ngrams(c, 2))
@@ -252,7 +295,7 @@ class TestTraining:
 
     def test_lr_zero_keeps_parameters(self):
         c = toy()
-        m = TabularSoftmaxLM.for_corpus(c, 2)
+        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         rng = np.random.default_rng(1)
         m.logits[...] = rng.normal(size=m.logits.shape)
         before = m.logits.copy()
@@ -262,7 +305,7 @@ class TestTraining:
 
     def test_divergence_raises_training_error(self):
         c = toy()
-        m = TabularSoftmaxLM.for_corpus(c, 2)
+        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         m.logits[0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingError, match="epoch 0"):
@@ -335,7 +378,7 @@ class TestSmoothedTargetTraining:
 class TestSerialization:
     def test_tabular_roundtrip_bit_exact(self, tmp_path):
         c = toy()
-        m = TabularSoftmaxLM.for_corpus(c, 2)
+        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         rng = np.random.default_rng(0)
         m.logits[...] = rng.normal(size=m.logits.shape)
         p = tmp_path / "m.json"
@@ -359,16 +402,22 @@ class TestSerialization:
         np.testing.assert_array_equal(q1, q2)
 
 
-def loop_objective_weights(counts, config, bundle):
-    """Reference: the bundle objectives' weights one history at a time."""
-    N = counts.C.sum()
-    alpha = counts.C / N
+def loop_objective_weights(table, config, bundle):
+    """Reference: the bundle objectives' weights one history at a time, over
+    a count matrix filled from gram_count."""
+    hists = sorted(table.history_count)
+    row = {h: i for i, h in enumerate(hists)}
+    C = np.zeros((len(hists), table.vocab.out_dim))
+    for (h, x), c in table.gram_count.items():
+        C[row[h], table.vocab.out_index(x)] = c
+    N = C.sum()
+    alpha = C / N
     const = 0.0
-    for i, h in enumerate(counts.hists):
+    for i, h in enumerate(hists):
         dec = bundle.per_history[h]
         w = bundle.weights[h] / N
         if config.objective == "smoothed_target":
-            target = counts.C[i] / counts.C[i].sum()
+            target = C[i] / C[i].sum()
             if dec.z_plus > 0:
                 target = target + dec.z_plus * dec.p_plus
             if dec.z_minus > 0:
@@ -393,8 +442,7 @@ def test_objective_weights_match_per_history_loop(objective, method):
     table = count_ngrams(synthetic_corpus(21, n_sequences=80, n_symbols=6), 3)
     bundle = build_regularizer(empirical_conditional(table), smooth(table, method), table, 0.3, 0.7)
     config = TrainConfig(objective=objective, method=method, gamma_plus=0.3, gamma_minus=0.7)
-    counts = EmissionCounts.from_table(table)
-    alpha, const = _objective_weights(counts.hists, counts.C, config, bundle, table.vocab.out_dim)
-    ref_alpha, ref_const = loop_objective_weights(counts, config, bundle)
+    alpha, const = _objective_weights(table, config, bundle)
+    ref_alpha, ref_const = loop_objective_weights(table, config, bundle)
     np.testing.assert_array_equal(alpha, ref_alpha)
     assert const == pytest.approx(ref_const, rel=1e-12)
