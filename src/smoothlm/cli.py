@@ -235,7 +235,11 @@ def _grid_values(cfg) -> tuple[list[str], list[tuple]]:
     gm = cfg.get("gamma_minus", [0.1])
     gp = gp if isinstance(gp, list) else [gp]
     gm = gm if isinstance(gm, list) else [gm]
-    mp = cfg.get("method_params") or {}
+    mp = cfg.get("method_params")
+    if mp is None:
+        mp = {}
+    if not isinstance(mp, dict):
+        raise ValueError(f"method_params must be a JSON object, got {mp!r}")
     keys = sorted(mp)
     value_lists = [mp[k] if isinstance(mp[k], list) else [mp[k]] for k in keys]
     combos = list(itertools.product(gp, gm, *value_lists))

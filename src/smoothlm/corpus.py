@@ -185,6 +185,16 @@ class CountTable:
                                count=len(hists)),
         )
 
+    @cached_property
+    def seen_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, emission index, count) of the positive cells of
+        `dense_counts()`, in its row-major order, so that a sum over them
+        runs in the order of a sum over that matrix's masked cells."""
+        a = self.arrays
+        cells = np.argsort(a.hist * self.vocab.out_dim + a.out)
+        cells = cells[a.count[cells] > 0]
+        return a.hist[cells], a.out[cells], a.count[cells]
+
     def dense_counts(self) -> np.ndarray:
         """The counts as one (histories x emissions) matrix in `arrays` row order."""
         a = self.arrays

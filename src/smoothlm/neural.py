@@ -15,6 +15,14 @@ The split objective carries the minus sign on the p_minus term so that at
 g+ = g- = 1 it equals the smoothed-target objective up to an additive
 constant; with g- <= 1 every -log q coefficient stays nonnegative, keeping
 the loss bounded below.
+
+Epoch e steps from theta_e to theta_{e+1}, and its held-out perplexity
+ppl_e is measured at theta_{e+1}, the parameters epoch e+1 starts from.  So
+each epoch runs one batched forward over the training histories followed by
+the held-out histories training lacks: its training rows give the loss and
+gradient at theta_e, its held-out rows ppl_{e-1}.  Early stopping is decided
+before the step is spent, and one last forward after the final epoch gives
+its perplexity, so a run of k epochs takes k + 1 forwards.
 """
 
 from __future__ import annotations
@@ -122,30 +130,38 @@ class TabularSoftmaxLM:
     def forward_batch(self, hists: Sequence[History]) -> np.ndarray:
         """q(.|h) for each history, one row each; histories outside the
         table get the uniform row."""
-        idx = np.fromiter((self.history_index.get(h, -1) for h in hists),
-                          dtype=int, count=len(hists))
+        return self._softmax_rows(self._index(hists))[1]
+
+    def _index(self, hists: Sequence[History]) -> np.ndarray:
+        """The table row of each history, -1 outside the table."""
+        return np.fromiter((self.history_index.get(h, -1) for h in hists),
+                           dtype=np.intp, count=len(hists))
+
+    def _softmax_rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log q, q) of the table rows idx; row -1 is a zero logit row,
+        whose softmax is the uniform row."""
+        z = np.zeros((len(idx), self.vocab.out_dim))
         known = idx >= 0
-        q = np.full((len(idx), self.vocab.out_dim), 1.0 / self.vocab.out_dim)
-        q[known] = _log_softmax(self.logits[idx[known]])[1]
-        return q
+        z[known] = self.logits[idx[known]]
+        return _log_softmax(z)
 
-    def _rows_for(self, hists: list[History]) -> np.ndarray:
-        idx = []
-        for h in hists:
-            i = self.history_index.get(h)
-            if i is None:
-                raise ValueError(f"tabular model has no row for history {h}")
-            idx.append(i)
-        return np.asarray(idx, dtype=int)
-
-    def batch_loss_grads(self, hists, alpha):
-        idx = self._rows_for(hists)
-        logq, q = _log_softmax(self.logits[idx])
-        loss = float(-(alpha * logq).sum())
-        delta = alpha.sum(axis=1, keepdims=True) * q - alpha
+    def batch_loss_grads(self, hists, alpha, extra=()):
+        """Loss sum_h alpha_h . -log q(.|h) over the distinct table histories
+        `hists`, its gradient, and q of `hists` followed by `extra`, all
+        from one softmax."""
+        n = len(hists)
+        idx = self._index(hists)
+        if (idx < 0).any():
+            h = hists[int(np.argmin(idx))]
+            raise ValueError(f"tabular model has no row for history {h}")
+        if extra:
+            idx = np.concatenate([idx, self._index(extra)])
+        logq, q = self._softmax_rows(idx)
+        loss = float(-(alpha * logq[:n]).sum())
+        delta = alpha.sum(axis=1, keepdims=True) * q[:n] - alpha
         g = np.zeros_like(self.logits)
-        np.add.at(g, idx, delta)
-        return loss, {"logits": g}
+        g[idx[:n]] = delta
+        return loss, {"logits": g}, q
 
 
 class FeedForwardLM:
@@ -207,10 +223,14 @@ class FeedForwardLM:
         """q(.|h) for each history, one row each."""
         return self._activations(hists)[-1]
 
-    def batch_loss_grads(self, hists, alpha):
-        idx, e, a, logq, q = self._activations(hists)
+    def batch_loss_grads(self, hists, alpha, extra=()):
+        """Loss sum_h alpha_h . -log q(.|h) over `hists`, its gradient, and
+        q of `hists` followed by `extra`, all from one forward."""
+        n = len(hists)
+        idx, e, a, logq, q = self._activations([*hists, *extra])
+        idx, e, a, logq = idx[:n], e[:n], a[:n], logq[:n]
         loss = float(-(alpha * logq).sum())
-        delta2 = alpha.sum(axis=1, keepdims=True) * q - alpha
+        delta2 = alpha.sum(axis=1, keepdims=True) * q[:n] - alpha
         gW2 = a.T @ delta2
         gb2 = delta2.sum(axis=0)
         dz1 = (delta2 @ self.W2.T) * (1.0 - a * a)
@@ -221,7 +241,7 @@ class FeedForwardLM:
         d = self.embed_dim
         for j in range(self.order - 1):
             np.add.at(gE, idx[:, j], de[:, j * d:(j + 1) * d])
-        return loss, {"E": gE, "W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}
+        return loss, {"E": gE, "W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}, q
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +259,15 @@ def batch_from_corpus(corpus: Corpus, order: int) -> list[tuple[History, int]]:
     return out
 
 
-def _table(data: Corpus | CountTable, order: int) -> CountTable:
-    """The count table of a corpus at `order`; a table passes through."""
+def _table(
+    data: Corpus | CountTable, order: int, vocab: Vocabulary | None = None
+) -> CountTable:
+    """The count table of a corpus at `order`; a table passes through.  With
+    `vocab` (a model's), the data must use the same symbols, since a
+    history or emission is read by its id."""
+    if vocab is not None and data.vocab.symbols != vocab.symbols:
+        raise ValueError("data and model use different vocabularies; "
+                         "load the corpus with the model's vocabulary")
     if isinstance(data, CountTable):
         if data.order != order:
             raise ValueError(f"counts are at order {data.order}, model at order {order}")
@@ -330,7 +357,7 @@ def loss_and_grad(
     table = _count_table(model.order, model.vocab, Counter(pairs),
                          Counter(h for h, _ in pairs), len(pairs))
     alpha, const = _objective_weights(table, config, bundle)
-    loss, grads = model.batch_loss_grads(table.arrays.hists, alpha)
+    loss, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
     return loss + const, grads
 
 
@@ -338,16 +365,16 @@ def model_perplexity(model, data: Corpus | CountTable) -> float:
     """Perplexity of a differentiable model on a corpus or its count table at
     the model's order, from one batched forward pass (softmax rows are
     strictly positive, so this is always finite barring overflow)."""
-    table = _table(data, model.order)
-    return _perplexity(model, table.arrays.hists, table.dense_counts())
+    table = _table(data, model.order, model.vocab)
+    return _perplexity(model.forward_batch(table.arrays.hists), table.seen_cells[0], table)
 
 
-def _perplexity(model, hists: Sequence[History], C: np.ndarray) -> float:
-    """Perplexity over the count matrix C, whose row i counts hists[i]."""
-    q = model.forward_batch(hists)
-    mask = C > 0
-    nll = -float(np.dot(C[mask], np.log(q[mask])))
-    return math.exp(nll / C.sum())
+def _perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> float:
+    """Perplexity of a count table's seen cells, where q[rows[k]] is the
+    model's row for the history of seen cell k."""
+    _, out, count = table.seen_cells
+    nll = -float(np.dot(count, np.log(q[rows, out])))
+    return math.exp(nll / count.sum())
 
 
 def make_bundle_for(
@@ -386,11 +413,11 @@ def train(
     a shared bundle.
     """
     config.validate()
-    table = _table(data, model.order)
+    table = _table(data, model.order, model.vocab)
     if config.objective in BUNDLE_OBJECTIVES and bundle is None:
         bundle = make_bundle_for(table, model.order, config)
     if heldout is not None:
-        heldout = _table(heldout, model.order)
+        heldout = _table(heldout, model.order, model.vocab)
     return _train_counts(model, table, config, bundle, heldout)
 
 
@@ -405,15 +432,46 @@ def train_smoothed_target(model, smoothed_lm, table: CountTable, config: TrainCo
 def _train_counts(model, table, config, bundle, heldout):
     # the objective weights do not depend on the parameters: build them once
     alpha, const = _objective_weights(table, config, bundle)
+    hists = table.arrays.hists
+    extra = []
     if heldout is not None:
-        heldout = (heldout.arrays.hists, heldout.dense_counts())
+        # each epoch's forward runs over `hists + extra`, where `extra` holds
+        # the held-out histories training lacks; held-out row i is row
+        # place[i] of that forward
+        place = []
+        for h in heldout.arrays.hists:
+            i = table.arrays.index.get(h)
+            if i is None:
+                i = len(hists) + len(extra)
+                extra.append(h)
+            place.append(i)
+        rows = np.asarray(place, dtype=np.intp)[heldout.seen_cells[0]]
     metrics = TrainMetrics()
     params = model.param_arrays()
     best_ppl = math.inf
     best_params = None
     stale = 0
+
+    def patience_ran_out(ppl: float) -> bool:
+        """Record the held-out perplexity of the current parameters, those
+        after the last step taken."""
+        nonlocal best_ppl, best_params, stale
+        metrics.heldout_ppl.append(ppl)
+        if ppl < best_ppl:
+            best_ppl = ppl
+            best_params = {k: v.copy() for k, v in params.items()}
+            metrics.best_epoch = len(metrics.heldout_ppl) - 1
+            stale = 0
+            return False
+        stale += 1
+        return stale >= config.patience
+
     for epoch in range(config.epochs):
-        loss, grads = model.batch_loss_grads(table.arrays.hists, alpha)
+        # one forward at theta_epoch: its held-out rows give the perplexity
+        # of the previous epoch, its training rows this epoch's step
+        loss, grads, q = model.batch_loss_grads(hists, alpha, extra)
+        if heldout is not None and epoch > 0 and patience_ran_out(_perplexity(q, rows, heldout)):
+            break
         loss += const
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss!r} at epoch {epoch}")
@@ -421,18 +479,11 @@ def _train_counts(model, table, config, bundle, heldout):
             arr -= config.lr * grads[name]
         metrics.train_loss.append(loss)
         metrics.epochs_run = epoch + 1
+    else:
+        # every epoch ran: the last one's perplexity takes one more forward
         if heldout is not None:
-            ppl = _perplexity(model, *heldout)
-            metrics.heldout_ppl.append(ppl)
-            if ppl < best_ppl:
-                best_ppl = ppl
-                best_params = {k: v.copy() for k, v in params.items()}
-                metrics.best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
+            patience_ran_out(_perplexity(model.forward_batch(heldout.arrays.hists),
+                                         heldout.seen_cells[0], heldout))
     if best_params is not None:
         for name, arr in params.items():
             arr[...] = best_params[name]

@@ -289,6 +289,17 @@ class TestGrid:
         assert code == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", [[1], "D", 0.5])
+    def test_method_params_not_an_object_exit_2(self, zipf, tmp_path, capsys, params):
+        train, held = zipf
+        out_dir = tmp_path / "g"
+        path = self.make_config(tmp_path, train, held, out_dir)
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**cfg, "method_params": params}), encoding="utf-8")
+        assert main(["grid", "--config", str(path)]) == 2
+        assert "method_params must be a JSON object" in capsys.readouterr().err
+        assert not (out_dir / "grid_results.tsv").exists()
+
     def test_worker_pool_matches_sequential(self, zipf, tmp_path):
         train, held = zipf
         d1, d2 = tmp_path / "seq", tmp_path / "par"

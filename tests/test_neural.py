@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothlm import neural
 from smoothlm.corpus import corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import (
@@ -20,6 +21,7 @@ from smoothlm.neural import (
     TabularSoftmaxLM,
     TrainConfig,
     TrainingError,
+    TrainMetrics,
     _objective_weights,
     batch_from_corpus,
     load_model,
@@ -184,6 +186,133 @@ def test_table_at_another_order_rejected():
         train(m, count_ngrams(c, 3), TrainConfig(objective="mle", epochs=1))
     with pytest.raises(ValueError, match="order 3, model at order 2"):
         model_perplexity(m, count_ngrams(c, 3))
+
+
+def test_tabular_training_history_outside_table_rejected():
+    c = corpus_from_lines(["a b c", "b a"])
+    hists = sorted(count_ngrams(c, 2).history_count)
+    m = TabularSoftmaxLM(2, c.vocab, hists[1:])
+    with pytest.raises(ValueError, match=rf"no row for history \({hists[0][0]},\)"):
+        train(m, c, TrainConfig(objective="mle", epochs=1))
+
+
+def test_data_with_another_vocabulary_rejected():
+    # a held-out corpus loaded with its own vocabulary numbers its symbols
+    # in another order, so its ids would name other cells of the model
+    corpus = corpus_from_lines(["a b c", "b a"])
+    own = corpus_from_lines(["c b a"])
+    m = TabularSoftmaxLM.for_table(count_ngrams(corpus, 2))
+    config = TrainConfig(objective="mle", epochs=1)
+    for data in (own, count_ngrams(own, 2)):
+        with pytest.raises(ValueError, match="different vocabularies"):
+            model_perplexity(m, data)
+        with pytest.raises(ValueError, match="different vocabularies"):
+            train(m, corpus, config, heldout=data)
+        with pytest.raises(ValueError, match="different vocabularies"):
+            train(m, data, config)
+    # the same symbols in the same order pass, whichever corpus built them
+    same = corpus_from_lines(["a b c"])
+    assert model_perplexity(m, same) == model_perplexity(
+        m, corpus_from_lines(["a b c"], vocab=corpus.vocab))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_model_perplexity_sums_the_dense_masked_cells(data):
+    # the order of summation is that of the dense count matrix's seen cells
+    corpus = corpus_from_lines(data.draw(lines_over("abcd")))
+    order = data.draw(st.integers(2, 3))
+    table = count_ngrams(corpus, order)
+    for model in (TabularSoftmaxLM.for_table(table),
+                  FeedForwardLM(order, corpus.vocab, 3, 4, seed=order, init_scale=1.0)):
+        for arr in model.param_arrays().values():
+            arr[...] = np.random.default_rng(order).normal(size=arr.shape)
+        q = model.forward_batch(table.arrays.hists)
+        C = table.dense_counts()
+        mask = C > 0
+        assert model_perplexity(model, corpus) == math.exp(
+            -float(np.dot(C[mask], np.log(q[mask]))) / C.sum())
+
+
+def two_forward_train(model, table, config, bundle, heldout):
+    """Reference loop: each epoch steps with one forward over the training
+    histories, then measures held-out perplexity with a second forward at
+    the parameters the step reached."""
+    alpha, const = _objective_weights(table, config, bundle)
+    params = model.param_arrays()
+    metrics = TrainMetrics()
+    best_ppl, best_params, stale = math.inf, None, 0
+    for epoch in range(config.epochs):
+        loss, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
+        for name, arr in params.items():
+            arr -= config.lr * grads[name]
+        metrics.train_loss.append(loss + const)
+        metrics.epochs_run = epoch + 1
+        ppl = model_perplexity(model, heldout)
+        metrics.heldout_ppl.append(ppl)
+        if ppl < best_ppl:
+            best_ppl, stale, metrics.best_epoch = ppl, 0, epoch
+            best_params = {k: v.copy() for k, v in params.items()}
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    for name, arr in params.items():
+        arr[...] = best_params[name]
+    return model, metrics
+
+
+ORACLE_CASES = [
+    # (architecture, objective, lr, patience, stops early)
+    ("tabular", "mle", 8.0, 2, True),
+    ("tabular", "split_regularizer", 8.0, 2, True),
+    ("tabular", "split_regularizer", 8.0, 50, False),
+    ("feedforward", "mle", 1.0, 2, True),
+    ("feedforward", "split_regularizer", 1.0, 2, True),
+    ("feedforward", "mle", 1.0, 50, False),
+]
+
+
+def oracle_setup(arch, objective, lr, patience):
+    corpus = synthetic_corpus(5, n_sequences=15, n_symbols=4)
+    heldout = synthetic_corpus(6, n_sequences=15, n_symbols=4)
+    table, held = count_ngrams(corpus, 3), count_ngrams(heldout, 3)
+    config = TrainConfig(objective=objective, method="kneser_essen_ney", gamma_plus=0.5,
+                         gamma_minus=0.5, lr=lr, epochs=30, patience=patience)
+    bundle = make_bundle_for(table, 3, config) if objective == "split_regularizer" else None
+
+    def make():
+        if arch == "tabular":
+            return TabularSoftmaxLM.for_table(table)
+        return FeedForwardLM(3, corpus.vocab, 3, 5, seed=1, init_scale=0.5)
+
+    return table, held, config, bundle, make
+
+
+@pytest.mark.parametrize("arch,objective,lr,patience,stops", ORACLE_CASES)
+def test_train_matches_two_forward_loop(arch, objective, lr, patience, stops):
+    table, held, config, bundle, make = oracle_setup(arch, objective, lr, patience)
+    assert set(held.history_count) - set(table.history_count)
+    ref_model, ref = two_forward_train(make(), table, config, bundle, held)
+    model, metrics = train(make(), table, config, bundle, held)
+    assert (metrics.epochs_run < config.epochs) == stops
+    assert metrics == ref
+    for name, arr in model.param_arrays().items():
+        np.testing.assert_array_equal(arr, ref_model.param_arrays()[name])
+
+
+@pytest.mark.parametrize("arch,objective,lr,patience,stops", ORACLE_CASES)
+def test_one_forward_per_epoch(monkeypatch, arch, objective, lr, patience, stops):
+    # each forward of either model ends in one softmax pass; a run of k
+    # epochs needs the forwards at theta_0 .. theta_k
+    table, held, config, bundle, make = oracle_setup(arch, objective, lr, patience)
+    model = make()
+    passes = []
+    softmax = neural._log_softmax
+    monkeypatch.setattr(neural, "_log_softmax", lambda z: passes.append(len(z)) or softmax(z))
+    _, metrics = train(model, table, config, bundle, held)
+    assert (metrics.epochs_run < config.epochs) == stops
+    assert len(passes) == metrics.epochs_run + 1
 
 
 class TestLossAndGrad:
