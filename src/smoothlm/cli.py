@@ -91,7 +91,7 @@ def _smoothed_lm(args):
 def cmd_smooth(args) -> int:
     _, lm = _smoothed_lm(args)
     write_conditional_lm(lm, args.out)
-    print(f"wrote {len(lm.table)} histories to {args.out}")
+    print(f"wrote {len(lm.hists)} histories to {args.out}")
     return EXIT_OK
 
 
@@ -101,7 +101,7 @@ def cmd_decompose(args) -> int:
         empirical_conditional(table), lm, table, args.gamma_plus, args.gamma_minus
     )
     dec.write_decomposition(bundle, table.vocab, args.out)
-    print(f"wrote {len(bundle.per_history)} history decompositions to {args.out}")
+    print(f"wrote {len(bundle.hists)} history decompositions to {args.out}")
     return EXIT_OK
 
 

@@ -101,6 +101,14 @@ class Vocabulary:
         return self.id_of[token]
 
 
+def check_same_vocabulary(data: Vocabulary, model: Vocabulary) -> None:
+    """Data scored or trained on by a model must use the model's symbols,
+    since a history or emission is read by its id."""
+    if data.symbols != model.symbols:
+        raise ValueError("data and model use different vocabularies; "
+                         "load the corpus with the model's vocabulary")
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Tokenized corpus: M sequences of non-sentinel token ids."""
@@ -112,9 +120,10 @@ class Corpus:
     def __post_init__(self) -> None:
         if not self.sequences:
             raise EmptyCorpusError("empty corpus")
+        n = self.vocab.n_symbols
         for seq in self.sequences:
             for i in seq:
-                if not 0 <= i < self.vocab.n_symbols:
+                if not 0 <= i < n:
                     raise ValueError(f"id {i} is not a non-sentinel vocabulary id")
 
     @property

@@ -8,19 +8,22 @@ where p_plus carries the added mass (normalized), p_minus the removed mass,
 and Z+ == Z- is their common scale (the total-variation distance between p
 and p~).  Aggregating one decomposition per observed history, weighted by
 that history's occurrence count, yields an additive regularizer that can be
-attached to any differentiable conditional model.
+attached to any differentiable conditional model.  A RegularizerBundle keeps
+those decompositions as matrices whose rows follow the count table's sorted
+histories, and takes its weights from the table's row totals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .corpus import CountTable, History, write_cells
-from .ngram import ConditionalLM, cross_entropy, entropy, kl_divergence
+from .ngram import ConditionalLM, check_distributions, cross_entropy, entropy, kl_divergence
 
 RECON_ATOL = 1e-12
 
@@ -67,28 +70,14 @@ class DecompositionRows:
     z_minus: np.ndarray
 
 
-def _check_rows(name: str, rows: np.ndarray, hists) -> None:
-    sums = rows.sum(axis=1)
-    negative = rows.min(axis=1) < 0
-    # a NaN compares false, so a row holding one fails the closeness test
-    bad = negative | ~(np.abs(sums - 1.0) <= 1e-9)
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
-    where = f" (history {hists[i]})" if hists is not None else ""
-    if negative[i]:
-        raise ValueError(f"{name} vector has negative entries{where}")
-    raise ValueError(f"{name} vector sums to {float(sums[i])!r}, not 1{where}")
-
-
 def _split_rows(empirical: np.ndarray, smoothed: np.ndarray, hists=None) -> DecompositionRows:
     """Decompose every row pair of two (rows x emissions) matrices.  Builds
     the two output matrices and no other matrix-sized array; `hists` names
     the rows in input errors."""
     if empirical.shape != smoothed.shape:
         raise ValueError(f"shape mismatch: {empirical.shape} vs {smoothed.shape}")
-    _check_rows("empirical", empirical, hists)
-    _check_rows("smoothed", smoothed, hists)
+    check_distributions(empirical, hists, "empirical")
+    check_distributions(smoothed, hists, "smoothed")
     pos = np.subtract(smoothed, empirical)
     neg = np.negative(pos)
     np.maximum(pos, 0.0, out=pos)
@@ -106,37 +95,33 @@ def _split_rows(empirical: np.ndarray, smoothed: np.ndarray, hists=None) -> Deco
 
 @dataclass(frozen=True)
 class RegularizerBundle:
-    """Per-history signed decompositions with occurrence-count weights.
+    """Signed decompositions of a count table's histories, with their
+    occurrence counts as weights.
 
-    `rows` holds the decompositions as matrices, one row per history of
-    `hists`, and `per_history` maps each history to a SignedDecomposition
-    of views into them.  A bundle made from `per_history` alone stacks its
-    rows once."""
+    Row i of the `rows` matrices and entry i of `weights` belong to history
+    `hists[i]`.  `build_regularizer` passes the table's `arrays.hists` and
+    `arrays.totals` themselves, so the rows follow the table's row order.
+    `per_history`, mapping each history to a
+    SignedDecomposition of views into `rows`, is built on first read."""
 
     order: int
-    per_history: dict[History, SignedDecomposition]
-    weights: dict[History, int]
+    hists: tuple[History, ...] = field(repr=False)
+    rows: DecompositionRows = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
     gamma_plus: float
     gamma_minus: float
-    rows: DecompositionRows | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.rows is None:
-            decs = list(self.per_history.values())
-            object.__setattr__(self, "rows", DecompositionRows(
-                np.array([d.p_plus for d in decs], dtype=float),
-                np.array([d.p_minus for d in decs], dtype=float),
-                np.array([d.z_plus for d in decs], dtype=float),
-                np.array([d.z_minus for d in decs], dtype=float),
-            ))
-
-    @property
-    def hists(self) -> list[History]:
-        return list(self.per_history)
+    @cached_property
+    def per_history(self) -> dict[History, SignedDecomposition]:
+        r = self.rows
+        zp = r.z_plus.tolist()
+        zm = r.z_minus.tolist()
+        return {h: SignedDecomposition(r.p_plus[i], r.p_minus[i], zp[i], zm[i])
+                for i, h in enumerate(self.hists)}
 
     @property
     def total_weight(self) -> int:
-        return sum(self.weights.values())
+        return int(self.weights.sum())
 
 
 def build_regularizer(
@@ -146,30 +131,28 @@ def build_regularizer(
     gamma_plus: float,
     gamma_minus: float,
 ) -> RegularizerBundle:
-    """Decompose smoothed against empirical on every observed history."""
+    """Decompose smoothed against empirical on every history of `table`;
+    the empirical model must be `empirical_conditional(table)`, whose rows
+    are the table's `arrays.hists` themselves."""
     if empirical_lm.order != smoothed_lm.order:
         raise ValueError("order mismatch between empirical and smoothed models")
     if gamma_plus < 0 or gamma_minus < 0:
         raise ValueError("gamma weights must be nonnegative")
-    missing = [h for h in empirical_lm.table if h not in smoothed_lm.table]
-    if missing:
-        rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
-        raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")
-    hists = list(empirical_lm.table)
-    rows = _split_rows(empirical_lm.rows(hists), smoothed_lm.rows(hists), hists)
-    zp = rows.z_plus.tolist()
-    zm = rows.z_minus.tolist()
-    per_history = {
-        h: SignedDecomposition(rows.p_plus[i], rows.p_minus[i], zp[i], zm[i])
-        for i, h in enumerate(hists)
-    }
+    hists = table.arrays.hists
+    if empirical_lm.hists is not hists:
+        raise ValueError("the empirical model's rows are not the count table's histories")
+    if smoothed_lm.hists != hists:
+        missing = [h for h in hists if h not in smoothed_lm.table]
+        if missing:
+            rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
+            raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")
     return RegularizerBundle(
         order=empirical_lm.order,
-        per_history=per_history,
-        weights={h: table.history_count[h] for h in hists},
+        hists=hists,
+        rows=_split_rows(empirical_lm.matrix, smoothed_lm.rows(hists), hists),
+        weights=table.arrays.totals,
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
-        rows=rows,
     )
 
 
@@ -191,7 +174,7 @@ def regularizer_loss(
     """
     total = 0.0
     W = bundle.total_weight
-    for h, dec in bundle.per_history.items():
+    for (h, dec), weight in zip(bundle.per_history.items(), bundle.weights.tolist()):
         if dec.z_plus == 0.0 and dec.z_minus == 0.0:
             continue
         qv = _resolve(q, h)
@@ -202,7 +185,7 @@ def regularizer_loss(
             term += bundle.gamma_minus * dec.z_minus * kl_divergence(dec.p_minus, qv)
         if math.isinf(term):
             return math.inf
-        total += bundle.weights[h] / W * term
+        total += weight / W * term
     return total
 
 

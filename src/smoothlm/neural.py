@@ -35,7 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CountTable, History, Vocabulary, _count_table, count_ngrams
+from .corpus import (Corpus, CountTable, History, Vocabulary, _count_table,
+                     check_same_vocabulary, count_ngrams)
 from .decompose import RegularizerBundle, build_regularizer
 from .ngram import empirical_conditional, padded_history
 
@@ -263,11 +264,9 @@ def _table(
     data: Corpus | CountTable, order: int, vocab: Vocabulary | None = None
 ) -> CountTable:
     """The count table of a corpus at `order`; a table passes through.  With
-    `vocab` (a model's), the data must use the same symbols, since a
-    history or emission is read by its id."""
-    if vocab is not None and data.vocab.symbols != vocab.symbols:
-        raise ValueError("data and model use different vocabularies; "
-                         "load the corpus with the model's vocabulary")
+    `vocab` (a model's), the data must use the same symbols."""
+    if vocab is not None:
+        check_same_vocabulary(data.vocab, vocab)
     if isinstance(data, CountTable):
         if data.order != order:
             raise ValueError(f"counts are at order {data.order}, model at order {order}")
@@ -301,37 +300,29 @@ def _objective_weights(
             "gamma_minus > 1 makes the split objective unbounded below "
             "(the -log q coefficient of an overrepresented symbol turns negative)"
         )
-    index = {h: i for i, h in enumerate(bundle.hists)}
-    try:
-        # the bundle's rows in the order of `hists`
-        idx = np.fromiter((index[h] for h in hists), dtype=np.intp, count=len(hists))
-    except KeyError as exc:
-        raise ValueError(f"bundle does not cover history {exc.args[0]}") from None
-    w = np.fromiter((bundle.weights[h] for h in hists), dtype=float, count=len(hists)) / N
-    zp = bundle.rows.z_plus[idx]
-    zm = bundle.rows.z_minus[idx]
-    part = bundle.rows.p_plus[idx]
+    if bundle.hists != hists or not np.array_equal(bundle.weights, table.arrays.totals):
+        raise ValueError("the bundle was built from another count table")
+    w = table.arrays.totals / N
+    r = bundle.rows
+    # grid cells share the bundle's matrices (they replace only the gammas),
+    # so no product is taken in place
     if config.objective == "smoothed_target":
         target = C / C.sum(axis=1, keepdims=True)
-        part *= zp[:, None]
+        part = r.p_plus * r.z_plus[:, None]
         target += part
-        np.take(bundle.rows.p_minus, idx, axis=0, out=part, mode="clip")
-        part *= zm[:, None]
+        np.multiply(r.p_minus, r.z_minus[:, None], out=part)
         target -= part
         np.maximum(target, 0.0, out=target)
         const = -float(np.dot(w, _row_entropies(target)))
         target *= w[:, None]
         return target, const
-    gp, gm = bundle.gamma_plus, bundle.gamma_minus
-    alpha = alpha.copy()
-    coef = w * gp * zp
-    const -= float(np.dot(coef, _row_entropies(part)))
-    part *= coef[:, None]
+    coef = w * bundle.gamma_plus * r.z_plus
+    const -= float(np.dot(coef, _row_entropies(r.p_plus)))
+    part = r.p_plus * coef[:, None]
     alpha += part
-    np.take(bundle.rows.p_minus, idx, axis=0, out=part, mode="clip")
-    coef = w * gm * zm
-    const += float(np.dot(coef, _row_entropies(part)))
-    part *= coef[:, None]
+    coef = w * bundle.gamma_minus * r.z_minus
+    const += float(np.dot(coef, _row_entropies(r.p_minus)))
+    np.multiply(r.p_minus, coef[:, None], out=part)
     alpha -= part
     return alpha, const
 

@@ -12,11 +12,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CountTable, History, Vocabulary, read_cells, write_cells
+from .corpus import (Corpus, CountTable, History, Vocabulary, check_same_vocabulary,
+                     read_cells, write_cells)
 
 PROB_ATOL = 1e-9
 
@@ -40,9 +42,11 @@ class ConditionalLM:
 
     `table` is a mapping history -> vector, or a pair (histories, matrix)
     whose row i belongs to histories[i]; a matrix is kept as given, a
-    mapping is stacked into one.  Either way `matrix` holds the rows, `hists`
-    their histories, and `table` maps each history to a view of its row.
-    Lookups go through `table`.
+    mapping is stacked into one.  Either way `matrix` holds the rows and
+    `hists` (a tuple) their histories, each listed once.  The dict `table`,
+    mapping each history to a view of its row, is built on first read;
+    `conditional` reads it, and `rows` reads it only for histories in
+    another order.
 
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
@@ -63,17 +67,21 @@ class ConditionalLM:
         self.vocab = vocab
         if isinstance(table, tuple):
             hists, matrix = table
-            self.hists = list(hists)
+            self.hists = tuple(hists)
             self.matrix = matrix
         else:
-            self.hists = list(table)
+            self.hists = tuple(table)
             self.matrix = _stack_rows(table, vocab.out_dim)
-        self.table = dict(zip(self.hists, self.matrix))
         self.backstop = backstop
         self.method = method
         self.params = dict(params) if params else {}
         if validate:
             self._validate()
+
+    @cached_property
+    def table(self) -> dict[History, np.ndarray]:
+        """History -> view of its row of `matrix`."""
+        return dict(zip(self.hists, self.matrix))
 
     def _validate(self) -> None:
         """Check every row at once; an error names the first bad history."""
@@ -86,29 +94,24 @@ class ConditionalLM:
                              f"{(len(self.hists), self.vocab.out_dim)}")
         if not self.hists:
             return
+        if len(set(self.hists)) < len(self.hists):
+            h = next(h for h, c in Counter(self.hists).items() if c > 1)
+            raise ValueError(f"history {h} is listed more than once")
         is_bos = np.array(self.hists, dtype=np.int64).reshape(len(self.hists), n) == self.vocab.bos_id
         # BOS may only form a contiguous prefix: no BOS right after a non-BOS
         bad_bos = (is_bos[:, 1:] & ~is_bos[:, :-1]).any(axis=1)
-        negative = self.matrix.min(axis=1) < 0
-        sums = self.matrix.sum(axis=1)
-        # a NaN compares false, so a row holding one fails the closeness test
-        bad = bad_bos | negative | ~(np.abs(sums - 1.0) <= PROB_ATOL)
-        if not bad.any():
-            return
-        i = int(np.argmax(bad))
-        h = self.hists[i]
-        if bad_bos[i]:
-            raise ValueError(f"history {h}: BOS must form a contiguous prefix")
-        if negative[i]:
-            raise NormalizationError(f"history {h}: negative probability")
-        raise NormalizationError(f"history {h}: probabilities sum to {float(sums[i])!r}, not 1")
+        if bad_bos.any():
+            raise ValueError(f"history {self.hists[int(np.argmax(bad_bos))]}: "
+                             "BOS must form a contiguous prefix")
+        check_distributions(self.matrix, self.hists)
 
     def rows(self, hists: Sequence[History]) -> np.ndarray:
         """Row matrix of `hists` in that order: `matrix` itself when they are
         its histories, otherwise a stacked copy of the `table` rows."""
-        if len(self.table) == len(self.hists) and list(hists) == self.hists:
+        hists = tuple(hists)
+        if hists == self.hists:
             return self.matrix
-        return _stack_rows({h: self.table[h] for h in hists}, self.vocab.out_dim)
+        return np.array([self.table[h] for h in hists]).reshape(len(hists), self.vocab.out_dim)
 
     def conditional(self, history: Sequence[int]) -> np.ndarray:
         h = tuple(history)
@@ -123,6 +126,25 @@ class ConditionalLM:
 
     def prob(self, history: Sequence[int], symbol_id: int) -> float:
         return float(self.conditional(history)[self.vocab.out_index(symbol_id)])
+
+
+def check_distributions(rows: np.ndarray, hists: Sequence[History] | None = None,
+                        name: str = "") -> None:
+    """Raise NormalizationError for the first row of `rows` that has a
+    negative entry or does not sum to 1 within PROB_ATOL.  The message names
+    the row's history from `hists`, or its index, after `name`."""
+    negative = rows.min(axis=1) < 0
+    sums = rows.sum(axis=1)
+    # a NaN compares false, so a row holding one fails the closeness test
+    bad = negative | ~(np.abs(sums - 1.0) <= PROB_ATOL)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    where = f"history {hists[i]}" if hists is not None else f"row {i}"
+    where = f"{name} {where}" if name else where
+    if negative[i]:
+        raise NormalizationError(f"{where}: negative probability")
+    raise NormalizationError(f"{where}: probabilities sum to {float(sums[i])!r}, not 1")
 
 
 def _stack_rows(table: Mapping[History, np.ndarray], out_dim: int) -> np.ndarray:
@@ -221,7 +243,9 @@ def string_logprob(lm: ConditionalLM, sequence: Sequence[int]) -> float:
 
 
 def perplexity(lm: ConditionalLM, corpus: Corpus) -> float:
-    """exp of per-emission negative log-likelihood (one EOS per sequence)."""
+    """exp of per-emission negative log-likelihood (one EOS per sequence).
+    The corpus must use the LM's vocabulary, since tokens are read by id."""
+    check_same_vocabulary(corpus.vocab, lm.vocab)
     total = 0.0
     for seq in corpus.sequences:
         lp = string_logprob(lm, seq)
@@ -256,9 +280,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 def write_conditional_lm(lm: ConditionalLM, path: str) -> None:
     """TSV export of every row, after a `# method=... params=...` line."""
-    hists = list(lm.table)
     params_json = json.dumps(lm.params, sort_keys=True, separators=(",", ":"))
-    write_cells(path, lm.vocab, hists, {"probability": (lm.rows(hists), ".12g")},
+    write_cells(path, lm.vocab, lm.hists, {"probability": (lm.matrix, ".12g")},
                 comment=f"method={lm.method or 'unknown'} params={params_json}")
 
 

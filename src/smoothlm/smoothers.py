@@ -482,6 +482,6 @@ def _backoff_lm(table: CountTable, levels, method: str, params: dict) -> Conditi
                 return rows[i]
         return uniform
 
-    index, rows = levels[-1]
-    return ConditionalLM(table.order, vocab, (list(index), rows),
+    # the top level is `table` itself, so its rows follow `table.arrays.hists`
+    return ConditionalLM(table.order, vocab, (table.arrays.hists, levels[-1][1]),
                          backstop=backstop, method=method, params=params)

@@ -232,19 +232,6 @@ def check_theorem1(
 # COR: reduction of the string-level objective to counted histories
 
 
-def ngram_string_logprob(lm: ConditionalLM, seq) -> float:
-    vocab = lm.vocab
-    total = 0.0
-    for t in range(len(seq) + 1):
-        v = lm.conditional(padded_history(vocab, lm.order, seq[:t]))
-        x = seq[t] if t < len(seq) else vocab.eos_id
-        p = float(v[vocab.out_index(x)])
-        if p <= 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
-
-
 def corollary_sides(corpus: Corpus, q: ConditionalLM) -> dict[str, float]:
     """Two-route values for the per-history reduction at q.order.
 
@@ -262,7 +249,7 @@ def corollary_sides(corpus: Corpus, q: ConditionalLM) -> dict[str, float]:
         p = m / corpus.M
         ce_lhs += p * (-_string_logq(corpus, bigram_cond_fn(q), seq))
         h_p += p * (-math.log(p))
-        gap_expected += p * (math.log(p) - ngram_string_logprob(emp, seq))
+        gap_expected += p * (math.log(p) - _string_logq(corpus, bigram_cond_fn(emp), seq))
     ce_rhs = 0.0
     kl_rhs = 0.0
     for h, c in table.history_count.items():

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from smoothlm.corpus import count_ngrams
+from smoothlm.corpus import corpus_from_lines, count_ngrams
 from smoothlm.decompose import (
+    RECON_ATOL,
     CoverageError,
+    DecompositionRows,
     RegularizerBundle,
     bracket_constant,
     build_regularizer,
@@ -99,7 +101,8 @@ class TestBuildRegularizer:
     def test_weights_are_history_counts(self):
         table, emp, sm = self.table_and_lms()
         bundle = build_regularizer(emp, sm, table, 0.5, 0.5)
-        assert bundle.weights == table.history_count
+        assert bundle.hists is table.arrays.hists and bundle.weights is table.arrays.totals
+        assert dict(zip(bundle.hists, bundle.weights.tolist())) == table.history_count
         assert bundle.total_weight == table.total_tokens
 
     def test_identity_smoother_all_zero(self):
@@ -119,6 +122,29 @@ class TestBuildRegularizer:
         with pytest.raises(CoverageError):
             build_regularizer(emp, sm2, table, 1.0, 1.0)
 
+    def test_empirical_model_of_another_table_rejected(self):
+        table, _, sm = self.table_and_lms()
+        # another corpus over the same symbols: the same histories, other rows
+        other = count_ngrams(synthetic_corpus(4, n_sequences=60, n_symbols=6), 2)
+        assert other.arrays.hists == table.arrays.hists
+        fewer = count_ngrams(corpus_from_lines(["a b"], vocab=table.vocab), 2)
+        for data in (other, fewer):
+            with pytest.raises(ValueError, match="not the count table's histories"):
+                build_regularizer(empirical_conditional(data), sm, table, 1.0, 1.0)
+
+    def test_rows_follow_the_table(self):
+        table, emp, sm = self.table_and_lms()
+        bundle = build_regularizer(emp, sm, table, 1.0, 1.0)
+        assert "per_history" not in vars(bundle)
+        np.testing.assert_allclose(
+            emp.matrix + bundle.rows.z_plus[:, None] * bundle.rows.p_plus
+            - bundle.rows.z_minus[:, None] * bundle.rows.p_minus, sm.matrix, rtol=0,
+            atol=RECON_ATOL)
+        for i, (h, dec) in enumerate(bundle.per_history.items()):
+            assert h == table.arrays.hists[i]
+            assert np.shares_memory(dec.p_plus, bundle.rows.p_plus)
+            assert dec.z_minus == bundle.rows.z_minus[i]
+
     def test_reconstruction_across_all_smoothers(self):
         table = count_ngrams(synthetic_corpus(14, n_sequences=120, n_symbols=14), 2)
         emp = empirical_conditional(table)
@@ -135,8 +161,10 @@ def single_history_bundle(empirical, smoothed, gamma_plus, gamma_minus, weight=5
     dec = signed_decompose(empirical, smoothed)
     return RegularizerBundle(
         order=2,
-        per_history={(0,): dec},
-        weights={(0,): weight},
+        hists=((0,),),
+        rows=DecompositionRows(dec.p_plus[None], dec.p_minus[None],
+                               np.array([dec.z_plus]), np.array([dec.z_minus])),
+        weights=np.array([weight]),
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
     )

@@ -165,7 +165,7 @@ def test_corpus_and_its_table_train_alike(data):
         gamma_ls=0.5, gamma_plus=0.5, gamma_minus=0.25, lr=0.5, epochs=4, patience=2)
     table, held_table = count_ngrams(corpus, order), count_ngrams(heldout, order)
     b1, b2 = make_bundle_for(corpus, order, config), make_bundle_for(table, order, config)
-    assert b1.hists == b2.hists and b1.weights == b2.weights
+    assert b1.hists == b2.hists and np.array_equal(b1.weights, b2.weights)
     for name in ("p_plus", "p_minus", "z_plus", "z_minus"):
         np.testing.assert_array_equal(getattr(b1.rows, name), getattr(b2.rows, name))
     for make in (lambda: TabularSoftmaxLM.for_table(table),
@@ -214,6 +214,34 @@ def test_data_with_another_vocabulary_rejected():
     same = corpus_from_lines(["a b c"])
     assert model_perplexity(m, same) == model_perplexity(
         m, corpus_from_lines(["a b c"], vocab=corpus.vocab))
+
+
+def test_bundle_of_another_table_rejected():
+    # the larger corpus's bundle covers every training history, but its
+    # rows and weights belong to other counts
+    corpus, table, _ = small_setup()
+    larger = corpus_from_lines(
+        [" ".join(corpus.vocab.symbols[i] for i in seq) for seq in corpus.sequences] + ["a b c"],
+        vocab=corpus.vocab)
+    config = TrainConfig(objective="split_regularizer", method="add_lambda",
+                         gamma_plus=0.5, gamma_minus=0.5, epochs=1)
+    bundle = make_bundle_for(larger, 2, config)
+    with pytest.raises(ValueError, match="another count table"):
+        train(TabularSoftmaxLM.for_table(table), table, config, bundle)
+
+
+@pytest.mark.parametrize("objective", ["smoothed_target", "split_regularizer"])
+def test_training_reads_bundle_matrices_only(objective):
+    corpus, table, _ = small_setup()
+    config = TrainConfig(objective=objective, method="add_lambda", gamma_plus=0.5,
+                         gamma_minus=0.5, epochs=3)
+    bundle = make_bundle_for(table, 2, config)
+    assert bundle.hists is table.arrays.hists and bundle.weights is table.arrays.totals
+    before = {k: getattr(bundle.rows, k).copy() for k in ("p_plus", "p_minus", "z_plus", "z_minus")}
+    train(TabularSoftmaxLM.for_table(table), table, config, bundle, heldout=corpus)
+    assert "per_history" not in vars(bundle)
+    for k, v in before.items():
+        np.testing.assert_array_equal(getattr(bundle.rows, k), v)
 
 
 @settings(max_examples=40)
@@ -544,7 +572,7 @@ def loop_objective_weights(table, config, bundle):
     const = 0.0
     for i, h in enumerate(hists):
         dec = bundle.per_history[h]
-        w = bundle.weights[h] / N
+        w = table.history_count[h] / N
         if config.objective == "smoothed_target":
             target = C[i] / C[i].sum()
             if dec.z_plus > 0:

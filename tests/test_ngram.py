@@ -24,6 +24,8 @@ from smoothlm.ngram import (
     string_logprob,
     write_conditional_lm,
 )
+from smoothlm.decompose import build_regularizer
+from smoothlm.smoothers import METHODS, smooth, smooth_add_lambda
 from smoothlm.verify import corollary_sides, random_bigram_lm, random_corpus
 
 
@@ -95,6 +97,40 @@ class TestValidation:
     def test_rejects_nan_row(self):
         with pytest.raises(NormalizationError, match="nan"):
             ConditionalLM(1, Vocabulary(("a",)), {(): [math.nan, 1.0]})
+
+    def test_rejects_repeated_history(self):
+        # `rows` hands out `matrix` when asked for `hists`, which is sound
+        # only while each history names one row
+        c = toy()
+        row = np.full(c.vocab.out_dim, 1 / c.vocab.out_dim)
+        with pytest.raises(ValueError, match=r"history \(0,\) is listed more than once"):
+            ConditionalLM(2, c.vocab, ([(0,), (1,), (0,)], np.stack([row] * 3)))
+
+
+class TestRowViews:
+    def test_pipeline_builds_no_table_dict(self, tmp_path):
+        table = count_ngrams(corpus_from_lines(["a b c", "b c a a", "c c b"]), 2)
+        emp = empirical_conditional(table)
+        for method in METHODS:
+            lm = smooth(table, method)
+            build_regularizer(emp, lm, table, 1.0, 1.0)
+            write_conditional_lm(lm, str(tmp_path / "lm.tsv"))
+            assert lm.rows(table.arrays.hists) is lm.matrix
+            assert "table" not in vars(lm) and "table" not in vars(emp), method
+
+    def test_table_is_a_view_of_matrix(self):
+        lm = mle(corpus_from_lines(["a b a", "b b"]), 2)
+        for i, h in enumerate(lm.hists):
+            assert np.shares_memory(lm.conditional(h), lm.matrix)
+            np.testing.assert_array_equal(lm.table[h], lm.matrix[i])
+        assert vars(lm)["table"] is lm.table
+
+    def test_rows_in_another_order(self):
+        lm = mle(corpus_from_lines(["a b a", "b b"]), 2)
+        order = list(reversed(lm.hists))
+        np.testing.assert_array_equal(lm.rows(order), lm.matrix[::-1])
+        with pytest.raises(KeyError):
+            lm.rows([(lm.vocab.id_of["a"],), (5,)])
 
 
 class TestEmpiricalPrefix:
@@ -189,6 +225,17 @@ class TestPerplexity:
         c2 = corpus_from_lines(list(reversed(lines)), vocab=c1.vocab)
         lm = mle(c1, 2)
         assert perplexity(lm, c1) == pytest.approx(perplexity(lm, c2), rel=1e-14)
+
+    def test_corpus_with_another_vocabulary_rejected(self):
+        # loaded with its own vocabulary, the held-out corpus numbers its
+        # symbols c, b, a, so scoring it by id would read other cells
+        lm = smooth_add_lambda(count_ngrams(corpus_from_lines(["a b c", "b c a a", "c c b"]), 2),
+                               0.5)
+        lines = ["c b a", "a a c"]
+        with pytest.raises(ValueError, match="different vocabularies"):
+            perplexity(lm, corpus_from_lines(lines))
+        assert perplexity(lm, corpus_from_lines(lines, vocab=lm.vocab)) == pytest.approx(
+            4.591, abs=5e-4)
 
 
 class TestDivergences:
