@@ -41,7 +41,13 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: a run config must be a JSON object, got {cfg!r}")
+    for key in ("order", "embed_dim", "hidden_dim"):  # the int keys TrainConfig lacks
+        if type(cfg.get(key, 0)) is not int:
+            raise ValueError(f"{path}: config key {key!r} must be of type int, got {cfg[key]!r}")
+    return cfg
 
 
 def _merged(config: dict, args: argparse.Namespace, keys: list[str]) -> dict:
@@ -54,21 +60,18 @@ def _merged(config: dict, args: argparse.Namespace, keys: list[str]) -> dict:
     return out
 
 
-def _parse_params(raw) -> dict:
+def _parse_params(raw):
     if raw is None:
         return {}
-    if isinstance(raw, dict):
-        return raw
-    return json.loads(raw)
+    if isinstance(raw, str):
+        return json.loads(raw)
+    return raw
 
 
 def cmd_count(args) -> int:
-    corpus = load_corpus(args.corpus)
-    if args.order < 1:
-        raise ValueError(f"order must be >= 1, got {args.order}")
-    table = count_ngrams(corpus, args.order)
+    table = count_ngrams(load_corpus(args.corpus), args.order)
     write_count_table(table, args.out)
-    print(f"wrote {len(table.gram_count)} gram rows to {args.out}")
+    print(f"wrote {len(table.arrays.count)} gram rows to {args.out}")
     return EXIT_OK
 
 
@@ -180,6 +183,7 @@ class _TrainingData:
 
     def train(self, cfg):
         config = _train_config(cfg)
+        config.validate()
         bundle = self._bundle(config) if config.objective in neural.BUNDLE_OBJECTIVES else None
         model = _model_for(cfg, self.table)
         return neural.train(model, self.table, config, bundle, self.heldout)

@@ -5,18 +5,23 @@ stored inside sequences: BOS enters only as logical padding when histories
 are formed, EOS only as the terminal event of each sequence.  All counting
 conventions downstream (conditional distributions, smoothing, training
 weights) are defined in terms of the tables built here.
+
+A CountTable stores only sorted gram arrays, which CountTable.from_grams
+builds by one sort from every source: a corpus, a higher-order table, a
+count file or a training batch.  Its count dicts are views for the oracles.
 """
 
 from __future__ import annotations
 
 import logging
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 log = logging.getLogger(__name__)
 
@@ -138,9 +143,13 @@ class Corpus:
 
 @dataclass(frozen=True)
 class GramArrays:
-    """Array form of a CountTable.  Row i is the history hists[i] (the
-    histories in sorted order); gram g adds count[g] at row hist[g],
-    emission index out[g]; totals[i] is history_count[hists[i]]."""
+    """The grams of a CountTable.  Row i is history hists[i] (index maps it
+    back to i), with row total totals[i]; gram g adds count[g] at row
+    hist[g], emission index out[g].  Invariant, set by from_grams: the
+    histories are sorted and each has a gram; the grams are sorted by (row,
+    emission index), each once, with a count of at least 1.  As BOS and
+    EOS's emission index are both n_symbols, this is the order of sorting
+    the (history, emitted id) pairs, and `hists` is sorted(history_count)."""
 
     hists: tuple[History, ...]
     index: dict[History, int]
@@ -152,57 +161,60 @@ class GramArrays:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Occurrence counts of (history, symbol) pairs at a fixed order n.
-
-    gram_count[(h, x)] is the number of positions whose length-(n-1) padded
-    history equals h and whose emitted symbol (a vocabulary id or EOS) is x;
-    history_count[h] is the row total; count_of_counts[i] is the number of
-    distinct positive-count grams occurring exactly i times.  `arrays` holds
-    the same grams as index arrays, derived once from gram_count; every
-    consumer of the counts (smoothers, training, perplexity) reads them.
-    """
+    """Counts of (history, symbol) pairs at order n: gram (h, x) counts the
+    positions whose length-(n-1) padded history is h and whose emitted id
+    (a symbol or EOS) is x.  `arrays` stores them; the rest is derived."""
 
     order: int
     vocab: Vocabulary
-    gram_count: dict[tuple[History, int], int]
-    history_count: dict[History, int]
-    count_of_counts: dict[int, int]
-    total_tokens: int
+    arrays: GramArrays
 
-    @cached_property
-    def arrays(self) -> GramArrays:
-        hists = tuple(sorted(self.history_count))
-        index = {h: i for i, h in enumerate(hists)}
-        n = len(self.gram_count)
-        try:
-            hist = np.fromiter((index[h] for h, _ in self.gram_count), dtype=np.intp, count=n)
-        except KeyError as exc:
-            raise ValueError(f"gram history {exc.args[0]} has no history_count entry") from None
-        ids = np.fromiter((x for _, x in self.gram_count), dtype=np.intp, count=n)
-        vocab = self.vocab
-        is_eos = ids == vocab.eos_id
-        if not ((ids >= 0) & ((ids < vocab.n_symbols) | is_eos)).all():
+    @classmethod
+    def from_grams(cls, order: int, vocab: Vocabulary, keys, counts) -> CountTable:
+        """The table of the (N, order) ids `keys`, each row a history and
+        then its emitted id, occurring counts[g] times; equal rows are summed."""
+        keys, counts = np.asarray(keys, dtype=np.intp), np.asarray(counts, dtype=np.int64)
+        if order < 1 or not len(counts) or keys.shape != (len(counts), order):
+            raise ValueError(f"need one count per row of a nonempty (N, {order}) gram array")
+        n, hist_ids, ids = vocab.n_symbols, keys[:, :-1], keys[:, -1]
+        if ((hist_ids < 0) | (hist_ids > n)).any():
+            raise ValueError("gram history id is not a symbol or BOS")
+        if ((ids < 0) | ((ids >= n) & (ids != vocab.eos_id))).any():
             raise ValueError("gram symbol is not an emittable id")
-        ids[is_eos] = vocab.n_symbols
-        return GramArrays(
-            hists=hists,
-            index=index,
-            hist=hist,
-            out=ids,
-            count=np.fromiter(self.gram_count.values(), dtype=np.int64, count=n),
-            totals=np.fromiter(map(self.history_count.__getitem__, hists), dtype=np.int64,
-                               count=len(hists)),
-        )
+        if (counts < 1).any():
+            raise ValueError(f"gram count {counts.min()} is below 1")
+        sort = np.lexsort(keys.T[::-1])
+        keys, counts = keys[sort], counts[sort]
+        first = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+        keys, count = keys[first], np.add.reduceat(counts, np.flatnonzero(first))
+        new_hist = np.r_[True, (keys[1:, :-1] != keys[:-1, :-1]).any(axis=1)]
+        hists = tuple(map(tuple, keys[new_hist, :-1].tolist()))
+        return cls(order, vocab, GramArrays(
+            hists=hists, index=dict(zip(hists, range(len(hists)))),
+            hist=np.cumsum(new_hist) - 1, out=np.minimum(keys[:, -1], n),  # EOS's index is n
+            count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist))))
+
+    @property
+    def total_tokens(self) -> int:
+        return int(self.arrays.count.sum())
 
     @cached_property
-    def seen_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, emission index, count) of the positive cells of
-        `dense_counts()`, in its row-major order, so that a sum over them
-        runs in the order of a sum over that matrix's masked cells."""
+    def count_of_counts(self) -> dict[int, int]:
+        """{i: number of grams occurring exactly i times}."""
+        values, freq = np.unique(self.arrays.count, return_counts=True)
+        return dict(zip(values.tolist(), freq.tolist()))
+
+    @cached_property
+    def gram_count(self) -> dict[tuple[History, int], int]:
+        """{(history, emitted id): count}, a view built on first read."""
         a = self.arrays
-        cells = np.argsort(a.hist * self.vocab.out_dim + a.out)
-        cells = cells[a.count[cells] > 0]
-        return a.hist[cells], a.out[cells], a.count[cells]
+        keys = _gram_keys(self.vocab, self.order, a.hists, a.hist, a.out).tolist()
+        return {(tuple(k[:-1]), k[-1]): c for k, c in zip(keys, a.count.tolist())}
+
+    @cached_property
+    def history_count(self) -> dict[History, int]:
+        """{history: row total}, a view built on first read."""
+        return dict(zip(self.arrays.hists, self.arrays.totals.tolist()))
 
     def dense_counts(self) -> np.ndarray:
         """The counts as one (histories x emissions) matrix in `arrays` row order."""
@@ -210,6 +222,13 @@ class CountTable:
         counts = np.zeros((len(a.hists), self.vocab.out_dim))
         counts[a.hist, a.out] = a.count
         return counts
+
+
+def _gram_keys(vocab: Vocabulary, order: int, hists, hist, out) -> np.ndarray:
+    """The ids CountTable.from_grams takes for the grams at rows `hist` of
+    `hists` and emission indices `out`."""
+    hist_ids = np.array(hists, dtype=np.intp).reshape(len(hists), order - 1)
+    return np.column_stack([hist_ids[hist], np.where(out == vocab.n_symbols, vocab.eos_id, out)])
 
 
 def build_vocabulary(lines: Iterable[str]) -> Vocabulary:
@@ -304,36 +323,18 @@ def count_ngrams(corpus: Corpus, order: int) -> CountTable:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     vocab = corpus.vocab
-    gram: Counter[tuple[History, int]] = Counter()
-    hist: Counter[History] = Counter()
-    pad = (vocab.bos_id,) * (order - 1)
-    total = 0
-    for seq in corpus.sequences:
-        padded = pad + seq
-        for t in range(len(seq) + 1):
-            h = padded[t:t + order - 1]
-            x = seq[t] if t < len(seq) else vocab.eos_id
-            gram[(h, x)] += 1
-            hist[h] += 1
-            total += 1
-    return _count_table(order, vocab, gram, hist, total)
-
-
-def _count_table(order: int, vocab: Vocabulary, gram: dict, hist: dict, total: int) -> CountTable:
-    """A CountTable of the given tallies, with their counts-of-counts."""
-    return CountTable(
-        order=order,
-        vocab=vocab,
-        gram_count=dict(gram),
-        history_count=dict(hist),
-        count_of_counts=dict(Counter(gram.values())),
-        total_tokens=total,
-    )
+    pad, eos = (vocab.bos_id,) * (order - 1), (vocab.eos_id,)
+    padded = np.fromiter(chain.from_iterable(pad + seq + eos for seq in corpus.sequences),
+                         dtype=np.intp)
+    # every position but the padding emits, after the order-1 positions before it
+    emits = np.flatnonzero(padded != vocab.bos_id)
+    keys = sliding_window_view(padded, order)[emits - (order - 1)]
+    return CountTable.from_grams(order, vocab, keys, np.ones(len(emits), dtype=np.int64))
 
 
 def zero_gram_count(table: CountTable) -> int:
     """r_0: unseen (history, symbol) cells over the observed histories."""
-    return len(table.history_count) * table.vocab.out_dim - len(table.gram_count)
+    return len(table.arrays.hists) * table.vocab.out_dim - len(table.arrays.count)
 
 
 def marginalize(table: CountTable) -> CountTable:
@@ -344,21 +345,17 @@ def marginalize(table: CountTable) -> CountTable:
     """
     if table.order < 2:
         raise ValueError("cannot marginalize an order-1 table")
-    gram: Counter[tuple[History, int]] = Counter()
-    hist: Counter[History] = Counter()
-    for (h, x), c in table.gram_count.items():
-        gram[(h[1:], x)] += c
-        hist[h[1:]] += c
-    return _count_table(table.order - 1, table.vocab, gram, hist, table.total_tokens)
+    a = table.arrays
+    keys = _gram_keys(table.vocab, table.order, a.hists, a.hist, a.out)
+    return CountTable.from_grams(table.order - 1, table.vocab, keys[:, 1:], a.count)
 
 
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
     """All orders table.order, ..., 1, index k-1 holding the order-k table."""
-    chain = [table]
-    while chain[-1].order > 1:
-        chain.append(marginalize(chain[-1]))
-    chain.reverse()
-    return chain
+    tables = [table]
+    while tables[-1].order > 1:
+        tables.append(marginalize(tables[-1]))
+    return tables[::-1]
 
 
 def write_count_table(table: CountTable, path: str) -> None:
@@ -370,12 +367,12 @@ def write_count_table(table: CountTable, path: str) -> None:
 def read_count_table(path: str) -> CountTable:
     """Load a count TSV, rebuilding a vocabulary in file order."""
     _, vocab, hists, hist, out, (counts,) = read_cells(path, {"count": int})
-    ids = np.where(out == vocab.n_symbols, vocab.eos_id, out).tolist()
-    keys = zip((hists[i] for i in hist.tolist()), ids)
-    gram = dict(zip(keys, counts.tolist()))
-    totals = np.bincount(hist, weights=counts, minlength=len(hists)).astype(np.int64)
-    return _count_table(len(hists[0]) + 1, vocab, gram, dict(zip(hists, totals.tolist())),
-                        int(counts.sum()))
+    order = len(hists[0]) + 1
+    try:
+        return CountTable.from_grams(order, vocab, _gram_keys(vocab, order, hists, hist, out),
+                                     counts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, CountTable, History, Vocabulary, _count_table,
-                     check_same_vocabulary, count_ngrams)
+from .corpus import Corpus, CountTable, History, Vocabulary, check_same_vocabulary, count_ngrams
 from .decompose import RegularizerBundle, build_regularizer
 from .ngram import empirical_conditional, padded_history
 
@@ -65,6 +64,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        # the field annotations are strings (postponed evaluation)
+        types = {"str | None": (str, type(None)), "float": numbers.Real, "int": numbers.Integral}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type in types and (isinstance(v, bool) or not isinstance(v, types[f.type])):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {v!r}")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if self.epochs < 1:
@@ -344,9 +349,8 @@ def loss_and_grad(
     if not batch:
         raise ValueError("batch must be nonempty")
     config.validate()
-    pairs = [(tuple(h), x) for h, x in batch]
-    table = _count_table(model.order, model.vocab, Counter(pairs),
-                         Counter(h for h, _ in pairs), len(pairs))
+    keys = [(*h, x) for h, x in batch]
+    table = CountTable.from_grams(model.order, model.vocab, keys, np.ones(len(keys), np.int64))
     alpha, const = _objective_weights(table, config, bundle)
     loss, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
     return loss + const, grads
@@ -357,15 +361,15 @@ def model_perplexity(model, data: Corpus | CountTable) -> float:
     the model's order, from one batched forward pass (softmax rows are
     strictly positive, so this is always finite barring overflow)."""
     table = _table(data, model.order, model.vocab)
-    return _perplexity(model.forward_batch(table.arrays.hists), table.seen_cells[0], table)
+    return _perplexity(model.forward_batch(table.arrays.hists), table.arrays.hist, table)
 
 
 def _perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> float:
-    """Perplexity of a count table's seen cells, where q[rows[k]] is the
-    model's row for the history of seen cell k."""
-    _, out, count = table.seen_cells
-    nll = -float(np.dot(count, np.log(q[rows, out])))
-    return math.exp(nll / count.sum())
+    """Perplexity of a count table's grams, where q[rows[g]] is the model's
+    row for the history of gram g."""
+    a = table.arrays
+    nll = -float(np.dot(a.count, np.log(q[rows, a.out])))
+    return math.exp(nll / a.count.sum())
 
 
 def make_bundle_for(
@@ -436,7 +440,7 @@ def _train_counts(model, table, config, bundle, heldout):
                 i = len(hists) + len(extra)
                 extra.append(h)
             place.append(i)
-        rows = np.asarray(place, dtype=np.intp)[heldout.seen_cells[0]]
+        rows = np.asarray(place, dtype=np.intp)[heldout.arrays.hist]
     metrics = TrainMetrics()
     params = model.param_arrays()
     best_ppl = math.inf
@@ -474,7 +478,7 @@ def _train_counts(model, table, config, bundle, heldout):
         # every epoch ran: the last one's perplexity takes one more forward
         if heldout is not None:
             patience_ran_out(_perplexity(model.forward_batch(heldout.arrays.hists),
-                                         heldout.seen_cells[0], heldout))
+                                         heldout.arrays.hist, heldout))
     if best_params is not None:
         for name, arr in params.items():
             arr[...] = best_params[name]

@@ -153,10 +153,9 @@ def _renormalized_rows(table: CountTable, weight_of_count, unseen_weight: float)
     out_dim = table.vocab.out_dim
     a = table.arrays
     rows = np.full((len(a.hists), out_dim), unseen_weight)
-    seen = a.count > 0
-    counts, inverse = np.unique(a.count[seen], return_inverse=True)
+    counts, inverse = np.unique(a.count, return_inverse=True)
     weights = np.array([weight_of_count(int(c)) for c in counts], dtype=float)
-    rows[a.hist[seen], a.out[seen]] = weights[inverse]
+    rows[a.hist, a.out] = weights[inverse]
     sums = rows.sum(axis=1)
     empty = sums <= 0.0
     if empty.any():
@@ -175,8 +174,6 @@ def smooth_good_turing(table: CountTable) -> ConditionalLM:
     per-history distribution, so each history's adjusted counts are rescaled
     to sum to 1.  Zeros survive wherever r_{c+1} == 0.
     """
-    if not table.gram_count:
-        raise ValueError("empty count table")
     r = table.count_of_counts
     r0 = zero_gram_count(table)
     rows = _renormalized_rows(
@@ -207,8 +204,9 @@ class SgtFit:
     seen_scale: float         # (1 - p0) / sum(r_c * c*_c), probability per count unit
 
 
-def sgt_fit(table: CountTable) -> SgtFit:
-    """Run the Gale-Sampson procedure on a table's counts-of-counts.
+def sgt_fit(r: dict[int, int], n: int) -> SgtFit:
+    """Run the Gale-Sampson procedure on counts-of-counts r ({count: number
+    of grams with that count}) of n tokens.
 
     Z-transform r_c by averaging over neighbor gaps, fit log Z = a + b log c
     by least squares, then walk counts upward using the Turing estimate while
@@ -216,7 +214,6 @@ def sgt_fit(table: CountTable) -> SgtFit:
     switching permanently to the regressed estimate afterwards (or as soon as
     the Turing estimate is undefined).
     """
-    r = table.count_of_counts
     cs = sorted(r)
     if len(cs) < 2:
         raise ValueError("need at least two distinct count values")
@@ -252,7 +249,6 @@ def sgt_fit(table: CountTable) -> SgtFit:
             switch_at = c
         smoothed[c] = lgt
 
-    n = table.total_tokens
     p0 = r.get(1, 0) / n
     seen_mass = sum(r[c] * smoothed[c] for c in cs)
     seen_scale = (1.0 - p0) / seen_mass if seen_mass > 0 else 0.0
@@ -267,7 +263,7 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
     undefined.
     """
     try:
-        fit = sgt_fit(table)
+        fit = sgt_fit(table.count_of_counts, table.total_tokens)
     except ValueError:
         log.warning("SGT needs >= 2 distinct count values; falling back to add-lambda 1e-3")
         lm = smooth_add_lambda(table, 1e-3)
@@ -381,22 +377,20 @@ def _katz_rows(tab: CountTable, k: int, lower: tuple[dict[History, int], np.ndar
     """One Katz level: discounted seen cells, the freed mass spread over the
     unseen cells in proportion to the lower-order row."""
     a = tab.arrays
-    seen = a.count > 0
-    hist, out, counts = a.hist[seen], a.out[seen], a.count[seen]
-    kept = _katz_discounts(tab, k, counts) * counts / a.totals[hist]
+    kept = _katz_discounts(tab, k, a.count) * a.count / a.totals[a.hist]
     # summing the dense rows adds in the same order as summing each row
     # alone, so `leftover`, and the branch each row takes, stay exact
     rows = np.zeros((len(a.hists), tab.vocab.out_dim))
-    rows[hist, out] = kept
+    rows[a.hist, a.out] = kept
     kept_mass = rows.sum(axis=1)
     leftover = 1.0 - kept_mass
     _lower_rows(tab, lower, out=rows)
-    rows[hist, out] = 0.0
+    rows[a.hist, a.out] = 0.0
     unseen_mass = rows.sum(axis=1)
     spread = (leftover > 0.0) & (unseen_mass > 0.0)
     rows *= np.where(spread, leftover, 0.0)[:, None]
     rows /= np.where(spread, unseen_mass, 1.0)[:, None]
-    rows[hist, out] = kept
+    rows[a.hist, a.out] = kept
     # rows with nothing to spread keep only their discounted cells, renormalized
     renorm = ~spread & (leftover != 0.0)
     if renorm.any():

@@ -165,6 +165,28 @@ def test_badly_typed_method_params_exit_2_in_train(tiny, tmp_path, capsys, metho
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, values, message", [
+    ("train", {"lr": "x"}, "lr must be of type float"),
+    ("train", {"epochs": 2.5}, "epochs must be of type int"),
+    ("train", {"order": "2"}, "config key 'order' must be of type int"),
+    ("grid", {"gamma_plus": ["x"]}, "gamma_plus must be of type float"),
+    ("train", ["lr", 0.5], "a run config must be a JSON object"),
+    ("train", {"objective": "split_regularizer", "method": 5}, "method must be of type str"),
+    ("train", {"objective": "split_regularizer", "method_params": 5},
+     "params must be a JSON object"),
+])
+def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, message):
+    train, held = zipf
+    cfg = values
+    if isinstance(values, dict):
+        cfg = {"corpus_path": str(train), "heldout_path": str(held), "arch": "tabular",
+               "method": "addlambda", "epochs": 1, "out_dir": str(tmp_path / "run"), **values}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestDecompose:
     def test_writes_rows(self, tiny, tmp_path):
         out = tmp_path / "dec.tsv"

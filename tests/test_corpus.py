@@ -7,13 +7,18 @@ agree on every query.
 """
 
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothlm.corpus import (
     Corpus,
+    CountTable,
     EmptyCorpusError,
+    GramArrays,
     Vocabulary,
     build_vocabulary,
     corpus_from_lines,
@@ -25,6 +30,10 @@ from smoothlm.corpus import (
     write_count_table,
     zero_gram_count,
 )
+from smoothlm.decompose import build_regularizer
+from smoothlm.neural import TabularSoftmaxLM, TrainConfig, train
+from smoothlm.ngram import empirical_conditional
+from smoothlm.smoothers import METHODS, smooth
 
 
 def oracle_substring_count(sequences, query):
@@ -225,15 +234,78 @@ class TestCountsOfCounts:
 
 
 class TestMarginalize:
-    def test_matches_direct_recount(self):
-        c = corpus_from_lines(["a b a b", "b a a", "a"])
-        t3 = count_ngrams(c, 3)
-        t2 = marginalize(t3)
-        direct = count_ngrams(c, 2)
-        assert t2.gram_count == direct.gram_count
-        assert t2.history_count == direct.history_count
-        assert t2.count_of_counts == direct.count_of_counts
-        assert t2.total_tokens == direct.total_tokens
+    @given(st.lists(st.lists(st.integers(0, 3), max_size=8), min_size=1, max_size=8),
+           st.integers(2, 5))
+    def test_matches_direct_recount(self, seqs, order):
+        c = Corpus(vocab=Vocabulary(symbols=("a", "b", "c", "d")),
+                   sequences=tuple(map(tuple, seqs)))
+        t = count_ngrams(c, order)
+        while t.order > 1:
+            t = marginalize(t)
+            direct = count_ngrams(c, t.order)
+            for f in fields(GramArrays):
+                got, want = getattr(t.arrays, f.name), getattr(direct.arrays, f.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+                else:
+                    assert got == want, f.name
+
+
+class TestFromGrams:
+    def test_sums_equal_keys_in_sorted_order(self):
+        v = Vocabulary(symbols=("a", "b"))
+        eos, bos = v.eos_id, v.bos_id
+        t = CountTable.from_grams(2, v, [(1, eos), (bos, 0), (1, eos), (0, 1), (1, 0)],
+                                  [2, 1, 3, 1, 4])
+        a = t.arrays
+        assert a.hists == ((0,), (1,), (bos,))
+        assert a.index == {(0,): 0, (1,): 1, (bos,): 2}
+        assert a.hist.tolist() == [0, 1, 1, 2]
+        assert a.out.tolist() == [1, 0, v.n_symbols, 0]
+        assert a.count.tolist() == [1, 4, 5, 1]
+        assert a.totals.tolist() == [1, 9, 1]
+        assert t.total_tokens == 11
+        assert t.count_of_counts == {1: 2, 4: 1, 5: 1}
+
+    @pytest.mark.parametrize("key, count, message", [
+        ((3, 0), 1, "history id is not a symbol or BOS"),
+        ((-1, 0), 1, "history id is not a symbol or BOS"),
+        ((0, 2), 1, "symbol is not an emittable id"),
+        ((0, -1), 1, "symbol is not an emittable id"),
+        ((0, 1), 0, "count 0 is below 1"),
+        ((0, 1), -2, "count -2 is below 1"),
+    ])
+    def test_rejects(self, key, count, message):
+        # ids: a=0, b=1, BOS=2, EOS=3
+        v = Vocabulary(symbols=("a", "b"))
+        with pytest.raises(ValueError, match=message):
+            CountTable.from_grams(2, v, [(0, 0), key], [1, count])
+
+    def test_rejects_keys_of_another_order(self):
+        with pytest.raises(ValueError, match="gram array"):
+            CountTable.from_grams(3, Vocabulary(symbols=("a",)), [(0, 0)], [1])
+
+
+class TestCountViews:
+    def test_pipeline_builds_no_count_dict(self, tmp_path):
+        lines = ["a b c", "b c a a", "c c b", "a a b c"]
+        table = count_ngrams(corpus_from_lines(lines), 2)
+        heldout = count_ngrams(corpus_from_lines(["c a b", "b b"], vocab=table.vocab), 2)
+        emp = empirical_conditional(table)
+        for method in METHODS:
+            build_regularizer(emp, smooth(table, method), table, 1.0, 1.0)
+        config = TrainConfig(objective="split_regularizer", method="kneser_essen_ney",
+                             gamma_plus=0.5, gamma_minus=0.5, epochs=3)
+        train(TabularSoftmaxLM.for_table(table), table, config, heldout=heldout)
+        write_count_table(table, str(tmp_path / "counts.tsv"))
+        for t in (table, heldout):
+            assert "gram_count" not in vars(t) and "history_count" not in vars(t)
+
+    def test_views_built_on_first_read(self):
+        t = count_ngrams(toy_corpus(), 2)
+        assert vars(t).keys() == {"order", "vocab", "arrays"}
+        grams, hists = t.gram_count, t.history_count
+        assert vars(t)["gram_count"] is grams and vars(t)["history_count"] is hists
 
 
 class TestCorpusIO:

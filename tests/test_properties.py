@@ -1,5 +1,6 @@
 """Hypothesis properties of the table layers and their TSV files over random
-small corpora (2-8 symbols, orders 1-3), with per-cell oracles written from
+small corpora (2-8 symbols, orders 1-3), with the count arrays checked
+against a per-position recount and per-cell oracles written from
 gram_count."""
 
 import os
@@ -43,17 +44,36 @@ def cell_count(table, h, j):
     return table.gram_count.get((h, table.vocab.id_at_out(j)), 0)
 
 
-@given(corpora(), orders)
-def test_arrays_hold_the_gram_dict(corpus, order):
+def recount(corpus, order):
+    """{(history, emitted id): count}, one padded position at a time."""
+    vocab = corpus.vocab
+    grams = Counter()
+    for seq in corpus.sequences:
+        padded = (vocab.bos_id,) * (order - 1) + seq + (vocab.eos_id,)
+        for t in range(len(seq) + 1):
+            grams[(padded[t:t + order - 1], padded[t + order - 1])] += 1
+    return grams
+
+
+@given(corpora(), st.integers(1, 4))
+def test_arrays_match_a_recount(corpus, order):
     table = count_ngrams(corpus, order)
     a = table.arrays
-    assert list(a.hists) == sorted(table.history_count)
-    rebuilt = {
-        (a.hists[i], table.vocab.id_at_out(j)): c
-        for i, j, c in zip(a.hist.tolist(), a.out.tolist(), a.count.tolist())
-    }
-    assert rebuilt == table.gram_count
-    assert a.totals.tolist() == [table.history_count[h] for h in a.hists]
+    grams = recount(corpus, order)
+    totals = Counter()
+    for (h, _), c in grams.items():
+        totals[h] += c
+    # sorted by (history, emission index), each gram once
+    expected = sorted((h, corpus.vocab.out_index(x), c) for (h, x), c in grams.items())
+    got = zip([a.hists[i] for i in a.hist.tolist()], a.out.tolist(), a.count.tolist())
+    assert list(got) == expected
+    assert list(a.hists) == sorted(totals)
+    assert a.index == {h: i for i, h in enumerate(a.hists)}
+    assert a.totals.tolist() == [totals[h] for h in a.hists]
+    assert table.total_tokens == corpus.total_emissions
+    assert table.count_of_counts == Counter(grams.values())
+    assert table.gram_count == grams
+    assert table.history_count == totals
 
 
 @given(corpora(), orders)

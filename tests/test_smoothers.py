@@ -34,20 +34,7 @@ def toy():
 
 def make_table(vocab, order, grams):
     """Synthetic CountTable from {(history, symbol): count}."""
-    hist = {}
-    for (h, x), c in grams.items():
-        hist[h] = hist.get(h, 0) + c
-    r = {}
-    for c in grams.values():
-        r[c] = r.get(c, 0) + 1
-    return CountTable(
-        order=order,
-        vocab=vocab,
-        gram_count=dict(grams),
-        history_count=hist,
-        count_of_counts=r,
-        total_tokens=sum(grams.values()),
-    )
+    return CountTable.from_grams(order, vocab, [(*h, x) for h, x in grams], list(grams.values()))
 
 
 class TestDispatch:
@@ -162,31 +149,21 @@ class TestSimpleGoodTuring:
     def test_two_point_regression_slope(self):
         # r = {1: 10, 2: 5}: Z degenerates to r at both endpoints, so the fit
         # passes through (log 1, log 10), (log 2, log 5): slope exactly -1
-        v = Vocabulary(symbols=("a", "b"))
-        grams = {((0,), j): 1 for j in range(1)} | {}
-        table = CountTable(
-            order=2, vocab=v, gram_count={}, history_count={},
-            count_of_counts={1: 10, 2: 5}, total_tokens=20,
-        )
-        fit = sgt_fit(table)
+        fit = sgt_fit({1: 10, 2: 5}, 20)
         assert fit.slope == pytest.approx(-1.0, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(10), abs=1e-12)
 
     def test_turing_used_while_significant(self):
         # huge counts-of-counts make the Turing estimate extremely precise,
         # so low counts keep the plain Good-Turing value
-        table = CountTable(
-            order=2, vocab=Vocabulary(symbols=("a",)), gram_count={}, history_count={},
-            count_of_counts={1: 100000, 2: 30000, 3: 12000, 4: 6000, 5: 3000},
-            total_tokens=100000 + 60000 + 36000 + 24000 + 15000,
-        )
-        fit = sgt_fit(table)
+        fit = sgt_fit({1: 100000, 2: 30000, 3: 12000, 4: 6000, 5: 3000},
+                      100000 + 60000 + 36000 + 24000 + 15000)
         assert fit.switch_at > 1
         assert fit.smoothed_count[1] == pytest.approx(2 * 30000 / 100000)
 
     def test_regressed_after_switch(self):
         table = count_ngrams(synthetic_corpus(3, n_sequences=80, n_symbols=5), 2)
-        fit = sgt_fit(table)
+        fit = sgt_fit(table.count_of_counts, table.total_tokens)
         for c in sorted(table.count_of_counts):
             if c >= fit.switch_at:
                 expected = (c + 1) * ((c + 1) / c) ** fit.slope

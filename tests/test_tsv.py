@@ -193,6 +193,9 @@ MALFORMED = {
     "count no rows": ("counts", "history\tsymbol\tcount\n", "no data rows"),
     "LM no rows": ("lm", LM[2].split("\n")[0] + "\nhistory\tsymbol\tprobability\n",
                    "no data rows"),
+    "count zero": ("counts", replace_line(COUNTS[2], 3, "a\t</s>\t0"), "count 0 is below 1"),
+    "count negative": ("counts", replace_line(COUNTS[2], 3, "a\t</s>\t-5"),
+                       "count -5 is below 1"),
     "count duplicate": ("counts", COUNTS[2] + "c\t</s>\t1\n", "duplicate gram row"),
     "LM duplicate": ("lm", LM[2] + "c\tc\t0.2\n", "duplicate gram row"),
 }
