@@ -22,6 +22,7 @@ from .corpus import count_ngrams, load_corpus, read_count_table, write_count_tab
 from .ngram import (
     NormalizationError,
     empirical_conditional,
+    perplexity,
     read_conditional_lm,
     write_conditional_lm,
 )
@@ -47,6 +48,9 @@ def _load_config(path: str | None) -> dict:
     for key in ("order", "embed_dim", "hidden_dim"):  # the int keys TrainConfig lacks
         if type(cfg.get(key, 0)) is not int:
             raise ValueError(f"{path}: config key {key!r} must be of type int, got {cfg[key]!r}")
+    for key in ("corpus_path", "heldout_path", "out_dir"):  # null means none given
+        if not isinstance(cfg.get(key, ""), (str, type(None))):
+            raise ValueError(f"{path}: config key {key!r} must be of type str, got {cfg[key]!r}")
     return cfg
 
 
@@ -223,8 +227,6 @@ def cmd_eval(args) -> int:
     elif args.lm:
         lm = read_conditional_lm(args.lm)
         corpus = load_corpus(args.corpus, vocab=lm.vocab)
-        from .ngram import perplexity
-
         ppl = perplexity(lm, corpus)
     else:
         raise ValueError("need --model or --lm")

@@ -17,12 +17,12 @@ constant; with g- <= 1 every -log q coefficient stays nonnegative, keeping
 the loss bounded below.
 
 Epoch e steps from theta_e to theta_{e+1}, and its held-out perplexity
-ppl_e is measured at theta_{e+1}, the parameters epoch e+1 starts from.  So
-each epoch runs one batched forward over the training histories followed by
-the held-out histories training lacks: its training rows give the loss and
-gradient at theta_e, its held-out rows ppl_{e-1}.  Early stopping is decided
-before the step is spent, and one last forward after the final epoch gives
-its perplexity, so a run of k epochs takes k + 1 forwards.
+ppl_e, scored by ngram.table_perplexity as for n-gram LMs, is measured at
+theta_{e+1}, where epoch e+1 starts.  So each epoch runs one batched forward
+over the training histories followed by the held-out histories training
+lacks: its training rows give the loss and gradient at theta_e, its held-out
+rows ppl_{e-1}.  Early stopping is decided before the step, and one last
+forward after the final epoch scores it, so k epochs take k + 1 forwards.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .corpus import Corpus, CountTable, History, Vocabulary, check_same_vocabulary, count_ngrams
 from .decompose import RegularizerBundle, build_regularizer
-from .ngram import empirical_conditional, padded_history
+from .ngram import empirical_conditional, padded_history, table_perplexity
 
 OBJECTIVES = ("mle", "label_smoothing", "smoothed_target", "split_regularizer")
 BUNDLE_OBJECTIVES = ("smoothed_target", "split_regularizer")
@@ -358,18 +358,10 @@ def loss_and_grad(
 
 def model_perplexity(model, data: Corpus | CountTable) -> float:
     """Perplexity of a differentiable model on a corpus or its count table at
-    the model's order, from one batched forward pass (softmax rows are
-    strictly positive, so this is always finite barring overflow)."""
+    the model's order, from one batched forward pass (finite unless a
+    softmax cell underflows to 0)."""
     table = _table(data, model.order, model.vocab)
-    return _perplexity(model.forward_batch(table.arrays.hists), table.arrays.hist, table)
-
-
-def _perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> float:
-    """Perplexity of a count table's grams, where q[rows[g]] is the model's
-    row for the history of gram g."""
-    a = table.arrays
-    nll = -float(np.dot(a.count, np.log(q[rows, a.out])))
-    return math.exp(nll / a.count.sum())
+    return table_perplexity(model.forward_batch(table.arrays.hists), table.arrays.hist, table)
 
 
 def make_bundle_for(
@@ -465,7 +457,7 @@ def _train_counts(model, table, config, bundle, heldout):
         # one forward at theta_epoch: its held-out rows give the perplexity
         # of the previous epoch, its training rows this epoch's step
         loss, grads, q = model.batch_loss_grads(hists, alpha, extra)
-        if heldout is not None and epoch > 0 and patience_ran_out(_perplexity(q, rows, heldout)):
+        if epoch and heldout is not None and patience_ran_out(table_perplexity(q, rows, heldout)):
             break
         loss += const
         if not math.isfinite(loss):
@@ -477,8 +469,7 @@ def _train_counts(model, table, config, bundle, heldout):
     else:
         # every epoch ran: the last one's perplexity takes one more forward
         if heldout is not None:
-            patience_ran_out(_perplexity(model.forward_batch(heldout.arrays.hists),
-                                         heldout.arrays.hist, heldout))
+            patience_ran_out(model_perplexity(model, heldout))
     if best_params is not None:
         for name, arr in params.items():
             arr[...] = best_params[name]

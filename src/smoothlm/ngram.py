@@ -1,9 +1,9 @@
 """Conditional n-gram language models and their evaluation.
 
 Hosts the empirical conditional (count-ratio) model, prefix statistics,
-log-likelihood/perplexity evaluation, KL/cross-entropy helpers shared by the
-decomposition and verification code, and the LM TSV reader and writer.
-Natural log throughout.
+perplexity (one path, `table_perplexity`, checked by the per-token
+`string_logprob`), KL/cross-entropy helpers for the decomposition and
+verification code, and the LM TSV reader and writer.  Natural log throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import (Corpus, CountTable, History, Vocabulary, check_same_vocabulary,
-                     read_cells, write_cells)
+                     count_ngrams, read_cells, write_cells)
 
 PROB_ATOL = 1e-9
 
@@ -97,7 +97,12 @@ class ConditionalLM:
         if len(set(self.hists)) < len(self.hists):
             h = next(h for h, c in Counter(self.hists).items() if c > 1)
             raise ValueError(f"history {h} is listed more than once")
-        is_bos = np.array(self.hists, dtype=np.int64).reshape(len(self.hists), n) == self.vocab.bos_id
+        ids = np.array(self.hists, dtype=np.int64).reshape(len(self.hists), n)
+        bad_id = ((ids < 0) | (ids > self.vocab.bos_id)).any(axis=1)
+        if bad_id.any():
+            raise ValueError(f"history {self.hists[int(np.argmax(bad_id))]}: "
+                             "id is not a symbol or BOS")
+        is_bos = ids == self.vocab.bos_id
         # BOS may only form a contiguous prefix: no BOS right after a non-BOS
         bad_bos = (is_bos[:, 1:] & ~is_bos[:, :-1]).any(axis=1)
         if bad_bos.any():
@@ -107,11 +112,12 @@ class ConditionalLM:
 
     def rows(self, hists: Sequence[History]) -> np.ndarray:
         """Row matrix of `hists` in that order: `matrix` itself when they are
-        its histories, otherwise a stacked copy of the `table` rows."""
+        its histories, otherwise their `conditional(h)` rows stacked, so an
+        unseen history gets its backstop row or raises UnseenHistoryError."""
         hists = tuple(hists)
         if hists == self.hists:
             return self.matrix
-        return np.array([self.table[h] for h in hists]).reshape(len(hists), self.vocab.out_dim)
+        return np.array([self.conditional(h) for h in hists]).reshape(-1, self.vocab.out_dim)
 
     def conditional(self, history: Sequence[int]) -> np.ndarray:
         h = tuple(history)
@@ -243,16 +249,22 @@ def string_logprob(lm: ConditionalLM, sequence: Sequence[int]) -> float:
 
 
 def perplexity(lm: ConditionalLM, corpus: Corpus) -> float:
-    """exp of per-emission negative log-likelihood (one EOS per sequence).
-    The corpus must use the LM's vocabulary, since tokens are read by id."""
+    """exp of per-emission negative log-likelihood (one EOS per sequence) on
+    the corpus's count table.  The corpus must use the LM's vocabulary."""
     check_same_vocabulary(corpus.vocab, lm.vocab)
-    total = 0.0
-    for seq in corpus.sequences:
-        lp = string_logprob(lm, seq)
-        if lp == -math.inf:
-            return math.inf
-        total += lp
-    return math.exp(-total / corpus.total_emissions)
+    table = count_ngrams(corpus, lm.order)
+    return table_perplexity(lm.rows(table.arrays.hists), table.arrays.hist, table)
+
+
+def table_perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> float:
+    """exp(-sum count log q / sum count) over a count table's grams g, where
+    q[rows[g]] is the model's row for g's history; inf if a scored q is 0."""
+    a = table.arrays
+    p = q[rows, a.out]
+    if not p.all():
+        return math.inf
+    nll = -float(np.dot(a.count, np.log(p)))
+    return math.exp(nll / a.count.sum())
 
 
 def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -293,6 +305,9 @@ def read_conditional_lm(path: str) -> ConditionalLM:
     method, _, params = comment.removeprefix("method=").partition(" params=")
     matrix = np.zeros((len(hists), vocab.out_dim))
     matrix[hist, out] = probs
-    return ConditionalLM(len(hists[0]) + 1, vocab, (hists, matrix),
-                         backstop=uniform_backstop(vocab), method=method,
-                         params=json.loads(params) if params else {})
+    try:
+        return ConditionalLM(len(hists[0]) + 1, vocab, (hists, matrix),
+                             backstop=uniform_backstop(vocab), method=method,
+                             params=json.loads(params) if params else {})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -174,6 +174,10 @@ def test_badly_typed_method_params_exit_2_in_train(tiny, tmp_path, capsys, metho
     ("train", {"objective": "split_regularizer", "method": 5}, "method must be of type str"),
     ("train", {"objective": "split_regularizer", "method_params": 5},
      "params must be a JSON object"),
+    ("train", {"corpus_path": 3}, "config key 'corpus_path' must be of type str"),
+    ("train", {"heldout_path": ["held.txt"]}, "config key 'heldout_path' must be of type str"),
+    ("train", {"out_dir": 5}, "config key 'out_dir' must be of type str"),
+    ("grid", {"heldout_path": 4}, "config key 'heldout_path' must be of type str"),
 ])
 def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, message):
     train, held = zipf

@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from smoothlm.corpus import Vocabulary, corpus_from_lines, count_ngrams
+from smoothlm import ngram
+from smoothlm.cli import main
+from smoothlm.corpus import Vocabulary, corpus_from_lines, count_ngrams, load_corpus
 from smoothlm.ngram import (
     ConditionalLM,
     NormalizationError,
@@ -117,6 +119,27 @@ class TestRowViews:
             write_conditional_lm(lm, str(tmp_path / "lm.tsv"))
             assert lm.rows(table.arrays.hists) is lm.matrix
             assert "table" not in vars(lm) and "table" not in vars(emp), method
+
+    def test_perplexity_scores_no_token_at_a_time(self, tmp_path, monkeypatch, capsys):
+        train = corpus_from_lines(["a b c", "b c a a", "c c b"])
+        held = corpus_from_lines(["c b a", "a a c b", "b"], vocab=train.vocab)
+        lm = smooth(count_ngrams(train, 3), "kneser_essen_ney")
+        want = perplexity(lm, held)
+        path = str(tmp_path / "lm.tsv")
+        write_conditional_lm(lm, path)
+        (tmp_path / "held.txt").write_text("c b a\na a c b\nb\n", encoding="utf-8")
+        # the file's LM gives the uniform row where `lm` backs off
+        file_lm = read_conditional_lm(path)
+        file_want = perplexity(file_lm, load_corpus(str(tmp_path / "held.txt"), file_lm.vocab))
+
+        def per_token(*args):
+            raise AssertionError("perplexity took the per-token path")
+
+        monkeypatch.setattr(ngram, "string_logprob", per_token)
+        monkeypatch.setattr(ConditionalLM, "prob", per_token)
+        assert ngram.perplexity(lm, held) == want
+        assert main(["eval", "--lm", path, "--corpus", str(tmp_path / "held.txt")]) == 0
+        assert capsys.readouterr().out == f"perplexity\t{file_want:.10g}\n"
 
     def test_table_is_a_view_of_matrix(self):
         lm = mle(corpus_from_lines(["a b a", "b b"]), 2)

@@ -1,13 +1,15 @@
 """Hypothesis properties of the table layers and their TSV files over random
 small corpora (2-8 symbols, orders 1-3), with the count arrays checked
-against a per-position recount and per-cell oracles written from
-gram_count."""
+against a per-position recount, per-cell oracles written from gram_count,
+and held-out perplexity against the per-token string_logprob."""
 
+import math
 import os
 import tempfile
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,8 +17,11 @@ from smoothlm.corpus import Corpus, Vocabulary, count_ngrams, read_count_table, 
 from smoothlm.decompose import RECON_ATOL, build_regularizer
 from smoothlm.ngram import (
     PROB_ATOL,
+    UnseenHistoryError,
     empirical_conditional,
+    perplexity,
     read_conditional_lm,
+    string_logprob,
     write_conditional_lm,
 )
 from smoothlm.smoothers import (
@@ -178,3 +183,48 @@ def test_tsv_files_round_trip(corpus, order):
             for h, row in zip(lm.hists, lm.matrix):
                 h2 = tuple(v2.parse(v.render(i)) for i in h)
                 np.testing.assert_allclose(lm2.conditional(h2)[cols], row, rtol=1e-11, atol=0)
+
+
+@st.composite
+def train_and_heldout(draw):
+    """A training corpus that never uses the last symbol, and a held-out
+    corpus that does: from order 2 on, a history holding it is unseen in
+    training, and the held-out line of that symbol alone has one."""
+    n_sym = draw(st.integers(2, 8))
+    vocab = Vocabulary(symbols=tuple("abcdefgh"[:n_sym]))
+
+    def sequences(top):
+        seqs = draw(st.lists(st.lists(st.integers(0, top), max_size=8), min_size=1, max_size=8))
+        return tuple(tuple(s) for s in seqs)
+
+    held = sequences(n_sym - 1) + ((n_sym - 1,),)
+    return Corpus(vocab=vocab, sequences=sequences(n_sym - 2)), Corpus(vocab=vocab, sequences=held)
+
+
+@given(train_and_heldout(), orders)
+def test_perplexity_matches_the_per_token_oracle(data, order):
+    train, held = data
+    table = count_ngrams(train, order)
+    held_hists = count_ngrams(held, order).arrays.hists
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            lm = smooth(table, method)
+        except KatzConfigError:
+            continue
+        logprobs = [string_logprob(lm, seq) for seq in held.sequences]
+        got = perplexity(lm, held)
+        if -math.inf in logprobs:
+            assert got == math.inf, method
+        else:
+            want = math.exp(-sum(logprobs) / held.total_emissions)
+            assert got == pytest.approx(want, rel=1e-12), method
+        np.testing.assert_array_equal(lm.rows(held_hists),
+                                      np.array([lm.conditional(h) for h in held_hists]))
+    if order > 1:
+        emp = empirical_conditional(table)
+        with pytest.raises(UnseenHistoryError):
+            emp.rows(held_hists)
+        with pytest.raises(UnseenHistoryError):
+            perplexity(emp, held)
