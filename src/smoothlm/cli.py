@@ -45,6 +45,9 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: a run config must be a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(_TRAIN_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
     for key in ("order", "embed_dim", "hidden_dim"):  # the int keys TrainConfig lacks
         if type(cfg.get(key, 0)) is not int:
             raise ValueError(f"{path}: config key {key!r} must be of type int, got {cfg[key]!r}")

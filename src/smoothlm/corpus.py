@@ -146,7 +146,7 @@ class GramArrays:
     """The grams of a CountTable.  Row i is history hists[i] (index maps it
     back to i), with row total totals[i]; gram g adds count[g] at row
     hist[g], emission index out[g].  Invariant, set by from_grams: the
-    histories are sorted and each has a gram; the grams are sorted by (row,
+    histories pass check_histories, are sorted and each has a gram; the grams are sorted by (row,
     emission index), each once, with a count of at least 1.  As BOS and
     EOS's emission index are both n_symbols, this is the order of sorting
     the (history, emitted id) pairs, and `hists` is sorted(history_count)."""
@@ -176,9 +176,7 @@ class CountTable:
         keys, counts = np.asarray(keys, dtype=np.intp), np.asarray(counts, dtype=np.int64)
         if order < 1 or not len(counts) or keys.shape != (len(counts), order):
             raise ValueError(f"need one count per row of a nonempty (N, {order}) gram array")
-        n, hist_ids, ids = vocab.n_symbols, keys[:, :-1], keys[:, -1]
-        if ((hist_ids < 0) | (hist_ids > n)).any():
-            raise ValueError("gram history id is not a symbol or BOS")
+        n, ids = vocab.n_symbols, keys[:, -1]
         if ((ids < 0) | ((ids >= n) & (ids != vocab.eos_id))).any():
             raise ValueError("gram symbol is not an emittable id")
         if (counts < 1).any():
@@ -188,7 +186,9 @@ class CountTable:
         first = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
         keys, count = keys[first], np.add.reduceat(counts, np.flatnonzero(first))
         new_hist = np.r_[True, (keys[1:, :-1] != keys[:-1, :-1]).any(axis=1)]
-        hists = tuple(map(tuple, keys[new_hist, :-1].tolist()))
+        hist_ids = keys[new_hist, :-1]
+        check_histories(vocab, order - 1, hist_ids)
+        hists = tuple(map(tuple, hist_ids.tolist()))
         return cls(order, vocab, GramArrays(
             hists=hists, index=dict(zip(hists, range(len(hists)))),
             hist=np.cumsum(new_hist) - 1, out=np.minimum(keys[:, -1], n),  # EOS's index is n
@@ -222,6 +222,31 @@ class CountTable:
         counts = np.zeros((len(a.hists), self.vocab.out_dim))
         counts[a.hist, a.out] = a.count
         return counts
+
+
+def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = True) -> None:
+    """Raise ValueError naming the first of `hists`, history tuples or an
+    (N, length) id array, that is not `length` ids of symbols or BOS, or,
+    with `bos_prefix`, has a BOS after a symbol, which BOS padding never
+    forms."""
+    if not isinstance(hists, np.ndarray):
+        lengths = np.fromiter(map(len, hists), dtype=np.intp, count=len(hists))
+        if (lengths != length).any():
+            h = tuple(hists[int(np.argmax(lengths != length))])
+            raise ValueError(f"history {h} has length {len(h)}, expected {length}")
+        hists = np.array(hists, dtype=np.intp).reshape(len(hists), length)
+    bad = ((hists < 0) | (hists > vocab.bos_id)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"history id is not a symbol or BOS in {_first(hists, bad)}")
+    if bos_prefix:
+        is_bos = hists == vocab.bos_id
+        bad = (is_bos[:, 1:] & ~is_bos[:, :-1]).any(axis=1)
+        if bad.any():
+            raise ValueError(f"BOS is not a contiguous prefix of history {_first(hists, bad)}")
+
+
+def _first(hists: np.ndarray, bad: np.ndarray) -> History:
+    return tuple(hists[int(np.argmax(bad))].tolist())
 
 
 def _gram_keys(vocab: Vocabulary, order: int, hists, hist, out) -> np.ndarray:

@@ -142,7 +142,7 @@ def build_regularizer(
     if empirical_lm.hists is not hists:
         raise ValueError("the empirical model's rows are not the count table's histories")
     if smoothed_lm.hists != hists:
-        missing = [h for h in hists if h not in smoothed_lm.table]
+        missing = [h for h in hists if h not in smoothed_lm.index]
         if missing:
             rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
             raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")

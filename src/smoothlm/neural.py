@@ -35,7 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CountTable, History, Vocabulary, check_same_vocabulary, count_ngrams
+from .corpus import (Corpus, CountTable, History, Vocabulary, check_histories,
+                     check_same_vocabulary, count_ngrams)
 from .decompose import RegularizerBundle, build_regularizer
 from .ngram import empirical_conditional, padded_history, table_perplexity
 
@@ -88,16 +89,6 @@ class TrainMetrics:
     epochs_run: int = 0
 
 
-def _check_history(vocab: Vocabulary, order: int, history: Sequence[int]) -> History:
-    h = tuple(history)
-    if len(h) != order - 1:
-        raise ValueError(f"history length {len(h)}, expected {order - 1}")
-    for i in h:
-        if not (0 <= i < vocab.n_symbols or i == vocab.bos_id):
-            raise ValueError(f"id {i} is not a symbol or BOS")
-    return h
-
-
 def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (log q, q) with max subtraction."""
     m = z.max(axis=1, keepdims=True)
@@ -118,9 +109,9 @@ class TabularSoftmaxLM:
     def __init__(self, order: int, vocab: Vocabulary, histories: Sequence[History]):
         self.order = order
         self.vocab = vocab
-        self.history_index = {
-            _check_history(vocab, order, h): i for i, h in enumerate(histories)
-        }
+        histories = [tuple(h) for h in histories]
+        check_histories(vocab, order - 1, histories, bos_prefix=False)
+        self.history_index = dict(zip(histories, range(len(histories))))
         self.logits = np.zeros((len(self.history_index), vocab.out_dim))
 
     @classmethod
@@ -131,7 +122,9 @@ class TabularSoftmaxLM:
         return {"logits": self.logits}
 
     def forward(self, history: Sequence[int]) -> np.ndarray:
-        return self.forward_batch([_check_history(self.vocab, self.order, history)])[0]
+        h = tuple(history)
+        check_histories(self.vocab, self.order - 1, [h], bos_prefix=False)
+        return self.forward_batch([h])[0]
 
     def forward_batch(self, hists: Sequence[History]) -> np.ndarray:
         """q(.|h) for each history, one row each; histories outside the
@@ -223,7 +216,9 @@ class FeedForwardLM:
         return idx, e, a, logq, q
 
     def forward(self, history: Sequence[int]) -> np.ndarray:
-        return self.forward_batch([_check_history(self.vocab, self.order, history)])[0]
+        h = tuple(history)
+        check_histories(self.vocab, self.order - 1, [h], bos_prefix=False)
+        return self.forward_batch([h])[0]
 
     def forward_batch(self, hists: Sequence[History]) -> np.ndarray:
         """q(.|h) for each history, one row each."""
@@ -503,12 +498,28 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str):
+    """Load a save_model file; a malformed document raises ValueError
+    naming `path`."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
+    try:
+        return _model_of(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: {exc.args[0]!r} not found") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _model_of(doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model file must be a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != 1:
-        raise ValueError(f"{path}: unsupported model format {doc.get('format_version')!r}")
+        raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
+    order, dims = doc["order"], doc["dims"]
+    if (type(order) is not int or not isinstance(dims, dict)
+            or any(type(v) is not int for v in dims.values())):
+        raise ValueError(f"order and dims values must be ints, got {order!r} and {dims!r}")
     vocab = Vocabulary(symbols=tuple(doc["vocab"]))
-    order = doc["order"]
     if doc["architecture"] == "tabular":
         hists = [
             tuple(vocab.parse(t) for t in (s.split(" ") if s else []))
@@ -518,10 +529,8 @@ def load_model(path: str):
         model.logits[...] = np.asarray(doc["params"]["logits"], dtype=float)
         return model
     if doc["architecture"] == "feedforward":
-        model = FeedForwardLM(
-            order, vocab, doc["dims"]["embed"], doc["dims"]["hidden"], seed=0
-        )
+        model = FeedForwardLM(order, vocab, dims["embed"], dims["hidden"], seed=0)
         for k, arr in model.param_arrays().items():
             arr[...] = np.asarray(doc["params"][k], dtype=float)
         return model
-    raise ValueError(f"{path}: unknown architecture {doc['architecture']!r}")
+    raise ValueError(f"unknown architecture {doc['architecture']!r}")

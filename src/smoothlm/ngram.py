@@ -13,27 +13,28 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, CountTable, History, Vocabulary, check_same_vocabulary,
-                     count_ngrams, read_cells, write_cells)
+from .corpus import (Corpus, CountTable, GramArrays, History, Vocabulary, check_histories,
+                     check_same_vocabulary, count_ngrams, read_cells, write_cells)
 
 PROB_ATOL = 1e-9
 
 
 class UnseenHistoryError(KeyError):
-    """Lookup of a history with no stored distribution and no backstop rule."""
+    """Lookup of a history with no stored distribution and no backstop."""
 
 
 class NormalizationError(ValueError):
     """A conditional row is negative somewhere or does not sum to 1."""
 
 
-def uniform_backstop(vocab: Vocabulary) -> Callable[[History], np.ndarray]:
-    u = np.full(vocab.out_dim, 1.0 / vocab.out_dim)
-    return lambda history: u
+def uniform_backstop(vocab: Vocabulary) -> ConditionalLM:
+    """The order-1 LM whose one row is uniform."""
+    return ConditionalLM(1, vocab, ([()], np.full((1, vocab.out_dim), 1.0 / vocab.out_dim)),
+                         validate=False)
 
 
 class ConditionalLM:
@@ -42,23 +43,26 @@ class ConditionalLM:
 
     `table` is a mapping history -> vector, or a pair (histories, matrix)
     whose row i belongs to histories[i]; a matrix is kept as given, a
-    mapping is stacked into one.  Either way `matrix` holds the rows and
-    `hists` (a tuple) their histories, each listed once.  The dict `table`,
-    mapping each history to a view of its row, is built on first read;
-    `conditional` reads it, and `rows` reads it only for histories in
-    another order.
+    mapping is stacked into one.  Either way `matrix` holds the rows,
+    `hists` (a tuple) their histories, each listed once, and `index` maps
+    each history to its row.  Given a count table's `GramArrays` as the
+    histories, the LM takes `hists` and `index` from them and checks only
+    the matrix.  The dict `table`, mapping each history to a view of its
+    row, is built on first read; only `perfbench/` and the oracles read it.
 
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
-    conditional is 0/0), otherwise it is a callable history -> vector.
+    conditional is 0/0), otherwise it is a ConditionalLM of lower order (or
+    of order 1), which gives the history the row of its suffix there.  The
+    levels of a backoff smoother back off to one another this way.
     """
 
     def __init__(
         self,
         order: int,
         vocab: Vocabulary,
-        table: Mapping[History, np.ndarray] | tuple[Sequence[History], np.ndarray],
-        backstop: Callable[[History], np.ndarray] | None = None,
+        table: Mapping[History, np.ndarray] | tuple[Sequence[History] | GramArrays, np.ndarray],
+        backstop: ConditionalLM | None = None,
         method: str = "",
         params: dict | None = None,
         validate: bool = True,
@@ -66,69 +70,71 @@ class ConditionalLM:
         self.order = order
         self.vocab = vocab
         if isinstance(table, tuple):
-            hists, matrix = table
-            self.hists = tuple(hists)
-            self.matrix = matrix
+            hists, self.matrix = table
         else:
-            self.hists = tuple(table)
-            self.matrix = _stack_rows(table, vocab.out_dim)
+            hists, self.matrix = tuple(table), _stack_rows(table, vocab.out_dim)
+        if isinstance(hists, GramArrays):
+            self.hists, self.index = hists.hists, hists.index
+        else:
+            self.hists = tuple(hists)
+            self.index = dict(zip(self.hists, range(len(self.hists))))
         self.backstop = backstop
         self.method = method
         self.params = dict(params) if params else {}
         if validate:
-            self._validate()
+            self._validate(checked=isinstance(hists, GramArrays))
 
     @cached_property
     def table(self) -> dict[History, np.ndarray]:
         """History -> view of its row of `matrix`."""
         return dict(zip(self.hists, self.matrix))
 
-    def _validate(self) -> None:
-        """Check every row at once; an error names the first bad history."""
-        n = self.order - 1
-        for h in self.hists:
-            if len(h) != n:
-                raise ValueError(f"history {h} has length {len(h)}, expected {n}")
+    def _validate(self, checked: bool) -> None:
+        """Check every row at once, and the histories unless a count table
+        has `checked` them; an error names the first bad history."""
+        if not checked:
+            check_histories(self.vocab, self.order - 1, self.hists)
+            if len(self.index) < len(self.hists):
+                h = next(h for i, h in enumerate(self.hists) if self.index[h] != i)
+                raise ValueError(f"history {h} is listed more than once")
         if self.matrix.shape != (len(self.hists), self.vocab.out_dim):
             raise ValueError(f"row matrix has shape {self.matrix.shape}, expected "
                              f"{(len(self.hists), self.vocab.out_dim)}")
-        if not self.hists:
-            return
-        if len(set(self.hists)) < len(self.hists):
-            h = next(h for h, c in Counter(self.hists).items() if c > 1)
-            raise ValueError(f"history {h} is listed more than once")
-        ids = np.array(self.hists, dtype=np.int64).reshape(len(self.hists), n)
-        bad_id = ((ids < 0) | (ids > self.vocab.bos_id)).any(axis=1)
-        if bad_id.any():
-            raise ValueError(f"history {self.hists[int(np.argmax(bad_id))]}: "
-                             "id is not a symbol or BOS")
-        is_bos = ids == self.vocab.bos_id
-        # BOS may only form a contiguous prefix: no BOS right after a non-BOS
-        bad_bos = (is_bos[:, 1:] & ~is_bos[:, :-1]).any(axis=1)
-        if bad_bos.any():
-            raise ValueError(f"history {self.hists[int(np.argmax(bad_bos))]}: "
-                             "BOS must form a contiguous prefix")
         check_distributions(self.matrix, self.hists)
 
     def rows(self, hists: Sequence[History]) -> np.ndarray:
         """Row matrix of `hists` in that order: `matrix` itself when they are
-        its histories, otherwise their `conditional(h)` rows stacked, so an
-        unseen history gets its backstop row or raises UnseenHistoryError."""
+        its histories.  Otherwise each is looked up in `index`, and an unseen
+        one gets its backstop row, looked up once per distinct suffix, or
+        raises UnseenHistoryError; one gather builds the result."""
         hists = tuple(hists)
         if hists == self.hists:
             return self.matrix
-        return np.array([self.conditional(h) for h in hists]).reshape(-1, self.vocab.out_dim)
+        found = np.fromiter((self.index.get(h, -1) for h in hists), dtype=np.intp,
+                            count=len(hists))
+        unseen = found < 0
+        if not unseen.any():
+            return self.matrix[found]
+        # a stored history has the right length; check the others
+        n, at = self.order - 1, np.flatnonzero(unseen).tolist()
+        bad = next((hists[i] for i in at if len(hists[i]) != n), None)
+        if bad is not None:
+            raise ValueError(f"history {bad} has length {len(bad)}, expected {n}")
+        if self.backstop is None:
+            raise UnseenHistoryError(hists[at[0]])
+        # each distinct suffix is looked up once, below the rows found here
+        cut, suffixes = n - (self.backstop.order - 1), {}
+        backed = [suffixes.setdefault(hists[i][cut:], len(suffixes)) for i in at]
+        kept = found[~unseen]
+        stack = np.concatenate([self.matrix[kept], self.backstop.rows(tuple(suffixes))])
+        found[~unseen] = np.arange(len(kept))
+        found[unseen] = np.add(backed, len(kept))
+        return stack[found]
 
     def conditional(self, history: Sequence[int]) -> np.ndarray:
         h = tuple(history)
-        if len(h) != self.order - 1:
-            raise ValueError(f"history {h} has length {len(h)}, expected {self.order - 1}")
-        v = self.table.get(h)
-        if v is not None:
-            return v
-        if self.backstop is None:
-            raise UnseenHistoryError(h)
-        return self.backstop(h)
+        i = self.index.get(h)
+        return self.rows((h,))[0] if i is None else self.matrix[i]
 
     def prob(self, history: Sequence[int], symbol_id: int) -> float:
         return float(self.conditional(history)[self.vocab.out_index(symbol_id)])
@@ -181,7 +187,7 @@ def empirical_rows(table: CountTable) -> np.ndarray:
 def empirical_conditional(table: CountTable) -> ConditionalLM:
     """Count-ratio conditional model; unseen histories are left undefined."""
     return ConditionalLM(
-        table.order, table.vocab, (table.arrays.hists, empirical_rows(table)),
+        table.order, table.vocab, (table.arrays, empirical_rows(table)),
         backstop=None, method="empirical",
     )
 

@@ -1,8 +1,11 @@
 """Count smoothing: add-lambda, Good-Turing, Simple Good-Turing (Gale-Sampson),
 Jelinek-Mercer interpolation, Katz backoff, and Kneser-Essen-Ney.
 
-Every smoother maps a CountTable to a ConditionalLM whose rows cover the
-observed histories, with a method-appropriate backstop for unseen histories.
+Every smoother maps a CountTable to a ConditionalLM whose rows are the
+table's histories.  Add-lambda, Good-Turing and Simple Good-Turing back off
+to the uniform order-1 LM.  Jelinek-Mercer, Katz and Kneser-Essen-Ney build
+one ConditionalLM per order, from order 1 up, each backing off to the one
+below, so an unseen history gets the row of its longest seen suffix.
 Per-history vectors are normalized to sum to 1; methods whose native
 normalization is global (Good-Turing) expose the pre-normalization form
 separately for bookkeeping checks.
@@ -113,7 +116,7 @@ def smooth_add_lambda(table: CountTable, lam: float) -> ConditionalLM:
     rows[a.hist, a.out] += a.count
     rows /= (a.totals + vocab.out_dim * lam)[:, None]
     return ConditionalLM(
-        table.order, vocab, (a.hists, rows),
+        table.order, vocab, (a, rows),
         backstop=uniform_backstop(vocab),
         method="add_lambda", params={"lambda": lam},
     )
@@ -182,7 +185,7 @@ def smooth_good_turing(table: CountTable) -> ConditionalLM:
         good_turing_adjusted_count(0, r, r0),
     )
     return ConditionalLM(
-        table.order, table.vocab, (table.arrays.hists, rows),
+        table.order, table.vocab, (table.arrays, rows),
         backstop=uniform_backstop(table.vocab),
         method="good_turing", params={},
     )
@@ -285,7 +288,7 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
         unseen,
     )
     return ConditionalLM(
-        table.order, table.vocab, (table.arrays.hists, rows),
+        table.order, table.vocab, (table.arrays, rows),
         backstop=uniform_backstop(table.vocab),
         method="simple_good_turing", params={},
     )
@@ -309,19 +312,18 @@ def smooth_jelinek_mercer(table: CountTable, lambdas: list[float]) -> Conditiona
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"interpolation weight {lam} outside [0, 1]")
     vocab = table.vocab
-    chain = tables_down_to_unigram(table)
-    levels: list[tuple[dict[History, int], np.ndarray]] = []
-    for k, tab in enumerate(chain, start=1):
-        lam = lambdas[k - 1]
+    lm = None
+    for tab in tables_down_to_unigram(table):
+        lam = lambdas[tab.order - 1]
         a = tab.arrays
-        if levels:
-            rows = _lower_rows(tab, levels[-1])
+        if lm is not None:
+            rows = _lower_rows(tab, lm)
             rows *= 1.0 - lam
         else:
             rows = np.full((len(a.hists), vocab.out_dim), (1.0 - lam) * (1.0 / vocab.out_dim))
         rows[a.hist, a.out] += lam * (a.count / a.totals[a.hist])
-        levels.append((a.index, rows))
-    return _backoff_lm(table, levels, "jelinek_mercer", {"lambdas": list(lambdas)})
+        lm = _level(tab, rows, lm, "jelinek_mercer", {"lambdas": list(lambdas)})
+    return lm
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +343,10 @@ def smooth_katz(table: CountTable, k: int) -> ConditionalLM:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     chain = tables_down_to_unigram(table)
-    levels = [(chain[0].arrays.index, empirical_rows(chain[0]))]
+    lm = _level(chain[0], empirical_rows(chain[0]), None, "katz", {"k": k})
     for tab in chain[1:]:
-        levels.append((tab.arrays.index, _katz_rows(tab, k, levels[-1])))
-    return _backoff_lm(table, levels, "katz", {"k": k})
+        lm = _level(tab, _katz_rows(tab, k, lm), lm, "katz", {"k": k})
+    return lm
 
 
 def _katz_discounts(tab: CountTable, k: int, counts: np.ndarray) -> np.ndarray:
@@ -373,7 +375,7 @@ def _katz_discounts(tab: CountTable, k: int, counts: np.ndarray) -> np.ndarray:
     return d[inverse]
 
 
-def _katz_rows(tab: CountTable, k: int, lower: tuple[dict[History, int], np.ndarray]) -> np.ndarray:
+def _katz_rows(tab: CountTable, k: int, lower: ConditionalLM) -> np.ndarray:
     """One Katz level: discounted seen cells, the freed mass spread over the
     unseen cells in proportion to the lower-order row."""
     a = tab.arrays
@@ -402,7 +404,7 @@ def _katz_rows(tab: CountTable, k: int, lower: tuple[dict[History, int], np.ndar
         if dead.any():
             log.warning("order %d: no mass survived discounting in %d of %d histories, "
                         "using lower-order rows", tab.order, int(dead.sum()), len(a.hists))
-            rows[dead] = lower[1][_parents(tab, lower[0])[dead]]
+            rows[dead] = lower.matrix[_parents(tab, lower)[dead]]
         live = renorm & ~dead
         rows[live] /= kept_mass[live, None]
     return rows
@@ -430,52 +432,39 @@ def smooth_kneser_essen_ney(table: CountTable, D: float = 0.75) -> ConditionalLM
     # unigram level: how many distinct histories precede each emission
     bigrams = chain[1].arrays
     q1 = np.bincount(bigrams.out, minlength=vocab.out_dim) / len(bigrams.out)
-    levels = [(chain[0].arrays.index, q1[None, :])]
+    lm = _level(chain[0], q1[None, :], None, "kneser_essen_ney", {"D": D})
     for tab in chain[1:]:
         a = tab.arrays
         distinct = np.bincount(a.hist, minlength=len(a.hists))
-        rows = _lower_rows(tab, levels[-1])
+        rows = _lower_rows(tab, lm)
         rows *= (D * distinct)[:, None]
         rows[a.hist, a.out] += np.maximum(a.count - D, 0.0)
         rows /= a.totals[:, None]
-        levels.append((a.index, rows))
-    return _backoff_lm(table, levels, "kneser_essen_ney", {"D": D})
+        lm = _level(tab, rows, lm, "kneser_essen_ney", {"D": D})
+    return lm
 
 
 # ---------------------------------------------------------------------------
 # backoff levels
 
 
-def _parents(tab: CountTable, lower_index: dict[History, int]) -> np.ndarray:
+def _level(tab: CountTable, rows: np.ndarray, lower: ConditionalLM | None, method: str,
+           params: dict) -> ConditionalLM:
+    """The LM of one order: `rows` follow `tab`'s histories, and an unseen
+    history backs off to `lower`, the level one order below."""
+    return ConditionalLM(tab.order, tab.vocab, (tab.arrays, rows), backstop=lower,
+                         method=method, params=params)
+
+
+def _parents(tab: CountTable, lower: ConditionalLM) -> np.ndarray:
     """Row of each history's parent (the history minus its oldest symbol)
     in the next-lower-order level."""
     hists = tab.arrays.hists
-    return np.fromiter((lower_index[h[1:]] for h in hists), dtype=np.intp, count=len(hists))
+    return np.fromiter((lower.index[h[1:]] for h in hists), dtype=np.intp, count=len(hists))
 
 
-def _lower_rows(tab, lower, out=None) -> np.ndarray:
-    """Each history's parent row of the lower level (index, rows), gathered
-    into one new matrix or into `out`."""
-    index, rows = lower
+def _lower_rows(tab: CountTable, lower: ConditionalLM, out=None) -> np.ndarray:
+    """Each history's parent row of the lower level, gathered into one new
+    matrix or into `out`."""
     # mode="clip" writes straight into `out` (the default mode buffers)
-    return np.take(rows, _parents(tab, index), axis=0, out=out, mode="clip")
-
-
-def _backoff_lm(table: CountTable, levels, method: str, params: dict) -> ConditionalLM:
-    """LM over the top level of `levels` (one (index, rows) pair per order,
-    lowest first).  An unseen history gets the row of its longest suffix
-    seen at a lower order, or the uniform row below them all."""
-    vocab = table.vocab
-    uniform = np.full(vocab.out_dim, 1.0 / vocab.out_dim)
-
-    def backstop(history: History) -> np.ndarray:
-        for k in range(len(levels) - 1, 0, -1):
-            index, rows = levels[k - 1]
-            i = index.get(history[len(history) - (k - 1):] if k > 1 else ())
-            if i is not None:
-                return rows[i]
-        return uniform
-
-    # the top level is `table` itself, so its rows follow `table.arrays.hists`
-    return ConditionalLM(table.order, vocab, (table.arrays.hists, levels[-1][1]),
-                         backstop=backstop, method=method, params=params)
+    return np.take(lower.matrix, _parents(tab, lower), axis=0, out=out, mode="clip")

@@ -191,6 +191,24 @@ def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, values, message", [
+    # a misspelt key used to be dropped, so this ran 200 epochs of mle
+    ("train", {"epoch": 1, "objectve": "label_smoothing"},
+     "unknown config key(s) 'epoch', 'objectve'"),
+    ("grid", {"gamma": [0.1]}, "unknown config key(s) 'gamma'"),
+])
+def test_unknown_config_key_exit_2(zipf, tmp_path, capsys, command, values, message):
+    train, held = zipf
+    cfg = {"corpus_path": str(train), "heldout_path": str(held), "arch": "tabular",
+           "out_dir": str(tmp_path / "run"), **values}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err
+    assert not (tmp_path / "run").exists()
+
+
 class TestDecompose:
     def test_writes_rows(self, tiny, tmp_path):
         out = tmp_path / "dec.tsv"
@@ -241,6 +259,26 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert out.startswith("perplexity\t")
         assert float(out.split("\t")[1]) > 1.0
+
+    @pytest.mark.parametrize("arch", ["tabular", "feedforward"])
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda doc: [doc], "a model file must be a JSON object, got list",
+                     id="list"),
+        pytest.param(lambda doc: {**doc, "order": "2"},
+                     "order and dims values must be ints, got '2'", id="string order"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "params"},
+                     "'params' not found", id="no params"),
+        pytest.param(lambda doc: {**doc, "dims": {k: 4.0 for k in doc["dims"]}},
+                     "order and dims values must be ints", id="float dims"),
+    ])
+    def test_malformed_model_file_exit_2(self, tiny, tmp_path, capsys, arch, change, message):
+        main(["train", "--corpus-path", str(tiny), "--arch", arch, "--epochs", "1",
+              "--embed-dim", "2", "--hidden-dim", "2", "--out-dir", str(tmp_path)])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--model", str(path), "--corpus", str(tiny)]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_eval_lm_tsv(self, tiny, tmp_path, capsys):
         lm = tmp_path / "lm.tsv"

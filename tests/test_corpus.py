@@ -281,6 +281,12 @@ class TestFromGrams:
         with pytest.raises(ValueError, match=message):
             CountTable.from_grams(2, v, [(0, 0), key], [1, count])
 
+    def test_rejects_bos_after_a_symbol(self):
+        # BOS padding only ever puts BOS before the first symbol
+        v = Vocabulary(symbols=("a", "b"))
+        with pytest.raises(ValueError, match=r"BOS is not a contiguous prefix of history \(0, 2\)"):
+            CountTable.from_grams(3, v, [(2, 2, 0), (0, 2, 1)], [1, 1])
+
     def test_rejects_keys_of_another_order(self):
         with pytest.raises(ValueError, match="gram array"):
             CountTable.from_grams(3, Vocabulary(symbols=("a",)), [(0, 0)], [1])

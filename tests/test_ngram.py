@@ -141,6 +141,32 @@ class TestRowViews:
         assert main(["eval", "--lm", path, "--corpus", str(tmp_path / "held.txt")]) == 0
         assert capsys.readouterr().out == f"perplexity\t{file_want:.10g}\n"
 
+    def test_perplexity_makes_no_conditional_call(self, monkeypatch):
+        # held-out histories the LMs lack back off in one batched lookup
+        train = corpus_from_lines(["a b c", "b c a a", "c c b"])
+        held = corpus_from_lines(["c b a", "a a c b", "b", "c a c c"], vocab=train.vocab)
+        table = count_ngrams(train, 3)
+        lms = [smooth(table, method) for method in METHODS]
+        assert any(h not in lms[0].index for h in count_ngrams(held, 3).arrays.hists)
+        want = [perplexity(lm, held) for lm in lms]
+
+        def per_history(*args):
+            raise AssertionError("rows looked up one history at a time")
+
+        monkeypatch.setattr(ConditionalLM, "conditional", per_history)
+        assert [perplexity(lm, held) for lm in lms] == want
+
+    def test_lms_of_a_count_table_check_no_history(self, monkeypatch):
+        # from_grams checked the table's histories once
+        def recheck(*args):
+            raise AssertionError("an LM re-checked its count table's histories")
+
+        table = count_ngrams(corpus_from_lines(["a b c", "b c a a", "c c b"]), 3)
+        monkeypatch.setattr(ngram, "check_histories", recheck)
+        build_regularizer(empirical_conditional(table), smooth(table, "katz"), table, 1.0, 1.0)
+        for method in METHODS:
+            smooth(table, method)
+
     def test_table_is_a_view_of_matrix(self):
         lm = mle(corpus_from_lines(["a b a", "b b"]), 2)
         for i, h in enumerate(lm.hists):

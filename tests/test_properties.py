@@ -1,7 +1,8 @@
 """Hypothesis properties of the table layers and their TSV files over random
 small corpora (2-8 symbols, orders 1-3), with the count arrays checked
 against a per-position recount, per-cell oracles written from gram_count,
-and held-out perplexity against the per-token string_logprob."""
+held-out perplexity against the per-token string_logprob, and held-out rows
+against a walk to each history's longest seen suffix."""
 
 import math
 import os
@@ -228,3 +229,48 @@ def test_perplexity_matches_the_per_token_oracle(data, order):
             emp.rows(held_hists)
         with pytest.raises(UnseenHistoryError):
             perplexity(emp, held)
+
+
+@given(train_and_heldout(), orders)
+def test_unseen_histories_back_off_to_their_longest_seen_suffix(data, order):
+    # each order-k level is smoothed on its own here: JM and Katz by
+    # `smooth` of the order-k count table, KEN by the reference recursion
+    train, held = data
+    table = count_ngrams(train, order)
+    held_hists = count_ngrams(held, order).arrays.hists
+    uniform = np.full(train.vocab.out_dim, 1.0 / train.vocab.out_dim)
+
+    def expected(levels):
+        """Each held-out history's row at the highest order that holds its
+        suffix, or the uniform row; levels[k - 1] maps order-k histories."""
+        rows = []
+        for h in held_hists:
+            at = [lv[h[len(h) - k + 1:]] for k, lv in enumerate(levels, start=1)
+                  if h[len(h) - k + 1:] in lv]
+            rows.append(at[-1] if at else uniform)
+        return np.array(rows)
+
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            lm = smooth(table, method)
+        except KatzConfigError:
+            continue
+        if method in ("jelinek_mercer", "katz"):
+            levels = [smooth(count_ngrams(train, k), method).table for k in range(1, order + 1)]
+        elif method == "kneser_essen_ney":
+            levels = [ken_oracle(train, k, 0.75) for k in range(1, order + 1)]
+        else:
+            levels = [{}] * (order - 1) + [lm.table]
+        np.testing.assert_array_equal(lm.rows(held_hists), expected(levels), err_msg=method)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "lm.tsv")
+        write_conditional_lm(smooth(table, "kneser_essen_ney" if order > 1 else "katz"), path)
+        file_lm = read_conditional_lm(path)
+    v, v2 = train.vocab, file_lm.vocab
+    in_file = [tuple(v2.parse(v.render(i)) for i in h) for h in held_hists]
+    want = np.array([file_lm.table.get(h, np.full(v2.out_dim, 1.0 / v2.out_dim))
+                     for h in in_file])
+    np.testing.assert_array_equal(file_lm.rows(in_file), want)
+

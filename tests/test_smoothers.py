@@ -71,9 +71,10 @@ class TestAddLambda:
 
     def test_unseen_history_uniform(self):
         c = toy()
-        lm = smooth_add_lambda(count_ngrams(c, 2), 1.0)
-        del lm.table[(0,)]
-        np.testing.assert_allclose(lm.conditional((0,)), [1 / 3] * 3)
+        lm = smooth_add_lambda(count_ngrams(c, 3), 1.0)
+        a = c.vocab.id_of["a"]
+        assert (a, a) not in lm.index
+        np.testing.assert_allclose(lm.conditional((a, a)), [1 / 3] * 3)
 
     def test_unigram_counts_3_1(self):
         c = corpus_from_lines(["a a a"])

@@ -198,6 +198,8 @@ MALFORMED = {
                        "count -5 is below 1"),
     "count duplicate": ("counts", COUNTS[2] + "c\t</s>\t1\n", "duplicate gram row"),
     "LM duplicate": ("lm", LM[2] + "c\tc\t0.2\n", "duplicate gram row"),
+    "count history holds BOS after a symbol": ("counts", COUNTS[3] + "a <bos>\tb\t1\n",
+                                               "BOS is not a contiguous prefix of history"),
     "LM history holds </s>": ("lm", LM[2] + "".join(f"</s>\t{x}\t0.25\n" for x in ("</s>", *"abc")),
                               "id is not a symbol or BOS"),
 }
