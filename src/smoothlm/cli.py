@@ -223,36 +223,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.model:
-        model = neural.load_model(args.model)
-        corpus = load_corpus(args.corpus, vocab=model.vocab)
-        ppl = neural.model_perplexity(model, corpus)
-    elif args.lm:
-        lm = read_conditional_lm(args.lm)
-        corpus = load_corpus(args.corpus, vocab=lm.vocab)
-        ppl = perplexity(lm, corpus)
-    else:
-        raise ValueError("need --model or --lm")
+    model = neural.load_model(args.model) if args.model else read_conditional_lm(args.lm)
+    ppl = perplexity(model, load_corpus(args.corpus, vocab=model.vocab))
     print(f"perplexity\t{ppl:.10g}")
     return EXIT_OK
 
 
 def _grid_values(cfg) -> tuple[list[str], list[tuple]]:
-    """Cartesian product over gamma_plus, gamma_minus, and any method_params
-    whose value is a list of candidates."""
-    gp = cfg.get("gamma_plus", [0.1])
-    gm = cfg.get("gamma_minus", [0.1])
-    gp = gp if isinstance(gp, list) else [gp]
-    gm = gm if isinstance(gm, list) else [gm]
+    """Cartesian product over gamma_plus, gamma_minus (0.0 unless given, as
+    in `train`), and any method_params whose value is a list of candidates."""
     mp = cfg.get("method_params")
     if mp is None:
         mp = {}
     if not isinstance(mp, dict):
         raise ValueError(f"method_params must be a JSON object, got {mp!r}")
     keys = sorted(mp)
-    value_lists = [mp[k] if isinstance(mp[k], list) else [mp[k]] for k in keys]
-    combos = list(itertools.product(gp, gm, *value_lists))
-    return keys, combos
+    values = [cfg["gamma_plus"], cfg["gamma_minus"], *(mp[k] for k in keys)]
+    return keys, list(itertools.product(*(v if isinstance(v, list) else [v] for v in values)))
 
 
 def _grid_cell(data: _TrainingData, cfg, param_keys, combo):
@@ -408,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="perplexity of a saved model or LM TSV")
-    e.add_argument("--model", help="model.json from `train`")
-    e.add_argument("--lm", help="LM TSV from `smooth`")
+    model = e.add_mutually_exclusive_group(required=True)
+    model.add_argument("--model", help="model.json from `train`")
+    model.add_argument("--lm", help="LM TSV from `smooth`")
     e.add_argument("--corpus", required=True)
     e.set_defaults(fn=cmd_eval)
 

@@ -106,14 +106,6 @@ class Vocabulary:
         return self.id_of[token]
 
 
-def check_same_vocabulary(data: Vocabulary, model: Vocabulary) -> None:
-    """Data scored or trained on by a model must use the model's symbols,
-    since a history or emission is read by its id."""
-    if data.symbols != model.symbols:
-        raise ValueError("data and model use different vocabularies; "
-                         "load the corpus with the model's vocabulary")
-
-
 @dataclass(frozen=True)
 class Corpus:
     """Tokenized corpus: M sequences of non-sentinel token ids."""
@@ -234,7 +226,8 @@ def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = Tr
         if (lengths != length).any():
             h = tuple(hists[int(np.argmax(lengths != length))])
             raise ValueError(f"history {h} has length {len(h)}, expected {length}")
-        hists = np.array(hists, dtype=np.intp).reshape(len(hists), length)
+        hists = np.fromiter(chain.from_iterable(hists), dtype=np.intp,
+                            count=length * len(hists)).reshape(len(hists), length)
     bad = ((hists < 0) | (hists > vocab.bos_id)).any(axis=1)
     if bad.any():
         raise ValueError(f"history id is not a symbol or BOS in {_first(hists, bad)}")
@@ -243,6 +236,21 @@ def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = Tr
         bad = (is_bos[:, 1:] & ~is_bos[:, :-1]).any(axis=1)
         if bad.any():
             raise ValueError(f"BOS is not a contiguous prefix of history {_first(hists, bad)}")
+
+
+def row_index(hists: GramArrays | Sequence[History]) -> tuple[tuple[History, ...],
+                                                              dict[History, int]]:
+    """The histories naming a model's rows, as a tuple, and the map from each
+    to its row; a count table's GramArrays gives its own.  ValueError for a
+    history listed twice, which would name two rows."""
+    if isinstance(hists, GramArrays):
+        return hists.hists, hists.index
+    hists = tuple(hists)
+    index = dict(zip(hists, range(len(hists))))
+    if len(index) < len(hists):
+        h = next(h for i, h in enumerate(hists) if index[h] != i)
+        raise ValueError(f"history {h} is listed more than once")
+    return hists, index
 
 
 def _first(hists: np.ndarray, bad: np.ndarray) -> History:
@@ -355,6 +363,21 @@ def count_ngrams(corpus: Corpus, order: int) -> CountTable:
     emits = np.flatnonzero(padded != vocab.bos_id)
     keys = sliding_window_view(padded, order)[emits - (order - 1)]
     return CountTable.from_grams(order, vocab, keys, np.ones(len(emits), dtype=np.int64))
+
+
+def table_at(data: Corpus | CountTable, order: int, vocab: Vocabulary | None = None
+             ) -> CountTable:
+    """The count table of a corpus at `order`; a table at `order` passes
+    through.  With `vocab` (a model's), the data must use its symbols in the
+    same order, since a history or emission is read by its id."""
+    if vocab is not None and data.vocab.symbols != vocab.symbols:
+        raise ValueError("data and model use different vocabularies; "
+                         "load the corpus with the model's vocabulary")
+    if isinstance(data, CountTable):
+        if data.order != order:
+            raise ValueError(f"counts are at order {data.order}, model at order {order}")
+        return data
+    return count_ngrams(data, order)
 
 
 def zero_gram_count(table: CountTable) -> int:

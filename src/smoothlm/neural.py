@@ -1,8 +1,11 @@
 """Differentiable conditional models and a manual-gradient training loop.
 
 Two architectures: a tabular softmax model (one logit row per history) and a
-small fixed-context feedforward net.  Training is full-batch gradient
-descent with hand-derived gradients, under one of four objectives:
+small fixed-context feedforward net.  Each is a conditional q(.|h) with the
+lookup of ngram.ConditionalLM, `rows(hists)`, so ngram.perplexity scores
+both; `rows` and the training step run the same batched `forward`.
+Training is full-batch gradient descent with hand-derived gradients, under
+one of four objectives:
 
   mle               mean over emissions of -log q(x | h)
   label_smoothing   mle + gamma_ls/N * sum over occupied histories of
@@ -22,7 +25,8 @@ theta_{e+1}, where epoch e+1 starts.  So each epoch runs one batched forward
 over the training histories followed by the held-out histories training
 lacks: its training rows give the loss and gradient at theta_e, its held-out
 rows ppl_{e-1}.  Early stopping is decided before the step, and one last
-forward after the final epoch scores it, so k epochs take k + 1 forwards.
+forward, ngram.perplexity's, after the final epoch scores it, so k epochs
+take k + 1 forwards.
 """
 
 from __future__ import annotations
@@ -35,10 +39,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, CountTable, History, Vocabulary, check_histories,
-                     check_same_vocabulary, count_ngrams)
+from .corpus import (Corpus, CountTable, GramArrays, History, Vocabulary, check_histories,
+                     row_index, table_at)
 from .decompose import RegularizerBundle, build_regularizer
-from .ngram import empirical_conditional, padded_history, table_perplexity
+from .ngram import empirical_conditional, padded_history, perplexity, table_perplexity
 
 OBJECTIVES = ("mle", "label_smoothing", "smoothed_target", "split_regularizer")
 BUNDLE_OBJECTIVES = ("smoothed_target", "split_regularizer")
@@ -97,65 +101,63 @@ def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (z - m) - np.log(s), e / s
 
 
-class TabularSoftmaxLM:
+class _Model:
+    """The conditional-model interface both architectures share with
+    ngram.ConditionalLM: `order`, `vocab` and `rows`.  Each architecture's
+    `forward` is the one batched pass that `rows` and `batch_loss_grads`
+    run; its last value is q."""
+
+    def rows(self, hists: Sequence[History]) -> np.ndarray:
+        """q(.|h) for each of `hists`, one row each; ValueError for a history
+        that is not order-1 symbol or BOS ids."""
+        check_histories(self.vocab, self.order - 1, hists, bos_prefix=False)
+        return self.forward(hists)[-1]
+
+
+class TabularSoftmaxLM(_Model):
     """One unconstrained logit row per known history; q(.|h) = softmax(row).
 
-    Histories outside the table get the uniform distribution (the logits of
-    a never-updated row).
+    The histories are given as a count table's GramArrays, whose `hists` and
+    `index` the model takes, or as a sequence.  Histories outside them get
+    the uniform distribution (the logits of a never-updated row).
     """
 
     architecture = "tabular"
 
-    def __init__(self, order: int, vocab: Vocabulary, histories: Sequence[History]):
+    def __init__(self, order: int, vocab: Vocabulary, hists: GramArrays | Sequence[History]):
         self.order = order
         self.vocab = vocab
-        histories = [tuple(h) for h in histories]
-        check_histories(vocab, order - 1, histories, bos_prefix=False)
-        self.history_index = dict(zip(histories, range(len(histories))))
-        self.logits = np.zeros((len(self.history_index), vocab.out_dim))
+        self.hists, self.index = row_index(hists)
+        if not isinstance(hists, GramArrays):
+            check_histories(vocab, order - 1, self.hists, bos_prefix=False)
+        self.logits = np.zeros((len(self.hists), vocab.out_dim))
 
     @classmethod
     def for_table(cls, table: CountTable) -> "TabularSoftmaxLM":
-        return cls(table.order, table.vocab, table.arrays.hists)
+        return cls(table.order, table.vocab, table.arrays)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"logits": self.logits}
 
-    def forward(self, history: Sequence[int]) -> np.ndarray:
-        h = tuple(history)
-        check_histories(self.vocab, self.order - 1, [h], bos_prefix=False)
-        return self.forward_batch([h])[0]
-
-    def forward_batch(self, hists: Sequence[History]) -> np.ndarray:
-        """q(.|h) for each history, one row each; histories outside the
-        table get the uniform row."""
-        return self._softmax_rows(self._index(hists))[1]
-
-    def _index(self, hists: Sequence[History]) -> np.ndarray:
-        """The table row of each history, -1 outside the table."""
-        return np.fromiter((self.history_index.get(h, -1) for h in hists),
-                           dtype=np.intp, count=len(hists))
-
-    def _softmax_rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log q, q) of the table rows idx; row -1 is a zero logit row,
-        whose softmax is the uniform row."""
+    def forward(self, hists: Sequence[History]):
+        """(row of each history, -1 outside the table; log q; q) of a batch.
+        Row -1 is a zero logit row, whose softmax is the uniform row."""
+        idx = np.fromiter((self.index.get(h, -1) for h in hists), dtype=np.intp,
+                          count=len(hists))
         z = np.zeros((len(idx), self.vocab.out_dim))
         known = idx >= 0
         z[known] = self.logits[idx[known]]
-        return _log_softmax(z)
+        return idx, *_log_softmax(z)
 
     def batch_loss_grads(self, hists, alpha, extra=()):
         """Loss sum_h alpha_h . -log q(.|h) over the distinct table histories
         `hists`, its gradient, and q of `hists` followed by `extra`, all
-        from one softmax."""
+        from one forward."""
         n = len(hists)
-        idx = self._index(hists)
-        if (idx < 0).any():
-            h = hists[int(np.argmin(idx))]
+        idx, logq, q = self.forward([*hists, *extra])
+        if (idx[:n] < 0).any():
+            h = hists[int(np.argmin(idx[:n]))]
             raise ValueError(f"tabular model has no row for history {h}")
-        if extra:
-            idx = np.concatenate([idx, self._index(extra)])
-        logq, q = self._softmax_rows(idx)
         loss = float(-(alpha * logq[:n]).sum())
         delta = alpha.sum(axis=1, keepdims=True) * q[:n] - alpha
         g = np.zeros_like(self.logits)
@@ -163,12 +165,12 @@ class TabularSoftmaxLM:
         return loss, {"logits": g}, q
 
 
-class FeedForwardLM:
+class FeedForwardLM(_Model):
     """Fixed-context feedforward LM.
 
-    forward(h) = softmax(tanh(concat(E[h]) @ W1 + b1) @ W2 + b2).  The
-    embedding table has one row per vocabulary id including BOS (the EOS row
-    exists but is never indexed, since EOS cannot occur in a history).
+    q(.|h) = softmax(tanh(concat(E[h]) @ W1 + b1) @ W2 + b2).  The embedding
+    table has one row per vocabulary id including BOS (the EOS row exists
+    but is never indexed, since `rows` rejects EOS in a history).
     """
 
     architecture = "feedforward"
@@ -189,46 +191,31 @@ class FeedForwardLM:
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         rng = np.random.default_rng(seed)
-        d_in = (order - 1) * embed_dim
+        for name, shape in self.shapes(order, vocab, embed_dim, hidden_dim).items():
+            setattr(self, name, rng.uniform(-init_scale, init_scale, size=shape))
 
-        def init(*shape):
-            return rng.uniform(-init_scale, init_scale, size=shape)
-
-        self.E = init(vocab.n_symbols + 2, embed_dim)
-        self.W1 = init(d_in, hidden_dim)
-        self.b1 = init(hidden_dim)
-        self.W2 = init(hidden_dim, vocab.out_dim)
-        self.b2 = init(vocab.out_dim)
+    @staticmethod
+    def shapes(order: int, vocab: Vocabulary, embed_dim: int, hidden_dim: int) -> dict:
+        """The shape of each parameter, in the order they are drawn."""
+        return {"E": (vocab.n_symbols + 2, embed_dim), "W1": ((order - 1) * embed_dim, hidden_dim),
+                "b1": (hidden_dim,), "W2": (hidden_dim, vocab.out_dim), "b2": (vocab.out_dim,)}
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"E": self.E, "W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
-    def _embed(self, idx: np.ndarray) -> np.ndarray:
-        n = idx.shape[0]
-        return self.E[idx].reshape(n, (self.order - 1) * self.embed_dim)
-
-    def _activations(self, hists: Sequence[History]):
+    def forward(self, hists: Sequence[History]):
         """(history ids, embeddings, hidden layer, log q, q) of a batch."""
         idx = np.asarray(hists, dtype=int).reshape(len(hists), self.order - 1)
-        e = self._embed(idx)
+        e = self.E[idx].reshape(len(hists), (self.order - 1) * self.embed_dim)
         a = np.tanh(e @ self.W1 + self.b1)
         logq, q = _log_softmax(a @ self.W2 + self.b2)
         return idx, e, a, logq, q
-
-    def forward(self, history: Sequence[int]) -> np.ndarray:
-        h = tuple(history)
-        check_histories(self.vocab, self.order - 1, [h], bos_prefix=False)
-        return self.forward_batch([h])[0]
-
-    def forward_batch(self, hists: Sequence[History]) -> np.ndarray:
-        """q(.|h) for each history, one row each."""
-        return self._activations(hists)[-1]
 
     def batch_loss_grads(self, hists, alpha, extra=()):
         """Loss sum_h alpha_h . -log q(.|h) over `hists`, its gradient, and
         q of `hists` followed by `extra`, all from one forward."""
         n = len(hists)
-        idx, e, a, logq, q = self._activations([*hists, *extra])
+        idx, e, a, logq, q = self.forward([*hists, *extra])
         idx, e, a, logq = idx[:n], e[:n], a[:n], logq[:n]
         loss = float(-(alpha * logq).sum())
         delta2 = alpha.sum(axis=1, keepdims=True) * q[:n] - alpha
@@ -258,20 +245,6 @@ def batch_from_corpus(corpus: Corpus, order: int) -> list[tuple[History, int]]:
             x = seq[t] if t < len(seq) else corpus.vocab.eos_id
             out.append((h, x))
     return out
-
-
-def _table(
-    data: Corpus | CountTable, order: int, vocab: Vocabulary | None = None
-) -> CountTable:
-    """The count table of a corpus at `order`; a table passes through.  With
-    `vocab` (a model's), the data must use the same symbols."""
-    if vocab is not None:
-        check_same_vocabulary(data.vocab, vocab)
-    if isinstance(data, CountTable):
-        if data.order != order:
-            raise ValueError(f"counts are at order {data.order}, model at order {order}")
-        return data
-    return count_ngrams(data, order)
 
 
 def _objective_weights(
@@ -351,14 +324,6 @@ def loss_and_grad(
     return loss + const, grads
 
 
-def model_perplexity(model, data: Corpus | CountTable) -> float:
-    """Perplexity of a differentiable model on a corpus or its count table at
-    the model's order, from one batched forward pass (finite unless a
-    softmax cell underflows to 0)."""
-    table = _table(data, model.order, model.vocab)
-    return table_perplexity(model.forward_batch(table.arrays.hists), table.arrays.hist, table)
-
-
 def make_bundle_for(
     data: Corpus | CountTable, order: int, config: TrainConfig
 ) -> RegularizerBundle:
@@ -368,7 +333,7 @@ def make_bundle_for(
         raise ValueError(f"objective {config.objective} needs a smoothing method")
     from .smoothers import smooth  # local import to avoid a cycle
 
-    table = _table(data, order)
+    table = table_at(data, order)
     smoothed = smooth(table, config.method, config.method_params)
     return build_regularizer(
         empirical_conditional(table), smoothed, table,
@@ -395,11 +360,11 @@ def train(
     a shared bundle.
     """
     config.validate()
-    table = _table(data, model.order, model.vocab)
+    table = table_at(data, model.order, model.vocab)
     if config.objective in BUNDLE_OBJECTIVES and bundle is None:
         bundle = make_bundle_for(table, model.order, config)
     if heldout is not None:
-        heldout = _table(heldout, model.order, model.vocab)
+        heldout = table_at(heldout, model.order, model.vocab)
     return _train_counts(model, table, config, bundle, heldout)
 
 
@@ -464,7 +429,7 @@ def _train_counts(model, table, config, bundle, heldout):
     else:
         # every epoch ran: the last one's perplexity takes one more forward
         if heldout is not None:
-            patience_ran_out(model_perplexity(model, heldout))
+            patience_ran_out(perplexity(model, heldout))
     if best_params is not None:
         for name, arr in params.items():
             arr[...] = best_params[name]
@@ -485,11 +450,8 @@ def save_model(model, path: str) -> None:
         "params": {k: v.tolist() for k, v in model.param_arrays().items()},
     }
     if model.architecture == "tabular":
-        doc["dims"] = {"histories": len(model.history_index), "out": model.vocab.out_dim}
-        doc["histories"] = [
-            model.vocab.render_history(h)
-            for h, _ in sorted(model.history_index.items(), key=lambda kv: kv[1])
-        ]
+        doc["dims"] = {"histories": len(model.hists), "out": model.vocab.out_dim}
+        doc["histories"] = [model.vocab.render_history(h) for h in model.hists]
     else:
         doc["dims"] = {"embed": model.embed_dim, "hidden": model.hidden_dim}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -500,10 +462,9 @@ def save_model(model, path: str) -> None:
 def load_model(path: str):
     """Load a save_model file; a malformed document raises ValueError
     naming `path`."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
     try:
-        return _model_of(doc)
+        with open(path, encoding="utf-8") as f:
+            return _model_of(json.load(f))
     except KeyError as exc:
         raise ValueError(f"{path}: {exc.args[0]!r} not found") from None
     except ValueError as exc:
@@ -511,26 +472,49 @@ def load_model(path: str):
 
 
 def _model_of(doc):
+    """The model a save_model document describes; every value is checked
+    for its type before use."""
     if not isinstance(doc, dict):
         raise ValueError(f"a model file must be a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
-    order, dims = doc["order"], doc["dims"]
+    order, dims, symbols, params = doc["order"], doc["dims"], doc["vocab"], doc["params"]
     if (type(order) is not int or not isinstance(dims, dict)
             or any(type(v) is not int for v in dims.values())):
         raise ValueError(f"order and dims values must be ints, got {order!r} and {dims!r}")
-    vocab = Vocabulary(symbols=tuple(doc["vocab"]))
-    if doc["architecture"] == "tabular":
-        hists = [
-            tuple(vocab.parse(t) for t in (s.split(" ") if s else []))
-            for s in doc["histories"]
-        ]
-        model = TabularSoftmaxLM(order, vocab, hists)
-        model.logits[...] = np.asarray(doc["params"]["logits"], dtype=float)
-        return model
-    if doc["architecture"] == "feedforward":
-        model = FeedForwardLM(order, vocab, dims["embed"], dims["hidden"], seed=0)
-        for k, arr in model.param_arrays().items():
-            arr[...] = np.asarray(doc["params"][k], dtype=float)
-        return model
-    raise ValueError(f"unknown architecture {doc['architecture']!r}")
+    if not isinstance(symbols, list) or not all(isinstance(t, str) for t in symbols):
+        raise ValueError("vocab must be a list of strings")
+    if not isinstance(params, dict):
+        raise ValueError("params must be a JSON object")
+    vocab = Vocabulary(symbols=tuple(symbols))
+    arch = doc["architecture"]
+    if arch == "tabular":
+        rendered = doc["histories"]
+        if not isinstance(rendered, list) or not all(isinstance(s, str) for s in rendered):
+            raise ValueError("histories must be a list of strings")
+        model = TabularSoftmaxLM(order, vocab, [
+            tuple(vocab.parse(t) for t in (s.split(" ") if s else [])) for s in rendered])
+        shapes = {"logits": model.logits.shape}
+    elif arch == "feedforward":
+        shapes = FeedForwardLM.shapes(order, vocab, dims["embed"], dims["hidden"])
+    else:
+        raise ValueError(f"unknown architecture {arch!r}")
+    # the saved arrays are checked before a feedforward model allocates its
+    # own, so dims that the file does not hold are refused first
+    saved = {name: _saved_array(params[name], shape, name) for name, shape in shapes.items()}
+    if arch == "feedforward":
+        model = FeedForwardLM(order, vocab, dims["embed"], dims["hidden"])
+    for name, arr in model.param_arrays().items():
+        arr[...] = saved[name]
+    return model
+
+
+def _saved_array(value, shape: tuple, name: str) -> np.ndarray:
+    """A saved parameter as a finite float array of `shape`."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+        raise ValueError(f"params {name!r} must be a finite array of shape {shape}")
+    return arr

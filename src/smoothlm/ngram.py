@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import (Corpus, CountTable, GramArrays, History, Vocabulary, check_histories,
-                     check_same_vocabulary, count_ngrams, read_cells, write_cells)
+                     read_cells, row_index, table_at, write_cells)
 
 PROB_ATOL = 1e-9
 
@@ -73,11 +73,7 @@ class ConditionalLM:
             hists, self.matrix = table
         else:
             hists, self.matrix = tuple(table), _stack_rows(table, vocab.out_dim)
-        if isinstance(hists, GramArrays):
-            self.hists, self.index = hists.hists, hists.index
-        else:
-            self.hists = tuple(hists)
-            self.index = dict(zip(self.hists, range(len(self.hists))))
+        self.hists, self.index = row_index(hists)
         self.backstop = backstop
         self.method = method
         self.params = dict(params) if params else {}
@@ -94,9 +90,6 @@ class ConditionalLM:
         has `checked` them; an error names the first bad history."""
         if not checked:
             check_histories(self.vocab, self.order - 1, self.hists)
-            if len(self.index) < len(self.hists):
-                h = next(h for i, h in enumerate(self.hists) if self.index[h] != i)
-                raise ValueError(f"history {h} is listed more than once")
         if self.matrix.shape != (len(self.hists), self.vocab.out_dim):
             raise ValueError(f"row matrix has shape {self.matrix.shape}, expected "
                              f"{(len(self.hists), self.vocab.out_dim)}")
@@ -106,7 +99,8 @@ class ConditionalLM:
         """Row matrix of `hists` in that order: `matrix` itself when they are
         its histories.  Otherwise each is looked up in `index`, and an unseen
         one gets its backstop row, looked up once per distinct suffix, or
-        raises UnseenHistoryError; one gather builds the result."""
+        raises UnseenHistoryError; one gather builds the result.  An unseen
+        history that is not order-1 symbol or BOS ids raises ValueError."""
         hists = tuple(hists)
         if hists == self.hists:
             return self.matrix
@@ -115,15 +109,13 @@ class ConditionalLM:
         unseen = found < 0
         if not unseen.any():
             return self.matrix[found]
-        # a stored history has the right length; check the others
-        n, at = self.order - 1, np.flatnonzero(unseen).tolist()
-        bad = next((hists[i] for i in at if len(hists[i]) != n), None)
-        if bad is not None:
-            raise ValueError(f"history {bad} has length {len(bad)}, expected {n}")
+        # a stored history is well formed; check the others
+        at = np.flatnonzero(unseen).tolist()
+        check_histories(self.vocab, self.order - 1, [hists[i] for i in at], bos_prefix=False)
         if self.backstop is None:
             raise UnseenHistoryError(hists[at[0]])
         # each distinct suffix is looked up once, below the rows found here
-        cut, suffixes = n - (self.backstop.order - 1), {}
+        cut, suffixes = self.order - self.backstop.order, {}
         backed = [suffixes.setdefault(hists[i][cut:], len(suffixes)) for i in at]
         kept = found[~unseen]
         stack = np.concatenate([self.matrix[kept], self.backstop.rows(tuple(suffixes))])
@@ -254,12 +246,13 @@ def string_logprob(lm: ConditionalLM, sequence: Sequence[int]) -> float:
     return total
 
 
-def perplexity(lm: ConditionalLM, corpus: Corpus) -> float:
-    """exp of per-emission negative log-likelihood (one EOS per sequence) on
-    the corpus's count table.  The corpus must use the LM's vocabulary."""
-    check_same_vocabulary(corpus.vocab, lm.vocab)
-    table = count_ngrams(corpus, lm.order)
-    return table_perplexity(lm.rows(table.arrays.hists), table.arrays.hist, table)
+def perplexity(model, data: Corpus | CountTable) -> float:
+    """exp of per-emission negative log-likelihood (one EOS per sequence) of
+    a conditional model, an LM or a neural model, on a corpus or its count
+    table at the model's order: `model.rows` of the table's histories,
+    scored by table_perplexity.  The data must use the model's vocabulary."""
+    t = table_at(data, model.order, model.vocab)
+    return table_perplexity(model.rows(t.arrays.hists), t.arrays.hist, t)
 
 
 def table_perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> float:

@@ -271,10 +271,8 @@ class TestCriterion8DirectionOfEffect:
         m2, _ = train(m2, corpus,
                       TrainConfig(objective="split_regularizer", lr=6.0, epochs=40000),
                       bundle=bundle)
-        worst = max(
-            float(np.abs(m1.forward(h) - m2.forward(h)).max())
-            for h in table.history_count
-        )
+        hists = table.arrays.hists
+        worst = float(np.abs(m1.rows(hists) - m2.rows(hists)).max())
         report(
             "8b equality of training routes",
             worst < 1e-3,

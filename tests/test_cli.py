@@ -1,15 +1,26 @@
 """End-to-end CLI tests: exit codes, file formats, idempotence."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from collections import Counter
+from functools import lru_cache
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlm import neural
 from smoothlm.cli import main
-from smoothlm.corpus import load_corpus
+from smoothlm.corpus import corpus_from_lines, count_ngrams, load_corpus
 from smoothlm.ngram import NormalizationError
-from smoothlm.verify import zipf_lines
+from smoothlm.verify import markov_zipf_lines, zipf_lines
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_run.json"
 
 
 @pytest.fixture
@@ -280,6 +291,34 @@ class TestTrainEval:
         assert main(["eval", "--model", str(path), "--corpus", str(tiny)]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arch, key, value, message", [
+        ("tabular", "params", [1], "params must be a JSON object"),
+        ("feedforward", "params", [1], "params must be a JSON object"),
+        ("tabular", "vocab", 5, "vocab must be a list of strings"),
+        ("feedforward", "vocab", 5, "vocab must be a list of strings"),
+        ("tabular", "histories", [1, 2], "histories must be a list of strings"),
+        ("feedforward", "params", {"E": "x"}, "params 'E' must be a finite array of shape"),
+    ])
+    def test_badly_typed_model_value_exit_2(self, tiny, tmp_path, capsys, arch, key, value,
+                                            message):
+        main(["train", "--corpus-path", str(tiny), "--arch", arch, "--epochs", "1",
+              "--embed-dim", "2", "--hidden-dim", "2", "--out-dir", str(tmp_path)])
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, key: value}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--model", str(path), "--corpus", str(tiny)]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--model", "model.json", "--lm", "lm.tsv"]],
+                             ids=["neither", "both"])
+    def test_eval_takes_exactly_one_model(self, tiny, capsys, flags):
+        # with both, one of them would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *flags, "--corpus", str(tiny)])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
     def test_eval_lm_tsv(self, tiny, tmp_path, capsys):
         lm = tmp_path / "lm.tsv"
         main(["smooth", "--corpus", str(tiny), "--order", "2",
@@ -397,6 +436,21 @@ class TestGrid:
         assert row == [f"{m.train_loss[-1]:.10g}", f"{min(m.heldout_ppl):.10g}",
                        str(m.epochs_run)]
 
+    def test_checked_in_example_config_runs(self, tmp_path, capsys):
+        # the README's run-config schema example: a key that drifts from the
+        # train options exits 2, and a drifted grid expansion writes another
+        # number of rows
+        train, held = tmp_path / "train.txt", tmp_path / "held.txt"
+        train.write_text("\n".join(markov_zipf_lines(60, 8, seed=1)) + "\n", encoding="utf-8")
+        held.write_text("\n".join(markov_zipf_lines(20, 8, seed=2)) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "grid_out"
+        assert main(["grid", "--config", str(EXAMPLE_CONFIG), "--corpus-path", str(train),
+                     "--heldout-path", str(held), "--out-dir", str(out_dir),
+                     "--epochs", "1"]) == 0
+        rows = self.read_rows(out_dir)
+        assert len(rows) == 2 * 3 * 3  # lambdas candidates x gamma_plus x gamma_minus
+        assert {key[0] for key in rows} == {'{"lambdas":[0.5,0.5]}', '{"lambdas":[0.75,0.75]}'}
+
     def test_corpora_and_bundles_built_once(self, zipf, tmp_path, monkeypatch):
         import smoothlm.cli as cli_mod
         import smoothlm.corpus as corpus_mod
@@ -412,10 +466,11 @@ class TestGrid:
         monkeypatch.setattr(cli_mod, "load_corpus", counted("load_corpus", load_corpus))
         monkeypatch.setattr(neural, "make_bundle_for",
                             counted("make_bundle_for", neural.make_bundle_for))
-        # every module that counts a corpus: the grid counts each corpus
-        # once, and the bundles are built from the training table
+        # every module that counts a corpus (neural counts through
+        # corpus.table_at): the grid counts each corpus once, and the
+        # bundles are built from the training table
         count_ngrams = counted("count_ngrams", corpus_mod.count_ngrams)
-        for mod in (cli_mod, neural, corpus_mod):
+        for mod in (cli_mod, corpus_mod):
             monkeypatch.setattr(mod, "count_ngrams", count_ngrams)
         train, held = zipf
         out_dir = tmp_path / "g"
@@ -465,3 +520,62 @@ class TestVerifyCommand:
 
     def test_unknown_theorem_exit_2(self, capsys):
         assert main(["verify", "--theorem", "T9"]) == 2
+
+
+@lru_cache(maxsize=None)
+def saved_model(arch: str) -> str:
+    """The text of a saved model of `arch` over the vocabulary (a, b)."""
+    corpus = corpus_from_lines(["a b", "b a"])
+    if arch == "tabular":
+        model = neural.TabularSoftmaxLM.for_table(count_ngrams(corpus, 2))
+        model.logits[...] = np.random.default_rng(0).normal(size=model.logits.shape)
+    else:
+        model = neural.FeedForwardLM(2, corpus.vocab, 2, 3, seed=0)
+    with tempfile.TemporaryDirectory() as d:
+        neural.save_model(model, os.path.join(d, "model.json"))
+        with open(os.path.join(d, "model.json"), encoding="utf-8") as f:
+            return f.read()
+
+
+# JSON values; integers stay small, so a corrupted order or dim cannot ask
+# for a large allocation before the file's arrays refuse it
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arch=st.sampled_from(["tabular", "feedforward"]), data=st.data())
+def test_corrupted_model_file_loads_or_names_itself(arch, data):
+    # one key of the document, of its dims or of its params, removed or
+    # given another value
+    doc = json.loads(saved_model(arch))
+    where = data.draw(st.sampled_from(["doc", "dims", "params"]))
+    part = doc if where == "doc" else doc[where]
+    key = data.draw(st.sampled_from(sorted(part)))
+    if data.draw(st.booleans()):
+        del part[key]
+    else:
+        part[key] = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as d:
+        path, text = os.path.join(d, "model.json"), os.path.join(d, "held.txt")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        with open(text, "w", encoding="utf-8") as f:
+            f.write("a b\nb a\n")
+        try:
+            neural.load_model(path)
+            loaded = True
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            loaded = False
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["eval", "--model", path, "--corpus", text])
+    # a model that loads may still not fit the corpus, a usage error too
+    assert code in ((0, 2) if loaded else (2,))
+    if not loaded:
+        assert f"error: {path}: " in err.getvalue()

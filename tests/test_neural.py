@@ -27,12 +27,11 @@ from smoothlm.neural import (
     load_model,
     loss_and_grad,
     make_bundle_for,
-    model_perplexity,
     save_model,
     train,
     train_smoothed_target,
 )
-from smoothlm.ngram import empirical_conditional, entropy
+from smoothlm.ngram import empirical_conditional, entropy, perplexity
 from smoothlm.smoothers import smooth, smooth_add_lambda
 from smoothlm.verify import synthetic_corpus
 
@@ -76,43 +75,45 @@ def finite_difference_check(model, batch, config, bundle=None, eps=1e-5):
 
 
 class TestForward:
+    """`rows`, the one lookup, over each model's batched forward."""
+
     def test_zero_parameters_uniform(self):
         c = toy()
         m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
-        np.testing.assert_allclose(m.forward((0,)), [1 / 3] * 3)
+        np.testing.assert_allclose(m.rows([(0,)])[0], [1 / 3] * 3)
         ff = FeedForwardLM(2, c.vocab, 4, 5, seed=0, init_scale=0.0)
-        np.testing.assert_allclose(ff.forward((0,)), [1 / 3] * 3)
+        np.testing.assert_allclose(ff.rows([(0,)])[0], [1 / 3] * 3)
 
     def test_tabular_softmax_values(self):
         c = corpus_from_lines(["a"])
         m = TabularSoftmaxLM(1, c.vocab, [()])
         m.logits[0] = [math.log(2), 0.0]
-        np.testing.assert_allclose(m.forward(()), [2 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(m.rows([()])[0], [2 / 3, 1 / 3], atol=1e-15)
 
     def test_identical_embeddings_symmetric(self):
         c = toy()
         ff = FeedForwardLM(3, c.vocab, 4, 5, seed=1)
         ff.E[c.vocab.id_of["a"]] = ff.E[c.vocab.id_of["b"]]
         a, b = c.vocab.id_of["a"], c.vocab.id_of["b"]
-        np.testing.assert_allclose(ff.forward((a, b)), ff.forward((b, a)))
+        q = ff.rows([(a, b), (b, a)])
+        np.testing.assert_allclose(q[0], q[1])
 
     def test_wrong_history_length(self):
         c = toy()
         m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
         with pytest.raises(ValueError, match="length"):
-            m.forward((0, 1))
+            m.rows([(0, 1)])
 
     def test_eos_in_history_rejected(self):
         c = toy()
         ff = FeedForwardLM(2, c.vocab, 4, 4)
-        with pytest.raises(ValueError):
-            ff.forward((c.vocab.eos_id,))
+        with pytest.raises(ValueError, match="not a symbol or BOS"):
+            ff.rows([(c.vocab.eos_id,)])
 
     def test_rows_strictly_positive_and_normalized(self):
         c = toy()
         ff = FeedForwardLM(2, c.vocab, 8, 8, seed=3, init_scale=2.0)
-        for h in [(0,), (1,), (c.vocab.bos_id,)]:
-            q = ff.forward(h)
+        for q in ff.rows([(0,), (1,), (c.vocab.bos_id,)]):
             assert (q > 0).all()
             assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -122,31 +123,43 @@ def lines_over(symbols):
                     min_size=1, max_size=6)
 
 
-@settings(max_examples=60)
-@given(st.data())
-def test_forward_batch_matches_forward_rows(data):
+@pytest.mark.parametrize("kind", ["smoothed_lm", "tabular", "feedforward"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_rows_of_a_batch_match_row_by_row(kind, data):
+    # every conditional model answers `rows` and is scored by `perplexity`
     lines = data.draw(lines_over("abcd"))
     order = data.draw(st.integers(2, 3))
     corpus = corpus_from_lines(lines)
     vocab = corpus.vocab
+    table = count_ngrams(corpus, order)
     ids = list(range(vocab.n_symbols)) + [vocab.bos_id]
     hists = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * (order - 1)),
                                min_size=1, max_size=8))
-    # the tabular model leaves out one observed history, so at least one
-    # queried history is outside its table
-    table_hists = sorted(count_ngrams(corpus, order).history_count)
-    outside = table_hists[0]
+    outside = table.arrays.hists[0]
     hists.append(outside)
-    tab = TabularSoftmaxLM(order, vocab, table_hists[1:])
-    tab.logits[...] = np.random.default_rng(len(lines)).normal(size=tab.logits.shape)
-    ff = FeedForwardLM(order, vocab, 3, 4, seed=order, init_scale=1.0)
-    for model in (tab, ff):
-        batch = model.forward_batch(hists)
-        assert batch.shape == (len(hists), vocab.out_dim)
-        np.testing.assert_allclose(batch, np.stack([model.forward(h) for h in hists]),
-                                   rtol=1e-12, atol=1e-15)
-    np.testing.assert_array_equal(tab.forward_batch([outside])[0],
-                                  np.full(vocab.out_dim, 1.0 / vocab.out_dim))
+    if kind == "smoothed_lm":
+        # a backoff LM: unseen histories take their suffix's row a level down
+        model = smooth(table, "kneser_essen_ney")
+    elif kind == "tabular":
+        # the model leaves out one observed history, so at least one queried
+        # history is outside its table
+        model = TabularSoftmaxLM(order, vocab, table.arrays.hists[1:])
+        model.logits[...] = np.random.default_rng(len(lines)).normal(size=model.logits.shape)
+        np.testing.assert_array_equal(model.rows([outside])[0],
+                                      np.full(vocab.out_dim, 1.0 / vocab.out_dim))
+    else:
+        model = FeedForwardLM(order, vocab, 3, 4, seed=order, init_scale=1.0)
+    batch = model.rows(hists)
+    assert batch.shape == (len(hists), vocab.out_dim)
+    np.testing.assert_allclose(batch, np.stack([model.rows((h,))[0] for h in hists]),
+                               rtol=1e-12, atol=1e-15)
+    assert perplexity(model, corpus) == perplexity(model, table)
+    # a history of EOS, of ids outside the vocabulary, or of the wrong length
+    bad = data.draw(st.sampled_from([(vocab.eos_id,) * (order - 1), (-1,) * (order - 1),
+                                     (99,) * (order - 1), (0,) * order]))
+    with pytest.raises(ValueError, match="not a symbol or BOS|length"):
+        model.rows([*hists, bad])
 
 
 @settings(max_examples=30)
@@ -175,8 +188,8 @@ def test_corpus_and_its_table_train_alike(data):
         assert metrics1 == metrics2
         for name, arr in m1.param_arrays().items():
             np.testing.assert_array_equal(arr, m2.param_arrays()[name])
-        assert model_perplexity(m1, heldout) == model_perplexity(m2, held_table)
-        assert model_perplexity(m1, corpus) == model_perplexity(m2, table)
+        assert perplexity(m1, heldout) == perplexity(m2, held_table)
+        assert perplexity(m1, corpus) == perplexity(m2, table)
 
 
 def test_table_at_another_order_rejected():
@@ -185,7 +198,7 @@ def test_table_at_another_order_rejected():
     with pytest.raises(ValueError, match="order 3, model at order 2"):
         train(m, count_ngrams(c, 3), TrainConfig(objective="mle", epochs=1))
     with pytest.raises(ValueError, match="order 3, model at order 2"):
-        model_perplexity(m, count_ngrams(c, 3))
+        perplexity(m, count_ngrams(c, 3))
 
 
 def test_tabular_training_history_outside_table_rejected():
@@ -205,14 +218,14 @@ def test_data_with_another_vocabulary_rejected():
     config = TrainConfig(objective="mle", epochs=1)
     for data in (own, count_ngrams(own, 2)):
         with pytest.raises(ValueError, match="different vocabularies"):
-            model_perplexity(m, data)
+            perplexity(m, data)
         with pytest.raises(ValueError, match="different vocabularies"):
             train(m, corpus, config, heldout=data)
         with pytest.raises(ValueError, match="different vocabularies"):
             train(m, data, config)
     # the same symbols in the same order pass, whichever corpus built them
     same = corpus_from_lines(["a b c"])
-    assert model_perplexity(m, same) == model_perplexity(
+    assert perplexity(m, same) == perplexity(
         m, corpus_from_lines(["a b c"], vocab=corpus.vocab))
 
 
@@ -255,10 +268,10 @@ def test_model_perplexity_sums_the_dense_masked_cells(data):
                   FeedForwardLM(order, corpus.vocab, 3, 4, seed=order, init_scale=1.0)):
         for arr in model.param_arrays().values():
             arr[...] = np.random.default_rng(order).normal(size=arr.shape)
-        q = model.forward_batch(table.arrays.hists)
+        q = model.rows(table.arrays.hists)
         C = table.dense_counts()
         mask = C > 0
-        assert model_perplexity(model, corpus) == math.exp(
+        assert perplexity(model, corpus) == math.exp(
             -float(np.dot(C[mask], np.log(q[mask]))) / C.sum())
 
 
@@ -276,7 +289,7 @@ def two_forward_train(model, table, config, bundle, heldout):
             arr -= config.lr * grads[name]
         metrics.train_loss.append(loss + const)
         metrics.epochs_run = epoch + 1
-        ppl = model_perplexity(model, heldout)
+        ppl = perplexity(model, heldout)
         metrics.heldout_ppl.append(ppl)
         if ppl < best_ppl:
             best_ppl, stale, metrics.best_epoch = ppl, 0, epoch
@@ -352,8 +365,8 @@ class TestLossAndGrad:
         h = (c.vocab.id_of["a"],)
         target = c.vocab.id_of["b"]
         _, grads = loss_and_grad(m, [(h, target)], TrainConfig(objective="mle"))
-        row = m.history_index[h]
-        q = m.forward(h)
+        row = m.index[h]
+        q = m.rows([h])[0]
         onehot = np.zeros(3)
         onehot[c.vocab.out_index(target)] = 1.0
         np.testing.assert_allclose(grads["logits"][row], q - onehot, atol=1e-12)
@@ -436,8 +449,7 @@ class TestTraining:
         config = TrainConfig(objective="mle", lr=4.0, epochs=8000)
         m, metrics = train(m, c, config)
         emp = empirical_conditional(count_ngrams(c, 2))
-        for h, v in emp.table.items():
-            assert np.abs(m.forward(h) - v).max() < 1e-4
+        np.testing.assert_array_less(np.abs(m.rows(emp.hists) - emp.matrix), 1e-4)
 
     def test_label_smoothing_recovers_add_lambda(self):
         corpus = synthetic_corpus(1, n_sequences=25, n_symbols=3, max_len=4)
@@ -447,8 +459,7 @@ class TestTraining:
         config = TrainConfig(objective="label_smoothing", gamma_ls=gamma, lr=6.0, epochs=30000)
         m, _ = train(m, corpus, config)
         target = smooth_add_lambda(table, gamma / table.vocab.out_dim)
-        for h in table.history_count:
-            assert np.abs(m.forward(h) - target.table[h]).max() < 1e-4
+        np.testing.assert_array_less(np.abs(m.rows(target.hists) - target.matrix), 1e-4)
 
     def test_lr_zero_keeps_parameters(self):
         c = toy()
@@ -477,7 +488,7 @@ class TestTraining:
         assert metrics.epochs_run <= 400
         assert metrics.best_epoch is not None
         best = min(metrics.heldout_ppl)
-        assert model_perplexity(m, heldout) == pytest.approx(best, rel=1e-12)
+        assert perplexity(m, heldout) == pytest.approx(best, rel=1e-12)
 
 
 class TestSmoothedTargetTraining:
@@ -488,8 +499,7 @@ class TestSmoothedTargetTraining:
         m = TabularSoftmaxLM.for_table(table)
         config = TrainConfig(lr=6.0, epochs=30000)
         m = train_smoothed_target(m, target, table, config)
-        for h in table.history_count:
-            assert np.abs(m.forward(h) - target.table[h]).max() < 1e-4
+        np.testing.assert_array_less(np.abs(m.rows(target.hists) - target.matrix), 1e-4)
 
     def test_mle_target_matches_mle_gradients(self):
         corpus, table, _ = small_setup()
@@ -514,8 +524,8 @@ class TestSmoothedTargetTraining:
         m2 = TabularSoftmaxLM.for_table(table)
         config = TrainConfig(objective="split_regularizer", lr=6.0, epochs=40000)
         m2, _ = train(m2, corpus, config, bundle=bundle)
-        for h in table.history_count:
-            assert np.abs(m1.forward(h) - m2.forward(h)).max() < 1e-3
+        hists = table.arrays.hists
+        np.testing.assert_array_less(np.abs(m1.rows(hists) - m2.rows(hists)), 1e-3)
 
     def test_split_and_target_objectives_differ_by_constant(self):
         corpus, table, bundle = small_setup("jelinek_mercer", {"lambdas": [0.5, 0.5]},
@@ -542,7 +552,7 @@ class TestSerialization:
         save_model(m, str(p))
         m2 = load_model(str(p))
         np.testing.assert_array_equal(m.logits, m2.logits)
-        assert m2.history_index == m.history_index
+        assert m2.hists == m.hists and m2.index == m.index
         p2 = tmp_path / "m2.json"
         save_model(m2, str(p2))
         assert p.read_bytes() == p2.read_bytes()
@@ -555,7 +565,7 @@ class TestSerialization:
         m2 = load_model(str(p))
         for k, arr in m.param_arrays().items():
             np.testing.assert_array_equal(arr, m2.param_arrays()[k])
-        q1, q2 = m.forward((0, 1)), m2.forward((0, 1))
+        q1, q2 = m.rows([(0, 1)]), m2.rows([(0, 1)])
         np.testing.assert_array_equal(q1, q2)
 
 

@@ -178,7 +178,8 @@ class TestRowViews:
         lm = mle(corpus_from_lines(["a b a", "b b"]), 2)
         order = list(reversed(lm.hists))
         np.testing.assert_array_equal(lm.rows(order), lm.matrix[::-1])
-        with pytest.raises(KeyError):
+        # 5 is no id of this vocabulary, so (5,) is no history at all
+        with pytest.raises(ValueError, match=r"not a symbol or BOS in \(5,\)"):
             lm.rows([(lm.vocab.id_of["a"],), (5,)])
 
 

@@ -221,8 +221,6 @@ def test_perplexity_matches_the_per_token_oracle(data, order):
         else:
             want = math.exp(-sum(logprobs) / held.total_emissions)
             assert got == pytest.approx(want, rel=1e-12), method
-        np.testing.assert_array_equal(lm.rows(held_hists),
-                                      np.array([lm.conditional(h) for h in held_hists]))
     if order > 1:
         emp = empirical_conditional(table)
         with pytest.raises(UnseenHistoryError):
