@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -38,43 +40,6 @@ class InternalInvariantError(RuntimeError):
     pass
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: a run config must be a JSON object, got {cfg!r}")
-    unknown = sorted(set(cfg) - set(_TRAIN_KEYS))
-    if unknown:
-        raise ValueError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}")
-    for key in ("order", "embed_dim", "hidden_dim"):  # the int keys TrainConfig lacks
-        if type(cfg.get(key, 0)) is not int:
-            raise ValueError(f"{path}: config key {key!r} must be of type int, got {cfg[key]!r}")
-    for key in ("corpus_path", "heldout_path", "out_dir"):  # null means none given
-        if not isinstance(cfg.get(key, ""), (str, type(None))):
-            raise ValueError(f"{path}: config key {key!r} must be of type str, got {cfg[key]!r}")
-    return cfg
-
-
-def _merged(config: dict, args: argparse.Namespace, keys: list[str]) -> dict:
-    """Config-file values overridden by any explicitly passed flags."""
-    out = dict(config)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
-
-
-def _parse_params(raw):
-    if raw is None:
-        return {}
-    if isinstance(raw, str):
-        return json.loads(raw)
-    return raw
-
-
 def cmd_count(args) -> int:
     table = count_ngrams(load_corpus(args.corpus), args.order)
     write_count_table(table, args.out)
@@ -90,7 +55,7 @@ def _smoothed_lm(args):
             raise ValueError("need --counts or --corpus")
         table = count_ngrams(load_corpus(args.corpus), args.order)
     try:
-        lm = smooth(table, args.method, _parse_params(args.params))
+        lm = smooth(table, args.method, args.params)
     except NormalizationError as exc:
         # a smoother emitting an unnormalized or negative row is our bug,
         # not a usage error
@@ -115,53 +80,74 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_KEYS = [
-    "corpus_path", "heldout_path", "order", "arch", "objective", "method",
-    "method_params", "gamma_plus", "gamma_minus", "gamma_ls", "lr", "epochs",
-    "patience", "seed", "init_scale", "embed_dim", "hidden_dim", "out_dir",
-]
-
-_TRAIN_DEFAULTS = {
-    "order": 2, "arch": "feedforward", "objective": "mle",
-    "method": None, "method_params": {},
-    "gamma_plus": 0.0, "gamma_minus": 0.0, "gamma_ls": 0.0,
-    "lr": None,  # default depends on architecture, see _default_lr
-    "epochs": 200, "patience": 20, "seed": 0, "init_scale": 0.1,
-    "embed_dim": 16, "hidden_dim": 32,
-}
+ARCHS = ("tabular", "feedforward")
 
 
-def _default_lr(cfg) -> float:
-    if cfg["lr"] is not None:
-        return cfg["lr"]
-    return 0.5 if cfg["arch"] == "tabular" else 0.05
+@dataclasses.dataclass
+class RunConfig(neural.TrainConfig):
+    """The options of one `train` run, or of each `grid` cell: TrainConfig's
+    fields plus the model's and the paths.  Its fields are the config-file
+    keys and the flags of both commands, and their defaults are the only
+    defaults; an lr left out or null resolves to 0.5 for the tabular model
+    and 0.05 for the feedforward one."""
+
+    lr: float | None = None
+    order: int = 2
+    arch: str = "feedforward"
+    embed_dim: int = 16
+    hidden_dim: int = 32
+    corpus_path: str | None = None   # null means none given
+    heldout_path: str | None = None
+    out_dir: str | None = None
+
+    def __post_init__(self):
+        if self.lr is None:
+            self.lr = 0.5 if self.arch == "tabular" else 0.05
+
+    def validate(self) -> None:
+        super().validate()
+        if self.arch not in ARCHS:
+            raise ValueError(f"unknown architecture {self.arch!r}")
+        for key, low in (("embed_dim", 1), ("hidden_dim", 1), ("seed", 0), ("patience", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
 
 
-def _train_config(cfg) -> neural.TrainConfig:
-    return neural.TrainConfig(
-        objective=cfg["objective"],
-        method=cfg["method"],
-        method_params=_parse_params(cfg.get("method_params")),
-        gamma_ls=cfg["gamma_ls"],
-        gamma_plus=cfg["gamma_plus"],
-        gamma_minus=cfg["gamma_minus"],
-        lr=_default_lr(cfg),
-        epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-        init_scale=cfg["init_scale"],
-    )
+# the flag type of each RunConfig annotation; any other is read as a string
+_FLAG_TYPES = {"int": int, "float": float, "float | None": float, "dict | None": json.loads}
 
 
-def _model_for(cfg, table):
-    if cfg["arch"] == "tabular":
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    for f in dataclasses.fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=_FLAG_TYPES.get(f.type, str))
+
+
+def _run_config(args, **defaults) -> RunConfig:
+    """`defaults`, overridden by the keys of the `--config` file, overridden
+    by the flags given."""
+    values = dict(defaults)
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as f:
+            cfg = json.load(f)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{args.config}: a run config must be a JSON object, got {cfg!r}")
+        unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(RunConfig)})
+        if unknown:
+            raise ValueError(
+                f"{args.config}: unknown config key(s) {', '.join(map(repr, unknown))}")
+        values.update(cfg)
+    for f in dataclasses.fields(RunConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    return RunConfig(**values)
+
+
+def _model_for(config: RunConfig, table):
+    if config.arch == "tabular":
         return neural.TabularSoftmaxLM.for_table(table)
-    if cfg["arch"] == "feedforward":
-        return neural.FeedForwardLM(
-            cfg["order"], table.vocab, cfg["embed_dim"], cfg["hidden_dim"],
-            seed=cfg["seed"], init_scale=cfg["init_scale"],
-        )
-    raise ValueError(f"unknown architecture {cfg['arch']!r}")
+    return neural.FeedForwardLM(config.order, table.vocab, config.embed_dim, config.hidden_dim,
+                                seed=config.seed, init_scale=config.init_scale)
 
 
 class _TrainingData:
@@ -171,13 +157,13 @@ class _TrainingData:
     the gammas).  A grid call keeps one of these for its cells and drops it
     when it ends, so a later call sees rewritten input files."""
 
-    def __init__(self, cfg):
-        corpus = load_corpus(cfg["corpus_path"])
-        self.table = count_ngrams(corpus, cfg["order"])
+    def __init__(self, config: RunConfig):
+        corpus = load_corpus(config.corpus_path)
+        self.table = count_ngrams(corpus, config.order)
         self.heldout = None
-        if cfg.get("heldout_path"):
-            heldout = load_corpus(cfg["heldout_path"], vocab=corpus.vocab)
-            self.heldout = count_ngrams(heldout, cfg["order"])
+        if config.heldout_path:
+            heldout = load_corpus(config.heldout_path, vocab=corpus.vocab)
+            self.heldout = count_ngrams(heldout, config.order)
         self._bundles = {}
 
     def _bundle(self, config):
@@ -188,12 +174,10 @@ class _TrainingData:
             self._bundles[key], gamma_plus=config.gamma_plus, gamma_minus=config.gamma_minus
         )
 
-    def train(self, cfg):
-        config = _train_config(cfg)
-        config.validate()
+    def train(self, config: RunConfig):
         bundle = self._bundle(config) if config.objective in neural.BUNDLE_OBJECTIVES else None
-        model = _model_for(cfg, self.table)
-        return neural.train(model, self.table, config, bundle, self.heldout)
+        return neural.train(_model_for(config, self.table), self.table, config, bundle,
+                            self.heldout)
 
 
 def _write_metrics(metrics, path):
@@ -205,15 +189,16 @@ def _write_metrics(metrics, path):
 
 
 def cmd_train(args) -> int:
-    cfg = {**_TRAIN_DEFAULTS, **_merged(_load_config(args.config), args, _TRAIN_KEYS)}
-    if not cfg.get("corpus_path"):
+    config = _run_config(args)
+    config.validate()
+    if not config.corpus_path:
         raise ValueError("need corpus_path (flag --corpus-path or config key)")
-    if not cfg.get("out_dir"):
+    if not config.out_dir:
         raise ValueError("need out_dir (flag --out-dir or config key)")
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    model, metrics = _TrainingData(cfg).train(cfg)
-    neural.save_model(model, os.path.join(cfg["out_dir"], "model.json"))
-    _write_metrics(metrics, os.path.join(cfg["out_dir"], "metrics.tsv"))
+    os.makedirs(config.out_dir, exist_ok=True)
+    model, metrics = _TrainingData(config).train(config)
+    neural.save_model(model, os.path.join(config.out_dir, "model.json"))
+    _write_metrics(metrics, os.path.join(config.out_dir, "metrics.tsv"))
     if metrics.heldout_ppl:
         best = min(metrics.heldout_ppl)
         print(f"best heldout perplexity {best:.10g} (epochs run {metrics.epochs_run})")
@@ -229,28 +214,34 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _grid_values(cfg) -> tuple[list[str], list[tuple]]:
-    """Cartesian product over gamma_plus, gamma_minus (0.0 unless given, as
-    in `train`), and any method_params whose value is a list of candidates."""
-    mp = cfg.get("method_params")
-    if mp is None:
-        mp = {}
-    if not isinstance(mp, dict):
-        raise ValueError(f"method_params must be a JSON object, got {mp!r}")
-    keys = sorted(mp)
-    values = [cfg["gamma_plus"], cfg["gamma_minus"], *(mp[k] for k in keys)]
-    return keys, list(itertools.product(*(v if isinstance(v, list) else [v] for v in values)))
+def _grid_cells(base: RunConfig, cap: int) -> list[RunConfig]:
+    """One config per cell of the Cartesian product over gamma_plus,
+    gamma_minus and each method_params entry, where a list holds a key's
+    candidates and any other value is its one candidate."""
+    params = {} if base.method_params is None else base.method_params
+    if not isinstance(params, dict):
+        raise ValueError(f"method_params must be a JSON object, got {params!r}")
+    keys = sorted(params)
+    axes = {"gamma_plus": base.gamma_plus, "gamma_minus": base.gamma_minus,
+            **{f"method_params[{k!r}]": params[k] for k in keys}}
+    candidates = [v if isinstance(v, list) else [v] for v in axes.values()]
+    for name, values in zip(axes, candidates):
+        if not values:
+            raise ValueError(f"{name} has no candidate values")
+    size = math.prod(map(len, candidates))
+    if size > cap:
+        raise ValueError(f"grid size {size} exceeds cap {cap}; rerun with --cap {size}")
+    return [dataclasses.replace(base, gamma_plus=g_plus, gamma_minus=g_minus,
+                                method_params=dict(zip(keys, values)))
+            for g_plus, g_minus, *values in itertools.product(*candidates)]
 
 
-def _grid_cell(data: _TrainingData, cfg, param_keys, combo):
-    g_plus, g_minus = combo[0], combo[1]
-    params = dict(zip(param_keys, combo[2:]))
-    cell = {**cfg, "method_params": params, "gamma_plus": g_plus, "gamma_minus": g_minus}
-    _, metrics = data.train(cell)
+def _grid_cell(data: _TrainingData, config: RunConfig):
+    _, metrics = data.train(config)
     best = min(metrics.heldout_ppl) if metrics.heldout_ppl else float("inf")
     return (
-        json.dumps(params, sort_keys=True, separators=(",", ":")),
-        g_plus, g_minus,
+        json.dumps(config.method_params, sort_keys=True, separators=(",", ":")),
+        config.gamma_plus, config.gamma_minus,
         metrics.train_loss[-1], best, metrics.epochs_run,
     )
 
@@ -265,28 +256,25 @@ def _init_grid_worker(data: _TrainingData) -> None:
     _worker_data = data
 
 
-def _run_grid_cell(task):
+def _run_grid_cell(config: RunConfig):
     """One grid cell in a worker process; module-level so it unpickles."""
-    return _grid_cell(_worker_data, *task)
+    return _grid_cell(_worker_data, config)
 
 
 def cmd_grid(args) -> int:
-    cfg = {**_TRAIN_DEFAULTS, "objective": "split_regularizer",
-           **_merged(_load_config(args.config), args, _TRAIN_KEYS)}
-    if not cfg.get("corpus_path") or not cfg.get("heldout_path"):
+    # a grid sweeps the regularizer's weights, so it defaults to that objective
+    base = _run_config(args, objective="split_regularizer")
+    cells = _grid_cells(base, args.cap)
+    for config in cells:
+        config.validate()
+    if not base.corpus_path or not base.heldout_path:
         raise ValueError("grid needs corpus_path and heldout_path")
-    if not cfg.get("out_dir"):
+    if not base.out_dir:
         raise ValueError("need out_dir")
-    param_keys, combos = _grid_values(cfg)
-    if len(combos) > args.cap:
-        raise ValueError(
-            f"grid size {len(combos)} exceeds cap {args.cap}; rerun with --cap {len(combos)}"
-        )
-    os.makedirs(cfg["out_dir"], exist_ok=True)
+    os.makedirs(base.out_dir, exist_ok=True)
     # loaded here, not in the workers, so that bad input fails with its own
     # message; each worker gets one copy and builds the bundles it needs
-    data = _TrainingData(cfg)
-    tasks = [(cfg, param_keys, combo) for combo in combos]
+    data = _TrainingData(base)
     if args.workers > 1:
         # results are gathered in submission order, so completion order
         # cannot affect the output file
@@ -294,11 +282,11 @@ def cmd_grid(args) -> int:
 
         with ProcessPoolExecutor(max_workers=args.workers, initializer=_init_grid_worker,
                                  initargs=(data,)) as pool:
-            rows = list(pool.map(_run_grid_cell, tasks))
+            rows = list(pool.map(_run_grid_cell, cells))
     else:
-        rows = [_grid_cell(data, *t) for t in tasks]
+        rows = [_grid_cell(data, config) for config in cells]
     rows.sort(key=lambda r: (r[4], r[0], r[1], r[2]))
-    out_path = os.path.join(cfg["out_dir"], "grid_results.tsv")
+    out_path = os.path.join(base.out_dir, "grid_results.tsv")
     with open(out_path, "w", encoding="utf-8", newline="\n") as f:
         f.write("method_params\tgamma_plus\tgamma_minus\tfinal_train_loss\tbest_heldout_ppl\tepochs_run\n")
         for params_json, g_plus, g_minus, loss, best, epochs in rows:
@@ -308,34 +296,20 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-_CHECKS = {
-    "T1": lambda seed, trials: verify.check_theorem1(trials=trials or 200, seed=seed),
-    "COR": lambda seed, trials: verify.check_corollary(trials=trials or 200, seed=seed),
-    "T2": lambda seed, trials: verify.check_theorem2(seed=seed),
-    "T3": lambda seed, trials: verify.check_theorem3(trials=trials or 1000, seed=seed),
-    "CE_LINEARITY": lambda seed, trials: verify.check_ce_linearity(trials=trials or 1000, seed=seed),
-}
-
-
 def cmd_verify(args) -> int:
-    if args.theorem:
-        names = [args.theorem.upper()]
-        if names[0] not in _CHECKS:
-            raise ValueError(f"unknown theorem id {args.theorem!r}; choose from {sorted(_CHECKS)}")
-    else:
-        names = list(_CHECKS)
+    names = [args.theorem.upper()] if args.theorem else list(verify.CHECKS)
+    if names[0] not in verify.CHECKS:
+        raise ValueError(f"unknown theorem id {args.theorem!r}; choose from {sorted(verify.CHECKS)}")
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    given = {"trials": args.trials, "tolerance": args.tolerance}
     ok = True
     for name in names:
-        report = _CHECKS[name](args.seed, args.trials)
-        if args.tolerance is not None:
-            report = verify.VerificationReport(
-                theorem_id=report.theorem_id,
-                trials=report.trials,
-                max_abs_error=report.max_abs_error,
-                tolerance=args.tolerance,
-                passed=report.max_abs_error <= args.tolerance,
-                seed=report.seed,
-            )
+        check = verify.CHECKS[name]
+        # a check without a trial count (T2) ignores --trials
+        accepted = inspect.signature(check).parameters
+        report = check(seed=args.seed, **{key: val for key, val in given.items()
+                                          if val is not None and key in accepted})
         print(report.line())
         ok = ok and report.passed
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -357,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--order", type=int, default=2)
     s.add_argument("--method", required=True,
                    help="addlambda|gt|sgt|jm|katz|ken (or canonical names)")
-    s.add_argument("--params", help='JSON map, e.g. \'{"lambda":0.1}\'')
+    s.add_argument("--params", type=json.loads, help='JSON map, e.g. \'{"lambda":0.1}\'')
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_smooth)
 
@@ -366,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--corpus")
     d.add_argument("--order", type=int, default=2)
     d.add_argument("--method", required=True)
-    d.add_argument("--params")
+    d.add_argument("--params", type=json.loads)
     d.add_argument("--gamma-plus", type=float, default=1.0)
     d.add_argument("--gamma-minus", type=float, default=1.0)
     d.add_argument("--out", required=True)
@@ -374,24 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a neural conditional model")
     t.add_argument("--config", help="JSON run config; flags override its keys")
-    t.add_argument("--corpus-path", dest="corpus_path")
-    t.add_argument("--heldout-path", dest="heldout_path")
-    t.add_argument("--order", type=int)
-    t.add_argument("--arch", choices=["tabular", "feedforward"])
-    t.add_argument("--objective", choices=list(neural.OBJECTIVES))
-    t.add_argument("--method")
-    t.add_argument("--method-params", dest="method_params")
-    t.add_argument("--gamma-plus", dest="gamma_plus", type=float)
-    t.add_argument("--gamma-minus", dest="gamma_minus", type=float)
-    t.add_argument("--gamma-ls", dest="gamma_ls", type=float)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--patience", type=int)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--init-scale", dest="init_scale", type=float)
-    t.add_argument("--embed-dim", dest="embed_dim", type=int)
-    t.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    t.add_argument("--out-dir", dest="out_dir")
+    _add_run_flags(t)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="perplexity of a saved model or LM TSV")
@@ -402,14 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_eval)
 
     g = sub.add_parser("grid", help="hyperparameter grid over gamma pairs")
-    g.add_argument("--config", required=True)
+    g.add_argument("--config", required=True, help="JSON run config; flags override its keys")
     g.add_argument("--cap", type=int, default=100)
     g.add_argument("--workers", type=int, default=1,
                    help="process-pool size; output order is combination order either way")
-    for name in ["--corpus-path", "--heldout-path", "--out-dir", "--method"]:
-        g.add_argument(name, dest=name.lstrip("-").replace("-", "_"))
-    g.add_argument("--seed", type=int)
-    g.add_argument("--epochs", type=int)
+    _add_run_flags(g)
     g.set_defaults(fn=cmd_grid)
 
     v = sub.add_parser("verify", help="run the numerical identity checks")
@@ -424,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's own exit: 2 for a usage error, 0 for --help
+        return exc.code
     try:
         return args.fn(args)
     except InternalInvariantError as exc:

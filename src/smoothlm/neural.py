@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +50,14 @@ BUNDLE_OBJECTIVES = ("smoothed_target", "split_regularizer")
 
 class TrainingError(RuntimeError):
     """Non-finite loss encountered during training."""
+
+
+# the classes each config field annotation admits; the annotations are
+# strings (postponed evaluation)
+_FIELD_TYPES = {
+    "int": numbers.Integral, "float": numbers.Real, "float | None": (numbers.Real, type(None)),
+    "str": str, "str | None": (str, type(None)), "dict | None": (dict, type(None)),
+}
 
 
 @dataclass
@@ -69,12 +77,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        # the field annotations are strings (postponed evaluation)
-        types = {"str | None": (str, type(None)), "float": numbers.Real, "int": numbers.Integral}
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type in types and (isinstance(v, bool) or not isinstance(v, types[f.type])):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {v!r}")
+            if f.type in _FIELD_TYPES and (isinstance(v, bool)
+                                           or not isinstance(v, _FIELD_TYPES[f.type])):
+                what = "a JSON object" if f.type == "dict | None" else f"of type {f.type}"
+                raise ValueError(f"{f.name} must be {what}, got {v!r}")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if self.epochs < 1:
@@ -370,7 +378,7 @@ def train(
 
 def train_smoothed_target(model, smoothed_lm, table: CountTable, config: TrainConfig):
     """Fit the model to a smoothed conditional table by gradient descent."""
-    cfg = TrainConfig(**{**config.__dict__, "objective": "smoothed_target"})
+    cfg = replace(config, objective="smoothed_target")
     bundle = build_regularizer(empirical_conditional(table), smoothed_lm, table, 1.0, 1.0)
     model, _ = _train_counts(model, table, cfg, bundle, None)
     return model

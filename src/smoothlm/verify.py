@@ -414,14 +414,20 @@ def check_ce_linearity(
 # ---------------------------------------------------------------------------
 
 
+CHECKS = {
+    "T1": check_theorem1,
+    "COR": check_corollary,
+    "T2": check_theorem2,
+    "T3": check_theorem3,
+    "CE_LINEARITY": check_ce_linearity,
+}
+
+# the arguments of a quick run; T2 takes no trial count
+_QUICK = {"T1": {"trials": 50}, "COR": {"trials": 50}, "T2": {},
+          "T3": {"trials": 200}, "CE_LINEARITY": {"trials": 200}}
+
+
 def run_all(seed: int = 0, quick: bool = False) -> list[VerificationReport]:
-    """All five checks; `quick` shrinks trial counts for smoke runs."""
-    t_kl = 50 if quick else 200
-    t_tri = 200 if quick else 1000
-    return [
-        check_theorem1(trials=t_kl, seed=seed),
-        check_corollary(trials=t_kl, seed=seed),
-        check_theorem2(seed=seed),
-        check_theorem3(trials=t_tri, seed=seed),
-        check_ce_linearity(trials=t_tri, seed=seed),
-    ]
+    """All five checks at their own trial counts; `quick` shrinks them for
+    smoke runs."""
+    return [check(seed=seed, **(_QUICK[name] if quick else {})) for name, check in CHECKS.items()]

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: exit codes, file formats, idempotence."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothlm import neural
-from smoothlm.cli import main
+from smoothlm import neural, verify
+from smoothlm.cli import RunConfig, build_parser, main
 from smoothlm.corpus import corpus_from_lines, count_ngrams, load_corpus
 from smoothlm.ngram import NormalizationError
 from smoothlm.verify import markov_zipf_lines, zipf_lines
@@ -179,16 +181,16 @@ def test_badly_typed_method_params_exit_2_in_train(tiny, tmp_path, capsys, metho
 @pytest.mark.parametrize("command, values, message", [
     ("train", {"lr": "x"}, "lr must be of type float"),
     ("train", {"epochs": 2.5}, "epochs must be of type int"),
-    ("train", {"order": "2"}, "config key 'order' must be of type int"),
+    ("train", {"order": "2"}, "order must be of type int"),
     ("grid", {"gamma_plus": ["x"]}, "gamma_plus must be of type float"),
     ("train", ["lr", 0.5], "a run config must be a JSON object"),
     ("train", {"objective": "split_regularizer", "method": 5}, "method must be of type str"),
     ("train", {"objective": "split_regularizer", "method_params": 5},
      "params must be a JSON object"),
-    ("train", {"corpus_path": 3}, "config key 'corpus_path' must be of type str"),
-    ("train", {"heldout_path": ["held.txt"]}, "config key 'heldout_path' must be of type str"),
-    ("train", {"out_dir": 5}, "config key 'out_dir' must be of type str"),
-    ("grid", {"heldout_path": 4}, "config key 'heldout_path' must be of type str"),
+    ("train", {"corpus_path": 3}, "corpus_path must be of type str | None"),
+    ("train", {"heldout_path": ["held.txt"]}, "heldout_path must be of type str | None"),
+    ("train", {"out_dir": 5}, "out_dir must be of type str | None"),
+    ("grid", {"heldout_path": 4}, "heldout_path must be of type str | None"),
 ])
 def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, message):
     train, held = zipf
@@ -200,6 +202,48 @@ def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, mess
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main([command, "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("embed_dim", 0), ("embed_dim", -1), ("hidden_dim", 0), ("seed", -1), ("patience", 0),
+])
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_out_of_range_config_exit_2(zipf, tmp_path, capsys, command, key, value):
+    # embed_dim 0 used to train a model blind to its history, and patience 0
+    # to run as patience 1
+    train, held = zipf
+    cfg = {"corpus_path": str(train), "heldout_path": str(held), "method": "addlambda",
+           "epochs": 1, "out_dir": str(tmp_path / "run"), key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    assert f"{key} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+RUN_FLAGS = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("command, own_flags", [
+    ("train", {"--config"}), ("grid", {"--config", "--cap", "--workers"}),
+])
+def test_run_flags_are_the_config_fields(command, own_flags):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for action in sub.choices[command]._actions for opt in action.option_strings}
+    assert flags == {"-h", "--help", *own_flags, *RUN_FLAGS}
+    assert len(RUN_FLAGS) == 18
+
+
+def test_example_config_keys_are_the_config_fields():
+    keys = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+    assert set(keys) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_help_returns_0(capsys):
+    assert main(["train", "--help"]) == 0
+    assert "--embed-dim" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, values, message", [
@@ -313,10 +357,9 @@ class TestTrainEval:
     @pytest.mark.parametrize("flags", [[], ["--model", "model.json", "--lm", "lm.tsv"]],
                              ids=["neither", "both"])
     def test_eval_takes_exactly_one_model(self, tiny, capsys, flags):
-        # with both, one of them would be ignored
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", *flags, "--corpus", str(tiny)])
-        assert exc.value.code == 2
+        # with both, one of them would be ignored; main returns argparse's
+        # exit code rather than raising SystemExit
+        assert main(["eval", *flags, "--corpus", str(tiny)]) == 2
         assert "--model" in capsys.readouterr().err
 
     def test_eval_lm_tsv(self, tiny, tmp_path, capsys):
@@ -402,6 +445,44 @@ class TestGrid:
         assert main(["grid", "--config", str(path)]) == 2
         assert "method_params must be a JSON object" in capsys.readouterr().err
         assert not (out_dir / "grid_results.tsv").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        # an empty list used to write a header-only file and exit 0
+        ({"gamma_plus": []}, "gamma_plus has no candidate values"),
+        ({"method_params": {"lambdas": []}}, "method_params['lambdas'] has no candidate values"),
+        # a bad candidate used to fail only after the cells before it trained
+        ({"gamma_plus": [0.1, "x"]}, "gamma_plus must be of type float, got 'x'"),
+        ({"gamma_minus": [0.5], "embed_dim": [4, 8]}, "embed_dim must be of type int"),
+    ])
+    def test_bad_candidates_exit_2_before_any_work(self, zipf, tmp_path, capsys, monkeypatch,
+                                                   change, message):
+        import smoothlm.cli as cli_mod
+
+        loaded = []
+        monkeypatch.setattr(cli_mod, "load_corpus", lambda *a, **k: loaded.append(a))
+        train, held = zipf
+        out_dir = tmp_path / "g"
+        path = self.make_config(tmp_path, train, held, out_dir)
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**cfg, **change}), encoding="utf-8")
+        assert main(["grid", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert loaded == []
+        assert not out_dir.exists()
+
+    def test_run_flags_override_the_config(self, zipf, tmp_path):
+        train, held = zipf
+        expected_dir, out_dir = tmp_path / "expected", tmp_path / "g"
+        path = self.make_config(tmp_path, train, held, out_dir)
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        expected = tmp_path / "expected.json"
+        expected.write_text(json.dumps({**cfg, "lr": 0.1, "hidden_dim": 5,
+                                        "out_dir": str(expected_dir)}), encoding="utf-8")
+        assert main(["grid", "--config", str(expected)]) == 0
+        # `grid` used to take 6 of `train`'s 18 flags, and --lr was not one
+        assert main(["grid", "--config", str(path), "--lr", "0.1", "--hidden-dim", "5"]) == 0
+        assert ((out_dir / "grid_results.tsv").read_bytes()
+                == (expected_dir / "grid_results.tsv").read_bytes())
 
     def test_worker_pool_matches_sequential(self, zipf, tmp_path):
         train, held = zipf
@@ -520,6 +601,27 @@ class TestVerifyCommand:
 
     def test_unknown_theorem_exit_2(self, capsys):
         assert main(["verify", "--theorem", "T9"]) == 2
+
+    def test_zero_trials_exit_2(self, capsys):
+        # a check of no trials would pass vacuously
+        assert main(["verify", "--theorem", "T3", "--trials", "0"]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, kwargs", [
+        (["--theorem", "T1", "--trials", "5", "--tolerance", "0"],
+         {"T1": {"trials": 5, "tolerance": 0.0}}),
+        # T2 takes no trial count, so --trials does not reach it
+        (["--theorem", "t2", "--trials", "5"], {"T2": {}}),
+        (["--seed", "3", "--trials", "5", "--tolerance", "1"],
+         {name: {"tolerance": 1.0, **({} if name == "T2" else {"trials": 5})}
+          for name in verify.CHECKS}),
+    ])
+    def test_flags_reach_the_check(self, capsys, flags, kwargs):
+        code = main(["verify", *flags])
+        reports = [verify.CHECKS[name](seed=3 if "--seed" in flags else 0, **kw)
+                   for name, kw in kwargs.items()]
+        assert capsys.readouterr().out == "".join(r.line() + "\n" for r in reports)
+        assert code == (0 if all(r.passed for r in reports) else 1)
 
 
 @lru_cache(maxsize=None)

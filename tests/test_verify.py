@@ -186,4 +186,5 @@ class TestGenerators:
     def test_run_all_quick(self):
         reports = run_all(seed=0, quick=True)
         assert [r.theorem_id for r in reports] == ["T1", "COR", "T2", "T3", "CE_LINEARITY"]
+        assert [r.trials for r in reports] == [50, 50, 3, 200, 200]
         assert all(r.passed for r in reports)
