@@ -44,7 +44,7 @@ from .smoothers import (
     smooth_kneser_essen_ney,
     smooth_simple_good_turing,
 )
-from .verify import VerificationReport, run_all
+from .verify import VerificationReport
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,7 @@ __all__ = [
     "corpus_from_lines", "count_ngrams", "count_substrings",
     "empirical_conditional", "empirical_prefix",
     "kl_divergence", "load_corpus",
-    "loss_and_grad", "perplexity", "regularizer_loss", "run_all", "smooth",
+    "loss_and_grad", "perplexity", "regularizer_loss", "smooth",
     "smooth_add_lambda", "smooth_good_turing", "smooth_jelinek_mercer",
     "smooth_katz", "smooth_kneser_essen_ney", "smooth_simple_good_turing",
     "signed_decompose", "string_logprob", "train", "train_smoothed_target",

@@ -28,7 +28,7 @@ from .ngram import (
     read_conditional_lm,
     write_conditional_lm,
 )
-from .smoothers import smooth
+from .smoothers import METHODS, method_params, smooth
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -48,12 +48,13 @@ def cmd_count(args) -> int:
 
 
 def _smoothed_lm(args):
+    method_params(args.method, args.params)  # refuse bad parameters before reading input
     if args.counts:
+        if args.order is not None:
+            raise ValueError("--order goes with --corpus; a count file fixes its own order")
         table = read_count_table(args.counts)
     else:
-        if not args.corpus:
-            raise ValueError("need --counts or --corpus")
-        table = count_ngrams(load_corpus(args.corpus), args.order)
+        table = count_ngrams(load_corpus(args.corpus), 2 if args.order is None else args.order)
     try:
         lm = smooth(table, args.method, args.params)
     except NormalizationError as exc:
@@ -72,9 +73,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_decompose(args) -> int:
     table, lm = _smoothed_lm(args)
-    bundle = dec.build_regularizer(
-        empirical_conditional(table), lm, table, args.gamma_plus, args.gamma_minus
-    )
+    bundle = dec.build_regularizer(empirical_conditional(table), lm, table, 1.0, 1.0)
     dec.write_decomposition(bundle, table.vocab, args.out)
     print(f"wrote {len(bundle.hists)} history decompositions to {args.out}")
     return EXIT_OK
@@ -106,9 +105,12 @@ class RunConfig(neural.TrainConfig):
 
     def validate(self) -> None:
         super().validate()
+        if self.objective in neural.BUNDLE_OBJECTIVES and self.method is None:
+            raise ValueError(f"objective {self.objective} needs a smoothing method")
         if self.arch not in ARCHS:
             raise ValueError(f"unknown architecture {self.arch!r}")
-        for key, low in (("embed_dim", 1), ("hidden_dim", 1), ("seed", 0), ("patience", 1)):
+        for key, low in (("order", 2 if self.arch == "feedforward" else 1), ("embed_dim", 1),
+                         ("hidden_dim", 1), ("seed", 0), ("patience", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
 
@@ -129,7 +131,10 @@ def _run_config(args, **defaults) -> RunConfig:
     values = dict(defaults)
     if args.config is not None:
         with open(args.config, encoding="utf-8") as f:
-            cfg = json.load(f)
+            try:
+                cfg = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ValueError(f"{args.config}: a run config must be a JSON object, got {cfg!r}")
         unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(RunConfig)})
@@ -325,26 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_count)
 
-    s = sub.add_parser("smooth", help="build a smoothed conditional LM")
-    s.add_argument("--counts", help="count TSV from `count`")
-    s.add_argument("--corpus", help="alternatively, a corpus file")
-    s.add_argument("--order", type=int, default=2)
-    s.add_argument("--method", required=True,
-                   help="addlambda|gt|sgt|jm|katz|ken (or canonical names)")
-    s.add_argument("--params", type=json.loads, help='JSON map, e.g. \'{"lambda":0.1}\'')
-    s.add_argument("--out", required=True)
-    s.set_defaults(fn=cmd_smooth)
-
-    d = sub.add_parser("decompose", help="signed decomposition of a smoother")
-    d.add_argument("--counts")
-    d.add_argument("--corpus")
-    d.add_argument("--order", type=int, default=2)
-    d.add_argument("--method", required=True)
-    d.add_argument("--params", type=json.loads)
-    d.add_argument("--gamma-plus", type=float, default=1.0)
-    d.add_argument("--gamma-minus", type=float, default=1.0)
-    d.add_argument("--out", required=True)
-    d.set_defaults(fn=cmd_decompose)
+    for name, fn, text in (("smooth", cmd_smooth, "build a smoothed conditional LM"),
+                           ("decompose", cmd_decompose, "signed decomposition of a smoother")):
+        s = sub.add_parser(name, help=text)
+        source = s.add_mutually_exclusive_group(required=True)
+        source.add_argument("--counts", help="count TSV from `count`")
+        source.add_argument("--corpus", help="a corpus file, counted at --order")
+        s.add_argument("--order", type=int, help="with --corpus (default 2)")
+        s.add_argument("--method", required=True, help="|".join(
+            alias for alias, _ in METHODS.values()) + " (or canonical names)")
+        s.add_argument("--params", type=json.loads, help='JSON map, e.g. \'{"lambda":0.1}\'')
+        s.add_argument("--out", required=True)
+        s.set_defaults(fn=fn)
 
     t = sub.add_parser("train", help="train a neural conditional model")
     t.add_argument("--config", help="JSON run config; flags override its keys")

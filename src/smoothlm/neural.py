@@ -43,6 +43,7 @@ from .corpus import (Corpus, CountTable, GramArrays, History, Vocabulary, check_
                      row_index, table_at)
 from .decompose import RegularizerBundle, build_regularizer
 from .ngram import empirical_conditional, padded_history, perplexity, table_perplexity
+from .smoothers import method_params, smooth
 
 OBJECTIVES = ("mle", "label_smoothing", "smoothed_target", "split_regularizer")
 BUNDLE_OBJECTIVES = ("smoothed_target", "split_regularizer")
@@ -89,8 +90,13 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.objective == "label_smoothing" and self.gamma_ls < 0:
             raise ValueError("gamma_ls must be >= 0")
+        if self.objective in BUNDLE_OBJECTIVES and self.method is not None:
+            method_params(self.method, self.method_params)  # None: the caller brings a bundle
         if self.objective in BUNDLE_OBJECTIVES and min(self.gamma_plus, self.gamma_minus) < 0:
             raise ValueError("gamma weights must be nonnegative")
+        if self.objective == "split_regularizer" and self.gamma_minus > 1:
+            raise ValueError(f"gamma_minus must be <= 1, got {self.gamma_minus!r}: above 1 "
+                             "the split objective is unbounded below")
 
 
 @dataclass
@@ -337,10 +343,6 @@ def make_bundle_for(
 ) -> RegularizerBundle:
     """The regularizer bundle a config's objective asks for, built from a
     corpus or its count table at `order`."""
-    if config.method is None:
-        raise ValueError(f"objective {config.objective} needs a smoothing method")
-    from .smoothers import smooth  # local import to avoid a cycle
-
     table = table_at(data, order)
     smoothed = smooth(table, config.method, config.method_params)
     return build_regularizer(

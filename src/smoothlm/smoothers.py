@@ -25,80 +25,81 @@ from .ngram import ConditionalLM, empirical_rows, uniform_backstop
 
 log = logging.getLogger(__name__)
 
-METHODS = (
-    "add_lambda",
-    "good_turing",
-    "simple_good_turing",
-    "jelinek_mercer",
-    "katz",
-    "kneser_essen_ney",
-)
-
-# CLI spellings accepted in addition to the canonical names.
-METHOD_ALIASES = {
-    "addlambda": "add_lambda",
-    "gt": "good_turing",
-    "sgt": "simple_good_turing",
-    "jm": "jelinek_mercer",
-    "ken": "kneser_essen_ney",
+# Each method's CLI alias and the defaults of its parameters, in the order
+# smooth_<method> takes them.  A parameter takes values of its default's
+# type (a float also takes an integer); JM's `lambdas` takes a list of
+# floats, and its None default means _JM_WEIGHT per order.
+METHODS = {
+    "add_lambda": ("addlambda", {"lambda": 1.0}),
+    "good_turing": ("gt", {}),
+    "simple_good_turing": ("sgt", {}),
+    "jelinek_mercer": ("jm", {"lambdas": None}),
+    "katz": ("katz", {"k": 5}),
+    "kneser_essen_ney": ("ken", {"D": 0.75}),
 }
+_JM_WEIGHT = 0.5
 
 
 class KatzConfigError(ValueError):
     """The Katz discount denominator is non-positive for the chosen k."""
 
 
-def canonical_method(name: str) -> str:
-    name = name.strip().lower()
-    name = METHOD_ALIASES.get(name, name)
-    if name not in METHODS:
-        raise ValueError(f"unknown smoothing method {name!r}")
-    return name
+def method_params(method, params: dict | None = None) -> tuple[str, dict]:
+    """The canonical name of `method` (a name or an alias) and its
+    parameters: the defaults, overridden by each non-null value of `params`.
+    ValueError for an unknown method, a key the method does not take, or a
+    value of the wrong type."""
+    name = method.strip().lower() if isinstance(method, str) else None
+    canonical = next((m for m, (alias, _) in METHODS.items() if name in (m, alias)), None)
+    if canonical is None:
+        raise ValueError(f"unknown smoothing method {method!r}")
+    if not isinstance(params, (dict, type(None))):
+        raise ValueError(f"smoother params must be a JSON object, got {params!r}")
+    defaults = METHODS[canonical][1]
+    resolved = dict(defaults)
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            takes = ", ".join(map(repr, defaults)) or "none"
+            raise ValueError(f"{canonical} takes no parameter {key!r} (it takes {takes})")
+        if value is not None:
+            resolved[key] = _checked(key, value, defaults[key])
+    return canonical, resolved
+
+
+def _checked(key: str, value, default):
+    """`value` as a value of `default`'s type, or ValueError naming `key`."""
+    if default is None:  # a list of floats
+        if isinstance(value, (list, tuple)) and all(map(_is_real, value)):
+            return [float(v) for v in value]
+        raise ValueError(f"parameter {key!r} must be a list of numbers, got {value!r}")
+    if isinstance(default, int):
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            return int(value)
+        raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+    if _is_real(value):
+        return float(value)
+    raise ValueError(f"parameter {key!r} must be a finite number, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def smooth(table: CountTable, method: str, params: dict | None = None) -> ConditionalLM:
-    """Dispatch by method name; `params` overrides default_params' keys, and
-    a None value (a JSON null) keeps the default.  A value of the wrong type
-    raises ValueError naming its parameter."""
-    method = canonical_method(method)
-    if not isinstance(params, (dict, type(None))):
-        raise ValueError(f"smoother params must be a JSON object, got {params!r}")
-    given = {key: val for key, val in (params or {}).items() if val is not None}
-    params = {**default_params(method, table.order), **given}
-    if method == "add_lambda":
-        return smooth_add_lambda(table, _number("lambda", params["lambda"]))
-    if method == "good_turing":
-        return smooth_good_turing(table)
-    if method == "simple_good_turing":
-        return smooth_simple_good_turing(table)
-    if method == "jelinek_mercer":
-        lambdas = params["lambdas"]
-        if not isinstance(lambdas, (list, tuple)):
-            raise ValueError(f"parameter 'lambdas' must be a list of numbers, got {lambdas!r}")
-        return smooth_jelinek_mercer(table, [_number("lambdas", lam) for lam in lambdas])
-    if method == "katz":
-        return smooth_katz(table, int(_number("k", params["k"])))
-    return smooth_kneser_essen_ney(table, float(_number("D", params["D"])))
-
-
-def _number(name: str, value):
-    """`value` if it is a finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"parameter {name!r} must be a finite number, got {value!r}")
-    return value
+    """The LM of `method_params(method, params)`, built by smooth_<method>.
+    The smoother is looked up by its module-level name on each call, so a
+    rebound name (a tracer's wrapper) is the one called."""
+    method, params = method_params(method, params)
+    return globals()[f"smooth_{method}"](table, *params.values())
 
 
 def default_params(method: str, table_order: int) -> dict:
-    method = canonical_method(method)
-    if method == "add_lambda":
-        return {"lambda": 1.0}
-    if method == "jelinek_mercer":
-        return {"lambdas": [0.5] * table_order}
-    if method == "katz":
-        return {"k": 5}
-    if method == "kneser_essen_ney":
-        return {"D": 0.75}
-    return {}
+    """The parameters `smooth` uses for `method` on a table of `table_order`
+    when none are given."""
+    _, params = method_params(method)
+    return {key: [_JM_WEIGHT] * table_order if value is None else value
+            for key, value in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +271,9 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
     except ValueError:
         log.warning("SGT needs >= 2 distinct count values; falling back to add-lambda 1e-3")
         lm = smooth_add_lambda(table, 1e-3)
-        lm.method = "simple_good_turing"
-        lm.params = {"fallback": "add_lambda", "lambda": 1e-3}
-        return lm
+        return ConditionalLM(table.order, table.vocab, (table.arrays, lm.matrix),
+                             backstop=lm.backstop, method="simple_good_turing",
+                             params={"fallback": "add_lambda", "lambda": 1e-3})
     r0 = zero_gram_count(table)
     if r0 > 0:
         if fit.p0 > 0:
@@ -298,14 +299,17 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
 # Jelinek-Mercer
 
 
-def smooth_jelinek_mercer(table: CountTable, lambdas: list[float]) -> ConditionalLM:
+def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None = None) -> ConditionalLM:
     """Recursive interpolation q~_k = lam_k * MLE_k + (1 - lam_k) * q~_{k-1},
     grounded at the uniform distribution over the emission alphabet.
 
-    `lambdas[k-1]` weights the order-k maximum-likelihood term.  At a history
-    unseen at level k the MLE term is undefined and its weight passes down,
-    i.e. the level contributes its lower-order distribution unchanged.
+    `lambdas[k-1]` weights the order-k maximum-likelihood term (0.5 for
+    every order when None).  At a history unseen at level k the MLE term is
+    undefined and its weight passes down, i.e. the level contributes its
+    lower-order distribution unchanged.
     """
+    if lambdas is None:
+        lambdas = [_JM_WEIGHT] * table.order
     if len(lambdas) != table.order:
         raise ValueError(f"need {table.order} interpolation weights, got {len(lambdas)}")
     for lam in lambdas:

@@ -421,13 +421,3 @@ CHECKS = {
     "T3": check_theorem3,
     "CE_LINEARITY": check_ce_linearity,
 }
-
-# the arguments of a quick run; T2 takes no trial count
-_QUICK = {"T1": {"trials": 50}, "COR": {"trials": 50}, "T2": {},
-          "T3": {"trials": 200}, "CE_LINEARITY": {"trials": 200}}
-
-
-def run_all(seed: int = 0, quick: bool = False) -> list[VerificationReport]:
-    """All five checks at their own trial counts; `quick` shrinks them for
-    smoke runs."""
-    return [check(seed=seed, **(_QUICK[name] if quick else {})) for name, check in CHECKS.items()]

@@ -156,6 +156,10 @@ BAD_PARAMS = [
     ("addlambda", '{"lambda":"x"}', "'lambda' must be a finite number"),
     ("addlambda", "[1]", "params must be a JSON object"),
     ("jm", '{"lambdas":0.5}', "'lambdas' must be a list of numbers"),
+    # each of these used to exit 0: the key was dropped, or 5.5 ran as 5
+    ("addlambda", '{"lamda":0.1}', "add_lambda takes no parameter 'lamda'"),
+    ("ken", '{"k":3}', "kneser_essen_ney takes no parameter 'k'"),
+    ("katz", '{"k":5.5}', "'k' must be an integer"),
 ]
 
 
@@ -166,6 +170,31 @@ def test_badly_typed_params_exit_2(tiny, tmp_path, capsys, command, method, para
                  "--params", params, "--out", str(tmp_path / "x.tsv")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["smooth", "decompose"])
+def test_bad_params_exit_2_before_reading_input(tmp_path, capsys, command):
+    # the parameters are checked before the (here missing) corpus is read
+    code = main([command, "--corpus", str(tmp_path / "nope.txt"), "--method", "katz",
+                 "--params", '{"k":5.5}', "--out", str(tmp_path / "x.tsv")])
+    assert code == 2
+    assert "'k' must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["smooth", "decompose"])
+@pytest.mark.parametrize("source", [
+    ["--counts", "COUNTS", "--corpus", "CORPUS"],
+    # a count file fixes the order: --order 2 used to write its order-3 LM
+    ["--counts", "COUNTS", "--order", "2"],
+    [],
+], ids=["counts-and-corpus", "counts-and-order", "neither"])
+def test_exactly_one_input_exit_2(tiny, tmp_path, capsys, command, source):
+    counts = tmp_path / "c3.tsv"
+    assert main(["count", "--corpus", str(tiny), "--order", "3", "--out", str(counts)]) == 0
+    argv = [{"COUNTS": str(counts), "CORPUS": str(tiny)}.get(a, a) for a in source]
+    out = tmp_path / "x.tsv"
+    assert main([command, *argv, "--method", "addlambda", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method,params,message", BAD_PARAMS)
@@ -191,6 +220,16 @@ def test_badly_typed_method_params_exit_2_in_train(tiny, tmp_path, capsys, metho
     ("train", {"heldout_path": ["held.txt"]}, "heldout_path must be of type str | None"),
     ("train", {"out_dir": 5}, "out_dir must be of type str | None"),
     ("grid", {"heldout_path": 4}, "heldout_path must be of type str | None"),
+    # each of these used to be refused only after the corpora were read
+    # and out_dir made, or (a misspelt key) not at all
+    ("train", {"objective": "split_regularizer", "method": None}, "needs a smoothing method"),
+    ("grid", {"method": None}, "objective split_regularizer needs a smoothing method"),
+    ("train", {"objective": "smoothed_target", "method": "witten_bell"},
+     "unknown smoothing method 'witten_bell'"),
+    ("grid", {"method_params": {"lamda": 0.1}}, "add_lambda takes no parameter 'lamda'"),
+    ("train", {"objective": "split_regularizer", "method": "katz", "method_params": {"k": 5.5}},
+     "'k' must be an integer"),
+    ("grid", {"gamma_minus": 1.5}, "gamma_minus must be <= 1, got 1.5"),
 ])
 def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, message):
     train, held = zipf
@@ -207,6 +246,9 @@ def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, mess
 
 @pytest.mark.parametrize("key, value", [
     ("embed_dim", 0), ("embed_dim", -1), ("hidden_dim", 0), ("seed", -1), ("patience", 0),
+    # the feedforward model used to refuse order 1 only after the corpus
+    # was read and out_dir made
+    ("order", 1), ("order", 0),
 ])
 @pytest.mark.parametrize("command", ["train", "grid"])
 def test_out_of_range_config_exit_2(zipf, tmp_path, capsys, command, key, value):
@@ -241,6 +283,13 @@ def test_example_config_keys_are_the_config_fields():
     assert set(keys) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
+def test_malformed_config_file_exit_2_names_it(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"epochs": 1, ', encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 2
+    assert f"{path}: Expecting" in capsys.readouterr().err
+
+
 def test_help_returns_0(capsys):
     assert main(["train", "--help"]) == 0
     assert "--embed-dim" in capsys.readouterr().out
@@ -273,6 +322,14 @@ class TestDecompose:
         rows = out.read_text().splitlines()
         assert rows[0].startswith("history\tsymbol\tp_plus")
         assert len(rows) == 1 + 3 * 3  # 3 histories x 3 emissions
+
+    @pytest.mark.parametrize("flag", ["--gamma-plus", "--gamma-minus"])
+    def test_gamma_flags_are_gone(self, tiny, tmp_path, flag):
+        # they never reached the file, which has no gamma column
+        out = tmp_path / "dec.tsv"
+        assert main(["decompose", "--corpus", str(tiny), "--method", "addlambda",
+                     flag, "0.3", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestTrainEval:
@@ -453,6 +510,13 @@ class TestGrid:
         # a bad candidate used to fail only after the cells before it trained
         ({"gamma_plus": [0.1, "x"]}, "gamma_plus must be of type float, got 'x'"),
         ({"gamma_minus": [0.5], "embed_dim": [4, 8]}, "embed_dim must be of type int"),
+        # these used to train the cells before the bad one, or every cell
+        # under the default while labelling its row with the misspelt key
+        ({"gamma_minus": [0.5, 1.5]}, "gamma_minus must be <= 1, got 1.5"),
+        ({"method": "ken", "method_params": {"d": [0.5, 0.75]}},
+         "kneser_essen_ney takes no parameter 'd'"),
+        ({"method_params": {"lambdas": [0.5, 0.5]}}, "'lambdas' must be a list of numbers"),
+        ({"method": "katz", "method_params": {"k": [5, 5.5]}}, "'k' must be an integer"),
     ])
     def test_bad_candidates_exit_2_before_any_work(self, zipf, tmp_path, capsys, monkeypatch,
                                                    change, message):

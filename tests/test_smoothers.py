@@ -13,9 +13,9 @@ from smoothlm.corpus import CountTable, Vocabulary, corpus_from_lines, count_ngr
 from smoothlm.ngram import empirical_conditional
 from smoothlm.smoothers import (
     KatzConfigError,
-    canonical_method,
     default_params,
     good_turing_global,
+    method_params,
     sgt_fit,
     smooth,
     smooth_add_lambda,
@@ -39,13 +39,48 @@ def make_table(vocab, order, grams):
 
 class TestDispatch:
     def test_aliases(self):
-        assert canonical_method("addlambda") == "add_lambda"
-        assert canonical_method("KEN") == "kneser_essen_ney"
-        assert canonical_method("jelinek_mercer") == "jelinek_mercer"
+        assert method_params("addlambda") == ("add_lambda", {"lambda": 1.0})
+        assert method_params("KEN") == ("kneser_essen_ney", {"D": 0.75})
+        assert method_params("jelinek_mercer") == ("jelinek_mercer", {"lambdas": None})
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown smoothing method"):
-            canonical_method("witten_bell")
+            method_params("witten_bell")
+        # a non-string used to escape as AttributeError
+        with pytest.raises(ValueError, match="unknown smoothing method None"):
+            method_params(None)
+
+    @pytest.mark.parametrize("method, params, message", [
+        ("addlambda", {"lamda": 0.1}, "add_lambda takes no parameter 'lamda'"),
+        ("ken", {"k": 3}, "kneser_essen_ney takes no parameter 'k'"),
+        ("gt", {"lambda": 1.0}, "it takes none"),
+        ("katz", {"k": 5.5}, "'k' must be an integer"),
+        ("katz", {"k": True}, "'k' must be an integer"),
+        ("ken", {"D": float("nan")}, "'D' must be a finite number"),
+        ("jm", {"lambdas": [0.5, "x"]}, "'lambdas' must be a list of numbers"),
+        ("jm", {"lambdas": [0.5, float("inf")]}, "'lambdas' must be a list of numbers"),
+    ])
+    def test_bad_params_name_the_parameter(self, method, params, message):
+        with pytest.raises(ValueError, match=message):
+            method_params(method, params)
+
+    def test_values_take_the_default_type(self):
+        assert method_params("katz", {"k": np.int64(3)})[1] == {"k": 3}
+        assert type(method_params("katz", {"k": np.int64(3)})[1]["k"]) is int
+        # a float parameter still takes a JSON integer
+        assert method_params("addlambda", {"lambda": 2})[1] == {"lambda": 2.0}
+        assert method_params("jm", {"lambdas": (1, 0.25)})[1] == {"lambdas": [1.0, 0.25]}
+
+    def test_smooth_calls_the_module_level_smoother(self, monkeypatch):
+        # a tracer rebinds smoothers.smooth_<method>; smooth must call the
+        # rebound name, not a function object it holds
+        import smoothlm.smoothers as smoothers_mod
+
+        calls = []
+        monkeypatch.setattr(smoothers_mod, "smooth_add_lambda",
+                            lambda table, lam: calls.append(lam) or "traced")
+        assert smooth(count_ngrams(toy(), 2), "addlambda", {"lambda": 0.5}) == "traced"
+        assert calls == [0.5]
 
     def test_dispatch_runs_all(self):
         table = count_ngrams(synthetic_corpus(0, n_sequences=100, n_symbols=14), 2)
