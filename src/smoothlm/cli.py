@@ -48,13 +48,14 @@ def cmd_count(args) -> int:
 
 
 def _smoothed_lm(args):
-    method_params(args.method, args.params)  # refuse bad parameters before reading input
+    if args.counts and args.order is not None:
+        raise ValueError("--order goes with --corpus; a count file fixes its own order")
+    order = None if args.counts else 2 if args.order is None else args.order
+    method_params(args.method, args.params, order)  # refuse bad parameters before reading input
     if args.counts:
-        if args.order is not None:
-            raise ValueError("--order goes with --corpus; a count file fixes its own order")
         table = read_count_table(args.counts)
     else:
-        table = count_ngrams(load_corpus(args.corpus), 2 if args.order is None else args.order)
+        table = count_ngrams(load_corpus(args.corpus), order)
     try:
         lm = smooth(table, args.method, args.params)
     except NormalizationError as exc:
@@ -105,14 +106,16 @@ class RunConfig(neural.TrainConfig):
 
     def validate(self) -> None:
         super().validate()
-        if self.objective in neural.BUNDLE_OBJECTIVES and self.method is None:
-            raise ValueError(f"objective {self.objective} needs a smoothing method")
         if self.arch not in ARCHS:
             raise ValueError(f"unknown architecture {self.arch!r}")
         for key, low in (("order", 2 if self.arch == "feedforward" else 1), ("embed_dim", 1),
                          ("hidden_dim", 1), ("seed", 0), ("patience", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
+        if self.objective in neural.BUNDLE_OBJECTIVES:
+            if self.method is None:
+                raise ValueError(f"objective {self.objective} needs a smoothing method")
+            method_params(self.method, self.method_params, self.order)
 
 
 # the flag type of each RunConfig annotation; any other is read as a string

@@ -49,6 +49,9 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         for tok in self.symbols:
+            # a token is what whitespace splitting of a line can produce
+            if tok.split() != [tok]:
+                raise ValueError(f"token {tok!r} is empty or contains whitespace")
             if tok in (BOS_TOKEN, EOS_TOKEN):
                 raise ValueError(f"token {tok!r} collides with a reserved sentinel rendering")
         mapping = {tok: i for i, tok in enumerate(self.symbols)}
@@ -491,7 +494,10 @@ def read_cells(path: str, columns: dict) -> tuple:
                 col.append(parse(v))
     if not hist_ids:
         raise ValueError(f"{path}: no data rows")
-    vocab = Vocabulary(symbols=tuple(t for t in tokens if t not in (BOS_TOKEN, EOS_TOKEN)))
+    try:
+        vocab = Vocabulary(symbols=tuple(t for t in tokens if t not in (BOS_TOKEN, EOS_TOKEN)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     hists = [tuple(map(vocab.parse, h.split(" "))) if h else () for h in hist_ids]
     if len({len(h) for h in hists}) > 1:
         raise ValueError(f"{path}: inconsistent history lengths")

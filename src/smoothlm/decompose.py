@@ -6,11 +6,14 @@ Any smoothed conditional p~ relates to its empirical counterpart p through
 
 where p_plus carries the added mass (normalized), p_minus the removed mass,
 and Z+ == Z- is their common scale (the total-variation distance between p
-and p~).  Aggregating one decomposition per observed history, weighted by
-that history's occurrence count, yields an additive regularizer that can be
-attached to any differentiable conditional model.  A RegularizerBundle keeps
-those decompositions as matrices whose rows follow the count table's sorted
-histories, and takes its weights from the table's row totals.
+and p~).  `signed_decompose` splits one row or a table's rows at once, into
+one SignedDecomposition.  Aggregating one decomposition per observed
+history, weighted by that history's occurrence count, yields an additive
+regularizer that can be attached to any differentiable conditional model.
+A RegularizerBundle keeps the SignedDecomposition of the count table's rows,
+whose matrices follow the table's sorted histories, and takes its weights
+from the table's row totals.  `signed_sides` evaluates both sides of the
+identities the split implies for any function of a distribution.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .corpus import CountTable, History, write_cells
-from .ngram import ConditionalLM, check_distributions, cross_entropy, entropy, kl_divergence
+from .ngram import ConditionalLM, check_distributions, kl_divergence
 
 RECON_ATOL = 1e-12
 
@@ -34,63 +37,48 @@ class CoverageError(ValueError):
 
 @dataclass(frozen=True)
 class SignedDecomposition:
-    """Difference parts of (empirical, smoothed) with disjoint supports.
+    """Difference parts of (empirical, smoothed) with disjoint supports, of
+    one row (vectors p_plus, p_minus and float scales) or of many (row i of
+    the p_plus and p_minus matrices and entry i of the z_plus and z_minus
+    vectors belong to row i of the inputs).
 
     z_plus == z_minus up to float rounding; both are half the L1 distance
-    between the inputs.  When the scale is zero, both vectors are zero.
+    between the inputs.  When a scale is zero, both of its row's parts are
+    zero.
     """
 
     p_plus: np.ndarray
     p_minus: np.ndarray
-    z_plus: float
-    z_minus: float
+    z_plus: float | np.ndarray
+    z_minus: float | np.ndarray
 
 
-def signed_decompose(empirical: np.ndarray, smoothed: np.ndarray) -> SignedDecomposition:
-    """Split smoothed - empirical into normalized positive and negative parts."""
+def signed_decompose(empirical, smoothed, hists=None) -> SignedDecomposition:
+    """Split smoothed - empirical into normalized positive and negative
+    parts along the last axis, for a pair of vectors or a pair of
+    (rows x emissions) matrices.  Builds the two output arrays and no other
+    input-sized array; `hists` names the rows in input errors."""
     p = np.asarray(empirical, dtype=float)
     q = np.asarray(smoothed, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    rows = _split_rows(p.reshape(1, -1), q.reshape(1, -1))
-    return SignedDecomposition(
-        rows.p_plus[0], rows.p_minus[0], float(rows.z_plus[0]), float(rows.z_minus[0])
-    )
-
-
-@dataclass(frozen=True)
-class DecompositionRows:
-    """Signed decompositions of many rows at once: row i of the matrices
-    p_plus and p_minus, and entry i of z_plus and z_minus, belong to row i
-    of the inputs."""
-
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    z_plus: np.ndarray
-    z_minus: np.ndarray
-
-
-def _split_rows(empirical: np.ndarray, smoothed: np.ndarray, hists=None) -> DecompositionRows:
-    """Decompose every row pair of two (rows x emissions) matrices.  Builds
-    the two output matrices and no other matrix-sized array; `hists` names
-    the rows in input errors."""
-    if empirical.shape != smoothed.shape:
-        raise ValueError(f"shape mismatch: {empirical.shape} vs {smoothed.shape}")
-    check_distributions(empirical, hists, "empirical")
-    check_distributions(smoothed, hists, "smoothed")
-    pos = np.subtract(smoothed, empirical)
+    if p.ndim not in (1, 2):
+        raise ValueError(f"need a vector or a matrix, got shape {p.shape}")
+    check_distributions(p.reshape(-1, p.shape[-1]), hists, "empirical")
+    check_distributions(q.reshape(-1, q.shape[-1]), hists, "smoothed")
+    pos = np.subtract(q, p)
     neg = np.negative(pos)
     np.maximum(pos, 0.0, out=pos)
     np.maximum(neg, 0.0, out=neg)
     parts = []
     for m in (pos, neg):
-        z = m.sum(axis=1)
+        z = m.sum(axis=-1)
         zero = z == 0.0
         # max(-0.0, 0.0) keeps -0.0; a part with no mass is +0.0 throughout
         m[zero] = 0.0
-        m /= np.where(zero, 1.0, z)[:, None]
+        m /= np.where(zero, 1.0, z)[..., None]
         parts.append(z)
-    return DecompositionRows(pos, neg, parts[0], parts[1])
+    return SignedDecomposition(pos, neg, *parts)
 
 
 @dataclass(frozen=True)
@@ -98,15 +86,16 @@ class RegularizerBundle:
     """Signed decompositions of a count table's histories, with their
     occurrence counts as weights.
 
-    Row i of the `rows` matrices and entry i of `weights` belong to history
-    `hists[i]`.  `build_regularizer` passes the table's `arrays.hists` and
+    `rows` is the SignedDecomposition of the table's rows: row i of its
+    matrices and entry i of `weights` belong to history `hists[i]`.
+    `build_regularizer` passes the table's `arrays.hists` and
     `arrays.totals` themselves, so the rows follow the table's row order.
     `per_history`, mapping each history to a
     SignedDecomposition of views into `rows`, is built on first read."""
 
     order: int
     hists: tuple[History, ...] = field(repr=False)
-    rows: DecompositionRows = field(repr=False, compare=False)
+    rows: SignedDecomposition = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
     gamma_plus: float
     gamma_minus: float
@@ -149,7 +138,7 @@ def build_regularizer(
     return RegularizerBundle(
         order=empirical_lm.order,
         hists=hists,
-        rows=_split_rows(empirical_lm.matrix, smoothed_lm.rows(hists), hists),
+        rows=signed_decompose(empirical_lm.matrix, smoothed_lm.rows(hists), hists),
         weights=table.arrays.totals,
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
@@ -189,51 +178,21 @@ def regularizer_loss(
     return total
 
 
-def exact_bracket(
-    empirical: np.ndarray, smoothed: np.ndarray, q: np.ndarray
-) -> tuple[float, float]:
-    """Both sides of the q-invariance identity for one distribution triple.
+def signed_sides(f: Callable[[np.ndarray], float], empirical, smoothed) -> tuple[float, float]:
+    """(f(p~), f(p) + Z+ f(p_plus) - Z- f(p_minus)) for one distribution pair.
 
-    Returns (KL(p~ || q), KL(p || q) + Z+ KL(p_plus || q) - Z- KL(p_minus || q)).
-    The difference of the two is independent of q; their q-dependent parts
-    agree exactly by linearity of cross-entropy:
-
-        H(p~, q) == H(p, q) + Z+ H(p_plus, q) - Z- H(p_minus, q).
+    With f = H(., q) the two sides are equal, since cross-entropy is linear
+    in the split.  With f = KL(. || q) their difference lhs - rhs does not
+    depend on q; it is rhs - lhs of the sides with f = entropy.
     """
     dec = signed_decompose(empirical, smoothed)
-    lhs = kl_divergence(np.asarray(smoothed, float), q)
-    rhs = kl_divergence(np.asarray(empirical, float), q)
+    lhs = f(np.asarray(smoothed, float))
+    rhs = f(np.asarray(empirical, float))
     if dec.z_plus > 0:
-        rhs += dec.z_plus * kl_divergence(dec.p_plus, q)
+        rhs += dec.z_plus * f(dec.p_plus)
     if dec.z_minus > 0:
-        rhs -= dec.z_minus * kl_divergence(dec.p_minus, q)
+        rhs -= dec.z_minus * f(dec.p_minus)
     return lhs, rhs
-
-
-def cross_entropy_sides(
-    empirical: np.ndarray, smoothed: np.ndarray, q: np.ndarray
-) -> tuple[float, float]:
-    """(H(p~, q), H(p, q) + Z+ H(p_plus, q) - Z- H(p_minus, q)); equal exactly."""
-    dec = signed_decompose(empirical, smoothed)
-    lhs = cross_entropy(np.asarray(smoothed, float), q)
-    rhs = cross_entropy(np.asarray(empirical, float), q)
-    if dec.z_plus > 0:
-        rhs += dec.z_plus * cross_entropy(dec.p_plus, q)
-    if dec.z_minus > 0:
-        rhs -= dec.z_minus * cross_entropy(dec.p_minus, q)
-    return lhs, rhs
-
-
-def bracket_constant(empirical: np.ndarray, smoothed: np.ndarray) -> float:
-    """The q-independent value of KL(p~||q) minus the signed KL bracket:
-    H(p) + Z+ H(p_plus) - Z- H(p_minus) - H(p~)."""
-    dec = signed_decompose(empirical, smoothed)
-    c = entropy(np.asarray(empirical, float)) - entropy(np.asarray(smoothed, float))
-    if dec.z_plus > 0:
-        c += dec.z_plus * entropy(dec.p_plus)
-    if dec.z_minus > 0:
-        c -= dec.z_minus * entropy(dec.p_minus)
-    return c
 
 
 def write_decomposition(bundle: RegularizerBundle, vocab, path: str) -> None:

@@ -27,8 +27,9 @@ log = logging.getLogger(__name__)
 
 # Each method's CLI alias and the defaults of its parameters, in the order
 # smooth_<method> takes them.  A parameter takes values of its default's
-# type (a float also takes an integer); JM's `lambdas` takes a list of
-# floats, and its None default means _JM_WEIGHT per order.
+# type (a float also takes an integer) in the range _check_ranges gives it;
+# JM's `lambdas` takes a list of floats, and its None default means
+# _JM_WEIGHT per order.
 METHODS = {
     "add_lambda": ("addlambda", {"lambda": 1.0}),
     "good_turing": ("gt", {}),
@@ -44,11 +45,13 @@ class KatzConfigError(ValueError):
     """The Katz discount denominator is non-positive for the chosen k."""
 
 
-def method_params(method, params: dict | None = None) -> tuple[str, dict]:
+def method_params(method, params: dict | None = None,
+                  order: int | None = None) -> tuple[str, dict]:
     """The canonical name of `method` (a name or an alias) and its
     parameters: the defaults, overridden by each non-null value of `params`.
     ValueError for an unknown method, a key the method does not take, or a
-    value of the wrong type."""
+    value of the wrong type or out of its range; the range rules that
+    depend on the table's order run when `order` is given."""
     name = method.strip().lower() if isinstance(method, str) else None
     canonical = next((m for m, (alias, _) in METHODS.items() if name in (m, alias)), None)
     if canonical is None:
@@ -63,7 +66,30 @@ def method_params(method, params: dict | None = None) -> tuple[str, dict]:
             raise ValueError(f"{canonical} takes no parameter {key!r} (it takes {takes})")
         if value is not None:
             resolved[key] = _checked(key, value, defaults[key])
+    _check_ranges(canonical, resolved, order)
     return canonical, resolved
+
+
+def _check_ranges(method: str, params: dict, order: int | None) -> None:
+    """ValueError unless `params`, the resolved parameters of the canonical
+    `method` (each method takes at most one), lie in their ranges, and (when
+    `order` is given) the method takes a table of that order."""
+    value = next(iter(params.values()), None)
+    if method == "add_lambda" and not value > 0:
+        raise ValueError(f"lambda must be > 0, got {value}")
+    if method == "katz" and not value >= 1:
+        raise ValueError(f"k must be >= 1, got {value}")
+    if method == "kneser_essen_ney":
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"D must lie in (0, 1), got {value}")
+        if order is not None and order < 2:
+            raise ValueError("Kneser-Essen-Ney needs an order >= 2 table")
+    if method == "jelinek_mercer" and value is not None:
+        if order is not None and len(value) != order:
+            raise ValueError(f"need {order} interpolation weights, got {len(value)}")
+        for lam in value:
+            if not 0.0 <= lam <= 1.0:
+                raise ValueError(f"interpolation weight {lam} outside [0, 1]")
 
 
 def _checked(key: str, value, default):
@@ -109,8 +135,7 @@ def default_params(method: str, table_order: int) -> dict:
 def smooth_add_lambda(table: CountTable, lam: float) -> ConditionalLM:
     """(count + lam) / (total + (|Sigma|+1) lam) per history; unseen histories
     get the uniform limit."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    _check_ranges("add_lambda", {"lambda": lam}, table.order)
     vocab = table.vocab
     a = table.arrays
     rows = np.full((len(a.hists), vocab.out_dim), lam, dtype=float)
@@ -299,7 +324,7 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
 # Jelinek-Mercer
 
 
-def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None = None) -> ConditionalLM:
+def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None) -> ConditionalLM:
     """Recursive interpolation q~_k = lam_k * MLE_k + (1 - lam_k) * q~_{k-1},
     grounded at the uniform distribution over the emission alphabet.
 
@@ -310,11 +335,7 @@ def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None = None)
     """
     if lambdas is None:
         lambdas = [_JM_WEIGHT] * table.order
-    if len(lambdas) != table.order:
-        raise ValueError(f"need {table.order} interpolation weights, got {len(lambdas)}")
-    for lam in lambdas:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"interpolation weight {lam} outside [0, 1]")
+    _check_ranges("jelinek_mercer", {"lambdas": lambdas}, table.order)
     vocab = table.vocab
     lm = None
     for tab in tables_down_to_unigram(table):
@@ -344,8 +365,7 @@ def smooth_katz(table: CountTable, k: int) -> ConditionalLM:
     zero-count event to receive redistributed mass and discounting there
     would be vacuous.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_ranges("katz", {"k": k}, table.order)
     chain = tables_down_to_unigram(table)
     lm = _level(chain[0], empirical_rows(chain[0]), None, "katz", {"k": k})
     for tab in chain[1:]:
@@ -418,7 +438,7 @@ def _katz_rows(tab: CountTable, k: int, lower: ConditionalLM) -> np.ndarray:
 # Kneser-Essen-Ney
 
 
-def smooth_kneser_essen_ney(table: CountTable, D: float = 0.75) -> ConditionalLM:
+def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
     """Absolute discounting with type-count continuation probabilities.
 
     The unigram level is built from bigram type counts (how many distinct
@@ -426,10 +446,7 @@ def smooth_kneser_essen_ney(table: CountTable, D: float = 0.75) -> ConditionalLM
     orders discount observed counts by D and add the freed mass times the
     lower-order distribution, which makes every row sum to 1 exactly.
     """
-    if not 0.0 < D < 1.0:
-        raise ValueError(f"D must lie in (0, 1), got {D}")
-    if table.order < 2:
-        raise ValueError("Kneser-Essen-Ney needs an order >= 2 table")
+    _check_ranges("kneser_essen_ney", {"D": D}, table.order)
     vocab = table.vocab
     chain = tables_down_to_unigram(table)
 

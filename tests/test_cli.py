@@ -181,6 +181,42 @@ def test_bad_params_exit_2_before_reading_input(tmp_path, capsys, command):
     assert "'k' must be an integer" in capsys.readouterr().err
 
 
+OUT_OF_RANGE = [
+    ("ken", {"D": 1.5}, 2, "D must lie in (0, 1), got 1.5"),
+    ("addlambda", {"lambda": -1}, 2, "lambda must be > 0, got -1.0"),
+    ("katz", {"k": 0}, 2, "k must be >= 1, got 0"),
+    ("jm", {"lambdas": [0.5]}, 2, "need 2 interpolation weights, got 1"),
+    ("jm", {"lambdas": [0.5, 1.5]}, 2, "interpolation weight 1.5 outside [0, 1]"),
+    ("ken", {}, 1, "Kneser-Essen-Ney needs an order >= 2 table"),
+]
+
+
+@pytest.mark.parametrize("method, params, order, message", OUT_OF_RANGE)
+@pytest.mark.parametrize("command", ["train", "grid", "smooth", "decompose"])
+def test_out_of_range_params_exit_2_before_reading_input(tmp_path, capsys, command, method,
+                                                         params, order, message):
+    # each used to pass validation and fail only once the corpus was read
+    # and out_dir made; here the corpus does not exist
+    missing, out = str(tmp_path / "nope.txt"), tmp_path / "out"
+    if command in ("smooth", "decompose"):
+        argv = [command, "--corpus", missing, "--order", str(order), "--method", method,
+                "--params", json.dumps(params), "--out", str(out)]
+    else:
+        # a grid reads each method_params list as the key's candidates
+        grid_params = {key: [value] for key, value in params.items()}
+        cfg = {"corpus_path": missing, "heldout_path": missing, "arch": "tabular",
+               "order": order, "objective": "split_regularizer", "method": method,
+               "method_params": grid_params if command == "grid" else params,
+               "epochs": 1, "out_dir": str(out)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = [command, "--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "No such file" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["smooth", "decompose"])
 @pytest.mark.parametrize("source", [
     ["--counts", "COUNTS", "--corpus", "CORPUS"],
@@ -517,6 +553,7 @@ class TestGrid:
          "kneser_essen_ney takes no parameter 'd'"),
         ({"method_params": {"lambdas": [0.5, 0.5]}}, "'lambdas' must be a list of numbers"),
         ({"method": "katz", "method_params": {"k": [5, 5.5]}}, "'k' must be an integer"),
+        ({"method": "ken", "method_params": {"D": [0.5, 1.5]}}, "D must lie in (0, 1), got 1.5"),
     ])
     def test_bad_candidates_exit_2_before_any_work(self, zipf, tmp_path, capsys, monkeypatch,
                                                    change, message):
@@ -711,6 +748,21 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=8)
+
+
+@pytest.mark.parametrize("token", ["", "a b", "c\td"])
+@pytest.mark.parametrize("arch", ["tabular", "feedforward"])
+def test_model_file_token_with_whitespace_exit_2(tmp_path, capsys, arch, token):
+    # a corpus line split on whitespace cannot hold such a token
+    doc = json.loads(saved_model(arch))
+    doc["vocab"][1] = token
+    path, text = tmp_path / "model.json", tmp_path / "held.txt"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    text.write_text("a b\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="is empty or contains whitespace"):
+        neural.load_model(str(path))
+    assert main(["eval", "--model", str(path), "--corpus", str(text)]) == 2
+    assert f"error: {path}: token {token!r} is empty" in capsys.readouterr().err
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,22 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothlm.corpus import corpus_from_lines, count_ngrams
 from smoothlm.decompose import (
     RECON_ATOL,
     CoverageError,
-    DecompositionRows,
     RegularizerBundle,
-    bracket_constant,
     build_regularizer,
-    cross_entropy_sides,
-    exact_bracket,
     regularizer_loss,
     signed_decompose,
+    signed_sides,
     write_decomposition,
 )
-from smoothlm.ngram import empirical_conditional
+from smoothlm.ngram import cross_entropy, empirical_conditional, entropy, kl_divergence
 from smoothlm.smoothers import smooth
 from smoothlm.verify import synthetic_corpus
 
@@ -49,6 +48,8 @@ class TestSignedDecompose:
     def test_shape_error(self):
         with pytest.raises(ValueError, match="shape"):
             signed_decompose([0.5, 0.5], [0.3, 0.3, 0.4])
+        with pytest.raises(ValueError, match="shape"):
+            signed_decompose(np.ones((1, 1, 1)), np.ones((1, 1, 1)))
 
     def test_normalization_error_names_sum(self):
         with pytest.raises(ValueError, match="0.9"):
@@ -78,6 +79,36 @@ class TestSignedDecompose:
             # reconstruction
             recon = p + dec.z_plus * dec.p_plus - dec.z_minus * dec.p_minus
             np.testing.assert_allclose(recon, q, atol=1e-12)
+
+
+def normalized(rows):
+    m = np.asarray(rows, dtype=float)
+    m[m.sum(axis=1) == 0.0] = 1.0
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def distribution_pairs(draw):
+    """Two (rows x dim) matrices of distributions, with zero cells and some
+    rows equal."""
+    rows, dim = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cell = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
+    matrix = st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=rows, max_size=rows)
+    p, q = normalized(draw(matrix)), normalized(draw(matrix))
+    same = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    q[same] = p[same]
+    return p, q
+
+
+@given(distribution_pairs())
+def test_matrix_decomposition_is_its_rows_stacked(pair):
+    p, q = pair
+    dec = signed_decompose(p, q)
+    rows = [signed_decompose(p[i], q[i]) for i in range(len(p))]
+    for key in ("p_plus", "p_minus", "z_plus", "z_minus"):
+        assert np.array_equal(getattr(dec, key), np.array([getattr(r, key) for r in rows]))
+    recon = p + dec.z_plus[:, None] * dec.p_plus - dec.z_minus[:, None] * dec.p_minus
+    np.testing.assert_allclose(recon, q, rtol=0, atol=RECON_ATOL)
 
 
 class TestBuildRegularizer:
@@ -158,12 +189,10 @@ class TestBuildRegularizer:
 
 
 def single_history_bundle(empirical, smoothed, gamma_plus, gamma_minus, weight=5):
-    dec = signed_decompose(empirical, smoothed)
     return RegularizerBundle(
         order=2,
         hists=((0,),),
-        rows=DecompositionRows(dec.p_plus[None], dec.p_minus[None],
-                               np.array([dec.z_plus]), np.array([dec.z_minus])),
+        rows=signed_decompose([empirical], [smoothed]),
         weights=np.array([weight]),
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
@@ -218,25 +247,26 @@ class TestBracketIdentities:
         pt = np.array([0.4, 0.4, 0.2])
         q1 = np.full(3, 1 / 3)
         q2 = np.array([0.2, 0.3, 0.5])
-        d1 = exact_bracket(p, pt, q1)
-        d2 = exact_bracket(p, pt, q2)
+        d1 = signed_sides(lambda v: kl_divergence(v, q1), p, pt)
+        d2 = signed_sides(lambda v: kl_divergence(v, q2), p, pt)
         assert d1[0] - d1[1] == pytest.approx(d2[0] - d2[1], abs=1e-12)
-        assert d1[0] - d1[1] == pytest.approx(bracket_constant(p, pt), abs=1e-12)
+        h = signed_sides(entropy, p, pt)
+        assert d1[0] - d1[1] == pytest.approx(h[1] - h[0], abs=1e-12)
 
-    def test_cross_entropy_sides_exact(self):
+    def test_cross_entropy_linearity_exact(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             dim = int(rng.integers(2, 6))
             p = rng.dirichlet(np.ones(dim))
             pt = rng.dirichlet(np.ones(dim))
             q = rng.dirichlet(np.ones(dim))
-            lhs, rhs = cross_entropy_sides(p, pt, q)
+            lhs, rhs = signed_sides(lambda v: cross_entropy(v, q), p, pt)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_identical_distributions_zero_diff(self):
         p = np.array([0.25, 0.75])
         for q in (np.array([0.5, 0.5]), np.array([0.9, 0.1])):
-            lhs, rhs = exact_bracket(p, p, q)
+            lhs, rhs = signed_sides(lambda v: kl_divergence(v, q), p, p)
             assert lhs - rhs == pytest.approx(0.0, abs=1e-15)
 
 

@@ -59,10 +59,23 @@ class TestDispatch:
         ("ken", {"D": float("nan")}, "'D' must be a finite number"),
         ("jm", {"lambdas": [0.5, "x"]}, "'lambdas' must be a list of numbers"),
         ("jm", {"lambdas": [0.5, float("inf")]}, "'lambdas' must be a list of numbers"),
+        # out of range: method_params used to pass each of these
+        ("addlambda", {"lambda": 0}, "lambda must be > 0, got 0.0"),
+        ("katz", {"k": 0}, "k must be >= 1, got 0"),
+        ("ken", {"D": 1.0}, "D must lie in .0, 1., got 1.0"),
+        ("jm", {"lambdas": [0.5, -0.1]}, "interpolation weight -0.1 outside"),
     ])
     def test_bad_params_name_the_parameter(self, method, params, message):
         with pytest.raises(ValueError, match=message):
             method_params(method, params)
+
+    def test_order_rules_need_the_order(self):
+        assert method_params("jm", {"lambdas": [0.5]}) == ("jelinek_mercer", {"lambdas": [0.5]})
+        with pytest.raises(ValueError, match="need 2 interpolation weights, got 1"):
+            method_params("jm", {"lambdas": [0.5]}, 2)
+        assert method_params("ken", None, 2) == ("kneser_essen_ney", {"D": 0.75})
+        with pytest.raises(ValueError, match="Kneser-Essen-Ney needs an order >= 2 table"):
+            method_params("ken", None, 1)
 
     def test_values_take_the_default_type(self):
         assert method_params("katz", {"k": np.int64(3)})[1] == {"k": 3}

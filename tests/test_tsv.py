@@ -202,6 +202,13 @@ MALFORMED = {
                                                "BOS is not a contiguous prefix of history"),
     "LM history holds </s>": ("lm", LM[2] + "".join(f"</s>\t{x}\t0.25\n" for x in ("</s>", *"abc")),
                               "id is not a symbol or BOS"),
+    # whitespace splitting of a corpus line yields none of these tokens
+    "count empty symbol": ("counts", COUNTS[2] + "a\t\t2\n",
+                           "token '' is empty or contains whitespace"),
+    "count doubled space in history": ("counts", COUNTS[3] + "a  c\ta\t1\n",
+                                       "token '' is empty or contains whitespace"),
+    "LM symbol holds a space": ("lm", LM[2] + "a\tb c\t0.1\n",
+                                "token 'b c' is empty or contains whitespace"),
 }
 
 

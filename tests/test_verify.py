@@ -150,13 +150,14 @@ class TestSignedBracketChecks:
         assert r.max_abs_error < 1e-12
 
     def test_identical_pair_zero_everywhere(self):
-        from smoothlm.decompose import exact_bracket
+        from smoothlm.decompose import signed_sides
+        from smoothlm.ngram import kl_divergence
 
         rng = np.random.default_rng(2)
         p = rng.dirichlet(np.ones(4))
         for _ in range(10):
             q = rng.dirichlet(np.ones(4))
-            lhs, rhs = exact_bracket(p, p, q)
+            lhs, rhs = signed_sides(lambda v: kl_divergence(v, q), p, p)
             assert lhs - rhs == pytest.approx(0.0, abs=1e-15)
 
 
