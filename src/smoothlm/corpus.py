@@ -14,7 +14,6 @@ count file or a training batch.  Its count dicts are views for the oracles.
 from __future__ import annotations
 
 import logging
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -429,20 +428,27 @@ def read_count_table(path: str) -> CountTable:
 # ---------------------------------------------------------------------------
 # The one TSV format of count tables, smoothed LMs and decompositions
 
+# cells formatted per write, and characters of text read per block: bounded
+# so that a large table is never held as text or Python objects at once
+WRITE_CHUNK = 65536
+READ_BLOCK = 1 << 19
+
 
 def write_cells(path: str, vocab: Vocabulary, hists: Sequence[History], columns: dict,
                 cells: tuple[np.ndarray, np.ndarray] | None = None,
                 comment: str | None = None) -> None:
     """Write an optional `# comment` line, the column header and one line per
     cell, sorted by rendered history, then rendered symbol.  `columns` maps
-    names to (values, format spec), one value per cell of `cells` = (history
-    rows, emission indices); without `cells`, every cell of the values
-    broadcast to (histories x emissions) is written."""
+    names to (values, format spec).  The cells are `cells` = (history rows,
+    emission indices), or else every cell of (histories x emissions).  A
+    1-D column given with `cells` holds one value per cell; any other is
+    broadcast to (histories x emissions), e.g. from one value per history
+    (histories x 1), and read at each cell."""
     shape = (len(hists), vocab.out_dim)
+    columns = {name: (v if cells is not None and np.ndim(v) == 1 else np.broadcast_to(v, shape),
+                      spec) for name, (v, spec) in columns.items()}
     if cells is None:
         cells = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
-        columns = {name: (np.broadcast_to(v, shape)[cells], spec)
-                   for name, (v, spec) in columns.items()}
     hist, out = cells
     h_str = np.array([vocab.render_history(h) for h in hists], dtype=object)
     x_str = np.array([vocab.render(vocab.id_at_out(j)) for j in range(shape[1])], dtype=object)
@@ -450,60 +456,105 @@ def write_cells(path: str, vocab: Vocabulary, hists: Sequence[History], columns:
     h_rank = np.unique(h_str, return_inverse=True)[1]
     x_rank = np.unique(x_str, return_inverse=True)[1]
     order = np.argsort(h_rank[hist] * shape[1] + x_rank[out], kind="stable")
-    line = "{}\t{}" + "".join(f"\t{{:{spec}}}" for _, spec in columns.values()) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if comment is not None:
             f.write(f"# {comment}\n")
         f.write("\t".join(["history", "symbol", *columns]) + "\n")
-        for part in np.array_split(order, len(order) // 65536 + 1):
-            f.writelines(map(line.format, h_str[hist[part]], x_str[out[part]],
-                             *(v[part].tolist() for v, _ in columns.values())))
+        # a line is its fields, each followed by a tab or the newline
+        lines = np.full((min(len(order), WRITE_CHUNK), 2 * len(columns) + 4), "\t", dtype=object)
+        lines[:, -1] = "\n"
+        for start in range(0, len(order), WRITE_CHUNK):
+            part = order[start:start + WRITE_CHUNK]
+            h, x, fields = hist[part], out[part], lines[:len(part)]
+            fields[:, 0], fields[:, 2] = h_str[h], x_str[x]
+            for k, (v, spec) in enumerate(columns.values()):
+                fields[:, 2 * k + 4] = _formatted(v[part] if v.ndim == 1 else v[h, x], spec)
+            f.write("".join(fields.ravel().tolist()))
+
+
+def _formatted(values: np.ndarray, spec: str) -> np.ndarray:
+    """`format(value, spec)` of each value, as an object array; each distinct
+    bit pattern is formatted once, so -0.0 and a NaN keep their own text."""
+    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    text = [format(v, spec) for v in bits.view(values.dtype).tolist()]
+    return np.array(text, dtype=object)[inverse]
 
 
 def read_cells(path: str, columns: dict) -> tuple:
     """Read a write_cells file; `columns` maps names to parsers (int, float).
     Returns the comment or None, the vocabulary in order of first appearance,
     the histories, and per cell its history row, emission index and values."""
-    hist_ids: dict[str, int] = {}
-    sym_ids: dict[str, int] = {}
-    tokens: dict[str, None] = {}
-    hist, sym = array("q"), array("q")
-    values = [(array("q" if parse is int else "d"), parse) for parse in columns.values()]
+    width = len(columns) + 2
+    step = width + 1   # a line's fields and its "\n" below
+    # each distinct history and symbol string -> the row it first appears on
+    hist_row: dict[str, int] = {}
+    sym_row: dict[str, int] = {}
+    hist, sym = [], []
+    values = [[] for _ in columns]
+    n = 0
     with open(path, encoding="utf-8") as f:
         comment, header = None, f.readline().rstrip("\n")
         if header.startswith("# "):
             comment, header = header[2:], f.readline().rstrip("\n")
         if header != "\t".join(["history", "symbol", *columns]):
             raise ValueError(f"{path}: bad column header")
-        for line in f:
-            fields = line.rstrip("\n").split("\t")
-            if fields == [""]:
+        while block := f.readlines(READ_BLOCK):
+            lines = list(filter("\n".__ne__, block))
+            if not lines:
                 continue
-            if len(fields) != len(columns) + 2:
-                raise ValueError(f"{path}: expected {len(columns) + 2} columns in {line!r}")
-            h, x = fields[0], fields[1]
-            if h not in hist_ids:
-                hist_ids[h] = len(hist_ids)
-                tokens.update(dict.fromkeys(h.split(" ") if h else ()))
-            if x not in sym_ids:
-                sym_ids[x] = len(sym_ids)
-                tokens.setdefault(x)
-            hist.append(hist_ids[h])
-            sym.append(sym_ids[x])
-            for (col, parse), v in zip(values, fields[2:]):
-                col.append(parse(v))
-    if not hist_ids:
+            text = "".join(lines)
+            # a line's fields, then "\n" in place of its newline
+            fields = text.replace("\n", "\t\n\t").split("\t")
+            if text[-1] != "\n":
+                fields += ["\n", ""]
+            rows = range(n, n + len(lines))
+            if len(fields) != len(lines) * step + 1 or \
+                    fields[width::step].count("\n") != len(lines):
+                bad = next(line for line in lines if line.rstrip("\n").count("\t") != width - 1)
+                raise ValueError(f"{path}: expected {width} columns in {bad!r}")
+            hist.append(np.fromiter(map(hist_row.setdefault, fields[0:-1:step], rows),
+                                    np.int64, len(lines)))
+            sym.append(np.fromiter(map(sym_row.setdefault, fields[1:-1:step], rows),
+                                   np.int64, len(lines)))
+            for j, (col, parse) in enumerate(zip(values, columns.values())):
+                col.append(_parsed(path, parse, fields[j + 2:-1:step], lines))
+            n = rows.stop
+            del block, lines, text, fields
+    if not n:
         raise ValueError(f"{path}: no data rows")
+    # vocabulary in order of first appearance, a history's tokens before its
+    # line's symbol
+    firsts = [(r, 0, h.split(" ") if h else ()) for h, r in hist_row.items()]
+    firsts += [(r, 1, (x,)) for x, r in sym_row.items()]
+    tokens = dict.fromkeys(chain.from_iterable(t for *_, t in sorted(firsts, key=lambda e: e[:2])))
     try:
         vocab = Vocabulary(symbols=tuple(t for t in tokens if t not in (BOS_TOKEN, EOS_TOKEN)))
+        out_of_sym = np.array([vocab.out_index(vocab.parse(x)) for x in sym_row], dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    hists = [tuple(map(vocab.parse, h.split(" "))) if h else () for h in hist_ids]
+    hists = [tuple(map(vocab.parse, h.split(" "))) if h else () for h in hist_row]
     if len({len(h) for h in hists}) > 1:
         raise ValueError(f"{path}: inconsistent history lengths")
-    hist = np.frombuffer(hist, dtype=np.int64)
-    out_of_sym = np.array([vocab.out_index(vocab.parse(x)) for x in sym_ids])
-    out = out_of_sym[np.frombuffer(sym, dtype=np.int64)]
-    if len(np.unique(hist * vocab.out_dim + out)) < len(out):
+    # a row's string's first row, in the increasing first rows, is its number
+    hist = np.searchsorted(np.fromiter(hist_row.values(), np.int64), np.concatenate(hist))
+    out = out_of_sym[np.searchsorted(np.fromiter(sym_row.values(), np.int64),
+                                     np.concatenate(sym))]
+    keys = np.sort(hist * vocab.out_dim + out)
+    if (keys[1:] == keys[:-1]).any():
         raise ValueError(f"{path}: duplicate gram row")
-    return comment, vocab, hists, hist, out, [np.frombuffer(c, c.typecode) for c, _ in values]
+    return comment, vocab, hists, hist, out, [np.concatenate(col) for col in values]
+
+
+def _parsed(path: str, parse, texts: list[str], lines: list[str]) -> np.ndarray:
+    """`parse` of each text, in an int64 array for int and float64 otherwise;
+    ValueError naming `path` and the line of the first text it refuses."""
+    dtype = np.int64 if parse is int else np.float64
+    try:
+        return np.fromiter(map(parse, texts), dtype, len(texts))
+    except (ValueError, OverflowError):
+        for text, line in zip(texts, lines):
+            try:
+                np.array(parse(text), dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: {exc} in {line!r}") from None
+        raise

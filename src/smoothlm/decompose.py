@@ -180,6 +180,8 @@ def regularizer_loss(
 
 def signed_sides(f: Callable[[np.ndarray], float], empirical, smoothed) -> tuple[float, float]:
     """(f(p~), f(p) + Z+ f(p_plus) - Z- f(p_minus)) for one distribution pair.
+    `f` may return an array, such as its values for several q; the sides are
+    then arrays too.
 
     With f = H(., q) the two sides are equal, since cross-entropy is linear
     in the split.  With f = KL(. || q) their difference lhs - rhs does not

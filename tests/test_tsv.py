@@ -1,14 +1,34 @@
-"""The TSV files of counts, smoothed LMs and decompositions: exact bytes, and
-the errors a malformed file gives through the CLI.
+"""The TSV files of counts, smoothed LMs and decompositions: exact bytes, the
+errors a malformed file gives through the CLI, and write_cells and
+read_cells against per-line reference implementations.
 
 The toy corpus meets its symbols in the order b, a, c, so a file sorted by
 symbol id would differ from one sorted by rendered string; "<bos>" and "</s>"
 sort before the letters."""
 
-import pytest
+import math
+import os
+import tempfile
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from smoothlm import corpus
 from smoothlm.cli import main
-from smoothlm.corpus import corpus_from_lines, count_ngrams, read_count_table, write_count_table
+from smoothlm.corpus import (
+    BOS_TOKEN,
+    EOS_TOKEN,
+    Vocabulary,
+    corpus_from_lines,
+    count_ngrams,
+    read_cells,
+    read_count_table,
+    write_cells,
+    write_count_table,
+)
 from smoothlm.decompose import build_regularizer, write_decomposition
 from smoothlm.ngram import empirical_conditional, write_conditional_lm
 from smoothlm.smoothers import smooth_add_lambda
@@ -209,6 +229,13 @@ MALFORMED = {
                                        "token '' is empty or contains whitespace"),
     "LM symbol holds a space": ("lm", LM[2] + "a\tb c\t0.1\n",
                                 "token 'b c' is empty or contains whitespace"),
+    "LM symbol is <bos>": ("lm", LM[2] + "a\t<bos>\t0.1\n", "id 3 is not an emittable symbol"),
+    "count not an integer": ("counts", replace_line(COUNTS[2], 2, "<bos>\tb\t1.5"),
+                             "invalid literal for int() with base 10: '1.5' in "
+                             "'<bos>\\tb\\t1.5\\n'"),
+    "LM probability not a number": ("lm", replace_line(LM[2], 3, "<bos>\ta\tfoo"),
+                                    "could not convert string to float: 'foo' in "
+                                    "'<bos>\\ta\\tfoo\\n'"),
 }
 
 
@@ -237,3 +264,161 @@ def test_malformed_file_exit_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert str(path) in err
+
+
+# ---------------------------------------------------------------------------
+# write_cells and read_cells against per-line references, with the chunk and
+# block sizes made small so that a few cells span several of them
+
+def reference_write(path, vocab, hists, columns, cells=None, comment=None):
+    """One `line.format` per cell, in the documented order."""
+    shape = (len(hists), vocab.out_dim)
+    if cells is None:
+        cells = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+    hist, out = cells
+    values = [(v if np.ndim(v) == 1 else np.broadcast_to(v, shape)[hist, out]).tolist()
+              for v, _ in columns.values()]
+    h_str = [vocab.render_history(h) for h in hists]
+    x_str = [vocab.render(vocab.id_at_out(j)) for j in range(shape[1])]
+    line = "{}\t{}" + "".join(f"\t{{:{spec}}}" for _, spec in columns.values()) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        f.write("\t".join(["history", "symbol", *columns]) + "\n")
+        for c in sorted(range(len(hist)), key=lambda c: (h_str[hist[c]], x_str[out[c]])):
+            f.write(line.format(h_str[hist[c]], x_str[out[c]], *(v[c] for v in values)))
+
+
+def reference_read(path, columns):
+    """One line at a time, each history or symbol numbered when first met."""
+    hist_ids, sym_ids, tokens = {}, {}, {}
+    hist, sym, values = [], [], [[] for _ in columns]
+    with open(path, encoding="utf-8") as f:
+        comment, header = None, f.readline().rstrip("\n")
+        if header.startswith("# "):
+            comment, header = header[2:], f.readline().rstrip("\n")
+        assert header == "\t".join(["history", "symbol", *columns])
+        for line in f:
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                continue
+            h, x = fields[0], fields[1]
+            if h not in hist_ids:
+                hist_ids[h] = len(hist_ids)
+                tokens.update(dict.fromkeys(h.split(" ") if h else ()))
+            if x not in sym_ids:
+                sym_ids[x] = len(sym_ids)
+                tokens.setdefault(x)
+            hist.append(hist_ids[h])
+            sym.append(sym_ids[x])
+            for col, parse, v in zip(values, columns.values(), fields[2:]):
+                col.append(parse(v))
+    vocab = Vocabulary(symbols=tuple(t for t in tokens if t not in (BOS_TOKEN, EOS_TOKEN)))
+    hists = [tuple(map(vocab.parse, h.split(" "))) if h else () for h in hist_ids]
+    out = [vocab.out_index(vocab.parse(x)) for x in sym_ids]
+    return (comment, vocab, hists, np.array(hist, dtype=np.int64),
+            np.array([out[s] for s in sym], dtype=np.int64),
+            [np.array(col, dtype=np.int64 if parse is int else np.float64)
+             for col, parse in zip(values, columns.values())])
+
+
+TWELVE_DIGITS = 0.1 + 2 ** -56   # prints as 0.1 at 12 digits, but is not 0.1
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, 0.1, TWELVE_DIGITS, 1.0, math.inf]),
+                   st.floats())
+INTS = st.one_of(st.sampled_from([0, 1, -1, 7]), st.integers(-2 ** 63, 2 ** 63 - 1))
+
+
+@st.composite
+def cell_files(draw):
+    """write_cells' arguments: a few histories, the cells (all of them when
+    `cells` is None) and one to three columns of ints or floats, each one
+    value per cell, per history or per (history, emission)."""
+    vocab = Vocabulary(symbols=tuple("bac"[:draw(st.integers(1, 3))]))
+    length = draw(st.integers(0, 2))
+    ids = st.integers(0, vocab.bos_id)
+    hists = draw(st.lists(st.tuples(*[ids] * length), min_size=1, max_size=4, unique=True))
+    shape = (len(hists), vocab.out_dim)
+    cells = draw(st.none() | st.lists(st.tuples(st.integers(0, shape[0] - 1),
+                                                st.integers(0, shape[1] - 1)),
+                                      max_size=shape[0] * shape[1], unique=True))
+    if cells is not None:
+        cells = tuple(np.array(cells, dtype=np.int64).reshape(-1, 2).T)
+    columns = {}
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["history", "matrix"] + ["cell"] * (cells is not None)))
+        size = cells[0].shape if kind == "cell" else {"history": (shape[0], 1), "matrix": shape}[kind]
+        values, spec = draw(st.sampled_from([(FLOATS, ".12g"), (INTS, "d")]))
+        columns[f"c{k}"] = (np.array(draw(st.lists(values, min_size=math.prod(size),
+                                                    max_size=math.prod(size)))).reshape(size),
+                            spec)
+    return vocab, hists, columns, cells, draw(st.none() | st.sampled_from(["", "method=x"]))
+
+
+@given(cell_files(), st.integers(1, 5))
+def test_write_cells_matches_per_line_writer(args, chunk):
+    vocab, hists, columns, cells, comment = args
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(corpus, "WRITE_CHUNK", chunk):
+        write_cells(os.path.join(d, "new.tsv"), vocab, hists, columns, cells, comment)
+        reference_write(os.path.join(d, "ref.tsv"), vocab, hists, columns, cells, comment)
+        with open(os.path.join(d, "new.tsv"), "rb") as new, \
+                open(os.path.join(d, "ref.tsv"), "rb") as ref:
+            assert new.read() == ref.read()
+
+
+TOKENS = ["b", "a", "c", BOS_TOKEN]
+
+
+@st.composite
+def tsv_texts(draw):
+    """A write_cells file with distinct (history, symbol) cells in any
+    order, blank lines anywhere and maybe no final newline, and its parsers."""
+    length = draw(st.integers(0, 2))
+    hists = st.tuples(*[st.sampled_from(TOKENS)] * length).map(" ".join)
+    cells = draw(st.lists(st.tuples(hists, st.sampled_from(["c", "a", EOS_TOKEN, "b"])),
+                          min_size=1, max_size=25, unique=True))
+    parsers = draw(st.lists(st.sampled_from([int, float]), min_size=1, max_size=2))
+    texts = {int: INTS.map(str), float: FLOATS.map(repr) | FLOATS.map("{:.12g}".format)}
+    lines = ["\t".join([h, x, *(draw(texts[p]) for p in parsers)]) + "\n" for h, x in cells]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), "\n")
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.removesuffix("\n")
+    header = "\t".join(["history", "symbol", *(f"c{k}" for k in range(len(parsers)))]) + "\n"
+    comment = draw(st.sampled_from(["", "# method=x\n"]))
+    return comment + header + text, {f"c{k}": p for k, p in enumerate(parsers)}
+
+
+@given(tsv_texts(), st.integers(1, 40))
+def test_read_cells_matches_per_line_reader(args, block):
+    text, columns = args
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(corpus, "READ_BLOCK", block):
+        path = os.path.join(d, "cells.tsv")
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        new, ref = read_cells(path, columns), reference_read(path, columns)
+    assert new[:3] == ref[:3]
+    for a, b in zip([*new[3:5], *new[5]], [*ref[3:5], *ref[5]]):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def late_defect(tmp_path, monkeypatch, bad_line):
+    """read_cells' error for a well-formed count file of 200 lines read in
+    small blocks, with `bad_line` appended after them."""
+    monkeypatch.setattr(corpus, "READ_BLOCK", 64)
+    path = tmp_path / "counts.tsv"
+    rows = [f"s{i}\t{x}\t1\n" for i in range(50) for x in ("</s>", "s0", "s1", "s2")]
+    path.write_text("history\tsymbol\tcount\n" + "".join(rows) + bad_line, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_cells(str(path), {"count": int})
+    assert str(exc.value).startswith(f"{path}: ")
+    return str(exc.value)
+
+
+def test_wrong_column_count_in_a_later_block(tmp_path, monkeypatch):
+    assert late_defect(tmp_path, monkeypatch, "c\ta\n").endswith("expected 3 columns in 'c\\ta\\n'")
+
+
+def test_duplicate_cell_in_a_later_block(tmp_path, monkeypatch):
+    assert late_defect(tmp_path, monkeypatch, "s0\t</s>\t3\n").endswith("duplicate gram row")
