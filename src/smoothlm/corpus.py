@@ -1,4 +1,4 @@
-"""Corpus loading, vocabulary construction, and substring / n-gram counting.
+"""Corpus loading, vocabulary construction, and n-gram counting.
 
 A corpus is a list of token-id sequences.  Sentinels (BOS, EOS) are never
 stored inside sequences: BOS enters only as logical padding when histories
@@ -8,7 +8,7 @@ weights) are defined in terms of the tables built here.
 
 A CountTable stores only sorted gram arrays, which CountTable.from_grams
 builds by one sort from every source: a corpus, a higher-order table, a
-count file or a training batch.  Its count dicts are views for the oracles.
+count file.  Its count dicts are views for `perfbench/` and the tests.
 """
 
 from __future__ import annotations
@@ -316,38 +316,6 @@ def load_corpus(path: str, vocab: Vocabulary | None = None) -> Corpus:
         return corpus_from_lines(f.read().splitlines(), vocab=vocab)
 
 
-def _check_query(corpus: Corpus, query: Sequence[int]) -> History:
-    q = tuple(query)
-    for i in q:
-        if not 0 <= i < corpus.vocab.n_symbols:
-            raise ValueError("query must not contain sentinel or out-of-range ids")
-    return q
-
-
-def count_substrings(corpus: Corpus, query: Sequence[int], with_eos: bool = False) -> int:
-    """Occurrence count of `query` across the corpus.
-
-    with_eos=False: number of times the query appears as a contiguous
-    substring, summed over sequences; the empty query is counted once per
-    position, i.e. len(seq)+1 times per sequence.  with_eos=True: number of
-    sequences having the query as a suffix (the EOS-terminated count); the
-    empty query then counts every sequence once.
-    """
-    q = _check_query(corpus, query)
-    if with_eos:
-        return sum(
-            1 for seq in corpus.sequences
-            if len(q) <= len(seq) and seq[len(seq) - len(q):] == q
-        )
-    if not q:
-        return corpus.total_emissions
-    k = len(q)
-    total = 0
-    for seq in corpus.sequences:
-        total += sum(1 for t in range(len(seq) - k + 1) if seq[t:t + k] == q)
-    return total
-
-
 def count_ngrams(corpus: Corpus, order: int) -> CountTable:
     """Tally (history, symbol) pairs of the BOS-padded corpus at `order`.
 
@@ -447,15 +415,18 @@ def write_cells(path: str, vocab: Vocabulary, hists: Sequence[History], columns:
     shape = (len(hists), vocab.out_dim)
     columns = {name: (v if cells is not None and np.ndim(v) == 1 else np.broadcast_to(v, shape),
                       spec) for name, (v, spec) in columns.items()}
-    if cells is None:
-        cells = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
-    hist, out = cells
     h_str = np.array([vocab.render_history(h) for h in hists], dtype=object)
     x_str = np.array([vocab.render(vocab.id_at_out(j)) for j in range(shape[1])], dtype=object)
     # a string's rank among the sorted strings orders the cells
     h_rank = np.unique(h_str, return_inverse=True)[1]
     x_rank = np.unique(x_str, return_inverse=True)[1]
-    order = np.argsort(h_rank[hist] * shape[1] + x_rank[out], kind="stable")
+    if cells is None:
+        # every cell, by flat index: the histories in sorted order, each
+        # with its symbols in sorted order
+        order = (np.argsort(h_rank)[:, None] * shape[1] + np.argsort(x_rank)).ravel()
+    else:
+        hist, out = cells
+        order = np.argsort(h_rank[hist] * shape[1] + x_rank[out], kind="stable")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if comment is not None:
             f.write(f"# {comment}\n")
@@ -465,7 +436,8 @@ def write_cells(path: str, vocab: Vocabulary, hists: Sequence[History], columns:
         lines[:, -1] = "\n"
         for start in range(0, len(order), WRITE_CHUNK):
             part = order[start:start + WRITE_CHUNK]
-            h, x, fields = hist[part], out[part], lines[:len(part)]
+            h, x = np.divmod(part, shape[1]) if cells is None else (hist[part], out[part])
+            fields = lines[:len(part)]
             fields[:, 0], fields[:, 2] = h_str[h], x_str[x]
             for k, (v, spec) in enumerate(columns.values()):
                 fields[:, 2 * k + 4] = _formatted(v[part] if v.ndim == 1 else v[h, x], spec)

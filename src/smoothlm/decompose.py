@@ -12,21 +12,18 @@ history, weighted by that history's occurrence count, yields an additive
 regularizer that can be attached to any differentiable conditional model.
 A RegularizerBundle keeps the SignedDecomposition of the count table's rows,
 whose matrices follow the table's sorted histories, and takes its weights
-from the table's row totals.  `signed_sides` evaluates both sides of the
-identities the split implies for any function of a distribution.
+from the table's row totals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
 
 import numpy as np
 
 from .corpus import CountTable, History, write_cells
-from .ngram import ConditionalLM, check_distributions, kl_divergence
+from .ngram import ConditionalLM, check_distributions
 
 RECON_ATOL = 1e-12
 
@@ -90,8 +87,8 @@ class RegularizerBundle:
     matrices and entry i of `weights` belong to history `hists[i]`.
     `build_regularizer` passes the table's `arrays.hists` and
     `arrays.totals` themselves, so the rows follow the table's row order.
-    `per_history`, mapping each history to a
-    SignedDecomposition of views into `rows`, is built on first read."""
+    `per_history`, mapping each history to a SignedDecomposition of views
+    into `rows`, is built on first read for `perfbench/` and the tests."""
 
     order: int
     hists: tuple[History, ...] = field(repr=False)
@@ -143,58 +140,6 @@ def build_regularizer(
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
     )
-
-
-def _resolve(q, history: History) -> np.ndarray:
-    if callable(q):
-        return np.asarray(q(history), dtype=float)
-    return np.asarray(q[history], dtype=float)
-
-
-def regularizer_loss(
-    bundle: RegularizerBundle,
-    q: Mapping[History, np.ndarray] | Callable[[History], np.ndarray],
-) -> float:
-    """Weighted additive regularizer value
-
-        sum_h w(h)/W * [g+ Z+(h) KL(p_plus || q(.|h)) + g- Z-(h) KL(p_minus || q(.|h))]
-
-    Returns inf (no exception) when q vanishes where a difference part has mass.
-    """
-    total = 0.0
-    W = bundle.total_weight
-    for (h, dec), weight in zip(bundle.per_history.items(), bundle.weights.tolist()):
-        if dec.z_plus == 0.0 and dec.z_minus == 0.0:
-            continue
-        qv = _resolve(q, h)
-        term = 0.0
-        if bundle.gamma_plus and dec.z_plus > 0:
-            term += bundle.gamma_plus * dec.z_plus * kl_divergence(dec.p_plus, qv)
-        if bundle.gamma_minus and dec.z_minus > 0:
-            term += bundle.gamma_minus * dec.z_minus * kl_divergence(dec.p_minus, qv)
-        if math.isinf(term):
-            return math.inf
-        total += weight / W * term
-    return total
-
-
-def signed_sides(f: Callable[[np.ndarray], float], empirical, smoothed) -> tuple[float, float]:
-    """(f(p~), f(p) + Z+ f(p_plus) - Z- f(p_minus)) for one distribution pair.
-    `f` may return an array, such as its values for several q; the sides are
-    then arrays too.
-
-    With f = H(., q) the two sides are equal, since cross-entropy is linear
-    in the split.  With f = KL(. || q) their difference lhs - rhs does not
-    depend on q; it is rhs - lhs of the sides with f = entropy.
-    """
-    dec = signed_decompose(empirical, smoothed)
-    lhs = f(np.asarray(smoothed, float))
-    rhs = f(np.asarray(empirical, float))
-    if dec.z_plus > 0:
-        rhs += dec.z_plus * f(dec.p_plus)
-    if dec.z_minus > 0:
-        rhs -= dec.z_minus * f(dec.p_minus)
-    return lhs, rhs
 
 
 def write_decomposition(bundle: RegularizerBundle, vocab, path: str) -> None:

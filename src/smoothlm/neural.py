@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from .corpus import (Corpus, CountTable, GramArrays, History, Vocabulary, check_histories,
                      row_index, table_at)
 from .decompose import RegularizerBundle, build_regularizer
-from .ngram import empirical_conditional, padded_history, perplexity, table_perplexity
+from .ngram import empirical_conditional, perplexity, table_perplexity
 from .smoothers import method_params, smooth
 
 OBJECTIVES = ("mle", "label_smoothing", "smoothed_target", "split_regularizer")
@@ -84,6 +84,8 @@ class TrainConfig:
                                            or not isinstance(v, _FIELD_TYPES[f.type])):
                 what = "a JSON object" if f.type == "dict | None" else f"of type {f.type}"
                 raise ValueError(f"{f.name} must be {what}, got {v!r}")
+            if f.type.startswith("float") and v is not None and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if self.epochs < 1:
@@ -250,17 +252,6 @@ class FeedForwardLM(_Model):
 # objectives
 
 
-def batch_from_corpus(corpus: Corpus, order: int) -> list[tuple[History, int]]:
-    """All (padded history, emitted symbol id) pairs of the corpus."""
-    out = []
-    for seq in corpus.sequences:
-        for t in range(len(seq) + 1):
-            h = padded_history(corpus.vocab, order, seq[:t])
-            x = seq[t] if t < len(seq) else corpus.vocab.eos_id
-            out.append((h, x))
-    return out
-
-
 def _objective_weights(
     table: CountTable, config: TrainConfig, bundle: RegularizerBundle | None
 ) -> tuple[np.ndarray, float]:
@@ -321,23 +312,6 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     return -np.bincount(i, weights=p * np.log(p), minlength=len(rows))
 
 
-def loss_and_grad(
-    model,
-    batch: list[tuple[Sequence[int], int]],
-    config: TrainConfig,
-    bundle: RegularizerBundle | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Objective value and exact analytic gradients on one (full) batch."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    config.validate()
-    keys = [(*h, x) for h, x in batch]
-    table = CountTable.from_grams(model.order, model.vocab, keys, np.ones(len(keys), np.int64))
-    alpha, const = _objective_weights(table, config, bundle)
-    loss, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
-    return loss + const, grads
-
-
 def make_bundle_for(
     data: Corpus | CountTable, order: int, config: TrainConfig
 ) -> RegularizerBundle:
@@ -376,14 +350,6 @@ def train(
     if heldout is not None:
         heldout = table_at(heldout, model.order, model.vocab)
     return _train_counts(model, table, config, bundle, heldout)
-
-
-def train_smoothed_target(model, smoothed_lm, table: CountTable, config: TrainConfig):
-    """Fit the model to a smoothed conditional table by gradient descent."""
-    cfg = replace(config, objective="smoothed_target")
-    bundle = build_regularizer(empirical_conditional(table), smoothed_lm, table, 1.0, 1.0)
-    model, _ = _train_counts(model, table, cfg, bundle, None)
-    return model
 
 
 def _train_counts(model, table, config, bundle, heldout):

@@ -1,17 +1,14 @@
 """Conditional n-gram language models and their evaluation.
 
-Hosts the empirical conditional (count-ratio) model, prefix statistics,
-perplexity (one path, `table_perplexity`, checked by the per-token
-`string_logprob`), KL/cross-entropy helpers for the decomposition and
-verification code, and the LM TSV reader and writer.  Natural log throughout.
+Hosts the empirical conditional (count-ratio) model, perplexity (one path,
+`table_perplexity`) and the LM TSV reader and writer.  Natural log
+throughout.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -48,7 +45,8 @@ class ConditionalLM:
     each history to its row.  Given a count table's `GramArrays` as the
     histories, the LM takes `hists` and `index` from them and checks only
     the matrix.  The dict `table`, mapping each history to a view of its
-    row, is built on first read; only `perfbench/` and the oracles read it.
+    row, is built on first read for `perfbench/` and the tests; no module
+    of the package reads it.
 
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
@@ -161,14 +159,6 @@ def _stack_rows(table: Mapping[History, np.ndarray], out_dim: int) -> np.ndarray
     return matrix
 
 
-def padded_history(vocab: Vocabulary, order: int, prefix: Sequence[int]) -> History:
-    """The length-(order-1) BOS-padded history preceding the next position."""
-    if order == 1:
-        return ()
-    padded = (vocab.bos_id,) * (order - 1) + tuple(prefix)
-    return padded[-(order - 1):]
-
-
 def empirical_rows(table: CountTable) -> np.ndarray:
     """Count ratios, one row per history of `table.arrays`."""
     rows = table.dense_counts()
@@ -182,68 +172,6 @@ def empirical_conditional(table: CountTable) -> ConditionalLM:
         table.order, table.vocab, (table.arrays, empirical_rows(table)),
         backstop=None, method="empirical",
     )
-
-
-@dataclass(frozen=True)
-class PrefixProbability:
-    """Prefix-start counts of a corpus: numerator[x] sequences start with x.
-
-    prob(x) = numerator[x] / M.  `terminal[x]` counts sequences exactly equal
-    to x, which yields the EOS entry of the prefix-conditional distribution.
-    """
-
-    vocab: Vocabulary
-    M: int
-    numerator: dict[History, int]
-    terminal: dict[History, int] = field(repr=False)
-
-    def prob(self, prefix: Sequence[int]) -> float:
-        return self.numerator.get(tuple(prefix), 0) / self.M
-
-    def prefixes(self) -> list[History]:
-        return list(self.numerator.keys())
-
-    def conditional(self, prefix: Sequence[int]) -> np.ndarray:
-        """Next-emission distribution among sequences that start with `prefix`."""
-        p = tuple(prefix)
-        starts = self.numerator.get(p, 0)
-        if starts == 0:
-            raise UnseenHistoryError(p)
-        v = np.zeros(self.vocab.out_dim)
-        for j in range(self.vocab.n_symbols):
-            ext = self.numerator.get(p + (j,), 0)
-            if ext:
-                v[j] = ext / starts
-        v[self.vocab.n_symbols] = self.terminal.get(p, 0) / starts
-        return v
-
-
-def empirical_prefix(corpus: Corpus) -> PrefixProbability:
-    starts: Counter[History] = Counter()
-    terminal: Counter[History] = Counter()
-    for seq in corpus.sequences:
-        for t in range(len(seq) + 1):
-            starts[seq[:t]] += 1
-        terminal[seq] += 1
-    return PrefixProbability(
-        vocab=corpus.vocab, M=corpus.M, numerator=dict(starts), terminal=dict(terminal)
-    )
-
-
-def string_logprob(lm: ConditionalLM, sequence: Sequence[int]) -> float:
-    """Natural-log probability of a sequence (its tokens then EOS); -inf if
-    any factor vanishes."""
-    seq = tuple(sequence)
-    vocab = lm.vocab
-    total = 0.0
-    for t in range(len(seq) + 1):
-        h = padded_history(vocab, lm.order, seq[:t])
-        x = seq[t] if t < len(seq) else vocab.eos_id
-        p = lm.prob(h, x)
-        if p <= 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
 
 
 def perplexity(model, data: Corpus | CountTable) -> float:
@@ -264,29 +192,6 @@ def table_perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> floa
         return math.inf
     nll = -float(np.dot(a.count, np.log(p)))
     return math.exp(nll / a.count.sum())
-
-
-def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
-    """H(p, q) = -sum p log q with 0 log 0 := 0; +inf when q vanishes on p's support."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        return math.inf
-    return float(-np.dot(p[mask], np.log(q[mask])))
-
-
-def entropy(p: np.ndarray) -> float:
-    return cross_entropy(p, p)
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    ce = cross_entropy(p, q)
-    if ce == math.inf:
-        return math.inf
-    return ce - entropy(p)
 
 
 def write_conditional_lm(lm: ConditionalLM, path: str) -> None:

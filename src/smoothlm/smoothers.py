@@ -6,9 +6,8 @@ table's histories.  Add-lambda, Good-Turing and Simple Good-Turing back off
 to the uniform order-1 LM.  Jelinek-Mercer, Katz and Kneser-Essen-Ney build
 one ConditionalLM per order, from order 1 up, each backing off to the one
 below, so an unseen history gets the row of its longest seen suffix.
-Per-history vectors are normalized to sum to 1; methods whose native
-normalization is global (Good-Turing) expose the pre-normalization form
-separately for bookkeeping checks.
+Per-history vectors are normalized to sum to 1, Good-Turing's too, whose
+native normalization is global.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CountTable, History, tables_down_to_unigram, zero_gram_count
+from .corpus import CountTable, tables_down_to_unigram, zero_gram_count
 from .ngram import ConditionalLM, empirical_rows, uniform_backstop
 
 log = logging.getLogger(__name__)
@@ -164,18 +163,6 @@ def good_turing_adjusted_count(count: int, r: dict[int, int], r0: int) -> float:
     return (count + 1) * r.get(count + 1, 0) / rc
 
 
-def good_turing_global(table: CountTable) -> dict[tuple[History, int], float]:
-    """Pre-normalization Good-Turing probabilities adjusted_count / total_tokens
-    for every observed gram.  Grams whose successor count-of-counts is zero
-    get probability zero (the classical defect)."""
-    r = table.count_of_counts
-    n = table.total_tokens
-    return {
-        key: good_turing_adjusted_count(c, r, 1) / n
-        for key, c in table.gram_count.items()
-    }
-
-
 def _renormalized_rows(table: CountTable, weight_of_count, unseen_weight: float) -> np.ndarray:
     """Build per-history rows from a count -> weight map plus an unseen-cell
     weight, renormalizing each history; an all-zero row falls back to uniform."""
@@ -199,9 +186,9 @@ def _renormalized_rows(table: CountTable, weight_of_count, unseen_weight: float)
 def smooth_good_turing(table: CountTable) -> ConditionalLM:
     """Per-history renormalized Good-Turing conditionals.
 
-    The globally normalized form (see good_turing_global) is not a proper
-    per-history distribution, so each history's adjusted counts are rescaled
-    to sum to 1.  Zeros survive wherever r_{c+1} == 0.
+    The globally normalized form, adjusted count / total tokens, is not a
+    proper per-history distribution, so each history's adjusted counts are
+    rescaled to sum to 1.  Zeros survive wherever r_{c+1} == 0.
     """
     r = table.count_of_counts
     r0 = zero_gram_count(table)

@@ -1,4 +1,12 @@
-"""Numerical identity checks with independent brute-force oracles.
+"""Numerical identity checks and independent brute-force oracles: every
+piece of code that exists only to check the pipeline.
+
+The oracles (`count_substrings`, `empirical_prefix`, `string_logprob`, the
+KL and cross-entropy helpers and `objective_value`, the loss of each
+training objective) recount the corpus or re-sum by their own loops and
+call no pipeline kernel, so that a test comparing a kernel with one of
+them can fail when the kernel is wrong.  No pipeline module imports this
+one.
 
 Each checker draws seeded random instances, evaluates both sides of an
 identity by routes that share no code with the operation under test, and
@@ -21,21 +29,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CountTable, Vocabulary, count_ngrams
-from .decompose import signed_decompose, signed_sides
-from .ngram import (
-    ConditionalLM,
-    cross_entropy,
-    empirical_conditional,
-    empirical_prefix,
-    entropy,
-    kl_divergence,
-    padded_history,
-)
+from .corpus import Corpus, CountTable, History, Vocabulary, count_ngrams
+from .decompose import signed_decompose
+from .ngram import ConditionalLM, UnseenHistoryError, empirical_conditional
 from .smoothers import smooth_add_lambda
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -93,12 +94,13 @@ def random_bigram_lm(
     rng: np.random.Generator, vocab: Vocabulary, scale: float = 1.5
 ) -> ConditionalLM:
     """Full-support bigram conditionals with independent random logits."""
-    table = {}
-    for h in [(vocab.bos_id,)] + [(s,) for s in range(vocab.n_symbols)]:
+    hists = [(vocab.bos_id,)] + [(s,) for s in range(vocab.n_symbols)]
+    matrix = np.empty((len(hists), vocab.out_dim))
+    for row in matrix:
         z = rng.normal(0.0, scale, vocab.out_dim)
         e = np.exp(z - z.max())
-        table[h] = e / e.sum()
-    return ConditionalLM(2, vocab, table, method="random")
+        row[:] = e / e.sum()
+    return ConditionalLM(2, vocab, (hists, matrix), method="random")
 
 
 def synthetic_corpus(
@@ -173,11 +175,100 @@ def markov_zipf_lines(
 
 
 # ---------------------------------------------------------------------------
-# T1: string-level KL == prefix-probability-weighted sum of local KLs
+# independent oracles: each recounts the corpus or re-sums by its own loop,
+# calls no pipeline kernel (tests/test_oracles.py keeps it so), and is kept
+# slow and plain on purpose
 
 
-def _string_logq(corpus: Corpus, cond_fn, seq) -> float:
-    vocab = corpus.vocab
+def _check_query(corpus: Corpus, query: Sequence[int]) -> History:
+    q = tuple(query)
+    for i in q:
+        if not 0 <= i < corpus.vocab.n_symbols:
+            raise ValueError("query must not contain sentinel or out-of-range ids")
+    return q
+
+
+def count_substrings(corpus: Corpus, query: Sequence[int], with_eos: bool = False) -> int:
+    """Occurrence count of `query` across the corpus.
+
+    with_eos=False: number of times the query appears as a contiguous
+    substring, summed over sequences; the empty query is counted once per
+    position, i.e. len(seq)+1 times per sequence.  with_eos=True: number of
+    sequences having the query as a suffix (the EOS-terminated count); the
+    empty query then counts every sequence once.
+    """
+    q = _check_query(corpus, query)
+    if with_eos:
+        return sum(
+            1 for seq in corpus.sequences
+            if len(q) <= len(seq) and seq[len(seq) - len(q):] == q
+        )
+    if not q:
+        return corpus.total_emissions
+    k = len(q)
+    total = 0
+    for seq in corpus.sequences:
+        total += sum(1 for t in range(len(seq) - k + 1) if seq[t:t + k] == q)
+    return total
+
+
+def padded_history(vocab: Vocabulary, order: int, prefix: Sequence[int]) -> History:
+    """The length-(order-1) BOS-padded history preceding the next position."""
+    if order == 1:
+        return ()
+    padded = (vocab.bos_id,) * (order - 1) + tuple(prefix)
+    return padded[-(order - 1):]
+
+
+@dataclass(frozen=True)
+class PrefixProbability:
+    """Prefix-start counts of a corpus: numerator[x] sequences start with x.
+
+    prob(x) = numerator[x] / M.  `terminal[x]` counts sequences exactly equal
+    to x, which yields the EOS entry of the prefix-conditional distribution.
+    """
+
+    vocab: Vocabulary
+    M: int
+    numerator: dict[History, int]
+    terminal: dict[History, int] = field(repr=False)
+
+    def prob(self, prefix: Sequence[int]) -> float:
+        return self.numerator.get(tuple(prefix), 0) / self.M
+
+    def prefixes(self) -> list[History]:
+        return list(self.numerator.keys())
+
+    def conditional(self, prefix: Sequence[int]) -> np.ndarray:
+        """Next-emission distribution among sequences that start with `prefix`."""
+        p = tuple(prefix)
+        starts = self.numerator.get(p, 0)
+        if starts == 0:
+            raise UnseenHistoryError(p)
+        v = np.zeros(self.vocab.out_dim)
+        for j in range(self.vocab.n_symbols):
+            ext = self.numerator.get(p + (j,), 0)
+            if ext:
+                v[j] = ext / starts
+        v[self.vocab.n_symbols] = self.terminal.get(p, 0) / starts
+        return v
+
+
+def empirical_prefix(corpus: Corpus) -> PrefixProbability:
+    starts: Counter[History] = Counter()
+    terminal: Counter[History] = Counter()
+    for seq in corpus.sequences:
+        for t in range(len(seq) + 1):
+            starts[seq[:t]] += 1
+        terminal[seq] += 1
+    return PrefixProbability(
+        vocab=corpus.vocab, M=corpus.M, numerator=dict(starts), terminal=dict(terminal)
+    )
+
+
+def _string_logq(vocab: Vocabulary, cond_fn, seq) -> float:
+    """log q(seq) of the next-emission distributions `cond_fn(prefix)`, its
+    tokens then EOS; -inf if any factor vanishes."""
     total = 0.0
     for t in range(len(seq) + 1):
         v = cond_fn(seq[:t])
@@ -187,6 +278,106 @@ def _string_logq(corpus: Corpus, cond_fn, seq) -> float:
             return -math.inf
         total += math.log(q)
     return total
+
+
+def bigram_cond_fn(lm: ConditionalLM):
+    vocab = lm.vocab
+    return lambda prefix: lm.conditional(padded_history(vocab, lm.order, prefix))
+
+
+def string_logprob(lm: ConditionalLM, sequence: Sequence[int]) -> float:
+    """Natural-log probability of a sequence (its tokens then EOS); -inf if
+    any factor vanishes."""
+    return _string_logq(lm.vocab, bigram_cond_fn(lm), tuple(sequence))
+
+
+def cross_entropy(p: np.ndarray, q: np.ndarray) -> float:
+    """H(p, q) = -sum p log q with 0 log 0 := 0; +inf when q vanishes on p's support."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
+    mask = p > 0.0
+    if np.any(q[mask] <= 0.0):
+        return math.inf
+    return float(-np.dot(p[mask], np.log(q[mask])))
+
+
+def entropy(p: np.ndarray) -> float:
+    return cross_entropy(p, p)
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    ce = cross_entropy(p, q)
+    if ce == math.inf:
+        return math.inf
+    return ce - entropy(p)
+
+
+def objective_value(model, corpus: Corpus, config, smoothed: ConditionalLM | None = None
+                    ) -> float:
+    """The loss of `config.objective` (a TrainConfig's) at the model's
+    parameters, as the README writes it, with w(h) = #(h)/N over the N
+    emissions of the corpus:
+
+      mle               sum_h w(h) H(p(.|h), q(.|h))
+      label_smoothing   mle + gamma_ls/N * sum_h KL(uniform || q(.|h))
+      smoothed_target   sum_h w(h) KL(smoothed(.|h) || q(.|h))
+      split_regularizer mle + sum_h w(h) [g+ Z+ KL(p_plus || q(.|h))
+                                          - g- Z- KL(p_minus || q(.|h))]
+
+    p(.|h) is recounted here position by position, q is read only through
+    `model.rows`, and smoothed(.|h) - p(.|h) is split here history by
+    history; the gammas are the config's."""
+    vocab, order = corpus.vocab, model.order
+    counts: dict[History, np.ndarray] = {}
+    for seq in corpus.sequences:
+        for t in range(len(seq) + 1):
+            h = padded_history(vocab, order, seq[:t])
+            x = seq[t] if t < len(seq) else vocab.eos_id
+            counts.setdefault(h, np.zeros(vocab.out_dim))[vocab.out_index(x)] += 1
+    n = corpus.total_emissions
+    uniform = np.full(vocab.out_dim, 1.0 / vocab.out_dim)
+    total = 0.0
+    for (h, c), q in zip(counts.items(), model.rows(list(counts))):
+        w, p = c.sum() / n, c / c.sum()
+        if config.objective == "smoothed_target":
+            total += w * kl_divergence(smoothed.conditional(h), q)
+            continue
+        total += w * cross_entropy(p, q)
+        if config.objective == "label_smoothing":
+            total += config.gamma_ls / n * kl_divergence(uniform, q)
+        elif config.objective == "split_regularizer":
+            diff = smoothed.conditional(h) - p
+            for sign, gamma, part in ((1.0, config.gamma_plus, np.maximum(diff, 0.0)),
+                                      (-1.0, config.gamma_minus, np.maximum(-diff, 0.0))):
+                z = part.sum()
+                if z > 0.0:
+                    total += sign * w * gamma * z * kl_divergence(part / z, q)
+    return total
+
+
+def signed_sides(f: Callable[[np.ndarray], float], empirical, smoothed) -> tuple[float, float]:
+    """(f(p~), f(p) + Z+ f(p_plus) - Z- f(p_minus)) for one distribution pair.
+    `f` may return an array, such as its values for several q; the sides are
+    then arrays too.
+
+    With f = H(., q) the two sides are equal, since cross-entropy is linear
+    in the split.  With f = KL(. || q) their difference lhs - rhs does not
+    depend on q; it is rhs - lhs of the sides with f = entropy.
+    """
+    dec = signed_decompose(empirical, smoothed)
+    lhs = f(np.asarray(smoothed, float))
+    rhs = f(np.asarray(empirical, float))
+    if dec.z_plus > 0:
+        rhs += dec.z_plus * f(dec.p_plus)
+    if dec.z_minus > 0:
+        rhs -= dec.z_minus * f(dec.p_minus)
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# T1: string-level KL == prefix-probability-weighted sum of local KLs
 
 
 def theorem1_sides(corpus: Corpus, cond_fn) -> tuple[float, float]:
@@ -199,17 +390,12 @@ def theorem1_sides(corpus: Corpus, cond_fn) -> tuple[float, float]:
     lhs = 0.0
     for seq, m in mult.items():
         p = m / corpus.M
-        lhs += p * (math.log(p) - _string_logq(corpus, cond_fn, seq))
+        lhs += p * (math.log(p) - _string_logq(corpus.vocab, cond_fn, seq))
     pp = empirical_prefix(corpus)
     rhs = 0.0
     for prefix in pp.prefixes():
         rhs += pp.prob(prefix) * kl_divergence(pp.conditional(prefix), cond_fn(prefix))
     return lhs, rhs
-
-
-def bigram_cond_fn(lm: ConditionalLM):
-    vocab = lm.vocab
-    return lambda prefix: lm.conditional(padded_history(vocab, lm.order, prefix))
 
 
 def check_theorem1(
@@ -248,13 +434,13 @@ def corollary_sides(corpus: Corpus, q: ConditionalLM) -> dict[str, float]:
     emp = empirical_conditional(table)
     for seq, m in mult.items():
         p = m / corpus.M
-        ce_lhs += p * (-_string_logq(corpus, bigram_cond_fn(q), seq))
+        ce_lhs += p * (-_string_logq(corpus.vocab, bigram_cond_fn(q), seq))
         h_p += p * (-math.log(p))
-        gap_expected += p * (math.log(p) - _string_logq(corpus, bigram_cond_fn(emp), seq))
+        gap_expected += p * (math.log(p) - _string_logq(corpus.vocab, bigram_cond_fn(emp), seq))
     ce_rhs = 0.0
     kl_rhs = 0.0
-    for h, c in table.history_count.items():
-        p_vec = emp.table[h]
+    for h, c in zip(table.arrays.hists, table.arrays.totals.tolist()):
+        p_vec = emp.conditional(h)
         q_vec = q.conditional(h)
         ce_rhs += c * cross_entropy(p_vec, q_vec)
         kl_rhs += c * kl_divergence(p_vec, q_vec)
@@ -303,13 +489,12 @@ def fit_tabular_label_smoothing(
     grad_tol: float = 1e-11,
 ) -> tuple[dict, int]:
     """Gradient descent on the label-smoothing objective until the gradient
-    is negligible.  Returns (history -> fitted distribution, steps used)."""
+    is negligible.  Returns (the fitted rows, one per history of
+    `table.arrays` in its order, steps used)."""
     vocab = table.vocab
-    hists = sorted(table.history_count)
-    pos = {h: i for i, h in enumerate(hists)}
-    C = np.zeros((len(hists), vocab.out_dim))
-    for (h, x), c in table.gram_count.items():
-        C[pos[h], vocab.out_index(x)] = c
+    a = table.arrays
+    C = np.zeros((len(a.hists), vocab.out_dim))
+    C[a.hist, a.out] = a.count
     n = C.sum()
     alpha = C / n + gamma / (n * vocab.out_dim)
     w = alpha.sum(axis=1, keepdims=True)
@@ -325,7 +510,7 @@ def fit_tabular_label_smoothing(
         if step % 200 == 0 and float(np.abs(g).max()) < grad_tol:
             steps = step
             break
-    return {h: q[i] for i, h in enumerate(hists)}, steps
+    return q, steps
 
 
 def check_theorem2(
@@ -341,8 +526,7 @@ def check_theorem2(
     for gamma in gammas:
         fitted, _ = fit_tabular_label_smoothing(table, gamma)
         target = smooth_add_lambda(table, gamma / table.vocab.out_dim)
-        for h, qv in fitted.items():
-            max_err = max(max_err, float(np.abs(qv - target.table[h]).max()))
+        max_err = max(max_err, float(np.abs(fitted - target.rows(table.arrays.hists)).max()))
     return _report("T2", len(gammas), max_err, tolerance, seed)
 
 

@@ -20,13 +20,11 @@ from smoothlm.neural import (
     FeedForwardLM,
     TabularSoftmaxLM,
     TrainConfig,
-    batch_from_corpus,
-    loss_and_grad,
+    _objective_weights,
     train,
-    train_smoothed_target,
 )
 from smoothlm.ngram import empirical_conditional
-from smoothlm.smoothers import good_turing_global, smooth
+from smoothlm.smoothers import good_turing_adjusted_count, smooth
 from smoothlm.verify import (
     check_ce_linearity,
     check_corollary,
@@ -34,6 +32,7 @@ from smoothlm.verify import (
     check_theorem2,
     check_theorem3,
     markov_zipf_lines,
+    objective_value,
     synthetic_corpus,
 )
 
@@ -147,8 +146,9 @@ class TestCriterion5Reconstruction:
 class TestCriterion6GoodTuringMassLaw:
     def test_mass_by_count_class(self, corpus500):
         table = count_ngrams(corpus500, 2)
-        g = good_turing_global(table)
         r = table.count_of_counts
+        g = {key: good_turing_adjusted_count(c, r, 1) / table.total_tokens
+             for key, c in table.gram_count.items()}
         by_count: dict[int, list[float]] = {}
         for key, p in g.items():
             by_count.setdefault(table.gram_count[key], []).append(p)
@@ -164,8 +164,12 @@ class TestCriterion6GoodTuringMassLaw:
 
 
 class TestCriterion7Gradients:
-    def _check(self, model, batch, config, bundle, eps=1e-5):
-        _, grads = loss_and_grad(model, batch, config, bundle)
+    def _check(self, model, corpus, table, config, smoothed, bundle, eps=1e-5):
+        """Worst mismatch of the training gradient with central differences
+        of verify.objective_value, which evaluates the objective by its own
+        route."""
+        alpha, _ = _objective_weights(table, config, bundle)
+        _, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
         worst = 0.0
         for name, arr in model.param_arrays().items():
             flat = arr.reshape(-1)
@@ -173,9 +177,9 @@ class TestCriterion7Gradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up, _ = loss_and_grad(model, batch, config, bundle)
+                up = objective_value(model, corpus, config, smoothed)
                 flat[i] = orig - eps
-                down, _ = loss_and_grad(model, batch, config, bundle)
+                down = objective_value(model, corpus, config, smoothed)
                 flat[i] = orig
                 numeric = (up - down) / (2 * eps)
                 err = abs(numeric - gflat[i])
@@ -191,22 +195,20 @@ class TestCriterion7Gradients:
         bundle = build_regularizer(
             empirical_conditional(table), smoothed, table, 0.8, 0.6
         )
-        batch = batch_from_corpus(corpus, 2)
         configs = [
             TrainConfig(objective="mle"),
             TrainConfig(objective="label_smoothing", gamma_ls=0.7),
             TrainConfig(objective="smoothed_target"),
-            TrainConfig(objective="split_regularizer"),
+            TrainConfig(objective="split_regularizer", gamma_plus=0.8, gamma_minus=0.6),
         ]
         rng = np.random.default_rng(0)
         worst = 0.0
         for config in configs:
-            needs = config.objective in ("smoothed_target", "split_regularizer")
             tab = TabularSoftmaxLM.for_table(table)
             tab.logits[...] = 0.5 * rng.normal(size=tab.logits.shape)
-            worst = max(worst, self._check(tab, batch, config, bundle if needs else None))
+            worst = max(worst, self._check(tab, corpus, table, config, smoothed, bundle))
             ff = FeedForwardLM(2, corpus.vocab, 3, 4, seed=0, init_scale=0.3)
-            worst = max(worst, self._check(ff, batch, config, bundle if needs else None))
+            worst = max(worst, self._check(ff, corpus, table, config, smoothed, bundle))
         report(
             "7 gradient correctness",
             worst < 1e-5,
@@ -262,11 +264,12 @@ class TestCriterion8DirectionOfEffect:
         corpus = synthetic_corpus(4, n_sequences=25, n_symbols=3, max_len=4)
         table = count_ngrams(corpus, 2)
         smoothed = smooth(table, "jelinek_mercer", {"lambdas": [0.6, 0.6]})
-        m1 = TabularSoftmaxLM.for_table(table)
-        m1 = train_smoothed_target(m1, smoothed, table, TrainConfig(lr=6.0, epochs=40000))
         bundle = build_regularizer(
             empirical_conditional(table), smoothed, table, 1.0, 1.0
         )
+        m1 = TabularSoftmaxLM.for_table(table)
+        m1, _ = train(m1, table, TrainConfig(objective="smoothed_target", lr=6.0, epochs=40000),
+                      bundle=bundle)
         m2 = TabularSoftmaxLM.for_table(table)
         m2, _ = train(m2, corpus,
                       TrainConfig(objective="split_regularizer", lr=6.0, epochs=40000),

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 from collections import Counter
@@ -266,16 +267,31 @@ def test_badly_typed_method_params_exit_2_in_train(tiny, tmp_path, capsys, metho
     ("train", {"objective": "split_regularizer", "method": "katz", "method_params": {"k": 5.5}},
      "'k' must be an integer"),
     ("grid", {"gamma_minus": 1.5}, "gamma_minus must be <= 1, got 1.5"),
+    # a non-finite float used to fail training with a traceback and exit 1,
+    # after out_dir was made; a tuple holds flags given over a valid config
+    ("train", ("--lr", "nan"), "lr must be finite, got nan"),
+    ("train", ("--lr", "inf"), "lr must be finite, got inf"),
+    ("train", ("--gamma-ls", "inf"), "gamma_ls must be finite, got inf"),
+    ("train", ("--gamma-plus", "nan"), "gamma_plus must be finite, got nan"),
+    ("train", ("--arch", "feedforward", "--init-scale", "nan"), "init_scale must be finite"),
+    ("grid", ("--gamma-minus", "nan"), "gamma_minus must be finite, got nan"),
+    ("grid", ("--lr=-inf",), "lr must be finite, got -inf"),
+    ("train", {"gamma_minus": math.nan}, "gamma_minus must be finite, got nan"),
+    ("train", {"init_scale": -math.inf}, "init_scale must be finite, got -inf"),
+    ("grid", {"gamma_plus": [0.1, math.nan]}, "gamma_plus must be finite, got nan"),
+    ("grid", {"gamma_ls": math.inf}, "gamma_ls must be finite, got inf"),
 ])
 def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, message):
     train, held = zipf
-    cfg = values
-    if isinstance(values, dict):
+    cfg, flags = values, ()
+    if isinstance(values, tuple):
+        cfg, flags = {}, values
+    if isinstance(cfg, dict):
         cfg = {"corpus_path": str(train), "heldout_path": str(held), "arch": "tabular",
-               "method": "addlambda", "epochs": 1, "out_dir": str(tmp_path / "run"), **values}
+               "method": "addlambda", "epochs": 1, "out_dir": str(tmp_path / "run"), **cfg}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main([command, "--config", str(path)]) == 2
+    assert main([command, "--config", str(path), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 

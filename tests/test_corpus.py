@@ -23,7 +23,6 @@ from smoothlm.corpus import (
     build_vocabulary,
     corpus_from_lines,
     count_ngrams,
-    count_substrings,
     load_corpus,
     marginalize,
     read_count_table,
@@ -34,6 +33,7 @@ from smoothlm.decompose import build_regularizer
 from smoothlm.neural import TabularSoftmaxLM, TrainConfig, train
 from smoothlm.ngram import empirical_conditional
 from smoothlm.smoothers import METHODS, smooth
+from smoothlm.verify import count_substrings
 
 
 def oracle_substring_count(sequences, query):
@@ -290,6 +290,8 @@ class TestFromGrams:
     def test_rejects_keys_of_another_order(self):
         with pytest.raises(ValueError, match="gram array"):
             CountTable.from_grams(3, Vocabulary(symbols=("a",)), [(0, 0)], [1])
+        with pytest.raises(ValueError, match="nonempty"):
+            CountTable.from_grams(2, Vocabulary(symbols=("a",)), np.zeros((0, 2)), [])
 
 
 class TestCountViews:

@@ -13,16 +13,21 @@ from smoothlm.corpus import corpus_from_lines, count_ngrams
 from smoothlm.decompose import (
     RECON_ATOL,
     CoverageError,
-    RegularizerBundle,
     build_regularizer,
-    regularizer_loss,
     signed_decompose,
-    signed_sides,
     write_decomposition,
 )
-from smoothlm.ngram import cross_entropy, empirical_conditional, entropy, kl_divergence
+from smoothlm.neural import TabularSoftmaxLM, TrainConfig
+from smoothlm.ngram import ConditionalLM, empirical_conditional
 from smoothlm.smoothers import smooth
-from smoothlm.verify import synthetic_corpus
+from smoothlm.verify import (
+    cross_entropy,
+    entropy,
+    kl_divergence,
+    objective_value,
+    signed_sides,
+    synthetic_corpus,
+)
 
 
 class TestSignedDecompose:
@@ -188,57 +193,55 @@ class TestBuildRegularizer:
                 assert np.abs(recon - sm.table[h]).max() < 1e-12, method
 
 
-def single_history_bundle(empirical, smoothed, gamma_plus, gamma_minus, weight=5):
-    return RegularizerBundle(
-        order=2,
-        hists=((0,),),
-        rows=signed_decompose([empirical], [smoothed]),
-        weights=np.array([weight]),
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
-    )
+def split_objective(smoothed_row, gammas, logits=(math.log(3), 0.0)):
+    """objective_value of a one-symbol corpus ["a"] at order 1, whose one
+    history () has p = (1/2, 1/2) over (a, EOS) and weight 1, under
+    split_regularizer with a smoothed row and the tabular q = softmax(logits),
+    and the mle value at the same q."""
+    corpus = corpus_from_lines(["a"])
+    model = TabularSoftmaxLM(1, corpus.vocab, [()])
+    model.logits[0] = logits
+    smoothed = ConditionalLM(1, corpus.vocab, ([()], np.array([smoothed_row])))
+    config = TrainConfig(objective="split_regularizer", gamma_plus=gammas[0],
+                         gamma_minus=gammas[1])
+    return (objective_value(model, corpus, config, smoothed),
+            objective_value(model, corpus, TrainConfig(objective="mle")))
 
 
 class TestRegularizerLoss:
+    """The split term of the training objective, as verify.objective_value
+    evaluates it: + g+ Z+ KL(p_plus||q) - g- Z- KL(p_minus||q)."""
+
     def test_worked_scalar_example(self):
-        # 0.2 KL((0,0,1)||u) + 0.2 KL((.5,.5,0)||u) = 0.2 log 3 + 0.2 log 1.5
-        bundle = single_history_bundle([0.5, 0.5, 0.0], [0.4, 0.4, 0.2], 1.0, 1.0)
-        q = {(0,): np.full(3, 1 / 3)}
-        expected = 0.2 * math.log(3) + 0.2 * math.log(1.5)
-        assert regularizer_loss(bundle, q) == pytest.approx(expected, rel=1e-12)
+        # smoothed (0.8, 0.2) against p = (0.5, 0.5): Z+ = Z- = 0.3, p_plus =
+        # (1, 0), p_minus = (0, 1); at q = (3/4, 1/4) the split term is
+        # 1 * 0.3 log(4/3) - 0.5 * 0.3 log 4, after mle = H(p, q)
+        split, mle = split_objective([0.8, 0.2], (1.0, 0.5))
+        assert mle == pytest.approx(0.5 * math.log(4 / 3) + 0.5 * math.log(4), rel=1e-12)
+        assert split - mle == pytest.approx(0.3 * math.log(4 / 3) - 0.15 * math.log(4),
+                                            rel=1e-12)
 
     def test_zero_gammas_zero_loss(self):
-        bundle = single_history_bundle([0.5, 0.5, 0.0], [0.4, 0.4, 0.2], 0.0, 0.0)
-        assert regularizer_loss(bundle, {(0,): np.full(3, 1 / 3)}) == 0.0
+        split, mle = split_objective([0.8, 0.2], (0.0, 0.0))
+        assert split == mle
 
     def test_all_z_zero_any_q(self):
-        v = np.array([0.25, 0.25, 0.5])
-        bundle = single_history_bundle(v, v, 3.0, 7.0)
-        assert regularizer_loss(bundle, {(0,): np.array([0.9, 0.05, 0.05])}) == 0.0
+        split, mle = split_objective([0.5, 0.5], (3.0, 0.7), logits=(2.0, -1.0))
+        assert split == mle
 
     def test_finite_at_smoothed(self):
-        smoothed = np.array([0.4, 0.4, 0.2])
-        bundle = single_history_bundle([0.5, 0.5, 0.0], smoothed, 1.0, 1.0)
-        val = regularizer_loss(bundle, {(0,): smoothed})
-        assert math.isfinite(val) and val > 0
+        split, _ = split_objective([0.8, 0.2], (1.0, 1.0), logits=(math.log(4), 0.0))
+        assert math.isfinite(split)
 
     def test_infinite_flag_not_exception(self):
-        bundle = single_history_bundle([0.5, 0.5, 0.0], [0.4, 0.4, 0.2], 1.0, 1.0)
-        q = {(0,): np.array([0.5, 0.5, 0.0])}  # zero where p_plus lives
-        assert regularizer_loss(bundle, q) == math.inf
+        # q vanishes where p_plus has mass
+        split, _ = split_objective([0.8, 0.2], (1.0, 0.5), logits=(-math.inf, 0.0))
+        assert split == math.inf
 
     def test_scales_linearly_in_gammas(self):
-        p, s = [0.5, 0.5, 0.0], [0.4, 0.4, 0.2]
-        q = {(0,): np.array([0.2, 0.3, 0.5])}
-        base = regularizer_loss(single_history_bundle(p, s, 0.3, 0.7), q)
-        scaled = regularizer_loss(single_history_bundle(p, s, 3 * 0.3, 3 * 0.7), q)
-        assert scaled == pytest.approx(3 * base, rel=1e-12)
-
-    def test_callable_q(self):
-        bundle = single_history_bundle([0.5, 0.5, 0.0], [0.4, 0.4, 0.2], 1.0, 1.0)
-        by_map = regularizer_loss(bundle, {(0,): np.full(3, 1 / 3)})
-        by_fn = regularizer_loss(bundle, lambda h: np.full(3, 1 / 3))
-        assert by_map == by_fn
+        base, mle = split_objective([0.8, 0.2], (0.1, 0.3))
+        scaled, _ = split_objective([0.8, 0.2], (3 * 0.1, 3 * 0.3))
+        assert scaled - mle == pytest.approx(3 * (base - mle), rel=1e-12)
 
 
 class TestBracketIdentities:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlm import neural
-from smoothlm.corpus import corpus_from_lines, count_ngrams
+from smoothlm.corpus import CountTable, corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import (
     OBJECTIVES,
@@ -23,17 +23,14 @@ from smoothlm.neural import (
     TrainingError,
     TrainMetrics,
     _objective_weights,
-    batch_from_corpus,
     load_model,
-    loss_and_grad,
     make_bundle_for,
     save_model,
     train,
-    train_smoothed_target,
 )
-from smoothlm.ngram import empirical_conditional, entropy, perplexity
+from smoothlm.ngram import empirical_conditional, perplexity
 from smoothlm.smoothers import smooth, smooth_add_lambda
-from smoothlm.verify import synthetic_corpus
+from smoothlm.verify import entropy, objective_value, synthetic_corpus
 
 
 def toy():
@@ -47,13 +44,23 @@ def small_setup(method="add_lambda", params=None, gammas=(0.5, 0.5)):
     bundle = build_regularizer(
         empirical_conditional(table), smoothed, table, gammas[0], gammas[1]
     )
-    return corpus, table, bundle
+    return corpus, table, smoothed, bundle
 
 
-def finite_difference_check(model, batch, config, bundle=None, eps=1e-5):
-    """Max mismatch of analytic vs central-difference gradients; relative
-    where the analytic entry is large, absolute below 1e-8."""
-    _, grads = loss_and_grad(model, batch, config, bundle)
+def objective_grads(model, table, config, bundle=None):
+    """The training loss and its gradient: batch_loss_grads under the
+    objective's weights, plus the objective's constant."""
+    alpha, const = _objective_weights(table, config, bundle)
+    loss, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
+    return loss + const, grads
+
+
+def finite_difference_check(model, corpus, table, config, smoothed=None, bundle=None,
+                            eps=1e-5):
+    """Max mismatch of the training gradient with central differences of
+    verify.objective_value; relative where the analytic entry is large,
+    absolute below 1e-8."""
+    _, grads = objective_grads(model, table, config, bundle)
     worst = 0.0
     for name, arr in model.param_arrays().items():
         g = grads[name]
@@ -62,9 +69,9 @@ def finite_difference_check(model, batch, config, bundle=None, eps=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up, _ = loss_and_grad(model, batch, config, bundle)
+            up = objective_value(model, corpus, config, smoothed)
             flat[i] = orig - eps
-            down, _ = loss_and_grad(model, batch, config, bundle)
+            down = objective_value(model, corpus, config, smoothed)
             flat[i] = orig
             numeric = (up - down) / (2 * eps)
             err = abs(numeric - gflat[i])
@@ -232,7 +239,7 @@ def test_data_with_another_vocabulary_rejected():
 def test_bundle_of_another_table_rejected():
     # the larger corpus's bundle covers every training history, but its
     # rows and weights belong to other counts
-    corpus, table, _ = small_setup()
+    corpus, table, _, _ = small_setup()
     larger = corpus_from_lines(
         [" ".join(corpus.vocab.symbols[i] for i in seq) for seq in corpus.sequences] + ["a b c"],
         vocab=corpus.vocab)
@@ -245,7 +252,7 @@ def test_bundle_of_another_table_rejected():
 
 @pytest.mark.parametrize("objective", ["smoothed_target", "split_regularizer"])
 def test_training_reads_bundle_matrices_only(objective):
-    corpus, table, _ = small_setup()
+    corpus, table, _, _ = small_setup()
     config = TrainConfig(objective=objective, method="add_lambda", gamma_plus=0.5,
                          gamma_minus=0.5, epochs=3)
     bundle = make_bundle_for(table, 2, config)
@@ -364,7 +371,8 @@ class TestLossAndGrad:
         m.logits[...] = rng.normal(size=m.logits.shape)
         h = (c.vocab.id_of["a"],)
         target = c.vocab.id_of["b"]
-        _, grads = loss_and_grad(m, [(h, target)], TrainConfig(objective="mle"))
+        one_gram = CountTable.from_grams(2, c.vocab, [(*h, target)], [1])
+        _, grads = objective_grads(m, one_gram, TrainConfig(objective="mle"))
         row = m.index[h]
         q = m.rows([h])[0]
         onehot = np.zeros(3)
@@ -372,43 +380,25 @@ class TestLossAndGrad:
         np.testing.assert_allclose(grads["logits"][row], q - onehot, atol=1e-12)
 
     def test_degenerate_regularizers_reduce_to_mle(self):
-        corpus, table, bundle0 = small_setup(gammas=(0.0, 0.0))
-        batch = batch_from_corpus(corpus, 2)
+        corpus, table, _, bundle0 = small_setup(gammas=(0.0, 0.0))
         m = TabularSoftmaxLM.for_table(table)
         rng = np.random.default_rng(5)
         m.logits[...] = rng.normal(size=m.logits.shape)
-        l_mle, g_mle = loss_and_grad(m, batch, TrainConfig(objective="mle"))
-        l_ls, g_ls = loss_and_grad(m, batch, TrainConfig(objective="label_smoothing", gamma_ls=0.0))
-        l_sp, g_sp = loss_and_grad(
-            m, batch, TrainConfig(objective="split_regularizer"), bundle0
-        )
+        l_mle, g_mle = objective_grads(m, table, TrainConfig(objective="mle"))
+        l_ls, g_ls = objective_grads(m, table,
+                                     TrainConfig(objective="label_smoothing", gamma_ls=0.0))
+        l_sp, g_sp = objective_grads(m, table, TrainConfig(objective="split_regularizer"),
+                                     bundle0)
         assert l_ls == pytest.approx(l_mle, abs=1e-15)
         assert l_sp == pytest.approx(l_mle, abs=1e-15)
         np.testing.assert_allclose(g_ls["logits"], g_mle["logits"], atol=1e-15)
         np.testing.assert_allclose(g_sp["logits"], g_mle["logits"], atol=1e-15)
 
-    def test_batch_order_invariance(self):
-        corpus, table, _ = small_setup()
-        batch = batch_from_corpus(corpus, 2)
-        m = FeedForwardLM(2, corpus.vocab, 4, 6, seed=2)
-        l1, g1 = loss_and_grad(m, batch, TrainConfig(objective="mle"))
-        l2, g2 = loss_and_grad(m, list(reversed(batch)), TrainConfig(objective="mle"))
-        assert l1 == l2
-        for k in g1:
-            np.testing.assert_array_equal(g1[k], g2[k])
-
-    def test_empty_batch_rejected(self):
-        c = toy()
-        m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
-        with pytest.raises(ValueError, match="nonempty"):
-            loss_and_grad(m, [], TrainConfig())
-
     def test_gamma_minus_above_one_rejected(self):
-        corpus, table, bundle = small_setup(gammas=(1.0, 1.5))
-        batch = batch_from_corpus(corpus, 2)
+        corpus, table, _, bundle = small_setup(gammas=(1.0, 1.5))
         m = TabularSoftmaxLM.for_table(table)
         with pytest.raises(ValueError, match="gamma_minus"):
-            loss_and_grad(m, batch, TrainConfig(objective="split_regularizer"), bundle)
+            objective_grads(m, table, TrainConfig(objective="split_regularizer"), bundle)
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -416,30 +406,24 @@ class TestGradientsAgainstFiniteDifferences:
         ("mle", {}),
         ("label_smoothing", {"gamma_ls": 0.7}),
         ("smoothed_target", {}),
-        ("split_regularizer", {}),
+        ("split_regularizer", {"gamma_plus": 0.8, "gamma_minus": 0.6}),
     ]
 
     @pytest.mark.parametrize("objective,extra", CONFIGS)
     def test_tabular(self, objective, extra):
-        corpus, table, bundle = small_setup(gammas=(0.8, 0.6))
-        batch = batch_from_corpus(corpus, 2)
+        corpus, table, smoothed, bundle = small_setup(gammas=(0.8, 0.6))
         m = TabularSoftmaxLM.for_table(table)
         rng = np.random.default_rng(0)
         m.logits[...] = 0.5 * rng.normal(size=m.logits.shape)
         config = TrainConfig(objective=objective, **extra)
-        needs = objective in ("smoothed_target", "split_regularizer")
-        worst = finite_difference_check(m, batch, config, bundle if needs else None)
-        assert worst < 1e-5
+        assert finite_difference_check(m, corpus, table, config, smoothed, bundle) < 1e-5
 
     @pytest.mark.parametrize("objective,extra", CONFIGS)
     def test_feedforward(self, objective, extra):
-        corpus, table, bundle = small_setup(gammas=(0.8, 0.6))
-        batch = batch_from_corpus(corpus, 2)
+        corpus, table, smoothed, bundle = small_setup(gammas=(0.8, 0.6))
         m = FeedForwardLM(2, corpus.vocab, 3, 4, seed=0, init_scale=0.3)
         config = TrainConfig(objective=objective, **extra)
-        needs = objective in ("smoothed_target", "split_regularizer")
-        worst = finite_difference_check(m, batch, config, bundle if needs else None)
-        assert worst < 1e-5
+        assert finite_difference_check(m, corpus, table, config, smoothed, bundle) < 1e-5
 
 
 class TestTraining:
@@ -496,21 +480,21 @@ class TestSmoothedTargetTraining:
         corpus = synthetic_corpus(3, n_sequences=20, n_symbols=3, max_len=4)
         table = count_ngrams(corpus, 2)
         target = smooth_add_lambda(table, 0.7)
+        bundle = build_regularizer(empirical_conditional(table), target, table, 1.0, 1.0)
         m = TabularSoftmaxLM.for_table(table)
-        config = TrainConfig(lr=6.0, epochs=30000)
-        m = train_smoothed_target(m, target, table, config)
+        config = TrainConfig(objective="smoothed_target", lr=6.0, epochs=30000)
+        m, _ = train(m, table, config, bundle=bundle)
         np.testing.assert_array_less(np.abs(m.rows(target.hists) - target.matrix), 1e-4)
 
     def test_mle_target_matches_mle_gradients(self):
-        corpus, table, _ = small_setup()
+        corpus, table, _, _ = small_setup()
         emp = empirical_conditional(table)
         bundle = build_regularizer(emp, emp, table, 1.0, 1.0)
-        batch = batch_from_corpus(corpus, 2)
         m = TabularSoftmaxLM.for_table(table)
         rng = np.random.default_rng(7)
         m.logits[...] = rng.normal(size=m.logits.shape)
-        _, g_mle = loss_and_grad(m, batch, TrainConfig(objective="mle"))
-        _, g_tgt = loss_and_grad(m, batch, TrainConfig(objective="smoothed_target"), bundle)
+        _, g_mle = objective_grads(m, table, TrainConfig(objective="mle"))
+        _, g_tgt = objective_grads(m, table, TrainConfig(objective="smoothed_target"), bundle)
         np.testing.assert_allclose(g_tgt["logits"], g_mle["logits"], atol=1e-12)
 
     def test_equality_of_routes(self):
@@ -518,9 +502,10 @@ class TestSmoothedTargetTraining:
         corpus = synthetic_corpus(4, n_sequences=25, n_symbols=3, max_len=4)
         table = count_ngrams(corpus, 2)
         smoothed = smooth(table, "jelinek_mercer", {"lambdas": [0.6, 0.6]})
-        m1 = TabularSoftmaxLM.for_table(table)
-        m1 = train_smoothed_target(m1, smoothed, table, TrainConfig(lr=6.0, epochs=40000))
         bundle = build_regularizer(empirical_conditional(table), smoothed, table, 1.0, 1.0)
+        m1 = TabularSoftmaxLM.for_table(table)
+        m1, _ = train(m1, table, TrainConfig(objective="smoothed_target", lr=6.0, epochs=40000),
+                      bundle=bundle)
         m2 = TabularSoftmaxLM.for_table(table)
         config = TrainConfig(objective="split_regularizer", lr=6.0, epochs=40000)
         m2, _ = train(m2, corpus, config, bundle=bundle)
@@ -528,16 +513,15 @@ class TestSmoothedTargetTraining:
         np.testing.assert_array_less(np.abs(m1.rows(hists) - m2.rows(hists)), 1e-3)
 
     def test_split_and_target_objectives_differ_by_constant(self):
-        corpus, table, bundle = small_setup("jelinek_mercer", {"lambdas": [0.5, 0.5]},
-                                            gammas=(1.0, 1.0))
-        batch = batch_from_corpus(corpus, 2)
+        corpus, table, _, bundle = small_setup("jelinek_mercer", {"lambdas": [0.5, 0.5]},
+                                               gammas=(1.0, 1.0))
         rng = np.random.default_rng(11)
         diffs = []
         for _ in range(100):
             m = TabularSoftmaxLM.for_table(table)
             m.logits[...] = rng.normal(size=m.logits.shape)
-            l_tgt, _ = loss_and_grad(m, batch, TrainConfig(objective="smoothed_target"), bundle)
-            l_sp, _ = loss_and_grad(m, batch, TrainConfig(objective="split_regularizer"), bundle)
+            l_tgt, _ = objective_grads(m, table, TrainConfig(objective="smoothed_target"), bundle)
+            l_sp, _ = objective_grads(m, table, TrainConfig(objective="split_regularizer"), bundle)
             diffs.append(l_tgt - l_sp)
         assert np.var(diffs) < 1e-10
 

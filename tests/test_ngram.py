@@ -9,26 +9,30 @@ import math
 import numpy as np
 import pytest
 
-from smoothlm import ngram
+from smoothlm import ngram, verify
 from smoothlm.cli import main
 from smoothlm.corpus import Vocabulary, corpus_from_lines, count_ngrams, load_corpus
 from smoothlm.ngram import (
     ConditionalLM,
     NormalizationError,
     UnseenHistoryError,
-    cross_entropy,
     empirical_conditional,
-    empirical_prefix,
-    entropy,
-    kl_divergence,
     perplexity,
     read_conditional_lm,
-    string_logprob,
     write_conditional_lm,
 )
 from smoothlm.decompose import build_regularizer
 from smoothlm.smoothers import METHODS, smooth, smooth_add_lambda
-from smoothlm.verify import corollary_sides, random_bigram_lm, random_corpus
+from smoothlm.verify import (
+    corollary_sides,
+    cross_entropy,
+    empirical_prefix,
+    entropy,
+    kl_divergence,
+    random_bigram_lm,
+    random_corpus,
+    string_logprob,
+)
 
 
 def toy():
@@ -135,7 +139,7 @@ class TestRowViews:
         def per_token(*args):
             raise AssertionError("perplexity took the per-token path")
 
-        monkeypatch.setattr(ngram, "string_logprob", per_token)
+        monkeypatch.setattr(verify, "string_logprob", per_token)
         monkeypatch.setattr(ConditionalLM, "prob", per_token)
         assert ngram.perplexity(lm, held) == want
         assert main(["eval", "--lm", path, "--corpus", str(tmp_path / "held.txt")]) == 0

@@ -22,7 +22,6 @@ from smoothlm.ngram import (
     empirical_conditional,
     perplexity,
     read_conditional_lm,
-    string_logprob,
     write_conditional_lm,
 )
 from smoothlm.smoothers import (
@@ -32,6 +31,7 @@ from smoothlm.smoothers import (
     smooth_add_lambda,
     smooth_kneser_essen_ney,
 )
+from smoothlm.verify import string_logprob
 
 
 @st.composite

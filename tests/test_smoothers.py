@@ -14,7 +14,7 @@ from smoothlm.ngram import empirical_conditional
 from smoothlm.smoothers import (
     KatzConfigError,
     default_params,
-    good_turing_global,
+    good_turing_adjusted_count,
     method_params,
     sgt_fit,
     smooth,
@@ -147,6 +147,14 @@ class TestAddLambda:
             assert np.abs(lm.table[h] - v).max() < 1e-6
 
 
+def gt_global_probs(table):
+    """Pre-normalization Good-Turing probabilities, adjusted count / total
+    tokens, of every observed gram; zero where r_{c+1} == 0."""
+    r = table.count_of_counts
+    return {key: good_turing_adjusted_count(c, r, 1) / table.total_tokens
+            for key, c in table.gram_count.items()}
+
+
 class TestGoodTuring:
     def vocab(self):
         return Vocabulary(symbols=("a", "b"))
@@ -158,7 +166,7 @@ class TestGoodTuring:
 
     def test_adjusted_counts(self):
         v, t = self.counts_2_1_1()
-        g = good_turing_global(t)
+        g = gt_global_probs(t)
         # c*(ba) = (1+1) r_2/r_1 = 1; probability 1/4
         assert g[((1,), 0)] == pytest.approx(F(1, 4))
         # c*(ab) = 3 r_3/r_2 = 0
@@ -167,7 +175,7 @@ class TestGoodTuring:
     def test_mass_law_prenormalization(self):
         for seed in (0, 1):
             table = count_ngrams(synthetic_corpus(seed, n_sequences=60, n_symbols=4), 2)
-            g = good_turing_global(table)
+            g = gt_global_probs(table)
             r = table.count_of_counts
             by_count = {}
             for key, p in g.items():
@@ -180,7 +188,6 @@ class TestGoodTuring:
         # total weight of zero-count cells before renormalization is r_1/N
         v, t = self.counts_2_1_1()
         from smoothlm.corpus import zero_gram_count
-        from smoothlm.smoothers import good_turing_adjusted_count
 
         r0 = zero_gram_count(t)
         per_item = good_turing_adjusted_count(0, t.count_of_counts, r0) / t.total_tokens
