@@ -14,6 +14,7 @@ count file.  Its count dicts are views for `perfbench/` and the tests.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -396,7 +397,7 @@ def read_count_table(path: str) -> CountTable:
 # ---------------------------------------------------------------------------
 # The one TSV format of count tables, smoothed LMs and decompositions
 
-# cells formatted per write, and characters of text read per block: bounded
+# lines formatted per write, and characters of text read per block: bounded
 # so that a large table is never held as text or Python objects at once
 WRITE_CHUNK = 65536
 READ_BLOCK = 1 << 19
@@ -409,12 +410,16 @@ def write_cells(path: str, vocab: Vocabulary, hists: Sequence[History], columns:
     cell, sorted by rendered history, then rendered symbol.  `columns` maps
     names to (values, format spec).  The cells are `cells` = (history rows,
     emission indices), or else every cell of (histories x emissions).  A
-    1-D column given with `cells` holds one value per cell; any other is
-    broadcast to (histories x emissions), e.g. from one value per history
-    (histories x 1), and read at each cell."""
+    1-D column given with `cells` holds one value per cell, and one of shape
+    (histories x 1) one value per history; any other is broadcast to
+    (histories x emissions) and read at each cell.
+
+    A line is written as at most 2 + len(columns) texts, each ending in its
+    tab or newline: the history's and the symbol's, each built once; one
+    per column of cell values, each distinct bit pattern in a chunk of
+    WRITE_CHUNK lines formatted once; and one per run of adjacent
+    per-history columns, formatted once per history."""
     shape = (len(hists), vocab.out_dim)
-    columns = {name: (v if cells is not None and np.ndim(v) == 1 else np.broadcast_to(v, shape),
-                      spec) for name, (v, spec) in columns.items()}
     h_str = np.array([vocab.render_history(h) for h in hists], dtype=object)
     x_str = np.array([vocab.render(vocab.id_at_out(j)) for j in range(shape[1])], dtype=object)
     # a string's rank among the sorted strings orders the cells
@@ -427,35 +432,58 @@ def write_cells(path: str, vocab: Vocabulary, hists: Sequence[History], columns:
     else:
         hist, out = cells
         order = np.argsort(h_rank[hist] * shape[1] + x_rank[out], kind="stable")
+    # a line's texts after its symbol's: an object array of one text per
+    # history, or (values per cell or per (history, emission), spec, end)
+    pieces = []
+    for k, (v, spec) in enumerate(columns.values()):
+        end = "\n" if k == len(columns) - 1 else "\t"
+        if cells is not None and np.ndim(v) == 1:
+            pieces.append((v, spec, end))
+        elif np.shape(v) == (shape[0], 1):
+            text = np.array([format(x, spec) + end for x in np.ravel(v).tolist()], dtype=object)
+            if pieces and not isinstance(pieces[-1], tuple):
+                text = pieces.pop() + text
+            pieces.append(text)
+        else:
+            pieces.append((np.broadcast_to(v, shape), spec, end))
+    h_str += "\t"
+    x_str += "\t"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if comment is not None:
             f.write(f"# {comment}\n")
         f.write("\t".join(["history", "symbol", *columns]) + "\n")
-        # a line is its fields, each followed by a tab or the newline
-        lines = np.full((min(len(order), WRITE_CHUNK), 2 * len(columns) + 4), "\t", dtype=object)
-        lines[:, -1] = "\n"
+        lines = np.empty((min(len(order), WRITE_CHUNK), 2 + len(pieces)), dtype=object)
         for start in range(0, len(order), WRITE_CHUNK):
             part = order[start:start + WRITE_CHUNK]
             h, x = np.divmod(part, shape[1]) if cells is None else (hist[part], out[part])
-            fields = lines[:len(part)]
-            fields[:, 0], fields[:, 2] = h_str[h], x_str[x]
-            for k, (v, spec) in enumerate(columns.values()):
-                fields[:, 2 * k + 4] = _formatted(v[part] if v.ndim == 1 else v[h, x], spec)
-            f.write("".join(fields.ravel().tolist()))
+            texts = lines[:len(part)]
+            texts[:, 0], texts[:, 1] = h_str[h], x_str[x]
+            for j, piece in enumerate(pieces, 2):
+                if isinstance(piece, tuple):
+                    v, spec, end = piece
+                    texts[:, j] = _formatted(v[part] if v.ndim == 1 else v[h, x], spec, end)
+                else:
+                    texts[:, j] = piece[h]
+            f.write("".join(texts.ravel().tolist()))
 
 
-def _formatted(values: np.ndarray, spec: str) -> np.ndarray:
-    """`format(value, spec)` of each value, as an object array; each distinct
-    bit pattern is formatted once, so -0.0 and a NaN keep their own text."""
+def _formatted(values: np.ndarray, spec: str, end: str) -> np.ndarray:
+    """`format(value, spec) + end` of each value, as an object array; each
+    distinct bit pattern is formatted once, so -0.0 and a NaN keep their own
+    text."""
     bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    text = [format(v, spec) for v in bits.view(values.dtype).tolist()]
+    text = [format(v, spec) + end for v in bits.view(values.dtype).tolist()]
     return np.array(text, dtype=object)[inverse]
 
 
 def read_cells(path: str, columns: dict) -> tuple:
     """Read a write_cells file; `columns` maps names to parsers (int, float).
     Returns the comment or None, the vocabulary in order of first appearance,
-    the histories, and per cell its history row, emission index and values."""
+    the histories, and per cell its history row, emission index and values.
+
+    The lines are read in blocks of READ_BLOCK characters, each completed to
+    its line's end and split into fields at once; blank lines are skipped.
+    A block is split into lines only to name a line it cannot read."""
     width = len(columns) + 2
     step = width + 1   # a line's fields and its "\n" below
     # each distinct history and symbol string -> the row it first appears on
@@ -470,28 +498,32 @@ def read_cells(path: str, columns: dict) -> tuple:
             comment, header = header[2:], f.readline().rstrip("\n")
         if header != "\t".join(["history", "symbol", *columns]):
             raise ValueError(f"{path}: bad column header")
-        while block := f.readlines(READ_BLOCK):
-            lines = list(filter("\n".__ne__, block))
-            if not lines:
-                continue
-            text = "".join(lines)
+        while text := f.read(READ_BLOCK):
+            if text[-1] != "\n":
+                text += f.readline()
+            if "\n\n" in text or text[0] == "\n":
+                # a blank line is a "\n" at the block's start or after another
+                text = re.sub("\n\n+", "\n", text).lstrip("\n")
+                if not text:
+                    continue
             # a line's fields, then "\n" in place of its newline
             fields = text.replace("\n", "\t\n\t").split("\t")
             if text[-1] != "\n":
                 fields += ["\n", ""]
-            rows = range(n, n + len(lines))
-            if len(fields) != len(lines) * step + 1 or \
-                    fields[width::step].count("\n") != len(lines):
-                bad = next(line for line in lines if line.rstrip("\n").count("\t") != width - 1)
+            rows = range(n, n + (len(fields) - 1) // step)
+            if len(fields) != len(rows) * step + 1 or \
+                    fields[width::step].count("\n") != len(rows):
+                bad = next(line for line in _lines(text)
+                           if line.rstrip("\n").count("\t") != width - 1)
                 raise ValueError(f"{path}: expected {width} columns in {bad!r}")
             hist.append(np.fromiter(map(hist_row.setdefault, fields[0:-1:step], rows),
-                                    np.int64, len(lines)))
+                                    np.int64, len(rows)))
             sym.append(np.fromiter(map(sym_row.setdefault, fields[1:-1:step], rows),
-                                   np.int64, len(lines)))
+                                   np.int64, len(rows)))
             for j, (col, parse) in enumerate(zip(values, columns.values())):
-                col.append(_parsed(path, parse, fields[j + 2:-1:step], lines))
+                col.append(_parsed(path, parse, fields[j + 2:-1:step], text))
             n = rows.stop
-            del block, lines, text, fields
+            del text, fields
     if not n:
         raise ValueError(f"{path}: no data rows")
     # vocabulary in order of first appearance, a history's tokens before its
@@ -507,24 +539,40 @@ def read_cells(path: str, columns: dict) -> tuple:
     hists = [tuple(map(vocab.parse, h.split(" "))) if h else () for h in hist_row]
     if len({len(h) for h in hists}) > 1:
         raise ValueError(f"{path}: inconsistent history lengths")
-    # a row's string's first row, in the increasing first rows, is its number
-    hist = np.searchsorted(np.fromiter(hist_row.values(), np.int64), np.concatenate(hist))
-    out = out_of_sym[np.searchsorted(np.fromiter(sym_row.values(), np.int64),
-                                     np.concatenate(sym))]
-    keys = np.sort(hist * vocab.out_dim + out)
+    # a string's first row -> its number among the strings, by one gather;
+    # each list of blocks is joined and let go before its gather
+    number = np.empty(n, dtype=np.int64)
+    number[np.fromiter(hist_row.values(), np.int64)] = np.arange(len(hist_row))
+    hist = np.concatenate(hist)
+    hist = number[hist]
+    number[np.fromiter(sym_row.values(), np.int64)] = out_of_sym
+    sym = np.concatenate(sym)
+    out = number[sym]
+    del number, sym
+    keys = hist * vocab.out_dim
+    keys += out
+    keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise ValueError(f"{path}: duplicate gram row")
     return comment, vocab, hists, hist, out, [np.concatenate(col) for col in values]
 
 
-def _parsed(path: str, parse, texts: list[str], lines: list[str]) -> np.ndarray:
+def _lines(text: str) -> list[str]:
+    """A block's lines, each with its "\n" but for an unended last one."""
+    lines = [line + "\n" for line in text.split("\n")]
+    lines[-1] = lines[-1][:-1]
+    return lines if lines[-1] else lines[:-1]
+
+
+def _parsed(path: str, parse, texts: list[str], block: str) -> np.ndarray:
     """`parse` of each text, in an int64 array for int and float64 otherwise;
-    ValueError naming `path` and the line of the first text it refuses."""
+    ValueError naming `path` and the line of `block` with the first text it
+    refuses."""
     dtype = np.int64 if parse is int else np.float64
     try:
         return np.fromiter(map(parse, texts), dtype, len(texts))
     except (ValueError, OverflowError):
-        for text, line in zip(texts, lines):
+        for text, line in zip(texts, _lines(block)):
             try:
                 np.array(parse(text), dtype)
             except (ValueError, OverflowError) as exc:

@@ -49,6 +49,20 @@ class SignedDecomposition:
     z_plus: float | np.ndarray
     z_minus: float | np.ndarray
 
+    @cached_property
+    def entropies(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entropy of each row of p_plus and of p_minus, of a
+        decomposition of many rows.  Computed on first read: the grid
+        cells of one bundle share its rows and differ only in gammas."""
+        return row_entropies(self.p_plus), row_entropies(self.p_minus)
+
+
+def row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Entropy of each row, summed over its positive cells."""
+    i, j = np.nonzero(rows > 0.0)
+    p = rows[i, j]
+    return -np.bincount(i, weights=p * np.log(p), minlength=len(rows))
+
 
 def signed_decompose(empirical, smoothed, hists=None) -> SignedDecomposition:
     """Split smoothed - empirical into normalized positive and negative

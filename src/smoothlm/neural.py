@@ -41,7 +41,7 @@ import numpy as np
 
 from .corpus import (Corpus, CountTable, GramArrays, History, Vocabulary, check_histories,
                      row_index, table_at)
-from .decompose import RegularizerBundle, build_regularizer
+from .decompose import RegularizerBundle, build_regularizer, row_entropies
 from .ngram import empirical_conditional, perplexity, table_perplexity
 from .smoothers import method_params, smooth
 
@@ -282,8 +282,8 @@ def _objective_weights(
         raise ValueError("the bundle was built from another count table")
     w = table.arrays.totals / N
     r = bundle.rows
-    # grid cells share the bundle's matrices (they replace only the gammas),
-    # so no product is taken in place
+    # grid cells share the bundle's matrices and their entropies (they
+    # replace only the gammas), so no product is taken in place
     if config.objective == "smoothed_target":
         target = C / C.sum(axis=1, keepdims=True)
         part = r.p_plus * r.z_plus[:, None]
@@ -291,25 +291,19 @@ def _objective_weights(
         np.multiply(r.p_minus, r.z_minus[:, None], out=part)
         target -= part
         np.maximum(target, 0.0, out=target)
-        const = -float(np.dot(w, _row_entropies(target)))
+        const = -float(np.dot(w, row_entropies(target)))
         target *= w[:, None]
         return target, const
+    h_plus, h_minus = r.entropies
     coef = w * bundle.gamma_plus * r.z_plus
-    const -= float(np.dot(coef, _row_entropies(r.p_plus)))
+    const -= float(np.dot(coef, h_plus))
     part = r.p_plus * coef[:, None]
     alpha += part
     coef = w * bundle.gamma_minus * r.z_minus
-    const += float(np.dot(coef, _row_entropies(r.p_minus)))
+    const += float(np.dot(coef, h_minus))
     np.multiply(r.p_minus, coef[:, None], out=part)
     alpha -= part
     return alpha, const
-
-
-def _row_entropies(rows: np.ndarray) -> np.ndarray:
-    """Entropy of each row, summed over its positive cells."""
-    i, j = np.nonzero(rows > 0.0)
-    p = rows[i, j]
-    return -np.bincount(i, weights=p * np.log(p), minlength=len(rows))
 
 
 def make_bundle_for(

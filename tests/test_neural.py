@@ -5,6 +5,7 @@ differences; training fixed points are checked against the closed forms
 they must recover (empirical conditionals for MLE, the add-lambda table for
 label smoothing, the smoothed table itself for target fitting)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothlm import neural
+from smoothlm import decompose, neural
 from smoothlm.corpus import CountTable, corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import (
@@ -597,3 +598,31 @@ def test_objective_weights_match_per_history_loop(objective, method):
     ref_alpha, ref_const = loop_objective_weights(table, config, bundle)
     np.testing.assert_array_equal(alpha, ref_alpha)
     assert const == pytest.approx(ref_const, rel=1e-12)
+
+
+def test_grid_cells_share_their_bundles_entropies(monkeypatch):
+    # grid cells replace only a bundle's gammas, so the entropies of its
+    # p_plus and p_minus rows are computed once for them all; rows copied
+    # for each cell, which compute their own, give the same bits
+    table = count_ngrams(synthetic_corpus(21, n_sequences=80, n_symbols=6), 3)
+    base = build_regularizer(empirical_conditional(table), smooth(table, "kneser_essen_ney"),
+                             table, 1.0, 1.0)
+    calls = []
+    row_entropies = decompose.row_entropies
+    monkeypatch.setattr(decompose, "row_entropies",
+                        lambda rows: calls.append(rows) or row_entropies(rows))
+    gammas = [(0.3, 0.7), (1.0, 1.0), (2.0, 0.0), (0.0, 0.5)]
+    configs = [TrainConfig(objective="split_regularizer", method="kneser_essen_ney",
+                           gamma_plus=gp, gamma_minus=gm) for gp, gm in gammas]
+    shared = [_objective_weights(table, config, dataclasses.replace(
+        base, gamma_plus=config.gamma_plus, gamma_minus=config.gamma_minus))
+        for config in configs]
+    assert len(calls) == 2
+    assert calls[0] is base.rows.p_plus and calls[1] is base.rows.p_minus
+    for config, (alpha, const) in zip(configs, shared):
+        own = dataclasses.replace(base, rows=dataclasses.replace(base.rows),
+                                  gamma_plus=config.gamma_plus, gamma_minus=config.gamma_minus)
+        own_alpha, own_const = _objective_weights(table, config, own)
+        np.testing.assert_array_equal(alpha, own_alpha)
+        assert const == own_const
+    assert len(calls) == 2 + 2 * len(configs)

@@ -389,6 +389,14 @@ def tsv_texts(draw):
     return comment + header + text, {f"c{k}": p for k, p in enumerate(parsers)}
 
 
+def assert_same_cells(a, b):
+    """Two read_cells results are equal, arrays and dtypes included."""
+    assert a[:3] == b[:3]
+    for x, y in zip([*a[3:5], *a[5]], [*b[3:5], *b[5]]):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
 @given(tsv_texts(), st.integers(1, 40))
 def test_read_cells_matches_per_line_reader(args, block):
     text, columns = args
@@ -397,10 +405,7 @@ def test_read_cells_matches_per_line_reader(args, block):
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
         new, ref = read_cells(path, columns), reference_read(path, columns)
-    assert new[:3] == ref[:3]
-    for a, b in zip([*new[3:5], *new[5]], [*ref[3:5], *ref[5]]):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+    assert_same_cells(new, ref)
 
 
 def late_defect(tmp_path, monkeypatch, bad_line):
@@ -422,3 +427,59 @@ def test_wrong_column_count_in_a_later_block(tmp_path, monkeypatch):
 
 def test_duplicate_cell_in_a_later_block(tmp_path, monkeypatch):
     assert late_defect(tmp_path, monkeypatch, "s0\t</s>\t3\n").endswith("duplicate gram row")
+
+
+def test_bad_value_in_a_later_block(tmp_path, monkeypatch):
+    # a block is split into lines only to name the one it cannot read
+    assert late_defect(tmp_path, monkeypatch, "s0\t</s>\tx\n") == (
+        f"{tmp_path / 'counts.tsv'}: invalid literal for int() with base 10: 'x' in "
+        "'s0\\t</s>\\tx\\n'")
+
+
+def test_blank_line_runs_longer_than_a_block(tmp_path, monkeypatch):
+    # blocks that hold nothing but blank lines, before, between and after
+    # the data lines, are skipped
+    monkeypatch.setattr(corpus, "READ_BLOCK", 4)
+    header, *lines = COUNTS[3].splitlines(keepends=True)
+    blank = "\n" * 11
+    padded, compact = tmp_path / "padded.tsv", tmp_path / "compact.tsv"
+    padded.write_text(header + blank + "".join(lines[:3]) + blank + "".join(lines[3:]) + blank,
+                      encoding="utf-8")
+    compact.write_text(COUNTS[3], encoding="utf-8")
+    assert_same_cells(read_cells(str(padded), {"count": int}),
+                      read_cells(str(compact), {"count": int}))
+
+
+def test_only_blank_lines_after_the_header(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "READ_BLOCK", 4)
+    path = tmp_path / "counts.tsv"
+    path.write_text("history\tsymbol\tcount\n" + "\n" * 11, encoding="utf-8")
+    with pytest.raises(ValueError, match="no data rows"):
+        read_cells(str(path), {"count": int})
+
+
+@pytest.mark.parametrize("block", [1, 4, corpus.READ_BLOCK])
+def test_crlf_files_read_like_their_lf_twins(block, tmp_path, monkeypatch, capsys):
+    # text mode reads each "\r\n" as "\n", also where a block ends
+    # between the two
+    monkeypatch.setattr(corpus, "READ_BLOCK", block)
+    (tmp_path / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+    results = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        counts, lm = tmp_path / f"counts_{name}.tsv", tmp_path / f"lm_{name}.tsv"
+        counts.write_text(COUNTS[3], encoding="utf-8", newline=newline)
+        lm.write_text(LM[3], encoding="utf-8", newline=newline)
+        assert counts.read_bytes().count(b"\r\n") == (name == "crlf") * COUNTS[3].count("\n")
+        smoothed = tmp_path / f"smoothed_{name}.tsv"
+        assert main(["smooth", "--counts", str(counts), "--method", "addlambda",
+                     "--out", str(smoothed)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--lm", str(lm), "--corpus", str(tmp_path / "corpus.txt")]) == 0
+        results.append((read_cells(str(counts), {"count": int}),
+                        read_cells(str(lm), {"probability": float}),
+                        smoothed.read_bytes(), capsys.readouterr().out))
+    (lf_counts, lf_lm, *lf_rest), (crlf_counts, crlf_lm, *crlf_rest) = results
+    assert_same_cells(lf_counts, crlf_counts)
+    assert_same_cells(lf_lm, crlf_lm)
+    assert lf_rest == crlf_rest
+    assert lf_rest[0] == LM[3].encode()
