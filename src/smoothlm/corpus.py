@@ -483,7 +483,8 @@ def read_cells(path: str, columns: dict) -> tuple:
 
     The lines are read in blocks of READ_BLOCK characters, each completed to
     its line's end and split into fields at once; blank lines are skipped.
-    A block is split into lines only to name a line it cannot read."""
+    A block is split into lines only when it cannot be read, to name its
+    first line, in file order, with a wrong column count or value."""
     width = len(columns) + 2
     step = width + 1   # a line's fields and its "\n" below
     # each distinct history and symbol string -> the row it first appears on
@@ -513,15 +514,17 @@ def read_cells(path: str, columns: dict) -> tuple:
             rows = range(n, n + (len(fields) - 1) // step)
             if len(fields) != len(rows) * step + 1 or \
                     fields[width::step].count("\n") != len(rows):
-                bad = next(line for line in _lines(text)
-                           if line.rstrip("\n").count("\t") != width - 1)
-                raise ValueError(f"{path}: expected {width} columns in {bad!r}")
+                raise _first_defect(path, columns, text)
             hist.append(np.fromiter(map(hist_row.setdefault, fields[0:-1:step], rows),
                                     np.int64, len(rows)))
             sym.append(np.fromiter(map(sym_row.setdefault, fields[1:-1:step], rows),
                                    np.int64, len(rows)))
-            for j, (col, parse) in enumerate(zip(values, columns.values())):
-                col.append(_parsed(path, parse, fields[j + 2:-1:step], text))
+            try:
+                for j, (col, parse) in enumerate(zip(values, columns.values())):
+                    col.append(np.fromiter(map(parse, fields[j + 2:-1:step]), _dtype(parse),
+                                           len(rows)))
+            except (ValueError, OverflowError):
+                raise _first_defect(path, columns, text) from None
             n = rows.stop
             del text, fields
     if not n:
@@ -564,17 +567,21 @@ def _lines(text: str) -> list[str]:
     return lines if lines[-1] else lines[:-1]
 
 
-def _parsed(path: str, parse, texts: list[str], block: str) -> np.ndarray:
-    """`parse` of each text, in an int64 array for int and float64 otherwise;
-    ValueError naming `path` and the line of `block` with the first text it
-    refuses."""
-    dtype = np.int64 if parse is int else np.float64
-    try:
-        return np.fromiter(map(parse, texts), dtype, len(texts))
-    except (ValueError, OverflowError):
-        for text, line in zip(texts, _lines(block)):
+def _dtype(parse) -> type:
+    """The array dtype of a column `parse` reads: int64 for int, else float64."""
+    return np.int64 if parse is int else np.float64
+
+
+def _first_defect(path: str, columns: dict, block: str) -> ValueError:
+    """The error naming `path` and the first line of `block`, in file order,
+    that has the wrong number of columns or a value its parser refuses."""
+    for line in _lines(block):
+        texts = line.rstrip("\n").split("\t")
+        if len(texts) != len(columns) + 2:
+            return ValueError(f"{path}: expected {len(columns) + 2} columns in {line!r}")
+        for parse, text in zip(columns.values(), texts[2:]):
             try:
-                np.array(parse(text), dtype)
+                np.array(parse(text), _dtype(parse))
             except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}: {exc} in {line!r}") from None
-        raise
+                return ValueError(f"{path}: {exc} in {line!r}")
+    raise AssertionError(f"{path}: a block failed to read but none of its lines did")

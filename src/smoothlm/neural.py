@@ -110,11 +110,24 @@ class TrainMetrics:
 
 
 def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (log q, q) with max subtraction."""
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
-    return (z - m) - np.log(s), e / s
+    """Row-wise (log q, q) with max subtraction.  Writes log q over `z`, a
+    fresh logits array, and returns it; q is the one new array."""
+    z -= z.max(axis=1, keepdims=True)
+    q = np.exp(z)
+    s = q.sum(axis=1, keepdims=True)
+    z -= np.log(s)
+    q /= s
+    return z, q
+
+
+def _loss_delta(alpha: np.ndarray, logq: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
+    """The loss sum alpha . -log q and its gradient in the logits,
+    alpha.sum(1) q - alpha, which takes over the loss's scratch array."""
+    t = alpha * logq
+    loss = float(-t.sum())
+    np.multiply(alpha.sum(axis=1, keepdims=True), q, out=t)
+    t -= alpha
+    return loss, t
 
 
 class _Model:
@@ -160,9 +173,8 @@ class TabularSoftmaxLM(_Model):
         Row -1 is a zero logit row, whose softmax is the uniform row."""
         idx = np.fromiter((self.index.get(h, -1) for h in hists), dtype=np.intp,
                           count=len(hists))
-        z = np.zeros((len(idx), self.vocab.out_dim))
-        known = idx >= 0
-        z[known] = self.logits[idx[known]]
+        z = self.logits[idx] if len(self.logits) else np.zeros((len(idx), self.vocab.out_dim))
+        z[idx < 0] = 0.0
         return idx, *_log_softmax(z)
 
     def batch_loss_grads(self, hists, alpha, extra=()):
@@ -174,8 +186,7 @@ class TabularSoftmaxLM(_Model):
         if (idx[:n] < 0).any():
             h = hists[int(np.argmin(idx[:n]))]
             raise ValueError(f"tabular model has no row for history {h}")
-        loss = float(-(alpha * logq[:n]).sum())
-        delta = alpha.sum(axis=1, keepdims=True) * q[:n] - alpha
+        loss, delta = _loss_delta(alpha, logq[:n], q[:n])
         g = np.zeros_like(self.logits)
         g[idx[:n]] = delta
         return loss, {"logits": g}, q
@@ -233,8 +244,7 @@ class FeedForwardLM(_Model):
         n = len(hists)
         idx, e, a, logq, q = self.forward([*hists, *extra])
         idx, e, a, logq = idx[:n], e[:n], a[:n], logq[:n]
-        loss = float(-(alpha * logq).sum())
-        delta2 = alpha.sum(axis=1, keepdims=True) * q[:n] - alpha
+        loss, delta2 = _loss_delta(alpha, logq, q[:n])
         gW2 = a.T @ delta2
         gb2 = delta2.sum(axis=0)
         dz1 = (delta2 @ self.W2.T) * (1.0 - a * a)

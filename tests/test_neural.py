@@ -106,6 +106,12 @@ class TestForward:
         q = ff.rows([(a, b), (b, a)])
         np.testing.assert_allclose(q[0], q[1])
 
+    def test_tabular_model_without_rows_is_uniform(self):
+        c = toy()
+        m = TabularSoftmaxLM(2, c.vocab, [])
+        q = m.rows([(0,), (c.vocab.bos_id,)])
+        np.testing.assert_array_equal(q, np.full((2, c.vocab.out_dim), 1.0 / c.vocab.out_dim))
+
     def test_wrong_history_length(self):
         c = toy()
         m = TabularSoftmaxLM.for_table(count_ngrams(c, 2))
@@ -168,6 +174,111 @@ def test_rows_of_a_batch_match_row_by_row(kind, data):
                                      (99,) * (order - 1), (0,) * order]))
     with pytest.raises(ValueError, match="not a symbol or BOS|length"):
         model.rows([*hists, bad])
+
+
+def step_case(arch, data):
+    """A model with random parameters, the training histories of one of its
+    steps, random coefficients alpha over them, and held-out `extra`
+    histories; a tabular model leaves out one table history, which leads
+    `extra`."""
+    lines = data.draw(lines_over("abcd"))
+    order = data.draw(st.integers(2, 3))
+    corpus = corpus_from_lines(lines)
+    vocab = corpus.vocab
+    table = count_ngrams(corpus, order)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ids = list(range(vocab.n_symbols)) + [vocab.bos_id]
+    extra = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * (order - 1)), max_size=5))
+    if arch == "tabular":
+        model = TabularSoftmaxLM(order, vocab, table.arrays.hists[1:])
+        hists = model.hists
+        extra.insert(0, table.arrays.hists[0])
+    else:
+        model = FeedForwardLM(order, vocab, 3, 4, seed=order)
+        hists = table.arrays.hists
+    for arr in model.param_arrays().values():
+        arr[...] = rng.normal(size=arr.shape)
+    alpha = rng.normal(size=(len(hists), vocab.out_dim)) * (rng.random(len(hists)) < 0.8)[:, None]
+    return model, hists, alpha, extra
+
+
+def unfused_log_softmax(z):
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    return (z - m) - np.log(s), e / s
+
+
+@pytest.mark.parametrize("arch", ["tabular", "feedforward"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
+    # the forward writes log q over its logits and the step's loss and
+    # delta share one array; every value keeps the bits of the expressions
+    # that allocate one array each
+    model, hists, alpha, extra = step_case(arch, data)
+    batch, n = [*hists, *extra], len(hists)
+    p = {k: v.copy() for k, v in model.param_arrays().items()}
+    if arch == "tabular":
+        idx = np.array([model.index.get(h, -1) for h in batch], dtype=np.intp)
+        z = np.zeros((len(batch), model.vocab.out_dim))
+        z[idx >= 0] = p["logits"][idx[idx >= 0]]
+    else:
+        idx = np.asarray(batch, dtype=int).reshape(len(batch), model.order - 1)
+        e = p["E"][idx].reshape(len(batch), -1)
+        a = np.tanh(e @ p["W1"] + p["b1"])
+        z = a @ p["W2"] + p["b2"]
+    logq, q = unfused_log_softmax(z)
+    delta = alpha.sum(1, keepdims=True) * q[:n] - alpha
+    if arch == "tabular":
+        g = np.zeros_like(p["logits"])
+        g[idx[:n]] = delta
+        ref = {"logits": g}
+    else:
+        dz1 = (delta @ p["W2"].T) * (1.0 - a[:n] * a[:n])
+        de = dz1 @ p["W1"].T
+        gE = np.zeros_like(p["E"])
+        d = model.embed_dim
+        for j in range(model.order - 1):
+            np.add.at(gE, idx[:n, j], de[:, j * d:(j + 1) * d])
+        ref = {"E": gE, "W1": e[:n].T @ dz1, "b1": dz1.sum(axis=0), "W2": a[:n].T @ delta,
+               "b2": delta.sum(axis=0)}
+    *_, fwd_logq, fwd_q = model.forward(batch)
+    np.testing.assert_array_equal(fwd_logq, logq)
+    np.testing.assert_array_equal(fwd_q, q)
+    np.testing.assert_array_equal(model.rows(batch), q)
+    loss, grads, step_q = model.batch_loss_grads(hists, alpha, extra)
+    assert loss == float(-(alpha * logq[:n]).sum())
+    np.testing.assert_array_equal(step_q, q)
+    assert grads.keys() == ref.keys()
+    for name, g in ref.items():
+        np.testing.assert_array_equal(grads[name], g)
+
+
+@pytest.mark.parametrize("arch", ["tabular", "feedforward"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_passes_leave_parameters_and_alpha_alone(arch, data):
+    # log q overwrites each forward's own logits, never a parameter (the
+    # tabular logits above all), and the q a pass returns is its own array
+    model, hists, alpha, extra = step_case(arch, data)
+    batch = [*hists, *extra]
+    params = model.param_arrays()
+    before = {k: v.copy() for k, v in params.items()}
+    alpha_before = alpha.copy()
+    first = model.rows(batch)
+    outs = [first, *model.forward(batch), model.rows(hists), *model.forward(hists)]
+    for more in (extra, ()):
+        _, grads, q = model.batch_loss_grads(hists, alpha, more)
+        outs += [q, *grads.values()]
+    again = model.rows(batch)
+    np.testing.assert_array_equal(first, again)
+    np.testing.assert_array_equal(alpha, alpha_before)
+    for name, arr in params.items():
+        np.testing.assert_array_equal(arr, before[name])
+    for out in [*outs, again]:
+        for arr in [*params.values(), alpha]:
+            assert not np.shares_memory(out, arr)
 
 
 @settings(max_examples=30)

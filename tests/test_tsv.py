@@ -436,6 +436,18 @@ def test_bad_value_in_a_later_block(tmp_path, monkeypatch):
         "'s0\\t</s>\\tx\\n'")
 
 
+@pytest.mark.parametrize("block", [*range(1, 17), 64, corpus.READ_BLOCK])
+def test_first_defect_in_file_order_at_any_block_size(block, tmp_path, monkeypatch):
+    # a bad value on data line 1 and an extra column on line 2: the message
+    # names line 1 wherever the blocks end
+    monkeypatch.setattr(corpus, "READ_BLOCK", block)
+    path = tmp_path / "lm.tsv"
+    path.write_text("history\tsymbol\tprob\na\tb\tx\na\tc\t0.5\textra\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_cells(str(path), {"prob": float})
+    assert str(exc.value) == f"{path}: could not convert string to float: 'x' in 'a\\tb\\tx\\n'"
+
+
 def test_blank_line_runs_longer_than_a_block(tmp_path, monkeypatch):
     # blocks that hold nothing but blank lines, before, between and after
     # the data lines, are skipped
