@@ -68,7 +68,7 @@ def _smoothed_lm(args):
 def cmd_smooth(args) -> int:
     _, lm = _smoothed_lm(args)
     write_conditional_lm(lm, args.out)
-    print(f"wrote {len(lm.hists)} histories to {args.out}")
+    print(f"wrote {len(lm.matrix)} histories to {args.out}")
     return EXIT_OK
 
 
@@ -76,7 +76,7 @@ def cmd_decompose(args) -> int:
     table, lm = _smoothed_lm(args)
     bundle = dec.build_regularizer(empirical_conditional(table), lm, table, 1.0, 1.0)
     dec.write_decomposition(bundle, table.vocab, args.out)
-    print(f"wrote {len(bundle.hists)} history decompositions to {args.out}")
+    print(f"wrote {len(bundle.weights)} history decompositions to {args.out}")
     return EXIT_OK
 
 
@@ -270,6 +270,8 @@ def _run_grid_cell(config: RunConfig):
 
 
 def cmd_grid(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     # a grid sweeps the regularizer's weights, so it defaults to that objective
     base = _run_config(args, objective="split_regularizer")
     cells = _grid_cells(base, args.cap)
@@ -310,6 +312,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown theorem id {args.theorem!r}; choose from {sorted(verify.CHECKS)}")
     if args.trials is not None and args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
+    # a NaN tolerance fails every check and an infinite one passes any
+    if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
     given = {"trials": args.trials, "tolerance": args.tolerance}
     ok = True
     for name in names:

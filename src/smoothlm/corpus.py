@@ -7,8 +7,10 @@ conventions downstream (conditional distributions, smoothing, training
 weights) are defined in terms of the tables built here.
 
 A CountTable stores only sorted gram arrays, which CountTable.from_grams
-builds by one sort from every source: a corpus, a higher-order table, a
-count file.  Its count dicts are views for `perfbench/` and the tests.
+builds by one sort of integer codes from every source: a corpus, a
+higher-order table, a count file.  A model's rows are named by a RowKeys,
+whose `find` looks histories up by those codes; its history tuples and the
+table's count dicts are views for `perfbench/`, the tests and the oracles.
 """
 
 from __future__ import annotations
@@ -137,17 +139,54 @@ class Corpus:
 
 
 @dataclass(frozen=True)
-class GramArrays:
-    """The grams of a CountTable.  Row i is history hists[i] (index maps it
-    back to i), with row total totals[i]; gram g adds count[g] at row
-    hist[g], emission index out[g].  Invariant, set by from_grams: the
-    histories pass check_histories, are sorted and each has a gram; the grams are sorted by (row,
-    emission index), each once, with a count of at least 1.  As BOS and
-    EOS's emission index are both n_symbols, this is the order of sorting
-    the (history, emitted id) pairs, and `hists` is sorted(history_count)."""
+class RowKeys:
+    """The histories naming the rows of a matrix: row i is history ids[i].
+    Each history is kept as its code, the mixed-radix number its ids spell
+    in base `base` (|V|+2, above every id; see history_codes); `codes` holds
+    them sorted, each once, and `code_rows` the row of each, or None when
+    the rows are in code order.  `find` looks histories up by binary
+    search.  The tuple `hists` and the dict `index`, mapping each history
+    to its row, are views built on first read for `perfbench/`, the tests
+    and the oracles; no pipeline code reads them per history."""
 
-    hists: tuple[History, ...]
-    index: dict[History, int]
+    ids: np.ndarray
+    codes: np.ndarray
+    base: int
+    code_rows: np.ndarray | None
+
+    @cached_property
+    def hists(self) -> tuple[History, ...]:
+        return tuple(map(tuple, self.ids.tolist()))
+
+    @cached_property
+    def index(self) -> dict[History, int]:
+        return dict(zip(self.hists, range(len(self.hists))))
+
+    def find(self, ids: np.ndarray) -> np.ndarray:
+        """The row of each history of `ids`, an (N, width) array of ids
+        that history_ids has checked, or -1 where it names no row."""
+        codes = history_codes(ids, self.base)
+        if not len(self.codes):
+            return np.full(len(codes), -1, dtype=np.intp)
+        at = np.searchsorted(self.codes, codes)
+        np.minimum(at, len(self.codes) - 1, out=at)
+        found = self.codes[at] == codes
+        rows = at if self.code_rows is None else self.code_rows[at]
+        rows[~found] = -1
+        return rows
+
+
+@dataclass(frozen=True)
+class GramArrays(RowKeys):
+    """The grams of a CountTable, whose histories are its RowKeys, in code
+    order.  Row i is history ids[i], with row total totals[i]; gram g adds
+    count[g] at row hist[g], emission index out[g].  Invariant, set by
+    from_grams: the histories pass check_histories, are sorted and each has
+    a gram; the grams are sorted by (row, emission index), each once, with
+    a count of at least 1.  As BOS and EOS's emission index are both
+    n_symbols, this is the order of sorting the (history, emitted id)
+    pairs, and `hists` is sorted(history_count)."""
+
     hist: np.ndarray
     out: np.ndarray
     count: np.ndarray
@@ -167,7 +206,10 @@ class CountTable:
     @classmethod
     def from_grams(cls, order: int, vocab: Vocabulary, keys, counts) -> CountTable:
         """The table of the (N, order) ids `keys`, each row a history and
-        then its emitted id, occurring counts[g] times; equal rows are summed."""
+        then its emitted id, occurring counts[g] times; equal rows are
+        summed.  The rows are sorted by one sort of their codes (see
+        history_codes), checked to be in range first, since the code of an
+        out-of-range id can be that of another history."""
         keys, counts = np.asarray(keys, dtype=np.intp), np.asarray(counts, dtype=np.int64)
         if order < 1 or not len(counts) or keys.shape != (len(counts), order):
             raise ValueError(f"need one count per row of a nonempty (N, {order}) gram array")
@@ -176,16 +218,26 @@ class CountTable:
             raise ValueError("gram symbol is not an emittable id")
         if (counts < 1).any():
             raise ValueError(f"gram count {counts.min()} is below 1")
-        sort = np.lexsort(keys.T[::-1])
-        keys, counts = keys[sort], counts[sort]
-        first = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
-        keys, count = keys[first], np.add.reduceat(counts, np.flatnonzero(first))
-        new_hist = np.r_[True, (keys[1:, :-1] != keys[:-1, :-1]).any(axis=1)]
+        hist_ids = keys[:, :-1]
+        bad = ((hist_ids < 0) | (hist_ids > vocab.bos_id)).any(axis=1)
+        if bad.any():
+            # name the first bad history in sorted order
+            check_histories(vocab, order - 1, np.unique(hist_ids[bad], axis=0))
+        base = n + 2
+        codes = history_codes(keys, base)
+        sort = np.argsort(codes)
+        codes = codes[sort]
+        first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        count = np.add.reduceat(counts[sort], first)
+        keys = keys[sort[first]]
+        # a gram's code is its history's code, then one more digit
+        hist_codes = codes[first] // base
+        new_hist = np.r_[True, hist_codes[1:] != hist_codes[:-1]]
         hist_ids = keys[new_hist, :-1]
         check_histories(vocab, order - 1, hist_ids)
-        hists = tuple(map(tuple, hist_ids.tolist()))
         return cls(order, vocab, GramArrays(
-            hists=hists, index=dict(zip(hists, range(len(hists)))),
+            ids=hist_ids, codes=hist_codes[new_hist].astype(_code_dtype(base, order - 1)),
+            base=base, code_rows=None,
             hist=np.cumsum(new_hist) - 1, out=np.minimum(keys[:, -1], n),  # EOS's index is n
             count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist))))
 
@@ -203,7 +255,7 @@ class CountTable:
     def gram_count(self) -> dict[tuple[History, int], int]:
         """{(history, emitted id): count}, a view built on first read."""
         a = self.arrays
-        keys = _gram_keys(self.vocab, self.order, a.hists, a.hist, a.out).tolist()
+        keys = _gram_keys(self.vocab, self.order, a.ids, a.hist, a.out).tolist()
         return {(tuple(k[:-1]), k[-1]): c for k, c in zip(keys, a.count.tolist())}
 
     @cached_property
@@ -214,16 +266,17 @@ class CountTable:
     def dense_counts(self) -> np.ndarray:
         """The counts as one (histories x emissions) matrix in `arrays` row order."""
         a = self.arrays
-        counts = np.zeros((len(a.hists), self.vocab.out_dim))
+        counts = np.zeros((len(a.ids), self.vocab.out_dim))
         counts[a.hist, a.out] = a.count
         return counts
 
 
-def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = True) -> None:
+def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = True
+                    ) -> np.ndarray:
     """Raise ValueError naming the first of `hists`, history tuples or an
     (N, length) id array, that is not `length` ids of symbols or BOS, or,
     with `bos_prefix`, has a BOS after a symbol, which BOS padding never
-    forms."""
+    forms.  Returns the histories as an (N, length) id array."""
     if not isinstance(hists, np.ndarray):
         lengths = np.fromiter(map(len, hists), dtype=np.intp, count=len(hists))
         if (lengths != length).any():
@@ -231,6 +284,8 @@ def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = Tr
             raise ValueError(f"history {h} has length {len(h)}, expected {length}")
         hists = np.fromiter(chain.from_iterable(hists), dtype=np.intp,
                             count=length * len(hists)).reshape(len(hists), length)
+    elif hists.ndim != 2 or hists.shape[1] != length:
+        raise ValueError(f"history ids of shape {hists.shape} are not (N, {length})")
     bad = ((hists < 0) | (hists > vocab.bos_id)).any(axis=1)
     if bad.any():
         raise ValueError(f"history id is not a symbol or BOS in {_first(hists, bad)}")
@@ -239,21 +294,57 @@ def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = Tr
         bad = (is_bos[:, 1:] & ~is_bos[:, :-1]).any(axis=1)
         if bad.any():
             raise ValueError(f"BOS is not a contiguous prefix of history {_first(hists, bad)}")
+    return hists
 
 
-def row_index(hists: GramArrays | Sequence[History]) -> tuple[tuple[History, ...],
-                                                              dict[History, int]]:
-    """The histories naming a model's rows, as a tuple, and the map from each
-    to its row; a count table's GramArrays gives its own.  ValueError for a
-    history listed twice, which would name two rows."""
-    if isinstance(hists, GramArrays):
-        return hists.hists, hists.index
-    hists = tuple(hists)
-    index = dict(zip(hists, range(len(hists))))
-    if len(index) < len(hists):
-        h = next(h for i, h in enumerate(hists) if index[h] != i)
-        raise ValueError(f"history {h} is listed more than once")
-    return hists, index
+def history_ids(vocab: Vocabulary, length: int, hists: RowKeys | np.ndarray | Sequence[History]
+                ) -> np.ndarray:
+    """The (N, length) id array of `hists`: a RowKeys' own ids, or those of
+    history tuples or an id array once check_histories (without the BOS
+    rule) has passed them, so every id is below the code base."""
+    if isinstance(hists, RowKeys):
+        if hists.base != vocab.n_symbols + 2 or hists.ids.shape[1] != length:
+            raise ValueError(f"histories of width {hists.ids.shape[1]} in base {hists.base} "
+                             f"are not of length {length} over this vocabulary")
+        return hists.ids
+    return check_histories(vocab, length, hists, bos_prefix=False)
+
+
+def history_codes(ids: np.ndarray, base: int) -> np.ndarray:
+    """The code of each row of an (N, w) array of ids in [0, base): the
+    number sum_j ids[:, j] base^(w-1-j), so codes sort as their rows do.
+    They are int64, or Python ints (an object array) where base^w reaches
+    2^63, so that no code overflows."""
+    dtype = _code_dtype(base, ids.shape[1])
+    codes = np.zeros(len(ids), dtype=dtype)
+    for col in ids.T:
+        codes *= base
+        codes += col.astype(dtype, copy=False)
+    return codes
+
+
+def _code_dtype(base: int, width: int):
+    return object if base ** width >= 2 ** 63 else np.int64
+
+
+def row_index(vocab: Vocabulary, length: int, hists: RowKeys | Sequence[History]) -> RowKeys:
+    """The RowKeys of a model's rows, named by history tuples or an id
+    array that check_histories passes without the BOS rule; a RowKeys (a
+    count table's GramArrays) passes through.  ValueError for a history
+    listed twice, which would name two rows."""
+    if isinstance(hists, RowKeys):
+        return hists
+    ids = check_histories(vocab, length, hists, bos_prefix=False)
+    base = vocab.n_symbols + 2
+    codes = history_codes(ids, base)
+    sort = np.argsort(codes)
+    codes = codes[sort]
+    twice = codes[1:] == codes[:-1]
+    if twice.any():
+        # the first listed of the histories listed more than once
+        i = sort[np.r_[twice, False] | np.r_[False, twice]].min()
+        raise ValueError(f"history {tuple(ids[i].tolist())} is listed more than once")
+    return RowKeys(ids, codes, base, None if (sort == np.arange(len(sort))).all() else sort)
 
 
 def _first(hists: np.ndarray, bad: np.ndarray) -> History:
@@ -262,8 +353,8 @@ def _first(hists: np.ndarray, bad: np.ndarray) -> History:
 
 def _gram_keys(vocab: Vocabulary, order: int, hists, hist, out) -> np.ndarray:
     """The ids CountTable.from_grams takes for the grams at rows `hist` of
-    `hists` and emission indices `out`."""
-    hist_ids = np.array(hists, dtype=np.intp).reshape(len(hists), order - 1)
+    `hists`, history tuples or an id array, and emission indices `out`."""
+    hist_ids = np.asarray(hists, dtype=np.intp).reshape(len(hists), order - 1)
     return np.column_stack([hist_ids[hist], np.where(out == vocab.n_symbols, vocab.eos_id, out)])
 
 
@@ -353,7 +444,7 @@ def table_at(data: Corpus | CountTable, order: int, vocab: Vocabulary | None = N
 
 def zero_gram_count(table: CountTable) -> int:
     """r_0: unseen (history, symbol) cells over the observed histories."""
-    return len(table.arrays.hists) * table.vocab.out_dim - len(table.arrays.count)
+    return len(table.arrays.ids) * table.vocab.out_dim - len(table.arrays.count)
 
 
 def marginalize(table: CountTable) -> CountTable:
@@ -365,7 +456,7 @@ def marginalize(table: CountTable) -> CountTable:
     if table.order < 2:
         raise ValueError("cannot marginalize an order-1 table")
     a = table.arrays
-    keys = _gram_keys(table.vocab, table.order, a.hists, a.hist, a.out)
+    keys = _gram_keys(table.vocab, table.order, a.ids, a.hist, a.out)
     return CountTable.from_grams(table.order - 1, table.vocab, keys[:, 1:], a.count)
 
 
@@ -380,7 +471,8 @@ def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
 def write_count_table(table: CountTable, path: str) -> None:
     """Export as TSV `history<TAB>symbol<TAB>count`, one line per gram."""
     a = table.arrays
-    write_cells(path, table.vocab, a.hists, {"count": (a.count, "d")}, cells=(a.hist, a.out))
+    write_cells(path, table.vocab, a.ids.tolist(), {"count": (a.count, "d")},
+                cells=(a.hist, a.out))
 
 
 def read_count_table(path: str) -> CountTable:

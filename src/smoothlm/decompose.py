@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import CountTable, History, write_cells
+from .corpus import CountTable, GramArrays, History, write_cells
 from .ngram import ConditionalLM, check_distributions
 
 RECON_ATOL = 1e-12
@@ -98,18 +98,23 @@ class RegularizerBundle:
     occurrence counts as weights.
 
     `rows` is the SignedDecomposition of the table's rows: row i of its
-    matrices and entry i of `weights` belong to history `hists[i]`.
-    `build_regularizer` passes the table's `arrays.hists` and
-    `arrays.totals` themselves, so the rows follow the table's row order.
-    `per_history`, mapping each history to a SignedDecomposition of views
-    into `rows`, is built on first read for `perfbench/` and the tests."""
+    matrices and entry i of `weights` belong to the table's history i.
+    `build_regularizer` passes the table's `arrays` and `arrays.totals`
+    themselves, so the rows follow the table's row order.  `hists` is the
+    arrays' tuple view, and `per_history`, mapping each history to a
+    SignedDecomposition of views into `rows`, is built on first read for
+    `perfbench/` and the tests."""
 
     order: int
-    hists: tuple[History, ...] = field(repr=False)
+    arrays: GramArrays = field(repr=False, compare=False)
     rows: SignedDecomposition = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
     gamma_plus: float
     gamma_minus: float
+
+    @property
+    def hists(self) -> tuple[History, ...]:
+        return self.arrays.hists
 
     @cached_property
     def per_history(self) -> dict[History, SignedDecomposition]:
@@ -133,24 +138,24 @@ def build_regularizer(
 ) -> RegularizerBundle:
     """Decompose smoothed against empirical on every history of `table`;
     the empirical model must be `empirical_conditional(table)`, whose rows
-    are the table's `arrays.hists` themselves."""
+    are keyed by the table's `arrays` themselves."""
     if empirical_lm.order != smoothed_lm.order:
         raise ValueError("order mismatch between empirical and smoothed models")
     if gamma_plus < 0 or gamma_minus < 0:
         raise ValueError("gamma weights must be nonnegative")
-    hists = table.arrays.hists
-    if empirical_lm.hists is not hists:
+    a = table.arrays
+    if empirical_lm.keys is not a:
         raise ValueError("the empirical model's rows are not the count table's histories")
-    if smoothed_lm.hists != hists:
-        missing = [h for h in hists if h not in smoothed_lm.index]
+    if smoothed_lm.keys is not a:
+        missing = a.ids[smoothed_lm.keys.find(a.ids) < 0].tolist()
         if missing:
             rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
             raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")
     return RegularizerBundle(
         order=empirical_lm.order,
-        hists=hists,
-        rows=signed_decompose(empirical_lm.matrix, smoothed_lm.rows(hists), hists),
-        weights=table.arrays.totals,
+        arrays=a,
+        rows=signed_decompose(empirical_lm.matrix, smoothed_lm.rows(a), a.ids),
+        weights=a.totals,
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
     )
@@ -159,7 +164,7 @@ def build_regularizer(
 def write_decomposition(bundle: RegularizerBundle, vocab, path: str) -> None:
     """TSV export: history, symbol, p_plus, p_minus, z_plus, z_minus per line."""
     r = bundle.rows
-    write_cells(path, vocab, bundle.hists, {
+    write_cells(path, vocab, bundle.arrays.ids.tolist(), {
         "p_plus": (r.p_plus, ".12g"), "p_minus": (r.p_minus, ".12g"),
         "z_plus": (r.z_plus[:, None], ".12g"), "z_minus": (r.z_minus[:, None], ".12g"),
     })

@@ -39,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, CountTable, GramArrays, History, Vocabulary, check_histories,
-                     row_index, table_at)
+from .corpus import (Corpus, CountTable, History, RowKeys, Vocabulary, history_ids, row_index,
+                     table_at)
 from .decompose import RegularizerBundle, build_regularizer, row_entropies
 from .ngram import empirical_conditional, perplexity, table_perplexity
 from .smoothers import method_params, smooth
@@ -134,32 +134,47 @@ class _Model:
     """The conditional-model interface both architectures share with
     ngram.ConditionalLM: `order`, `vocab` and `rows`.  Each architecture's
     `forward` is the one batched pass that `rows` and `batch_loss_grads`
-    run; its last value is q."""
+    run, over what its `_lookup` makes of the histories; its last value is
+    q."""
 
-    def rows(self, hists: Sequence[History]) -> np.ndarray:
-        """q(.|h) for each of `hists`, one row each; ValueError for a history
-        that is not order-1 symbol or BOS ids."""
-        check_histories(self.vocab, self.order - 1, hists, bos_prefix=False)
+    def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
+        """q(.|h) for each of `hists` (history tuples, an id array or a count
+        table's GramArrays), one row each; ValueError for a history that is
+        not order-1 symbol or BOS ids."""
         return self.forward(hists)[-1]
+
+    def _batch(self, hists, extra) -> np.ndarray:
+        """The lookup of `hists` followed by that of `extra`."""
+        found = self._lookup(hists)
+        if len(extra):
+            found = np.concatenate([found, self._lookup(extra)])
+        return found
 
 
 class TabularSoftmaxLM(_Model):
     """One unconstrained logit row per known history; q(.|h) = softmax(row).
 
-    The histories are given as a count table's GramArrays, whose `hists` and
-    `index` the model takes, or as a sequence.  Histories outside them get
-    the uniform distribution (the logits of a never-updated row).
+    The histories are given as a count table's GramArrays, which the model
+    keeps as its RowKeys `keys`, or as a sequence.  Histories outside them
+    get the uniform distribution (the logits of a never-updated row).
+    `hists` and `index` are the keys' views, built on first read.
     """
 
     architecture = "tabular"
 
-    def __init__(self, order: int, vocab: Vocabulary, hists: GramArrays | Sequence[History]):
+    def __init__(self, order: int, vocab: Vocabulary, hists: RowKeys | Sequence[History]):
         self.order = order
         self.vocab = vocab
-        self.hists, self.index = row_index(hists)
-        if not isinstance(hists, GramArrays):
-            check_histories(vocab, order - 1, self.hists, bos_prefix=False)
-        self.logits = np.zeros((len(self.hists), vocab.out_dim))
+        self.keys = row_index(vocab, order - 1, hists)
+        self.logits = np.zeros((len(self.keys.ids), vocab.out_dim))
+
+    @property
+    def hists(self) -> tuple[History, ...]:
+        return self.keys.hists
+
+    @property
+    def index(self) -> dict[History, int]:
+        return self.keys.index
 
     @classmethod
     def for_table(cls, table: CountTable) -> "TabularSoftmaxLM":
@@ -168,11 +183,17 @@ class TabularSoftmaxLM(_Model):
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"logits": self.logits}
 
-    def forward(self, hists: Sequence[History]):
-        """(row of each history, -1 outside the table; log q; q) of a batch.
-        Row -1 is a zero logit row, whose softmax is the uniform row."""
-        idx = np.fromiter((self.index.get(h, -1) for h in hists), dtype=np.intp,
-                          count=len(hists))
+    def _lookup(self, hists) -> np.ndarray:
+        """The row of each of `hists`, -1 outside the table."""
+        if hists is self.keys:
+            return np.arange(len(self.logits))
+        return self.keys.find(history_ids(self.vocab, self.order - 1, hists))
+
+    def forward(self, hists, extra=()):
+        """(row of each history of `hists` and then of `extra`, -1 outside
+        the table; log q; q) of a batch.  Row -1 is a zero logit row, whose
+        softmax is the uniform row."""
+        idx = self._batch(hists, extra)
         z = self.logits[idx] if len(self.logits) else np.zeros((len(idx), self.vocab.out_dim))
         z[idx < 0] = 0.0
         return idx, *_log_softmax(z)
@@ -181,10 +202,11 @@ class TabularSoftmaxLM(_Model):
         """Loss sum_h alpha_h . -log q(.|h) over the distinct table histories
         `hists`, its gradient, and q of `hists` followed by `extra`, all
         from one forward."""
-        n = len(hists)
-        idx, logq, q = self.forward([*hists, *extra])
+        idx, logq, q = self.forward(hists, extra)
+        n = len(idx) - len(extra)
         if (idx[:n] < 0).any():
-            h = hists[int(np.argmin(idx[:n]))]
+            ids = history_ids(self.vocab, self.order - 1, hists)
+            h = tuple(ids[int(np.argmin(idx[:n]))].tolist())
             raise ValueError(f"tabular model has no row for history {h}")
         loss, delta = _loss_delta(alpha, logq[:n], q[:n])
         g = np.zeros_like(self.logits)
@@ -230,10 +252,14 @@ class FeedForwardLM(_Model):
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"E": self.E, "W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
-    def forward(self, hists: Sequence[History]):
-        """(history ids, embeddings, hidden layer, log q, q) of a batch."""
-        idx = np.asarray(hists, dtype=int).reshape(len(hists), self.order - 1)
-        e = self.E[idx].reshape(len(hists), (self.order - 1) * self.embed_dim)
+    def _lookup(self, hists) -> np.ndarray:
+        return history_ids(self.vocab, self.order - 1, hists)
+
+    def forward(self, hists, extra=()):
+        """(history ids, embeddings, hidden layer, log q, q) of a batch:
+        `hists` and then `extra`."""
+        idx = self._batch(hists, extra)
+        e = self.E[idx].reshape(len(idx), (self.order - 1) * self.embed_dim)
         a = np.tanh(e @ self.W1 + self.b1)
         logq, q = _log_softmax(a @ self.W2 + self.b2)
         return idx, e, a, logq, q
@@ -241,8 +267,8 @@ class FeedForwardLM(_Model):
     def batch_loss_grads(self, hists, alpha, extra=()):
         """Loss sum_h alpha_h . -log q(.|h) over `hists`, its gradient, and
         q of `hists` followed by `extra`, all from one forward."""
-        n = len(hists)
-        idx, e, a, logq, q = self.forward([*hists, *extra])
+        idx, e, a, logq, q = self.forward(hists, extra)
+        n = len(idx) - len(extra)
         idx, e, a, logq = idx[:n], e[:n], a[:n], logq[:n]
         loss, delta2 = _loss_delta(alpha, logq, q[:n])
         gW2 = a.T @ delta2
@@ -268,7 +294,6 @@ def _objective_weights(
     """Per-history coefficient vectors alpha, one row per history of
     `table.arrays`, and the theta-independent constant such that
     loss = sum_h alpha_h . (-log q(.|h)) + const."""
-    hists = table.arrays.hists
     C = table.dense_counts()
     out_dim = table.vocab.out_dim
     N = C.sum()
@@ -279,7 +304,7 @@ def _objective_weights(
     if config.objective == "label_smoothing":
         g = config.gamma_ls
         alpha = alpha + g / (N * out_dim)
-        const = -len(hists) * (g / N) * math.log(out_dim)
+        const = -len(C) * (g / N) * math.log(out_dim)
         return alpha, const
     if bundle is None:
         raise ValueError(f"objective {config.objective} needs a regularizer bundle")
@@ -288,7 +313,8 @@ def _objective_weights(
             "gamma_minus > 1 makes the split objective unbounded below "
             "(the -log q coefficient of an overrepresented symbol turns negative)"
         )
-    if bundle.hists != hists or not np.array_equal(bundle.weights, table.arrays.totals):
+    if (not np.array_equal(bundle.arrays.codes, table.arrays.codes)
+            or not np.array_equal(bundle.weights, table.arrays.totals)):
         raise ValueError("the bundle was built from another count table")
     w = table.arrays.totals / N
     r = bundle.rows
@@ -359,20 +385,16 @@ def train(
 def _train_counts(model, table, config, bundle, heldout):
     # the objective weights do not depend on the parameters: build them once
     alpha, const = _objective_weights(table, config, bundle)
-    hists = table.arrays.hists
-    extra = []
+    extra = ()
     if heldout is not None:
-        # each epoch's forward runs over `hists + extra`, where `extra` holds
-        # the held-out histories training lacks; held-out row i is row
-        # place[i] of that forward
-        place = []
-        for h in heldout.arrays.hists:
-            i = table.arrays.index.get(h)
-            if i is None:
-                i = len(hists) + len(extra)
-                extra.append(h)
-            place.append(i)
-        rows = np.asarray(place, dtype=np.intp)[heldout.arrays.hist]
+        # each epoch's forward runs over the table's histories and then
+        # `extra`, the held-out histories training lacks; held-out row i is
+        # row place[i] of that forward
+        place = table.arrays.find(heldout.arrays.ids)
+        lacking = place < 0
+        extra = heldout.arrays.ids[lacking]
+        place[lacking] = len(table.arrays.ids) + np.arange(len(extra))
+        rows = place[heldout.arrays.hist]
     metrics = TrainMetrics()
     params = model.param_arrays()
     best_ppl = math.inf
@@ -396,7 +418,7 @@ def _train_counts(model, table, config, bundle, heldout):
     for epoch in range(config.epochs):
         # one forward at theta_epoch: its held-out rows give the perplexity
         # of the previous epoch, its training rows this epoch's step
-        loss, grads, q = model.batch_loss_grads(hists, alpha, extra)
+        loss, grads, q = model.batch_loss_grads(table.arrays, alpha, extra)
         if epoch and heldout is not None and patience_ran_out(table_perplexity(q, rows, heldout)):
             break
         loss += const
@@ -430,8 +452,9 @@ def save_model(model, path: str) -> None:
         "params": {k: v.tolist() for k, v in model.param_arrays().items()},
     }
     if model.architecture == "tabular":
-        doc["dims"] = {"histories": len(model.hists), "out": model.vocab.out_dim}
-        doc["histories"] = [model.vocab.render_history(h) for h in model.hists]
+        ids = model.keys.ids.tolist()
+        doc["dims"] = {"histories": len(ids), "out": model.vocab.out_dim}
+        doc["histories"] = [model.vocab.render_history(h) for h in ids]
     else:
         doc["dims"] = {"embed": model.embed_dim, "hidden": model.hidden_dim}
     with open(path, "w", encoding="utf-8", newline="\n") as f:

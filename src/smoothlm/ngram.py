@@ -14,8 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, CountTable, GramArrays, History, Vocabulary, check_histories,
-                     read_cells, row_index, table_at, write_cells)
+from .corpus import (Corpus, CountTable, GramArrays, History, RowKeys, Vocabulary,
+                     check_histories, history_codes, history_ids, read_cells, row_index,
+                     table_at, write_cells)
 
 PROB_ATOL = 1e-9
 
@@ -40,13 +41,13 @@ class ConditionalLM:
 
     `table` is a mapping history -> vector, or a pair (histories, matrix)
     whose row i belongs to histories[i]; a matrix is kept as given, a
-    mapping is stacked into one.  Either way `matrix` holds the rows,
-    `hists` (a tuple) their histories, each listed once, and `index` maps
-    each history to its row.  Given a count table's `GramArrays` as the
-    histories, the LM takes `hists` and `index` from them and checks only
-    the matrix.  The dict `table`, mapping each history to a view of its
-    row, is built on first read for `perfbench/` and the tests; no module
-    of the package reads it.
+    mapping is stacked into one.  Either way `matrix` holds the rows and
+    `keys`, the RowKeys of row_index, their histories, each listed once.
+    Given a count table's `GramArrays` as the histories, the LM keeps them
+    as its keys and checks only the matrix.  `hists`, `index` and the dict
+    `table`, mapping each history to a view of its row, are built on first
+    read for `perfbench/`, the tests and `conditional`; no pipeline code
+    reads them.
 
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
@@ -59,7 +60,7 @@ class ConditionalLM:
         self,
         order: int,
         vocab: Vocabulary,
-        table: Mapping[History, np.ndarray] | tuple[Sequence[History] | GramArrays, np.ndarray],
+        table: Mapping[History, np.ndarray] | tuple[Sequence[History] | RowKeys, np.ndarray],
         backstop: ConditionalLM | None = None,
         method: str = "",
         params: dict | None = None,
@@ -71,12 +72,20 @@ class ConditionalLM:
             hists, self.matrix = table
         else:
             hists, self.matrix = tuple(table), _stack_rows(table, vocab.out_dim)
-        self.hists, self.index = row_index(hists)
+        self.keys = row_index(vocab, order - 1, hists)
         self.backstop = backstop
         self.method = method
         self.params = dict(params) if params else {}
         if validate:
             self._validate(checked=isinstance(hists, GramArrays))
+
+    @property
+    def hists(self) -> tuple[History, ...]:
+        return self.keys.hists
+
+    @property
+    def index(self) -> dict[History, int]:
+        return self.keys.index
 
     @cached_property
     def table(self) -> dict[History, np.ndarray]:
@@ -86,42 +95,50 @@ class ConditionalLM:
     def _validate(self, checked: bool) -> None:
         """Check every row at once, and the histories unless a count table
         has `checked` them; an error names the first bad history."""
+        ids = self.keys.ids
         if not checked:
-            check_histories(self.vocab, self.order - 1, self.hists)
-        if self.matrix.shape != (len(self.hists), self.vocab.out_dim):
+            check_histories(self.vocab, self.order - 1, ids)
+        if self.matrix.shape != (len(ids), self.vocab.out_dim):
             raise ValueError(f"row matrix has shape {self.matrix.shape}, expected "
-                             f"{(len(self.hists), self.vocab.out_dim)}")
-        check_distributions(self.matrix, self.hists)
+                             f"{(len(ids), self.vocab.out_dim)}")
+        check_distributions(self.matrix, ids)
 
-    def rows(self, hists: Sequence[History]) -> np.ndarray:
-        """Row matrix of `hists` in that order: `matrix` itself when they are
-        its histories.  Otherwise each is looked up in `index`, and an unseen
-        one gets its backstop row, looked up once per distinct suffix, or
-        raises UnseenHistoryError; one gather builds the result.  An unseen
-        history that is not order-1 symbol or BOS ids raises ValueError."""
-        hists = tuple(hists)
-        if hists == self.hists:
+    def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
+        """Row matrix of `hists` (history tuples, an id array or a count
+        table's GramArrays) in that order: `matrix` itself when they are
+        its histories.  Otherwise `keys.find` looks them all up at once,
+        and an unseen one gets its backstop row, looked up once per
+        distinct suffix, or raises UnseenHistoryError.  ValueError for a
+        history that is not order-1 symbol or BOS ids."""
+        if hists is self.keys:
             return self.matrix
-        found = np.fromiter((self.index.get(h, -1) for h in hists), dtype=np.intp,
-                            count=len(hists))
+        ids = history_ids(self.vocab, self.order - 1, hists)
+        found = self.keys.find(ids)
         unseen = found < 0
         if not unseen.any():
-            return self.matrix[found]
-        # a stored history is well formed; check the others
-        at = np.flatnonzero(unseen).tolist()
-        check_histories(self.vocab, self.order - 1, [hists[i] for i in at], bos_prefix=False)
+            return self.matrix if np.array_equal(found, np.arange(len(self.matrix))) \
+                else self.matrix[found]
         if self.backstop is None:
-            raise UnseenHistoryError(hists[at[0]])
-        # each distinct suffix is looked up once, below the rows found here
-        cut, suffixes = self.order - self.backstop.order, {}
-        backed = [suffixes.setdefault(hists[i][cut:], len(suffixes)) for i in at]
-        kept = found[~unseen]
-        stack = np.concatenate([self.matrix[kept], self.backstop.rows(tuple(suffixes))])
-        found[~unseen] = np.arange(len(kept))
-        found[unseen] = np.add(backed, len(kept))
-        return stack[found]
+            raise UnseenHistoryError(tuple(ids[np.argmax(unseen)].tolist()))
+        # each distinct suffix is looked up once, in order of first appearance
+        suffixes = ids[unseen, self.order - self.backstop.order:]
+        _, first, inverse = np.unique(history_codes(suffixes, self.keys.base),
+                                      return_index=True, return_inverse=True)
+        by_appearance = np.argsort(first)
+        rank = np.empty_like(by_appearance)
+        rank[by_appearance] = np.arange(len(rank))
+        # one gather from the backstop's rows, then the seen rows over it
+        at = np.zeros(len(ids), dtype=np.intp)
+        at[unseen] = rank[inverse]
+        q = self.backstop.rows(suffixes[first[by_appearance]]).take(at, axis=0)
+        seen = ~unseen
+        q[seen] = self.matrix[found[seen]]
+        return q
 
     def conditional(self, history: Sequence[int]) -> np.ndarray:
+        """The row of one history: a view of the LM's own row, found in the
+        `index` view (a dict, for callers that ask one history at a time,
+        the oracles of `verify`), or else rows((h,))[0]."""
         h = tuple(history)
         i = self.index.get(h)
         return self.rows((h,))[0] if i is None else self.matrix[i]
@@ -134,7 +151,8 @@ def check_distributions(rows: np.ndarray, hists: Sequence[History] | None = None
                         name: str = "") -> None:
     """Raise NormalizationError for the first row of `rows` that has a
     negative entry or does not sum to 1 within PROB_ATOL.  The message names
-    the row's history from `hists`, or its index, after `name`."""
+    the row's history from `hists` (tuples or an id array), or its index,
+    after `name`."""
     negative = rows.min(axis=1) < 0
     sums = rows.sum(axis=1)
     # a NaN compares false, so a row holding one fails the closeness test
@@ -142,11 +160,15 @@ def check_distributions(rows: np.ndarray, hists: Sequence[History] | None = None
     if not bad.any():
         return
     i = int(np.argmax(bad))
-    where = f"history {hists[i]}" if hists is not None else f"row {i}"
+    where = f"history {_history(hists[i])}" if hists is not None else f"row {i}"
     where = f"{name} {where}" if name else where
     if negative[i]:
         raise NormalizationError(f"{where}: negative probability")
     raise NormalizationError(f"{where}: probabilities sum to {float(sums[i])!r}, not 1")
+
+
+def _history(h) -> History:
+    return tuple(h.tolist()) if isinstance(h, np.ndarray) else h
 
 
 def _stack_rows(table: Mapping[History, np.ndarray], out_dim: int) -> np.ndarray:
@@ -180,7 +202,7 @@ def perplexity(model, data: Corpus | CountTable) -> float:
     table at the model's order: `model.rows` of the table's histories,
     scored by table_perplexity.  The data must use the model's vocabulary."""
     t = table_at(data, model.order, model.vocab)
-    return table_perplexity(model.rows(t.arrays.hists), t.arrays.hist, t)
+    return table_perplexity(model.rows(t.arrays), t.arrays.hist, t)
 
 
 def table_perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> float:
@@ -197,7 +219,7 @@ def table_perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> floa
 def write_conditional_lm(lm: ConditionalLM, path: str) -> None:
     """TSV export of every row, after a `# method=... params=...` line."""
     params_json = json.dumps(lm.params, sort_keys=True, separators=(",", ":"))
-    write_cells(path, lm.vocab, lm.hists, {"probability": (lm.matrix, ".12g")},
+    write_cells(path, lm.vocab, lm.keys.ids.tolist(), {"probability": (lm.matrix, ".12g")},
                 comment=f"method={lm.method or 'unknown'} params={params_json}")
 
 

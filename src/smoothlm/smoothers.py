@@ -137,7 +137,7 @@ def smooth_add_lambda(table: CountTable, lam: float) -> ConditionalLM:
     _check_ranges("add_lambda", {"lambda": lam}, table.order)
     vocab = table.vocab
     a = table.arrays
-    rows = np.full((len(a.hists), vocab.out_dim), lam, dtype=float)
+    rows = np.full((len(a.ids), vocab.out_dim), lam, dtype=float)
     rows[a.hist, a.out] += a.count
     rows /= (a.totals + vocab.out_dim * lam)[:, None]
     return ConditionalLM(
@@ -168,7 +168,7 @@ def _renormalized_rows(table: CountTable, weight_of_count, unseen_weight: float)
     weight, renormalizing each history; an all-zero row falls back to uniform."""
     out_dim = table.vocab.out_dim
     a = table.arrays
-    rows = np.full((len(a.hists), out_dim), unseen_weight)
+    rows = np.full((len(a.ids), out_dim), unseen_weight)
     counts, inverse = np.unique(a.count, return_inverse=True)
     weights = np.array([weight_of_count(int(c)) for c in counts], dtype=float)
     rows[a.hist, a.out] = weights[inverse]
@@ -176,7 +176,7 @@ def _renormalized_rows(table: CountTable, weight_of_count, unseen_weight: float)
     empty = sums <= 0.0
     if empty.any():
         log.warning("%d of %d histories have all adjusted weights zero, using uniform",
-                    int(empty.sum()), len(a.hists))
+                    int(empty.sum()), len(a.ids))
         rows[empty] = 1.0 / out_dim
         sums[empty] = 1.0
     rows /= sums[:, None]
@@ -332,7 +332,7 @@ def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None) -> Con
             rows = _lower_rows(tab, lm)
             rows *= 1.0 - lam
         else:
-            rows = np.full((len(a.hists), vocab.out_dim), (1.0 - lam) * (1.0 / vocab.out_dim))
+            rows = np.full((len(a.ids), vocab.out_dim), (1.0 - lam) * (1.0 / vocab.out_dim))
         rows[a.hist, a.out] += lam * (a.count / a.totals[a.hist])
         lm = _level(tab, rows, lm, "jelinek_mercer", {"lambdas": list(lambdas)})
     return lm
@@ -393,7 +393,7 @@ def _katz_rows(tab: CountTable, k: int, lower: ConditionalLM) -> np.ndarray:
     kept = _katz_discounts(tab, k, a.count) * a.count / a.totals[a.hist]
     # summing the dense rows adds in the same order as summing each row
     # alone, so `leftover`, and the branch each row takes, stay exact
-    rows = np.zeros((len(a.hists), tab.vocab.out_dim))
+    rows = np.zeros((len(a.ids), tab.vocab.out_dim))
     rows[a.hist, a.out] = kept
     kept_mass = rows.sum(axis=1)
     leftover = 1.0 - kept_mass
@@ -410,11 +410,11 @@ def _katz_rows(tab: CountTable, k: int, lower: ConditionalLM) -> np.ndarray:
         over = renorm & (leftover < -1e-12)
         if over.any():
             log.warning("order %d: discounted mass exceeds 1 in %d of %d histories, "
-                        "renormalizing", tab.order, int(over.sum()), len(a.hists))
+                        "renormalizing", tab.order, int(over.sum()), len(a.ids))
         dead = renorm & (kept_mass <= 0.0)
         if dead.any():
             log.warning("order %d: no mass survived discounting in %d of %d histories, "
-                        "using lower-order rows", tab.order, int(dead.sum()), len(a.hists))
+                        "using lower-order rows", tab.order, int(dead.sum()), len(a.ids))
             rows[dead] = lower.matrix[_parents(tab, lower)[dead]]
         live = renorm & ~dead
         rows[live] /= kept_mass[live, None]
@@ -443,7 +443,7 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
     lm = _level(chain[0], q1[None, :], None, "kneser_essen_ney", {"D": D})
     for tab in chain[1:]:
         a = tab.arrays
-        distinct = np.bincount(a.hist, minlength=len(a.hists))
+        distinct = np.bincount(a.hist, minlength=len(a.ids))
         rows = _lower_rows(tab, lm)
         rows *= (D * distinct)[:, None]
         rows[a.hist, a.out] += np.maximum(a.count - D, 0.0)
@@ -466,9 +466,9 @@ def _level(tab: CountTable, rows: np.ndarray, lower: ConditionalLM | None, metho
 
 def _parents(tab: CountTable, lower: ConditionalLM) -> np.ndarray:
     """Row of each history's parent (the history minus its oldest symbol)
-    in the next-lower-order level."""
-    hists = tab.arrays.hists
-    return np.fromiter((lower.index[h[1:]] for h in hists), dtype=np.intp, count=len(hists))
+    in the next-lower-order level, whose table marginalizes `tab`'s, so
+    every parent has a row."""
+    return lower.keys.find(tab.arrays.ids[:, 1:])
 
 
 def _lower_rows(tab: CountTable, lower: ConditionalLM, out=None) -> np.ndarray:

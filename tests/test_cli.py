@@ -587,6 +587,14 @@ class TestGrid:
         assert loaded == []
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2_before_any_input(self, tmp_path, capsys, workers):
+        # these used to run the grid serially; the config file, here
+        # missing, is not read either
+        missing = tmp_path / "nope.json"
+        assert main(["grid", "--config", str(missing), f"--workers={workers}"]) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
     def test_run_flags_override_the_config(self, zipf, tmp_path):
         train, held = zipf
         expected_dir, out_dir = tmp_path / "expected", tmp_path / "g"
@@ -723,6 +731,18 @@ class TestVerifyCommand:
         # a check of no trials would pass vacuously
         assert main(["verify", "--theorem", "T3", "--trials", "0"]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_bad_tolerance_exit_2_before_any_check(self, capsys, monkeypatch, value):
+        # NaN and -1 used to print FAIL and exit 1, and inf passed every check
+        def check(**kwargs):
+            raise AssertionError("a check ran")
+
+        for name in verify.CHECKS:
+            monkeypatch.setitem(verify.CHECKS, name, check)
+        assert main(["verify", f"--tolerance={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tolerance must be finite and >= 0" in err
 
     @pytest.mark.parametrize("flags, kwargs", [
         (["--theorem", "T1", "--trials", "5", "--tolerance", "0"],

@@ -1,0 +1,237 @@
+"""Row lookup by sorted history codes (corpus.RowKeys.find) against dict
+lookups written here: ConditionalLM.rows with its suffix descent,
+smoothers._parents, the tabular model's forward and perplexity, over random
+tables and query batches.  The batches mix seen, unseen, out-of-range and
+wrong-length histories, and histories whose naive code aliases a seen one.
+Orders near 32 make the codes of a two- to four-symbol vocabulary pass
+2^63, so that they are Python ints."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smoothlm.corpus import (Corpus, CountTable, Vocabulary, count_ngrams,
+                             tables_down_to_unigram)
+from smoothlm.ngram import (ConditionalLM, UnseenHistoryError, empirical_conditional,
+                            perplexity, uniform_backstop)
+from smoothlm.neural import TabularSoftmaxLM
+from smoothlm.smoothers import METHODS, KatzConfigError, _parents, smooth
+
+
+def wide_width(n_sym: int) -> int:
+    """The least history width whose codes in base n_sym + 2 reach 2^63."""
+    return next(w for w in range(1, 64) if (n_sym + 2) ** w >= 2 ** 63)
+
+
+@st.composite
+def cases(draw):
+    """A training corpus, a held-out corpus and an order; the orders past 4
+    give gram codes, or gram and history codes, of Python ints."""
+    n_sym = draw(st.integers(2, 4))
+    w = wide_width(n_sym)
+    order = draw(st.sampled_from([1, 2, 3, 4, w, w + 1]))
+    vocab = Vocabulary(symbols=tuple("abcd"[:n_sym]))
+
+    def sequences(min_size):
+        seqs = draw(st.lists(st.lists(st.integers(0, n_sym - 1), max_size=8),
+                             min_size=min_size, max_size=6))
+        return tuple(map(tuple, seqs))
+
+    # "a a" makes (a, a), the history the aliasing ids below spell, seen
+    train = Corpus(vocab=vocab, sequences=((0, 0),) + sequences(0))
+    return train, Corpus(vocab=vocab, sequences=sequences(1)), order
+
+
+@st.composite
+def batches(draw, table: CountTable):
+    """Histories to look up: seen, drawn at random from the symbol and BOS
+    ids (BOS anywhere), and at most one out-of-range or wrong-length one."""
+    vocab, width = table.vocab, table.order - 1
+    seen = table.arrays.ids.tolist()
+    some = st.lists(st.integers(0, vocab.bos_id), min_size=width, max_size=width)
+    batch = draw(st.lists(st.one_of(st.sampled_from(seen), some), min_size=1, max_size=12))
+    bad = draw(st.sampled_from(["none", "none", "range", "length", "alias"]))
+    if bad == "range" or (bad == "alias" and width < 2):
+        h = draw(some) if width else [0]
+        h[draw(st.integers(0, len(h) - 1))] = draw(st.sampled_from(
+            [-1, vocab.bos_id + 1, vocab.n_symbols + 2, 2 ** 40]))
+        batch.append(h)
+    elif bad == "length":
+        batch.append(draw(st.lists(st.integers(0, vocab.bos_id), min_size=max(width - 1, 0),
+                                   max_size=width + 1).filter(lambda h: len(h) != width)))
+    elif bad == "alias":
+        # (h0 - 1, h1 + base, ...) spells the code of the seen (h0, h1, ...)
+        h = list(draw(st.sampled_from(seen)))
+        h[0] -= 1
+        h[1] += vocab.n_symbols + 2
+        batch.append(h)
+    draw(st.randoms()).shuffle(batch)
+    return [tuple(h) for h in batch]
+
+
+def the_error(table: CountTable, batch):
+    """The message ValueError must match for `batch`, or None if valid."""
+    if any(len(h) != table.order - 1 for h in batch):
+        return "length"
+    if any(not 0 <= i <= table.vocab.bos_id for h in batch for i in h):
+        return "not a symbol or BOS"
+    return None
+
+
+def rows_of(lm: ConditionalLM) -> dict:
+    return {tuple(h): row for h, row in zip(lm.keys.ids.tolist(), lm.matrix)}
+
+
+def expected_row(lm: ConditionalLM, h: tuple) -> np.ndarray:
+    """The row at the highest level of lm's backstop chain that stores a
+    suffix of h; UnseenHistoryError(h) where a level with no backstop lacks h."""
+    while True:
+        rows = rows_of(lm)
+        if h in rows:
+            return rows[h]
+        if lm.backstop is None:
+            raise UnseenHistoryError(h)
+        h, lm = h[lm.order - lm.backstop.order:], lm.backstop
+
+
+def check_rows(lm: ConditionalLM, table: CountTable, batch) -> None:
+    error = the_error(table, batch)
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            lm.rows(batch)
+        return
+    try:
+        want = np.array([expected_row(lm, h) for h in batch])
+    except UnseenHistoryError as exc:
+        with pytest.raises(UnseenHistoryError) as raised:
+            lm.rows(batch)
+        assert raised.value.args == exc.args
+        return
+    np.testing.assert_array_equal(lm.rows(batch), want)
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def expected_perplexity(order: int, row_of, corpus: Corpus) -> float:
+    """exp of the mean -log q over the corpus's emissions, token by token,
+    where row_of(h) is q(.|h)."""
+    v, pad, nll = corpus.vocab, (corpus.vocab.bos_id,) * (order - 1), 0.0
+    for seq in corpus.sequences:
+        ids = pad + seq + (v.eos_id,)
+        for t in range(len(pad), len(ids)):
+            p = row_of(ids[t - len(pad):t])[v.out_index(ids[t])]
+            if p == 0.0:
+                return math.inf
+            nll -= math.log(p)
+    return math.exp(nll / corpus.total_emissions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rows_match_a_dict_lookup(data):
+    train, held, order = data.draw(cases())
+    table = count_ngrams(train, order)
+    batch = data.draw(batches(table))
+    emp = empirical_conditional(table)
+    # the rows of a sequence of histories, not in code order, are found
+    # through the permutation row_index keeps
+    perm = data.draw(st.permutations(range(len(emp.matrix))))
+    shuffled = ConditionalLM(order, train.vocab, ([emp.hists[i] for i in perm], emp.matrix[perm]),
+                             backstop=uniform_backstop(train.vocab))
+    lms = [emp, shuffled]
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            lms.append(smooth(table, method))
+        except KatzConfigError:
+            continue
+    for lm in lms:
+        check_rows(lm, table, batch)
+        if lm is not emp:
+            want = expected_perplexity(order, lambda h: expected_row(lm, h), held)
+            assert perplexity(lm, held) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_parents_match_a_dict_lookup(data):
+    train, _, order = data.draw(cases())
+    tables = tables_down_to_unigram(count_ngrams(train, order))
+    for lower, tab in zip(tables, tables[1:]):
+        lower_lm = empirical_conditional(lower)
+        index = {tuple(h): i for i, h in enumerate(lower.arrays.ids.tolist())}
+        want = [index[tuple(h[1:])] for h in tab.arrays.ids.tolist()]
+        assert _parents(tab, lower_lm).tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tabular_forward_matches_a_dict_lookup(data):
+    train, held, order = data.draw(cases())
+    table = count_ngrams(train, order)
+    batch = data.draw(batches(table))
+    seen = table.arrays.ids.tolist()
+    hists = [tuple(seen[i]) for i in data.draw(st.permutations(range(len(seen))))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for model in (TabularSoftmaxLM.for_table(table), TabularSoftmaxLM(order, train.vocab, hists)):
+        model.logits[...] = rng.normal(size=model.logits.shape)
+        logits = {tuple(h): z for h, z in zip(model.keys.ids.tolist(), model.logits)}
+        error = the_error(table, batch)
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                model.forward(batch)
+            continue
+        row = {h: i for i, h in enumerate(map(tuple, model.keys.ids.tolist()))}
+        idx, _, q = model.forward(batch)
+        assert idx.tolist() == [row.get(h, -1) for h in batch]
+        z = np.array([logits.get(h, np.zeros(train.vocab.out_dim)) for h in batch])
+        np.testing.assert_allclose(q, softmax(z), rtol=1e-12)
+
+        def row_of(h):
+            return softmax(logits.get(h, np.zeros(train.vocab.out_dim))[None, :])[0]
+
+        assert perplexity(model, held) == pytest.approx(
+            expected_perplexity(order, row_of, held), rel=1e-12)
+
+
+def test_codes_reach_python_ints_only_past_2_to_the_63():
+    # two symbols: base 4, and 4^31 = 2^62 < 2^63 <= 4^32
+    corpus = Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=((0, 1, 1), (1,)))
+    assert count_ngrams(corpus, 32).arrays.codes.dtype == np.int64
+    assert count_ngrams(corpus, 33).arrays.codes.dtype == object
+    lm = smooth(count_ngrams(corpus, 33), "kneser_essen_ney")
+    assert lm.backstop.keys.codes.dtype == np.int64
+    np.testing.assert_array_equal(lm.rows(lm.hists[::-1]), lm.matrix[::-1])
+
+
+def test_out_of_range_ids_never_alias_a_seen_history():
+    # in base 4, (-1, 4) has the code of (0, 0)
+    v = Vocabulary(symbols=("a", "b"))
+    corpus = Corpus(vocab=v, sequences=((0, 0, 0),))
+    table = count_ngrams(corpus, 3)
+    assert (0, 0) in table.arrays.hists
+    for lookup in (smooth(table, "katz").rows, TabularSoftmaxLM.for_table(table).rows):
+        with pytest.raises(ValueError, match=r"not a symbol or BOS in \(-1, 4\)"):
+            lookup([(0, 0), (-1, 4)])
+    with pytest.raises(ValueError, match=r"not a symbol or BOS in \(-1, 4\)"):
+        CountTable.from_grams(3, v, [(0, 0, 0), (-1, 4, 0)], [1, 1])
+
+
+def test_an_unseen_suffix_is_named_in_order_of_first_appearance():
+    # a level with no backstop below another names the first history of the
+    # batch whose suffix it lacks, not the least one
+    corpus = Corpus(vocab=Vocabulary(symbols=("a", "b", "c")), sequences=((0, 0),))
+    tables = tables_down_to_unigram(count_ngrams(corpus, 3))
+    lower = empirical_conditional(tables[1])
+    lm = ConditionalLM(3, corpus.vocab, (tables[2].arrays, empirical_conditional(tables[2]).matrix),
+                       backstop=lower)
+    with pytest.raises(UnseenHistoryError) as raised:
+        lm.rows([(2, 2), (1, 1)])
+    assert raised.value.args == ((2,),)

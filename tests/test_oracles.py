@@ -38,6 +38,9 @@ KERNELS = {"_objective_weights", "batch_loss_grads", "signed_decompose", "build_
 # each dict view, and the module that defines it
 VIEWS = {"table": "ngram", "gram_count": "corpus", "history_count": "corpus",
          "per_history": "decompose"}
+# the views of a RowKeys, and the nodes that loop
+ROW_VIEWS = {"hists", "index"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -121,13 +124,26 @@ def test_oracle_names_no_kernel(oracle):
     assert not {n for n in named if n in KERNELS or n.startswith("smooth_")}
 
 
+def is_self(node: ast.Attribute) -> bool:
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
 def test_dict_views_are_read_only_where_defined():
     # `self.table` is an object's own attribute (the CLI's training data)
     for path in SRC.glob("*.py"):
         for node in ast.walk(parsed(path.stem)):
-            if (isinstance(node, ast.Attribute) and node.attr in VIEWS
-                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            if isinstance(node, ast.Attribute) and node.attr in VIEWS and not is_self(node):
                 assert path.stem == VIEWS[node.attr], f"{path.name}:{node.lineno} .{node.attr}"
+    # nor does a pipeline module read the `hists` or `index` view of a table
+    # or a model in a loop: histories are looked up by code, all at once
+    for path in SRC.glob("*.py"):
+        if path.stem == "verify":
+            continue
+        for loop in ast.walk(parsed(path.stem)):
+            if isinstance(loop, LOOPS):
+                for node in ast.walk(loop):
+                    assert not (isinstance(node, ast.Attribute) and node.attr in ROW_VIEWS
+                                and not is_self(node)), f"{path.name}:{node.lineno} .{node.attr}"
 
 
 def test_lms_are_built_from_rows_outside_ngram():
