@@ -109,7 +109,7 @@ class RunConfig(neural.TrainConfig):
         if self.arch not in ARCHS:
             raise ValueError(f"unknown architecture {self.arch!r}")
         for key, low in (("order", 2 if self.arch == "feedforward" else 1), ("embed_dim", 1),
-                         ("hidden_dim", 1), ("seed", 0), ("patience", 1)):
+                         ("hidden_dim", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
         if self.objective in neural.BUNDLE_OBJECTIVES:

@@ -100,10 +100,9 @@ class RegularizerBundle:
     `rows` is the SignedDecomposition of the table's rows: row i of its
     matrices and entry i of `weights` belong to the table's history i.
     `build_regularizer` passes the table's `arrays` and `arrays.totals`
-    themselves, so the rows follow the table's row order.  `hists` is the
-    arrays' tuple view, and `per_history`, mapping each history to a
-    SignedDecomposition of views into `rows`, is built on first read for
-    `perfbench/` and the tests."""
+    themselves, so the rows follow the table's row order.  `per_history`,
+    mapping each history to a SignedDecomposition of views into `rows`, is
+    built on first read for `perfbench/` and the tests."""
 
     order: int
     arrays: GramArrays = field(repr=False, compare=False)
@@ -112,21 +111,14 @@ class RegularizerBundle:
     gamma_plus: float
     gamma_minus: float
 
-    @property
-    def hists(self) -> tuple[History, ...]:
-        return self.arrays.hists
-
     @cached_property
     def per_history(self) -> dict[History, SignedDecomposition]:
         r = self.rows
         zp = r.z_plus.tolist()
         zm = r.z_minus.tolist()
+        hists = self.arrays.hists
         return {h: SignedDecomposition(r.p_plus[i], r.p_minus[i], zp[i], zm[i])
-                for i, h in enumerate(self.hists)}
-
-    @property
-    def total_weight(self) -> int:
-        return int(self.weights.sum())
+                for i, h in enumerate(hists)}
 
 
 def build_regularizer(

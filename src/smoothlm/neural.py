@@ -3,7 +3,9 @@
 Two architectures: a tabular softmax model (one logit row per history) and a
 small fixed-context feedforward net.  Each is a conditional q(.|h) with the
 lookup of ngram.ConditionalLM, `rows(hists)`, so ngram.perplexity scores
-both; `rows` and the training step run the same batched `forward`.
+both; `rows` and the training step run the same batched `forward`, over
+what the model's `lookup` makes of a batch of histories.  Training looks
+its batch up once, before the first epoch.
 Training is full-batch gradient descent with hand-derived gradients, under
 one of four objectives:
 
@@ -88,8 +90,9 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for key, low in (("epochs", 1), ("patience", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
         if self.objective == "label_smoothing" and self.gamma_ls < 0:
             raise ValueError("gamma_ls must be >= 0")
         if self.objective in BUNDLE_OBJECTIVES and self.method is not None:
@@ -133,22 +136,15 @@ def _loss_delta(alpha: np.ndarray, logq: np.ndarray, q: np.ndarray) -> tuple[flo
 class _Model:
     """The conditional-model interface both architectures share with
     ngram.ConditionalLM: `order`, `vocab` and `rows`.  Each architecture's
-    `forward` is the one batched pass that `rows` and `batch_loss_grads`
-    run, over what its `_lookup` makes of the histories; its last value is
-    q."""
+    `lookup` checks a batch of histories once and returns what its
+    `forward` reads; `forward` is the one batched pass that `rows` and
+    `batch_loss_grads` run, and its last value is q."""
 
     def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
         """q(.|h) for each of `hists` (history tuples, an id array or a count
         table's GramArrays), one row each; ValueError for a history that is
         not order-1 symbol or BOS ids."""
-        return self.forward(hists)[-1]
-
-    def _batch(self, hists, extra) -> np.ndarray:
-        """The lookup of `hists` followed by that of `extra`."""
-        found = self._lookup(hists)
-        if len(extra):
-            found = np.concatenate([found, self._lookup(extra)])
-        return found
+        return self.forward(self.lookup(hists))[-1]
 
 
 class TabularSoftmaxLM(_Model):
@@ -157,7 +153,6 @@ class TabularSoftmaxLM(_Model):
     The histories are given as a count table's GramArrays, which the model
     keeps as its RowKeys `keys`, or as a sequence.  Histories outside them
     get the uniform distribution (the logits of a never-updated row).
-    `hists` and `index` are the keys' views, built on first read.
     """
 
     architecture = "tabular"
@@ -168,14 +163,6 @@ class TabularSoftmaxLM(_Model):
         self.keys = row_index(vocab, order - 1, hists)
         self.logits = np.zeros((len(self.keys.ids), vocab.out_dim))
 
-    @property
-    def hists(self) -> tuple[History, ...]:
-        return self.keys.hists
-
-    @property
-    def index(self) -> dict[History, int]:
-        return self.keys.index
-
     @classmethod
     def for_table(cls, table: CountTable) -> "TabularSoftmaxLM":
         return cls(table.order, table.vocab, table.arrays)
@@ -183,35 +170,30 @@ class TabularSoftmaxLM(_Model):
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"logits": self.logits}
 
-    def _lookup(self, hists) -> np.ndarray:
+    def lookup(self, hists) -> np.ndarray:
         """The row of each of `hists`, -1 outside the table."""
         if hists is self.keys:
             return np.arange(len(self.logits))
         return self.keys.find(history_ids(self.vocab, self.order - 1, hists))
 
-    def forward(self, hists, extra=()):
-        """(row of each history of `hists` and then of `extra`, -1 outside
-        the table; log q; q) of a batch.  Row -1 is a zero logit row, whose
-        softmax is the uniform row."""
-        idx = self._batch(hists, extra)
+    def forward(self, idx):
+        """(log q, q) of the rows `idx` of a lookup.  Row -1 is a zero logit
+        row, whose softmax is the uniform row."""
         z = self.logits[idx] if len(self.logits) else np.zeros((len(idx), self.vocab.out_dim))
         z[idx < 0] = 0.0
-        return idx, *_log_softmax(z)
+        return _log_softmax(z)
 
-    def batch_loss_grads(self, hists, alpha, extra=()):
-        """Loss sum_h alpha_h . -log q(.|h) over the distinct table histories
-        `hists`, its gradient, and q of `hists` followed by `extra`, all
-        from one forward."""
-        idx, logq, q = self.forward(hists, extra)
-        n = len(idx) - len(extra)
-        if (idx[:n] < 0).any():
-            ids = history_ids(self.vocab, self.order - 1, hists)
-            h = tuple(ids[int(np.argmin(idx[:n]))].tolist())
-            raise ValueError(f"tabular model has no row for history {h}")
+    def batch_loss_grads(self, idx, alpha):
+        """Loss sum_i alpha_i . -log q(.|h_i) over the first len(alpha) rows
+        of a lookup `idx`, its gradient, and q of all of `idx`, from one
+        forward.  A row -1 has no parameters, so its delta goes to a spare
+        row past the logits that the gradient leaves out."""
+        logq, q = self.forward(idx)
+        n = len(alpha)
         loss, delta = _loss_delta(alpha, logq[:n], q[:n])
-        g = np.zeros_like(self.logits)
+        g = np.zeros((len(self.logits) + 1, self.vocab.out_dim))
         g[idx[:n]] = delta
-        return loss, {"logits": g}, q
+        return loss, {"logits": g[:-1]}, q
 
 
 class FeedForwardLM(_Model):
@@ -252,23 +234,24 @@ class FeedForwardLM(_Model):
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"E": self.E, "W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
-    def _lookup(self, hists) -> np.ndarray:
+    def lookup(self, hists) -> np.ndarray:
+        """The ids of each of `hists`, one row each."""
         return history_ids(self.vocab, self.order - 1, hists)
 
-    def forward(self, hists, extra=()):
-        """(history ids, embeddings, hidden layer, log q, q) of a batch:
-        `hists` and then `extra`."""
-        idx = self._batch(hists, extra)
+    def forward(self, idx):
+        """(embeddings, hidden layer, log q, q) of the histories `idx` of a
+        lookup."""
         e = self.E[idx].reshape(len(idx), (self.order - 1) * self.embed_dim)
         a = np.tanh(e @ self.W1 + self.b1)
         logq, q = _log_softmax(a @ self.W2 + self.b2)
-        return idx, e, a, logq, q
+        return e, a, logq, q
 
-    def batch_loss_grads(self, hists, alpha, extra=()):
-        """Loss sum_h alpha_h . -log q(.|h) over `hists`, its gradient, and
-        q of `hists` followed by `extra`, all from one forward."""
-        idx, e, a, logq, q = self.forward(hists, extra)
-        n = len(idx) - len(extra)
+    def batch_loss_grads(self, idx, alpha):
+        """Loss sum_i alpha_i . -log q(.|h_i) over the first len(alpha)
+        histories of a lookup `idx`, its gradient, and q of all of `idx`,
+        from one forward."""
+        e, a, logq, q = self.forward(idx)
+        n = len(alpha)
         idx, e, a, logq = idx[:n], e[:n], a[:n], logq[:n]
         loss, delta2 = _loss_delta(alpha, logq, q[:n])
         gW2 = a.T @ delta2
@@ -383,17 +366,22 @@ def train(
 
 
 def _train_counts(model, table, config, bundle, heldout):
-    # the objective weights do not depend on the parameters: build them once
+    # the objective weights and the batch do not depend on the parameters:
+    # build them once
     alpha, const = _objective_weights(table, config, bundle)
-    extra = ()
+    idx = model.lookup(table.arrays)
+    if (idx < 0).any():
+        # a tabular model's row -1: a training history outside its table
+        h = tuple(table.arrays.ids[int(np.argmax(idx < 0))].tolist())
+        raise ValueError(f"tabular model has no row for history {h}")
     if heldout is not None:
-        # each epoch's forward runs over the table's histories and then
-        # `extra`, the held-out histories training lacks; held-out row i is
-        # row place[i] of that forward
+        # each epoch's forward runs over the table's histories and then the
+        # held-out histories training lacks; held-out row i is row place[i]
+        # of that forward
         place = table.arrays.find(heldout.arrays.ids)
         lacking = place < 0
-        extra = heldout.arrays.ids[lacking]
-        place[lacking] = len(table.arrays.ids) + np.arange(len(extra))
+        place[lacking] = len(idx) + np.arange(np.count_nonzero(lacking))
+        idx = np.concatenate([idx, model.lookup(heldout.arrays.ids[lacking])])
         rows = place[heldout.arrays.hist]
     metrics = TrainMetrics()
     params = model.param_arrays()
@@ -418,7 +406,7 @@ def _train_counts(model, table, config, bundle, heldout):
     for epoch in range(config.epochs):
         # one forward at theta_epoch: its held-out rows give the perplexity
         # of the previous epoch, its training rows this epoch's step
-        loss, grads, q = model.batch_loss_grads(table.arrays, alpha, extra)
+        loss, grads, q = model.batch_loss_grads(idx, alpha)
         if epoch and heldout is not None and patience_ran_out(table_perplexity(q, rows, heldout)):
             break
         loss += const

@@ -44,10 +44,9 @@ class ConditionalLM:
     mapping is stacked into one.  Either way `matrix` holds the rows and
     `keys`, the RowKeys of row_index, their histories, each listed once.
     Given a count table's `GramArrays` as the histories, the LM keeps them
-    as its keys and checks only the matrix.  `hists`, `index` and the dict
-    `table`, mapping each history to a view of its row, are built on first
-    read for `perfbench/`, the tests and `conditional`; no pipeline code
-    reads them.
+    as its keys and checks only the matrix.  The dict `table`, mapping each
+    history to a view of its row, is built on first read for `perfbench/`;
+    no pipeline code reads it.
 
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
@@ -79,18 +78,10 @@ class ConditionalLM:
         if validate:
             self._validate(checked=isinstance(hists, GramArrays))
 
-    @property
-    def hists(self) -> tuple[History, ...]:
-        return self.keys.hists
-
-    @property
-    def index(self) -> dict[History, int]:
-        return self.keys.index
-
     @cached_property
     def table(self) -> dict[History, np.ndarray]:
         """History -> view of its row of `matrix`."""
-        return dict(zip(self.hists, self.matrix))
+        return dict(zip(self.keys.hists, self.matrix))
 
     def _validate(self, checked: bool) -> None:
         """Check every row at once, and the histories unless a count table
@@ -137,14 +128,11 @@ class ConditionalLM:
 
     def conditional(self, history: Sequence[int]) -> np.ndarray:
         """The row of one history: a view of the LM's own row, found in the
-        `index` view (a dict, for callers that ask one history at a time,
-        the oracles of `verify`), or else rows((h,))[0]."""
+        keys' `index` view (a dict, for callers that ask one history at a
+        time, the oracles of `verify`), or else rows((h,))[0]."""
         h = tuple(history)
-        i = self.index.get(h)
+        i = self.keys.index.get(h)
         return self.rows((h,))[0] if i is None else self.matrix[i]
-
-    def prob(self, history: Sequence[int], symbol_id: int) -> float:
-        return float(self.conditional(history)[self.vocab.out_index(symbol_id)])
 
 
 def check_distributions(rows: np.ndarray, hists: Sequence[History] | None = None,

@@ -140,11 +140,7 @@ def smooth_add_lambda(table: CountTable, lam: float) -> ConditionalLM:
     rows = np.full((len(a.ids), vocab.out_dim), lam, dtype=float)
     rows[a.hist, a.out] += a.count
     rows /= (a.totals + vocab.out_dim * lam)[:, None]
-    return ConditionalLM(
-        table.order, vocab, (a, rows),
-        backstop=uniform_backstop(vocab),
-        method="add_lambda", params={"lambda": lam},
-    )
+    return _level(table, rows, uniform_backstop(vocab), "add_lambda", {"lambda": lam})
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +193,7 @@ def smooth_good_turing(table: CountTable) -> ConditionalLM:
         lambda c: good_turing_adjusted_count(c, r, r0),
         good_turing_adjusted_count(0, r, r0),
     )
-    return ConditionalLM(
-        table.order, table.vocab, (table.arrays, rows),
-        backstop=uniform_backstop(table.vocab),
-        method="good_turing", params={},
-    )
+    return _level(table, rows, uniform_backstop(table.vocab), "good_turing", {})
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +274,9 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
         fit = sgt_fit(table.count_of_counts, table.total_tokens)
     except ValueError:
         log.warning("SGT needs >= 2 distinct count values; falling back to add-lambda 1e-3")
-        lm = smooth_add_lambda(table, 1e-3)
-        return ConditionalLM(table.order, table.vocab, (table.arrays, lm.matrix),
-                             backstop=lm.backstop, method="simple_good_turing",
-                             params={"fallback": "add_lambda", "lambda": 1e-3})
+        return _level(table, smooth_add_lambda(table, 1e-3).matrix,
+                      uniform_backstop(table.vocab), "simple_good_turing",
+                      {"fallback": "add_lambda", "lambda": 1e-3})
     r0 = zero_gram_count(table)
     if r0 > 0:
         if fit.p0 > 0:
@@ -300,11 +291,7 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
         lambda c: fit.seen_scale * fit.smoothed_count[c],
         unseen,
     )
-    return ConditionalLM(
-        table.order, table.vocab, (table.arrays, rows),
-        backstop=uniform_backstop(table.vocab),
-        method="simple_good_turing", params={},
-    )
+    return _level(table, rows, uniform_backstop(table.vocab), "simple_good_turing", {})
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +445,10 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
 
 def _level(tab: CountTable, rows: np.ndarray, lower: ConditionalLM | None, method: str,
            params: dict) -> ConditionalLM:
-    """The LM of one order: `rows` follow `tab`'s histories, and an unseen
-    history backs off to `lower`, the level one order below."""
+    """The LM of one order, which every smoother returns and each level of
+    a backoff chain is: `rows` follow `tab`'s histories, and an unseen
+    history backs off to `lower`: the level one order below, the uniform
+    backstop, or none at a chain's order-1 level."""
     return ConditionalLM(tab.order, tab.vocab, (tab.arrays, rows), backstop=lower,
                          method=method, params=params)
 

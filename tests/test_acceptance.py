@@ -169,7 +169,7 @@ class TestCriterion7Gradients:
         of verify.objective_value, which evaluates the objective by its own
         route."""
         alpha, _ = _objective_weights(table, config, bundle)
-        _, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
+        _, grads, _ = model.batch_loss_grads(model.lookup(table.arrays.hists), alpha)
         worst = 0.0
         for name, arr in model.param_arrays().items():
             flat = arr.reshape(-1)

@@ -137,9 +137,9 @@ class TestBuildRegularizer:
     def test_weights_are_history_counts(self):
         table, emp, sm = self.table_and_lms()
         bundle = build_regularizer(emp, sm, table, 0.5, 0.5)
-        assert bundle.hists is table.arrays.hists and bundle.weights is table.arrays.totals
-        assert dict(zip(bundle.hists, bundle.weights.tolist())) == table.history_count
-        assert bundle.total_weight == table.total_tokens
+        assert bundle.arrays.hists is table.arrays.hists and bundle.weights is table.arrays.totals
+        assert dict(zip(bundle.arrays.hists, bundle.weights.tolist())) == table.history_count
+        assert bundle.weights.sum() == table.total_tokens
 
     def test_identity_smoother_all_zero(self):
         table, emp, _ = self.table_and_lms()

@@ -142,7 +142,8 @@ def test_rows_match_a_dict_lookup(data):
     # the rows of a sequence of histories, not in code order, are found
     # through the permutation row_index keeps
     perm = data.draw(st.permutations(range(len(emp.matrix))))
-    shuffled = ConditionalLM(order, train.vocab, ([emp.hists[i] for i in perm], emp.matrix[perm]),
+    shuffled = ConditionalLM(order, train.vocab,
+                             ([emp.keys.hists[i] for i in perm], emp.matrix[perm]),
                              backstop=uniform_backstop(train.vocab))
     lms = [emp, shuffled]
     for method in METHODS:
@@ -186,10 +187,11 @@ def test_tabular_forward_matches_a_dict_lookup(data):
         error = the_error(table, batch)
         if error is not None:
             with pytest.raises(ValueError, match=error):
-                model.forward(batch)
+                model.lookup(batch)
             continue
         row = {h: i for i, h in enumerate(map(tuple, model.keys.ids.tolist()))}
-        idx, _, q = model.forward(batch)
+        idx = model.lookup(batch)
+        _, q = model.forward(idx)
         assert idx.tolist() == [row.get(h, -1) for h in batch]
         z = np.array([logits.get(h, np.zeros(train.vocab.out_dim)) for h in batch])
         np.testing.assert_allclose(q, softmax(z), rtol=1e-12)
@@ -208,7 +210,7 @@ def test_codes_reach_python_ints_only_past_2_to_the_63():
     assert count_ngrams(corpus, 33).arrays.codes.dtype == object
     lm = smooth(count_ngrams(corpus, 33), "kneser_essen_ney")
     assert lm.backstop.keys.codes.dtype == np.int64
-    np.testing.assert_array_equal(lm.rows(lm.hists[::-1]), lm.matrix[::-1])
+    np.testing.assert_array_equal(lm.rows(lm.keys.hists[::-1]), lm.matrix[::-1])
 
 
 def test_out_of_range_ids_never_alias_a_seen_history():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlm import decompose, neural
-from smoothlm.corpus import CountTable, corpus_from_lines, count_ngrams
+from smoothlm.corpus import CountTable, RowKeys, corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import (
     OBJECTIVES,
@@ -52,7 +52,7 @@ def objective_grads(model, table, config, bundle=None):
     """The training loss and its gradient: batch_loss_grads under the
     objective's weights, plus the objective's constant."""
     alpha, const = _objective_weights(table, config, bundle)
-    loss, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
+    loss, grads, _ = model.batch_loss_grads(model.lookup(table.arrays.hists), alpha)
     return loss + const, grads
 
 
@@ -191,7 +191,7 @@ def step_case(arch, data):
     extra = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * (order - 1)), max_size=5))
     if arch == "tabular":
         model = TabularSoftmaxLM(order, vocab, table.arrays.hists[1:])
-        hists = model.hists
+        hists = model.keys.hists
         extra.insert(0, table.arrays.hists[0])
     else:
         model = FeedForwardLM(order, vocab, 3, 4, seed=order)
@@ -220,7 +220,7 @@ def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
     batch, n = [*hists, *extra], len(hists)
     p = {k: v.copy() for k, v in model.param_arrays().items()}
     if arch == "tabular":
-        idx = np.array([model.index.get(h, -1) for h in batch], dtype=np.intp)
+        idx = np.array([model.keys.index.get(h, -1) for h in batch], dtype=np.intp)
         z = np.zeros((len(batch), model.vocab.out_dim))
         z[idx >= 0] = p["logits"][idx[idx >= 0]]
     else:
@@ -243,11 +243,13 @@ def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
             np.add.at(gE, idx[:n, j], de[:, j * d:(j + 1) * d])
         ref = {"E": gE, "W1": e[:n].T @ dz1, "b1": dz1.sum(axis=0), "W2": a[:n].T @ delta,
                "b2": delta.sum(axis=0)}
-    *_, fwd_logq, fwd_q = model.forward(batch)
+    looked_up = model.lookup(batch)
+    np.testing.assert_array_equal(looked_up, idx)
+    *_, fwd_logq, fwd_q = model.forward(looked_up)
     np.testing.assert_array_equal(fwd_logq, logq)
     np.testing.assert_array_equal(fwd_q, q)
     np.testing.assert_array_equal(model.rows(batch), q)
-    loss, grads, step_q = model.batch_loss_grads(hists, alpha, extra)
+    loss, grads, step_q = model.batch_loss_grads(looked_up, alpha)
     assert loss == float(-(alpha * logq[:n]).sum())
     np.testing.assert_array_equal(step_q, q)
     assert grads.keys() == ref.keys()
@@ -260,20 +262,26 @@ def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
 @given(data=st.data())
 def test_passes_leave_parameters_and_alpha_alone(arch, data):
     # log q overwrites each forward's own logits, never a parameter (the
-    # tabular logits above all), and the q a pass returns is its own array
+    # tabular logits above all), the q a pass returns is its own array, and
+    # a lookup, which training reuses every epoch, is left as it was
     model, hists, alpha, extra = step_case(arch, data)
     batch = [*hists, *extra]
     params = model.param_arrays()
     before = {k: v.copy() for k, v in params.items()}
     alpha_before = alpha.copy()
     first = model.rows(batch)
-    outs = [first, *model.forward(batch), model.rows(hists), *model.forward(hists)]
-    for more in (extra, ()):
-        _, grads, q = model.batch_loss_grads(hists, alpha, more)
+    lookups = [model.lookup(batch), model.lookup(hists)]
+    lookups_before = [idx.copy() for idx in lookups]
+    outs = [first, *lookups, *model.forward(lookups[0]), model.rows(hists),
+            *model.forward(lookups[1])]
+    for idx in lookups:
+        _, grads, q = model.batch_loss_grads(idx, alpha)
         outs += [q, *grads.values()]
     again = model.rows(batch)
     np.testing.assert_array_equal(first, again)
     np.testing.assert_array_equal(alpha, alpha_before)
+    for idx, idx_before in zip(lookups, lookups_before):
+        np.testing.assert_array_equal(idx, idx_before)
     for name, arr in params.items():
         np.testing.assert_array_equal(arr, before[name])
     for out in [*outs, again]:
@@ -297,7 +305,7 @@ def test_corpus_and_its_table_train_alike(data):
         gamma_ls=0.5, gamma_plus=0.5, gamma_minus=0.25, lr=0.5, epochs=4, patience=2)
     table, held_table = count_ngrams(corpus, order), count_ngrams(heldout, order)
     b1, b2 = make_bundle_for(corpus, order, config), make_bundle_for(table, order, config)
-    assert b1.hists == b2.hists and np.array_equal(b1.weights, b2.weights)
+    assert b1.arrays.hists == b2.arrays.hists and np.array_equal(b1.weights, b2.weights)
     for name in ("p_plus", "p_minus", "z_plus", "z_minus"):
         np.testing.assert_array_equal(getattr(b1.rows, name), getattr(b2.rows, name))
     for make in (lambda: TabularSoftmaxLM.for_table(table),
@@ -326,6 +334,59 @@ def test_tabular_training_history_outside_table_rejected():
     m = TabularSoftmaxLM(2, c.vocab, hists[1:])
     with pytest.raises(ValueError, match=rf"no row for history \({hists[0][0]},\)"):
         train(m, c, TrainConfig(objective="mle", epochs=1))
+
+
+def test_tabular_step_gives_rows_outside_the_table_no_gradient():
+    # a loss row -1 is the zero logit row, which has no parameters: its
+    # delta reaches no logit row, the last one above all
+    c = corpus_from_lines(["a b c", "b a", "c c"])
+    hists = count_ngrams(c, 2).arrays.hists
+    m = TabularSoftmaxLM(2, c.vocab, hists[1:])
+    rng = np.random.default_rng(0)
+    m.logits[...] = rng.normal(size=m.logits.shape)
+    # the row outside comes last, so that nothing scattered after it hides it
+    idx = m.lookup(hists[1:] + hists[:1])
+    assert idx[-1] == -1
+    alpha = rng.random((len(idx), c.vocab.out_dim))
+    _, grads, _ = m.batch_loss_grads(idx, alpha)
+    _, want, _ = m.batch_loss_grads(idx[:-1], alpha[:-1])
+    np.testing.assert_array_equal(grads["logits"], want["logits"])
+
+
+def test_training_looks_histories_up_once_per_run(monkeypatch):
+    # a tabular model of another count of the corpus, trained on a recount,
+    # looks its training and held-out histories up before the first epoch,
+    # and no epoch looks them up again
+    corpus = corpus_from_lines(["a b c", "b c a a", "c c b"])
+    heldout = corpus_from_lines(["c b a", "a a c b"], vocab=corpus.vocab)
+    find = RowKeys.find
+    calls = []
+
+    def counted(self, ids):
+        calls.append(len(ids))
+        return find(self, ids)
+
+    monkeypatch.setattr(RowKeys, "find", counted)
+    finds = []
+    for epochs in (10, 100):
+        model = TabularSoftmaxLM.for_table(count_ngrams(corpus, 2))
+        calls.clear()
+        config = TrainConfig(objective="mle", epochs=epochs, patience=epochs)
+        _, metrics = train(model, corpus, config, heldout=heldout)
+        assert metrics.epochs_run == epochs
+        finds.append(len(calls))
+    assert finds[0] > 0 and finds[0] == finds[1]
+
+
+@pytest.mark.parametrize("key, value", [("patience", 0), ("patience", -3), ("seed", -1),
+                                        ("epochs", 0)])
+def test_out_of_range_train_config_rejected(key, value):
+    # patience 0 and below used to run as patience 1 outside the CLI
+    c = toy()
+    config = dataclasses.replace(TrainConfig(objective="mle", epochs=1), **{key: value})
+    low = 0 if key == "seed" else 1
+    with pytest.raises(ValueError, match=rf"^{key} must be >= {low}, got {value}$"):
+        train(TabularSoftmaxLM.for_table(count_ngrams(c, 2)), c, config)
 
 
 def test_data_with_another_vocabulary_rejected():
@@ -368,7 +429,7 @@ def test_training_reads_bundle_matrices_only(objective):
     config = TrainConfig(objective=objective, method="add_lambda", gamma_plus=0.5,
                          gamma_minus=0.5, epochs=3)
     bundle = make_bundle_for(table, 2, config)
-    assert bundle.hists is table.arrays.hists and bundle.weights is table.arrays.totals
+    assert bundle.arrays.hists is table.arrays.hists and bundle.weights is table.arrays.totals
     before = {k: getattr(bundle.rows, k).copy() for k in ("p_plus", "p_minus", "z_plus", "z_minus")}
     train(TabularSoftmaxLM.for_table(table), table, config, bundle, heldout=corpus)
     assert "per_history" not in vars(bundle)
@@ -403,7 +464,7 @@ def two_forward_train(model, table, config, bundle, heldout):
     metrics = TrainMetrics()
     best_ppl, best_params, stale = math.inf, None, 0
     for epoch in range(config.epochs):
-        loss, grads, _ = model.batch_loss_grads(table.arrays.hists, alpha)
+        loss, grads, _ = model.batch_loss_grads(model.lookup(table.arrays.hists), alpha)
         for name, arr in params.items():
             arr -= config.lr * grads[name]
         metrics.train_loss.append(loss + const)
@@ -485,7 +546,7 @@ class TestLossAndGrad:
         target = c.vocab.id_of["b"]
         one_gram = CountTable.from_grams(2, c.vocab, [(*h, target)], [1])
         _, grads = objective_grads(m, one_gram, TrainConfig(objective="mle"))
-        row = m.index[h]
+        row = m.keys.index[h]
         q = m.rows([h])[0]
         onehot = np.zeros(3)
         onehot[c.vocab.out_index(target)] = 1.0
@@ -545,7 +606,7 @@ class TestTraining:
         config = TrainConfig(objective="mle", lr=4.0, epochs=8000)
         m, metrics = train(m, c, config)
         emp = empirical_conditional(count_ngrams(c, 2))
-        np.testing.assert_array_less(np.abs(m.rows(emp.hists) - emp.matrix), 1e-4)
+        np.testing.assert_array_less(np.abs(m.rows(emp.keys.hists) - emp.matrix), 1e-4)
 
     def test_label_smoothing_recovers_add_lambda(self):
         corpus = synthetic_corpus(1, n_sequences=25, n_symbols=3, max_len=4)
@@ -555,7 +616,7 @@ class TestTraining:
         config = TrainConfig(objective="label_smoothing", gamma_ls=gamma, lr=6.0, epochs=30000)
         m, _ = train(m, corpus, config)
         target = smooth_add_lambda(table, gamma / table.vocab.out_dim)
-        np.testing.assert_array_less(np.abs(m.rows(target.hists) - target.matrix), 1e-4)
+        np.testing.assert_array_less(np.abs(m.rows(target.keys.hists) - target.matrix), 1e-4)
 
     def test_lr_zero_keeps_parameters(self):
         c = toy()
@@ -596,7 +657,7 @@ class TestSmoothedTargetTraining:
         m = TabularSoftmaxLM.for_table(table)
         config = TrainConfig(objective="smoothed_target", lr=6.0, epochs=30000)
         m, _ = train(m, table, config, bundle=bundle)
-        np.testing.assert_array_less(np.abs(m.rows(target.hists) - target.matrix), 1e-4)
+        np.testing.assert_array_less(np.abs(m.rows(target.keys.hists) - target.matrix), 1e-4)
 
     def test_mle_target_matches_mle_gradients(self):
         corpus, table, _, _ = small_setup()
@@ -648,7 +709,7 @@ class TestSerialization:
         save_model(m, str(p))
         m2 = load_model(str(p))
         np.testing.assert_array_equal(m.logits, m2.logits)
-        assert m2.hists == m.hists and m2.index == m.index
+        assert m2.keys.hists == m.keys.hists and m2.keys.index == m.keys.index
         p2 = tmp_path / "m2.json"
         save_model(m2, str(p2))
         assert p.read_bytes() == p2.read_bytes()

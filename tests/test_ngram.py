@@ -50,8 +50,8 @@ class TestEmpiricalConditional:
         a, b = c.vocab.id_of["a"], c.vocab.id_of["b"]
         row = lm.conditional((a,))
         np.testing.assert_allclose(row, [0.0, 0.5, 0.5])  # (a, b, EOS)
-        assert lm.prob((a,), b) == 0.5
-        assert lm.prob((a,), a) == 0.0
+        assert lm.conditional((a,))[c.vocab.out_index(b)] == 0.5
+        assert lm.conditional((a,))[c.vocab.out_index(a)] == 0.0
 
     def test_unigram(self):
         c = corpus_from_lines(["a"])
@@ -140,7 +140,7 @@ class TestRowViews:
             raise AssertionError("perplexity took the per-token path")
 
         monkeypatch.setattr(verify, "string_logprob", per_token)
-        monkeypatch.setattr(ConditionalLM, "prob", per_token)
+        monkeypatch.setattr(ConditionalLM, "conditional", per_token)
         assert ngram.perplexity(lm, held) == want
         assert main(["eval", "--lm", path, "--corpus", str(tmp_path / "held.txt")]) == 0
         assert capsys.readouterr().out == f"perplexity\t{file_want:.10g}\n"
@@ -151,7 +151,7 @@ class TestRowViews:
         held = corpus_from_lines(["c b a", "a a c b", "b", "c a c c"], vocab=train.vocab)
         table = count_ngrams(train, 3)
         lms = [smooth(table, method) for method in METHODS]
-        assert any(h not in lms[0].index for h in count_ngrams(held, 3).arrays.hists)
+        assert any(h not in lms[0].keys.index for h in count_ngrams(held, 3).arrays.hists)
         want = [perplexity(lm, held) for lm in lms]
 
         def per_history(*args):
@@ -173,14 +173,14 @@ class TestRowViews:
 
     def test_table_is_a_view_of_matrix(self):
         lm = mle(corpus_from_lines(["a b a", "b b"]), 2)
-        for i, h in enumerate(lm.hists):
+        for i, h in enumerate(lm.keys.hists):
             assert np.shares_memory(lm.conditional(h), lm.matrix)
             np.testing.assert_array_equal(lm.table[h], lm.matrix[i])
         assert vars(lm)["table"] is lm.table
 
     def test_rows_in_another_order(self):
         lm = mle(corpus_from_lines(["a b a", "b b"]), 2)
-        order = list(reversed(lm.hists))
+        order = list(reversed(lm.keys.hists))
         np.testing.assert_array_equal(lm.rows(order), lm.matrix[::-1])
         # 5 is no id of this vocabulary, so (5,) is no history at all
         with pytest.raises(ValueError, match=r"not a symbol or BOS in \(5,\)"):

@@ -96,7 +96,7 @@ def test_every_smoother_gives_distributions_that_decompose(corpus, order):
         assert set(lm.table) == set(table.history_count), method
         assert (lm.matrix >= 0).all(), method
         assert (np.abs(lm.matrix.sum(axis=1) - 1.0) <= PROB_ATOL).all(), method
-        for i, h in enumerate(lm.hists):
+        for i, h in enumerate(lm.keys.hists):
             assert np.shares_memory(lm.table[h], lm.matrix)
             np.testing.assert_array_equal(lm.table[h], lm.matrix[i])
         bundle = build_regularizer(emp, lm, table, 1.0, 1.0)
@@ -181,7 +181,7 @@ def test_tsv_files_round_trip(corpus, order):
                 assert f1.read() == f2.read(), method
             v, v2 = lm.vocab, lm2.vocab
             cols = [v2.out_index(v2.parse(v.render(v.id_at_out(j)))) for j in range(v.out_dim)]
-            for h, row in zip(lm.hists, lm.matrix):
+            for h, row in zip(lm.keys.hists, lm.matrix):
                 h2 = tuple(v2.parse(v.render(i)) for i in h)
                 np.testing.assert_allclose(lm2.conditional(h2)[cols], row, rtol=1e-11, atol=0)
 
