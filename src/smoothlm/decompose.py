@@ -17,6 +17,7 @@ from the table's row totals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,11 +65,16 @@ def row_entropies(rows: np.ndarray) -> np.ndarray:
     return -np.bincount(i, weights=p * np.log(p), minlength=len(rows))
 
 
-def signed_decompose(empirical, smoothed, hists=None) -> SignedDecomposition:
+def signed_decompose(empirical, smoothed, hists=None, support=None) -> SignedDecomposition:
     """Split smoothed - empirical into normalized positive and negative
     parts along the last axis, for a pair of vectors or a pair of
-    (rows x emissions) matrices.  Builds the two output arrays and no other
-    input-sized array; `hists` names the rows in input errors."""
+    (rows x emissions) matrices.  `support` lists, as flat cell indices,
+    every cell where empirical may be nonzero (np.flatnonzero(empirical)
+    when not given).  Off it empirical is 0, so smoothed - empirical is
+    smoothed itself, nonnegative: p_plus starts as a copy of smoothed,
+    p_minus as zeros, and only the support is split.  Builds the two output
+    arrays and no other input-sized array; `hists` names the rows in input
+    errors."""
     p = np.asarray(empirical, dtype=float)
     q = np.asarray(smoothed, dtype=float)
     if p.shape != q.shape:
@@ -77,17 +83,26 @@ def signed_decompose(empirical, smoothed, hists=None) -> SignedDecomposition:
         raise ValueError(f"need a vector or a matrix, got shape {p.shape}")
     check_distributions(p.reshape(-1, p.shape[-1]), hists, "empirical")
     check_distributions(q.reshape(-1, q.shape[-1]), hists, "smoothed")
-    pos = np.subtract(q, p)
-    neg = np.negative(pos)
-    np.maximum(pos, 0.0, out=pos)
-    np.maximum(neg, 0.0, out=neg)
+    if support is None:
+        support = np.flatnonzero(p)
+    # + 0.0 makes a -0.0 the +0.0 that max(q - 0.0, 0.0) gives
+    pos = q + 0.0
+    neg = np.zeros(pos.shape)
+    diff = q.reshape(-1)[support] - p.reshape(-1)[support]
+    pos.reshape(-1)[support] = np.maximum(diff, 0.0)
+    neg.reshape(-1)[support] = np.maximum(np.negative(diff), 0.0)
     parts = []
     for m in (pos, neg):
         z = m.sum(axis=-1)
         zero = z == 0.0
-        # max(-0.0, 0.0) keeps -0.0; a part with no mass is +0.0 throughout
+        # a part with no mass is +0.0 throughout
         m[zero] = 0.0
-        m /= np.where(zero, 1.0, z)[..., None]
+        scale = np.where(zero, 1.0, z)
+        if m is pos:
+            m /= scale[..., None]
+        else:
+            # p_minus is zero off the support
+            m.reshape(-1)[support] /= scale.reshape(-1)[support // p.shape[-1]]
         parts.append(z)
     return SignedDecomposition(pos, neg, *parts)
 
@@ -130,9 +145,14 @@ def build_regularizer(
 ) -> RegularizerBundle:
     """Decompose smoothed against empirical on every history of `table`;
     the empirical model must be `empirical_conditional(table)`, whose rows
-    are keyed by the table's `arrays` themselves."""
+    are keyed by the table's `arrays` themselves and are nonzero on the
+    table's gram cells only, the split's support.  The gammas must be
+    finite and nonnegative."""
     if empirical_lm.order != smoothed_lm.order:
         raise ValueError("order mismatch between empirical and smoothed models")
+    for name, gamma in (("gamma_plus", gamma_plus), ("gamma_minus", gamma_minus)):
+        if not math.isfinite(gamma):
+            raise ValueError(f"{name} must be finite, got {gamma!r}")
     if gamma_plus < 0 or gamma_minus < 0:
         raise ValueError("gamma weights must be nonnegative")
     a = table.arrays
@@ -146,7 +166,8 @@ def build_regularizer(
     return RegularizerBundle(
         order=empirical_lm.order,
         arrays=a,
-        rows=signed_decompose(empirical_lm.matrix, smoothed_lm.rows(a), a.ids),
+        rows=signed_decompose(empirical_lm.matrix, smoothed_lm.rows(a), a.ids,
+                              a.hist * table.vocab.out_dim + a.out),
         weights=a.totals,
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,

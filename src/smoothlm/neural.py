@@ -2,10 +2,10 @@
 
 Two architectures: a tabular softmax model (one logit row per history) and a
 small fixed-context feedforward net.  Each is a conditional q(.|h) with the
-lookup of ngram.ConditionalLM, `rows(hists)`, so ngram.perplexity scores
-both; `rows` and the training step run the same batched `forward`, over
-what the model's `lookup` makes of a batch of histories.  Training looks
-its batch up once, before the first epoch.
+lookup of ngram.ConditionalLM, `rows(hists)` and `cells(keys, hist, out)`,
+so ngram.perplexity scores both; `rows`, `cells` and the training step run
+the same batched `forward`, over what the model's `lookup` makes of a batch
+of histories.  Training looks its batch up once, before the first epoch.
 Training is full-batch gradient descent with hand-derived gradients, under
 one of four objectives:
 
@@ -135,16 +135,22 @@ def _loss_delta(alpha: np.ndarray, logq: np.ndarray, q: np.ndarray) -> tuple[flo
 
 class _Model:
     """The conditional-model interface both architectures share with
-    ngram.ConditionalLM: `order`, `vocab` and `rows`.  Each architecture's
-    `lookup` checks a batch of histories once and returns what its
-    `forward` reads; `forward` is the one batched pass that `rows` and
-    `batch_loss_grads` run, and its last value is q."""
+    ngram.ConditionalLM: `order`, `vocab`, `rows` and `cells`.  Each
+    architecture's `lookup` checks a batch of histories once and returns
+    what its `forward` reads; `forward` is the one batched pass that
+    `rows`, `cells` and `batch_loss_grads` run, and its last value is q."""
 
     def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
         """q(.|h) for each of `hists` (history tuples, an id array or a count
         table's GramArrays), one row each; ValueError for a history that is
         not order-1 symbol or BOS ids."""
         return self.forward(self.lookup(hists))[-1]
+
+    def cells(self, keys: RowKeys | np.ndarray | Sequence[History], hist: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        """q(out[g] | keys[hist[g]]) for each g, from the rows of `keys`,
+        since the softmax needs the whole row anyway."""
+        return self.forward(self.lookup(keys))[-1][hist, out]
 
 
 class TabularSoftmaxLM(_Model):
@@ -377,12 +383,13 @@ def _train_counts(model, table, config, bundle, heldout):
     if heldout is not None:
         # each epoch's forward runs over the table's histories and then the
         # held-out histories training lacks; held-out row i is row place[i]
-        # of that forward
+        # of that forward, so held-out gram g is cell (place[hist[g]], out[g])
+        # of its q
         place = table.arrays.find(heldout.arrays.ids)
         lacking = place < 0
         place[lacking] = len(idx) + np.arange(np.count_nonzero(lacking))
         idx = np.concatenate([idx, model.lookup(heldout.arrays.ids[lacking])])
-        rows = place[heldout.arrays.hist]
+        cells = place[heldout.arrays.hist], heldout.arrays.out
     metrics = TrainMetrics()
     params = model.param_arrays()
     best_ppl = math.inf
@@ -407,7 +414,7 @@ def _train_counts(model, table, config, bundle, heldout):
         # one forward at theta_epoch: its held-out rows give the perplexity
         # of the previous epoch, its training rows this epoch's step
         loss, grads, q = model.batch_loss_grads(idx, alpha)
-        if epoch and heldout is not None and patience_ran_out(table_perplexity(q, rows, heldout)):
+        if epoch and heldout is not None and patience_ran_out(table_perplexity(q[cells], heldout)):
             break
         loss += const
         if not math.isfinite(loss):

@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import (Corpus, CountTable, GramArrays, History, RowKeys, Vocabulary,
-                     check_histories, history_codes, history_ids, read_cells, row_index,
-                     table_at, write_cells)
+                     check_histories, history_ids, read_cells, row_index, table_at,
+                     write_cells)
 
 PROB_ATOL = 1e-9
 
@@ -98,41 +98,67 @@ class ConditionalLM:
         """Row matrix of `hists` (history tuples, an id array or a count
         table's GramArrays) in that order: `matrix` itself when they are
         its histories.  Otherwise `keys.find` looks them all up at once,
-        and an unseen one gets its backstop row, looked up once per
-        distinct suffix, or raises UnseenHistoryError.  ValueError for a
-        history that is not order-1 symbol or BOS ids."""
+        and the unseen ones get their suffixes' rows from the backstop, or
+        raise UnseenHistoryError.  ValueError for a history that is not
+        order-1 symbol or BOS ids."""
         if hists is self.keys:
             return self.matrix
-        ids = history_ids(self.vocab, self.order - 1, hists)
-        found = self.keys.find(ids)
-        unseen = found < 0
+        ids, found, unseen = self._find(hists)
         if not unseen.any():
             return self.matrix if np.array_equal(found, np.arange(len(self.matrix))) \
                 else self.matrix[found]
-        if self.backstop is None:
-            raise UnseenHistoryError(tuple(ids[np.argmax(unseen)].tolist()))
-        # each distinct suffix is looked up once, in order of first appearance
-        suffixes = ids[unseen, self.order - self.backstop.order:]
-        _, first, inverse = np.unique(history_codes(suffixes, self.keys.base),
-                                      return_index=True, return_inverse=True)
-        by_appearance = np.argsort(first)
-        rank = np.empty_like(by_appearance)
-        rank[by_appearance] = np.arange(len(rank))
-        # one gather from the backstop's rows, then the seen rows over it
-        at = np.zeros(len(ids), dtype=np.intp)
-        at[unseen] = rank[inverse]
-        q = self.backstop.rows(suffixes[first[by_appearance]]).take(at, axis=0)
-        seen = ~unseen
-        q[seen] = self.matrix[found[seen]]
+        q = np.empty((len(ids), self.vocab.out_dim))
+        q[unseen] = self.backstop.rows(ids[unseen, self.order - self.backstop.order:])
+        q[~unseen] = self.matrix[found[~unseen]]
         return q
 
+    def cells(self, keys: RowKeys | np.ndarray | Sequence[History], hist: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        """The probability of emission index out[g] after history
+        keys[hist[g]], for each g: rows(keys)[hist, out] without the rows.
+        One `keys.find`; the cells of unseen histories come from one
+        backstop `cells` call over the suffixes of the distinct unseen
+        histories."""
+        if keys is self.keys:
+            return self.matrix[hist, out]
+        ids, found, unseen = self._find(keys)
+        if not unseen.any():
+            return self.matrix[found[hist], out]
+        # the unseen histories, renumbered in order, are the backstop's keys
+        at = np.cumsum(unseen) - 1
+        backs_off = unseen[hist]
+        p = np.empty(len(hist))
+        p[backs_off] = self.backstop.cells(ids[unseen, self.order - self.backstop.order:],
+                                           at[hist[backs_off]], out[backs_off])
+        stays = ~backs_off
+        p[stays] = self.matrix[found[hist[stays]], out[stays]]
+        return p
+
+    def _find(self, hists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ids of `hists`, the row of each (-1 where unseen) and the
+        unseen mask, after one `keys.find`; with no backstop, an unseen
+        history raises UnseenHistoryError naming the first."""
+        ids = history_ids(self.vocab, self.order - 1, hists)
+        found = self.keys.find(ids)
+        unseen = found < 0
+        if self.backstop is None and unseen.any():
+            raise UnseenHistoryError(tuple(ids[np.argmax(unseen)].tolist()))
+        return ids, found, unseen
+
     def conditional(self, history: Sequence[int]) -> np.ndarray:
-        """The row of one history: a view of the LM's own row, found in the
-        keys' `index` view (a dict, for callers that ask one history at a
-        time, the oracles of `verify`), or else rows((h,))[0]."""
+        """The row of one history, a view of the row of the level that
+        answers: the history is found in the keys' `index` view (a dict,
+        for callers that ask one history at a time, the oracles of
+        `verify`), or else checked and its suffix handed to the backstop's
+        `conditional`; with no backstop, UnseenHistoryError."""
         h = tuple(history)
         i = self.keys.index.get(h)
-        return self.rows((h,))[0] if i is None else self.matrix[i]
+        if i is not None:
+            return self.matrix[i]
+        ids = check_histories(self.vocab, self.order - 1, [h], bos_prefix=False)
+        if self.backstop is None:
+            raise UnseenHistoryError(tuple(ids[0].tolist()))
+        return self.backstop.conditional(h[self.order - self.backstop.order:])
 
 
 def check_distributions(rows: np.ndarray, hists: Sequence[History] | None = None,
@@ -187,17 +213,17 @@ def empirical_conditional(table: CountTable) -> ConditionalLM:
 def perplexity(model, data: Corpus | CountTable) -> float:
     """exp of per-emission negative log-likelihood (one EOS per sequence) of
     a conditional model, an LM or a neural model, on a corpus or its count
-    table at the model's order: `model.rows` of the table's histories,
-    scored by table_perplexity.  The data must use the model's vocabulary."""
+    table at the model's order: `model.cells` of the table's grams, scored
+    by table_perplexity.  The data must use the model's vocabulary."""
     t = table_at(data, model.order, model.vocab)
-    return table_perplexity(model.rows(t.arrays), t.arrays.hist, t)
+    a = t.arrays
+    return table_perplexity(model.cells(a, a.hist, a.out), t)
 
 
-def table_perplexity(q: np.ndarray, rows: np.ndarray, table: CountTable) -> float:
-    """exp(-sum count log q / sum count) over a count table's grams g, where
-    q[rows[g]] is the model's row for g's history; inf if a scored q is 0."""
+def table_perplexity(p: np.ndarray, table: CountTable) -> float:
+    """exp(-sum count log p / sum count) over a count table's grams g, where
+    p[g] is the model's probability of g; inf if a p[g] is 0."""
     a = table.arrays
-    p = q[rows, a.out]
     if not p.all():
         return math.inf
     nll = -float(np.dot(a.count, np.log(p)))

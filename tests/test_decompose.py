@@ -3,6 +3,7 @@ invariant sweeps (reconstruction, equal scales, disjoint supports, and the
 cross-entropy linearity that makes the KL bracket q-invariant)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from smoothlm.decompose import (
 )
 from smoothlm.neural import TabularSoftmaxLM, TrainConfig
 from smoothlm.ngram import ConditionalLM, empirical_conditional
-from smoothlm.smoothers import smooth
+from smoothlm.smoothers import METHODS, smooth
 from smoothlm.verify import (
     cross_entropy,
     entropy,
     kl_divergence,
+    markov_zipf_lines,
     objective_value,
     signed_sides,
     synthetic_corpus,
@@ -191,6 +193,68 @@ class TestBuildRegularizer:
             for h, dec in bundle.per_history.items():
                 recon = emp.table[h] + dec.z_plus * dec.p_plus - dec.z_minus * dec.p_minus
                 assert np.abs(recon - sm.table[h]).max() < 1e-12, method
+
+    @pytest.mark.parametrize("gammas, message", [
+        ((math.nan, 1.0), "gamma_plus must be finite, got nan"),
+        ((1.0, math.inf), "gamma_minus must be finite, got inf"),
+        ((-math.inf, 1.0), "gamma_plus must be finite, got -inf"),
+        ((-1.0, 1.0), "gamma weights must be nonnegative"),
+        ((1.0, -1.0), "gamma weights must be nonnegative"),
+    ])
+    def test_gammas_must_be_finite_and_nonnegative(self, gammas, message):
+        # the rule and the messages of TrainConfig.validate: a library
+        # caller's bundle brings its own gammas into train
+        table, emp, sm = self.table_and_lms()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_regularizer(emp, sm, table, *gammas)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(objective="split_regularizer", gamma_plus=gammas[0],
+                        gamma_minus=gammas[1]).validate()
+
+
+def dense_split(p, q):
+    """The split of each row of q against p, written densely: the positive
+    and negative parts of q - p, each divided by its row sum (1 for a part
+    with no mass), with the row sums."""
+    parts = []
+    for m in (np.maximum(q - p, 0.0), np.maximum(p - q, 0.0)):
+        z = m.sum(axis=1)
+        parts += [m / np.where(z == 0.0, 1.0, z)[:, None], z]
+    return parts
+
+
+def assert_same_bits(got, want, err_msg=""):
+    # int64 views: the sign of every zero counts
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=err_msg)
+
+
+@pytest.mark.parametrize("method, params, table", [
+    *[(method, None, (synthetic_corpus(14, n_sequences=120, n_symbols=14), 2))
+      for method in METHODS],
+    *[(method, None, (corpus_from_lines(markov_zipf_lines(200, 30, 0)), 3))
+      for method in METHODS],
+    # Katz's renormalized rows here hold tens of thousands of exact zeros
+    ("katz", {"k": 6}, (corpus_from_lines(markov_zipf_lines(2000, 50, 0)), 3)),
+])
+def test_bundle_rows_are_the_dense_split(method, params, table):
+    table = count_ngrams(*table)
+    emp = empirical_conditional(table)
+    sm = smooth(table, method, params)
+    if params:
+        assert np.count_nonzero(sm.matrix == 0.0) > 40_000
+    r = build_regularizer(emp, sm, table, 1.0, 1.0).rows
+    for got, want in zip((r.p_plus, r.z_plus, r.p_minus, r.z_minus),
+                         dense_split(emp.matrix, sm.matrix)):
+        assert_same_bits(got, want, method)
+
+
+def test_the_support_defaults_to_the_nonzero_cells():
+    table = count_ngrams(synthetic_corpus(3, n_sequences=60, n_symbols=6), 2)
+    p, q = empirical_conditional(table).matrix, smooth(table, "katz").matrix
+    a = table.arrays
+    by_grams = signed_decompose(p, q, support=a.hist * table.vocab.out_dim + a.out)
+    for got, want in zip(vars(signed_decompose(p, q)).values(), vars(by_grams).values()):
+        assert_same_bits(got, want)
 
 
 def split_objective(smoothed_row, gammas, logits=(math.log(3), 0.0)):

@@ -160,6 +160,36 @@ class TestRowViews:
         monkeypatch.setattr(ConditionalLM, "conditional", per_history)
         assert [perplexity(lm, held) for lm in lms] == want
 
+    def test_perplexity_reads_cells_not_rows(self, monkeypatch):
+        # held-out histories unseen at order 3, and some at order 2 too
+        train = corpus_from_lines(["a b c", "b c a a", "c c b"])
+        held = corpus_from_lines(["c b a", "a a c b", "b", "c a c c", "a c"], vocab=train.vocab)
+        table = count_ngrams(train, 3)
+        lms = [smooth(table, method) for method in METHODS]
+        want = [perplexity(lm, held) for lm in lms]
+
+        def whole_rows(*args):
+            raise AssertionError("perplexity built rows to read one cell of each")
+
+        monkeypatch.setattr(ConditionalLM, "rows", whole_rows)
+        assert [ngram.perplexity(lm, held) for lm in lms] == want
+        assert [ngram.perplexity(lm, count_ngrams(held, 3)) for lm in lms] == want
+
+    def test_conditional_of_an_unseen_history_is_a_view_of_its_level(self, monkeypatch):
+        table = count_ngrams(corpus_from_lines(["a b c", "b c a a", "c c b"]), 3)
+        lm = smooth(table, "kneser_essen_ney")
+        b = lm.vocab.id_of["b"]
+        assert (b, b) not in lm.keys.index and (b,) in lm.backstop.keys.index
+        monkeypatch.setattr(ConditionalLM, "rows", None)
+        assert np.shares_memory(lm.conditional((b, b)), lm.backstop.matrix)
+        np.testing.assert_array_equal(lm.conditional((b, b)), lm.backstop.conditional((b,)))
+        emp = empirical_conditional(table)
+        with pytest.raises(UnseenHistoryError) as unseen:
+            emp.conditional((b, b))
+        assert unseen.value.args == ((b, b),)
+        with pytest.raises(ValueError, match=r"not a symbol or BOS in \(5, 0\)"):
+            lm.conditional((5, 0))
+
     def test_lms_of_a_count_table_check_no_history(self, monkeypatch):
         # from_grams checked the table's histories once
         def recheck(*args):

@@ -1,8 +1,9 @@
 """Hypothesis properties of the table layers and their TSV files over random
 small corpora (2-8 symbols, orders 1-3), with the count arrays checked
 against a per-position recount, per-cell oracles written from gram_count,
-held-out perplexity against the per-token string_logprob, and held-out rows
-against a walk to each history's longest seen suffix."""
+held-out perplexity against the per-token string_logprob, held-out cells
+against held-out rows, and held-out rows against a walk to each history's
+longest seen suffix."""
 
 import math
 import os
@@ -227,6 +228,28 @@ def test_perplexity_matches_the_per_token_oracle(data, order):
             emp.rows(held_hists)
         with pytest.raises(UnseenHistoryError):
             perplexity(emp, held)
+
+
+@given(train_and_heldout(), st.integers(2, 3))
+def test_cells_are_the_cells_of_the_rows(data, order):
+    # the held-out symbol is unseen in training, so a held-out history that
+    # ends in it is unseen at every backoff depth
+    train, held = data
+    table = count_ngrams(train, order)
+    a = count_ngrams(held, order).arrays
+    for method in METHODS:
+        try:
+            lm = smooth(table, method)
+        except KatzConfigError:
+            continue
+        got, want = lm.cells(a, a.hist, a.out), lm.rows(a)[a.hist, a.out]
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=method)
+    emp = empirical_conditional(table)
+    with pytest.raises(UnseenHistoryError) as by_rows:
+        emp.rows(a)
+    with pytest.raises(UnseenHistoryError) as by_cells:
+        emp.cells(a, a.hist, a.out)
+    assert by_cells.value.args == by_rows.value.args
 
 
 @given(train_and_heldout(), orders)
