@@ -3,8 +3,8 @@
 Counts, LMs and decompositions share the one TSV format of
 corpus.write_cells.  Runs are deterministic for a fixed seed, and rerunning
 any command with identical inputs rewrites byte-identical outputs.  Exit
-codes: 0 ok, 1 verification failure, 2 usage/input error, 3 internal
-invariant breach.
+codes: 0 ok, 1 verification failure, 2 usage/input error (a training run
+that diverges included), 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class InternalInvariantError(RuntimeError):
 def cmd_count(args) -> int:
     table = count_ngrams(load_corpus(args.corpus), args.order)
     write_count_table(table, args.out)
-    print(f"wrote {len(table.arrays.count)} gram rows to {args.out}")
+    print(f"wrote {len(table.count)} gram rows to {args.out}")
     return EXIT_OK
 
 
@@ -75,8 +75,8 @@ def cmd_smooth(args) -> int:
 def cmd_decompose(args) -> int:
     table, lm = _smoothed_lm(args)
     bundle = dec.build_regularizer(empirical_conditional(table), lm, table, 1.0, 1.0)
-    dec.write_decomposition(bundle, table.vocab, args.out)
-    print(f"wrote {len(bundle.weights)} history decompositions to {args.out}")
+    dec.write_decomposition(bundle, args.out)
+    print(f"wrote {len(table.ids)} history decompositions to {args.out}")
     return EXIT_OK
 
 
@@ -392,7 +392,9 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, neural.TrainingError) as exc:
+        # a diverging run (TrainingError) comes of the learning rate or
+        # init scale the user gave
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,11 +6,12 @@ are formed, EOS only as the terminal event of each sequence.  All counting
 conventions downstream (conditional distributions, smoothing, training
 weights) are defined in terms of the tables built here.
 
-A CountTable stores only sorted gram arrays, which CountTable.from_grams
-builds by one sort of integer codes from every source: a corpus, a
-higher-order table, a count file.  A model's rows are named by a RowKeys,
-whose `find` looks histories up by those codes; its history tuples and the
-table's count dicts are views for `perfbench/`, the tests and the oracles.
+A CountTable is its sorted gram arrays, which CountTable.from_grams builds
+by one sort of integer codes from every source: a corpus, a higher-order
+table, a count file.  A model's rows are named by a RowKeys, whose `find`
+looks histories up by those codes; a CountTable is the RowKeys of its own
+histories.  The history tuples and the table's count dicts are views for
+`perfbench/`, the tests and the oracles.
 """
 
 from __future__ import annotations
@@ -177,31 +178,24 @@ class RowKeys:
 
 
 @dataclass(frozen=True)
-class GramArrays(RowKeys):
-    """The grams of a CountTable, whose histories are its RowKeys, in code
-    order.  Row i is history ids[i], with row total totals[i]; gram g adds
-    count[g] at row hist[g], emission index out[g].  Invariant, set by
-    from_grams: the histories pass check_histories, are sorted and each has
-    a gram; the grams are sorted by (row, emission index), each once, with
-    a count of at least 1.  As BOS and EOS's emission index are both
-    n_symbols, this is the order of sorting the (history, emitted id)
-    pairs, and `hists` is sorted(history_count)."""
+class CountTable(RowKeys):
+    """Counts of (history, symbol) pairs at order n: gram (h, x) counts the
+    positions whose length-(n-1) padded history is h and whose emitted id
+    (a symbol or EOS) is x.  The table is its grams, and its histories are
+    its RowKeys, in code order: row i is history ids[i], with row total
+    totals[i]; gram g adds count[g] at row hist[g], emission index out[g].
+    Invariant, set by from_grams: the histories pass check_histories, are
+    sorted and each has a gram; the grams are sorted by (row, emission
+    index), each once, with a count of at least 1.  As BOS and EOS's
+    emission index are both n_symbols, this is the order of sorting the
+    (history, emitted id) pairs, and `hists` is sorted(history_count)."""
 
+    order: int
+    vocab: Vocabulary
     hist: np.ndarray
     out: np.ndarray
     count: np.ndarray
     totals: np.ndarray
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts of (history, symbol) pairs at order n: gram (h, x) counts the
-    positions whose length-(n-1) padded history is h and whose emitted id
-    (a symbol or EOS) is x.  `arrays` stores them; the rest is derived."""
-
-    order: int
-    vocab: Vocabulary
-    arrays: GramArrays
 
     @classmethod
     def from_grams(cls, order: int, vocab: Vocabulary, keys, counts) -> CountTable:
@@ -235,39 +229,37 @@ class CountTable:
         new_hist = np.r_[True, hist_codes[1:] != hist_codes[:-1]]
         hist_ids = keys[new_hist, :-1]
         check_histories(vocab, order - 1, hist_ids)
-        return cls(order, vocab, GramArrays(
+        return cls(
             ids=hist_ids, codes=hist_codes[new_hist].astype(_code_dtype(base, order - 1)),
-            base=base, code_rows=None,
+            base=base, code_rows=None, order=order, vocab=vocab,
             hist=np.cumsum(new_hist) - 1, out=np.minimum(keys[:, -1], n),  # EOS's index is n
-            count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist))))
+            count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist)))
 
     @property
     def total_tokens(self) -> int:
-        return int(self.arrays.count.sum())
+        return int(self.count.sum())
 
     @cached_property
     def count_of_counts(self) -> dict[int, int]:
         """{i: number of grams occurring exactly i times}."""
-        values, freq = np.unique(self.arrays.count, return_counts=True)
+        values, freq = np.unique(self.count, return_counts=True)
         return dict(zip(values.tolist(), freq.tolist()))
 
     @cached_property
     def gram_count(self) -> dict[tuple[History, int], int]:
         """{(history, emitted id): count}, a view built on first read."""
-        a = self.arrays
-        keys = _gram_keys(self.vocab, self.order, a.ids, a.hist, a.out).tolist()
-        return {(tuple(k[:-1]), k[-1]): c for k, c in zip(keys, a.count.tolist())}
+        keys = _gram_keys(self.vocab, self.order, self.ids, self.hist, self.out).tolist()
+        return {(tuple(k[:-1]), k[-1]): c for k, c in zip(keys, self.count.tolist())}
 
     @cached_property
     def history_count(self) -> dict[History, int]:
         """{history: row total}, a view built on first read."""
-        return dict(zip(self.arrays.hists, self.arrays.totals.tolist()))
+        return dict(zip(self.hists, self.totals.tolist()))
 
     def dense_counts(self) -> np.ndarray:
-        """The counts as one (histories x emissions) matrix in `arrays` row order."""
-        a = self.arrays
-        counts = np.zeros((len(a.ids), self.vocab.out_dim))
-        counts[a.hist, a.out] = a.count
+        """The counts as one (histories x emissions) matrix in row order."""
+        counts = np.zeros((len(self.ids), self.vocab.out_dim))
+        counts[self.hist, self.out] = self.count
         return counts
 
 
@@ -330,7 +322,7 @@ def _code_dtype(base: int, width: int):
 def row_index(vocab: Vocabulary, length: int, hists: RowKeys | Sequence[History]) -> RowKeys:
     """The RowKeys of a model's rows, named by history tuples or an id
     array that check_histories passes without the BOS rule; a RowKeys (a
-    count table's GramArrays) passes through.  ValueError for a history
+    count table) passes through.  ValueError for a history
     listed twice, which would name two rows."""
     if isinstance(hists, RowKeys):
         return hists
@@ -444,7 +436,7 @@ def table_at(data: Corpus | CountTable, order: int, vocab: Vocabulary | None = N
 
 def zero_gram_count(table: CountTable) -> int:
     """r_0: unseen (history, symbol) cells over the observed histories."""
-    return len(table.arrays.ids) * table.vocab.out_dim - len(table.arrays.count)
+    return len(table.ids) * table.vocab.out_dim - len(table.count)
 
 
 def marginalize(table: CountTable) -> CountTable:
@@ -455,9 +447,8 @@ def marginalize(table: CountTable) -> CountTable:
     """
     if table.order < 2:
         raise ValueError("cannot marginalize an order-1 table")
-    a = table.arrays
-    keys = _gram_keys(table.vocab, table.order, a.ids, a.hist, a.out)
-    return CountTable.from_grams(table.order - 1, table.vocab, keys[:, 1:], a.count)
+    keys = _gram_keys(table.vocab, table.order, table.ids, table.hist, table.out)
+    return CountTable.from_grams(table.order - 1, table.vocab, keys[:, 1:], table.count)
 
 
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
@@ -470,9 +461,8 @@ def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
 
 def write_count_table(table: CountTable, path: str) -> None:
     """Export as TSV `history<TAB>symbol<TAB>count`, one line per gram."""
-    a = table.arrays
-    write_cells(path, table.vocab, a.ids.tolist(), {"count": (a.count, "d")},
-                cells=(a.hist, a.out))
+    write_cells(path, table.vocab, table.ids.tolist(), {"count": (table.count, "d")},
+                cells=(table.hist, table.out))
 
 
 def read_count_table(path: str) -> CountTable:

@@ -10,9 +10,9 @@ and p~).  `signed_decompose` splits one row or a table's rows at once, into
 one SignedDecomposition.  Aggregating one decomposition per observed
 history, weighted by that history's occurrence count, yields an additive
 regularizer that can be attached to any differentiable conditional model.
-A RegularizerBundle keeps the SignedDecomposition of the count table's rows,
-whose matrices follow the table's sorted histories, and takes its weights
-from the table's row totals.
+A RegularizerBundle keeps the count table and the SignedDecomposition of
+its rows, whose matrices follow the table's sorted histories; the table's
+row totals are the weights.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import CountTable, GramArrays, History, write_cells
+from .corpus import CountTable, History, write_cells
 from .ngram import ConditionalLM, check_distributions
 
 RECON_ATOL = 1e-12
@@ -109,20 +109,17 @@ def signed_decompose(empirical, smoothed, hists=None, support=None) -> SignedDec
 
 @dataclass(frozen=True)
 class RegularizerBundle:
-    """Signed decompositions of a count table's histories, with their
-    occurrence counts as weights.
+    """Signed decompositions of a count table's histories, whose occurrence
+    counts, the table's row totals, are their weights.
 
-    `rows` is the SignedDecomposition of the table's rows: row i of its
-    matrices and entry i of `weights` belong to the table's history i.
-    `build_regularizer` passes the table's `arrays` and `arrays.totals`
-    themselves, so the rows follow the table's row order.  `per_history`,
-    mapping each history to a SignedDecomposition of views into `rows`, is
-    built on first read for `perfbench/` and the tests."""
+    `keys` is the count table itself and `rows` the SignedDecomposition of
+    its rows: row i of its matrices belongs to the table's history i, of
+    weight keys.totals[i].  `per_history`, mapping each history to a
+    SignedDecomposition of views into `rows`, is built on first read for
+    `perfbench/` and the tests."""
 
-    order: int
-    arrays: GramArrays = field(repr=False, compare=False)
+    keys: CountTable = field(repr=False, compare=False)
     rows: SignedDecomposition = field(repr=False, compare=False)
-    weights: np.ndarray = field(repr=False, compare=False)
     gamma_plus: float
     gamma_minus: float
 
@@ -131,7 +128,7 @@ class RegularizerBundle:
         r = self.rows
         zp = r.z_plus.tolist()
         zm = r.z_minus.tolist()
-        hists = self.arrays.hists
+        hists = self.keys.hists
         return {h: SignedDecomposition(r.p_plus[i], r.p_minus[i], zp[i], zm[i])
                 for i, h in enumerate(hists)}
 
@@ -145,9 +142,8 @@ def build_regularizer(
 ) -> RegularizerBundle:
     """Decompose smoothed against empirical on every history of `table`;
     the empirical model must be `empirical_conditional(table)`, whose rows
-    are keyed by the table's `arrays` themselves and are nonzero on the
-    table's gram cells only, the split's support.  The gammas must be
-    finite and nonnegative."""
+    are keyed by the table itself and are nonzero on the table's gram cells
+    only, the split's support.  The gammas must be finite and nonnegative."""
     if empirical_lm.order != smoothed_lm.order:
         raise ValueError("order mismatch between empirical and smoothed models")
     for name, gamma in (("gamma_plus", gamma_plus), ("gamma_minus", gamma_minus)):
@@ -155,29 +151,27 @@ def build_regularizer(
             raise ValueError(f"{name} must be finite, got {gamma!r}")
     if gamma_plus < 0 or gamma_minus < 0:
         raise ValueError("gamma weights must be nonnegative")
-    a = table.arrays
-    if empirical_lm.keys is not a:
+    if empirical_lm.keys is not table:
         raise ValueError("the empirical model's rows are not the count table's histories")
-    if smoothed_lm.keys is not a:
-        missing = a.ids[smoothed_lm.keys.find(a.ids) < 0].tolist()
+    if smoothed_lm.keys is not table:
+        missing = table.ids[smoothed_lm.keys.find(table.ids) < 0].tolist()
         if missing:
             rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
             raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")
     return RegularizerBundle(
-        order=empirical_lm.order,
-        arrays=a,
-        rows=signed_decompose(empirical_lm.matrix, smoothed_lm.rows(a), a.ids,
-                              a.hist * table.vocab.out_dim + a.out),
-        weights=a.totals,
+        keys=table,
+        rows=signed_decompose(empirical_lm.matrix, smoothed_lm.rows(table), table.ids,
+                              table.hist * table.vocab.out_dim + table.out),
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
     )
 
 
-def write_decomposition(bundle: RegularizerBundle, vocab, path: str) -> None:
-    """TSV export: history, symbol, p_plus, p_minus, z_plus, z_minus per line."""
+def write_decomposition(bundle: RegularizerBundle, path: str) -> None:
+    """TSV export: history, symbol, p_plus, p_minus, z_plus, z_minus per
+    line, in the symbols of the bundle's count table."""
     r = bundle.rows
-    write_cells(path, vocab, bundle.arrays.ids.tolist(), {
+    write_cells(path, bundle.keys.vocab, bundle.keys.ids.tolist(), {
         "p_plus": (r.p_plus, ".12g"), "p_minus": (r.p_minus, ".12g"),
         "z_plus": (r.z_plus[:, None], ".12g"), "z_minus": (r.z_minus[:, None], ".12g"),
     })

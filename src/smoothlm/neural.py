@@ -142,8 +142,8 @@ class _Model:
 
     def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
         """q(.|h) for each of `hists` (history tuples, an id array or a count
-        table's GramArrays), one row each; ValueError for a history that is
-        not order-1 symbol or BOS ids."""
+        table), one row each; ValueError for a history that is not order-1
+        symbol or BOS ids."""
         return self.forward(self.lookup(hists))[-1]
 
     def cells(self, keys: RowKeys | np.ndarray | Sequence[History], hist: np.ndarray,
@@ -156,9 +156,9 @@ class _Model:
 class TabularSoftmaxLM(_Model):
     """One unconstrained logit row per known history; q(.|h) = softmax(row).
 
-    The histories are given as a count table's GramArrays, which the model
-    keeps as its RowKeys `keys`, or as a sequence.  Histories outside them
-    get the uniform distribution (the logits of a never-updated row).
+    The histories are given as a count table, which the model keeps as its
+    RowKeys `keys`, or as a sequence.  Histories outside them get the
+    uniform distribution (the logits of a never-updated row).
     """
 
     architecture = "tabular"
@@ -171,7 +171,7 @@ class TabularSoftmaxLM(_Model):
 
     @classmethod
     def for_table(cls, table: CountTable) -> "TabularSoftmaxLM":
-        return cls(table.order, table.vocab, table.arrays)
+        return cls(table.order, table.vocab, table)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {"logits": self.logits}
@@ -280,12 +280,12 @@ class FeedForwardLM(_Model):
 def _objective_weights(
     table: CountTable, config: TrainConfig, bundle: RegularizerBundle | None
 ) -> tuple[np.ndarray, float]:
-    """Per-history coefficient vectors alpha, one row per history of
-    `table.arrays`, and the theta-independent constant such that
+    """Per-history coefficient vectors alpha, one row per history of `table`,
+    and the theta-independent constant such that
     loss = sum_h alpha_h . (-log q(.|h)) + const."""
     C = table.dense_counts()
     out_dim = table.vocab.out_dim
-    N = C.sum()
+    N = table.total_tokens
     alpha = C / N
     const = 0.0
     if config.objective == "mle":
@@ -302,15 +302,15 @@ def _objective_weights(
             "gamma_minus > 1 makes the split objective unbounded below "
             "(the -log q coefficient of an overrepresented symbol turns negative)"
         )
-    if (not np.array_equal(bundle.arrays.codes, table.arrays.codes)
-            or not np.array_equal(bundle.weights, table.arrays.totals)):
+    if (not np.array_equal(bundle.keys.codes, table.codes)
+            or not np.array_equal(bundle.keys.totals, table.totals)):
         raise ValueError("the bundle was built from another count table")
-    w = table.arrays.totals / N
+    w = table.totals / N
     r = bundle.rows
     # grid cells share the bundle's matrices and their entropies (they
     # replace only the gammas), so no product is taken in place
     if config.objective == "smoothed_target":
-        target = C / C.sum(axis=1, keepdims=True)
+        target = C / table.totals[:, None]
         part = r.p_plus * r.z_plus[:, None]
         target += part
         np.multiply(r.p_minus, r.z_minus[:, None], out=part)
@@ -375,21 +375,21 @@ def _train_counts(model, table, config, bundle, heldout):
     # the objective weights and the batch do not depend on the parameters:
     # build them once
     alpha, const = _objective_weights(table, config, bundle)
-    idx = model.lookup(table.arrays)
+    idx = model.lookup(table)
     if (idx < 0).any():
         # a tabular model's row -1: a training history outside its table
-        h = tuple(table.arrays.ids[int(np.argmax(idx < 0))].tolist())
+        h = tuple(table.ids[int(np.argmax(idx < 0))].tolist())
         raise ValueError(f"tabular model has no row for history {h}")
     if heldout is not None:
         # each epoch's forward runs over the table's histories and then the
         # held-out histories training lacks; held-out row i is row place[i]
         # of that forward, so held-out gram g is cell (place[hist[g]], out[g])
         # of its q
-        place = table.arrays.find(heldout.arrays.ids)
+        place = table.find(heldout.ids)
         lacking = place < 0
         place[lacking] = len(idx) + np.arange(np.count_nonzero(lacking))
-        idx = np.concatenate([idx, model.lookup(heldout.arrays.ids[lacking])])
-        cells = place[heldout.arrays.hist], heldout.arrays.out
+        idx = np.concatenate([idx, model.lookup(heldout.ids[lacking])])
+        cells = place[heldout.hist], heldout.out
     metrics = TrainMetrics()
     params = model.param_arrays()
     best_ppl = math.inf

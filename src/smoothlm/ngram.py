@@ -14,9 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, CountTable, GramArrays, History, RowKeys, Vocabulary,
-                     check_histories, history_ids, read_cells, row_index, table_at,
-                     write_cells)
+from .corpus import (Corpus, CountTable, History, RowKeys, Vocabulary, check_histories,
+                     history_ids, read_cells, row_index, table_at, write_cells)
 
 PROB_ATOL = 1e-9
 
@@ -43,8 +42,8 @@ class ConditionalLM:
     whose row i belongs to histories[i]; a matrix is kept as given, a
     mapping is stacked into one.  Either way `matrix` holds the rows and
     `keys`, the RowKeys of row_index, their histories, each listed once.
-    Given a count table's `GramArrays` as the histories, the LM keeps them
-    as its keys and checks only the matrix.  The dict `table`, mapping each
+    Given a count table as the histories, the LM keeps the table itself as
+    its keys and checks only the matrix.  The dict `table`, mapping each
     history to a view of its row, is built on first read for `perfbench/`;
     no pipeline code reads it.
 
@@ -76,7 +75,7 @@ class ConditionalLM:
         self.method = method
         self.params = dict(params) if params else {}
         if validate:
-            self._validate(checked=isinstance(hists, GramArrays))
+            self._validate(checked=isinstance(hists, CountTable))
 
     @cached_property
     def table(self) -> dict[History, np.ndarray]:
@@ -96,10 +95,10 @@ class ConditionalLM:
 
     def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
         """Row matrix of `hists` (history tuples, an id array or a count
-        table's GramArrays) in that order: `matrix` itself when they are
-        its histories.  Otherwise `keys.find` looks them all up at once,
-        and the unseen ones get their suffixes' rows from the backstop, or
-        raise UnseenHistoryError.  ValueError for a history that is not
+        table) in that order: `matrix` itself when they are its histories.
+        Otherwise `keys.find` looks them all up at once, and the unseen
+        ones get their suffixes' rows from the backstop, or raise
+        UnseenHistoryError.  ValueError for a history that is not
         order-1 symbol or BOS ids."""
         if hists is self.keys:
             return self.matrix
@@ -196,16 +195,16 @@ def _stack_rows(table: Mapping[History, np.ndarray], out_dim: int) -> np.ndarray
 
 
 def empirical_rows(table: CountTable) -> np.ndarray:
-    """Count ratios, one row per history of `table.arrays`."""
+    """Count ratios, one row per history of `table`."""
     rows = table.dense_counts()
-    rows /= table.arrays.totals[:, None]
+    rows /= table.totals[:, None]
     return rows
 
 
 def empirical_conditional(table: CountTable) -> ConditionalLM:
     """Count-ratio conditional model; unseen histories are left undefined."""
     return ConditionalLM(
-        table.order, table.vocab, (table.arrays, empirical_rows(table)),
+        table.order, table.vocab, (table, empirical_rows(table)),
         backstop=None, method="empirical",
     )
 
@@ -216,18 +215,16 @@ def perplexity(model, data: Corpus | CountTable) -> float:
     table at the model's order: `model.cells` of the table's grams, scored
     by table_perplexity.  The data must use the model's vocabulary."""
     t = table_at(data, model.order, model.vocab)
-    a = t.arrays
-    return table_perplexity(model.cells(a, a.hist, a.out), t)
+    return table_perplexity(model.cells(t, t.hist, t.out), t)
 
 
 def table_perplexity(p: np.ndarray, table: CountTable) -> float:
     """exp(-sum count log p / sum count) over a count table's grams g, where
     p[g] is the model's probability of g; inf if a p[g] is 0."""
-    a = table.arrays
     if not p.all():
         return math.inf
-    nll = -float(np.dot(a.count, np.log(p)))
-    return math.exp(nll / a.count.sum())
+    nll = -float(np.dot(table.count, np.log(p)))
+    return math.exp(nll / table.count.sum())
 
 
 def write_conditional_lm(lm: ConditionalLM, path: str) -> None:

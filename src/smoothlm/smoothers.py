@@ -136,10 +136,9 @@ def smooth_add_lambda(table: CountTable, lam: float) -> ConditionalLM:
     get the uniform limit."""
     _check_ranges("add_lambda", {"lambda": lam}, table.order)
     vocab = table.vocab
-    a = table.arrays
-    rows = np.full((len(a.ids), vocab.out_dim), lam, dtype=float)
-    rows[a.hist, a.out] += a.count
-    rows /= (a.totals + vocab.out_dim * lam)[:, None]
+    rows = np.full((len(table.ids), vocab.out_dim), lam, dtype=float)
+    rows[table.hist, table.out] += table.count
+    rows /= (table.totals + vocab.out_dim * lam)[:, None]
     return _level(table, rows, uniform_backstop(vocab), "add_lambda", {"lambda": lam})
 
 
@@ -163,16 +162,15 @@ def _renormalized_rows(table: CountTable, weight_of_count, unseen_weight: float)
     """Build per-history rows from a count -> weight map plus an unseen-cell
     weight, renormalizing each history; an all-zero row falls back to uniform."""
     out_dim = table.vocab.out_dim
-    a = table.arrays
-    rows = np.full((len(a.ids), out_dim), unseen_weight)
-    counts, inverse = np.unique(a.count, return_inverse=True)
+    rows = np.full((len(table.ids), out_dim), unseen_weight)
+    counts, inverse = np.unique(table.count, return_inverse=True)
     weights = np.array([weight_of_count(int(c)) for c in counts], dtype=float)
-    rows[a.hist, a.out] = weights[inverse]
+    rows[table.hist, table.out] = weights[inverse]
     sums = rows.sum(axis=1)
     empty = sums <= 0.0
     if empty.any():
         log.warning("%d of %d histories have all adjusted weights zero, using uniform",
-                    int(empty.sum()), len(a.ids))
+                    int(empty.sum()), len(table.ids))
         rows[empty] = 1.0 / out_dim
         sums[empty] = 1.0
     rows /= sums[:, None]
@@ -314,13 +312,12 @@ def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None) -> Con
     lm = None
     for tab in tables_down_to_unigram(table):
         lam = lambdas[tab.order - 1]
-        a = tab.arrays
         if lm is not None:
             rows = _lower_rows(tab, lm)
             rows *= 1.0 - lam
         else:
-            rows = np.full((len(a.ids), vocab.out_dim), (1.0 - lam) * (1.0 / vocab.out_dim))
-        rows[a.hist, a.out] += lam * (a.count / a.totals[a.hist])
+            rows = np.full((len(tab.ids), vocab.out_dim), (1.0 - lam) * (1.0 / vocab.out_dim))
+        rows[tab.hist, tab.out] += lam * (tab.count / tab.totals[tab.hist])
         lm = _level(tab, rows, lm, "jelinek_mercer", {"lambdas": list(lambdas)})
     return lm
 
@@ -376,32 +373,31 @@ def _katz_discounts(tab: CountTable, k: int, counts: np.ndarray) -> np.ndarray:
 def _katz_rows(tab: CountTable, k: int, lower: ConditionalLM) -> np.ndarray:
     """One Katz level: discounted seen cells, the freed mass spread over the
     unseen cells in proportion to the lower-order row."""
-    a = tab.arrays
-    kept = _katz_discounts(tab, k, a.count) * a.count / a.totals[a.hist]
+    kept = _katz_discounts(tab, k, tab.count) * tab.count / tab.totals[tab.hist]
     # summing the dense rows adds in the same order as summing each row
     # alone, so `leftover`, and the branch each row takes, stay exact
-    rows = np.zeros((len(a.ids), tab.vocab.out_dim))
-    rows[a.hist, a.out] = kept
+    rows = np.zeros((len(tab.ids), tab.vocab.out_dim))
+    rows[tab.hist, tab.out] = kept
     kept_mass = rows.sum(axis=1)
     leftover = 1.0 - kept_mass
     _lower_rows(tab, lower, out=rows)
-    rows[a.hist, a.out] = 0.0
+    rows[tab.hist, tab.out] = 0.0
     unseen_mass = rows.sum(axis=1)
     spread = (leftover > 0.0) & (unseen_mass > 0.0)
     rows *= np.where(spread, leftover, 0.0)[:, None]
     rows /= np.where(spread, unseen_mass, 1.0)[:, None]
-    rows[a.hist, a.out] = kept
+    rows[tab.hist, tab.out] = kept
     # rows with nothing to spread keep only their discounted cells, renormalized
     renorm = ~spread & (leftover != 0.0)
     if renorm.any():
         over = renorm & (leftover < -1e-12)
         if over.any():
             log.warning("order %d: discounted mass exceeds 1 in %d of %d histories, "
-                        "renormalizing", tab.order, int(over.sum()), len(a.ids))
+                        "renormalizing", tab.order, int(over.sum()), len(tab.ids))
         dead = renorm & (kept_mass <= 0.0)
         if dead.any():
             log.warning("order %d: no mass survived discounting in %d of %d histories, "
-                        "using lower-order rows", tab.order, int(dead.sum()), len(a.ids))
+                        "using lower-order rows", tab.order, int(dead.sum()), len(tab.ids))
             rows[dead] = lower.matrix[_parents(tab, lower)[dead]]
         live = renorm & ~dead
         rows[live] /= kept_mass[live, None]
@@ -425,16 +421,15 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
     chain = tables_down_to_unigram(table)
 
     # unigram level: how many distinct histories precede each emission
-    bigrams = chain[1].arrays
-    q1 = np.bincount(bigrams.out, minlength=vocab.out_dim) / len(bigrams.out)
+    bigram_out = chain[1].out
+    q1 = np.bincount(bigram_out, minlength=vocab.out_dim) / len(bigram_out)
     lm = _level(chain[0], q1[None, :], None, "kneser_essen_ney", {"D": D})
     for tab in chain[1:]:
-        a = tab.arrays
-        distinct = np.bincount(a.hist, minlength=len(a.ids))
+        distinct = np.bincount(tab.hist, minlength=len(tab.ids))
         rows = _lower_rows(tab, lm)
         rows *= (D * distinct)[:, None]
-        rows[a.hist, a.out] += np.maximum(a.count - D, 0.0)
-        rows /= a.totals[:, None]
+        rows[tab.hist, tab.out] += np.maximum(tab.count - D, 0.0)
+        rows /= tab.totals[:, None]
         lm = _level(tab, rows, lm, "kneser_essen_ney", {"D": D})
     return lm
 
@@ -449,7 +444,7 @@ def _level(tab: CountTable, rows: np.ndarray, lower: ConditionalLM | None, metho
     a backoff chain is: `rows` follow `tab`'s histories, and an unseen
     history backs off to `lower`: the level one order below, the uniform
     backstop, or none at a chain's order-1 level."""
-    return ConditionalLM(tab.order, tab.vocab, (tab.arrays, rows), backstop=lower,
+    return ConditionalLM(tab.order, tab.vocab, (tab, rows), backstop=lower,
                          method=method, params=params)
 
 
@@ -457,7 +452,7 @@ def _parents(tab: CountTable, lower: ConditionalLM) -> np.ndarray:
     """Row of each history's parent (the history minus its oldest symbol)
     in the next-lower-order level, whose table marginalizes `tab`'s, so
     every parent has a row."""
-    return lower.keys.find(tab.arrays.ids[:, 1:])
+    return lower.keys.find(tab.ids[:, 1:])
 
 
 def _lower_rows(tab: CountTable, lower: ConditionalLM, out=None) -> np.ndarray:

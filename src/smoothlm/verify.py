@@ -439,7 +439,7 @@ def corollary_sides(corpus: Corpus, q: ConditionalLM) -> dict[str, float]:
         gap_expected += p * (math.log(p) - _string_logq(corpus.vocab, bigram_cond_fn(emp), seq))
     ce_rhs = 0.0
     kl_rhs = 0.0
-    for h, c in zip(table.arrays.hists, table.arrays.totals.tolist()):
+    for h, c in zip(table.hists, table.totals.tolist()):
         p_vec = emp.conditional(h)
         q_vec = q.conditional(h)
         ce_rhs += c * cross_entropy(p_vec, q_vec)
@@ -490,11 +490,10 @@ def fit_tabular_label_smoothing(
 ) -> tuple[dict, int]:
     """Gradient descent on the label-smoothing objective until the gradient
     is negligible.  Returns (the fitted rows, one per history of
-    `table.arrays` in its order, steps used)."""
+    `table` in its order, steps used)."""
     vocab = table.vocab
-    a = table.arrays
-    C = np.zeros((len(a.hists), vocab.out_dim))
-    C[a.hist, a.out] = a.count
+    C = np.zeros((len(table.hists), vocab.out_dim))
+    C[table.hist, table.out] = table.count
     n = C.sum()
     alpha = C / n + gamma / (n * vocab.out_dim)
     w = alpha.sum(axis=1, keepdims=True)
@@ -526,7 +525,7 @@ def check_theorem2(
     for gamma in gammas:
         fitted, _ = fit_tabular_label_smoothing(table, gamma)
         target = smooth_add_lambda(table, gamma / table.vocab.out_dim)
-        max_err = max(max_err, float(np.abs(fitted - target.rows(table.arrays.hists)).max()))
+        max_err = max(max_err, float(np.abs(fitted - target.rows(table.hists)).max()))
     return _report("T2", len(gammas), max_err, tolerance, seed)
 
 

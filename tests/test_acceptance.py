@@ -169,7 +169,7 @@ class TestCriterion7Gradients:
         of verify.objective_value, which evaluates the objective by its own
         route."""
         alpha, _ = _objective_weights(table, config, bundle)
-        _, grads, _ = model.batch_loss_grads(model.lookup(table.arrays.hists), alpha)
+        _, grads, _ = model.batch_loss_grads(model.lookup(table.hists), alpha)
         worst = 0.0
         for name, arr in model.param_arrays().items():
             flat = arr.reshape(-1)
@@ -274,7 +274,7 @@ class TestCriterion8DirectionOfEffect:
         m2, _ = train(m2, corpus,
                       TrainConfig(objective="split_regularizer", lr=6.0, epochs=40000),
                       bundle=bundle)
-        hists = table.arrays.hists
+        hists = table.hists
         worst = float(np.abs(m1.rows(hists) - m2.rows(hists)).max())
         report(
             "8b equality of training routes",

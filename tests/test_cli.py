@@ -703,6 +703,24 @@ class TestGrid:
         assert second == (expected_dir / "grid_results.tsv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_diverging_run_exit_2(zipf, tmp_path, capsys, command):
+    # a learning rate this large overflows the first step's parameters, so
+    # the second epoch's loss is not finite: the user's setting, not our bug
+    train, held = zipf
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"corpus_path": str(train), "heldout_path": str(held),
+                               "arch": "feedforward", "method": "ken",
+                               "out_dir": str(tmp_path / "run")}), encoding="utf-8")
+    args = [command, "--config", str(cfg)]
+    # numpy warns of the overflow on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(args + ["--lr", "1e308", "--epochs", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss") and "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_all_five_lines_exit_0(self, capsys):
         code = main(["verify", "--all", "--seed", "0", "--trials", "20"])

@@ -18,7 +18,6 @@ from smoothlm.corpus import (
     Corpus,
     CountTable,
     EmptyCorpusError,
-    GramArrays,
     Vocabulary,
     build_vocabulary,
     corpus_from_lines,
@@ -243,8 +242,8 @@ class TestMarginalize:
         while t.order > 1:
             t = marginalize(t)
             direct = count_ngrams(c, t.order)
-            for f in fields(GramArrays):
-                got, want = getattr(t.arrays, f.name), getattr(direct.arrays, f.name)
+            for f in fields(CountTable):
+                got, want = getattr(t, f.name), getattr(direct, f.name)
                 if isinstance(want, np.ndarray):
                     assert got.dtype == want.dtype and np.array_equal(got, want), f.name
                 else:
@@ -257,13 +256,12 @@ class TestFromGrams:
         eos, bos = v.eos_id, v.bos_id
         t = CountTable.from_grams(2, v, [(1, eos), (bos, 0), (1, eos), (0, 1), (1, 0)],
                                   [2, 1, 3, 1, 4])
-        a = t.arrays
-        assert a.hists == ((0,), (1,), (bos,))
-        assert a.index == {(0,): 0, (1,): 1, (bos,): 2}
-        assert a.hist.tolist() == [0, 1, 1, 2]
-        assert a.out.tolist() == [1, 0, v.n_symbols, 0]
-        assert a.count.tolist() == [1, 4, 5, 1]
-        assert a.totals.tolist() == [1, 9, 1]
+        assert t.hists == ((0,), (1,), (bos,))
+        assert t.index == {(0,): 0, (1,): 1, (bos,): 2}
+        assert t.hist.tolist() == [0, 1, 1, 2]
+        assert t.out.tolist() == [1, 0, v.n_symbols, 0]
+        assert t.count.tolist() == [1, 4, 5, 1]
+        assert t.totals.tolist() == [1, 9, 1]
         assert t.total_tokens == 11
         assert t.count_of_counts == {1: 2, 4: 1, 5: 1}
 
@@ -311,7 +309,7 @@ class TestCountViews:
 
     def test_views_built_on_first_read(self):
         t = count_ngrams(toy_corpus(), 2)
-        assert vars(t).keys() == {"order", "vocab", "arrays"}
+        assert vars(t).keys() == {f.name for f in fields(CountTable)}
         grams, hists = t.gram_count, t.history_count
         assert vars(t)["gram_count"] is grams and vars(t)["history_count"] is hists
 

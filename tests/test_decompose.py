@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothlm.corpus import corpus_from_lines, count_ngrams
+from smoothlm.corpus import corpus_from_lines, count_ngrams, read_cells
 from smoothlm.decompose import (
     RECON_ATOL,
     CoverageError,
@@ -139,9 +139,9 @@ class TestBuildRegularizer:
     def test_weights_are_history_counts(self):
         table, emp, sm = self.table_and_lms()
         bundle = build_regularizer(emp, sm, table, 0.5, 0.5)
-        assert bundle.arrays.hists is table.arrays.hists and bundle.weights is table.arrays.totals
-        assert dict(zip(bundle.arrays.hists, bundle.weights.tolist())) == table.history_count
-        assert bundle.weights.sum() == table.total_tokens
+        assert bundle.keys is table
+        assert dict(zip(bundle.keys.hists, bundle.keys.totals.tolist())) == table.history_count
+        assert bundle.keys.totals.sum() == table.total_tokens
 
     def test_identity_smoother_all_zero(self):
         table, emp, _ = self.table_and_lms()
@@ -164,7 +164,7 @@ class TestBuildRegularizer:
         table, _, sm = self.table_and_lms()
         # another corpus over the same symbols: the same histories, other rows
         other = count_ngrams(synthetic_corpus(4, n_sequences=60, n_symbols=6), 2)
-        assert other.arrays.hists == table.arrays.hists
+        assert other.hists == table.hists
         fewer = count_ngrams(corpus_from_lines(["a b"], vocab=table.vocab), 2)
         for data in (other, fewer):
             with pytest.raises(ValueError, match="not the count table's histories"):
@@ -179,7 +179,7 @@ class TestBuildRegularizer:
             - bundle.rows.z_minus[:, None] * bundle.rows.p_minus, sm.matrix, rtol=0,
             atol=RECON_ATOL)
         for i, (h, dec) in enumerate(bundle.per_history.items()):
-            assert h == table.arrays.hists[i]
+            assert h == table.hists[i]
             assert np.shares_memory(dec.p_plus, bundle.rows.p_plus)
             assert dec.z_minus == bundle.rows.z_minus[i]
 
@@ -251,8 +251,7 @@ def test_bundle_rows_are_the_dense_split(method, params, table):
 def test_the_support_defaults_to_the_nonzero_cells():
     table = count_ngrams(synthetic_corpus(3, n_sequences=60, n_symbols=6), 2)
     p, q = empirical_conditional(table).matrix, smooth(table, "katz").matrix
-    a = table.arrays
-    by_grams = signed_decompose(p, q, support=a.hist * table.vocab.out_dim + a.out)
+    by_grams = signed_decompose(p, q, support=table.hist * table.vocab.out_dim + table.out)
     for got, want in zip(vars(signed_decompose(p, q)).values(), vars(by_grams).values()):
         assert_same_bits(got, want)
 
@@ -344,8 +343,21 @@ class TestDecompositionExport:
         sm = smooth(table, "add_lambda", {"lambda": 0.5})
         bundle = build_regularizer(emp, sm, table, 1.0, 1.0)
         p1, p2 = tmp_path / "d1.tsv", tmp_path / "d2.tsv"
-        write_decomposition(bundle, table.vocab, str(p1))
-        write_decomposition(bundle, table.vocab, str(p2))
+        write_decomposition(bundle, str(p1))
+        write_decomposition(bundle, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "history\tsymbol\tp_plus\tp_minus\tz_plus\tz_minus"
+
+    def test_names_the_symbols_of_the_bundles_table(self, tmp_path):
+        # the vocabulary is read off the bundle's count table, so the file
+        # cannot name another one's symbols in place of the table's
+        table = count_ngrams(corpus_from_lines(["b a", "a a b", "c"]), 2)
+        bundle = build_regularizer(empirical_conditional(table), smooth(table, "katz"),
+                                   table, 1.0, 1.0)
+        path = tmp_path / "dec.tsv"
+        write_decomposition(bundle, str(path))
+        columns = dict.fromkeys(["p_plus", "p_minus", "z_plus", "z_minus"], float)
+        _, vocab, hists, _, _, _ = read_cells(str(path), columns)
+        assert sorted(vocab.symbols) == sorted(bundle.keys.vocab.symbols) == ["a", "b", "c"]
+        assert len(hists) == len(table.ids)

@@ -50,7 +50,7 @@ def batches(draw, table: CountTable):
     """Histories to look up: seen, drawn at random from the symbol and BOS
     ids (BOS anywhere), and at most one out-of-range or wrong-length one."""
     vocab, width = table.vocab, table.order - 1
-    seen = table.arrays.ids.tolist()
+    seen = table.ids.tolist()
     some = st.lists(st.integers(0, vocab.bos_id), min_size=width, max_size=width)
     batch = draw(st.lists(st.one_of(st.sampled_from(seen), some), min_size=1, max_size=12))
     bad = draw(st.sampled_from(["none", "none", "range", "length", "alias"]))
@@ -167,8 +167,8 @@ def test_parents_match_a_dict_lookup(data):
     tables = tables_down_to_unigram(count_ngrams(train, order))
     for lower, tab in zip(tables, tables[1:]):
         lower_lm = empirical_conditional(lower)
-        index = {tuple(h): i for i, h in enumerate(lower.arrays.ids.tolist())}
-        want = [index[tuple(h[1:])] for h in tab.arrays.ids.tolist()]
+        index = {tuple(h): i for i, h in enumerate(lower.ids.tolist())}
+        want = [index[tuple(h[1:])] for h in tab.ids.tolist()]
         assert _parents(tab, lower_lm).tolist() == want
 
 
@@ -178,7 +178,7 @@ def test_tabular_forward_matches_a_dict_lookup(data):
     train, held, order = data.draw(cases())
     table = count_ngrams(train, order)
     batch = data.draw(batches(table))
-    seen = table.arrays.ids.tolist()
+    seen = table.ids.tolist()
     hists = [tuple(seen[i]) for i in data.draw(st.permutations(range(len(seen))))]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     for model in (TabularSoftmaxLM.for_table(table), TabularSoftmaxLM(order, train.vocab, hists)):
@@ -206,8 +206,8 @@ def test_tabular_forward_matches_a_dict_lookup(data):
 def test_codes_reach_python_ints_only_past_2_to_the_63():
     # two symbols: base 4, and 4^31 = 2^62 < 2^63 <= 4^32
     corpus = Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=((0, 1, 1), (1,)))
-    assert count_ngrams(corpus, 32).arrays.codes.dtype == np.int64
-    assert count_ngrams(corpus, 33).arrays.codes.dtype == object
+    assert count_ngrams(corpus, 32).codes.dtype == np.int64
+    assert count_ngrams(corpus, 33).codes.dtype == object
     lm = smooth(count_ngrams(corpus, 33), "kneser_essen_ney")
     assert lm.backstop.keys.codes.dtype == np.int64
     np.testing.assert_array_equal(lm.rows(lm.keys.hists[::-1]), lm.matrix[::-1])
@@ -218,7 +218,7 @@ def test_out_of_range_ids_never_alias_a_seen_history():
     v = Vocabulary(symbols=("a", "b"))
     corpus = Corpus(vocab=v, sequences=((0, 0, 0),))
     table = count_ngrams(corpus, 3)
-    assert (0, 0) in table.arrays.hists
+    assert (0, 0) in table.hists
     for lookup in (smooth(table, "katz").rows, TabularSoftmaxLM.for_table(table).rows):
         with pytest.raises(ValueError, match=r"not a symbol or BOS in \(-1, 4\)"):
             lookup([(0, 0), (-1, 4)])
@@ -232,7 +232,7 @@ def test_an_unseen_suffix_is_named_in_order_of_first_appearance():
     corpus = Corpus(vocab=Vocabulary(symbols=("a", "b", "c")), sequences=((0, 0),))
     tables = tables_down_to_unigram(count_ngrams(corpus, 3))
     lower = empirical_conditional(tables[1])
-    lm = ConditionalLM(3, corpus.vocab, (tables[2].arrays, empirical_conditional(tables[2]).matrix),
+    lm = ConditionalLM(3, corpus.vocab, (tables[2], empirical_conditional(tables[2]).matrix),
                        backstop=lower)
     with pytest.raises(UnseenHistoryError) as raised:
         lm.rows([(2, 2), (1, 1)])

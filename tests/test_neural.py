@@ -52,7 +52,7 @@ def objective_grads(model, table, config, bundle=None):
     """The training loss and its gradient: batch_loss_grads under the
     objective's weights, plus the objective's constant."""
     alpha, const = _objective_weights(table, config, bundle)
-    loss, grads, _ = model.batch_loss_grads(model.lookup(table.arrays.hists), alpha)
+    loss, grads, _ = model.batch_loss_grads(model.lookup(table.hists), alpha)
     return loss + const, grads
 
 
@@ -150,7 +150,7 @@ def test_rows_of_a_batch_match_row_by_row(kind, data):
     ids = list(range(vocab.n_symbols)) + [vocab.bos_id]
     hists = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * (order - 1)),
                                min_size=1, max_size=8))
-    outside = table.arrays.hists[0]
+    outside = table.hists[0]
     hists.append(outside)
     if kind == "smoothed_lm":
         # a backoff LM: unseen histories take their suffix's row a level down
@@ -158,7 +158,7 @@ def test_rows_of_a_batch_match_row_by_row(kind, data):
     elif kind == "tabular":
         # the model leaves out one observed history, so at least one queried
         # history is outside its table
-        model = TabularSoftmaxLM(order, vocab, table.arrays.hists[1:])
+        model = TabularSoftmaxLM(order, vocab, table.hists[1:])
         model.logits[...] = np.random.default_rng(len(lines)).normal(size=model.logits.shape)
         np.testing.assert_array_equal(model.rows([outside])[0],
                                       np.full(vocab.out_dim, 1.0 / vocab.out_dim))
@@ -190,12 +190,12 @@ def step_case(arch, data):
     ids = list(range(vocab.n_symbols)) + [vocab.bos_id]
     extra = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * (order - 1)), max_size=5))
     if arch == "tabular":
-        model = TabularSoftmaxLM(order, vocab, table.arrays.hists[1:])
+        model = TabularSoftmaxLM(order, vocab, table.hists[1:])
         hists = model.keys.hists
-        extra.insert(0, table.arrays.hists[0])
+        extra.insert(0, table.hists[0])
     else:
         model = FeedForwardLM(order, vocab, 3, 4, seed=order)
-        hists = table.arrays.hists
+        hists = table.hists
     for arr in model.param_arrays().values():
         arr[...] = rng.normal(size=arr.shape)
     alpha = rng.normal(size=(len(hists), vocab.out_dim)) * (rng.random(len(hists)) < 0.8)[:, None]
@@ -305,7 +305,7 @@ def test_corpus_and_its_table_train_alike(data):
         gamma_ls=0.5, gamma_plus=0.5, gamma_minus=0.25, lr=0.5, epochs=4, patience=2)
     table, held_table = count_ngrams(corpus, order), count_ngrams(heldout, order)
     b1, b2 = make_bundle_for(corpus, order, config), make_bundle_for(table, order, config)
-    assert b1.arrays.hists == b2.arrays.hists and np.array_equal(b1.weights, b2.weights)
+    assert b1.keys.hists == b2.keys.hists and np.array_equal(b1.keys.totals, b2.keys.totals)
     for name in ("p_plus", "p_minus", "z_plus", "z_minus"):
         np.testing.assert_array_equal(getattr(b1.rows, name), getattr(b2.rows, name))
     for make in (lambda: TabularSoftmaxLM.for_table(table),
@@ -340,7 +340,7 @@ def test_tabular_step_gives_rows_outside_the_table_no_gradient():
     # a loss row -1 is the zero logit row, which has no parameters: its
     # delta reaches no logit row, the last one above all
     c = corpus_from_lines(["a b c", "b a", "c c"])
-    hists = count_ngrams(c, 2).arrays.hists
+    hists = count_ngrams(c, 2).hists
     m = TabularSoftmaxLM(2, c.vocab, hists[1:])
     rng = np.random.default_rng(0)
     m.logits[...] = rng.normal(size=m.logits.shape)
@@ -429,7 +429,7 @@ def test_training_reads_bundle_matrices_only(objective):
     config = TrainConfig(objective=objective, method="add_lambda", gamma_plus=0.5,
                          gamma_minus=0.5, epochs=3)
     bundle = make_bundle_for(table, 2, config)
-    assert bundle.arrays.hists is table.arrays.hists and bundle.weights is table.arrays.totals
+    assert bundle.keys is table
     before = {k: getattr(bundle.rows, k).copy() for k in ("p_plus", "p_minus", "z_plus", "z_minus")}
     train(TabularSoftmaxLM.for_table(table), table, config, bundle, heldout=corpus)
     assert "per_history" not in vars(bundle)
@@ -448,7 +448,7 @@ def test_model_perplexity_sums_the_dense_masked_cells(data):
                   FeedForwardLM(order, corpus.vocab, 3, 4, seed=order, init_scale=1.0)):
         for arr in model.param_arrays().values():
             arr[...] = np.random.default_rng(order).normal(size=arr.shape)
-        q = model.rows(table.arrays.hists)
+        q = model.rows(table.hists)
         C = table.dense_counts()
         mask = C > 0
         assert perplexity(model, corpus) == math.exp(
@@ -464,7 +464,7 @@ def two_forward_train(model, table, config, bundle, heldout):
     metrics = TrainMetrics()
     best_ppl, best_params, stale = math.inf, None, 0
     for epoch in range(config.epochs):
-        loss, grads, _ = model.batch_loss_grads(model.lookup(table.arrays.hists), alpha)
+        loss, grads, _ = model.batch_loss_grads(model.lookup(table.hists), alpha)
         for name, arr in params.items():
             arr -= config.lr * grads[name]
         metrics.train_loss.append(loss + const)
@@ -682,7 +682,7 @@ class TestSmoothedTargetTraining:
         m2 = TabularSoftmaxLM.for_table(table)
         config = TrainConfig(objective="split_regularizer", lr=6.0, epochs=40000)
         m2, _ = train(m2, corpus, config, bundle=bundle)
-        hists = table.arrays.hists
+        hists = table.hists
         np.testing.assert_array_less(np.abs(m1.rows(hists) - m2.rows(hists)), 1e-3)
 
     def test_split_and_target_objectives_differ_by_constant(self):

@@ -117,11 +117,13 @@ class TestRowViews:
     def test_pipeline_builds_no_table_dict(self, tmp_path):
         table = count_ngrams(corpus_from_lines(["a b c", "b c a a", "c c b"]), 2)
         emp = empirical_conditional(table)
+        assert emp.keys is table
         for method in METHODS:
             lm = smooth(table, method)
+            assert lm.keys is table, method
             build_regularizer(emp, lm, table, 1.0, 1.0)
             write_conditional_lm(lm, str(tmp_path / "lm.tsv"))
-            assert lm.rows(table.arrays.hists) is lm.matrix
+            assert lm.rows(table.hists) is lm.matrix
             assert "table" not in vars(lm) and "table" not in vars(emp), method
 
     def test_perplexity_scores_no_token_at_a_time(self, tmp_path, monkeypatch, capsys):
@@ -151,7 +153,7 @@ class TestRowViews:
         held = corpus_from_lines(["c b a", "a a c b", "b", "c a c c"], vocab=train.vocab)
         table = count_ngrams(train, 3)
         lms = [smooth(table, method) for method in METHODS]
-        assert any(h not in lms[0].keys.index for h in count_ngrams(held, 3).arrays.hists)
+        assert any(h not in lms[0].keys.index for h in count_ngrams(held, 3).hists)
         want = [perplexity(lm, held) for lm in lms]
 
         def per_history(*args):

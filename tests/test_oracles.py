@@ -64,7 +64,7 @@ def test_training_loss_is_the_objective(objective, arch, order):
         else:
             model = FeedForwardLM(order, corpus.vocab, 3, 4, seed=seed, init_scale=1.0)
         alpha, const = _objective_weights(table, config, bundle)
-        loss, _, _ = model.batch_loss_grads(model.lookup(table.arrays.hists), alpha)
+        loss, _, _ = model.batch_loss_grads(model.lookup(table.hists), alpha)
         want = objective_value(model, corpus, config, smoothed)
         assert loss + const == pytest.approx(want, rel=1e-12, abs=0), method
 

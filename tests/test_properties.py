@@ -65,18 +65,18 @@ def recount(corpus, order):
 @given(corpora(), st.integers(1, 4))
 def test_arrays_match_a_recount(corpus, order):
     table = count_ngrams(corpus, order)
-    a = table.arrays
     grams = recount(corpus, order)
     totals = Counter()
     for (h, _), c in grams.items():
         totals[h] += c
     # sorted by (history, emission index), each gram once
     expected = sorted((h, corpus.vocab.out_index(x), c) for (h, x), c in grams.items())
-    got = zip([a.hists[i] for i in a.hist.tolist()], a.out.tolist(), a.count.tolist())
+    got = zip([table.hists[i] for i in table.hist.tolist()], table.out.tolist(),
+              table.count.tolist())
     assert list(got) == expected
-    assert list(a.hists) == sorted(totals)
-    assert a.index == {h: i for i, h in enumerate(a.hists)}
-    assert a.totals.tolist() == [totals[h] for h in a.hists]
+    assert list(table.hists) == sorted(totals)
+    assert table.index == {h: i for i, h in enumerate(table.hists)}
+    assert table.totals.tolist() == [totals[h] for h in table.hists]
     assert table.total_tokens == corpus.total_emissions
     assert table.count_of_counts == Counter(grams.values())
     assert table.gram_count == grams
@@ -207,7 +207,7 @@ def train_and_heldout(draw):
 def test_perplexity_matches_the_per_token_oracle(data, order):
     train, held = data
     table = count_ngrams(train, order)
-    held_hists = count_ngrams(held, order).arrays.hists
+    held_hists = count_ngrams(held, order).hists
     for method in METHODS:
         if method == "kneser_essen_ney" and order < 2:
             continue
@@ -236,19 +236,19 @@ def test_cells_are_the_cells_of_the_rows(data, order):
     # ends in it is unseen at every backoff depth
     train, held = data
     table = count_ngrams(train, order)
-    a = count_ngrams(held, order).arrays
+    t = count_ngrams(held, order)
     for method in METHODS:
         try:
             lm = smooth(table, method)
         except KatzConfigError:
             continue
-        got, want = lm.cells(a, a.hist, a.out), lm.rows(a)[a.hist, a.out]
+        got, want = lm.cells(t, t.hist, t.out), lm.rows(t)[t.hist, t.out]
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=method)
     emp = empirical_conditional(table)
     with pytest.raises(UnseenHistoryError) as by_rows:
-        emp.rows(a)
+        emp.rows(t)
     with pytest.raises(UnseenHistoryError) as by_cells:
-        emp.cells(a, a.hist, a.out)
+        emp.cells(t, t.hist, t.out)
     assert by_cells.value.args == by_rows.value.args
 
 
@@ -258,7 +258,7 @@ def test_unseen_histories_back_off_to_their_longest_seen_suffix(data, order):
     # `smooth` of the order-k count table, KEN by the reference recursion
     train, held = data
     table = count_ngrams(train, order)
-    held_hists = count_ngrams(held, order).arrays.hists
+    held_hists = count_ngrams(held, order).hists
     uniform = np.full(train.vocab.out_dim, 1.0 / train.vocab.out_dim)
 
     def expected(levels):

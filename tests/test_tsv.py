@@ -173,7 +173,7 @@ class TestGoldenBytes:
         bundle = build_regularizer(empirical_conditional(table), smooth_add_lambda(table, 1.0),
                                    table, 1.0, 1.0)
         path = tmp_path / "dec.tsv"
-        write_decomposition(bundle, table.vocab, str(path))
+        write_decomposition(bundle, str(path))
         assert path.read_bytes() == DECOMPOSITION[order].encode()
 
 
