@@ -5,7 +5,6 @@ from .corpus import (
     Corpus,
     CountTable,
     Vocabulary,
-    build_vocabulary,
     corpus_from_lines,
     count_ngrams,
     load_corpus,
@@ -44,7 +43,7 @@ __all__ = [
     "ConditionalLM", "Corpus", "CountTable", "FeedForwardLM",
     "RegularizerBundle", "SignedDecomposition",
     "TabularSoftmaxLM", "TrainConfig", "VerificationReport", "Vocabulary",
-    "build_regularizer", "build_vocabulary",
+    "build_regularizer",
     "corpus_from_lines", "count_ngrams",
     "empirical_conditional", "load_corpus", "perplexity", "smooth",
     "smooth_add_lambda", "smooth_good_turing", "smooth_jelinek_mercer",

@@ -36,10 +36,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-class InternalInvariantError(RuntimeError):
-    pass
-
-
 def cmd_count(args) -> int:
     table = count_ngrams(load_corpus(args.corpus), args.order)
     write_count_table(table, args.out)
@@ -56,13 +52,7 @@ def _smoothed_lm(args):
         table = read_count_table(args.counts)
     else:
         table = count_ngrams(load_corpus(args.corpus), order)
-    try:
-        lm = smooth(table, args.method, args.params)
-    except NormalizationError as exc:
-        # a smoother emitting an unnormalized or negative row is our bug,
-        # not a usage error
-        raise InternalInvariantError(str(exc)) from exc
-    return table, lm
+    return table, smooth(table, args.method, args.params)
 
 
 def cmd_smooth(args) -> int:
@@ -389,7 +379,10 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.fn(args)
-    except InternalInvariantError as exc:
+    except NormalizationError as exc:
+        # a model's rows that are negative or do not sum to 1 are a bug in
+        # smoothlm, whichever command built them; a file's bad rows are a
+        # plain ValueError naming the file
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError, KeyError, neural.TrainingError) as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -139,7 +140,7 @@ class Corpus:
         return sum(len(s) + 1 for s in self.sequences)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowKeys:
     """The histories naming the rows of a matrix: row i is history ids[i].
     Each history is kept as its code, the mixed-radix number its ids spell
@@ -148,7 +149,8 @@ class RowKeys:
     the rows are in code order.  `find` looks histories up by binary
     search.  The tuple `hists` and the dict `index`, mapping each history
     to its row, are views built on first read for `perfbench/`, the tests
-    and the oracles; no pipeline code reads them per history."""
+    and the oracles; no pipeline code reads them per history.  Keys
+    compare and hash by identity, as the pipeline compares them with `is`."""
 
     ids: np.ndarray
     codes: np.ndarray
@@ -177,7 +179,7 @@ class RowKeys:
         return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable(RowKeys):
     """Counts of (history, symbol) pairs at order n: gram (h, x) counts the
     positions whose length-(n-1) padded history is h and whose emitted id
@@ -320,13 +322,13 @@ def _code_dtype(base: int, width: int):
 
 
 def row_index(vocab: Vocabulary, length: int, hists: RowKeys | Sequence[History]) -> RowKeys:
-    """The RowKeys of a model's rows, named by history tuples or an id
-    array that check_histories passes without the BOS rule; a RowKeys (a
-    count table) passes through.  ValueError for a history
+    """The RowKeys of a model's rows, named by history tuples, an id array
+    or a RowKeys (a count table), admitted as history_ids admits a lookup's
+    histories; a RowKeys then passes through.  ValueError for a history
     listed twice, which would name two rows."""
+    ids = history_ids(vocab, length, hists)
     if isinstance(hists, RowKeys):
         return hists
-    ids = check_histories(vocab, length, hists, bos_prefix=False)
     base = vocab.n_symbols + 2
     codes = history_codes(ids, base)
     sort = np.argsort(codes)
@@ -350,30 +352,19 @@ def _gram_keys(vocab: Vocabulary, order: int, hists, hist, out) -> np.ndarray:
     return np.column_stack([hist_ids[hist], np.where(out == vocab.n_symbols, vocab.eos_id, out)])
 
 
-def build_vocabulary(lines: Iterable[str]) -> Vocabulary:
-    """Build a vocabulary from raw text lines, tokens in first-appearance order."""
-    seen: dict[str, None] = {}
-    any_content = False
-    for line in lines:
-        toks = line.split()
-        if toks:
-            any_content = True
-        for tok in toks:
-            seen.setdefault(tok, None)
-    if not any_content:
-        raise EmptyCorpusError("empty corpus")
-    return Vocabulary(symbols=tuple(seen.keys()))
-
-
 def corpus_from_lines(lines: Iterable[str], vocab: Vocabulary | None = None) -> Corpus:
-    """Tokenize lines (whitespace split) into a Corpus.
+    """Tokenize lines (whitespace split) into a Corpus, in one pass.
 
     Empty/whitespace-only lines are skipped and counted in `skipped_lines`.
-    When `vocab` is given, every token must already be known to it.
+    When `vocab` is given, every token must already be known to it;
+    otherwise the vocabulary is built as the lines are read, its tokens in
+    first-appearance order.
     """
-    lines = list(lines)
     if vocab is None:
-        vocab = build_vocabulary(lines)
+        id_of = defaultdict()
+        id_of.default_factory = id_of.__len__   # a new token takes the next id
+    else:
+        id_of = vocab.id_of
     sequences = []
     skipped = 0
     for line in lines:
@@ -382,13 +373,15 @@ def corpus_from_lines(lines: Iterable[str], vocab: Vocabulary | None = None) -> 
             skipped += 1
             continue
         try:
-            sequences.append(tuple(vocab.id_of[t] for t in toks))
+            sequences.append(tuple(map(id_of.__getitem__, toks)))
         except KeyError as exc:
             raise ValueError(f"token {exc.args[0]!r} not present in vocabulary") from exc
+    if vocab is None:
+        if not sequences:
+            raise EmptyCorpusError("empty corpus")
+        vocab = Vocabulary(symbols=tuple(id_of))
     if skipped:
         log.warning("skipped %d empty line(s)", skipped)
-    if not sequences:
-        raise EmptyCorpusError("empty corpus")
     return Corpus(vocab=vocab, sequences=tuple(sequences), skipped_lines=skipped)
 
 

@@ -33,7 +33,7 @@ class CoverageError(ValueError):
     """The smoothed model is missing histories present in the empirical one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedDecomposition:
     """Difference parts of (empirical, smoothed) with disjoint supports, of
     one row (vectors p_plus, p_minus and float scales) or of many (row i of
@@ -107,7 +107,7 @@ def signed_decompose(empirical, smoothed, hists=None, support=None) -> SignedDec
     return SignedDecomposition(pos, neg, *parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularizerBundle:
     """Signed decompositions of a count table's histories, whose occurrence
     counts, the table's row totals, are their weights.
@@ -118,8 +118,8 @@ class RegularizerBundle:
     SignedDecomposition of views into `rows`, is built on first read for
     `perfbench/` and the tests."""
 
-    keys: CountTable = field(repr=False, compare=False)
-    rows: SignedDecomposition = field(repr=False, compare=False)
+    keys: CountTable = field(repr=False)
+    rows: SignedDecomposition = field(repr=False)
     gamma_plus: float
     gamma_minus: float
 

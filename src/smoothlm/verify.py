@@ -107,7 +107,6 @@ def synthetic_corpus(
     seed: int,
     n_sequences: int = 50,
     n_symbols: int = 3,
-    min_len: int = 1,
     max_len: int = 6,
 ) -> Corpus:
     """Skewed-frequency corpus for convergence and smoothing checks."""
@@ -117,7 +116,7 @@ def synthetic_corpus(
     w /= w.sum()
     seqs = []
     for _ in range(n_sequences):
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(1, max_len + 1))
         seqs.append(tuple(int(s) for s in rng.choice(n_symbols, size=length, p=w)))
     return Corpus(vocab=vocab, sequences=tuple(seqs))
 
@@ -126,17 +125,16 @@ def zipf_lines(
     n_sequences: int,
     vocab_size: int,
     seed: int,
-    min_len: int = 3,
-    max_len: int = 12,
 ) -> list[str]:
-    """Zipf-distributed token lines (rank-r token has weight 1/r), tokens iid."""
+    """Zipf-distributed token lines of 3 to 12 tokens (rank-r token has
+    weight 1/r), tokens iid."""
     rng = np.random.default_rng(seed)
     tokens = [f"w{i:02d}" for i in range(vocab_size)]
     w = 1.0 / (1.0 + np.arange(vocab_size))
     w /= w.sum()
     lines = []
     for _ in range(n_sequences):
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(3, 13))
         lines.append(" ".join(tokens[i] for i in rng.choice(vocab_size, size=length, p=w)))
     return lines
 
@@ -145,19 +143,17 @@ def markov_zipf_lines(
     n_sequences: int,
     vocab_size: int,
     seed: int,
-    min_len: int = 3,
-    max_len: int = 12,
-    exponent: float = 1.0,
 ) -> list[str]:
-    """Token lines from a planted Markov chain with Zipfian transition rows.
+    """Lines of 3 to 12 tokens from a planted Markov chain with Zipfian
+    transition rows.
 
-    Every context gets a Zipf(`exponent`) distribution over a random
+    Every context gets a Zipf(1) distribution over a random
     permutation of the vocabulary, so the data has genuine bigram structure
     with a long tail of rare transitions (the regime where count smoothing
     earns its keep)."""
     rng = np.random.default_rng(seed)
     tokens = [f"w{i:02d}" for i in range(vocab_size)]
-    ranks = 1.0 / (1.0 + np.arange(vocab_size)) ** exponent
+    ranks = 1.0 / (1.0 + np.arange(vocab_size))
     rows = []
     for _ in range(vocab_size + 1):  # one row per context symbol plus a start row
         perm = rng.permutation(vocab_size)
@@ -166,7 +162,7 @@ def markov_zipf_lines(
         rows.append(w / w.sum())
     lines = []
     for _ in range(n_sequences):
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(3, 13))
         seq = [int(rng.choice(vocab_size, p=rows[vocab_size]))]
         for _ in range(length - 1):
             seq.append(int(rng.choice(vocab_size, p=rows[seq[-1]])))
@@ -402,13 +398,11 @@ def check_theorem1(
     trials: int = 200,
     seed: int = 0,
     tolerance: float = 1e-9,
-    max_symbols: int = 3,
-    max_len: int = 5,
 ) -> VerificationReport:
     max_err = 0.0
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        corpus = random_corpus(rng, max_symbols=max_symbols, max_len=max_len)
+        corpus = random_corpus(rng)
         q = random_bigram_lm(rng, corpus.vocab)
         lhs, rhs = theorem1_sides(corpus, bigram_cond_fn(q))
         max_err = max(max_err, abs(lhs - rhs))
@@ -459,17 +453,15 @@ def check_corollary(
     trials: int = 200,
     seed: int = 0,
     tolerance: float = 1e-9,
-    max_symbols: int = 3,
-    max_len: int = 5,
-    q_per_corpus: int = 3,
 ) -> VerificationReport:
     """Cross-entropy identity with constant 1/M, plus q-invariance of the
-    KL-form gap (which must equal the corpus's own n-gram-consistency KL)."""
+    KL-form gap (which must equal the corpus's own n-gram-consistency KL),
+    at three random q per corpus."""
     max_err = 0.0
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        corpus = random_corpus(rng, max_symbols=max_symbols, max_len=max_len)
-        for _ in range(q_per_corpus):
+        corpus = random_corpus(rng)
+        for _ in range(3):
             q = random_bigram_lm(rng, corpus.vocab)
             sides = corollary_sides(corpus, q)
             max_err = max(max_err, abs(sides["ce_lhs"] - sides["ce_rhs"]))
@@ -485,12 +477,10 @@ def check_corollary(
 def fit_tabular_label_smoothing(
     table: CountTable,
     gamma: float,
-    max_steps: int = 400_000,
-    grad_tol: float = 1e-11,
 ) -> tuple[dict, int]:
     """Gradient descent on the label-smoothing objective until the gradient
-    is negligible.  Returns (the fitted rows, one per history of
-    `table` in its order, steps used)."""
+    is below 1e-11, for at most 400000 steps.  Returns (the fitted rows,
+    one per history of `table` in its order, steps used)."""
     vocab = table.vocab
     C = np.zeros((len(table.hists), vocab.out_dim))
     C[table.hist, table.out] = table.count
@@ -499,14 +489,14 @@ def fit_tabular_label_smoothing(
     w = alpha.sum(axis=1, keepdims=True)
     lr = 1.5 / float(w.max())
     z = np.zeros_like(C)
-    steps = max_steps
-    for step in range(max_steps):
+    steps = 400_000
+    for step in range(steps):
         m = z.max(axis=1, keepdims=True)
         e = np.exp(z - m)
         q = e / e.sum(axis=1, keepdims=True)
         g = w * q - alpha
         z -= lr * g
-        if step % 200 == 0 and float(np.abs(g).max()) < grad_tol:
+        if step % 200 == 0 and float(np.abs(g).max()) < 1e-11:
             steps = step
             break
     return q, steps
@@ -517,9 +507,8 @@ def check_theorem2(
     gammas: tuple[float, ...] = (0.1, 1.0, 10.0),
     tolerance: float = 1e-4,
     n_sequences: int = 50,
-    n_symbols: int = 3,
 ) -> VerificationReport:
-    corpus = synthetic_corpus(seed, n_sequences=n_sequences, n_symbols=n_symbols)
+    corpus = synthetic_corpus(seed, n_sequences=n_sequences)
     table = count_ngrams(corpus, 2)
     max_err = 0.0
     for gamma in gammas:

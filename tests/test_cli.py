@@ -119,17 +119,31 @@ class TestSmooth:
                      "--method", "mystery", "--out", str(tmp_path / "x.tsv")])
         assert code == 2
 
-    def test_normalization_breach_exit_3(self, tiny, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["smooth", "decompose", "train", "grid"])
+    def test_normalization_breach_exit_3(self, tiny, tmp_path, capsys, monkeypatch, command):
+        # a smoother's bad rows are a bug whichever command smooths; `train`
+        # and `grid` smooth in neural.make_bundle_for, and used to exit 2
         import smoothlm.cli as cli_mod
 
         def broken_smooth(table, method, params=None):
             raise NormalizationError("history a: probabilities sum to 0.7, not 1")
 
         monkeypatch.setattr(cli_mod, "smooth", broken_smooth)
-        code = main(["smooth", "--corpus", str(tiny), "--order", "2",
-                     "--method", "addlambda", "--out", str(tmp_path / "x.tsv")])
-        assert code == 3
-        assert "internal error" in capsys.readouterr().err
+        monkeypatch.setattr(neural, "smooth", broken_smooth)
+        out = tmp_path / "out"
+        if command in ("smooth", "decompose"):
+            argv = [command, "--corpus", str(tiny), "--order", "2", "--method", "addlambda",
+                    "--out", str(out)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({
+                "corpus_path": str(tiny), "heldout_path": str(tiny), "arch": "tabular",
+                "objective": "split_regularizer", "method": "add_lambda", "epochs": 1,
+                "out_dir": str(out)}), encoding="utf-8")
+            argv = [command, "--config", str(config)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "internal error: history a: probabilities sum to 0.7, not 1\n")
 
     def test_plain_value_error_naming_a_sum_exit_2(self, tiny, tmp_path, capsys, monkeypatch):
         # only the typed error is an invariant breach, whatever a message says

@@ -19,12 +19,12 @@ from smoothlm.corpus import (
     CountTable,
     EmptyCorpusError,
     Vocabulary,
-    build_vocabulary,
     corpus_from_lines,
     count_ngrams,
     load_corpus,
     marginalize,
     read_count_table,
+    row_index,
     write_count_table,
     zero_gram_count,
 )
@@ -65,26 +65,26 @@ def toy_corpus():
 
 class TestVocabulary:
     def test_first_appearance_order_and_sentinels(self):
-        v = build_vocabulary(["a b", "b a"])
+        v = corpus_from_lines(["a b", "b a"]).vocab
         assert v.symbols == ("a", "b")
         assert (v.bos_id, v.eos_id) == (2, 3)
         assert v.id_of["a"] == 0 and v.id_of["b"] == 1
 
     def test_singleton_and_dedup(self):
-        assert build_vocabulary(["x"]).symbols == ("x",)
-        assert build_vocabulary(["a a a"]).symbols == ("a",)
+        assert corpus_from_lines(["x"]).vocab.symbols == ("x",)
+        assert corpus_from_lines(["a a a"]).vocab.symbols == ("a",)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError, match="empty corpus"):
-            build_vocabulary(["", "   "])
+            corpus_from_lines(["", "   "]).vocab
 
     def test_ids_contiguous(self):
-        v = build_vocabulary(["c a b a"])
+        v = corpus_from_lines(["c a b a"]).vocab
         assert [v.id_of[s] for s in v.symbols] == list(range(len(v.symbols)))
 
     def test_sentinel_token_collision_rejected(self):
         with pytest.raises(ValueError):
-            build_vocabulary(["a <bos> b"])
+            corpus_from_lines(["a <bos> b"]).vocab
 
 
 class TestCountSubstrings:
@@ -320,6 +320,18 @@ class TestCorpusIO:
         assert c.M == 2
         assert c.skipped_lines == 2
 
+    def test_one_pass_over_any_iterable(self):
+        lines = ["c a", "", "a b c", "b"]
+        c = corpus_from_lines(iter(lines))
+        assert c.vocab.symbols == ("c", "a", "b")
+        assert c.sequences == ((0, 1), (1, 2, 0), (2,)) and c.skipped_lines == 1
+        again = corpus_from_lines(line for line in lines[::-1])
+        assert again.vocab.symbols == ("b", "a", "c")
+        with pytest.raises(ValueError, match="token 'd' not present in vocabulary"):
+            corpus_from_lines(iter(["a d"]), vocab=c.vocab)
+        with pytest.raises(ValueError, match="collides with a reserved sentinel"):
+            corpus_from_lines(iter(["a </s>"]))
+
     def test_load_roundtrip(self, tmp_path):
         p = tmp_path / "corpus.txt"
         p.write_text("a b\n\nb a\n", encoding="utf-8")
@@ -338,3 +350,17 @@ class TestCorpusIO:
         assert p1.read_bytes() == p2.read_bytes()
         assert t2.total_tokens == t.total_tokens
         assert t2.count_of_counts == t.count_of_counts
+
+
+def test_array_holding_dataclasses_compare_and_hash_by_identity():
+    # the generated __eq__ compared their arrays and raised, __hash__ raised,
+    # and two bundles of different tables with equal gammas compared equal
+    c = toy_corpus()
+    tables = [count_ngrams(c, 2), count_ngrams(c, 2)]
+    bundles = [build_regularizer(empirical_conditional(t), smooth(t, "add_lambda"), t, 1.0, 1.0)
+               for t in tables]
+    keys = [row_index(c.vocab, 1, tables[0].hists) for _ in range(2)]
+    for one, two in (tables, keys, [b.rows for b in bundles], bundles):
+        assert one == one and one != two
+        assert hash(one) == object.__hash__(one)
+        assert len({one, two, one}) == 2

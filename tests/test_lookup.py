@@ -237,3 +237,26 @@ def test_an_unseen_suffix_is_named_in_order_of_first_appearance():
     with pytest.raises(UnseenHistoryError) as raised:
         lm.rows([(2, 2), (1, 1)])
     assert raised.value.args == ((2,),)
+
+
+def test_keys_of_another_width_or_base_are_refused():
+    # a RowKeys used to pass through as the keys unchecked: an order-3 LM
+    # on an order-2 table answered rows([(a, b)]) with the row of (b,)
+    v = Vocabulary(symbols=("a", "b"))
+    order2 = count_ngrams(Corpus(vocab=v, sequences=((0, 1, 1), (1,))), 2)
+    rows = np.full((len(order2.ids), v.out_dim), 1.0 / v.out_dim)
+    width = "histories of width 1 in base 4 are not of length 2 over this vocabulary"
+    with pytest.raises(ValueError, match=width):
+        ConditionalLM(3, v, (order2, rows), backstop=uniform_backstop(v))
+    with pytest.raises(ValueError, match=width):
+        TabularSoftmaxLM(3, v, order2)
+    # the keys of the same width in another vocabulary's base, a count
+    # table's or those of histories listed by hand
+    wider = Vocabulary(symbols=("a", "b", "c"))
+    base = "histories of width 1 in base 4 are not of length 1 over this vocabulary"
+    listed = ConditionalLM(2, v, (order2.hists, rows)).keys
+    for keys in (order2, listed):
+        with pytest.raises(ValueError, match=base):
+            ConditionalLM(2, wider, (keys, np.full((len(rows), 4), 0.25)))
+        with pytest.raises(ValueError, match=base):
+            TabularSoftmaxLM(2, wider, keys)
