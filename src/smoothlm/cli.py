@@ -152,8 +152,9 @@ class _TrainingData:
     """What every model trained on one run config shares, built once: the
     count tables of the training and held-out corpora, and one regularizer
     bundle per method_params value (the decomposition does not depend on
-    the gammas).  A grid call keeps one of these for its cells and drops it
-    when it ends, so a later call sees rewritten input files."""
+    the gammas; the bundles share the table's cached marginals).  A grid
+    call keeps one of these for its cells and drops it when it ends, so a
+    later call sees rewritten input files."""
 
     def __init__(self, config: RunConfig):
         corpus = load_corpus(config.corpus_path)

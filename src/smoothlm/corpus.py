@@ -125,10 +125,11 @@ class Corpus:
         if not self.sequences:
             raise EmptyCorpusError("empty corpus")
         n = self.vocab.n_symbols
-        for seq in self.sequences:
-            for i in seq:
-                if not 0 <= i < n:
-                    raise ValueError(f"id {i} is not a non-sentinel vocabulary id")
+        # one pass in C gathers the distinct ids, a few hundred, which are
+        # checked; only a failed check walks the sequences to name the first
+        if not all(0 <= i < n for i in set().union(*self.sequences)):
+            i = next(i for seq in self.sequences for i in seq if not 0 <= i < n)
+            raise ValueError(f"id {i} is not a non-sentinel vocabulary id")
 
     @property
     def M(self) -> int:
@@ -246,6 +247,12 @@ class CountTable(RowKeys):
         """{i: number of grams occurring exactly i times}."""
         values, freq = np.unique(self.count, return_counts=True)
         return dict(zip(values.tolist(), freq.tolist()))
+
+    @cached_property
+    def marginal(self) -> CountTable:
+        """The table one order down (see marginalize), built on first read,
+        so the backoff smoothers of one table share one chain of tables."""
+        return marginalize(self)
 
     @cached_property
     def gram_count(self) -> dict[tuple[History, int], int]:
@@ -445,10 +452,11 @@ def marginalize(table: CountTable) -> CountTable:
 
 
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
-    """All orders table.order, ..., 1, index k-1 holding the order-k table."""
+    """All orders table.order, ..., 1, index k-1 holding the order-k table:
+    each table's cached `marginal`, so the chain is built once per table."""
     tables = [table]
     while tables[-1].order > 1:
-        tables.append(marginalize(tables[-1]))
+        tables.append(tables[-1].marginal)
     return tables[::-1]
 
 

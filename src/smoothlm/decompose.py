@@ -6,8 +6,9 @@ Any smoothed conditional p~ relates to its empirical counterpart p through
 
 where p_plus carries the added mass (normalized), p_minus the removed mass,
 and Z+ == Z- is their common scale (the total-variation distance between p
-and p~).  `signed_decompose` splits one row or a table's rows at once, into
-one SignedDecomposition.  Aggregating one decomposition per observed
+and p~).  `_split_difference` splits one row or a table's rows at once, into
+one SignedDecomposition; `signed_decompose`, its entry point on raw arrays,
+checks both inputs first.  Aggregating one decomposition per observed
 history, weighted by that history's occurrence count, yields an additive
 regularizer that can be attached to any differentiable conditional model.
 A RegularizerBundle keeps the count table and the SignedDecomposition of
@@ -68,21 +69,34 @@ def row_entropies(rows: np.ndarray) -> np.ndarray:
 def signed_decompose(empirical, smoothed, hists=None, support=None) -> SignedDecomposition:
     """Split smoothed - empirical into normalized positive and negative
     parts along the last axis, for a pair of vectors or a pair of
-    (rows x emissions) matrices.  `support` lists, as flat cell indices,
-    every cell where empirical may be nonzero (np.flatnonzero(empirical)
-    when not given).  Off it empirical is 0, so smoothed - empirical is
-    smoothed itself, nonnegative: p_plus starts as a copy of smoothed,
-    p_minus as zeros, and only the support is split.  Builds the two output
-    arrays and no other input-sized array; `hists` names the rows in input
-    errors."""
+    (rows x emissions) matrices: the public entry point on raw arrays,
+    which checks that both inputs are distributions, row by row, and then
+    splits them as `_split_difference` does.  `hists` names the rows in
+    input errors; `support` is _split_difference's."""
+    p, q = _pair(empirical, smoothed)
+    check_distributions(p.reshape(-1, p.shape[-1]), hists, "empirical")
+    check_distributions(q.reshape(-1, q.shape[-1]), hists, "smoothed")
+    return _split_difference(p, q, support)
+
+
+def _pair(empirical, smoothed) -> tuple[np.ndarray, np.ndarray]:
+    """The two inputs as float arrays of one shape, vectors or matrices."""
     p = np.asarray(empirical, dtype=float)
     q = np.asarray(smoothed, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     if p.ndim not in (1, 2):
         raise ValueError(f"need a vector or a matrix, got shape {p.shape}")
-    check_distributions(p.reshape(-1, p.shape[-1]), hists, "empirical")
-    check_distributions(q.reshape(-1, q.shape[-1]), hists, "smoothed")
+    return p, q
+
+
+def _split_difference(p: np.ndarray, q: np.ndarray, support=None) -> SignedDecomposition:
+    """The split of q - p, two float arrays of one shape whose rows the
+    caller has checked to be distributions.  `support` lists, as flat cell
+    indices, every cell where p may be nonzero (np.flatnonzero(p) when not
+    given).  Off it p is 0, so q - p is q itself, nonnegative: p_plus
+    starts as a copy of q, p_minus as zeros, and only the support is
+    split.  Builds the two output arrays and no other input-sized array."""
     if support is None:
         support = np.flatnonzero(p)
     # + 0.0 makes a -0.0 the +0.0 that max(q - 0.0, 0.0) gives
@@ -143,7 +157,14 @@ def build_regularizer(
     """Decompose smoothed against empirical on every history of `table`;
     the empirical model must be `empirical_conditional(table)`, whose rows
     are keyed by the table itself and are nonzero on the table's gram cells
-    only, the split's support.  The gammas must be finite and nonnegative."""
+    only, the split's support.  The gammas must be finite and nonnegative.
+
+    Each matrix is checked to hold distributions once: an LM built with
+    `validate=True` (`lm.checked`) has checked its own rows, so they are
+    split as they are.  This function checks the rows of an LM built
+    unchecked, and the smoothed rows whenever the smoothed LM is not keyed
+    by `table` itself, as those rows are gathered through `rows(table)`
+    and may come from its backstop."""
     if empirical_lm.order != smoothed_lm.order:
         raise ValueError("order mismatch between empirical and smoothed models")
     for name, gamma in (("gamma_plus", gamma_plus), ("gamma_minus", gamma_minus)):
@@ -158,10 +179,14 @@ def build_regularizer(
         if missing:
             rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
             raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")
+    p, q = _pair(empirical_lm.matrix, smoothed_lm.rows(table))
+    if not empirical_lm.checked:
+        check_distributions(p, table.ids, "empirical")
+    if not smoothed_lm.checked or smoothed_lm.keys is not table:
+        check_distributions(q, table.ids, "smoothed")
     return RegularizerBundle(
         keys=table,
-        rows=signed_decompose(empirical_lm.matrix, smoothed_lm.rows(table), table.ids,
-                              table.hist * table.vocab.out_dim + table.out),
+        rows=_split_difference(p, q, table.hist * table.vocab.out_dim + table.out),
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
     )

@@ -410,23 +410,28 @@ def _train_counts(model, table, config, bundle, heldout):
         stale += 1
         return stale >= config.patience
 
-    for epoch in range(config.epochs):
-        # one forward at theta_epoch: its held-out rows give the perplexity
-        # of the previous epoch, its training rows this epoch's step
-        loss, grads, q = model.batch_loss_grads(idx, alpha)
-        if epoch and heldout is not None and patience_ran_out(table_perplexity(q[cells], heldout)):
-            break
-        loss += const
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss {loss!r} at epoch {epoch}")
-        for name, arr in params.items():
-            arr -= config.lr * grads[name]
-        metrics.train_loss.append(loss)
-        metrics.epochs_run = epoch + 1
-    else:
-        # every epoch ran: the last one's perplexity takes one more forward
-        if heldout is not None:
-            patience_ran_out(perplexity(model, heldout))
+    # a diverging run overflows on its way to a non-finite loss, which the
+    # loop reports as a TrainingError; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            # one forward at theta_epoch: its held-out rows give the
+            # perplexity of the previous epoch, its training rows this
+            # epoch's step
+            loss, grads, q = model.batch_loss_grads(idx, alpha)
+            if epoch and heldout is not None and \
+                    patience_ran_out(table_perplexity(q[cells], heldout)):
+                break
+            loss += const
+            if not math.isfinite(loss):
+                raise TrainingError(f"non-finite loss {loss!r} at epoch {epoch}")
+            for name, arr in params.items():
+                arr -= config.lr * grads[name]
+            metrics.train_loss.append(loss)
+            metrics.epochs_run = epoch + 1
+        else:
+            # every epoch ran: the last one's perplexity takes one more forward
+            if heldout is not None:
+                patience_ran_out(perplexity(model, heldout))
     if best_params is not None:
         for name, arr in params.items():
             arr[...] = best_params[name]

@@ -52,6 +52,14 @@ class ConditionalLM:
     conditional is 0/0), otherwise it is a ConditionalLM of lower order (or
     of order 1), which gives the history the row of its suffix there.  The
     levels of a backoff smoother back off to one another this way.
+
+    With `validate` (the default) the constructor checks the matrix's
+    shape and that every row is a distribution, and `checked` records that
+    it did, so a consumer of the rows (build_regularizer) need not check
+    them again.  `validate=False` means the caller vouches for the rows:
+    `uniform_backstop` builds its uniform row, and a copy of an LM that
+    was checked keeps that LM's rows; `checked` is then False, and a
+    consumer that relies on the rows checks them itself.
     """
 
     def __init__(
@@ -74,6 +82,7 @@ class ConditionalLM:
         self.backstop = backstop
         self.method = method
         self.params = dict(params) if params else {}
+        self.checked = validate
         if validate:
             self._validate(checked=isinstance(hists, CountTable))
 

@@ -7,6 +7,9 @@ import io
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from functools import lru_cache
@@ -727,12 +730,28 @@ def test_diverging_run_exit_2(zipf, tmp_path, capsys, command):
                                "arch": "feedforward", "method": "ken",
                                "out_dir": str(tmp_path / "run")}), encoding="utf-8")
     args = [command, "--config", str(cfg)]
-    # numpy warns of the overflow on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(args + ["--lr", "1e308", "--epochs", "5"])
+    # the overflow on the way there raises no numpy warning, which this
+    # suite's filterwarnings setting would turn into an error
+    code = main(args + ["--lr", "1e308", "--epochs", "5"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss") and "Traceback" not in err
+
+
+def test_diverging_run_writes_one_stderr_line(zipf, tmp_path, capfd):
+    # a process of its own writes numpy's warnings, if any, to the stderr
+    # that capfd reads, as the console script's would be
+    train, held = zipf
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = subprocess.run(
+        [sys.executable, "-c", "import sys; from smoothlm.cli import main; sys.exit(main())",
+         "train", "--corpus-path", str(train), "--heldout-path", str(held),
+         "--arch", "feedforward", "--method", "ken", "--lr", "1e308", "--epochs", "5",
+         "--out-dir", str(tmp_path / "run")], env=env).returncode
+    assert code == 2
+    assert re.fullmatch(r"error: non-finite loss nan at epoch \d+\n", capfd.readouterr().err)
 
 
 class TestVerifyCommand:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smoothlm import corpus as corpus_module
 from smoothlm.corpus import (
     Corpus,
     CountTable,
@@ -25,6 +26,7 @@ from smoothlm.corpus import (
     marginalize,
     read_count_table,
     row_index,
+    tables_down_to_unigram,
     write_count_table,
     zero_gram_count,
 )
@@ -85,6 +87,18 @@ class TestVocabulary:
     def test_sentinel_token_collision_rejected(self):
         with pytest.raises(ValueError):
             corpus_from_lines(["a <bos> b"]).vocab
+
+
+@pytest.mark.parametrize("sequences, bad", [
+    (((0, 1), (1, 2, 0), (3,)), 2),         # BOS's id
+    (((0,), (), (1, -1, 3)), -1),
+    (((1, 3), (2,)), 3),                   # EOS's id, before another bad one
+    (((0, 1), (1, 10**30)), 10**30),        # past int64
+])
+def test_corpus_names_its_first_bad_id(sequences, bad):
+    # the first id, in sequence order, that is not a symbol's
+    with pytest.raises(ValueError, match=f"^id {bad} is not a non-sentinel vocabulary id$"):
+        Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=sequences)
 
 
 class TestCountSubstrings:
@@ -248,6 +262,20 @@ class TestMarginalize:
                     assert got.dtype == want.dtype and np.array_equal(got, want), f.name
                 else:
                     assert got == want, f.name
+
+
+def test_backoff_smoothers_of_one_table_share_its_marginals(monkeypatch):
+    # JM, Katz and KEN each descend an order-3 table to order 1, through
+    # the table's cached marginal and its marginal's
+    calls = []
+    monkeypatch.setattr(corpus_module, "marginalize",
+                        lambda t: calls.append(t.order) or marginalize(t))
+    table = count_ngrams(corpus_from_lines(["a b c a", "b b a", "c a"]), 3)
+    unigrams, bigrams, _ = tables_down_to_unigram(table)
+    for method in ("jelinek_mercer", "katz", "kneser_essen_ney"):
+        lm = smooth(table, method)
+        assert lm.backstop.keys is bigrams and lm.backstop.backstop.keys is unigrams
+    assert calls == [3, 2]
 
 
 class TestFromGrams:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smoothlm import decompose
 from smoothlm.corpus import corpus_from_lines, count_ngrams, read_cells
 from smoothlm.decompose import (
     RECON_ATOL,
@@ -19,7 +20,8 @@ from smoothlm.decompose import (
     write_decomposition,
 )
 from smoothlm.neural import TabularSoftmaxLM, TrainConfig
-from smoothlm.ngram import ConditionalLM, empirical_conditional
+from smoothlm.ngram import (ConditionalLM, NormalizationError, check_distributions,
+                            empirical_conditional)
 from smoothlm.smoothers import METHODS, smooth
 from smoothlm.verify import (
     cross_entropy,
@@ -193,6 +195,45 @@ class TestBuildRegularizer:
             for h, dec in bundle.per_history.items():
                 recon = emp.table[h] + dec.z_plus * dec.p_plus - dec.z_minus * dec.p_minus
                 assert np.abs(recon - sm.table[h]).max() < 1e-12, method
+
+    @pytest.mark.parametrize("position", ["empirical", "smoothed"])
+    @pytest.mark.parametrize("cell, message", [
+        (-0.25, "negative probability"),
+        (None, "probabilities sum to 1.25, not 1"),
+    ])
+    def test_unchecked_rows_are_checked_here(self, position, cell, message):
+        # rows a caller vouched for (validate=False) are checked once, here,
+        # and the error names the history and the model's position
+        table, emp, sm = self.table_and_lms()
+        i = 2
+        lms = {"empirical": emp, "smoothed": sm}
+        matrix = lms[position].matrix.copy()
+        # a negative cell, or one that adds 0.25 to the row's mass
+        matrix[i, 0] = cell if cell is not None else matrix[i, 0] + 0.25
+        lms[position] = ConditionalLM(table.order, table.vocab, (table, matrix),
+                                      validate=False)
+        assert not lms[position].checked
+        want = f"{position} history {table.hists[i]}: {message}"
+        with pytest.raises(NormalizationError, match=f"^{re.escape(want)}$"):
+            build_regularizer(lms["empirical"], lms["smoothed"], table, 1.0, 1.0)
+
+    def test_checked_rows_are_not_checked_again(self, monkeypatch):
+        table, emp, sm = self.table_and_lms()
+        calls = []
+        monkeypatch.setattr(decompose, "check_distributions",
+                            lambda rows, *args: calls.append(args[1]) or
+                            check_distributions(rows, *args))
+        want = build_regularizer(emp, sm, table, 1.0, 1.0).rows
+        assert emp.checked and sm.checked and calls == []
+        # the rows(table) of a smoothed LM keyed by history tuples, not by
+        # the table, and an unchecked copy of the empirical rows are
+        # checked once each
+        other = ConditionalLM(sm.order, sm.vocab, sm.table)
+        copy = ConditionalLM(emp.order, emp.vocab, (table, emp.matrix), validate=False)
+        got = build_regularizer(copy, other, table, 1.0, 1.0).rows
+        assert calls == ["empirical", "smoothed"]
+        for key in ("p_plus", "p_minus", "z_plus", "z_minus"):
+            assert_same_bits(getattr(got, key), getattr(want, key))
 
     @pytest.mark.parametrize("gammas, message", [
         ((math.nan, 1.0), "gamma_plus must be finite, got nan"),

@@ -32,9 +32,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "smoothlm"
 ORACLES = ("count_substrings", "string_logprob", "PrefixProbability", "empirical_prefix",
            "cross_entropy", "entropy", "kl_divergence", "objective_value")
 # the pipeline code the oracles check, and any smooth_<method>
-KERNELS = {"_objective_weights", "batch_loss_grads", "signed_decompose", "build_regularizer",
-           "smooth", "table_perplexity", "perplexity", "count_ngrams", "dense_counts",
-           "empirical_rows"}
+KERNELS = {"_objective_weights", "batch_loss_grads", "signed_decompose", "_split_difference",
+           "build_regularizer", "smooth", "table_perplexity", "perplexity", "count_ngrams",
+           "dense_counts", "empirical_rows"}
 # each dict view, and the module that defines it
 VIEWS = {"table": "ngram", "gram_count": "corpus", "history_count": "corpus",
          "per_history": "decompose"}
