@@ -17,6 +17,7 @@ histories.  The history tuples and the table's count dicts are views for
 from __future__ import annotations
 
 import logging
+import numbers
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -126,9 +127,12 @@ class Corpus:
             raise EmptyCorpusError("empty corpus")
         n = self.vocab.n_symbols
         # one pass in C gathers the distinct ids, a few hundred, which are
-        # checked; only a failed check walks the sequences to name the first
-        if not all(0 <= i < n for i in set().union(*self.sequences)):
-            i = next(i for seq in self.sequences for i in seq if not 0 <= i < n)
+        # checked; only a failed check walks the sequences to name the first.
+        # An id is an integer (a numpy one too), not a bool or a float, which
+        # counting would truncate; one equal to an id already in the set
+        # (True or 1.0 after 1) is that id's set element, and counts as it
+        if not all(_is_symbol_id(i, n) for i in set().union(*self.sequences)):
+            i = next(i for seq in self.sequences for i in seq if not _is_symbol_id(i, n))
             raise ValueError(f"id {i} is not a non-sentinel vocabulary id")
 
     @property
@@ -139,6 +143,10 @@ class Corpus:
     def total_emissions(self) -> int:
         """Number of emission events: every token plus one EOS per sequence."""
         return sum(len(s) + 1 for s in self.sequences)
+
+
+def _is_symbol_id(i, n: int) -> bool:
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,16 @@
 """Count smoothing: add-lambda, Good-Turing, Simple Good-Turing (Gale-Sampson),
 Jelinek-Mercer interpolation, Katz backoff, and Kneser-Essen-Ney.
 
-Every smoother maps a CountTable to a ConditionalLM whose rows are the
-table's histories.  Add-lambda, Good-Turing and Simple Good-Turing back off
-to the uniform order-1 LM.  Jelinek-Mercer, Katz and Kneser-Essen-Ney build
-one ConditionalLM per order, from order 1 up, each backing off to the one
-below, so an unseen history gets the row of its longest seen suffix.
-Per-history vectors are normalized to sum to 1, Good-Turing's too, whose
-native normalization is global.
+Each level of every smoother has one shape (Chen & Goodman 1998, section
+2.8): a seen cell, a gram of the level's table, has its own value, and an
+unseen cell of history h is a(h) / d(h) times that cell of a base row.
+Jelinek-Mercer, Katz and Kneser-Essen-Ney build one level per order, each
+backing off to the one below, where h's parent (h without its oldest
+symbol) has h's base row; their order-1 level, like the one level of
+add-lambda, Good-Turing and Simple Good-Turing, has a base row of ones.
+Those three back off to the uniform order-1 LM; an order-1 LM has no
+backstop, as its one history is always seen.  Rows sum to 1, Good-Turing's
+too, whose native normalization is global.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CountTable, tables_down_to_unigram, zero_gram_count
-from .ngram import ConditionalLM, empirical_rows, uniform_backstop
+from .ngram import ConditionalLM, uniform_backstop
 
 log = logging.getLogger(__name__)
 
@@ -135,11 +138,13 @@ def smooth_add_lambda(table: CountTable, lam: float) -> ConditionalLM:
     """(count + lam) / (total + (|Sigma|+1) lam) per history; unseen histories
     get the uniform limit."""
     _check_ranges("add_lambda", {"lambda": lam}, table.order)
-    vocab = table.vocab
-    rows = np.full((len(table.ids), vocab.out_dim), lam, dtype=float)
-    rows[table.hist, table.out] += table.count
-    rows /= (table.totals + vocab.out_dim * lam)[:, None]
-    return _level(table, rows, uniform_backstop(vocab), "add_lambda", {"lambda": lam})
+    return _level("add_lambda", {"lambda": lam}, table, None, *_add_lambda(table, lam))
+
+
+def _add_lambda(tab: CountTable, lam: float) -> tuple:
+    """The seen cells, a and d of add-lambda's level."""
+    d = tab.totals + tab.vocab.out_dim * lam
+    return (lam + tab.count) / d[tab.hist], lam, d
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +163,22 @@ def good_turing_adjusted_count(count: int, r: dict[int, int], r0: int) -> float:
     return (count + 1) * r.get(count + 1, 0) / rc
 
 
-def _renormalized_rows(table: CountTable, weight_of_count, unseen_weight: float) -> np.ndarray:
-    """Build per-history rows from a count -> weight map plus an unseen-cell
-    weight, renormalizing each history; an all-zero row falls back to uniform."""
-    out_dim = table.vocab.out_dim
-    rows = np.full((len(table.ids), out_dim), unseen_weight)
-    counts, inverse = np.unique(table.count, return_inverse=True)
-    weights = np.array([weight_of_count(int(c)) for c in counts], dtype=float)
-    rows[table.hist, table.out] = weights[inverse]
-    sums = rows.sum(axis=1)
+def _renormalized(tab: CountTable, weight_of_count, unseen_weight: float) -> tuple:
+    """The seen cells, a and d of a level whose seen cells weigh
+    weight_of_count(count) and unseen ones `unseen_weight`, each history
+    renormalized; an all-zero row falls back to uniform."""
+    counts, inverse = np.unique(tab.count, return_inverse=True)
+    weights = np.array([weight_of_count(int(c)) for c in counts], dtype=float)[inverse]
+    sums = _row_sums(tab, unseen_weight, weights)
     empty = sums <= 0.0
     if empty.any():
         log.warning("%d of %d histories have all adjusted weights zero, using uniform",
-                    int(empty.sum()), len(table.ids))
-        rows[empty] = 1.0 / out_dim
-        sums[empty] = 1.0
-    rows /= sums[:, None]
-    return rows
+                    int(empty.sum()), len(tab.ids))
+        # every cell weighs 1 of the row's |V|
+        weights[empty[tab.hist]] = 1.0
+        sums[empty] = tab.vocab.out_dim
+        unseen_weight = np.where(empty, 1.0, unseen_weight)
+    return weights / sums[tab.hist], unseen_weight, sums
 
 
 def smooth_good_turing(table: CountTable) -> ConditionalLM:
@@ -186,12 +190,8 @@ def smooth_good_turing(table: CountTable) -> ConditionalLM:
     """
     r = table.count_of_counts
     r0 = zero_gram_count(table)
-    rows = _renormalized_rows(
-        table,
-        lambda c: good_turing_adjusted_count(c, r, r0),
-        good_turing_adjusted_count(0, r, r0),
-    )
-    return _level(table, rows, uniform_backstop(table.vocab), "good_turing", {})
+    return _level("good_turing", {}, table, None, *_renormalized(
+        table, lambda c: good_turing_adjusted_count(c, r, r0), good_turing_adjusted_count(0, r, r0)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +272,14 @@ def smooth_simple_good_turing(table: CountTable) -> ConditionalLM:
         fit = sgt_fit(table.count_of_counts, table.total_tokens)
     except ValueError:
         log.warning("SGT needs >= 2 distinct count values; falling back to add-lambda 1e-3")
-        return _level(table, smooth_add_lambda(table, 1e-3).matrix,
-                      uniform_backstop(table.vocab), "simple_good_turing",
-                      {"fallback": "add_lambda", "lambda": 1e-3})
+        return _level("simple_good_turing", {"fallback": "add_lambda", "lambda": 1e-3},
+                      table, None, *_add_lambda(table, 1e-3))
     r0 = zero_gram_count(table)
-    if r0 > 0:
-        if fit.p0 > 0:
-            unseen = fit.p0 / r0
-        else:
-            # no singleton grams: estimate the unseen weight from the regression
-            unseen = math.exp(fit.intercept) / table.total_tokens / r0
-    else:
-        unseen = 0.0
-    rows = _renormalized_rows(
-        table,
-        lambda c: fit.seen_scale * fit.smoothed_count[c],
-        unseen,
-    )
-    return _level(table, rows, uniform_backstop(table.vocab), "simple_good_turing", {})
+    # with no singleton grams, the regression estimates the unseen mass
+    p0 = fit.p0 if fit.p0 > 0 else math.exp(fit.intercept) / table.total_tokens
+    unseen = p0 / r0 if r0 > 0 else 0.0
+    return _level("simple_good_turing", {}, table, None, *_renormalized(
+        table, lambda c: fit.seen_scale * fit.smoothed_count[c], unseen))
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +298,17 @@ def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None) -> Con
     if lambdas is None:
         lambdas = [_JM_WEIGHT] * table.order
     _check_ranges("jelinek_mercer", {"lambdas": lambdas}, table.order)
-    vocab = table.vocab
     lm = None
     for tab in tables_down_to_unigram(table):
         lam = lambdas[tab.order - 1]
+        # the order-1 level's parent row is uniform, on a base of ones
+        base, parent = None, 1.0 / tab.vocab.out_dim
+        a = (1.0 - lam) * parent
         if lm is not None:
-            rows = _lower_rows(tab, lm)
-            rows *= 1.0 - lam
-        else:
-            rows = np.full((len(tab.ids), vocab.out_dim), (1.0 - lam) * (1.0 / vocab.out_dim))
-        rows[tab.hist, tab.out] += lam * (tab.count / tab.totals[tab.hist])
-        lm = _level(tab, rows, lm, "jelinek_mercer", {"lambdas": list(lambdas)})
+            base = _parent_rows(tab, lm)
+            parent, a = base[tab.hist, tab.out], 1.0 - lam
+        seen = parent * (1.0 - lam) + lam * (tab.count / tab.totals[tab.hist])
+        lm = _level("jelinek_mercer", {"lambdas": list(lambdas)}, tab, lm, seen, a, base=base)
     return lm
 
 
@@ -337,10 +327,11 @@ def smooth_katz(table: CountTable, k: int) -> ConditionalLM:
     would be vacuous.
     """
     _check_ranges("katz", {"k": k}, table.order)
-    chain = tables_down_to_unigram(table)
-    lm = _level(chain[0], empirical_rows(chain[0]), None, "katz", {"k": k})
-    for tab in chain[1:]:
-        lm = _level(tab, _katz_rows(tab, k, lm), lm, "katz", {"k": k})
+    unigrams, *chain = tables_down_to_unigram(table)
+    lm = _level("katz", {"k": k}, unigrams, None,
+                unigrams.count / unigrams.totals[unigrams.hist])
+    for tab in chain:
+        lm = _katz_level(tab, k, lm)
     return lm
 
 
@@ -370,38 +361,32 @@ def _katz_discounts(tab: CountTable, k: int, counts: np.ndarray) -> np.ndarray:
     return d[inverse]
 
 
-def _katz_rows(tab: CountTable, k: int, lower: ConditionalLM) -> np.ndarray:
+def _katz_level(tab: CountTable, k: int, lower: ConditionalLM) -> ConditionalLM:
     """One Katz level: discounted seen cells, the freed mass spread over the
     unseen cells in proportion to the lower-order row."""
     kept = _katz_discounts(tab, k, tab.count) * tab.count / tab.totals[tab.hist]
-    # summing the dense rows adds in the same order as summing each row
-    # alone, so `leftover`, and the branch each row takes, stay exact
-    rows = np.zeros((len(tab.ids), tab.vocab.out_dim))
-    rows[tab.hist, tab.out] = kept
-    kept_mass = rows.sum(axis=1)
+    kept_mass = _row_sums(tab, 0.0, kept)
     leftover = 1.0 - kept_mass
-    _lower_rows(tab, lower, out=rows)
-    rows[tab.hist, tab.out] = 0.0
-    unseen_mass = rows.sum(axis=1)
+    base = _parent_rows(tab, lower)
+    parent = base[tab.hist, tab.out]  # read before the sum below zeroes them
+    unseen_mass = _row_sums(tab, base, 0.0)
     spread = (leftover > 0.0) & (unseen_mass > 0.0)
-    rows *= np.where(spread, leftover, 0.0)[:, None]
-    rows /= np.where(spread, unseen_mass, 1.0)[:, None]
-    rows[tab.hist, tab.out] = kept
     # rows with nothing to spread keep only their discounted cells, renormalized
     renorm = ~spread & (leftover != 0.0)
-    if renorm.any():
-        over = renorm & (leftover < -1e-12)
-        if over.any():
-            log.warning("order %d: discounted mass exceeds 1 in %d of %d histories, "
-                        "renormalizing", tab.order, int(over.sum()), len(tab.ids))
-        dead = renorm & (kept_mass <= 0.0)
-        if dead.any():
-            log.warning("order %d: no mass survived discounting in %d of %d histories, "
-                        "using lower-order rows", tab.order, int(dead.sum()), len(tab.ids))
-            rows[dead] = lower.matrix[_parents(tab, lower)[dead]]
-        live = renorm & ~dead
-        rows[live] /= kept_mass[live, None]
-    return rows
+    over = renorm & (leftover < -1e-12)
+    if over.any():
+        log.warning("order %d: discounted mass exceeds 1 in %d of %d histories, "
+                    "renormalizing", tab.order, int(over.sum()), len(tab.ids))
+    dead = renorm & (kept_mass <= 0.0)
+    seen = kept / np.where(renorm & ~dead, kept_mass, 1.0)[tab.hist]
+    if dead.any():
+        log.warning("order %d: no mass survived discounting in %d of %d histories, "
+                    "using lower-order rows", tab.order, int(dead.sum()), len(tab.ids))
+        cells = dead[tab.hist]
+        seen[cells] = parent[cells]
+    # a dead row is its parent row: factor 1 / 1
+    return _level("katz", {"k": k}, tab, lower, seen, np.where(spread, leftover, dead * 1.0),
+                  np.where(spread, unseen_mass, 1.0), base)
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +402,18 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
     lower-order distribution, which makes every row sum to 1 exactly.
     """
     _check_ranges("kneser_essen_ney", {"D": D}, table.order)
-    vocab = table.vocab
-    chain = tables_down_to_unigram(table)
+    unigrams, *chain = tables_down_to_unigram(table)
 
     # unigram level: how many distinct histories precede each emission
-    bigram_out = chain[1].out
-    q1 = np.bincount(bigram_out, minlength=vocab.out_dim) / len(bigram_out)
-    lm = _level(chain[0], q1[None, :], None, "kneser_essen_ney", {"D": D})
-    for tab in chain[1:]:
-        distinct = np.bincount(tab.hist, minlength=len(tab.ids))
-        rows = _lower_rows(tab, lm)
-        rows *= (D * distinct)[:, None]
-        rows[tab.hist, tab.out] += np.maximum(tab.count - D, 0.0)
-        rows /= tab.totals[:, None]
-        lm = _level(tab, rows, lm, "kneser_essen_ney", {"D": D})
+    bigram_out = chain[0].out
+    q1 = np.bincount(bigram_out, minlength=table.vocab.out_dim) / len(bigram_out)
+    lm = _level("kneser_essen_ney", {"D": D}, unigrams, None, q1[unigrams.out])
+    for tab in chain:
+        base = _parent_rows(tab, lm)
+        a = D * np.bincount(tab.hist, minlength=len(tab.ids))
+        seen = base[tab.hist, tab.out] * a[tab.hist] + np.maximum(tab.count - D, 0.0)
+        lm = _level("kneser_essen_ney", {"D": D}, tab, lm, seen / tab.totals[tab.hist], a,
+                    tab.totals, base)
     return lm
 
 
@@ -438,25 +421,42 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
 # backoff levels
 
 
-def _level(tab: CountTable, rows: np.ndarray, lower: ConditionalLM | None, method: str,
-           params: dict) -> ConditionalLM:
-    """The LM of one order, which every smoother returns and each level of
-    a backoff chain is: `rows` follow `tab`'s histories, and an unseen
-    history backs off to `lower`: the level one order below, the uniform
-    backstop, or none at a chain's order-1 level."""
-    return ConditionalLM(tab.order, tab.vocab, (tab, rows), backstop=lower,
+def _level(method: str, params: dict, tab: CountTable, lower: ConditionalLM | None,
+           seen: np.ndarray, a=0.0, d=1.0, base: np.ndarray | None = None) -> ConditionalLM:
+    """The LM of one order, every smoother's LM and every level of a backoff
+    chain, whose rows only this function writes.  The cells of `tab`'s
+    grams hold `seen`; any other cell of history h is base(h) * a(h) / d(h),
+    `a` and `d` being scalars or one value per history.  `base` holds each
+    history's parent row in `lower` (_parent_rows, a fresh matrix, written
+    over), or is None for a base of ones with no `lower`.  The backstop is
+    `lower`, else the uniform LM above order 1; an order-1 LM has none, as
+    its one history is always seen."""
+    a, d = (np.reshape(x, (-1, 1)) if np.ndim(x) else x for x in (a, d))
+    if lower is None:
+        # 1 * a / d, bit for bit
+        rows = np.divide(a, d, out=np.empty((len(tab.ids), tab.vocab.out_dim)))
+        backstop = uniform_backstop(tab.vocab) if tab.order > 1 else None
+    else:
+        rows = base
+        rows *= a
+        if np.ndim(d) or d != 1.0:  # x / 1.0 is x
+            rows /= d
+        backstop = lower
+    rows[tab.hist, tab.out] = seen
+    return ConditionalLM(tab.order, tab.vocab, (tab, rows), backstop=backstop,
                          method=method, params=params)
 
 
-def _parents(tab: CountTable, lower: ConditionalLM) -> np.ndarray:
-    """Row of each history's parent (the history minus its oldest symbol)
-    in the next-lower-order level, whose table marginalizes `tab`'s, so
-    every parent has a row."""
-    return lower.keys.find(tab.ids[:, 1:])
+def _parent_rows(tab: CountTable, lower: ConditionalLM) -> np.ndarray:
+    """Each history's parent row (the history minus its oldest symbol) in
+    `lower`, whose table marginalizes `tab`'s, gathered into a fresh matrix."""
+    return np.take(lower.matrix, lower.keys.find(tab.ids[:, 1:]), axis=0)
 
 
-def _lower_rows(tab: CountTable, lower: ConditionalLM, out=None) -> np.ndarray:
-    """Each history's parent row of the lower level, gathered into one new
-    matrix or into `out`."""
-    # mode="clip" writes straight into `out` (the default mode buffers)
-    return np.take(lower.matrix, _parents(tab, lower), axis=0, out=out, mode="clip")
+def _row_sums(tab: CountTable, fill, seen) -> np.ndarray:
+    """Row sums of the dense rows holding `seen` on `tab`'s grams and `fill`
+    (a scalar, or a fresh matrix summed in place) elsewhere, added pairwise
+    as a row's own sum is, so a mass compared or divided out keeps its bits."""
+    rows = fill if np.ndim(fill) else np.full((len(tab.ids), tab.vocab.out_dim), fill)
+    rows[tab.hist, tab.out] = seen
+    return rows.sum(axis=1)

@@ -101,6 +101,21 @@ def test_corpus_names_its_first_bad_id(sequences, bad):
         Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=sequences)
 
 
+@pytest.mark.parametrize("sequences, bad", [
+    (((1.5, 0), (True,)), "1.5"),   # counting would truncate 1.5 to id 1
+    (((0,), (True,)), "True"),
+    (((1.0, 0),), "1.0"),
+])
+def test_corpus_refuses_an_id_that_is_not_an_integer(sequences, bad):
+    with pytest.raises(ValueError, match=f"^id {bad} is not a non-sentinel vocabulary id$"):
+        Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=sequences)
+
+
+def test_corpus_takes_numpy_integer_ids():
+    c = Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=((np.int64(1), 0),))
+    assert count_ngrams(c, 1).gram_count == {((), 1): 1, ((), 0): 1, ((), c.vocab.eos_id): 1}
+
+
 class TestCountSubstrings:
     def test_single_symbol(self):
         c = toy_corpus()

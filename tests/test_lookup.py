@@ -1,6 +1,6 @@
 """Row lookup by sorted history codes (corpus.RowKeys.find) against dict
 lookups written here: ConditionalLM.rows with its suffix descent,
-smoothers._parents, the tabular model's forward and perplexity, over random
+smoothers._parent_rows, the tabular model's forward and perplexity, over random
 tables and query batches.  The batches mix seen, unseen, out-of-range and
 wrong-length histories, and histories whose naive code aliases a seen one.
 Orders near 32 make the codes of a two- to four-symbol vocabulary pass
@@ -18,7 +18,7 @@ from smoothlm.corpus import (Corpus, CountTable, Vocabulary, count_ngrams,
 from smoothlm.ngram import (ConditionalLM, UnseenHistoryError, empirical_conditional,
                             perplexity, uniform_backstop)
 from smoothlm.neural import TabularSoftmaxLM
-from smoothlm.smoothers import METHODS, KatzConfigError, _parents, smooth
+from smoothlm.smoothers import METHODS, KatzConfigError, _parent_rows, smooth
 
 
 def wide_width(n_sym: int) -> int:
@@ -166,10 +166,13 @@ def test_parents_match_a_dict_lookup(data):
     train, _, order = data.draw(cases())
     tables = tables_down_to_unigram(count_ngrams(train, order))
     for lower, tab in zip(tables, tables[1:]):
-        lower_lm = empirical_conditional(lower)
+        # every cell of row i holds i, so a gathered row names its parent
+        rows = np.repeat(np.arange(len(lower.ids), dtype=float)[:, None], lower.vocab.out_dim, 1)
+        lower_lm = ConditionalLM(lower.order, lower.vocab, (lower, rows), validate=False)
         index = {tuple(h): i for i, h in enumerate(lower.ids.tolist())}
         want = [index[tuple(h[1:])] for h in tab.ids.tolist()]
-        assert _parents(tab, lower_lm).tolist() == want
+        got = _parent_rows(tab, lower_lm)
+        assert got[:, 0].tolist() == want and (got == got[:, :1]).all()
 
 
 @settings(max_examples=40, deadline=None)

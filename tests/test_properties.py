@@ -107,6 +107,33 @@ def test_every_smoother_gives_distributions_that_decompose(corpus, order):
             assert abs(dec.z_plus - dec.z_minus) <= RECON_ATOL, method
 
 
+@given(corpora(), st.integers(1, 4))
+def test_every_level_is_its_seen_cells_and_a_scaled_base_row(corpus, order):
+    # Chen & Goodman's one form: the unseen cells of a history h are r(h)
+    # times the cells of h's base row, its parent's row one level down, or
+    # the uniform row where a level has no level of its method below it
+    table = count_ngrams(corpus, order)
+    uniform = np.full((1, table.vocab.out_dim), 1.0 / table.vocab.out_dim)
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            level = smooth(table, method)
+        except KatzConfigError:
+            continue
+        while level is not None and level.method == method:
+            tab, lower = level.keys, level.backstop
+            base = uniform if lower is None else lower.rows(tab.ids[:, tab.order - lower.order:])
+            base = np.broadcast_to(base, level.matrix.shape)
+            scaled = base > 0
+            scaled[tab.hist, tab.out] = False
+            for row, base_row, cells in zip(level.matrix, base, scaled):
+                if cells.any():
+                    r = row[cells] / base_row[cells]
+                    assert r.max() - r.min() <= 1e-15 * r.max(), (method, level.order)
+            level = lower
+
+
 @given(corpora(), orders, st.floats(0.01, 4.0))
 def test_empirical_and_add_lambda_cells_exact(corpus, order, lam):
     table = count_ngrams(corpus, order)

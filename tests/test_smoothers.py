@@ -456,6 +456,25 @@ class TestOneWarningPerCause:
         assert "clamping" in messages[0] and "736 cells" in messages[0]
         assert "renormalizing" in messages[1] and "48 of" in messages[1]
 
+    def test_katz_rows_with_no_mass_left_are_their_parent_rows(self, caplog):
+        # at k=1 the discount of a count of 1 is (2 r_2/r_1 - A)/(1 - A) = 0
+        # with A = 2 r_2/r_1, so a history whose counts are all 1 keeps no
+        # mass; where its parent row has none outside its seen cells either,
+        # nothing is spread and the row is its order-3 parent row
+        table = count_ngrams(corpus_from_lines(markov_zipf_lines(200, 30, 0)), 4)
+        with caplog.at_level(logging.WARNING, logger="smoothlm.smoothers"):
+            lm = smooth_katz(table, 1)
+        assert [r.getMessage() for r in caplog.records] == [
+            "order 4: no mass survived discounting in 9 of 1105 histories, using lower-order rows"]
+        parents = lm.backstop.rows(table.ids[:, 1:])
+        all_ones = np.ones(len(table.ids), dtype=bool)
+        np.logical_and.at(all_ones, table.hist, table.count == 1)
+        outside = parents.copy()
+        outside[table.hist, table.out] = 0.0
+        dead = all_ones & (outside.sum(axis=1) == 0.0)
+        assert dead.sum() == 9
+        np.testing.assert_array_equal(lm.matrix[dead].view(np.int64), parents[dead].view(np.int64))
+
     def test_good_turing_all_zero_rows_logged_once(self, caplog):
         # r = {2: 4}, every cell seen: r_3 == 0 zeroes every weight in both rows
         v = Vocabulary(symbols=("a",))
