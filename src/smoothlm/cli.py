@@ -58,7 +58,7 @@ def _smoothed_lm(args):
 def cmd_smooth(args) -> int:
     _, lm = _smoothed_lm(args)
     write_conditional_lm(lm, args.out)
-    print(f"wrote {len(lm.matrix)} histories to {args.out}")
+    print(f"wrote {len(lm.keys.ids)} histories to {args.out}")
     return EXIT_OK
 
 
@@ -169,9 +169,7 @@ class _TrainingData:
         key = json.dumps(config.method_params, sort_keys=True)
         if key not in self._bundles:
             self._bundles[key] = neural.make_bundle_for(self.table, self.table.order, config)
-        return dataclasses.replace(
-            self._bundles[key], gamma_plus=config.gamma_plus, gamma_minus=config.gamma_minus
-        )
+        return self._bundles[key].with_gammas(config.gamma_plus, config.gamma_minus)
 
     def train(self, config: RunConfig):
         bundle = self._bundle(config) if config.objective in neural.BUNDLE_OBJECTIVES else None

@@ -6,18 +6,21 @@ Any smoothed conditional p~ relates to its empirical counterpart p through
 
 where p_plus carries the added mass (normalized), p_minus the removed mass,
 and Z+ == Z- is their common scale (the total-variation distance between p
-and p~).  `_split_difference` splits one row or a table's rows at once, into
-one SignedDecomposition; `signed_decompose`, its entry point on raw arrays,
-checks both inputs first.  Aggregating one decomposition per observed
-history, weighted by that history's occurrence count, yields an additive
-regularizer that can be attached to any differentiable conditional model.
-A RegularizerBundle keeps the count table and the SignedDecomposition of
-its rows, whose matrices follow the table's sorted histories; the table's
-row totals are the weights.
+and p~).  `_split_difference`, the one split, works on the cells where p
+may be nonzero, since q - p is q itself elsewhere; `signed_decompose`, its
+entry point on raw arrays, checks both inputs first.  Aggregating one
+decomposition per observed history, weighted by that history's occurrence
+count, yields an additive regularizer that can be attached to any
+differentiable conditional model.  A RegularizerBundle keeps the count
+table, the smoothed LM and the split on the table's grams; the dense
+SignedDecomposition of its rows, whose matrices follow the table's sorted
+histories, is built on first read, and the table's row totals are the
+weights.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,12 +74,25 @@ def signed_decompose(empirical, smoothed, hists=None, support=None) -> SignedDec
     parts along the last axis, for a pair of vectors or a pair of
     (rows x emissions) matrices: the public entry point on raw arrays,
     which checks that both inputs are distributions, row by row, and then
-    splits them as `_split_difference` does.  `hists` names the rows in
-    input errors; `support` is _split_difference's."""
+    splits them with `_split_difference`.  `hists` names the rows in input
+    errors; `support` lists, as flat cell indices, every cell where the
+    empirical input may be nonzero (its nonzero cells when not given)."""
     p, q = _pair(empirical, smoothed)
-    check_distributions(p.reshape(-1, p.shape[-1]), hists, "empirical")
-    check_distributions(q.reshape(-1, q.shape[-1]), hists, "smoothed")
-    return _split_difference(p, q, support)
+    vector, dim = p.ndim == 1, p.shape[-1]
+    p, q = p.reshape(-1, dim), q.reshape(-1, dim)
+    check_distributions(p, hists, "empirical")
+    check_distributions(q, hists, "smoothed")
+    if support is None:
+        support = np.flatnonzero(p)
+    pos = q + 0.0
+    pos.reshape(-1)[support] = 0.0
+    row = support // dim
+    dec = _dense_split(pos, support, row, *_split_difference(
+        p.reshape(-1)[support], q.reshape(-1)[support], row, pos.sum(axis=1)))
+    if vector:
+        return SignedDecomposition(dec.p_plus[0], dec.p_minus[0], float(dec.z_plus[0]),
+                                   float(dec.z_minus[0]))
+    return dec
 
 
 def _pair(empirical, smoothed) -> tuple[np.ndarray, np.ndarray]:
@@ -90,35 +106,39 @@ def _pair(empirical, smoothed) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _split_difference(p: np.ndarray, q: np.ndarray, support=None) -> SignedDecomposition:
-    """The split of q - p, two float arrays of one shape whose rows the
-    caller has checked to be distributions.  `support` lists, as flat cell
-    indices, every cell where p may be nonzero (np.flatnonzero(p) when not
-    given).  Off it p is 0, so q - p is q itself, nonnegative: p_plus
-    starts as a copy of q, p_minus as zeros, and only the support is
-    split.  Builds the two output arrays and no other input-sized array."""
-    if support is None:
-        support = np.flatnonzero(p)
-    # + 0.0 makes a -0.0 the +0.0 that max(q - 0.0, 0.0) gives
-    pos = q + 0.0
-    neg = np.zeros(pos.shape)
-    diff = q.reshape(-1)[support] - p.reshape(-1)[support]
+def _split_difference(p: np.ndarray, q: np.ndarray, row: np.ndarray, rest: np.ndarray) -> tuple:
+    """The split of q - p over the cells where p may be nonzero, whose
+    values p and q hold, `row` naming the row of each: q - p on those
+    cells, and Z+ and Z- per row, the sums of its positive and negative
+    parts.  Off the cells p is 0, so q - p is q itself, nonnegative, and
+    `rest`, each row's mass of q there, adds to Z+ only.  The caller has
+    checked both inputs' rows to be distributions."""
+    diff = q - p
+    n = len(rest)
+    return (diff, np.bincount(row, np.maximum(diff, 0.0), n) + rest,
+            np.bincount(row, np.maximum(np.negative(diff), 0.0), n))
+
+
+def _dense_split(pos: np.ndarray, support: np.ndarray, row: np.ndarray, diff: np.ndarray,
+                 z_plus: np.ndarray, z_minus: np.ndarray) -> SignedDecomposition:
+    """The dense SignedDecomposition of a split on the `support` cells:
+    `pos`, a fresh matrix of the smoothed rows plus 0.0 (which makes a -0.0
+    the +0.0 that max(q - 0.0, 0.0) gives), takes the positive part of
+    `diff` on them, and p_minus holds its negative part there and zeros
+    elsewhere, each row divided by its Z (a part with Z zero is +0.0
+    throughout)."""
     pos.reshape(-1)[support] = np.maximum(diff, 0.0)
+    neg = np.zeros(pos.shape)
     neg.reshape(-1)[support] = np.maximum(np.negative(diff), 0.0)
-    parts = []
-    for m in (pos, neg):
-        z = m.sum(axis=-1)
+    scales = []
+    for m, z in ((pos, z_plus), (neg, z_minus)):
         zero = z == 0.0
-        # a part with no mass is +0.0 throughout
         m[zero] = 0.0
-        scale = np.where(zero, 1.0, z)
-        if m is pos:
-            m /= scale[..., None]
-        else:
-            # p_minus is zero off the support
-            m.reshape(-1)[support] /= scale.reshape(-1)[support // p.shape[-1]]
-        parts.append(z)
-    return SignedDecomposition(pos, neg, *parts)
+        scales.append(np.where(zero, 1.0, z))
+    pos /= scales[0][:, None]
+    # p_minus is zero off the support
+    neg.reshape(-1)[support] /= scales[1][row]
+    return SignedDecomposition(pos, neg, z_plus, z_minus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,16 +146,47 @@ class RegularizerBundle:
     """Signed decompositions of a count table's histories, whose occurrence
     counts, the table's row totals, are their weights.
 
-    `keys` is the count table itself and `rows` the SignedDecomposition of
-    its rows: row i of its matrices belongs to the table's history i, of
-    weight keys.totals[i].  `per_history`, mapping each history to a
-    SignedDecomposition of views into `rows`, is built on first read for
-    `perfbench/` and the tests."""
+    `keys` is the count table itself and `lm` the smoothed LM, keyed by it.
+    The split lives on the table's grams: `diff` holds smoothed - empirical
+    there, and `z_plus` and `z_minus` the sums of its positive and negative
+    parts per history, where Z+ also counts the smoothed mass off the grams
+    (`lm.off_mass`).  `rows`, the dense SignedDecomposition that training
+    and `write_decomposition` read, has row i of its matrices belong to the
+    table's history i, of weight keys.totals[i]; it is built on first read
+    and shared by the copies `with_gammas` makes, as a grid's cells do (a
+    copy `dataclasses.replace` makes builds its own).  `per_history`,
+    mapping each history to a SignedDecomposition of views into `rows`, is
+    built on first read for `perfbench/` and the tests."""
 
     keys: CountTable = field(repr=False)
-    rows: SignedDecomposition = field(repr=False)
+    lm: ConditionalLM = field(repr=False)
+    diff: np.ndarray = field(repr=False)
+    z_plus: np.ndarray = field(repr=False)
+    z_minus: np.ndarray = field(repr=False)
     gamma_plus: float
     gamma_minus: float
+    _views: dict = field(default_factory=dict, init=False, repr=False)
+
+    def with_gammas(self, gamma_plus: float, gamma_minus: float) -> RegularizerBundle:
+        """A copy with other gammas, which shares this bundle's dense rows."""
+        copy = dataclasses.replace(self, gamma_plus=gamma_plus, gamma_minus=gamma_minus)
+        object.__setattr__(copy, "_views", self._views)
+        return copy
+
+    @property
+    def rows(self) -> SignedDecomposition:
+        if "rows" not in self._views:
+            t = self.keys
+            # a copy of the LM's rows: of its dense view when a reader built
+            # it, else fresh rows, so that the bundle does not keep both
+            if "matrix" in vars(self.lm):
+                pos = self.lm.matrix + 0.0
+            else:
+                pos = self.lm.fresh_rows()
+                pos += 0.0
+            self._views["rows"] = _dense_split(pos, t.hist * t.vocab.out_dim + t.out, t.hist,
+                                               self.diff, self.z_plus, self.z_minus)
+        return self._views["rows"]
 
     @cached_property
     def per_history(self) -> dict[History, SignedDecomposition]:
@@ -154,17 +205,18 @@ def build_regularizer(
     gamma_plus: float,
     gamma_minus: float,
 ) -> RegularizerBundle:
-    """Decompose smoothed against empirical on every history of `table`;
-    the empirical model must be `empirical_conditional(table)`, whose rows
-    are keyed by the table itself and are nonzero on the table's gram cells
-    only, the split's support.  The gammas must be finite and nonnegative.
+    """Decompose smoothed against empirical on every history of `table`, in
+    O(grams): the empirical model must be `empirical_conditional(table)`,
+    whose rows are keyed by the table itself and are nonzero on the table's
+    gram cells only, where the split happens.  The gammas must be finite
+    and nonnegative.
 
-    Each matrix is checked to hold distributions once: an LM built with
-    `validate=True` (`lm.checked`) has checked its own rows, so they are
-    split as they are.  This function checks the rows of an LM built
-    unchecked, and the smoothed rows whenever the smoothed LM is not keyed
-    by `table` itself, as those rows are gathered through `rows(table)`
-    and may come from its backstop."""
+    Each LM is checked to hold distributions once: an LM built with
+    `validate=True` (`lm.checked`) has checked its own rows.  This function
+    checks an LM built unchecked, and the smoothed rows whenever the
+    smoothed LM is not keyed by `table` itself, as those rows are gathered
+    through `rows(table)` into an LM keyed by the table, and may come from
+    its backstop."""
     if empirical_lm.order != smoothed_lm.order:
         raise ValueError("order mismatch between empirical and smoothed models")
     for name, gamma in (("gamma_plus", gamma_plus), ("gamma_minus", gamma_minus)):
@@ -179,16 +231,18 @@ def build_regularizer(
         if missing:
             rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
             raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")
-    p, q = _pair(empirical_lm.matrix, smoothed_lm.rows(table))
-    if not empirical_lm.checked:
-        check_distributions(p, table.ids, "empirical")
-    if not smoothed_lm.checked or smoothed_lm.keys is not table:
-        check_distributions(q, table.ids, "smoothed")
+        smoothed_lm = ConditionalLM(table.order, table.vocab, (table, smoothed_lm.rows(table)),
+                                    method=smoothed_lm.method, params=smoothed_lm.params,
+                                    validate=False)
+    for name, lm in (("empirical", empirical_lm), ("smoothed", smoothed_lm)):
+        if not lm.checked:
+            lm.check(name)
+    grams = table, table.hist, table.out
     return RegularizerBundle(
-        keys=table,
-        rows=_split_difference(p, q, table.hist * table.vocab.out_dim + table.out),
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
+        table, smoothed_lm,
+        *_split_difference(empirical_lm.cells(*grams), smoothed_lm.cells(*grams), table.hist,
+                           smoothed_lm.off_mass),
+        gamma_plus=gamma_plus, gamma_minus=gamma_minus,
     )
 
 

@@ -38,14 +38,26 @@ class ConditionalLM:
     """Map from each length-(n-1) history to a probability vector over
     the emission alphabet (symbols in id order, EOS last).
 
-    `table` is a mapping history -> vector, or a pair (histories, matrix)
-    whose row i belongs to histories[i]; a matrix is kept as given, a
-    mapping is stacked into one.  Either way `matrix` holds the rows and
-    `keys`, the RowKeys of row_index, their histories, each listed once.
-    Given a count table as the histories, the LM keeps the table itself as
-    its keys and checks only the matrix.  The dict `table`, mapping each
-    history to a view of its row, is built on first read for `perfbench/`;
-    no pipeline code reads it.
+    An LM is one backoff level in the form of Chen & Goodman (1998,
+    section 2.8): its cells on the grams of a count table hold their own
+    `seen` values, and any other cell of history h is base(h) * a(h) / d(h),
+    where `a` and `d` are scalars or one value per history and the base
+    row is h's parent row (h without its oldest symbols) in the backstop,
+    or a row of ones.  `level` builds one, as every smoother and
+    `empirical_conditional` do; it keeps only the seen values, a, d, the
+    backstop and, on a parent base, each history's parent row and each
+    gram's parent cell, and checks its rows in O(grams).  An LM given a
+    dense matrix keeps that matrix as its rows, the base of a level with
+    a = d = 1 and no seen cells: `table` is then a mapping history ->
+    vector (stacked into one matrix), or a pair (histories, matrix) whose
+    row i belongs to histories[i].
+
+    `keys` holds the histories of the rows, each once (the RowKeys of
+    row_index, or the count table itself).  `matrix`, the dense rows, is a
+    view built on first read (by `fresh_rows`) for the readers that ask:
+    `rows` of other keys, `conditional`, the dict `table` (history -> view
+    of its row, for `perfbench/`) and the writers.  `cells` never builds a
+    row.
 
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
@@ -53,13 +65,13 @@ class ConditionalLM:
     of order 1), which gives the history the row of its suffix there.  The
     levels of a backoff smoother back off to one another this way.
 
-    With `validate` (the default) the constructor checks the matrix's
-    shape and that every row is a distribution, and `checked` records that
-    it did, so a consumer of the rows (build_regularizer) need not check
-    them again.  `validate=False` means the caller vouches for the rows:
-    `uniform_backstop` builds its uniform row, and a copy of an LM that
-    was checked keeps that LM's rows; `checked` is then False, and a
-    consumer that relies on the rows checks them itself.
+    With `validate` (the default) the constructor checks the histories,
+    the matrix's shape and that every row is a distribution (`check`), and
+    `checked` records that it did, so a consumer (build_regularizer) need
+    not check them again.  `validate=False` means the caller vouches for
+    the rows: `uniform_backstop` builds its uniform row, and a copy of an
+    LM that was checked keeps that LM's rows; `checked` is then False, and
+    a consumer that relies on the rows checks them itself.
     """
 
     def __init__(
@@ -72,35 +84,171 @@ class ConditionalLM:
         params: dict | None = None,
         validate: bool = True,
     ) -> None:
+        if isinstance(table, tuple):
+            hists, matrix = table
+        else:
+            hists, matrix = tuple(table), _stack_rows(table, vocab.out_dim)
+        self._setup(order, vocab, row_index(vocab, order - 1, hists), backstop, method, params,
+                    None, 1.0, 1.0, matrix)
+        self.checked = validate
+        if validate:
+            ids = self.keys.ids
+            if not isinstance(hists, CountTable):
+                check_histories(vocab, order - 1, ids)
+            if matrix.shape != (len(ids), vocab.out_dim):
+                raise ValueError(f"row matrix has shape {matrix.shape}, expected "
+                                 f"{(len(ids), vocab.out_dim)}")
+            self.check()
+
+    @classmethod
+    def level(cls, table: CountTable, seen: np.ndarray, a=0.0, d=1.0,
+              backstop: ConditionalLM | None = None,
+              parent: tuple[np.ndarray, np.ndarray] | None = None, method: str = "",
+              params: dict | None = None, validate: bool = True) -> ConditionalLM:
+        """The level of `table`'s histories whose cells on the table's grams
+        hold `seen` and whose other cells are base * a / d.  The base row is
+        each history's parent row in `backstop` with `parent`, the pair
+        (the row of each history's parent there, from `parent_index`, and
+        each gram's cell in its parent row), else a row of ones.  With
+        `validate`, `check` runs, in O(grams)."""
+        lm = cls.__new__(cls)
+        lm._setup(table.order, table.vocab, table, backstop, method, params,
+                  np.asarray(seen, dtype=float), a, d, None if parent is None else backstop)
+        if parent is not None:
+            lm._parents, lm._grams_base = parent
+        lm.checked = validate
+        if validate:
+            lm.check()
+        return lm
+
+    def _setup(self, order, vocab, keys, backstop, method, params, seen, a, d, base) -> None:
         self.order = order
         self.vocab = vocab
-        if isinstance(table, tuple):
-            hists, self.matrix = table
-        else:
-            hists, self.matrix = tuple(table), _stack_rows(table, vocab.out_dim)
-        self.keys = row_index(vocab, order - 1, hists)
+        self.keys = keys
         self.backstop = backstop
         self.method = method
         self.params = dict(params) if params else {}
-        self.checked = validate
-        if validate:
-            self._validate(checked=isinstance(hists, CountTable))
+        # the level: seen values on keys' grams (None: no seen cells), a and
+        # d, and the base: None (ones), a matrix (the rows as given) or the
+        # backstop (each history's parent row there)
+        self.seen = seen
+        self.a = a
+        self.d = d
+        self.base = base
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense rows, built on first read by `fresh_rows`; a given
+        matrix is its own rows."""
+        return self.base if self.seen is None else self.fresh_rows()
+
+    def fresh_rows(self) -> np.ndarray:
+        """A new matrix of the dense rows: the base rows times a, divided
+        by d, then the seen cells."""
+        a, d = (np.reshape(x, (-1, 1)) if np.ndim(x) else x for x in (self.a, self.d))
+        if self.base is None:
+            # 1 * a / d, bit for bit
+            rows = np.divide(a, d, out=np.empty((len(self.keys.ids), self.vocab.out_dim)))
+        else:
+            rows = self._base_rows(np.arange(len(self.keys.ids)))
+            if np.ndim(a) or a != 1.0:  # x * 1.0 is x, and x / 1.0 too
+                rows *= a
+            if np.ndim(d) or d != 1.0:
+                rows /= d
+        if self.seen is not None:
+            rows[self.keys.hist, self.keys.out] = self.seen
+        return rows
 
     @cached_property
     def table(self) -> dict[History, np.ndarray]:
         """History -> view of its row of `matrix`."""
         return dict(zip(self.keys.hists, self.matrix))
 
-    def _validate(self, checked: bool) -> None:
-        """Check every row at once, and the histories unless a count table
-        has `checked` them; an error names the first bad history."""
-        ids = self.keys.ids
-        if not checked:
-            check_histories(self.vocab, self.order - 1, ids)
-        if self.matrix.shape != (len(ids), self.vocab.out_dim):
-            raise ValueError(f"row matrix has shape {self.matrix.shape}, expected "
-                             f"{(len(ids), self.vocab.out_dim)}")
-        check_distributions(self.matrix, ids)
+    def _base_rows(self, rows: np.ndarray) -> np.ndarray:
+        """A fresh matrix of the base rows of the histories in `rows`."""
+        if self.base is None:
+            return np.ones((len(rows), self.vocab.out_dim))
+        if isinstance(self.base, np.ndarray):
+            return self.base[rows]
+        return np.take(self.backstop.matrix, self._parents[rows], axis=0)
+
+    def _base_cells(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A fresh array of the base cells (rows[g], out[g])."""
+        if self.base is None:
+            return np.ones(len(rows))
+        if isinstance(self.base, np.ndarray):
+            return self.base[rows, out]
+        return self.backstop.cells(self.backstop.keys, self._parents[rows], out)
+
+    @cached_property
+    def _grams_base(self) -> np.ndarray:
+        """The base cells on the grams of the keys, a count table; a level
+        with a parent row is given them."""
+        return self._base_cells(self.keys.hist, self.keys.out)
+
+    def _cells(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The cells (rows[g], out[g]) of this level's own rows, as `matrix`
+        holds them: a gram's seen value, else its base cell times a, divided
+        by d, in that order."""
+        p = np.empty(len(rows))
+        off = np.ones(len(rows), dtype=bool)
+        if self.seen is not None:
+            # the grams' flat cell indices are sorted
+            grams = self.keys.hist * self.vocab.out_dim + self.keys.out
+            cell = rows * self.vocab.out_dim + out
+            g = np.minimum(np.searchsorted(grams, cell), len(grams) - 1)
+            on = grams[g] == cell
+            p[on] = self.seen[g[on]]
+            off = ~on
+        rows, out = rows[off], out[off]
+        q = self._base_cells(rows, out)
+        q *= self.a[rows] if np.ndim(self.a) else self.a
+        q /= self.d[rows] if np.ndim(self.d) else self.d
+        p[off] = q
+        return p
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Each row's sum, from the level's parts: the sum of its seen
+        values plus `off_mass`; a given matrix's row sums."""
+        if self.seen is None:
+            return self.base.sum(axis=1)
+        return np.bincount(self.keys.hist, self.seen, len(self.keys.ids)) + self.off_mass
+
+    @cached_property
+    def off_mass(self) -> np.ndarray:
+        """Each row's mass off the grams of its keys, a count table:
+        a / d * (base row mass - the sum of the base cells on the grams)."""
+        t, n = self.keys, len(self.keys.ids)
+        if self.base is None:
+            base_mass = np.full(n, float(self.vocab.out_dim))
+        elif isinstance(self.base, np.ndarray):
+            base_mass = self.base.sum(axis=1)
+        else:
+            base_mass = self.backstop.mass[self._parents]
+        base_mass -= np.bincount(t.hist, self._grams_base, n)
+        return np.divide(self.a, self.d) * base_mass
+
+    def check(self, name: str = "") -> None:
+        """Raise NormalizationError, as check_distributions of `matrix`
+        would, for the first row that has a negative cell or does not sum
+        to 1 within PROB_ATOL, the message naming its history after `name`.
+        A level is checked in O(grams): a row is negative where a seen value
+        is, or where a / d is and a base cell off the grams is positive, and
+        its sum is `mass`."""
+        if self.seen is None:
+            return check_distributions(self.base, self.keys.ids, name)
+        t, n = self.keys, len(self.keys.ids)
+        negative = np.bincount(t.hist, self.seen < 0, n) > 0
+        flips = np.broadcast_to(np.divide(self.a, self.d) < 0, n)
+        if flips.any():
+            # the base rows of those histories, off the grams
+            rows = np.flatnonzero(flips)
+            positive = self._base_rows(rows) > 0
+            on = flips[t.hist]
+            positive[np.searchsorted(rows, t.hist[on]), t.out[on]] = False
+            negative[rows] |= positive.any(axis=1)
+        _first_bad(negative, self.mass, t.ids, name)
 
     def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
         """Row matrix of `hists` (history tuples, an id array or a count
@@ -113,7 +261,7 @@ class ConditionalLM:
             return self.matrix
         ids, found, unseen = self._find(hists)
         if not unseen.any():
-            return self.matrix if np.array_equal(found, np.arange(len(self.matrix))) \
+            return self.matrix if np.array_equal(found, np.arange(len(self.keys.ids))) \
                 else self.matrix[found]
         q = np.empty((len(ids), self.vocab.out_dim))
         q[unseen] = self.backstop.rows(ids[unseen, self.order - self.backstop.order:])
@@ -123,15 +271,17 @@ class ConditionalLM:
     def cells(self, keys: RowKeys | np.ndarray | Sequence[History], hist: np.ndarray,
               out: np.ndarray) -> np.ndarray:
         """The probability of emission index out[g] after history
-        keys[hist[g]], for each g: rows(keys)[hist, out] without the rows.
-        One `keys.find`; the cells of unseen histories come from one
-        backstop `cells` call over the suffixes of the distinct unseen
-        histories."""
+        keys[hist[g]], for each g: rows(keys)[hist, out], bit for bit,
+        without a row.  One `keys.find`; a seen cell is its stored value, an
+        unseen cell of a seen history its base cell times a, divided by d
+        (a parent cell comes from the backstop's `cells`), and the cells of
+        unseen histories come from one backstop `cells` call over the
+        suffixes of the distinct unseen histories."""
         if keys is self.keys:
-            return self.matrix[hist, out]
+            return self._cells(hist, out)
         ids, found, unseen = self._find(keys)
         if not unseen.any():
-            return self.matrix[found[hist], out]
+            return self._cells(found[hist], out)
         # the unseen histories, renumbered in order, are the backstop's keys
         at = np.cumsum(unseen) - 1
         backs_off = unseen[hist]
@@ -139,7 +289,7 @@ class ConditionalLM:
         p[backs_off] = self.backstop.cells(ids[unseen, self.order - self.backstop.order:],
                                            at[hist[backs_off]], out[backs_off])
         stays = ~backs_off
-        p[stays] = self.matrix[found[hist[stays]], out[stays]]
+        p[stays] = self._cells(found[hist[stays]], out[stays])
         return p
 
     def _find(self, hists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,14 +319,28 @@ class ConditionalLM:
         return self.backstop.conditional(h[self.order - self.backstop.order:])
 
 
+def parent_index(table: CountTable, lower: ConditionalLM) -> np.ndarray:
+    """The row in `lower` of each of `table`'s histories' parent (the
+    history without its oldest symbols), after one `keys.find`; ValueError
+    for a history whose parent row `lower` does not hold."""
+    parents = lower.keys.find(table.ids[:, table.order - lower.order:])
+    if (parents < 0).any():
+        h = table.ids[int(np.argmax(parents < 0))]
+        raise ValueError(f"history {tuple(h.tolist())} has no parent row in the backstop")
+    return parents
+
+
 def check_distributions(rows: np.ndarray, hists: Sequence[History] | None = None,
                         name: str = "") -> None:
     """Raise NormalizationError for the first row of `rows` that has a
     negative entry or does not sum to 1 within PROB_ATOL.  The message names
     the row's history from `hists` (tuples or an id array), or its index,
     after `name`."""
-    negative = rows.min(axis=1) < 0
-    sums = rows.sum(axis=1)
+    _first_bad(rows.min(axis=1) < 0, rows.sum(axis=1), hists, name)
+
+
+def _first_bad(negative: np.ndarray, sums: np.ndarray, hists, name: str) -> None:
+    """check_distributions of the rows with these negative flags and sums."""
     # a NaN compares false, so a row holding one fails the closeness test
     bad = negative | ~(np.abs(sums - 1.0) <= PROB_ATOL)
     if not bad.any():
@@ -203,19 +367,10 @@ def _stack_rows(table: Mapping[History, np.ndarray], out_dim: int) -> np.ndarray
     return matrix
 
 
-def empirical_rows(table: CountTable) -> np.ndarray:
-    """Count ratios, one row per history of `table`."""
-    rows = table.dense_counts()
-    rows /= table.totals[:, None]
-    return rows
-
-
 def empirical_conditional(table: CountTable) -> ConditionalLM:
-    """Count-ratio conditional model; unseen histories are left undefined."""
-    return ConditionalLM(
-        table.order, table.vocab, (table, empirical_rows(table)),
-        backstop=None, method="empirical",
-    )
+    """Count-ratio conditional model, the level whose seen cells are the
+    count ratios and a = 0; unseen histories are left undefined."""
+    return ConditionalLM.level(table, table.count / table.totals[table.hist], method="empirical")
 
 
 def perplexity(model, data: Corpus | CountTable) -> float:

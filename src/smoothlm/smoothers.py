@@ -9,8 +9,10 @@ backing off to the one below, where h's parent (h without its oldest
 symbol) has h's base row; their order-1 level, like the one level of
 add-lambda, Good-Turing and Simple Good-Turing, has a base row of ones.
 Those three back off to the uniform order-1 LM; an order-1 LM has no
-backstop, as its one history is always seen.  Rows sum to 1, Good-Turing's
-too, whose native normalization is global.
+backstop, as its one history is always seen.  A level keeps only its seen
+values, a, d and backstop (`ConditionalLM.level`); its dense rows are built
+when a reader asks.  Rows sum to 1, Good-Turing's too, whose native
+normalization is global.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CountTable, tables_down_to_unigram, zero_gram_count
-from .ngram import ConditionalLM, uniform_backstop
+from .ngram import ConditionalLM, parent_index, uniform_backstop
 
 log = logging.getLogger(__name__)
 
@@ -301,14 +303,16 @@ def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None) -> Con
     lm = None
     for tab in tables_down_to_unigram(table):
         lam = lambdas[tab.order - 1]
-        # the order-1 level's parent row is uniform, on a base of ones
-        base, parent = None, 1.0 / tab.vocab.out_dim
-        a = (1.0 - lam) * parent
-        if lm is not None:
-            base = _parent_rows(tab, lm)
-            parent, a = base[tab.hist, tab.out], 1.0 - lam
+        if lm is None:
+            # the order-1 level's parent row is uniform, on a base of ones
+            parents, parent = None, 1.0 / tab.vocab.out_dim
+            a = (1.0 - lam) * parent
+        else:
+            parents = _parent_cells(tab, lm)
+            parent, a = parents[1], 1.0 - lam
         seen = parent * (1.0 - lam) + lam * (tab.count / tab.totals[tab.hist])
-        lm = _level("jelinek_mercer", {"lambdas": list(lambdas)}, tab, lm, seen, a, base=base)
+        lm = _level("jelinek_mercer", {"lambdas": list(lambdas)}, tab, lm, seen, a,
+                    parent=parents)
     return lm
 
 
@@ -367,7 +371,8 @@ def _katz_level(tab: CountTable, k: int, lower: ConditionalLM) -> ConditionalLM:
     kept = _katz_discounts(tab, k, tab.count) * tab.count / tab.totals[tab.hist]
     kept_mass = _row_sums(tab, 0.0, kept)
     leftover = 1.0 - kept_mass
-    base = _parent_rows(tab, lower)
+    parents = parent_index(tab, lower)
+    base = np.take(lower.matrix, parents, axis=0)
     parent = base[tab.hist, tab.out]  # read before the sum below zeroes them
     unseen_mass = _row_sums(tab, base, 0.0)
     spread = (leftover > 0.0) & (unseen_mass > 0.0)
@@ -386,7 +391,7 @@ def _katz_level(tab: CountTable, k: int, lower: ConditionalLM) -> ConditionalLM:
         seen[cells] = parent[cells]
     # a dead row is its parent row: factor 1 / 1
     return _level("katz", {"k": k}, tab, lower, seen, np.where(spread, leftover, dead * 1.0),
-                  np.where(spread, unseen_mass, 1.0), base)
+                  np.where(spread, unseen_mass, 1.0), (parents, parent))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +414,11 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
     q1 = np.bincount(bigram_out, minlength=table.vocab.out_dim) / len(bigram_out)
     lm = _level("kneser_essen_ney", {"D": D}, unigrams, None, q1[unigrams.out])
     for tab in chain:
-        base = _parent_rows(tab, lm)
         a = D * np.bincount(tab.hist, minlength=len(tab.ids))
-        seen = base[tab.hist, tab.out] * a[tab.hist] + np.maximum(tab.count - D, 0.0)
+        parents = _parent_cells(tab, lm)
+        seen = parents[1] * a[tab.hist] + np.maximum(tab.count - D, 0.0)
         lm = _level("kneser_essen_ney", {"D": D}, tab, lm, seen / tab.totals[tab.hist], a,
-                    tab.totals, base)
+                    tab.totals, parents)
     return lm
 
 
@@ -422,35 +427,27 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
 
 
 def _level(method: str, params: dict, tab: CountTable, lower: ConditionalLM | None,
-           seen: np.ndarray, a=0.0, d=1.0, base: np.ndarray | None = None) -> ConditionalLM:
+           seen: np.ndarray, a=0.0, d=1.0,
+           parent: tuple[np.ndarray, np.ndarray] | None = None) -> ConditionalLM:
     """The LM of one order, every smoother's LM and every level of a backoff
-    chain, whose rows only this function writes.  The cells of `tab`'s
-    grams hold `seen`; any other cell of history h is base(h) * a(h) / d(h),
-    `a` and `d` being scalars or one value per history.  `base` holds each
-    history's parent row in `lower` (_parent_rows, a fresh matrix, written
-    over), or is None for a base of ones with no `lower`.  The backstop is
-    `lower`, else the uniform LM above order 1; an order-1 LM has none, as
-    its one history is always seen."""
-    a, d = (np.reshape(x, (-1, 1)) if np.ndim(x) else x for x in (a, d))
-    if lower is None:
-        # 1 * a / d, bit for bit
-        rows = np.divide(a, d, out=np.empty((len(tab.ids), tab.vocab.out_dim)))
-        backstop = uniform_backstop(tab.vocab) if tab.order > 1 else None
-    else:
-        rows = base
-        rows *= a
-        if np.ndim(d) or d != 1.0:  # x / 1.0 is x
-            rows /= d
-        backstop = lower
-    rows[tab.hist, tab.out] = seen
-    return ConditionalLM(tab.order, tab.vocab, (tab, rows), backstop=backstop,
-                         method=method, params=params)
+    chain: the cells of `tab`'s grams hold `seen`, and any other cell of
+    history h is base(h) * a(h) / d(h), `a` and `d` being scalars or one
+    value per history.  The base row is h's parent row in `lower`, whose
+    place there and cells on the grams `parent` holds (`_parent_cells`), or
+    a row of ones with no `lower`.  The backstop is `lower`, else the
+    uniform LM above order 1; an order-1 LM has none, as its one history is
+    always seen."""
+    backstop = lower if lower is not None else \
+        uniform_backstop(tab.vocab) if tab.order > 1 else None
+    return ConditionalLM.level(tab, seen, a, d, backstop, parent, method=method, params=params)
 
 
-def _parent_rows(tab: CountTable, lower: ConditionalLM) -> np.ndarray:
-    """Each history's parent row (the history minus its oldest symbol) in
-    `lower`, whose table marginalizes `tab`'s, gathered into a fresh matrix."""
-    return np.take(lower.matrix, lower.keys.find(tab.ids[:, 1:]), axis=0)
+def _parent_cells(tab: CountTable, lower: ConditionalLM) -> tuple[np.ndarray, np.ndarray]:
+    """The row in `lower` of each history's parent (the history minus its
+    oldest symbol) and the cell of each of `tab`'s grams in that row, after
+    one `keys.find`, without the rows."""
+    parents = parent_index(tab, lower)
+    return parents, lower.cells(lower.keys, parents[tab.hist], tab.out)
 
 
 def _row_sums(tab: CountTable, fill, seen) -> np.ndarray:

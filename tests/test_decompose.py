@@ -4,13 +4,13 @@ cross-entropy linearity that makes the KL bracket q-invariant)."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothlm import decompose
 from smoothlm.corpus import corpus_from_lines, count_ngrams, read_cells
 from smoothlm.decompose import (
     RECON_ATOL,
@@ -20,8 +20,7 @@ from smoothlm.decompose import (
     write_decomposition,
 )
 from smoothlm.neural import TabularSoftmaxLM, TrainConfig
-from smoothlm.ngram import (ConditionalLM, NormalizationError, check_distributions,
-                            empirical_conditional)
+from smoothlm.ngram import ConditionalLM, NormalizationError, empirical_conditional, perplexity
 from smoothlm.smoothers import METHODS, smooth
 from smoothlm.verify import (
     cross_entropy,
@@ -219,21 +218,28 @@ class TestBuildRegularizer:
 
     def test_checked_rows_are_not_checked_again(self, monkeypatch):
         table, emp, sm = self.table_and_lms()
-        calls = []
-        monkeypatch.setattr(decompose, "check_distributions",
-                            lambda rows, *args: calls.append(args[1]) or
-                            check_distributions(rows, *args))
-        want = build_regularizer(emp, sm, table, 1.0, 1.0).rows
-        assert emp.checked and sm.checked and calls == []
-        # the rows(table) of a smoothed LM keyed by history tuples, not by
-        # the table, and an unchecked copy of the empirical rows are
-        # checked once each
+        # a smoothed LM keyed by history tuples, not by the table, and an
+        # unchecked copy of the empirical rows
         other = ConditionalLM(sm.order, sm.vocab, sm.table)
         copy = ConditionalLM(emp.order, emp.vocab, (table, emp.matrix), validate=False)
+        calls = []
+        check = ConditionalLM.check
+        monkeypatch.setattr(ConditionalLM, "check",
+                            lambda lm, name="": calls.append(name) or check(lm, name))
+        want = build_regularizer(emp, sm, table, 1.0, 1.0).rows
+        assert emp.checked and sm.checked and calls == []
+        # are checked once each, the first's rows(table) as an LM keyed by it
         got = build_regularizer(copy, other, table, 1.0, 1.0).rows
         assert calls == ["empirical", "smoothed"]
-        for key in ("p_plus", "p_minus", "z_plus", "z_minus"):
+        # both routes split the same cells, so Z- and p_minus keep their
+        # bits; the dense copy's Z+ sums its off-gram mass from its rows,
+        # the level's from a, d and its parent's mass, and p_plus is the
+        # dense positive part divided by each route's own Z+
+        for key in ("p_minus", "z_minus"):
             assert_same_bits(getattr(got, key), getattr(want, key))
+        for r in (got, want):
+            assert_same_bits(r.p_plus, dense_split(emp.matrix, sm.matrix, r.z_plus)[0])
+        np.testing.assert_allclose(got.z_plus, want.z_plus, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("gammas, message", [
         ((math.nan, 1.0), "gamma_plus must be finite, got nan"),
@@ -253,14 +259,15 @@ class TestBuildRegularizer:
                         gamma_minus=gammas[1]).validate()
 
 
-def dense_split(p, q):
+def dense_split(p, q, z_plus=None, z_minus=None):
     """The split of each row of q against p, written densely: the positive
-    and negative parts of q - p, each divided by its row sum (1 for a part
-    with no mass), with the row sums."""
+    and negative parts of q - p, each divided by its row sum, or by the
+    given Z (1 for a part with no mass), with the row sums."""
     parts = []
-    for m in (np.maximum(q - p, 0.0), np.maximum(p - q, 0.0)):
-        z = m.sum(axis=1)
-        parts += [m / np.where(z == 0.0, 1.0, z)[:, None], z]
+    for m, z in ((np.maximum(q - p, 0.0), z_plus), (np.maximum(p - q, 0.0), z_minus)):
+        sums = m.sum(axis=1)
+        z = sums if z is None else z
+        parts += [m / np.where(z == 0.0, 1.0, z)[:, None], sums]
     return parts
 
 
@@ -284,8 +291,12 @@ def test_bundle_rows_are_the_dense_split(method, params, table):
     if params:
         assert np.count_nonzero(sm.matrix == 0.0) > 40_000
     r = build_regularizer(emp, sm, table, 1.0, 1.0).rows
-    for got, want in zip((r.p_plus, r.z_plus, r.p_minus, r.z_minus),
-                         dense_split(emp.matrix, sm.matrix)):
+    p_plus, z_plus, p_minus, z_minus = dense_split(emp.matrix, sm.matrix, r.z_plus, r.z_minus)
+    # Z+ and Z- are summed over the grams and the level's off-gram mass,
+    # not over the dense rows; divided by them, the dense parts keep their bits
+    for got, want in ((r.z_plus, z_plus), (r.z_minus, z_minus)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=RECON_ATOL, err_msg=method)
+    for got, want in ((r.p_plus, p_plus), (r.p_minus, p_minus)):
         assert_same_bits(got, want, method)
 
 
@@ -295,6 +306,28 @@ def test_the_support_defaults_to_the_nonzero_cells():
     by_grams = signed_decompose(p, q, support=table.hist * table.vocab.out_dim + table.out)
     for got, want in zip(vars(signed_decompose(p, q)).values(), vars(by_grams).values()):
         assert_same_bits(got, want)
+
+
+def test_levels_bundles_and_perplexity_build_no_dense_rows():
+    # numpy reports its buffers to tracemalloc, so one (histories x |V|+1)
+    # float matrix on the way would lift the traced peak past the bound;
+    # the held-out lines are the training lines reversed, whose histories
+    # mostly back off
+    lines = markov_zipf_lines(2000, 500, 0)
+    train = corpus_from_lines(lines)
+    held = corpus_from_lines([" ".join(ln.split()[::-1]) for ln in lines], train.vocab)
+    table = count_ngrams(train, 3)
+    bound = 8 * len(table.ids) * table.vocab.out_dim
+    tracemalloc.start()
+    try:
+        for method in ("add_lambda", "jelinek_mercer", "kneser_essen_ney"):
+            lm = smooth(table, method)
+            build_regularizer(empirical_conditional(table), lm, table, 1.0, 1.0)
+            assert math.isfinite(perplexity(lm, held)), method
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def split_objective(smoothed_row, gammas, logits=(math.log(3), 0.0)):

@@ -1,12 +1,13 @@
 """Row lookup by sorted history codes (corpus.RowKeys.find) against dict
 lookups written here: ConditionalLM.rows with its suffix descent,
-smoothers._parent_rows, the tabular model's forward and perplexity, over random
+ngram.parent_index, the tabular model's forward and perplexity, over random
 tables and query batches.  The batches mix seen, unseen, out-of-range and
 wrong-length histories, and histories whose naive code aliases a seen one.
 Orders near 32 make the codes of a two- to four-symbol vocabulary pass
 2^63, so that they are Python ints."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 from smoothlm.corpus import (Corpus, CountTable, Vocabulary, count_ngrams,
                              tables_down_to_unigram)
 from smoothlm.ngram import (ConditionalLM, UnseenHistoryError, empirical_conditional,
-                            perplexity, uniform_backstop)
+                            parent_index, perplexity, uniform_backstop)
 from smoothlm.neural import TabularSoftmaxLM
-from smoothlm.smoothers import METHODS, KatzConfigError, _parent_rows, smooth
+from smoothlm.smoothers import METHODS, KatzConfigError, smooth
 
 
 def wide_width(n_sym: int) -> int:
@@ -166,13 +167,20 @@ def test_parents_match_a_dict_lookup(data):
     train, _, order = data.draw(cases())
     tables = tables_down_to_unigram(count_ngrams(train, order))
     for lower, tab in zip(tables, tables[1:]):
-        # every cell of row i holds i, so a gathered row names its parent
-        rows = np.repeat(np.arange(len(lower.ids), dtype=float)[:, None], lower.vocab.out_dim, 1)
-        lower_lm = ConditionalLM(lower.order, lower.vocab, (lower, rows), validate=False)
+        lower_lm = ConditionalLM(lower.order, lower.vocab,
+                                 (lower, np.zeros((len(lower.ids), lower.vocab.out_dim))),
+                                 validate=False)
         index = {tuple(h): i for i, h in enumerate(lower.ids.tolist())}
         want = [index[tuple(h[1:])] for h in tab.ids.tolist()]
-        got = _parent_rows(tab, lower_lm)
-        assert got[:, 0].tolist() == want and (got == got[:, :1]).all()
+        assert parent_index(tab, lower_lm).tolist() == want
+        # the lower table's histories are the parents, so each one is needed
+        hists = lower.ids.tolist()
+        short = ConditionalLM(lower.order, lower.vocab,
+                              (hists[1:], np.zeros((len(hists) - 1, lower.vocab.out_dim))),
+                              validate=False)
+        first = next(h for h, w in zip(tab.ids.tolist(), want) if w == 0)
+        with pytest.raises(ValueError, match=re.escape(f"history {tuple(first)} has no parent")):
+            parent_index(tab, short)
 
 
 @settings(max_examples=40, deadline=None)

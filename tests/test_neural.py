@@ -772,9 +772,10 @@ def test_objective_weights_match_per_history_loop(objective, method):
 
 
 def test_grid_cells_share_their_bundles_entropies(monkeypatch):
-    # grid cells replace only a bundle's gammas, so the entropies of its
-    # p_plus and p_minus rows are computed once for them all; rows copied
-    # for each cell, which compute their own, give the same bits
+    # grid cells take a bundle's copies with other gammas (`with_gammas`),
+    # so the entropies of its p_plus and p_minus rows are computed once for
+    # them all; a copy `dataclasses.replace` makes builds its own rows, and
+    # their own entropies give the same bits
     table = count_ngrams(synthetic_corpus(21, n_sequences=80, n_symbols=6), 3)
     base = build_regularizer(empirical_conditional(table), smooth(table, "kneser_essen_ney"),
                              table, 1.0, 1.0)
@@ -785,15 +786,16 @@ def test_grid_cells_share_their_bundles_entropies(monkeypatch):
     gammas = [(0.3, 0.7), (1.0, 1.0), (2.0, 0.0), (0.0, 0.5)]
     configs = [TrainConfig(objective="split_regularizer", method="kneser_essen_ney",
                            gamma_plus=gp, gamma_minus=gm) for gp, gm in gammas]
-    shared = [_objective_weights(table, config, dataclasses.replace(
-        base, gamma_plus=config.gamma_plus, gamma_minus=config.gamma_minus))
-        for config in configs]
+    shared = [_objective_weights(table, config,
+                                 base.with_gammas(config.gamma_plus, config.gamma_minus))
+              for config in configs]
     assert len(calls) == 2
     assert calls[0] is base.rows.p_plus and calls[1] is base.rows.p_minus
     for config, (alpha, const) in zip(configs, shared):
-        own = dataclasses.replace(base, rows=dataclasses.replace(base.rows),
-                                  gamma_plus=config.gamma_plus, gamma_minus=config.gamma_minus)
+        own = dataclasses.replace(base, gamma_plus=config.gamma_plus,
+                                  gamma_minus=config.gamma_minus)
         own_alpha, own_const = _objective_weights(table, config, own)
+        assert own.rows is not base.rows
         np.testing.assert_array_equal(alpha, own_alpha)
         assert const == own_const
     assert len(calls) == 2 + 2 * len(configs)

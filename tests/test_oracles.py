@@ -5,8 +5,9 @@ independent of the code they check.
 A test that compares a kernel with itself cannot fail when the kernel is
 wrong, so each oracle recounts or re-sums by its own loop.  The source
 checks read the package with `ast` and fail when an oracle names a
-pipeline kernel, when a pipeline module imports `verify`, or when package
-code reads the dict views kept only for `perfbench/` and the tests."""
+pipeline kernel, when a pipeline module imports `verify`, when package
+code reads the dict views kept only for `perfbench/` and the tests, or
+when a source file needs a grammar newer than Python 3.10's."""
 
 import ast
 from pathlib import Path
@@ -27,14 +28,15 @@ from smoothlm.ngram import empirical_conditional
 from smoothlm.smoothers import smooth
 from smoothlm.verify import objective_value, synthetic_corpus
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "smoothlm"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "smoothlm"
 
 ORACLES = ("count_substrings", "string_logprob", "PrefixProbability", "empirical_prefix",
            "cross_entropy", "entropy", "kl_divergence", "objective_value")
 # the pipeline code the oracles check, and any smooth_<method>
 KERNELS = {"_objective_weights", "batch_loss_grads", "signed_decompose", "_split_difference",
            "build_regularizer", "smooth", "table_perplexity", "perplexity", "count_ngrams",
-           "dense_counts", "empirical_rows"}
+           "dense_counts"}
 # each dict view, and the module that defines it
 VIEWS = {"table": "ngram", "gram_count": "corpus", "history_count": "corpus",
          "per_history": "decompose"}
@@ -148,12 +150,21 @@ def test_dict_views_are_read_only_where_defined():
 
 def test_lms_are_built_from_rows_outside_ngram():
     # a ConditionalLM built outside ngram gets (histories, matrix), not a
-    # mapping of rows
+    # mapping of rows; a level (`ConditionalLM.level`) gets a count table
     for path in SRC.glob("*.py"):
         if path.stem == "ngram":
             continue
         for node in ast.walk(parsed(path.stem)):
-            if isinstance(node, ast.Call) and "ConditionalLM" in names_in(node.func):
+            if isinstance(node, ast.Call) and list(names_in(node.func))[:1] == ["ConditionalLM"]:
                 rows = node.args[2] if len(node.args) > 2 else next(
                     k.value for k in node.keywords if k.arg == "table")
                 assert isinstance(rows, ast.Tuple), f"{path.name}:{node.lineno}"
+
+
+def test_every_source_parses_under_the_python_3_10_grammar():
+    # pyproject.toml claims Python >= 3.10, so no file may use grammar that
+    # came later, such as `except*`; perfbench/ is only read
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -2,8 +2,9 @@
 small corpora (2-8 symbols, orders 1-3), with the count arrays checked
 against a per-position recount, per-cell oracles written from gram_count,
 held-out perplexity against the per-token string_logprob, held-out cells
-against held-out rows, and held-out rows against a walk to each history's
-longest seen suffix."""
+against held-out rows, held-out rows against a walk to each history's longest
+seen suffix, and each level's check and split from its parts against its
+dense rows."""
 
 import math
 import os
@@ -19,7 +20,10 @@ from smoothlm.corpus import Corpus, Vocabulary, count_ngrams, read_count_table, 
 from smoothlm.decompose import RECON_ATOL, build_regularizer
 from smoothlm.ngram import (
     PROB_ATOL,
+    ConditionalLM,
+    NormalizationError,
     UnseenHistoryError,
+    check_distributions,
     empirical_conditional,
     perplexity,
     read_conditional_lm,
@@ -28,6 +32,7 @@ from smoothlm.ngram import (
 from smoothlm.smoothers import (
     METHODS,
     KatzConfigError,
+    _parent_cells,
     smooth,
     smooth_add_lambda,
     smooth_kneser_essen_ney,
@@ -277,6 +282,65 @@ def test_cells_are_the_cells_of_the_rows(data, order):
     with pytest.raises(UnseenHistoryError) as by_cells:
         emp.cells(t, t.hist, t.out)
     assert by_cells.value.args == by_rows.value.args
+
+
+@given(train_and_heldout(), st.integers(1, 4), st.data())
+def test_levels_score_check_and_split_from_their_parts(data, order, draws):
+    # each level keeps its seen values, a, d and its backstop: its cells of
+    # held-out histories unseen at every depth are the cells of its dense
+    # rows, its check in O(grams) names the history check_distributions of
+    # those rows names, and its bundle splits on the table's grams
+    train, held = data
+    table = count_ngrams(train, order)
+    t = count_ngrams(held, order)
+    emp = empirical_conditional(table)
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            lm = smooth(table, method)
+        except KatzConfigError:
+            continue
+        got, want = lm.cells(t, t.hist, t.out), lm.rows(t)[t.hist, t.out]
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=method)
+        level = lm
+        while level is not None and level.method == method:
+            tab = level.keys
+            g = draws.draw(st.integers(0, len(level.seen) - 1))
+            negative_a = np.broadcast_to(level.a, len(tab.ids)).astype(float)
+            negative_a[tab.hist[g]] = -1.0
+            # a seen value made negative, a row's mass moved, and a row's a
+            # made negative, which makes a cell negative only where its base
+            # cell off the grams is positive
+            parent = None if level.base is None else _parent_cells(tab, level.backstop)
+            for value, a in ((-0.25, level.a), (level.seen[g] + 2 * PROB_ATOL, level.a),
+                             (level.seen[g], negative_a)):
+                seen = level.seen.copy()
+                seen[g] = value
+                bad = ConditionalLM.level(tab, seen, a, level.d, level.backstop, parent,
+                                          validate=False)
+                said = [raised(lambda: check_distributions(bad.matrix, tab.ids)),
+                        raised(bad.check)]
+                # the same history and the same fault; the sums may round apart
+                assert said[0] == said[1], said
+                if a is not negative_a or (bad.matrix[tab.hist[g]] < 0).any():
+                    assert said[0].startswith(f"history {tab.hists[tab.hist[g]]}: ")
+            level = level.backstop
+        r = build_regularizer(emp, lm, table, 1.0, 1.0).rows
+        for part in (r.p_plus, r.p_minus):
+            sums = part.sum(axis=1)
+            assert ((np.abs(sums - 1.0) <= PROB_ATOL) | (part == 0.0).all(axis=1)).all(), method
+        assert (np.abs(r.z_plus - r.z_minus) <= RECON_ATOL).all(), method
+
+
+def raised(check) -> str | None:
+    """The message of the NormalizationError `check` raises, up to any
+    row sum, or None."""
+    try:
+        check()
+    except NormalizationError as e:
+        return str(e).split(" to ")[0]
+    return None
 
 
 @given(train_and_heldout(), orders)
