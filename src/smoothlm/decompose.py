@@ -11,11 +11,12 @@ may be nonzero, since q - p is q itself elsewhere; `signed_decompose`, its
 entry point on raw arrays, checks both inputs first.  Aggregating one
 decomposition per observed history, weighted by that history's occurrence
 count, yields an additive regularizer that can be attached to any
-differentiable conditional model.  A RegularizerBundle keeps the count
-table, the smoothed LM and the split on the table's grams; the dense
-SignedDecomposition of its rows, whose matrices follow the table's sorted
-histories, is built on first read, and the table's row totals are the
-weights.
+differentiable conditional model.  `build_regularizer` takes an empirical
+and a smoothed LM keyed by one count table and splits them on its grams, in
+O(grams).  A RegularizerBundle keeps the count table, the smoothed LM and
+that split; the dense SignedDecomposition of its rows, whose matrices follow
+the table's sorted histories, is built on first read, and the table's row
+totals are the weights.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from .corpus import CountTable, History, write_cells
 from .ngram import ConditionalLM, check_distributions
 
 RECON_ATOL = 1e-12
-
-
-class CoverageError(ValueError):
-    """The smoothed model is missing histories present in the empirical one."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,21 +66,19 @@ def row_entropies(rows: np.ndarray) -> np.ndarray:
     return -np.bincount(i, weights=p * np.log(p), minlength=len(rows))
 
 
-def signed_decompose(empirical, smoothed, hists=None, support=None) -> SignedDecomposition:
+def signed_decompose(empirical, smoothed) -> SignedDecomposition:
     """Split smoothed - empirical into normalized positive and negative
     parts along the last axis, for a pair of vectors or a pair of
     (rows x emissions) matrices: the public entry point on raw arrays,
     which checks that both inputs are distributions, row by row, and then
-    splits them with `_split_difference`.  `hists` names the rows in input
-    errors; `support` lists, as flat cell indices, every cell where the
-    empirical input may be nonzero (its nonzero cells when not given)."""
+    splits them with `_split_difference` on the empirical input's nonzero
+    cells."""
     p, q = _pair(empirical, smoothed)
     vector, dim = p.ndim == 1, p.shape[-1]
     p, q = p.reshape(-1, dim), q.reshape(-1, dim)
-    check_distributions(p, hists, "empirical")
-    check_distributions(q, hists, "smoothed")
-    if support is None:
-        support = np.flatnonzero(p)
+    check_distributions(p, name="empirical")
+    check_distributions(q, name="smoothed")
+    support = np.flatnonzero(p)
     pos = q + 0.0
     pos.reshape(-1)[support] = 0.0
     row = support // dim
@@ -206,35 +201,22 @@ def build_regularizer(
     gamma_minus: float,
 ) -> RegularizerBundle:
     """Decompose smoothed against empirical on every history of `table`, in
-    O(grams): the empirical model must be `empirical_conditional(table)`,
-    whose rows are keyed by the table itself and are nonzero on the table's
-    gram cells only, where the split happens.  The gammas must be finite
-    and nonnegative.
+    O(grams).  Both models must be keyed by the table itself: the empirical
+    one is `empirical_conditional(table)`, nonzero on the table's gram cells
+    only, where the split happens, and the smoothed one a smoother's LM of
+    the table.  The gammas must be finite and nonnegative.
 
     Each LM is checked to hold distributions once: an LM built with
-    `validate=True` (`lm.checked`) has checked its own rows.  This function
-    checks an LM built unchecked, and the smoothed rows whenever the
-    smoothed LM is not keyed by `table` itself, as those rows are gathered
-    through `rows(table)` into an LM keyed by the table, and may come from
-    its backstop."""
-    if empirical_lm.order != smoothed_lm.order:
-        raise ValueError("order mismatch between empirical and smoothed models")
+    `validate=True` (`lm.checked`) has checked its own rows, and this
+    function checks an LM built unchecked."""
     for name, gamma in (("gamma_plus", gamma_plus), ("gamma_minus", gamma_minus)):
         if not math.isfinite(gamma):
             raise ValueError(f"{name} must be finite, got {gamma!r}")
     if gamma_plus < 0 or gamma_minus < 0:
         raise ValueError("gamma weights must be nonnegative")
-    if empirical_lm.keys is not table:
-        raise ValueError("the empirical model's rows are not the count table's histories")
-    if smoothed_lm.keys is not table:
-        missing = table.ids[smoothed_lm.keys.find(table.ids) < 0].tolist()
-        if missing:
-            rendered = ", ".join(table.vocab.render_history(h) for h in missing[:5])
-            raise CoverageError(f"smoothed model missing {len(missing)} histories: {rendered}")
-        smoothed_lm = ConditionalLM(table.order, table.vocab, (table, smoothed_lm.rows(table)),
-                                    method=smoothed_lm.method, params=smoothed_lm.params,
-                                    validate=False)
     for name, lm in (("empirical", empirical_lm), ("smoothed", smoothed_lm)):
+        if lm.keys is not table:
+            raise ValueError(f"the {name} model's rows are not the count table's histories")
         if not lm.checked:
             lm.check(name)
     grams = table, table.hist, table.out

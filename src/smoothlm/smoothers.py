@@ -11,8 +11,10 @@ add-lambda, Good-Turing and Simple Good-Turing, has a base row of ones.
 Those three back off to the uniform order-1 LM; an order-1 LM has no
 backstop, as its one history is always seen.  A level keeps only its seen
 values, a, d and backstop (`ConditionalLM.level`); its dense rows are built
-when a reader asks.  Rows sum to 1, Good-Turing's too, whose native
-normalization is global.
+when a reader asks, and no smoother builds one: every mass a level divides
+by is summed over the table's grams and the level below's parts, as
+`ConditionalLM.mass` and `off_mass` are.  Rows sum to 1, Good-Turing's too,
+whose native normalization is global.
 """
 
 from __future__ import annotations
@@ -171,11 +173,13 @@ def _renormalized(tab: CountTable, weight_of_count, unseen_weight: float) -> tup
     renormalized; an all-zero row falls back to uniform."""
     counts, inverse = np.unique(tab.count, return_inverse=True)
     weights = np.array([weight_of_count(int(c)) for c in counts], dtype=float)[inverse]
-    sums = _row_sums(tab, unseen_weight, weights)
+    n = len(tab.ids)
+    sums = np.bincount(tab.hist, weights, n) \
+        + unseen_weight * (tab.vocab.out_dim - np.bincount(tab.hist, minlength=n))
     empty = sums <= 0.0
     if empty.any():
         log.warning("%d of %d histories have all adjusted weights zero, using uniform",
-                    int(empty.sum()), len(tab.ids))
+                    int(empty.sum()), n)
         # every cell weighs 1 of the row's |V|
         weights[empty[tab.hist]] = 1.0
         sums[empty] = tab.vocab.out_dim
@@ -368,25 +372,25 @@ def _katz_discounts(tab: CountTable, k: int, counts: np.ndarray) -> np.ndarray:
 def _katz_level(tab: CountTable, k: int, lower: ConditionalLM) -> ConditionalLM:
     """One Katz level: discounted seen cells, the freed mass spread over the
     unseen cells in proportion to the lower-order row."""
+    n = len(tab.ids)
     kept = _katz_discounts(tab, k, tab.count) * tab.count / tab.totals[tab.hist]
-    kept_mass = _row_sums(tab, 0.0, kept)
+    kept_mass = np.bincount(tab.hist, kept, n)
     leftover = 1.0 - kept_mass
-    parents = parent_index(tab, lower)
-    base = np.take(lower.matrix, parents, axis=0)
-    parent = base[tab.hist, tab.out]  # read before the sum below zeroes them
-    unseen_mass = _row_sums(tab, base, 0.0)
+    parents, parent = _parent_cells(tab, lower)
+    # the parent row's mass off the grams, as `ConditionalLM.off_mass` sums it
+    unseen_mass = lower.mass[parents] - np.bincount(tab.hist, parent, n)
     spread = (leftover > 0.0) & (unseen_mass > 0.0)
     # rows with nothing to spread keep only their discounted cells, renormalized
     renorm = ~spread & (leftover != 0.0)
     over = renorm & (leftover < -1e-12)
     if over.any():
         log.warning("order %d: discounted mass exceeds 1 in %d of %d histories, "
-                    "renormalizing", tab.order, int(over.sum()), len(tab.ids))
+                    "renormalizing", tab.order, int(over.sum()), n)
     dead = renorm & (kept_mass <= 0.0)
     seen = kept / np.where(renorm & ~dead, kept_mass, 1.0)[tab.hist]
     if dead.any():
         log.warning("order %d: no mass survived discounting in %d of %d histories, "
-                    "using lower-order rows", tab.order, int(dead.sum()), len(tab.ids))
+                    "using lower-order rows", tab.order, int(dead.sum()), n)
         cells = dead[tab.hist]
         seen[cells] = parent[cells]
     # a dead row is its parent row: factor 1 / 1
@@ -449,11 +453,3 @@ def _parent_cells(tab: CountTable, lower: ConditionalLM) -> tuple[np.ndarray, np
     parents = parent_index(tab, lower)
     return parents, lower.cells(lower.keys, parents[tab.hist], tab.out)
 
-
-def _row_sums(tab: CountTable, fill, seen) -> np.ndarray:
-    """Row sums of the dense rows holding `seen` on `tab`'s grams and `fill`
-    (a scalar, or a fresh matrix summed in place) elsewhere, added pairwise
-    as a row's own sum is, so a mass compared or divided out keeps its bits."""
-    rows = fill if np.ndim(fill) else np.full((len(tab.ids), tab.vocab.out_dim), fill)
-    rows[tab.hist, tab.out] = seen
-    return rows.sum(axis=1)

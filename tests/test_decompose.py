@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from smoothlm.corpus import corpus_from_lines, count_ngrams, read_cells
 from smoothlm.decompose import (
     RECON_ATOL,
-    CoverageError,
     build_regularizer,
     signed_decompose,
     write_decomposition,
@@ -150,26 +149,33 @@ class TestBuildRegularizer:
         for dec in bundle.per_history.values():
             assert dec.z_plus == 0.0 and dec.z_minus == 0.0
 
-    def test_coverage_error(self):
-        table, emp, sm = self.table_and_lms()
-        crippled = dict(sm.table)
-        missing = next(iter(crippled))
-        del crippled[missing]
-        from smoothlm.ngram import ConditionalLM
-
-        sm2 = ConditionalLM(sm.order, sm.vocab, crippled)
-        with pytest.raises(CoverageError):
-            build_regularizer(emp, sm2, table, 1.0, 1.0)
-
     def test_empirical_model_of_another_table_rejected(self):
-        table, _, sm = self.table_and_lms()
+        table, emp, sm = self.table_and_lms()
         # another corpus over the same symbols: the same histories, other rows
         other = count_ngrams(synthetic_corpus(4, n_sequences=60, n_symbols=6), 2)
         assert other.hists == table.hists
         fewer = count_ngrams(corpus_from_lines(["a b"], vocab=table.vocab), 2)
         for data in (other, fewer):
-            with pytest.raises(ValueError, match="not the count table's histories"):
+            with pytest.raises(ValueError, match="^the empirical model's rows are not the count "
+                                                 "table's histories$"):
                 build_regularizer(empirical_conditional(data), sm, table, 1.0, 1.0)
+        # in the smoothed position: a smoother's LM of another table, of the
+        # table one order up, and the same rows keyed by history tuples
+        corpus = synthetic_corpus(3, n_sequences=60, n_symbols=6)
+        for lm in (smooth(other, "add_lambda"), smooth(count_ngrams(corpus, 3), "add_lambda"),
+                   ConditionalLM(sm.order, sm.vocab, sm.table)):
+            with pytest.raises(ValueError, match="^the smoothed model's rows are not the count "
+                                                 "table's histories$"):
+                build_regularizer(emp, lm, table, 1.0, 1.0)
+
+    def test_coverage_error(self):
+        # a smoothed LM missing one of the table's histories is refused
+        table, emp, sm = self.table_and_lms()
+        crippled = dict(sm.table)
+        del crippled[next(iter(crippled))]
+        with pytest.raises(ValueError, match="^the smoothed model's rows are not the count "
+                                             "table's histories$"):
+            build_regularizer(emp, ConditionalLM(sm.order, sm.vocab, crippled), table, 1.0, 1.0)
 
     def test_rows_follow_the_table(self):
         table, emp, sm = self.table_and_lms()
@@ -218,18 +224,18 @@ class TestBuildRegularizer:
 
     def test_checked_rows_are_not_checked_again(self, monkeypatch):
         table, emp, sm = self.table_and_lms()
-        # a smoothed LM keyed by history tuples, not by the table, and an
-        # unchecked copy of the empirical rows
-        other = ConditionalLM(sm.order, sm.vocab, sm.table)
-        copy = ConditionalLM(emp.order, emp.vocab, (table, emp.matrix), validate=False)
+        # unchecked copies of the empirical and the smoothed rows, keyed by
+        # the table
+        copies = [ConditionalLM(lm.order, lm.vocab, (table, lm.matrix), validate=False)
+                  for lm in (emp, sm)]
         calls = []
         check = ConditionalLM.check
         monkeypatch.setattr(ConditionalLM, "check",
                             lambda lm, name="": calls.append(name) or check(lm, name))
         want = build_regularizer(emp, sm, table, 1.0, 1.0).rows
         assert emp.checked and sm.checked and calls == []
-        # are checked once each, the first's rows(table) as an LM keyed by it
-        got = build_regularizer(copy, other, table, 1.0, 1.0).rows
+        # are checked once each
+        got = build_regularizer(*copies, table, 1.0, 1.0).rows
         assert calls == ["empirical", "smoothed"]
         # both routes split the same cells, so Z- and p_minus keep their
         # bits; the dense copy's Z+ sums its off-gram mass from its rows,
@@ -300,14 +306,6 @@ def test_bundle_rows_are_the_dense_split(method, params, table):
         assert_same_bits(got, want, method)
 
 
-def test_the_support_defaults_to_the_nonzero_cells():
-    table = count_ngrams(synthetic_corpus(3, n_sequences=60, n_symbols=6), 2)
-    p, q = empirical_conditional(table).matrix, smooth(table, "katz").matrix
-    by_grams = signed_decompose(p, q, support=table.hist * table.vocab.out_dim + table.out)
-    for got, want in zip(vars(signed_decompose(p, q)).values(), vars(by_grams).values()):
-        assert_same_bits(got, want)
-
-
 def test_levels_bundles_and_perplexity_build_no_dense_rows():
     # numpy reports its buffers to tracemalloc, so one (histories x |V|+1)
     # float matrix on the way would lift the traced peak past the bound;
@@ -320,10 +318,13 @@ def test_levels_bundles_and_perplexity_build_no_dense_rows():
     bound = 8 * len(table.ids) * table.vocab.out_dim
     tracemalloc.start()
     try:
-        for method in ("add_lambda", "jelinek_mercer", "kneser_essen_ney"):
+        for method in METHODS:
             lm = smooth(table, method)
             build_regularizer(empirical_conditional(table), lm, table, 1.0, 1.0)
-            assert math.isfinite(perplexity(lm, held)), method
+            # a known defect: Good-Turing gives a seen cell 0 wherever
+            # r_(c+1) == 0, and some held-out grams land on one, so its
+            # perplexity here is inf
+            assert math.isfinite(perplexity(lm, held)) or method == "good_turing", method
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,8 +3,9 @@ small corpora (2-8 symbols, orders 1-3), with the count arrays checked
 against a per-position recount, per-cell oracles written from gram_count,
 held-out perplexity against the per-token string_logprob, held-out cells
 against held-out rows, held-out rows against a walk to each history's longest
-seen suffix, and each level's check and split from its parts against its
-dense rows."""
+seen suffix, each level's check and split from its parts against its dense
+rows, and the masses GT, SGT and Katz sum over the grams against the sums of
+their dense rows."""
 
 import math
 import os
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothlm.corpus import Corpus, Vocabulary, count_ngrams, read_count_table, write_count_table
+from smoothlm.corpus import (Corpus, Vocabulary, count_ngrams, read_count_table,
+                             write_count_table, zero_gram_count)
 from smoothlm.decompose import RECON_ATOL, build_regularizer
 from smoothlm.ngram import (
     PROB_ATOL,
@@ -32,7 +34,10 @@ from smoothlm.ngram import (
 from smoothlm.smoothers import (
     METHODS,
     KatzConfigError,
+    _katz_discounts,
     _parent_cells,
+    good_turing_adjusted_count,
+    sgt_fit,
     smooth,
     smooth_add_lambda,
     smooth_kneser_essen_ney,
@@ -331,6 +336,69 @@ def test_levels_score_check_and_split_from_their_parts(data, order, draws):
             sums = part.sum(axis=1)
             assert ((np.abs(sums - 1.0) <= PROB_ATOL) | (part == 0.0).all(axis=1)).all(), method
         assert (np.abs(r.z_plus - r.z_minus) <= RECON_ATOL).all(), method
+
+
+def dense_sums(tab, seen, fill):
+    """The oracle of a level's masses: the pairwise row sums of dense rows
+    holding `seen` on `tab`'s grams and `fill`, a scalar or a matrix,
+    elsewhere."""
+    rows = np.array(np.broadcast_to(fill, (len(tab.ids), tab.vocab.out_dim)), dtype=float)
+    rows[tab.hist, tab.out] = seen
+    return rows.sum(axis=1)
+
+
+def katz_branches(a, d):
+    """Each Katz row's branch, as its a and d show it: 0 where it spreads
+    its leftover mass (a > 0 over its parent's unseen mass d), 1 where it
+    renormalizes its discounted cells (a = 0, d = 1), 2 where nothing was
+    left and it is its parent row (a = d = 1)."""
+    return np.select([(a == 1.0) & (d == 1.0), a == 0.0], [2, 1], 0)
+
+
+@given(corpora(), st.integers(1, 4))
+def test_level_masses_are_the_dense_row_sums(corpus, order):
+    # GT's and SGT's d (each row's weights: its seen cells' plus the unseen
+    # weight on each other cell) and Katz's a and d (1 less the discounted
+    # mass of the seen cells, and the parent row's mass off the grams) are
+    # summed over the grams and the level's parts; summed over the dense
+    # rows instead, they agree within 1e-12, and every Katz row takes the
+    # same branch
+    table = count_ngrams(corpus, order)
+    r, r0 = table.count_of_counts, zero_gram_count(table)
+    weights = {"good_turing": (lambda c: good_turing_adjusted_count(c, r, r0),
+                               good_turing_adjusted_count(0, r, r0))}
+    if len(r) > 1:  # else SGT falls back to add-lambda, whose d is no sum
+        fit = sgt_fit(r, table.total_tokens)
+        p0 = fit.p0 if fit.p0 > 0 else math.exp(fit.intercept) / table.total_tokens
+        weights["simple_good_turing"] = (lambda c: fit.seen_scale * fit.smoothed_count[c],
+                                         p0 / r0 if r0 > 0 else 0.0)
+    for method, (weight, unseen) in weights.items():
+        d = dense_sums(table, [weight(c) for c in table.count.tolist()], unseen)
+        # a row of no weight is uniform
+        d[d <= 0.0] = table.vocab.out_dim
+        np.testing.assert_allclose(smooth(table, method).d, d, rtol=1e-12, atol=0,
+                                   err_msg=method)
+    try:
+        level = smooth(table, "katz")
+    except KatzConfigError:
+        return
+    while level.backstop is not None:
+        tab, lower = level.keys, level.backstop
+        kept = _katz_discounts(tab, 5, tab.count) * tab.count / tab.totals[tab.hist]
+        kept_mass = dense_sums(tab, kept, 0.0)
+        leftover = 1.0 - kept_mass
+        unseen_mass = dense_sums(tab, 0.0, lower.rows(tab.ids[:, 1:]))
+        spread = (leftover > 0.0) & (unseen_mass > 0.0)
+        dead = ~spread & (leftover != 0.0) & (kept_mass <= 0.0)
+        a, d = np.where(spread, leftover, dead * 1.0), np.where(spread, unseen_mass, 1.0)
+        got, want = katz_branches(level.a, level.d), np.select([dead, ~spread], [2, 1], 0)
+        # a spread row of a = d = 1 is its parent row, and reads as 2; the
+        # checks below hold its a and d by the dense sums to 1
+        assert ((got == want) | (got == 2) & (want == 0)).all(), (tab.order, got, want)
+        for part, oracle in ((level.a, a), (level.d, d)):
+            np.testing.assert_allclose(part, oracle, rtol=1e-12, atol=0,
+                                       err_msg=f"order {tab.order}")
+        level = lower
 
 
 def raised(check) -> str | None:
