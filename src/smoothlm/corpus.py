@@ -6,12 +6,14 @@ are formed, EOS only as the terminal event of each sequence.  All counting
 conventions downstream (conditional distributions, smoothing, training
 weights) are defined in terms of the tables built here.
 
-A CountTable is its sorted gram arrays, which CountTable.from_grams builds
-by one sort of integer codes from every source: a corpus, a higher-order
-table, a count file.  A model's rows are named by a RowKeys, whose `find`
-looks histories up by those codes; a CountTable is the RowKeys of its own
-histories.  The history tuples and the table's count dicts are views for
-`perfbench/`, the tests and the oracles.
+A CountTable is its sorted gram arrays, which CountTable.from_codes builds
+by the one sort of integer gram codes from every source: a corpus's padded
+id stream, a higher-order table's codes less their leading digit, and a
+count file's cells (through from_grams, which checks them first).  A
+model's rows are named by a RowKeys, whose `find` looks histories up by
+those codes, searching them in sorted order (sorted_search); a CountTable
+is the RowKeys of its own histories.  The history tuples and the table's
+count dicts are views for `perfbench/`, the tests and the oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 log = logging.getLogger(__name__)
 
@@ -180,7 +181,7 @@ class RowKeys:
         codes = history_codes(ids, self.base)
         if not len(self.codes):
             return np.full(len(codes), -1, dtype=np.intp)
-        at = np.searchsorted(self.codes, codes)
+        at = sorted_search(self.codes, codes)
         np.minimum(at, len(self.codes) - 1, out=at)
         found = self.codes[at] == codes
         rows = at if self.code_rows is None else self.code_rows[at]
@@ -195,11 +196,12 @@ class CountTable(RowKeys):
     (a symbol or EOS) is x.  The table is its grams, and its histories are
     its RowKeys, in code order: row i is history ids[i], with row total
     totals[i]; gram g adds count[g] at row hist[g], emission index out[g].
-    Invariant, set by from_grams: the histories pass check_histories, are
-    sorted and each has a gram; the grams are sorted by (row, emission
-    index), each once, with a count of at least 1.  As BOS and EOS's
-    emission index are both n_symbols, this is the order of sorting the
-    (history, emitted id) pairs, and `hists` is sorted(history_count)."""
+    Invariant, set by from_codes, the one sort: the histories pass
+    check_histories, are sorted and each has a gram; the grams are sorted
+    by (row, emission index), each once, with a count of at least 1.  As
+    BOS and EOS's emission index are both n_symbols, this is the order of
+    sorting the (history, emitted id) pairs, and `hists` is
+    sorted(history_count)."""
 
     order: int
     vocab: Vocabulary
@@ -209,12 +211,52 @@ class CountTable(RowKeys):
     totals: np.ndarray
 
     @classmethod
+    def from_codes(cls, order: int, vocab: Vocabulary, codes: np.ndarray,
+                   counts: np.ndarray | None = None) -> CountTable:
+        """The table of the grams whose codes (see history_codes: a
+        history's ids, then the emitted id, in base |V|+2) are `codes`, each
+        occurring once, or counts[g] times; equal codes are summed.  This is
+        the one sort of every table: np.sort and run lengths without
+        `counts`, else argsort and add.reduceat.  The history ids are read
+        back off the codes' digits with // and %, which act on Python-int
+        codes too, and check_histories runs once on the distinct histories;
+        the caller vouches that every digit is in range and that the last
+        is an emittable id."""
+        base = vocab.n_symbols + 2
+        codes = codes.astype(_code_dtype(base, order), copy=False)
+        if counts is not None:
+            sort = np.argsort(codes)
+            codes, counts = codes[sort], counts[sort]
+        else:
+            codes = np.sort(codes)
+        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        count = np.diff(first, append=len(codes)) if counts is None else \
+            np.add.reduceat(counts, first)
+        codes = codes[first]
+        # a gram's code is its history's code, then one more digit
+        hist_codes = codes // base
+        new_hist = np.concatenate(([True], hist_codes[1:] != hist_codes[:-1]))
+        hist_codes = hist_codes[new_hist].astype(_code_dtype(base, order - 1), copy=False)
+        hist_ids = np.empty((len(hist_codes), order - 1), dtype=np.intp)
+        rest = hist_codes
+        for j in reversed(range(order - 1)):
+            hist_ids[:, j] = rest % base
+            rest = rest // base
+        check_histories(vocab, order - 1, hist_ids)
+        out = (codes % base).astype(np.intp, copy=False)
+        return cls(
+            ids=hist_ids, codes=hist_codes, base=base, code_rows=None, order=order,
+            vocab=vocab, hist=np.cumsum(new_hist) - 1,
+            out=np.minimum(out, vocab.n_symbols),  # EOS's index is n_symbols
+            count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist)))
+
+    @classmethod
     def from_grams(cls, order: int, vocab: Vocabulary, keys, counts) -> CountTable:
         """The table of the (N, order) ids `keys`, each row a history and
         then its emitted id, occurring counts[g] times; equal rows are
-        summed.  The rows are sorted by one sort of their codes (see
-        history_codes), checked to be in range first, since the code of an
-        out-of-range id can be that of another history."""
+        summed.  The rows are checked to be in range, since the code of an
+        out-of-range id can be that of another history, and then counted
+        by from_codes."""
         keys, counts = np.asarray(keys, dtype=np.intp), np.asarray(counts, dtype=np.int64)
         if order < 1 or not len(counts) or keys.shape != (len(counts), order):
             raise ValueError(f"need one count per row of a nonempty (N, {order}) gram array")
@@ -228,23 +270,7 @@ class CountTable(RowKeys):
         if bad.any():
             # name the first bad history in sorted order
             check_histories(vocab, order - 1, np.unique(hist_ids[bad], axis=0))
-        base = n + 2
-        codes = history_codes(keys, base)
-        sort = np.argsort(codes)
-        codes = codes[sort]
-        first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        count = np.add.reduceat(counts[sort], first)
-        keys = keys[sort[first]]
-        # a gram's code is its history's code, then one more digit
-        hist_codes = codes[first] // base
-        new_hist = np.r_[True, hist_codes[1:] != hist_codes[:-1]]
-        hist_ids = keys[new_hist, :-1]
-        check_histories(vocab, order - 1, hist_ids)
-        return cls(
-            ids=hist_ids, codes=hist_codes[new_hist].astype(_code_dtype(base, order - 1)),
-            base=base, code_rows=None, order=order, vocab=vocab,
-            hist=np.cumsum(new_hist) - 1, out=np.minimum(keys[:, -1], n),  # EOS's index is n
-            count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist)))
+        return cls.from_codes(order, vocab, history_codes(keys, n + 2), counts)
 
     @property
     def total_tokens(self) -> int:
@@ -332,6 +358,16 @@ def history_codes(ids: np.ndarray, base: int) -> np.ndarray:
     return codes
 
 
+def sorted_search(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.searchsorted(a, v), by one search of the queries `v` in sorted
+    order, whose positions are scattered back: each query's search starts
+    where the one before it ended, and reads memory in order."""
+    sort = np.argsort(v)
+    at = np.empty(len(v), dtype=np.intp)
+    at[sort] = np.searchsorted(a, v[sort])
+    return at
+
+
 def _code_dtype(base: int, width: int):
     return object if base ** width >= 2 ** 63 else np.int64
 
@@ -415,16 +451,29 @@ def count_ngrams(corpus: Corpus, order: int) -> CountTable:
     its token, and one final position per sequence emits EOS.  Histories
     therefore contain BOS only as a contiguous prefix.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    vocab = corpus.vocab
-    pad, eos = (vocab.bos_id,) * (order - 1), (vocab.eos_id,)
-    padded = np.fromiter(chain.from_iterable(pad + seq + eos for seq in corpus.sequences),
-                         dtype=np.intp)
-    # every position but the padding emits, after the order-1 positions before it
-    emits = np.flatnonzero(padded != vocab.bos_id)
-    keys = sliding_window_view(padded, order)[emits - (order - 1)]
-    return CountTable.from_grams(order, vocab, keys, np.ones(len(emits), dtype=np.int64))
+    if not isinstance(order, numbers.Integral) or isinstance(order, bool) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    order, vocab, seqs = int(order), corpus.vocab, corpus.sequences
+    # the padded id stream: each sequence's block is order-1 BOS, its
+    # tokens, then EOS, so token i of the stream, in sequence k, follows
+    # k + 1 blocks' BOS and k EOS
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=lengths.sum())
+    ends = np.cumsum(lengths + order)
+    padded = np.full(ends[-1], vocab.bos_id, dtype=np.intp)
+    padded[ends - 1] = vocab.eos_id
+    k = np.repeat(np.arange(len(seqs)), lengths)
+    padded[np.arange(len(tokens)) + order * (k + 1) - 1] = tokens
+    # the code of the window ending at each position, by one multiply-add
+    # per shifted slice of the id stream (see history_codes); every
+    # position but the padding emits
+    base, n = vocab.n_symbols + 2, len(padded) - (order - 1)
+    dtype = _code_dtype(base, order)
+    codes = np.zeros(n, dtype=dtype)
+    for j in range(order):
+        codes *= base
+        codes += padded[j:j + n].astype(dtype, copy=False)
+    return CountTable.from_codes(order, vocab, codes[padded[order - 1:] != vocab.bos_id])
 
 
 def table_at(data: Corpus | CountTable, order: int, vocab: Vocabulary | None = None
@@ -455,8 +504,12 @@ def marginalize(table: CountTable) -> CountTable:
     """
     if table.order < 2:
         raise ValueError("cannot marginalize an order-1 table")
-    keys = _gram_keys(table.vocab, table.order, table.ids, table.hist, table.out)
-    return CountTable.from_grams(table.order - 1, table.vocab, keys[:, 1:], table.count)
+    order, base, n = table.order - 1, table.base, table.vocab.n_symbols
+    # a gram's code one order down: its history's code without the leading
+    # digit, then its emitted id (EOS for emission index n)
+    hist_codes = (table.codes % base ** (order - 1)).astype(_code_dtype(base, order))
+    codes = hist_codes[table.hist] * base + np.where(table.out == n, n + 1, table.out)
+    return CountTable.from_codes(order, table.vocab, codes, table.count)
 
 
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:

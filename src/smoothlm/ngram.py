@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import (Corpus, CountTable, History, RowKeys, Vocabulary, check_histories,
-                     history_ids, read_cells, row_index, table_at, write_cells)
+                     history_ids, read_cells, row_index, sorted_search, table_at,
+                     write_cells)
 
 PROB_ATOL = 1e-9
 
@@ -196,7 +197,7 @@ class ConditionalLM:
             # the grams' flat cell indices are sorted
             grams = self.keys.hist * self.vocab.out_dim + self.keys.out
             cell = rows * self.vocab.out_dim + out
-            g = np.minimum(np.searchsorted(grams, cell), len(grams) - 1)
+            g = np.minimum(sorted_search(grams, cell), len(grams) - 1)
             on = grams[g] == cell
             p[on] = self.seen[g[on]]
             off = ~on

@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlm import corpus as corpus_module
@@ -63,6 +63,61 @@ def oracle_suffix_count(sequences, query):
 
 def toy_corpus():
     return corpus_from_lines(["a b", "b a"])
+
+
+def assert_same_table(got: CountTable, want: CountTable) -> None:
+    """Every field of the two tables equal, each array of the same dtype."""
+    for f in fields(CountTable):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+def window_counts(corpus, order):
+    """{(history, emitted id): count} over the windows of each BOS-padded
+    sequence, one emitting position at a time."""
+    v = corpus.vocab
+    grams = Counter()
+    for seq in corpus.sequences:
+        ids = (v.bos_id,) * (order - 1) + seq + (v.eos_id,)
+        for t in range(order - 1, len(ids)):
+            grams[ids[t - order + 1:t], ids[t]] += 1
+    return grams
+
+
+def oracle_table(vocab, order, grams):
+    """The CountTable of {(history, emitted id): count}, field by field:
+    histories sorted, codes as Python ints spelling them in base |V|+2,
+    grams sorted by (history, emission index)."""
+    base, width = vocab.n_symbols + 2, order - 1
+    hists = sorted({h for h, _ in grams})
+    row = {h: i for i, h in enumerate(hists)}
+    cells = sorted((row[h], vocab.out_index(x), c) for (h, x), c in grams.items())
+    totals = Counter()
+    for (h, _), c in grams.items():
+        totals[h] += c
+    codes = [sum(i * base ** (width - 1 - j) for j, i in enumerate(h)) for h in hists]
+    return CountTable(
+        ids=np.array(hists, dtype=np.intp).reshape(len(hists), width),
+        codes=np.array(codes, dtype=object if base ** width >= 2 ** 63 else np.int64),
+        base=base, code_rows=None, order=order, vocab=vocab,
+        hist=np.array([r for r, _, _ in cells], dtype=np.intp),
+        out=np.array([j for _, j, _ in cells], dtype=np.intp),
+        count=np.array([c for _, _, c in cells], dtype=np.int64),
+        totals=np.array([totals[h] for h in hists], dtype=np.int64))
+
+
+# 600 symbols: (|V|+2)^7 passes 2^63, so the gram codes at orders 7 and 8
+# and the history codes at order 8 are Python ints
+@st.composite
+def corpora_and_orders(draw):
+    n_sym = draw(st.sampled_from([1, 4, 600]))
+    seqs = draw(st.lists(st.lists(st.integers(0, n_sym - 1), max_size=10),
+                         min_size=1, max_size=6))
+    vocab = Vocabulary(symbols=tuple(f"s{i}" for i in range(n_sym)))
+    return Corpus(vocab=vocab, sequences=tuple(map(tuple, seqs))), draw(st.integers(1, 8))
 
 
 class TestVocabulary:
@@ -198,6 +253,26 @@ class TestCountNgrams:
         with pytest.raises(ValueError):
             count_ngrams(toy_corpus(), 0)
 
+    @pytest.mark.parametrize("order", [2.0, 1.5, True, False, "2", None])
+    def test_order_that_is_not_an_integer_rejected(self, order):
+        # 2.0 and True used to fail with a TypeError from tuple repetition
+        with pytest.raises(ValueError, match=f"order must be an integer >= 1, got {order!r}"):
+            count_ngrams(toy_corpus(), order)
+
+    @settings(max_examples=150)
+    @given(corpora_and_orders())
+    def test_matches_a_window_counter(self, data):
+        c, order = data
+        t = count_ngrams(c, order)
+        assert_same_table(t, oracle_table(c.vocab, order, window_counts(c, order)))
+        if c.vocab.n_symbols == 600 and order == 8:
+            assert t.codes.dtype == object
+
+    def test_numpy_integer_order_is_stored_as_int(self):
+        t = count_ngrams(toy_corpus(), np.int64(2))
+        assert type(t.order) is int
+        assert_same_table(t, count_ngrams(toy_corpus(), 2))
+
     def test_history_totals_equal_emissions(self):
         rng = np.random.default_rng(3)
         vocab = Vocabulary(symbols=("a", "b"))
@@ -262,21 +337,14 @@ class TestCountsOfCounts:
 
 
 class TestMarginalize:
-    @given(st.lists(st.lists(st.integers(0, 3), max_size=8), min_size=1, max_size=8),
-           st.integers(2, 5))
-    def test_matches_direct_recount(self, seqs, order):
-        c = Corpus(vocab=Vocabulary(symbols=("a", "b", "c", "d")),
-                   sequences=tuple(map(tuple, seqs)))
+    @settings(max_examples=150)
+    @given(corpora_and_orders())
+    def test_matches_direct_recount(self, data):
+        c, order = data
         t = count_ngrams(c, order)
         while t.order > 1:
             t = marginalize(t)
-            direct = count_ngrams(c, t.order)
-            for f in fields(CountTable):
-                got, want = getattr(t, f.name), getattr(direct, f.name)
-                if isinstance(want, np.ndarray):
-                    assert got.dtype == want.dtype and np.array_equal(got, want), f.name
-                else:
-                    assert got == want, f.name
+            assert_same_table(t, count_ngrams(c, t.order))
 
 
 def test_backoff_smoothers_of_one_table_share_its_marginals(monkeypatch):
@@ -327,6 +395,27 @@ class TestFromGrams:
         v = Vocabulary(symbols=("a", "b"))
         with pytest.raises(ValueError, match=r"BOS is not a contiguous prefix of history \(0, 2\)"):
             CountTable.from_grams(3, v, [(2, 2, 0), (0, 2, 1)], [1, 1])
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_summed_counts_match_a_counter(self, data):
+        # key rows in any order, repeated, with counts of at least 1
+        n_sym = data.draw(st.sampled_from([1, 3, 600]))
+        order = data.draw(st.integers(1, 8))
+        v = Vocabulary(symbols=tuple(f"s{i}" for i in range(n_sym)))
+        bos, emit = st.just(v.bos_id), st.sampled_from([0, n_sym - 1, v.eos_id])
+        # a history is a run of BOS, then symbols
+        hist = st.integers(0, order - 1).flatmap(lambda k: st.tuples(
+            *[bos] * k, *[st.integers(0, n_sym - 1)] * (order - 1 - k)))
+        pool = data.draw(st.lists(st.tuples(hist, emit), min_size=1, max_size=6))
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 5)),
+                                  min_size=1, max_size=20))
+        grams = Counter()
+        for g, c in rows:
+            grams[g] += c
+        t = CountTable.from_grams(order, v, [(*h, x) for (h, x), _ in rows],
+                                  [c for _, c in rows])
+        assert_same_table(t, oracle_table(v, order, grams))
 
     def test_rejects_keys_of_another_order(self):
         with pytest.raises(ValueError, match="gram array"):

@@ -214,6 +214,51 @@ def test_tabular_forward_matches_a_dict_lookup(data):
             expected_perplexity(order, row_of, held), rel=1e-12)
 
 
+def cell_by_dict(lm: ConditionalLM, h: tuple, j: int) -> float:
+    """Cell j of the row at the highest level of lm's backstop chain whose
+    keys' `index` holds a suffix of h."""
+    while (i := lm.keys.index.get(h)) is None:
+        h, lm = h[lm.order - lm.backstop.order:], lm.backstop
+    return lm.matrix[i, j]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shuffled_queries_find_what_sorted_ones_do(data):
+    # find and cells search their queries in sorted order and scatter the
+    # answers back, so a query's answer cannot depend on its place
+    train, held, order = data.draw(cases())
+    table, t = count_ngrams(train, order), count_ngrams(held, order)
+    width, bos = order - 1, train.vocab.bos_id
+    some = st.lists(st.integers(0, bos), min_size=width, max_size=width).map(tuple)
+    batch = data.draw(st.lists(st.one_of(st.sampled_from(table.hists), some), min_size=1,
+                               max_size=12))
+    ids = np.array(batch, dtype=np.intp).reshape(len(batch), width)
+    perm = np.array(data.draw(st.permutations(range(len(batch)))))
+    in_order = np.array(sorted(range(len(batch)), key=batch.__getitem__))
+    # a table's keys are in code order; listed keys keep a permutation
+    listed = [table.hists[i] for i in data.draw(st.permutations(range(len(table.hists))))]
+    for keys in (table, ConditionalLM(order, train.vocab, (listed, np.zeros(
+            (len(listed), train.vocab.out_dim))), validate=False).keys):
+        got = keys.find(ids)
+        assert got.tolist() == [keys.index.get(h, -1) for h in batch]
+        assert keys.find(ids[perm]).tolist() == got[perm].tolist()
+        assert keys.find(ids[in_order]).tolist() == got[in_order].tolist()
+    grams = np.array(data.draw(st.permutations(range(len(t.count)))), dtype=np.intp)
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            lm = smooth(table, method)
+        except KatzConfigError:
+            continue
+        want = lm.cells(t, t.hist, t.out)
+        got = lm.cells(t, t.hist[grams], t.out[grams])
+        np.testing.assert_array_equal(got.view(np.int64), want[grams].view(np.int64))
+        by_dict = [cell_by_dict(lm, t.hists[r], j) for r, j in zip(t.hist, t.out)]
+        np.testing.assert_array_equal(want.view(np.int64), np.array(by_dict).view(np.int64))
+
+
 def test_codes_reach_python_ints_only_past_2_to_the_63():
     # two symbols: base 4, and 4^31 = 2^62 < 2^63 <= 4^32
     corpus = Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=((0, 1, 1), (1,)))
