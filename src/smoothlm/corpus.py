@@ -12,8 +12,10 @@ id stream, a higher-order table's codes less their leading digit, and a
 count file's cells (through from_grams, which checks them first).  A
 model's rows are named by a RowKeys, whose `find` looks histories up by
 those codes, searching them in sorted order (sorted_search); a CountTable
-is the RowKeys of its own histories.  The history tuples and the table's
-count dicts are views for `perfbench/`, the tests and the oracles.
+is the RowKeys of its own histories, and keeps the backoff structure the
+smoothers read without a search: its `marginal` and its `parents` there.
+The history tuples and the table's count dicts are views for `perfbench/`,
+the tests and the oracles.
 """
 
 from __future__ import annotations
@@ -201,7 +203,10 @@ class CountTable(RowKeys):
     by (row, emission index), each once, with a count of at least 1.  As
     BOS and EOS's emission index are both n_symbols, this is the order of
     sorting the (history, emitted id) pairs, and `hists` is
-    sorted(history_count)."""
+    sorted(history_count).  Above order 1 a table has a backoff structure,
+    built on first read and kept: `marginal`, and `parents`, which maps
+    each history and each gram to its parent there (Chen & Goodman 1998,
+    section 2.8), as KenLM's context pointers do."""
 
     order: int
     vocab: Vocabulary
@@ -287,6 +292,20 @@ class CountTable(RowKeys):
         """The table one order down (see marginalize), built on first read,
         so the backoff smoothers of one table share one chain of tables."""
         return marginalize(self)
+
+    @cached_property
+    def parents(self) -> tuple[np.ndarray, np.ndarray]:
+        """The backoff structure one order down, built on first read: the
+        row in `marginal` of each history's parent (the history without its
+        oldest symbol), and the index in `marginal` of each gram's parent
+        gram (the parent history, the same emission).  One search of the
+        grams' codes one order down among the marginal's, which are sorted
+        and hold every one of them."""
+        down = self.marginal
+        grams = np.searchsorted(_gram_codes(down, down.order), _gram_codes(self, down.order))
+        rows = np.empty(len(self.ids), dtype=np.intp)
+        rows[self.hist] = down.hist[grams]
+        return rows, grams
 
     @cached_property
     def gram_count(self) -> dict[tuple[History, int], int]:
@@ -504,12 +523,18 @@ def marginalize(table: CountTable) -> CountTable:
     """
     if table.order < 2:
         raise ValueError("cannot marginalize an order-1 table")
-    order, base, n = table.order - 1, table.base, table.vocab.n_symbols
-    # a gram's code one order down: its history's code without the leading
-    # digit, then its emitted id (EOS for emission index n)
+    order = table.order - 1
+    return CountTable.from_codes(order, table.vocab, _gram_codes(table, order), table.count)
+
+
+def _gram_codes(table: CountTable, order: int) -> np.ndarray:
+    """The code of each of `table`'s grams at `order`, at most the table's:
+    its history's code less the leading digits, then its emitted id (EOS for
+    emission index n), in the dtype of codes at that order, so that no code
+    overflows."""
+    base, n = table.base, table.vocab.n_symbols
     hist_codes = (table.codes % base ** (order - 1)).astype(_code_dtype(base, order))
-    codes = hist_codes[table.hist] * base + np.where(table.out == n, n + 1, table.out)
-    return CountTable.from_codes(order, table.vocab, codes, table.count)
+    return hist_codes[table.hist] * base + np.where(table.out == n, n + 1, table.out)
 
 
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:

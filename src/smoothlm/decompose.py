@@ -219,10 +219,9 @@ def build_regularizer(
             raise ValueError(f"the {name} model's rows are not the count table's histories")
         if not lm.checked:
             lm.check(name)
-    grams = table, table.hist, table.out
     return RegularizerBundle(
         table, smoothed_lm,
-        *_split_difference(empirical_lm.cells(*grams), smoothed_lm.cells(*grams), table.hist,
+        *_split_difference(empirical_lm.gram_cells, smoothed_lm.gram_cells, table.hist,
                            smoothed_lm.off_mass),
         gamma_plus=gamma_plus, gamma_minus=gamma_minus,
     )

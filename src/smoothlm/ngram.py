@@ -47,7 +47,9 @@ class ConditionalLM:
     or a row of ones.  `level` builds one, as every smoother and
     `empirical_conditional` do; it keeps only the seen values, a, d, the
     backstop and, on a parent base, each history's parent row and each
-    gram's parent cell, and checks its rows in O(grams).  An LM given a
+    gram's parent cell, and checks its rows in O(grams).  `gram_cells`
+    gives an LM's values on its own keys' grams with no search: a level's
+    seen values, or a gather from a given matrix.  An LM given a
     dense matrix keeps that matrix as its rows, the base of a level with
     a = d = 1 and no seen cells: `table` is then a mapping history ->
     vector (stacked into one matrix), or a pair (histories, matrix) whose
@@ -109,9 +111,10 @@ class ConditionalLM:
         """The level of `table`'s histories whose cells on the table's grams
         hold `seen` and whose other cells are base * a / d.  The base row is
         each history's parent row in `backstop` with `parent`, the pair
-        (the row of each history's parent there, from `parent_index`, and
-        each gram's cell in its parent row), else a row of ones.  With
-        `validate`, `check` runs, in O(grams)."""
+        (the row of each history's parent there and each gram's cell in its
+        parent row, read off the table's `parents` and the backstop's
+        `gram_cells`), else a row of ones.  With `validate`, `check` runs,
+        in O(grams)."""
         lm = cls.__new__(cls)
         lm._setup(table.order, table.vocab, table, backstop, method, params,
                   np.asarray(seen, dtype=float), a, d, None if parent is None else backstop)
@@ -180,6 +183,17 @@ class ConditionalLM:
         if isinstance(self.base, np.ndarray):
             return self.base[rows, out]
         return self.backstop.cells(self.backstop.keys, self._parents[rows], out)
+
+    @property
+    def gram_cells(self) -> np.ndarray:
+        """The cells on the grams of the keys, a count table, with no
+        search: cells(keys, keys.hist, keys.out), bit for bit.  A level's
+        are its `seen` values, and an LM given a matrix gathers them from
+        it.  The array may be the level's own; a caller does not write to
+        it."""
+        if self.seen is not None:
+            return self.seen
+        return self.base[self.keys.hist, self.keys.out]
 
     @cached_property
     def _grams_base(self) -> np.ndarray:
@@ -318,17 +332,6 @@ class ConditionalLM:
         if self.backstop is None:
             raise UnseenHistoryError(tuple(ids[0].tolist()))
         return self.backstop.conditional(h[self.order - self.backstop.order:])
-
-
-def parent_index(table: CountTable, lower: ConditionalLM) -> np.ndarray:
-    """The row in `lower` of each of `table`'s histories' parent (the
-    history without its oldest symbols), after one `keys.find`; ValueError
-    for a history whose parent row `lower` does not hold."""
-    parents = lower.keys.find(table.ids[:, table.order - lower.order:])
-    if (parents < 0).any():
-        h = table.ids[int(np.argmax(parents < 0))]
-        raise ValueError(f"history {tuple(h.tolist())} has no parent row in the backstop")
-    return parents
 
 
 def check_distributions(rows: np.ndarray, hists: Sequence[History] | None = None,

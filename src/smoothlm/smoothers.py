@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CountTable, tables_down_to_unigram, zero_gram_count
-from .ngram import ConditionalLM, parent_index, uniform_backstop
+from .ngram import ConditionalLM, uniform_backstop
 
 log = logging.getLogger(__name__)
 
@@ -447,9 +447,11 @@ def _level(method: str, params: dict, tab: CountTable, lower: ConditionalLM | No
 
 
 def _parent_cells(tab: CountTable, lower: ConditionalLM) -> tuple[np.ndarray, np.ndarray]:
-    """The row in `lower` of each history's parent (the history minus its
-    oldest symbol) and the cell of each of `tab`'s grams in that row, after
-    one `keys.find`, without the rows."""
-    parents = parent_index(tab, lower)
-    return parents, lower.cells(lower.keys, parents[tab.hist], tab.out)
+    """The row in `lower`, the LM of tab.marginal (as in every chain of
+    tables_down_to_unigram), of each history's parent (the history minus
+    its oldest symbol), and the cell of each of `tab`'s grams in that row:
+    `lower`'s value on the gram's parent gram.  Both come off the table's
+    `parents`, with no search."""
+    rows, grams = tab.parents
+    return rows, lower.gram_cells[grams]
 

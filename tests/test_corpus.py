@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlm import corpus as corpus_module
+from smoothlm import ngram as ngram_module
 from smoothlm.corpus import (
     Corpus,
     CountTable,
@@ -32,9 +33,9 @@ from smoothlm.corpus import (
 )
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import TabularSoftmaxLM, TrainConfig, train
-from smoothlm.ngram import empirical_conditional
+from smoothlm.ngram import empirical_conditional, perplexity
 from smoothlm.smoothers import METHODS, smooth
-from smoothlm.verify import count_substrings
+from smoothlm.verify import count_substrings, markov_zipf_lines
 
 
 def oracle_substring_count(sequences, query):
@@ -345,6 +346,65 @@ class TestMarginalize:
         while t.order > 1:
             t = marginalize(t)
             assert_same_table(t, count_ngrams(c, t.order))
+
+
+@st.composite
+def corpora_and_wide_orders(draw):
+    """A corpus of up to four symbols or of 600, and an order from 1 to 8 or
+    from the least whose gram codes reach 2^63 to two past it, where a
+    table's codes, its marginal's gram codes or its marginal's history codes
+    are Python ints."""
+    n_sym = draw(st.sampled_from([1, 2, 4, 600]))
+    wide = next(w for w in range(1, 64) if (n_sym + 2) ** w >= 2 ** 63)
+    seqs = draw(st.lists(st.lists(st.integers(0, n_sym - 1), max_size=10),
+                         min_size=1, max_size=6))
+    vocab = Vocabulary(symbols=tuple(f"s{i}" for i in range(n_sym)))
+    order = draw(st.sampled_from([*range(1, 9), wide, wide + 1, wide + 2]))
+    return Corpus(vocab=vocab, sequences=tuple(map(tuple, seqs))), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora_and_wide_orders())
+def test_parents_are_the_suffix_rows_and_grams(data):
+    # each history's parent row in the marginal holds the history less its
+    # oldest symbol, and each gram's parent gram is that row's gram of the
+    # same emission; an order-1 table has no marginal
+    c, order = data
+    t = count_ngrams(c, order)
+    if order == 1:
+        with pytest.raises(ValueError, match="cannot marginalize an order-1 table"):
+            t.parents
+    while t.order > 1:
+        down = t.marginal
+        rows, grams = t.parents
+        np.testing.assert_array_equal(down.ids[rows], t.ids[:, 1:])
+        np.testing.assert_array_equal(down.hist[grams], rows[t.hist])
+        np.testing.assert_array_equal(down.out[grams], t.out)
+        t = down
+
+
+def test_smoothing_and_decomposing_make_no_search(monkeypatch):
+    # the backoff smoothers read each level's parents off the table, and a
+    # bundle reads each LM's values on its own grams, so neither runs
+    # sorted_search, the search of history and cell codes
+    table = count_ngrams(corpus_from_lines(markov_zipf_lines(300, 50, 0)), 3)
+    tables_down_to_unigram(table)
+    emp = empirical_conditional(table)
+    calls = []
+    search = corpus_module.sorted_search
+
+    def counted(a, v):
+        calls.append(len(v))
+        return search(a, v)
+
+    for module in (corpus_module, ngram_module):
+        monkeypatch.setattr(module, "sorted_search", counted)
+    for method in METHODS:
+        build_regularizer(emp, smooth(table, method), table, 1.0, 1.0)
+    assert calls == []
+    # a held-out corpus's histories are still searched for
+    perplexity(emp, table)
+    assert calls
 
 
 def test_backoff_smoothers_of_one_table_share_its_marginals(monkeypatch):

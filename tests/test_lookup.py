@@ -1,13 +1,14 @@
-"""Row lookup by sorted history codes (corpus.RowKeys.find) against dict
-lookups written here: ConditionalLM.rows with its suffix descent,
-ngram.parent_index, the tabular model's forward and perplexity, over random
+"""Lookups against dict lookups written here: row lookup by sorted history
+codes (corpus.RowKeys.find) in ConditionalLM.rows with its suffix descent,
+the tabular model's forward and perplexity, and the backoff structure the
+smoothers read with no search (each count table's parent map,
+CountTable.parents, and each LM's values on its own grams), over random
 tables and query batches.  The batches mix seen, unseen, out-of-range and
 wrong-length histories, and histories whose naive code aliases a seen one.
 Orders near 32 make the codes of a two- to four-symbol vocabulary pass
 2^63, so that they are Python ints."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from smoothlm.corpus import (Corpus, CountTable, Vocabulary, count_ngrams,
                              tables_down_to_unigram)
 from smoothlm.ngram import (ConditionalLM, UnseenHistoryError, empirical_conditional,
-                            parent_index, perplexity, uniform_backstop)
+                            perplexity, uniform_backstop)
 from smoothlm.neural import TabularSoftmaxLM
 from smoothlm.smoothers import METHODS, KatzConfigError, smooth
 
@@ -167,20 +168,40 @@ def test_parents_match_a_dict_lookup(data):
     train, _, order = data.draw(cases())
     tables = tables_down_to_unigram(count_ngrams(train, order))
     for lower, tab in zip(tables, tables[1:]):
-        lower_lm = ConditionalLM(lower.order, lower.vocab,
-                                 (lower, np.zeros((len(lower.ids), lower.vocab.out_dim))),
-                                 validate=False)
+        assert tab.marginal is lower
         index = {tuple(h): i for i, h in enumerate(lower.ids.tolist())}
-        want = [index[tuple(h[1:])] for h in tab.ids.tolist()]
-        assert parent_index(tab, lower_lm).tolist() == want
-        # the lower table's histories are the parents, so each one is needed
-        hists = lower.ids.tolist()
-        short = ConditionalLM(lower.order, lower.vocab,
-                              (hists[1:], np.zeros((len(hists) - 1, lower.vocab.out_dim))),
-                              validate=False)
-        first = next(h for h, w in zip(tab.ids.tolist(), want) if w == 0)
-        with pytest.raises(ValueError, match=re.escape(f"history {tuple(first)} has no parent")):
-            parent_index(tab, short)
+        gram = {(lower.hists[r], j): g for g, (r, j) in enumerate(zip(lower.hist, lower.out))}
+        rows, grams = tab.parents
+        assert rows.tolist() == [index[tuple(h[1:])] for h in tab.ids.tolist()]
+        assert grams.tolist() == [gram[tab.hists[r][1:], j] for r, j in zip(tab.hist, tab.out)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gram_cells_are_the_cells_of_the_keys_grams(data):
+    # every smoother's LM and each level below it, the empirical LM and an
+    # LM given a dense matrix keyed by the table read their values on their
+    # own grams with no search, as `cells` finds them
+    train, _, order = data.draw(cases())
+    table = count_ngrams(train, order)
+    emp = empirical_conditional(table)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.dirichlet(np.ones(train.vocab.out_dim), size=len(table.ids))
+    lms = [emp, ConditionalLM(order, train.vocab, (table, rows))]
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            lm = smooth(table, method)
+        except KatzConfigError:
+            continue
+        while lm is not None and isinstance(lm.keys, CountTable):
+            lms.append(lm)
+            lm = lm.backstop
+    for lm in lms:
+        keys = lm.keys
+        want = lm.cells(keys, keys.hist, keys.out)
+        np.testing.assert_array_equal(lm.gram_cells.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=40, deadline=None)
