@@ -43,11 +43,12 @@ class ConditionalLM:
     section 2.8): its cells on the grams of a count table hold their own
     `seen` values, and any other cell of history h is base(h) * a(h) / d(h),
     where `a` and `d` are scalars or one value per history and the base
-    row is h's parent row (h without its oldest symbols) in the backstop,
-    or a row of ones.  `level` builds one, as every smoother and
-    `empirical_conditional` do; it keeps only the seen values, a, d, the
-    backstop and, on a parent base, each history's parent row and each
-    gram's parent cell, and checks its rows in O(grams).  `gram_cells`
+    row is h's parent row (h without its oldest symbol) in the backstop,
+    when that is the LM of the table's `marginal`, or a row of ones.
+    `level` builds one, as every smoother and `empirical_conditional` do;
+    it keeps only the seen values, a, d and the backstop, reads each
+    history's parent row and each gram's parent cell off the table's
+    `parents`, and checks its rows in O(grams).  `gram_cells`
     gives an LM's values on its own keys' grams with no search: a level's
     seen values, or a gather from a given matrix.  An LM given a
     dense matrix keeps that matrix as its rows, the base of a level with
@@ -105,21 +106,21 @@ class ConditionalLM:
 
     @classmethod
     def level(cls, table: CountTable, seen: np.ndarray, a=0.0, d=1.0,
-              backstop: ConditionalLM | None = None,
-              parent: tuple[np.ndarray, np.ndarray] | None = None, method: str = "",
+              backstop: ConditionalLM | None = None, method: str = "",
               params: dict | None = None, validate: bool = True) -> ConditionalLM:
         """The level of `table`'s histories whose cells on the table's grams
-        hold `seen` and whose other cells are base * a / d.  The base row is
-        each history's parent row in `backstop` with `parent`, the pair
-        (the row of each history's parent there and each gram's cell in its
-        parent row, read off the table's `parents` and the backstop's
-        `gram_cells`), else a row of ones.  With `validate`, `check` runs,
-        in O(grams)."""
+        hold `seen` and whose other cells are base * a / d.  A backstop keyed
+        by a count table must be the LM of `table.marginal`, else ValueError;
+        the base row is then each history's parent row there, found by the
+        table's `parents`.  Any other backstop, or none, gives a row of ones.
+        With `validate`, `check` runs, in O(grams)."""
+        on_parent = backstop is not None and isinstance(backstop.keys, CountTable)
+        if on_parent and backstop.keys is not table.marginal:
+            raise ValueError("a backstop keyed by a count table must be the LM of the "
+                             "table's marginal")
         lm = cls.__new__(cls)
         lm._setup(table.order, table.vocab, table, backstop, method, params,
-                  np.asarray(seen, dtype=float), a, d, None if parent is None else backstop)
-        if parent is not None:
-            lm._parents, lm._grams_base = parent
+                  np.asarray(seen, dtype=float), a, d, backstop if on_parent else None)
         lm.checked = validate
         if validate:
             lm.check()
@@ -174,7 +175,7 @@ class ConditionalLM:
             return np.ones((len(rows), self.vocab.out_dim))
         if isinstance(self.base, np.ndarray):
             return self.base[rows]
-        return np.take(self.backstop.matrix, self._parents[rows], axis=0)
+        return np.take(self.backstop.matrix, self.keys.parents[0][rows], axis=0)
 
     def _base_cells(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """A fresh array of the base cells (rows[g], out[g])."""
@@ -182,7 +183,7 @@ class ConditionalLM:
             return np.ones(len(rows))
         if isinstance(self.base, np.ndarray):
             return self.base[rows, out]
-        return self.backstop.cells(self.backstop.keys, self._parents[rows], out)
+        return self.backstop.cells(self.backstop.keys, self.keys.parents[0][rows], out)
 
     @property
     def gram_cells(self) -> np.ndarray:
@@ -194,12 +195,6 @@ class ConditionalLM:
         if self.seen is not None:
             return self.seen
         return self.base[self.keys.hist, self.keys.out]
-
-    @cached_property
-    def _grams_base(self) -> np.ndarray:
-        """The base cells on the grams of the keys, a count table; a level
-        with a parent row is given them."""
-        return self._base_cells(self.keys.hist, self.keys.out)
 
     def _cells(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The cells (rows[g], out[g]) of this level's own rows, as `matrix`
@@ -236,12 +231,13 @@ class ConditionalLM:
         a / d * (base row mass - the sum of the base cells on the grams)."""
         t, n = self.keys, len(self.keys.ids)
         if self.base is None:
-            base_mass = np.full(n, float(self.vocab.out_dim))
+            base_mass, on = np.full(n, float(self.vocab.out_dim)), np.ones(len(t.hist))
         elif isinstance(self.base, np.ndarray):
-            base_mass = self.base.sum(axis=1)
+            base_mass, on = self.base.sum(axis=1), self.base[t.hist, t.out]
         else:
-            base_mass = self.backstop.mass[self._parents]
-        base_mass -= np.bincount(t.hist, self._grams_base, n)
+            rows, grams = t.parents
+            base_mass, on = self.backstop.mass[rows], self.backstop.gram_cells[grams]
+        base_mass -= np.bincount(t.hist, on, n)
         return np.divide(self.a, self.d) * base_mass
 
     def check(self, name: str = "") -> None:

@@ -10,7 +10,8 @@ symbol) has h's base row; their order-1 level, like the one level of
 add-lambda, Good-Turing and Simple Good-Turing, has a base row of ones.
 Those three back off to the uniform order-1 LM; an order-1 LM has no
 backstop, as its one history is always seen.  A level keeps only its seen
-values, a, d and backstop (`ConditionalLM.level`); its dense rows are built
+values, a, d and backstop (`ConditionalLM.level`), and finds each history's
+parent row off the table's `parents`; its dense rows are built
 when a reader asks, and no smoother builds one: every mass a level divides
 by is summed over the table's grams and the level below's parts, as
 `ConditionalLM.mass` and `off_mass` are.  Rows sum to 1, Good-Turing's too,
@@ -309,14 +310,12 @@ def smooth_jelinek_mercer(table: CountTable, lambdas: list[float] | None) -> Con
         lam = lambdas[tab.order - 1]
         if lm is None:
             # the order-1 level's parent row is uniform, on a base of ones
-            parents, parent = None, 1.0 / tab.vocab.out_dim
+            parent = 1.0 / tab.vocab.out_dim
             a = (1.0 - lam) * parent
         else:
-            parents = _parent_cells(tab, lm)
-            parent, a = parents[1], 1.0 - lam
+            parent, a = _parent_cells(tab, lm), 1.0 - lam
         seen = parent * (1.0 - lam) + lam * (tab.count / tab.totals[tab.hist])
-        lm = _level("jelinek_mercer", {"lambdas": list(lambdas)}, tab, lm, seen, a,
-                    parent=parents)
+        lm = _level("jelinek_mercer", {"lambdas": list(lambdas)}, tab, lm, seen, a)
     return lm
 
 
@@ -376,9 +375,9 @@ def _katz_level(tab: CountTable, k: int, lower: ConditionalLM) -> ConditionalLM:
     kept = _katz_discounts(tab, k, tab.count) * tab.count / tab.totals[tab.hist]
     kept_mass = np.bincount(tab.hist, kept, n)
     leftover = 1.0 - kept_mass
-    parents, parent = _parent_cells(tab, lower)
+    parent = _parent_cells(tab, lower)
     # the parent row's mass off the grams, as `ConditionalLM.off_mass` sums it
-    unseen_mass = lower.mass[parents] - np.bincount(tab.hist, parent, n)
+    unseen_mass = lower.mass[tab.parents[0]] - np.bincount(tab.hist, parent, n)
     spread = (leftover > 0.0) & (unseen_mass > 0.0)
     # rows with nothing to spread keep only their discounted cells, renormalized
     renorm = ~spread & (leftover != 0.0)
@@ -395,7 +394,7 @@ def _katz_level(tab: CountTable, k: int, lower: ConditionalLM) -> ConditionalLM:
         seen[cells] = parent[cells]
     # a dead row is its parent row: factor 1 / 1
     return _level("katz", {"k": k}, tab, lower, seen, np.where(spread, leftover, dead * 1.0),
-                  np.where(spread, unseen_mass, 1.0), (parents, parent))
+                  np.where(spread, unseen_mass, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +418,9 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
     lm = _level("kneser_essen_ney", {"D": D}, unigrams, None, q1[unigrams.out])
     for tab in chain:
         a = D * np.bincount(tab.hist, minlength=len(tab.ids))
-        parents = _parent_cells(tab, lm)
-        seen = parents[1] * a[tab.hist] + np.maximum(tab.count - D, 0.0)
+        seen = _parent_cells(tab, lm) * a[tab.hist] + np.maximum(tab.count - D, 0.0)
         lm = _level("kneser_essen_ney", {"D": D}, tab, lm, seen / tab.totals[tab.hist], a,
-                    tab.totals, parents)
+                    tab.totals)
     return lm
 
 
@@ -431,27 +429,23 @@ def smooth_kneser_essen_ney(table: CountTable, D: float) -> ConditionalLM:
 
 
 def _level(method: str, params: dict, tab: CountTable, lower: ConditionalLM | None,
-           seen: np.ndarray, a=0.0, d=1.0,
-           parent: tuple[np.ndarray, np.ndarray] | None = None) -> ConditionalLM:
+           seen: np.ndarray, a=0.0, d=1.0) -> ConditionalLM:
     """The LM of one order, every smoother's LM and every level of a backoff
     chain: the cells of `tab`'s grams hold `seen`, and any other cell of
     history h is base(h) * a(h) / d(h), `a` and `d` being scalars or one
-    value per history.  The base row is h's parent row in `lower`, whose
-    place there and cells on the grams `parent` holds (`_parent_cells`), or
-    a row of ones with no `lower`.  The backstop is `lower`, else the
-    uniform LM above order 1; an order-1 LM has none, as its one history is
-    always seen."""
+    value per history.  The base row is h's parent row in `lower`, the LM
+    of tab.marginal, or a row of ones with no `lower`.  The backstop is
+    `lower`, else the uniform LM above order 1; an order-1 LM has none, as
+    its one history is always seen."""
     backstop = lower if lower is not None else \
         uniform_backstop(tab.vocab) if tab.order > 1 else None
-    return ConditionalLM.level(tab, seen, a, d, backstop, parent, method=method, params=params)
+    return ConditionalLM.level(tab, seen, a, d, backstop, method=method, params=params)
 
 
-def _parent_cells(tab: CountTable, lower: ConditionalLM) -> tuple[np.ndarray, np.ndarray]:
-    """The row in `lower`, the LM of tab.marginal (as in every chain of
-    tables_down_to_unigram), of each history's parent (the history minus
-    its oldest symbol), and the cell of each of `tab`'s grams in that row:
-    `lower`'s value on the gram's parent gram.  Both come off the table's
-    `parents`, with no search."""
-    rows, grams = tab.parents
-    return rows, lower.gram_cells[grams]
+def _parent_cells(tab: CountTable, lower: ConditionalLM) -> np.ndarray:
+    """The cell of each of `tab`'s grams in its history's parent row in
+    `lower`, the LM of tab.marginal (as in every chain of
+    tables_down_to_unigram): `lower`'s value on the gram's parent gram, off
+    the table's `parents`, with no search."""
+    return lower.gram_cells[tab.parents[1]]
 

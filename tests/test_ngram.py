@@ -11,7 +11,8 @@ import pytest
 
 from smoothlm import ngram, verify
 from smoothlm.cli import main
-from smoothlm.corpus import Vocabulary, corpus_from_lines, count_ngrams, load_corpus
+from smoothlm.corpus import (Vocabulary, corpus_from_lines, count_ngrams, load_corpus,
+                             marginalize)
 from smoothlm.ngram import (
     ConditionalLM,
     NormalizationError,
@@ -19,6 +20,7 @@ from smoothlm.ngram import (
     empirical_conditional,
     perplexity,
     read_conditional_lm,
+    uniform_backstop,
     write_conditional_lm,
 )
 from smoothlm.decompose import build_regularizer
@@ -111,6 +113,26 @@ class TestValidation:
         row = np.full(c.vocab.out_dim, 1 / c.vocab.out_dim)
         with pytest.raises(ValueError, match=r"history \(0,\) is listed more than once"):
             ConditionalLM(2, c.vocab, ([(0,), (1,), (0,)], np.stack([row] * 3)))
+
+
+class TestLevel:
+    def test_refuses_a_backstop_of_another_table(self):
+        # a backstop keyed by a count table is the LM of the table's
+        # marginal, whose rows the table's `parents` name; the LM of an
+        # equal table built apart, or of the table two orders down, is not
+        table = count_ngrams(corpus_from_lines(verify.markov_zipf_lines(40, 5, 0)), 3)
+        lm = smooth(table, "jm")
+        ConditionalLM.level(table, lm.seen, lm.a, lm.d, lm.backstop)
+        for backstop in (smooth(marginalize(table), "jm"), lm.backstop.backstop):
+            with pytest.raises(ValueError, match="marginal"):
+                ConditionalLM.level(table, lm.seen, lm.a, lm.d, backstop)
+
+    def test_uniform_backstop_gives_a_base_of_ones(self):
+        table = count_ngrams(corpus_from_lines(verify.markov_zipf_lines(40, 5, 0)), 2)
+        lm = smooth_add_lambda(table, 1.0)
+        again = ConditionalLM.level(table, lm.seen, lm.a, lm.d, uniform_backstop(table.vocab))
+        for got, want in ((again.mass, lm.mass), (again.matrix, lm.matrix)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRowViews:

@@ -4,7 +4,8 @@ against a per-position recount, per-cell oracles written from gram_count,
 held-out perplexity against the per-token string_logprob, held-out cells
 against held-out rows, held-out rows against a walk to each history's longest
 seen suffix, each level's check and split from its parts against its dense
-rows, and the masses GT, SGT and Katz sum over the grams against the sums of
+rows, each backoff chain rebuilt from its levels' parts against itself, and
+the masses GT, SGT and Katz sum over the grams against the sums of
 their dense rows."""
 
 import math
@@ -35,7 +36,6 @@ from smoothlm.smoothers import (
     METHODS,
     KatzConfigError,
     _katz_discounts,
-    _parent_cells,
     good_turing_adjusted_count,
     sgt_fit,
     smooth,
@@ -317,13 +317,11 @@ def test_levels_score_check_and_split_from_their_parts(data, order, draws):
             # a seen value made negative, a row's mass moved, and a row's a
             # made negative, which makes a cell negative only where its base
             # cell off the grams is positive
-            parent = None if level.base is None else _parent_cells(tab, level.backstop)
             for value, a in ((-0.25, level.a), (level.seen[g] + 2 * PROB_ATOL, level.a),
                              (level.seen[g], negative_a)):
                 seen = level.seen.copy()
                 seen[g] = value
-                bad = ConditionalLM.level(tab, seen, a, level.d, level.backstop, parent,
-                                          validate=False)
+                bad = ConditionalLM.level(tab, seen, a, level.d, level.backstop, validate=False)
                 said = [raised(lambda: check_distributions(bad.matrix, tab.ids)),
                         raised(bad.check)]
                 # the same history and the same fault; the sums may round apart
@@ -353,6 +351,35 @@ def katz_branches(a, d):
     renormalizes its discounted cells (a = 0, d = 1), 2 where nothing was
     left and it is its parent row (a = d = 1)."""
     return np.select([(a == 1.0) & (d == 1.0), a == 0.0], [2, 1], 0)
+
+
+@given(train_and_heldout(), st.integers(1, 4))
+def test_a_level_round_trips_through_its_parts(data, order):
+    # a level is its table, seen values, a, d and backstop: each chain,
+    # rebuilt bottom-up from those parts alone, has the masses, dense rows
+    # and held-out cells of the smoother's, bit for bit; a rebuilt level
+    # finds its parent rows off its table, as the smoother's did
+    train, held = data
+    table = count_ngrams(train, order)
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            lm = smooth(table, method)
+        except KatzConfigError:
+            continue
+        levels = []
+        while lm is not None and lm.seen is not None:
+            levels.append(lm)
+            lm = lm.backstop
+        rebuilt = lm
+        for lvl in reversed(levels):
+            rebuilt = ConditionalLM.level(lvl.keys, lvl.seen, lvl.a, lvl.d, rebuilt)
+            t = count_ngrams(held, lvl.order)
+            for got, want in ((rebuilt.mass, lvl.mass), (rebuilt.matrix, lvl.matrix),
+                              (rebuilt.cells(t, t.hist, t.out), lvl.cells(t, t.hist, t.out))):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                              err_msg=f"{method} order {lvl.order}")
 
 
 @given(corpora(), st.integers(1, 4))
