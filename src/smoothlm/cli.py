@@ -4,7 +4,8 @@ Counts, LMs and decompositions share the one TSV format of
 corpus.write_cells.  Runs are deterministic for a fixed seed, and rerunning
 any command with identical inputs rewrites byte-identical outputs.  Exit
 codes: 0 ok, 1 verification failure, 2 usage/input error (a training run
-that diverges included), 3 internal invariant breach.
+that diverges, and a run out of memory, included), 3 internal invariant
+breach.
 """
 
 from __future__ import annotations
@@ -388,6 +389,11 @@ def main(argv=None) -> int:
         # a diverging run (TrainingError) comes of the learning rate or
         # init scale the user gave
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # an input too large for this machine, such as a vocabulary whose
+        # dense rows do not fit: exit 2, not a traceback that exits 1
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

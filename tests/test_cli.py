@@ -161,6 +161,23 @@ class TestSmooth:
         assert code == 2
         assert "internal error" not in capsys.readouterr().err
 
+    def test_out_of_memory_exit_2_one_line(self, tiny, tmp_path, capsys, monkeypatch):
+        # a vocabulary whose dense rows do not fit used to end in a
+        # traceback and exit 1, the code of a failed verification
+        import smoothlm.cli as cli_mod
+
+        def too_large(lm, path):
+            raise MemoryError("Unable to allocate 26.8 GiB for an array with shape "
+                              "(60002, 60002) and data type float64")
+
+        monkeypatch.setattr(cli_mod, "write_conditional_lm", too_large)
+        code = main(["smooth", "--corpus", str(tiny), "--order", "2",
+                     "--method", "addlambda", "--out", str(tmp_path / "x.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 26.8 GiB for an array with shape "
+            "(60002, 60002) and data type float64"]
+
     def test_from_counts_file(self, tiny, tmp_path):
         counts = tmp_path / "c.tsv"
         main(["count", "--corpus", str(tiny), "--order", "2", "--out", str(counts)])

@@ -105,9 +105,10 @@ def names_in(node: ast.AST):
 
 
 def test_only_the_cli_imports_verify():
-    # the package's __init__ re-exports VerificationReport
+    # the package's __init__ imports `verify` only when `VerificationReport`
+    # is first read, by name through importlib, so no import statement names it
     importers = {p.stem for p in SRC.glob("*.py") if "verify" in package_imports(parsed(p.stem))}
-    assert importers <= {"__init__", "cli"}
+    assert importers <= {"cli"}
 
 
 @pytest.mark.parametrize("oracle", ORACLES)
