@@ -152,10 +152,11 @@ def _model_for(config: RunConfig, table):
 class _TrainingData:
     """What every model trained on one run config shares, built once: the
     count tables of the training and held-out corpora, and one regularizer
-    bundle per method_params value (the decomposition does not depend on
-    the gammas; the bundles share the table's cached marginals).  A grid
-    call keeps one of these for its cells and drops it when it ends, so a
-    later call sees rewritten input files."""
+    bundle per method_params value, of which each model takes a copy with
+    its own gammas (the decomposition does not depend on them; the copies
+    share the smoothed LM, and the bundles the table's cached marginals).
+    A grid call keeps one of these for its cells and drops it when it ends,
+    so a later call sees rewritten input files."""
 
     def __init__(self, config: RunConfig):
         corpus = load_corpus(config.corpus_path)
@@ -170,7 +171,8 @@ class _TrainingData:
         key = json.dumps(config.method_params, sort_keys=True)
         if key not in self._bundles:
             self._bundles[key] = neural.make_bundle_for(self.table, self.table.order, config)
-        return self._bundles[key].with_gammas(config.gamma_plus, config.gamma_minus)
+        return dataclasses.replace(self._bundles[key], gamma_plus=config.gamma_plus,
+                                   gamma_minus=config.gamma_minus)
 
     def train(self, config: RunConfig):
         bundle = self._bundle(config) if config.objective in neural.BUNDLE_OBJECTIVES else None

@@ -14,14 +14,13 @@ count, yields an additive regularizer that can be attached to any
 differentiable conditional model.  `build_regularizer` takes an empirical
 and a smoothed LM keyed by one count table and splits them on its grams, in
 O(grams).  A RegularizerBundle keeps the count table, the smoothed LM and
-that split; the dense SignedDecomposition of its rows, whose matrices follow
-the table's sorted histories, is built on first read, and the table's row
-totals are the weights.
+that split, and the table's row totals are the weights; the dense
+SignedDecomposition of its rows, whose matrices follow the table's sorted
+histories, is built on first read, for `write_decomposition` only.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,20 +49,6 @@ class SignedDecomposition:
     p_minus: np.ndarray
     z_plus: float | np.ndarray
     z_minus: float | np.ndarray
-
-    @cached_property
-    def entropies(self) -> tuple[np.ndarray, np.ndarray]:
-        """The entropy of each row of p_plus and of p_minus, of a
-        decomposition of many rows.  Computed on first read: the grid
-        cells of one bundle share its rows and differ only in gammas."""
-        return row_entropies(self.p_plus), row_entropies(self.p_minus)
-
-
-def row_entropies(rows: np.ndarray) -> np.ndarray:
-    """Entropy of each row, summed over its positive cells."""
-    i, j = np.nonzero(rows > 0.0)
-    p = rows[i, j]
-    return -np.bincount(i, weights=p * np.log(p), minlength=len(rows))
 
 
 def signed_decompose(empirical, smoothed) -> SignedDecomposition:
@@ -145,13 +130,13 @@ class RegularizerBundle:
     The split lives on the table's grams: `diff` holds smoothed - empirical
     there, and `z_plus` and `z_minus` the sums of its positive and negative
     parts per history, where Z+ also counts the smoothed mass off the grams
-    (`lm.off_mass`).  `rows`, the dense SignedDecomposition that training
-    and `write_decomposition` read, has row i of its matrices belong to the
-    table's history i, of weight keys.totals[i]; it is built on first read
-    and shared by the copies `with_gammas` makes, as a grid's cells do (a
-    copy `dataclasses.replace` makes builds its own).  `per_history`,
-    mapping each history to a SignedDecomposition of views into `rows`, is
-    built on first read for `perfbench/` and the tests."""
+    (`lm.off_mass`).  Training reads these, `lm` and the gammas; a grid's
+    cells are `dataclasses.replace` copies, which share `lm`.  `rows`, the
+    dense SignedDecomposition that `write_decomposition` reads, has row i
+    of its matrices belong to the table's history i, of weight
+    keys.totals[i].  It, and `per_history`, mapping each history to a
+    SignedDecomposition of views into `rows` for `perfbench/` and the
+    tests, are built on first read."""
 
     keys: CountTable = field(repr=False)
     lm: ConditionalLM = field(repr=False)
@@ -160,28 +145,19 @@ class RegularizerBundle:
     z_minus: np.ndarray = field(repr=False)
     gamma_plus: float
     gamma_minus: float
-    _views: dict = field(default_factory=dict, init=False, repr=False)
 
-    def with_gammas(self, gamma_plus: float, gamma_minus: float) -> RegularizerBundle:
-        """A copy with other gammas, which shares this bundle's dense rows."""
-        copy = dataclasses.replace(self, gamma_plus=gamma_plus, gamma_minus=gamma_minus)
-        object.__setattr__(copy, "_views", self._views)
-        return copy
-
-    @property
+    @cached_property
     def rows(self) -> SignedDecomposition:
-        if "rows" not in self._views:
-            t = self.keys
-            # a copy of the LM's rows: of its dense view when a reader built
-            # it, else fresh rows, so that the bundle does not keep both
-            if "matrix" in vars(self.lm):
-                pos = self.lm.matrix + 0.0
-            else:
-                pos = self.lm.fresh_rows()
-                pos += 0.0
-            self._views["rows"] = _dense_split(pos, t.hist * t.vocab.out_dim + t.out, t.hist,
-                                               self.diff, self.z_plus, self.z_minus)
-        return self._views["rows"]
+        t = self.keys
+        # a copy of the LM's rows: of its dense view when a reader built it,
+        # else fresh rows, so that the bundle does not keep both
+        if "matrix" in vars(self.lm):
+            pos = self.lm.matrix + 0.0
+        else:
+            pos = self.lm.fresh_rows()
+            pos += 0.0
+        return _dense_split(pos, t.hist * t.vocab.out_dim + t.out, t.hist, self.diff,
+                            self.z_plus, self.z_minus)
 
     @cached_property
     def per_history(self) -> dict[History, SignedDecomposition]:

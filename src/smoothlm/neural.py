@@ -19,7 +19,8 @@ one of four objectives:
 The split objective carries the minus sign on the p_minus term so that at
 g+ = g- = 1 it equals the smoothed-target objective up to an additive
 constant; with g- <= 1 every -log q coefficient stays nonnegative, keeping
-the loss bounded below.
+the loss bounded below.  As Z+ p_plus - Z- p_minus is p~ - p, training
+reads the smoothed LM and the bundle's split, not p_plus or p_minus.
 
 Epoch e steps from theta_e to theta_{e+1}, and its held-out perplexity
 ppl_e, scored by ngram.table_perplexity as for n-gram LMs, is measured at
@@ -43,7 +44,7 @@ import numpy as np
 
 from .corpus import (Corpus, CountTable, History, RowKeys, Vocabulary, history_ids, row_index,
                      table_at)
-from .decompose import RegularizerBundle, build_regularizer, row_entropies
+from .decompose import RegularizerBundle, build_regularizer
 from .ngram import empirical_conditional, perplexity, table_perplexity
 from .smoothers import method_params, smooth
 
@@ -277,24 +278,31 @@ class FeedForwardLM(_Model):
 # objectives
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x of each entry of a nonnegative vector, with 0 log 0 = 0."""
+    return x * np.log(x, out=np.zeros(len(x)), where=x > 0.0)
+
+
 def _objective_weights(
     table: CountTable, config: TrainConfig, bundle: RegularizerBundle | None
 ) -> tuple[np.ndarray, float]:
     """Per-history coefficient vectors alpha, one row per history of `table`,
     and the theta-independent constant such that
-    loss = sum_h alpha_h . (-log q(.|h)) + const."""
-    C = table.dense_counts()
-    out_dim = table.vocab.out_dim
+    loss = sum_h alpha_h . (-log q(.|h)) + const.
+
+    With w_h = #(h)/N, the smoothed rows s and the empirical rows e,
+    smoothed_target takes alpha_h = w_h s_h and the constant
+    -sum_h w_h H(s_h); split_regularizer takes alpha_h = #(h, .)/N +
+    w_h (g+ (s_h - e_h)+ - g- (s_h - e_h)-), (s_h g+) w_h off the grams, and
+    each part x of mass Z adds -+ g w_h (Z log Z - sum x log x)."""
     N = table.total_tokens
-    alpha = C / N
-    const = 0.0
-    if config.objective == "mle":
-        return alpha, const
-    if config.objective == "label_smoothing":
-        g = config.gamma_ls
-        alpha = alpha + g / (N * out_dim)
-        const = -len(C) * (g / N) * math.log(out_dim)
-        return alpha, const
+    if config.objective in ("mle", "label_smoothing"):
+        alpha = table.dense_counts() / N
+        if config.objective == "mle":
+            return alpha, 0.0
+        g, out_dim = config.gamma_ls, table.vocab.out_dim
+        alpha += g / (N * out_dim)
+        return alpha, -len(alpha) * (g / N) * math.log(out_dim)
     if bundle is None:
         raise ValueError(f"objective {config.objective} needs a regularizer bundle")
     if config.objective == "split_regularizer" and bundle.gamma_minus > 1.0:
@@ -302,33 +310,25 @@ def _objective_weights(
             "gamma_minus > 1 makes the split objective unbounded below "
             "(the -log q coefficient of an overrepresented symbol turns negative)"
         )
-    if (not np.array_equal(bundle.keys.codes, table.codes)
-            or not np.array_equal(bundle.keys.totals, table.totals)):
+    if bundle.keys is not table and not all(
+            np.array_equal(getattr(bundle.keys, k), getattr(table, k))
+            for k in ("codes", "totals", "hist", "out", "count")):
         raise ValueError("the bundle was built from another count table")
     w = table.totals / N
-    r = bundle.rows
-    # grid cells share the bundle's matrices and their entropies (they
-    # replace only the gammas), so no product is taken in place
+    lm = bundle.lm
     if config.objective == "smoothed_target":
-        target = C / table.totals[:, None]
-        part = r.p_plus * r.z_plus[:, None]
-        target += part
-        np.multiply(r.p_minus, r.z_minus[:, None], out=part)
-        target -= part
-        np.maximum(target, 0.0, out=target)
-        const = -float(np.dot(w, row_entropies(target)))
-        target *= w[:, None]
-        return target, const
-    h_plus, h_minus = r.entropies
-    coef = w * bundle.gamma_plus * r.z_plus
-    const -= float(np.dot(coef, h_plus))
-    part = r.p_plus * coef[:, None]
-    alpha += part
-    coef = w * bundle.gamma_minus * r.z_minus
-    const += float(np.dot(coef, h_minus))
-    np.multiply(r.p_minus, coef[:, None], out=part)
-    alpha -= part
-    return alpha, const
+        return lm.matrix * w[:, None], -float(np.dot(w, lm.entropy))
+    gp, gm = bundle.gamma_plus, bundle.gamma_minus
+    alpha = lm.matrix * gp
+    alpha *= w[:, None]
+    hist, n = table.hist, len(w)
+    up, down = np.maximum(bundle.diff, 0.0), np.maximum(np.negative(bundle.diff), 0.0)
+    alpha[hist, table.out] = table.count / N + w[hist] * (gp * up - gm * down)
+    # sum x log x of each part: the positive one is s off the grams
+    plus = np.bincount(hist, _xlogx(up) - _xlogx(lm.gram_cells), n) - lm.entropy
+    minus = np.bincount(hist, _xlogx(down), n)
+    return alpha, (gm * float(np.dot(w, _xlogx(bundle.z_minus) - minus))
+                   - gp * float(np.dot(w, _xlogx(bundle.z_plus) - plus)))
 
 
 def make_bundle_for(

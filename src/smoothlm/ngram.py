@@ -59,9 +59,9 @@ class ConditionalLM:
     `keys` holds the histories of the rows, each once (the RowKeys of
     row_index, or the count table itself).  `matrix`, the dense rows, is a
     view built on first read (by `fresh_rows`) for the readers that ask:
-    `rows` of other keys, `conditional`, the dict `table` (history -> view
-    of its row, for `perfbench/`) and the writers.  `cells` never builds a
-    row.
+    `rows` of other keys, `conditional`, `entropy`, training's bundle
+    objectives, the dict `table` (history -> view of its row, for
+    `perfbench/`) and the writers.  `cells` never builds a row.
 
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
@@ -163,6 +163,13 @@ class ConditionalLM:
         if self.seen is not None:
             rows[self.keys.hist, self.keys.out] = self.seen
         return rows
+
+    @cached_property
+    def entropy(self) -> np.ndarray:
+        """Each row's entropy, over the positive cells of `matrix`."""
+        i, j = np.nonzero(self.matrix > 0.0)
+        p = self.matrix[i, j]
+        return -np.bincount(i, p * np.log(p), len(self.matrix))
 
     @cached_property
     def table(self) -> dict[History, np.ndarray]:

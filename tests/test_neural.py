@@ -6,6 +6,7 @@ they must recover (empirical conditionals for MLE, the add-lambda table for
 label smoothing, the smoothed table itself for target fitting)."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothlm import decompose, neural
+from smoothlm import neural
 from smoothlm.corpus import CountTable, RowKeys, corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import (
@@ -29,8 +30,8 @@ from smoothlm.neural import (
     save_model,
     train,
 )
-from smoothlm.ngram import empirical_conditional, perplexity
-from smoothlm.smoothers import smooth, smooth_add_lambda
+from smoothlm.ngram import ConditionalLM, empirical_conditional, perplexity
+from smoothlm.smoothers import METHODS, smooth, smooth_add_lambda
 from smoothlm.verify import entropy, objective_value, synthetic_corpus
 
 
@@ -421,6 +422,17 @@ def test_bundle_of_another_table_rejected():
     bundle = make_bundle_for(larger, 2, config)
     with pytest.raises(ValueError, match="another count table"):
         train(TabularSoftmaxLM.for_table(table), table, config, bundle)
+    # the same histories, each of total 2, over other grams
+    table = count_ngrams(corpus_from_lines(["a b", "b a"]), 2)
+    other = count_ngrams(corpus_from_lines(["a a", "b b"]), 2)
+    assert np.array_equal(table.codes, other.codes)
+    assert np.array_equal(table.totals, other.totals)
+    bundle = make_bundle_for(other, 2, config)
+    with pytest.raises(ValueError, match="another count table"):
+        train(TabularSoftmaxLM.for_table(table), table, config, bundle)
+    # a table equal to the bundle's, counted again, passes
+    again = count_ngrams(corpus_from_lines(["a a", "b b"]), 2)
+    train(TabularSoftmaxLM.for_table(again), again, config, bundle)
 
 
 @pytest.mark.parametrize("objective", ["smoothed_target", "split_regularizer"])
@@ -430,11 +442,15 @@ def test_training_reads_bundle_matrices_only(objective):
                          gamma_minus=0.5, epochs=3)
     bundle = make_bundle_for(table, 2, config)
     assert bundle.keys is table
-    before = {k: getattr(bundle.rows, k).copy() for k in ("p_plus", "p_minus", "z_plus", "z_minus")}
+    # training reads the split on the grams and the smoothed rows, writes
+    # to neither, and builds no dense decomposition
+    before = {k: getattr(bundle, k).copy() for k in ("diff", "z_plus", "z_minus")}
+    matrix = bundle.lm.matrix.copy()
     train(TabularSoftmaxLM.for_table(table), table, config, bundle, heldout=corpus)
-    assert "per_history" not in vars(bundle)
+    assert "per_history" not in vars(bundle) and "rows" not in vars(bundle)
     for k, v in before.items():
-        np.testing.assert_array_equal(getattr(bundle.rows, k), v)
+        np.testing.assert_array_equal(getattr(bundle, k), v)
+    np.testing.assert_array_equal(bundle.lm.matrix, matrix)
 
 
 @settings(max_examples=40)
@@ -726,76 +742,92 @@ class TestSerialization:
 
 
 def loop_objective_weights(table, config, bundle):
-    """Reference: the bundle objectives' weights one history at a time, over
-    a count matrix filled from gram_count."""
+    """Reference: the bundle objectives' weights one history at a time, from
+    the smoothed row s = smoothed.conditional(h) and the row c of counts
+    recounted from gram_count, with N = sum c, w = #(h)/N and e = c/#(h).
+    smoothed_target takes alpha = w s and the constant -w H(s); the split
+    objective takes alpha = c/N + w (g+ (s - e)+ - g- (s - e)-), the mle
+    weights plus the split's parts, and each part of mass Z adds
+    -+ g w Z H(part / Z) to the constant."""
     hists = sorted(table.history_count)
     row = {h: i for i, h in enumerate(hists)}
     C = np.zeros((len(hists), table.vocab.out_dim))
     for (h, x), c in table.gram_count.items():
         C[row[h], table.vocab.out_index(x)] = c
     N = C.sum()
-    alpha = C / N
+    alpha = np.empty_like(C)
     const = 0.0
     for i, h in enumerate(hists):
-        dec = bundle.per_history[h]
-        w = table.history_count[h] / N
+        s = bundle.lm.conditional(h)
+        w = C[i].sum() / N
         if config.objective == "smoothed_target":
-            target = C[i] / C[i].sum()
-            if dec.z_plus > 0:
-                target = target + dec.z_plus * dec.p_plus
-            if dec.z_minus > 0:
-                target = target - dec.z_minus * dec.p_minus
-            target = np.maximum(target, 0.0)
-            alpha[i] = w * target
-            const -= w * entropy(target)
-        else:
-            if dec.z_plus > 0:
-                alpha[i] += w * bundle.gamma_plus * dec.z_plus * dec.p_plus
-                const -= w * bundle.gamma_plus * dec.z_plus * entropy(dec.p_plus)
-            if dec.z_minus > 0:
-                alpha[i] -= w * bundle.gamma_minus * dec.z_minus * dec.p_minus
-                const += w * bundle.gamma_minus * dec.z_minus * entropy(dec.p_minus)
+            alpha[i] = w * s
+            const -= w * entropy(s)
+            continue
+        diff = s - C[i] / C[i].sum()
+        up, down = np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+        alpha[i] = C[i] / N + w * (bundle.gamma_plus * up - bundle.gamma_minus * down)
+        for sign, gamma, part in ((-1.0, bundle.gamma_plus, up),
+                                  (1.0, bundle.gamma_minus, down)):
+            z = part.sum()
+            if z > 0:
+                const += sign * gamma * w * z * entropy(part / z)
     return alpha, const
 
 
+GAMMA_PAIRS = [(0.3, 0.7), (1.0, 1.0), (2.0, 0.0), (0.0, 0.5)]
+
+
 @pytest.mark.parametrize("objective", ["smoothed_target", "split_regularizer"])
-@pytest.mark.parametrize("method", ["add_lambda", "jelinek_mercer", "kneser_essen_ney"])
+@pytest.mark.parametrize("method", list(METHODS))
 def test_objective_weights_match_per_history_loop(objective, method):
-    # alpha keeps the loop's arithmetic; const sums in another order
-    table = count_ngrams(synthetic_corpus(21, n_sequences=80, n_symbols=6), 3)
-    bundle = build_regularizer(empirical_conditional(table), smooth(table, method), table, 0.3, 0.7)
-    config = TrainConfig(objective=objective, method=method, gamma_plus=0.3, gamma_minus=0.7)
-    alpha, const = _objective_weights(table, config, bundle)
-    ref_alpha, ref_const = loop_objective_weights(table, config, bundle)
-    np.testing.assert_array_equal(alpha, ref_alpha)
-    assert const == pytest.approx(ref_const, rel=1e-12)
+    # alpha keeps the loop's arithmetic; const sums in another order.  Katz
+    # builds on this corpus at every order
+    corpus = synthetic_corpus(21, n_sequences=100, n_symbols=14)
+    for order in (1, 2, 3):
+        if method == "kneser_essen_ney" and order == 1:
+            continue   # KEN needs a lower order
+        table = count_ngrams(corpus, order)
+        smoothed = smooth(table, method)
+        for gp, gm in GAMMA_PAIRS:
+            bundle = build_regularizer(empirical_conditional(table), smoothed, table, gp, gm)
+            config = TrainConfig(objective=objective, method=method, gamma_plus=gp,
+                                 gamma_minus=gm)
+            alpha, const = _objective_weights(table, config, bundle)
+            ref_alpha, ref_const = loop_objective_weights(table, config, bundle)
+            np.testing.assert_array_equal(alpha, ref_alpha, err_msg=f"{order} {gp} {gm}")
+            assert const == pytest.approx(ref_const, rel=1e-12), (order, gp, gm)
 
 
-def test_grid_cells_share_their_bundles_entropies(monkeypatch):
-    # grid cells take a bundle's copies with other gammas (`with_gammas`),
-    # so the entropies of its p_plus and p_minus rows are computed once for
-    # them all; a copy `dataclasses.replace` makes builds its own rows, and
-    # their own entropies give the same bits
+def test_grid_cells_share_their_lms_entropy(monkeypatch):
+    # grid cells take `dataclasses.replace` copies of one bundle with other
+    # gammas, so they share its smoothed LM, whose row entropies are then
+    # computed once for them all; independent bundles give the same bits,
+    # and training never builds a bundle's dense rows
     table = count_ngrams(synthetic_corpus(21, n_sequences=80, n_symbols=6), 3)
+    calls = []
+    entropy_of = ConditionalLM.entropy.func
+    counted = functools.cached_property(lambda lm: calls.append(lm) or entropy_of(lm))
+    counted.__set_name__(ConditionalLM, "entropy")
+    monkeypatch.setattr(ConditionalLM, "entropy", counted)
     base = build_regularizer(empirical_conditional(table), smooth(table, "kneser_essen_ney"),
                              table, 1.0, 1.0)
-    calls = []
-    row_entropies = decompose.row_entropies
-    monkeypatch.setattr(decompose, "row_entropies",
-                        lambda rows: calls.append(rows) or row_entropies(rows))
-    gammas = [(0.3, 0.7), (1.0, 1.0), (2.0, 0.0), (0.0, 0.5)]
     configs = [TrainConfig(objective="split_regularizer", method="kneser_essen_ney",
-                           gamma_plus=gp, gamma_minus=gm) for gp, gm in gammas]
-    shared = [_objective_weights(table, config,
-                                 base.with_gammas(config.gamma_plus, config.gamma_minus))
-              for config in configs]
-    assert len(calls) == 2
-    assert calls[0] is base.rows.p_plus and calls[1] is base.rows.p_minus
+                           gamma_plus=gp, gamma_minus=gm, epochs=2) for gp, gm in GAMMA_PAIRS]
+    copies = [dataclasses.replace(base, gamma_plus=c.gamma_plus, gamma_minus=c.gamma_minus)
+              for c in configs]
+    shared = [_objective_weights(table, c, b) for c, b in zip(configs, copies)]
+    assert calls == [base.lm]
     for config, (alpha, const) in zip(configs, shared):
-        own = dataclasses.replace(base, gamma_plus=config.gamma_plus,
-                                  gamma_minus=config.gamma_minus)
+        own = build_regularizer(empirical_conditional(table),
+                                smooth(table, "kneser_essen_ney"), table,
+                                config.gamma_plus, config.gamma_minus)
         own_alpha, own_const = _objective_weights(table, config, own)
-        assert own.rows is not base.rows
+        assert own.lm is not base.lm
         np.testing.assert_array_equal(alpha, own_alpha)
         assert const == own_const
-    assert len(calls) == 2 + 2 * len(configs)
+    assert len(calls) == 1 + len(configs)
+    for config, bundle in zip(configs, copies):
+        train(TabularSoftmaxLM.for_table(table), table, config, bundle)
+        assert "rows" not in vars(bundle)
+    assert "rows" not in vars(base)

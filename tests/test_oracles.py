@@ -10,6 +10,7 @@ code reads the dict views kept only for `perfbench/` and the tests, or
 when a source file needs a grammar newer than Python 3.10's."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from smoothlm.corpus import count_ngrams
 from smoothlm.decompose import build_regularizer
 from smoothlm.neural import (
+    BUNDLE_OBJECTIVES,
     OBJECTIVES,
     FeedForwardLM,
     TabularSoftmaxLM,
@@ -25,7 +27,7 @@ from smoothlm.neural import (
     _objective_weights,
 )
 from smoothlm.ngram import empirical_conditional
-from smoothlm.smoothers import smooth
+from smoothlm.smoothers import METHODS, KatzConfigError, smooth
 from smoothlm.verify import objective_value, synthetic_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,25 +52,53 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_training_loss_is_the_objective(objective, arch, order):
     # training's loss is batch_loss_grads under _objective_weights plus its
-    # constant; a wrong weight or constant shows here, not in a gradient
+    # constant; a wrong weight or constant shows here, not in a gradient.
+    # The bundle objectives run every smoother that builds on each corpus
+    # (Katz only on the largest), under three gamma pairs, and a JM LM of
+    # top weight 1, which is the empirical LM on the seen histories, so
+    # every row's Z+ and Z- are 0
     rng = np.random.default_rng(order)
-    for seed, method in enumerate(["add_lambda", "jelinek_mercer", "kneser_essen_ney"]):
-        corpus = synthetic_corpus(seed, n_sequences=30, n_symbols=4)
-        table = count_ngrams(corpus, order)
-        config = TrainConfig(objective=objective, method=method, gamma_ls=0.7,
-                             gamma_plus=0.8, gamma_minus=0.6)
-        smoothed = smooth(table, method)
-        bundle = build_regularizer(empirical_conditional(table), smoothed, table,
-                                   config.gamma_plus, config.gamma_minus)
-        if arch == "tabular":
-            model = TabularSoftmaxLM.for_table(table)
-            model.logits[...] = rng.normal(size=model.logits.shape)
-        else:
-            model = FeedForwardLM(order, corpus.vocab, 3, 4, seed=seed, init_scale=1.0)
-        alpha, const = _objective_weights(table, config, bundle)
-        loss, _, _ = model.batch_loss_grads(model.lookup(table.hists), alpha)
-        want = objective_value(model, corpus, config, smoothed)
-        assert loss + const == pytest.approx(want, rel=1e-12, abs=0), method
+    corpora = [synthetic_corpus(seed, n_sequences=30, n_symbols=4) for seed in range(3)]
+    corpora.append(synthetic_corpus(21, n_sequences=100, n_symbols=14))
+    bundled = objective in BUNDLE_OBJECTIVES
+    built = set()
+    with np.errstate(all="raise"):
+        for seed, corpus in enumerate(corpora):
+            table = count_ngrams(corpus, order)
+            cases = [(None, None)]
+            if bundled:
+                cases = [(method, None) for method in METHODS]
+                cases.append(("jelinek_mercer", {"lambdas": [0.5] * (order - 1) + [1.0]}))
+            for method, params in cases:
+                smoothed = bundle = None
+                if bundled:
+                    try:
+                        smoothed = smooth(table, method, params)
+                    except KatzConfigError:
+                        continue
+                    bundle = build_regularizer(empirical_conditional(table), smoothed, table,
+                                               1.0, 1.0)
+                    if params is not None:
+                        assert not bundle.z_plus.any() and not bundle.z_minus.any()
+                built.add(method)
+                for gp, gm in [(0.8, 0.6), (0.0, 0.6), (0.8, 0.0)] if bundled else [(0.8, 0.6)]:
+                    config = TrainConfig(objective=objective, method=method,
+                                         method_params=params, gamma_ls=0.7,
+                                         gamma_plus=gp, gamma_minus=gm)
+                    if arch == "tabular":
+                        model = TabularSoftmaxLM.for_table(table)
+                        model.logits[...] = rng.normal(size=model.logits.shape)
+                    else:
+                        model = FeedForwardLM(order, corpus.vocab, 3, 4, seed=seed,
+                                              init_scale=1.0)
+                    if bundled:
+                        bundle = dataclasses.replace(bundle, gamma_plus=gp, gamma_minus=gm)
+                    alpha, const = _objective_weights(table, config, bundle)
+                    loss, _, _ = model.batch_loss_grads(model.lookup(table.hists), alpha)
+                    want = objective_value(model, corpus, config, smoothed)
+                    assert loss + const == pytest.approx(want, rel=1e-12, abs=0), \
+                        (seed, method, params, gp, gm)
+    assert built == (set(METHODS) if bundled else {None})
 
 
 def parsed(name: str) -> ast.Module:
