@@ -26,17 +26,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionalLM", "Corpus", "CountTable", "FeedForwardLM",
-    "RegularizerBundle", "SignedDecomposition",
-    "TabularSoftmaxLM", "TrainConfig", "VerificationReport", "Vocabulary",
-    "build_regularizer",
-    "corpus_from_lines", "count_ngrams",
-    "empirical_conditional", "load_corpus", "perplexity", "smooth",
-    "smooth_add_lambda", "smooth_good_turing", "smooth_jelinek_mercer",
-    "smooth_katz", "smooth_kneser_essen_ney", "smooth_simple_good_turing",
-    "signed_decompose", "train",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

@@ -7,11 +7,12 @@ conventions downstream (conditional distributions, smoothing, training
 weights) are defined in terms of the tables built here.
 
 A CountTable is its sorted gram arrays, which CountTable.from_codes builds
-by the one sort of integer gram codes from every source: a corpus's padded
-id stream, a higher-order table's codes less their leading digit, and a
-count file's cells (through from_grams, which checks them first).  A
+by the one sort of integer gram codes from every source, and keeps those
+codes: a corpus's padded id stream (its windows' history_codes), a
+higher-order table's kept codes less their leading digit, and a count
+file's cells (through from_grams, which checks them first).  A
 model's rows are named by a RowKeys, whose `find` looks histories up by
-those codes, searching them in sorted order (sorted_search); a CountTable
+their codes, searching them in sorted order (sorted_search); a CountTable
 is the RowKeys of its own histories, and keeps the backoff structure the
 smoothers read without a search: its `marginal` and its `parents` there.
 The history tuples and the table's count dicts are views for `perfbench/`,
@@ -197,10 +198,12 @@ class CountTable(RowKeys):
     positions whose length-(n-1) padded history is h and whose emitted id
     (a symbol or EOS) is x.  The table is its grams, and its histories are
     its RowKeys, in code order: row i is history ids[i], with row total
-    totals[i]; gram g adds count[g] at row hist[g], emission index out[g].
-    Invariant, set by from_codes, the one sort: the histories pass
-    check_histories, are sorted and each has a gram; the grams are sorted
-    by (row, emission index), each once, with a count of at least 1.  As
+    totals[i]; gram g adds count[g] at row hist[g], emission index out[g],
+    and its code, the history's ids then the emitted id (EOS's own id, not
+    its index) in base `base`, is gram_codes[g].  Invariant, set by
+    from_codes, the one sort: the histories pass check_histories, are
+    sorted and each has a gram; the grams are sorted by (row, emission
+    index), each once, with a count of at least 1.  As
     BOS and EOS's emission index are both n_symbols, this is the order of
     sorting the (history, emitted id) pairs, and `hists` is
     sorted(history_count).  Above order 1 a table has a backoff structure,
@@ -214,6 +217,7 @@ class CountTable(RowKeys):
     out: np.ndarray
     count: np.ndarray
     totals: np.ndarray
+    gram_codes: np.ndarray
 
     @classmethod
     def from_codes(cls, order: int, vocab: Vocabulary, codes: np.ndarray,
@@ -222,11 +226,12 @@ class CountTable(RowKeys):
         history's ids, then the emitted id, in base |V|+2) are `codes`, each
         occurring once, or counts[g] times; equal codes are summed.  This is
         the one sort of every table: np.sort and run lengths without
-        `counts`, else argsort and add.reduceat.  The history ids are read
-        back off the codes' digits with // and %, which act on Python-int
-        codes too, and check_histories runs once on the distinct histories;
-        the caller vouches that every digit is in range and that the last
-        is an emittable id."""
+        `counts`, else argsort and add.reduceat.  The distinct codes are
+        kept, sorted, as `gram_codes`.  The history ids are read back off
+        the codes' digits with // and %, which act on Python-int codes too,
+        and check_histories runs once on the distinct histories; the caller
+        vouches that every digit is in range and that the last is an
+        emittable id."""
         base = vocab.n_symbols + 2
         codes = codes.astype(_code_dtype(base, order), copy=False)
         if counts is not None:
@@ -253,7 +258,8 @@ class CountTable(RowKeys):
             ids=hist_ids, codes=hist_codes, base=base, code_rows=None, order=order,
             vocab=vocab, hist=np.cumsum(new_hist) - 1,
             out=np.minimum(out, vocab.n_symbols),  # EOS's index is n_symbols
-            count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist)))
+            count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist)),
+            gram_codes=codes)
 
     @classmethod
     def from_grams(cls, order: int, vocab: Vocabulary, keys, counts) -> CountTable:
@@ -299,10 +305,11 @@ class CountTable(RowKeys):
         row in `marginal` of each history's parent (the history without its
         oldest symbol), and the index in `marginal` of each gram's parent
         gram (the parent history, the same emission).  One search of the
-        grams' codes one order down among the marginal's, which are sorted
-        and hold every one of them."""
+        grams' codes less their leading digit among the marginal's, which
+        are sorted and hold every one of them."""
         down = self.marginal
-        grams = np.searchsorted(_gram_codes(down, down.order), _gram_codes(self, down.order))
+        codes = self.gram_codes % self.base ** down.order
+        grams = np.searchsorted(down.gram_codes, codes.astype(down.gram_codes.dtype, copy=False))
         rows = np.empty(len(self.ids), dtype=np.intp)
         rows[self.hist] = down.hist[grams]
         return rows, grams
@@ -483,15 +490,10 @@ def count_ngrams(corpus: Corpus, order: int) -> CountTable:
     padded[ends - 1] = vocab.eos_id
     k = np.repeat(np.arange(len(seqs)), lengths)
     padded[np.arange(len(tokens)) + order * (k + 1) - 1] = tokens
-    # the code of the window ending at each position, by one multiply-add
-    # per shifted slice of the id stream (see history_codes); every
-    # position but the padding emits
-    base, n = vocab.n_symbols + 2, len(padded) - (order - 1)
-    dtype = _code_dtype(base, order)
-    codes = np.zeros(n, dtype=dtype)
-    for j in range(order):
-        codes *= base
-        codes += padded[j:j + n].astype(dtype, copy=False)
+    # the code of the window ending at each position; every position but
+    # the padding emits
+    codes = history_codes(np.lib.stride_tricks.sliding_window_view(padded, order),
+                          vocab.n_symbols + 2)
     return CountTable.from_codes(order, vocab, codes[padded[order - 1:] != vocab.bos_id])
 
 
@@ -516,7 +518,8 @@ def zero_gram_count(table: CountTable) -> int:
 
 
 def marginalize(table: CountTable) -> CountTable:
-    """Project an order-n table to order n-1 by dropping the oldest context symbol.
+    """Project an order-n table to order n-1 by dropping the oldest context
+    symbol: the leading digit of each of its gram codes.
 
     Equivalent to recounting the corpus at order n-1, because BOS padding
     gives every position a full-length history at every order.
@@ -524,17 +527,8 @@ def marginalize(table: CountTable) -> CountTable:
     if table.order < 2:
         raise ValueError("cannot marginalize an order-1 table")
     order = table.order - 1
-    return CountTable.from_codes(order, table.vocab, _gram_codes(table, order), table.count)
-
-
-def _gram_codes(table: CountTable, order: int) -> np.ndarray:
-    """The code of each of `table`'s grams at `order`, at most the table's:
-    its history's code less the leading digits, then its emitted id (EOS for
-    emission index n), in the dtype of codes at that order, so that no code
-    overflows."""
-    base, n = table.base, table.vocab.n_symbols
-    hist_codes = (table.codes % base ** (order - 1)).astype(_code_dtype(base, order))
-    return hist_codes[table.hist] * base + np.where(table.out == n, n + 1, table.out)
+    return CountTable.from_codes(order, table.vocab, table.gram_codes % table.base ** order,
+                                 table.count)
 
 
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:

@@ -149,13 +149,8 @@ class RegularizerBundle:
     @cached_property
     def rows(self) -> SignedDecomposition:
         t = self.keys
-        # a copy of the LM's rows: of its dense view when a reader built it,
-        # else fresh rows, so that the bundle does not keep both
-        if "matrix" in vars(self.lm):
-            pos = self.lm.matrix + 0.0
-        else:
-            pos = self.lm.fresh_rows()
-            pos += 0.0
+        pos = self.lm.fresh_rows()
+        pos += 0.0  # a -0.0 cell becomes +0.0
         return _dense_split(pos, t.hist * t.vocab.out_dim + t.out, t.hist, self.diff,
                             self.z_plus, self.z_minus)
 

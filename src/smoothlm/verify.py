@@ -121,24 +121,6 @@ def synthetic_corpus(
     return Corpus(vocab=vocab, sequences=tuple(seqs))
 
 
-def zipf_lines(
-    n_sequences: int,
-    vocab_size: int,
-    seed: int,
-) -> list[str]:
-    """Zipf-distributed token lines of 3 to 12 tokens (rank-r token has
-    weight 1/r), tokens iid."""
-    rng = np.random.default_rng(seed)
-    tokens = [f"w{i:02d}" for i in range(vocab_size)]
-    w = 1.0 / (1.0 + np.arange(vocab_size))
-    w /= w.sum()
-    lines = []
-    for _ in range(n_sequences):
-        length = int(rng.integers(3, 13))
-        lines.append(" ".join(tokens[i] for i in rng.choice(vocab_size, size=length, p=w)))
-    return lines
-
-
 def markov_zipf_lines(
     n_sequences: int,
     vocab_size: int,

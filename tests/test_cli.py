@@ -24,7 +24,7 @@ from smoothlm import neural, verify
 from smoothlm.cli import RunConfig, build_parser, main
 from smoothlm.corpus import corpus_from_lines, count_ngrams, load_corpus
 from smoothlm.ngram import NormalizationError
-from smoothlm.verify import markov_zipf_lines, zipf_lines
+from smoothlm.verify import markov_zipf_lines
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_run.json"
 
@@ -40,8 +40,8 @@ def tiny(tmp_path):
 def zipf(tmp_path):
     train = tmp_path / "train.txt"
     held = tmp_path / "held.txt"
-    train.write_text("\n".join(zipf_lines(80, 8, seed=1)) + "\n", encoding="utf-8")
-    held.write_text("\n".join(zipf_lines(20, 8, seed=2)) + "\n", encoding="utf-8")
+    train.write_text("\n".join(markov_zipf_lines(80, 8, seed=1)) + "\n", encoding="utf-8")
+    held.write_text("\n".join(markov_zipf_lines(20, 8, seed=2)) + "\n", encoding="utf-8")
     return train, held
 
 
@@ -314,6 +314,14 @@ def test_badly_typed_method_params_exit_2_in_train(tiny, tmp_path, capsys, metho
     ("train", {"init_scale": -math.inf}, "init_scale must be finite, got -inf"),
     ("grid", {"gamma_plus": [0.1, math.nan]}, "gamma_plus must be finite, got nan"),
     ("grid", {"gamma_ls": math.inf}, "gamma_ls must be finite, got inf"),
+    ("train", {"arch": "rnn"}, "error: unknown architecture 'rnn'"),
+    ("grid", ("--arch", "rnn"), "error: unknown architecture 'rnn'"),
+    # a path given as null, which is how a path left out reads
+    ("train", {"corpus_path": None}, "need corpus_path (flag --corpus-path or config key)"),
+    ("train", {"out_dir": None}, "need out_dir (flag --out-dir or config key)"),
+    ("grid", {"corpus_path": None}, "grid needs corpus_path and heldout_path"),
+    ("grid", {"heldout_path": None}, "grid needs corpus_path and heldout_path"),
+    ("grid", {"out_dir": None}, "error: need out_dir\n"),
 ])
 def test_badly_typed_config_exit_2(zipf, tmp_path, capsys, command, values, message):
     train, held = zipf
@@ -722,7 +730,7 @@ class TestGrid:
     def test_second_call_reads_rewritten_corpus(self, zipf, tmp_path):
         train, held = zipf
         other = tmp_path / "other.txt"
-        other.write_text("\n".join(zipf_lines(80, 8, seed=5)) + "\n", encoding="utf-8")
+        other.write_text("\n".join(markov_zipf_lines(80, 8, seed=5)) + "\n", encoding="utf-8")
         expected_dir = tmp_path / "expected"
         assert main(["grid", "--config",
                      str(self.make_config(tmp_path, other, held, expected_dir))]) == 0

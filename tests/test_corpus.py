@@ -91,23 +91,31 @@ def window_counts(corpus, order):
 def oracle_table(vocab, order, grams):
     """The CountTable of {(history, emitted id): count}, field by field:
     histories sorted, codes as Python ints spelling them in base |V|+2,
-    grams sorted by (history, emission index)."""
+    grams sorted by (history, emission index), each gram's code spelling
+    its history's ids and then its emitted id."""
     base, width = vocab.n_symbols + 2, order - 1
     hists = sorted({h for h, _ in grams})
     row = {h: i for i, h in enumerate(hists)}
-    cells = sorted((row[h], vocab.out_index(x), c) for (h, x), c in grams.items())
+    cells = sorted((row[h], vocab.out_index(x), c, x) for (h, x), c in grams.items())
     totals = Counter()
     for (h, _), c in grams.items():
         totals[h] += c
-    codes = [sum(i * base ** (width - 1 - j) for j, i in enumerate(h)) for h in hists]
+
+    def spelled(ids):
+        return sum(i * base ** (len(ids) - 1 - j) for j, i in enumerate(ids))
+
+    def code_array(codes, w):
+        return np.array(codes, dtype=object if base ** w >= 2 ** 63 else np.int64)
+
     return CountTable(
         ids=np.array(hists, dtype=np.intp).reshape(len(hists), width),
-        codes=np.array(codes, dtype=object if base ** width >= 2 ** 63 else np.int64),
+        codes=code_array([spelled(h) for h in hists], width),
         base=base, code_rows=None, order=order, vocab=vocab,
-        hist=np.array([r for r, _, _ in cells], dtype=np.intp),
-        out=np.array([j for _, j, _ in cells], dtype=np.intp),
-        count=np.array([c for _, _, c in cells], dtype=np.int64),
-        totals=np.array([totals[h] for h in hists], dtype=np.int64))
+        hist=np.array([r for r, _, _, _ in cells], dtype=np.intp),
+        out=np.array([j for _, j, _, _ in cells], dtype=np.intp),
+        count=np.array([c for _, _, c, _ in cells], dtype=np.int64),
+        totals=np.array([totals[h] for h in hists], dtype=np.int64),
+        gram_codes=code_array([spelled(hists[r] + (x,)) for r, _, _, x in cells], order))
 
 
 # 600 symbols: (|V|+2)^7 passes 2^63, so the gram codes at orders 7 and 8
@@ -143,6 +151,29 @@ class TestVocabulary:
     def test_sentinel_token_collision_rejected(self):
         with pytest.raises(ValueError):
             corpus_from_lines(["a <bos> b"]).vocab
+
+    def test_repeated_symbol_rejected(self):
+        with pytest.raises(ValueError, match="^vocabulary symbols must be distinct$"):
+            Vocabulary(symbols=("a", "b", "a"))
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_out_index_out_of_range_rejected(self, index):
+        v = Vocabulary(symbols=("a", "b"))
+        assert v.id_at_out(2) == v.eos_id
+        with pytest.raises(ValueError, match=f"^out index {index} out of range$"):
+            v.id_at_out(index)
+
+
+def test_corpus_of_no_sequences_rejected():
+    with pytest.raises(EmptyCorpusError, match="^empty corpus$"):
+        Corpus(vocab=Vocabulary(symbols=("a",)), sequences=())
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2,)])
+def test_history_ids_of_another_width_rejected(shape):
+    with pytest.raises(ValueError, match=rf"^history ids of shape \({shape[0]},"):
+        corpus_module.check_histories(Vocabulary(symbols=("a", "b")), 2,
+                                      np.zeros(shape, dtype=np.intp))
 
 
 @pytest.mark.parametrize("sequences, bad", [

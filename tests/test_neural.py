@@ -390,6 +390,21 @@ def test_out_of_range_train_config_rejected(key, value):
         train(TabularSoftmaxLM.for_table(count_ngrams(c, 2)), c, config)
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"objective": "mse"}, "unknown objective 'mse'"),
+    ({"lr": -0.1}, "lr must be >= 0"),
+    ({"objective": "label_smoothing", "gamma_ls": -0.1}, "gamma_ls must be >= 0"),
+])
+def test_bad_train_config_value_rejected(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**values).validate()
+
+
+def test_feedforward_model_of_order_one_rejected():
+    with pytest.raises(ValueError, match=r"^feedforward model needs order >= 2"):
+        FeedForwardLM(1, toy().vocab, 4, 5)
+
+
 def test_data_with_another_vocabulary_rejected():
     # a held-out corpus loaded with its own vocabulary numbers its symbols
     # in another order, so its ids would name other cells of the model

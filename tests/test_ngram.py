@@ -106,6 +106,16 @@ class TestValidation:
         with pytest.raises(NormalizationError, match="nan"):
             ConditionalLM(1, Vocabulary(("a",)), {(): [math.nan, 1.0]})
 
+    def test_rejects_matrix_of_another_shape(self):
+        c = toy()
+        with pytest.raises(ValueError, match=r"^row matrix has shape \(1, 2\), expected \(1, 3\)$"):
+            ConditionalLM(2, c.vocab, ([(c.vocab.bos_id,)], np.full((1, 2), 0.5)))
+
+    def test_rejects_mapping_row_of_another_length(self):
+        c = toy()
+        with pytest.raises(ValueError, match=r"^history \(0,\): wrong vector length \(2,\)$"):
+            ConditionalLM(2, c.vocab, {(0,): np.full(2, 0.5)})
+
     def test_rejects_repeated_history(self):
         # `rows` hands out `matrix` when asked for `hists`, which is sound
         # only while each history names one row
@@ -126,6 +136,21 @@ class TestLevel:
         for backstop in (smooth(marginalize(table), "jm"), lm.backstop.backstop):
             with pytest.raises(ValueError, match="marginal"):
                 ConditionalLM.level(table, lm.seen, lm.a, lm.d, backstop)
+
+    def test_backstop_given_its_matrix_gives_the_same_level(self):
+        # an LM given a dense matrix, keyed by the table's marginal, backs a
+        # level of the table as the smoother's own lower level does; the
+        # level reads its `mass`, the matrix's row sums, through `parents`
+        table = count_ngrams(corpus_from_lines(verify.markov_zipf_lines(40, 5, 0)), 3)
+        lm = smooth(table, "jm")
+        lower = lm.backstop
+        dense = ConditionalLM(2, table.vocab, (table.marginal, lower.matrix), lower.backstop)
+        assert dense.keys is table.marginal and dense.seen is None
+        again = ConditionalLM.level(table, lm.seen, lm.a, lm.d, dense)
+        np.testing.assert_array_equal(dense.mass, lower.matrix.sum(axis=1))
+        np.testing.assert_allclose(again.mass, lm.mass, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(again.off_mass, lm.off_mass, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(again.matrix.view(np.int64), lm.matrix.view(np.int64))
 
     def test_uniform_backstop_gives_a_base_of_ones(self):
         table = count_ngrams(corpus_from_lines(verify.markov_zipf_lines(40, 5, 0)), 2)
@@ -358,6 +383,10 @@ class TestDivergences:
 
     def test_entropy_uniform(self):
         assert entropy(np.full(4, 0.25)) == pytest.approx(math.log(4))
+
+    def test_cross_entropy_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^shape mismatch \(2,\) vs \(3,\)$"):
+            cross_entropy(np.full(2, 0.5), np.full(3, 1 / 3))
 
     def test_kl_nonnegative(self):
         rng = np.random.default_rng(0)

@@ -21,7 +21,6 @@ from smoothlm.verify import (
     random_corpus,
     synthetic_corpus,
     theorem1_sides,
-    zipf_lines,
 )
 
 
@@ -174,12 +173,6 @@ class TestGenerators:
         for v in q.table.values():
             assert (v > 0).all()
             assert v.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_zipf_lines_deterministic(self):
-        a = zipf_lines(20, 10, seed=4)
-        b = zipf_lines(20, 10, seed=4)
-        assert a == b
-        assert len(a) == 20
 
     def test_every_check_passes_quick(self):
         assert list(CHECKS) == ["T1", "COR", "T2", "T3", "CE_LINEARITY"]
