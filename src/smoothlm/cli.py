@@ -2,7 +2,8 @@
 
 Counts, LMs and decompositions share the one TSV format of
 corpus.write_cells.  Runs are deterministic for a fixed seed, and rerunning
-any command with identical inputs rewrites byte-identical outputs.  Exit
+any command with identical inputs, on a fixed BLAS build and thread count,
+rewrites byte-identical outputs.  Exit
 codes: 0 ok, 1 verification failure, 2 usage/input error (a training run
 that diverges, and a run out of memory, included), 3 internal invariant
 breach.
@@ -154,7 +155,8 @@ class _TrainingData:
     count tables of the training and held-out corpora, and one regularizer
     bundle per method_params value, of which each model takes a copy with
     its own gammas (the decomposition does not depend on them; the copies
-    share the smoothed LM, and the bundles the table's cached marginals).
+    share the smoothed LM, and the bundles the table's cached marginals),
+    and one training workspace, which every model's epochs write into.
     A grid call keeps one of these for its cells and drops it when it ends,
     so a later call sees rewritten input files."""
 
@@ -166,6 +168,7 @@ class _TrainingData:
             heldout = load_corpus(config.heldout_path, vocab=corpus.vocab)
             self.heldout = count_ngrams(heldout, config.order)
         self._bundles = {}
+        self.workspace = neural.Workspace()
 
     def _bundle(self, config):
         key = json.dumps(config.method_params, sort_keys=True)
@@ -177,7 +180,7 @@ class _TrainingData:
     def train(self, config: RunConfig):
         bundle = self._bundle(config) if config.objective in neural.BUNDLE_OBJECTIVES else None
         return neural.train(_model_for(config, self.table), self.table, config, bundle,
-                            self.heldout)
+                            self.heldout, workspace=self.workspace)
 
 
 def _write_metrics(metrics, path):

@@ -28,8 +28,18 @@ theta_{e+1}, where epoch e+1 starts.  So each epoch runs one batched forward
 over the training histories followed by the held-out histories training
 lacks: its training rows give the loss and gradient at theta_e, its held-out
 rows ppl_{e-1}.  Early stopping is decided before the step, and one last
-forward, ngram.perplexity's, after the final epoch scores it, so k epochs
+forward over the same rows after the final epoch scores it, so k epochs
 take k + 1 forwards.
+
+An epoch allocates no (rows x |V|+1) array.  The forward, the loss, the
+gradient, alpha and the best checkpoint live in a Workspace that every
+epoch of a run reuses, and that a grid hands from cell to cell.  The
+forward stops at the shifted logits z', log s and q, and the loss is
+sum_h A_h log s_h - sum alpha . z' with A = alpha.sum(1), computed once per
+run, so log q is never written out.  q, the delta and every gradient and
+parameter keep the bits of the unfused expressions; the loss moves in its
+last bits.  `rows`, `cells` and `perplexity` run the same forward in a
+fresh Workspace, so what they return is their own.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import numpy as np
 from .corpus import (Corpus, CountTable, History, RowKeys, Vocabulary, history_ids, row_index,
                      table_at)
 from .decompose import RegularizerBundle, build_regularizer
-from .ngram import empirical_conditional, perplexity, table_perplexity
+from .ngram import _xlogx, empirical_conditional, table_perplexity
 from .smoothers import method_params, smooth
 
 OBJECTIVES = ("mle", "label_smoothing", "smoothed_target", "split_regularizer")
@@ -113,23 +123,45 @@ class TrainMetrics:
     epochs_run: int = 0
 
 
-def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (log q, q) with max subtraction.  Writes log q over `z`, a
-    fresh logits array, and returns it; q is the one new array."""
+class Workspace:
+    """Named float buffers that a pass writes into: `get` hands back the
+    buffer of a name, allocated again only when the shape asked for is
+    another.  Its contents are whatever the last pass left.  Training keeps
+    one for every epoch of a run, and a grid for every cell, so that an
+    epoch allocates no (rows x |V|+1) array and no cell faults in the pages
+    the previous one freed."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self.buffers[name] = np.empty(shape)
+        return buf
+
+
+def _log_softmax(z: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise softmax with max subtraction: the shifted logits z', written
+    over `z`, each row's log s = log sum exp z', and q = exp z' / s, in
+    `ws`.  log q is z' - log s, which no pass writes out."""
     z -= z.max(axis=1, keepdims=True)
-    q = np.exp(z)
+    q = np.exp(z, out=ws.get("q", z.shape))
     s = q.sum(axis=1, keepdims=True)
-    z -= np.log(s)
     q /= s
-    return z, q
+    return z, np.log(s), q
 
 
-def _loss_delta(alpha: np.ndarray, logq: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
-    """The loss sum alpha . -log q and its gradient in the logits,
-    alpha.sum(1) q - alpha, which takes over the loss's scratch array."""
-    t = alpha * logq
-    loss = float(-t.sum())
-    np.multiply(alpha.sum(axis=1, keepdims=True), q, out=t)
+def _loss_delta(alpha, alpha_sums, z, log_s, q, ws) -> tuple[float, np.ndarray]:
+    """The loss sum alpha . -log q = sum_h A_h log s_h - sum alpha . z', with
+    A = alpha.sum(1) with its dims kept (`alpha_sums`, computed here unless
+    given), and its gradient in the logits, A q - alpha, which takes over
+    the loss's scratch array in `ws`."""
+    if alpha_sums is None:
+        alpha_sums = alpha.sum(axis=1, keepdims=True)
+    t = np.multiply(alpha, z, out=ws.get("delta", alpha.shape))
+    loss = float((alpha_sums * log_s).sum() - t.sum())
+    np.multiply(alpha_sums, q, out=t)
     t -= alpha
     return loss, t
 
@@ -139,7 +171,9 @@ class _Model:
     ngram.ConditionalLM: `order`, `vocab`, `rows` and `cells`.  Each
     architecture's `lookup` checks a batch of histories once and returns
     what its `forward` reads; `forward` is the one batched pass that
-    `rows`, `cells` and `batch_loss_grads` run, and its last value is q."""
+    `rows`, `cells` and `batch_loss_grads` run, and its last value is q.
+    A pass writes into the Workspace it is given; without one it gets a
+    fresh one, so what `rows` and `cells` return is their own."""
 
     def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
         """q(.|h) for each of `hists` (history tuples, an id array or a count
@@ -183,22 +217,32 @@ class TabularSoftmaxLM(_Model):
             return np.arange(len(self.logits))
         return self.keys.find(history_ids(self.vocab, self.order - 1, hists))
 
-    def forward(self, idx):
-        """(log q, q) of the rows `idx` of a lookup.  Row -1 is a zero logit
-        row, whose softmax is the uniform row."""
-        z = self.logits[idx] if len(self.logits) else np.zeros((len(idx), self.vocab.out_dim))
+    def forward(self, idx, ws: Workspace | None = None):
+        """(z', log s, q) of the rows `idx` of a lookup, as `_log_softmax`
+        gives them.  Row -1 is a zero logit row, whose softmax is the
+        uniform row."""
+        ws = ws or Workspace()
+        z = ws.get("z", (len(idx), self.vocab.out_dim))
+        if len(self.logits):
+            # mode="clip" takes the rows unbuffered; a row -1 is zeroed below
+            np.take(self.logits, idx, axis=0, out=z, mode="clip")
+        else:
+            z.fill(0.0)
         z[idx < 0] = 0.0
-        return _log_softmax(z)
+        return _log_softmax(z, ws)
 
-    def batch_loss_grads(self, idx, alpha):
+    def batch_loss_grads(self, idx, alpha, ws: Workspace | None = None, alpha_sums=None):
         """Loss sum_i alpha_i . -log q(.|h_i) over the first len(alpha) rows
         of a lookup `idx`, its gradient, and q of all of `idx`, from one
-        forward.  A row -1 has no parameters, so its delta goes to a spare
-        row past the logits that the gradient leaves out."""
-        logq, q = self.forward(idx)
+        forward, with `alpha_sums` as `_loss_delta` takes it.  A row -1 has
+        no parameters, so its delta goes to a spare row past the logits that
+        the gradient leaves out."""
+        ws = ws or Workspace()
+        z, log_s, q = self.forward(idx, ws)
         n = len(alpha)
-        loss, delta = _loss_delta(alpha, logq[:n], q[:n])
-        g = np.zeros((len(self.logits) + 1, self.vocab.out_dim))
+        loss, delta = _loss_delta(alpha, alpha_sums, z[:n], log_s[:n], q[:n], ws)
+        g = ws.get("g", (len(self.logits) + 1, self.vocab.out_dim))
+        g.fill(0.0)
         g[idx[:n]] = delta
         return loss, {"logits": g[:-1]}, q
 
@@ -245,29 +289,42 @@ class FeedForwardLM(_Model):
         """The ids of each of `hists`, one row each."""
         return history_ids(self.vocab, self.order - 1, hists)
 
-    def forward(self, idx):
-        """(embeddings, hidden layer, log q, q) of the histories `idx` of a
-        lookup."""
-        e = self.E[idx].reshape(len(idx), (self.order - 1) * self.embed_dim)
-        a = np.tanh(e @ self.W1 + self.b1)
-        logq, q = _log_softmax(a @ self.W2 + self.b2)
-        return e, a, logq, q
+    def forward(self, idx, ws: Workspace | None = None):
+        """(embeddings, hidden layer, z', log s, q) of the histories `idx`
+        of a lookup, the last three as `_log_softmax` gives them."""
+        ws = ws or Workspace()
+        n, k = len(idx), self.order - 1
+        # the lookup checked every id, so mode="clip" clips none; it takes
+        # the rows unbuffered
+        e = np.take(self.E, idx, axis=0, out=ws.get("e", (n, k, self.embed_dim)), mode="clip")
+        e = e.reshape(n, k * self.embed_dim)
+        a = np.matmul(e, self.W1, out=ws.get("a", (n, self.hidden_dim)))
+        a += self.b1
+        np.tanh(a, out=a)
+        z = np.matmul(a, self.W2, out=ws.get("z", (n, self.vocab.out_dim)))
+        z += self.b2
+        return e, a, *_log_softmax(z, ws)
 
-    def batch_loss_grads(self, idx, alpha):
+    def batch_loss_grads(self, idx, alpha, ws: Workspace | None = None, alpha_sums=None):
         """Loss sum_i alpha_i . -log q(.|h_i) over the first len(alpha)
         histories of a lookup `idx`, its gradient, and q of all of `idx`,
-        from one forward."""
-        e, a, logq, q = self.forward(idx)
+        from one forward, with `alpha_sums` as `_loss_delta` takes it."""
+        ws = ws or Workspace()
+        e, a, z, log_s, q = self.forward(idx, ws)
         n = len(alpha)
-        idx, e, a, logq = idx[:n], e[:n], a[:n], logq[:n]
-        loss, delta2 = _loss_delta(alpha, logq, q[:n])
-        gW2 = a.T @ delta2
+        idx, e, a = idx[:n], e[:n], a[:n]
+        loss, delta2 = _loss_delta(alpha, alpha_sums, z[:n], log_s[:n], q[:n], ws)
+        gW2 = np.matmul(a.T, delta2, out=ws.get("gW2", self.W2.shape))
         gb2 = delta2.sum(axis=0)
-        dz1 = (delta2 @ self.W2.T) * (1.0 - a * a)
-        gW1 = e.T @ dz1
+        dz1 = np.matmul(delta2, self.W2.T, out=ws.get("dz1", a.shape))
+        slope = np.multiply(a, a, out=ws.get("slope", a.shape))
+        np.subtract(1.0, slope, out=slope)
+        dz1 *= slope
+        gW1 = np.matmul(e.T, dz1, out=ws.get("gW1", self.W1.shape))
         gb1 = dz1.sum(axis=0)
-        de = dz1 @ self.W1.T
-        gE = np.zeros_like(self.E)
+        de = np.matmul(dz1, self.W1.T, out=ws.get("de", e.shape))
+        gE = ws.get("gE", self.E.shape)
+        gE.fill(0.0)
         d = self.embed_dim
         for j in range(self.order - 1):
             np.add.at(gE, idx[:, j], de[:, j * d:(j + 1) * d])
@@ -278,13 +335,9 @@ class FeedForwardLM(_Model):
 # objectives
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x log x of each entry of a nonnegative vector, with 0 log 0 = 0."""
-    return x * np.log(x, out=np.zeros(len(x)), where=x > 0.0)
-
-
 def _objective_weights(
-    table: CountTable, config: TrainConfig, bundle: RegularizerBundle | None
+    table: CountTable, config: TrainConfig, bundle: RegularizerBundle | None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, float]:
     """Per-history coefficient vectors alpha, one row per history of `table`,
     and the theta-independent constant such that
@@ -294,7 +347,8 @@ def _objective_weights(
     smoothed_target takes alpha_h = w_h s_h and the constant
     -sum_h w_h H(s_h); split_regularizer takes alpha_h = #(h, .)/N +
     w_h (g+ (s_h - e_h)+ - g- (s_h - e_h)-), (s_h g+) w_h off the grams, and
-    each part x of mass Z adds -+ g w_h (Z log Z - sum x log x)."""
+    each part x of mass Z adds -+ g w_h (Z log Z - sum x log x).  A bundle
+    objective writes alpha into `ws`."""
     N = table.total_tokens
     if config.objective in ("mle", "label_smoothing"):
         alpha = table.dense_counts() / N
@@ -316,10 +370,11 @@ def _objective_weights(
         raise ValueError("the bundle was built from another count table")
     w = table.totals / N
     lm = bundle.lm
+    alpha = (ws or Workspace()).get("alpha", lm.matrix.shape)
     if config.objective == "smoothed_target":
-        return lm.matrix * w[:, None], -float(np.dot(w, lm.entropy))
+        return np.multiply(lm.matrix, w[:, None], out=alpha), -float(np.dot(w, lm.entropy))
     gp, gm = bundle.gamma_plus, bundle.gamma_minus
-    alpha = lm.matrix * gp
+    np.multiply(lm.matrix, gp, out=alpha)
     alpha *= w[:, None]
     hist, n = table.hist, len(w)
     up, down = np.maximum(bundle.diff, 0.0), np.maximum(np.negative(bundle.diff), 0.0)
@@ -350,6 +405,8 @@ def train(
     config: TrainConfig,
     bundle: RegularizerBundle | None = None,
     heldout: Corpus | CountTable | None = None,
+    *,
+    workspace: Workspace | None = None,
 ) -> tuple[object, TrainMetrics]:
     """Full-batch gradient descent; returns the best-held-out checkpoint.
 
@@ -360,7 +417,9 @@ def train(
     at the model's order; only a corpus is counted here.  A bundle the
     objective needs is built from the training counts unless one is given,
     so callers training many models on the same data pass the tables and
-    a shared bundle.
+    a shared bundle.  Every epoch writes its arrays into `workspace`, or
+    into one of the run's own if none is given; callers training many
+    models pass one, which changes no result.
     """
     config.validate()
     table = table_at(data, model.order, model.vocab)
@@ -368,13 +427,14 @@ def train(
         bundle = make_bundle_for(table, model.order, config)
     if heldout is not None:
         heldout = table_at(heldout, model.order, model.vocab)
-    return _train_counts(model, table, config, bundle, heldout)
+    return _train_counts(model, table, config, bundle, heldout, workspace or Workspace())
 
 
-def _train_counts(model, table, config, bundle, heldout):
-    # the objective weights and the batch do not depend on the parameters:
-    # build them once
-    alpha, const = _objective_weights(table, config, bundle)
+def _train_counts(model, table, config, bundle, heldout, ws):
+    # the objective weights, their row sums and the batch do not depend on
+    # the parameters: build them once
+    alpha, const = _objective_weights(table, config, bundle, ws)
+    alpha_sums = alpha.sum(axis=1, keepdims=True)
     idx = model.lookup(table)
     if (idx < 0).any():
         # a tabular model's row -1: a training history outside its table
@@ -403,7 +463,10 @@ def _train_counts(model, table, config, bundle, heldout):
         metrics.heldout_ppl.append(ppl)
         if ppl < best_ppl:
             best_ppl = ppl
-            best_params = {k: v.copy() for k, v in params.items()}
+            if best_params is None:
+                best_params = {k: ws.get("best " + k, v.shape) for k, v in params.items()}
+            for k, v in params.items():
+                np.copyto(best_params[k], v)
             metrics.best_epoch = len(metrics.heldout_ppl) - 1
             stale = 0
             return False
@@ -417,7 +480,7 @@ def _train_counts(model, table, config, bundle, heldout):
             # one forward at theta_epoch: its held-out rows give the
             # perplexity of the previous epoch, its training rows this
             # epoch's step
-            loss, grads, q = model.batch_loss_grads(idx, alpha)
+            loss, grads, q = model.batch_loss_grads(idx, alpha, ws, alpha_sums)
             if epoch and heldout is not None and \
                     patience_ran_out(table_perplexity(q[cells], heldout)):
                 break
@@ -425,13 +488,14 @@ def _train_counts(model, table, config, bundle, heldout):
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss!r} at epoch {epoch}")
             for name, arr in params.items():
-                arr -= config.lr * grads[name]
+                # the step lr * g, written over the gradient
+                arr -= np.multiply(grads[name], config.lr, out=grads[name])
             metrics.train_loss.append(loss)
             metrics.epochs_run = epoch + 1
         else:
             # every epoch ran: the last one's perplexity takes one more forward
             if heldout is not None:
-                patience_ran_out(perplexity(model, heldout))
+                patience_ran_out(table_perplexity(model.forward(idx, ws)[-1][cells], heldout))
     if best_params is not None:
         for name, arr in params.items():
             arr[...] = best_params[name]

@@ -59,9 +59,10 @@ class ConditionalLM:
     `keys` holds the histories of the rows, each once (the RowKeys of
     row_index, or the count table itself).  `matrix`, the dense rows, is a
     view built on first read (by `fresh_rows`) for the readers that ask:
-    `rows` of other keys, `conditional`, `entropy`, training's bundle
-    objectives, the dict `table` (history -> view of its row, for
-    `perfbench/`) and the writers.  `cells` never builds a row.
+    `rows` of other keys, `conditional`, training's bundle objectives, the
+    dict `table` (history -> view of its row, for `perfbench/`) and the
+    writers.  `cells` never builds a row, and a level's `mass`, `off_mass`
+    and `xlogx` (so its `entropy`) come from its parts.
 
     `backstop` decides what an unseen history gets: None raises
     UnseenHistoryError (the maximum-likelihood convention, where the
@@ -166,10 +167,32 @@ class ConditionalLM:
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        """Each row's entropy, over the positive cells of `matrix`."""
-        i, j = np.nonzero(self.matrix > 0.0)
-        p = self.matrix[i, j]
-        return -np.bincount(i, p * np.log(p), len(self.matrix))
+        """Each row's entropy, -`xlogx`."""
+        return -self.xlogx
+
+    @cached_property
+    def xlogx(self) -> np.ndarray:
+        """Each row's sum of s log s over its positive cells.  A level's
+        comes from its parts, as `mass` does, in O(grams): with c = a / d,
+        the seen values' terms plus c log c times the base mass off the
+        grams, plus c times the base row's own sum (the level below's
+        `xlogx` of the parent row, 0 for a row of ones) less the base
+        cells' terms on the grams.  A given matrix sums its positive
+        cells."""
+        if self.seen is None:
+            i, j = np.nonzero(self.base > 0.0)
+            p = self.base[i, j]
+            return np.bincount(i, p * np.log(p), len(self.base))
+        t, n = self.keys, len(self.keys.ids)
+        c = np.broadcast_to(np.divide(self.a, self.d), n)
+        if self.base is None:
+            base = 0.0
+        else:
+            rows, grams = t.parents
+            base = self.backstop.xlogx[rows] - np.bincount(
+                t.hist, _xlogx(self.backstop.gram_cells[grams]), n)
+        log_c = np.log(c, out=np.zeros(n), where=c > 0.0)
+        return np.bincount(t.hist, _xlogx(self.seen), n) + log_c * self.off_mass + c * base
 
     @cached_property
     def table(self) -> dict[History, np.ndarray]:
@@ -335,6 +358,11 @@ class ConditionalLM:
         if self.backstop is None:
             raise UnseenHistoryError(tuple(ids[0].tolist()))
         return self.backstop.conditional(h[self.order - self.backstop.order:])
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x of each entry of a nonnegative vector, with 0 log 0 = 0."""
+    return x * np.log(x, out=np.zeros(len(x)), where=x > 0.0)
 
 
 def check_distributions(rows: np.ndarray, hists: Sequence[History] | None = None,

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -537,12 +538,13 @@ class TestTrainEval:
 
 
 class TestGrid:
-    def make_config(self, tmp_path, train, held, out_dir, seed=0, gamma_minus=(0.5,)):
+    def make_config(self, tmp_path, train, held, out_dir, seed=0, gamma_minus=(0.5,),
+                    arch="feedforward"):
         cfg = {
             "corpus_path": str(train),
             "heldout_path": str(held),
             "order": 2,
-            "arch": "feedforward",
+            "arch": arch,
             "method": "jelinek_mercer",
             "method_params": {"lambdas": [[0.5, 0.5], [0.75, 0.75]]},
             "gamma_plus": [0.5, 1.0],
@@ -666,23 +668,34 @@ class TestGrid:
         return {tuple(ln.split("\t")[:3]): ln.split("\t")[3:] for ln in lines}
 
     def test_cell_matches_library_training(self, zipf, tmp_path):
+        # the grid trains every cell on the bundle of its method_params
+        # candidate, built for the first of them, and into the one workspace
+        # of all the cells; each row is its cell trained alone, with a
+        # bundle and a workspace of its own, so no cell leaves state behind
         train, held = zipf
-        out_dir = tmp_path / "g"
-        assert main(["grid", "--config", str(self.make_config(tmp_path, train, held, out_dir,
-                                                              seed=2))]) == 0
         corpus = load_corpus(str(train))
         heldout = load_corpus(str(held), vocab=corpus.vocab)
-        # the second gamma pair of a method_params candidate, so the grid
-        # trains it on a bundle it built for another cell
-        config = neural.TrainConfig(
-            objective="split_regularizer", method="jelinek_mercer",
-            method_params={"lambdas": [0.5, 0.5]}, gamma_plus=1.0, gamma_minus=0.5,
-            lr=0.3, epochs=25, patience=10, seed=2)
-        model = neural.FeedForwardLM(2, corpus.vocab, 4, 6, seed=2, init_scale=0.1)
-        _, m = neural.train(model, corpus, config, heldout=heldout)
-        row = self.read_rows(out_dir)[('{"lambdas":[0.5,0.5]}', "1", "0.5")]
-        assert row == [f"{m.train_loss[-1]:.10g}", f"{min(m.heldout_ppl):.10g}",
-                       str(m.epochs_run)]
+        for arch in ("tabular", "feedforward"):
+            out_dir = tmp_path / arch
+            assert main(["grid", "--config", str(self.make_config(
+                tmp_path, train, held, out_dir, seed=2, gamma_minus=(0.1, 0.5),
+                arch=arch))]) == 0
+            rows = self.read_rows(out_dir)
+            assert len(rows) == 8
+            for lam, gp, gm in itertools.product((0.5, 0.75), (0.5, 1.0), (0.1, 0.5)):
+                config = neural.TrainConfig(
+                    objective="split_regularizer", method="jelinek_mercer",
+                    method_params={"lambdas": [lam, lam]}, gamma_plus=gp, gamma_minus=gm,
+                    lr=0.3, epochs=25, patience=10, seed=2)
+                if arch == "tabular":
+                    model = neural.TabularSoftmaxLM.for_table(count_ngrams(corpus, 2))
+                else:
+                    model = neural.FeedForwardLM(2, corpus.vocab, 4, 6, seed=2, init_scale=0.1)
+                _, m = neural.train(model, corpus, config, heldout=heldout)
+                row = rows[(json.dumps({"lambdas": [lam, lam]}, separators=(",", ":")),
+                            f"{gp:.10g}", f"{gm:.10g}")]
+                assert row == [f"{m.train_loss[-1]:.10g}", f"{min(m.heldout_ppl):.10g}",
+                               str(m.epochs_run)], (arch, lam, gp, gm)
 
     def test_checked_in_example_config_runs(self, tmp_path, capsys):
         # the README's run-config schema example: a key that drifts from the

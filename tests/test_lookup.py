@@ -223,7 +223,7 @@ def test_tabular_forward_matches_a_dict_lookup(data):
             continue
         row = {h: i for i, h in enumerate(map(tuple, model.keys.ids.tolist()))}
         idx = model.lookup(batch)
-        _, q = model.forward(idx)
+        *_, q = model.forward(idx)
         assert idx.tolist() == [row.get(h, -1) for h in batch]
         z = np.array([logits.get(h, np.zeros(train.vocab.out_dim)) for h in batch])
         np.testing.assert_allclose(q, softmax(z), rtol=1e-12)

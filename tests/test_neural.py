@@ -179,9 +179,9 @@ def test_rows_of_a_batch_match_row_by_row(kind, data):
 
 def step_case(arch, data):
     """A model with random parameters, the training histories of one of its
-    steps, random coefficients alpha over them, and held-out `extra`
-    histories; a tabular model leaves out one table history, which leads
-    `extra`."""
+    steps, random coefficients alpha over them, held-out `extra` histories
+    and the count table the histories come from; a tabular model leaves
+    out one table history, which leads `extra`."""
     lines = data.draw(lines_over("abcd"))
     order = data.draw(st.integers(2, 3))
     corpus = corpus_from_lines(lines)
@@ -200,7 +200,7 @@ def step_case(arch, data):
     for arr in model.param_arrays().values():
         arr[...] = rng.normal(size=arr.shape)
     alpha = rng.normal(size=(len(hists), vocab.out_dim)) * (rng.random(len(hists)) < 0.8)[:, None]
-    return model, hists, alpha, extra
+    return model, hists, alpha, extra, table
 
 
 def unfused_log_softmax(z):
@@ -214,10 +214,12 @@ def unfused_log_softmax(z):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
-    # the forward writes log q over its logits and the step's loss and
-    # delta share one array; every value keeps the bits of the expressions
-    # that allocate one array each
-    model, hists, alpha, extra = step_case(arch, data)
+    # the forward stops at the shifted logits z' and log s, and the step's
+    # loss and delta share one array; q, log q = z' - log s, the delta and
+    # every gradient keep the bits of the expressions that allocate one
+    # array each.  The fused loss sum A log s - sum alpha . z' moves in its
+    # last bits, relative to the size of the terms it sums
+    model, hists, alpha, extra, _ = step_case(arch, data)
     batch, n = [*hists, *extra], len(hists)
     p = {k: v.copy() for k, v in model.param_arrays().items()}
     if arch == "tabular":
@@ -246,12 +248,14 @@ def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
                "b2": delta.sum(axis=0)}
     looked_up = model.lookup(batch)
     np.testing.assert_array_equal(looked_up, idx)
-    *_, fwd_logq, fwd_q = model.forward(looked_up)
-    np.testing.assert_array_equal(fwd_logq, logq)
+    *_, fwd_z, fwd_log_s, fwd_q = model.forward(looked_up)
+    np.testing.assert_array_equal(fwd_z - fwd_log_s, logq)
     np.testing.assert_array_equal(fwd_q, q)
     np.testing.assert_array_equal(model.rows(batch), q)
     loss, grads, step_q = model.batch_loss_grads(looked_up, alpha)
-    assert loss == float(-(alpha * logq[:n]).sum())
+    sums = alpha.sum(axis=1, keepdims=True)
+    terms = np.abs(sums * fwd_log_s[:n]).sum() + np.abs(alpha * fwd_z[:n]).sum()
+    assert abs(loss - float(-(alpha * logq[:n]).sum())) <= 1e-13 * terms
     np.testing.assert_array_equal(step_q, q)
     assert grads.keys() == ref.keys()
     for name, g in ref.items():
@@ -262,10 +266,10 @@ def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_passes_leave_parameters_and_alpha_alone(arch, data):
-    # log q overwrites each forward's own logits, never a parameter (the
+    # each forward writes into its own logits, never a parameter (the
     # tabular logits above all), the q a pass returns is its own array, and
     # a lookup, which training reuses every epoch, is left as it was
-    model, hists, alpha, extra = step_case(arch, data)
+    model, hists, alpha, extra, table = step_case(arch, data)
     batch = [*hists, *extra]
     params = model.param_arrays()
     before = {k: v.copy() for k, v in params.items()}
@@ -288,6 +292,69 @@ def test_passes_leave_parameters_and_alpha_alone(arch, data):
     for out in [*outs, again]:
         for arr in [*params.values(), alpha]:
             assert not np.shares_memory(out, arr)
+    # nothing `rows`, `cells` or `train` returns is held in a workspace that
+    # passes and a run wrote into (`perplexity` returns a float): a run
+    # restores its best checkpoint by copying
+    ws = neural.Workspace()
+    for idx in lookups:
+        model.batch_loss_grads(idx, alpha, ws)
+    config = TrainConfig(objective="split_regularizer", method="add_lambda", gamma_plus=0.5,
+                         gamma_minus=0.5, epochs=4, patience=1)
+    trained = TabularSoftmaxLM.for_table(table) if arch == "tabular" else \
+        FeedForwardLM(model.order, model.vocab, 3, 4, seed=1)
+    train(trained, table, config, heldout=table, workspace=ws)
+    assert {"alpha", "delta", "q"} <= ws.buffers.keys()
+    escaped = [model.rows(batch), model.cells(table, table.hist, table.out),
+               trained.rows(batch), *trained.param_arrays().values()]
+    for out in escaped:
+        for buf in ws.buffers.values():
+            assert not np.shares_memory(out, buf)
+
+
+@pytest.mark.parametrize("arch", ["tabular", "feedforward"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_a_shared_workspace_changes_no_bit(arch, data):
+    # runs that write into one workspace, as a grid's cells do, interleaved
+    # across orders 2 and 3, with and without held-out data and over batches
+    # of other sizes, so that its buffers change shape between runs, give
+    # the metrics, parameters and gradients of runs with workspaces of
+    # their own.  A run reads no buffer before writing it, so NaN left in
+    # every buffer changes nothing; a tabular model also has rows for the
+    # held-out histories, which the step leaves without a gradient
+    ws = neural.Workspace()
+    for _ in range(data.draw(st.integers(2, 4))):
+        for buf in ws.buffers.values():
+            buf.fill(np.nan)
+        corpus = corpus_from_lines(data.draw(lines_over("abcd")))
+        heldout = data.draw(st.none() | lines_over(corpus.vocab.symbols).map(
+            lambda lines: corpus_from_lines(lines, vocab=corpus.vocab)))
+        order = data.draw(st.integers(2, 3))
+        table = count_ngrams(corpus, order)
+        config = TrainConfig(
+            objective=data.draw(st.sampled_from(OBJECTIVES)), method="add_lambda",
+            gamma_ls=0.5, gamma_plus=0.5, gamma_minus=0.25, lr=0.5, epochs=4, patience=2)
+        bundle = make_bundle_for(table, order, config)
+
+        def make():
+            if arch == "tabular":
+                held = [] if heldout is None else count_ngrams(heldout, order).hists
+                return TabularSoftmaxLM(order, corpus.vocab, sorted({*table.hists, *held}))
+            return FeedForwardLM(order, corpus.vocab, 3, 4, seed=order, init_scale=0.5)
+
+        shared, shared_metrics = train(make(), table, config, bundle, heldout, workspace=ws)
+        own, own_metrics = train(make(), table, config, bundle, heldout)
+        assert shared_metrics == own_metrics
+        for buf in ws.buffers.values():
+            buf.fill(np.nan)
+        alpha, _ = _objective_weights(table, config, bundle, ws)
+        idx = own.lookup(table)
+        steps = [shared.batch_loss_grads(idx, alpha, ws), own.batch_loss_grads(idx, alpha)]
+        for name, arr in own.param_arrays().items():
+            np.testing.assert_array_equal(shared.param_arrays()[name], arr)
+            np.testing.assert_array_equal(steps[0][1][name], steps[1][1][name])
+        assert steps[0][0] == steps[1][0]
+        np.testing.assert_array_equal(steps[0][2], steps[1][2])
 
 
 @settings(max_examples=30)
@@ -561,7 +628,8 @@ def test_one_forward_per_epoch(monkeypatch, arch, objective, lr, patience, stops
     model = make()
     passes = []
     softmax = neural._log_softmax
-    monkeypatch.setattr(neural, "_log_softmax", lambda z: passes.append(len(z)) or softmax(z))
+    monkeypatch.setattr(neural, "_log_softmax",
+                        lambda z, ws: passes.append(len(z)) or softmax(z, ws))
     _, metrics = train(model, table, config, bundle, held)
     assert (metrics.epochs_run < config.epochs) == stops
     assert len(passes) == metrics.epochs_run + 1

@@ -11,8 +11,8 @@ import pytest
 
 from smoothlm import ngram, verify
 from smoothlm.cli import main
-from smoothlm.corpus import (Vocabulary, corpus_from_lines, count_ngrams, load_corpus,
-                             marginalize)
+from smoothlm.corpus import (CountTable, Vocabulary, corpus_from_lines, count_ngrams,
+                             load_corpus, marginalize)
 from smoothlm.ngram import (
     ConditionalLM,
     NormalizationError,
@@ -24,7 +24,7 @@ from smoothlm.ngram import (
     write_conditional_lm,
 )
 from smoothlm.decompose import build_regularizer
-from smoothlm.smoothers import METHODS, smooth, smooth_add_lambda
+from smoothlm.smoothers import METHODS, KatzConfigError, smooth, smooth_add_lambda
 from smoothlm.verify import (
     corollary_sides,
     cross_entropy,
@@ -151,6 +151,36 @@ class TestLevel:
         np.testing.assert_allclose(again.mass, lm.mass, rtol=0, atol=1e-12)
         np.testing.assert_allclose(again.off_mass, lm.off_mass, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(again.matrix.view(np.int64), lm.matrix.view(np.int64))
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_entropy_from_the_parts_is_the_dense_one(self, method):
+        # each level's entropy, from its parts in O(grams), is -sum s log s
+        # over the positive cells of its dense rows, at every level of the
+        # chain; so is that of a level whose backstop was given its matrix
+        corpus = corpus_from_lines(verify.markov_zipf_lines(200, 20, 3))
+        for order in (1, 2, 3, 4):
+            table = count_ngrams(corpus, order)
+            try:
+                lm = smooth(table, method)
+            except (KatzConfigError, ValueError):
+                assert method in ("katz", "kneser_essen_ney")
+                continue
+            levels = []
+            lower = lm.backstop
+            if lower is not None and isinstance(lower.keys, CountTable) and lower.seen is not None:
+                dense = ConditionalLM(order - 1, table.vocab, (table.marginal, lower.matrix),
+                                      lower.backstop)
+                levels.append(ConditionalLM.level(table, lm.seen, lm.a, lm.d, dense))
+            while lm is not None:
+                levels.append(lm)
+                lm = lm.backstop
+            for level in levels:
+                rows = level.matrix
+                i, j = np.nonzero(rows > 0.0)
+                p = rows[i, j]
+                want = -np.bincount(i, p * np.log(p), len(rows))
+                np.testing.assert_allclose(level.entropy, want, rtol=1e-13, atol=1e-15,
+                                           err_msg=f"{method} order {order}")
 
     def test_uniform_backstop_gives_a_base_of_ones(self):
         table = count_ngrams(corpus_from_lines(verify.markov_zipf_lines(40, 5, 0)), 2)
