@@ -1,10 +1,10 @@
 """Corpus loading, vocabulary construction, and n-gram counting.
 
-A corpus is a list of token-id sequences.  Sentinels (BOS, EOS) are never
-stored inside sequences: BOS enters only as logical padding when histories
-are formed, EOS only as the terminal event of each sequence.  All counting
-conventions downstream (conditional distributions, smoothing, training
-weights) are defined in terms of the tables built here.
+A corpus is two integer arrays, its sequences' token ids in turn and
+their lengths, with no sentinel: BOS enters only as logical padding when
+histories are formed, EOS only as the terminal event of each sequence.
+All counting conventions downstream (conditional distributions, smoothing,
+training weights) are defined in terms of the tables built here.
 
 A CountTable is its sorted gram arrays, which CountTable.from_codes builds
 by the one sort of integer gram codes from every source, and keeps those
@@ -14,9 +14,9 @@ file's cells (through from_grams, which checks them first).  A
 model's rows are named by a RowKeys, whose `find` looks histories up by
 their codes, searching them in sorted order (sorted_search); a CountTable
 is the RowKeys of its own histories, and keeps the backoff structure the
-smoothers read without a search: its `marginal` and its `parents` there.
-The history tuples and the table's count dicts are views for `perfbench/`,
-the tests and the oracles.
+smoothers read without a search: its `marginal` and, from the same sort,
+its `parents` there.  A corpus's sequences, the history tuples and the
+table's count dicts are views for `perfbench/`, the tests and the oracles.
 """
 
 from __future__ import annotations
@@ -118,39 +118,47 @@ class Vocabulary:
         return self.id_of[token]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """Tokenized corpus: M sequences of non-sentinel token ids."""
+    """Tokenized corpus: M sequences of non-sentinel token ids, as 1-D intp
+    arrays, `ids` (every sequence's in turn) and `lengths`; the tuples
+    `sequences` are a view built on first read for the oracles and tests."""
 
     vocab: Vocabulary
-    sequences: tuple[History, ...]
+    ids: np.ndarray
+    lengths: np.ndarray
     skipped_lines: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sequences:
+        # a bool or float id would count as the id it equals or truncates to
+        for name in ("ids", "lengths"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
+                got = f"{a.ndim}-D {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
+                raise ValueError(f"{name} must be a 1-D integer array, got {got}")
+        lengths = self.lengths.astype(np.intp, copy=False)
+        if not len(lengths):
             raise EmptyCorpusError("empty corpus")
-        n = self.vocab.n_symbols
-        # one pass in C gathers the distinct ids, a few hundred, which are
-        # checked; only a failed check walks the sequences to name the first.
-        # An id is an integer (a numpy one too), not a bool or a float, which
-        # counting would truncate; one equal to an id already in the set
-        # (True or 1.0 after 1) is that id's set element, and counts as it
-        if not all(_is_symbol_id(i, n) for i in set().union(*self.sequences)):
-            i = next(i for seq in self.sequences for i in seq if not _is_symbol_id(i, n))
-            raise ValueError(f"id {i} is not a non-sentinel vocabulary id")
+        if (lengths < 0).any() or lengths.sum() != len(self.ids):
+            raise ValueError(f"lengths must be nonnegative and sum to the {len(self.ids)} ids")
+        bad = (self.ids < 0) | (self.ids >= self.vocab.n_symbols)
+        if bad.any():
+            raise ValueError(f"id {self.ids[bad.argmax()]} is not a non-sentinel vocabulary id")
+        vars(self).update(ids=self.ids.astype(np.intp, copy=False), lengths=lengths)
 
     @property
     def M(self) -> int:
-        return len(self.sequences)
+        return len(self.lengths)
 
     @property
     def total_emissions(self) -> int:
         """Number of emission events: every token plus one EOS per sequence."""
-        return sum(len(s) + 1 for s in self.sequences)
+        return len(self.ids) + len(self.lengths)
 
-
-def _is_symbol_id(i, n: int) -> bool:
-    return isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n
+    @cached_property
+    def sequences(self) -> tuple[History, ...]:
+        """Each sequence's ids as a tuple, a view built on first read."""
+        return tuple(tuple(s.tolist()) for s in np.split(self.ids, np.cumsum(self.lengths)[:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +229,14 @@ class CountTable(RowKeys):
 
     @classmethod
     def from_codes(cls, order: int, vocab: Vocabulary, codes: np.ndarray,
-                   counts: np.ndarray | None = None) -> CountTable:
+                   counts: np.ndarray | None = None, return_inverse: bool = False
+                   ) -> CountTable | tuple[CountTable, np.ndarray]:
         """The table of the grams whose codes (see history_codes: a
         history's ids, then the emitted id, in base |V|+2) are `codes`, each
         occurring once, or counts[g] times; equal codes are summed.  This is
         the one sort of every table: np.sort and run lengths without
-        `counts`, else argsort and add.reduceat.  The distinct codes are
+        `counts`, else argsort and add.reduceat, which with `return_inverse`
+        also gives each code's gram, as np.unique does.  The distinct codes are
         kept, sorted, as `gram_codes`.  The history ids are read back off
         the codes' digits with // and %, which act on Python-int codes too,
         and check_histories runs once on the distinct histories; the caller
@@ -234,14 +244,12 @@ class CountTable(RowKeys):
         emittable id."""
         base = vocab.n_symbols + 2
         codes = codes.astype(_code_dtype(base, order), copy=False)
-        if counts is not None:
-            sort = np.argsort(codes)
-            codes, counts = codes[sort], counts[sort]
-        else:
-            codes = np.sort(codes)
-        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        count = np.diff(first, append=len(codes)) if counts is None else \
-            np.add.reduceat(counts, first)
+        sort = None if counts is None else np.argsort(codes)
+        codes = np.sort(codes) if sort is None else codes[sort]
+        new_gram = np.concatenate(([True], codes[1:] != codes[:-1]))
+        first = np.flatnonzero(new_gram)
+        count = np.diff(first, append=len(codes)) if sort is None else \
+            np.add.reduceat(counts[sort], first)
         codes = codes[first]
         # a gram's code is its history's code, then one more digit
         hist_codes = codes // base
@@ -254,12 +262,17 @@ class CountTable(RowKeys):
             rest = rest // base
         check_histories(vocab, order - 1, hist_ids)
         out = (codes % base).astype(np.intp, copy=False)
-        return cls(
+        table = cls(
             ids=hist_ids, codes=hist_codes, base=base, code_rows=None, order=order,
             vocab=vocab, hist=np.cumsum(new_hist) - 1,
             out=np.minimum(out, vocab.n_symbols),  # EOS's index is n_symbols
             count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist)),
             gram_codes=codes)
+        if not return_inverse:
+            return table
+        inverse = np.empty(len(sort), dtype=np.intp)
+        inverse[sort] = np.cumsum(new_gram) - 1
+        return table, inverse
 
     @classmethod
     def from_grams(cls, order: int, vocab: Vocabulary, keys, counts) -> CountTable:
@@ -301,18 +314,11 @@ class CountTable(RowKeys):
 
     @cached_property
     def parents(self) -> tuple[np.ndarray, np.ndarray]:
-        """The backoff structure one order down, built on first read: the
-        row in `marginal` of each history's parent (the history without its
-        oldest symbol), and the index in `marginal` of each gram's parent
-        gram (the parent history, the same emission).  One search of the
-        grams' codes less their leading digit among the marginal's, which
-        are sorted and hold every one of them."""
-        down = self.marginal
-        codes = self.gram_codes % self.base ** down.order
-        grams = np.searchsorted(down.gram_codes, codes.astype(down.gram_codes.dtype, copy=False))
-        rows = np.empty(len(self.ids), dtype=np.intp)
-        rows[self.hist] = down.hist[grams]
-        return rows, grams
+        """The row in `marginal` of each history's parent (the history
+        without its oldest symbol), and the index there of each gram's
+        parent gram (the same emission), kept by marginalize from its sort."""
+        self.marginal
+        return vars(self)["parents"]
 
     @cached_property
     def gram_count(self) -> dict[tuple[History, int], int]:
@@ -442,24 +448,21 @@ def corpus_from_lines(lines: Iterable[str], vocab: Vocabulary | None = None) -> 
         id_of.default_factory = id_of.__len__   # a new token takes the next id
     else:
         id_of = vocab.id_of
-    sequences = []
-    skipped = 0
-    for line in lines:
-        toks = line.split()
-        if not toks:
-            skipped += 1
-            continue
-        try:
-            sequences.append(tuple(map(id_of.__getitem__, toks)))
-        except KeyError as exc:
-            raise ValueError(f"token {exc.args[0]!r} not present in vocabulary") from exc
+    toks = list(map(str.split, lines))
+    lengths = np.fromiter(map(len, toks), dtype=np.intp, count=len(toks))
+    try:
+        ids = np.fromiter(map(id_of.__getitem__, chain.from_iterable(toks)), dtype=np.intp,
+                          count=lengths.sum())
+    except KeyError as exc:
+        raise ValueError(f"token {exc.args[0]!r} not present in vocabulary") from exc
+    skipped = len(lengths) - np.count_nonzero(lengths)
     if vocab is None:
-        if not sequences:
+        if not len(ids):
             raise EmptyCorpusError("empty corpus")
         vocab = Vocabulary(symbols=tuple(id_of))
     if skipped:
         log.warning("skipped %d empty line(s)", skipped)
-    return Corpus(vocab=vocab, sequences=tuple(sequences), skipped_lines=skipped)
+    return Corpus(vocab, ids, lengths[lengths > 0], skipped_lines=skipped)
 
 
 def load_corpus(path: str, vocab: Vocabulary | None = None) -> Corpus:
@@ -479,17 +482,15 @@ def count_ngrams(corpus: Corpus, order: int) -> CountTable:
     """
     if not isinstance(order, numbers.Integral) or isinstance(order, bool) or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    order, vocab, seqs = int(order), corpus.vocab, corpus.sequences
+    order, vocab, lengths = int(order), corpus.vocab, corpus.lengths
     # the padded id stream: each sequence's block is order-1 BOS, its
     # tokens, then EOS, so token i of the stream, in sequence k, follows
     # k + 1 blocks' BOS and k EOS
-    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-    tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=lengths.sum())
     ends = np.cumsum(lengths + order)
     padded = np.full(ends[-1], vocab.bos_id, dtype=np.intp)
     padded[ends - 1] = vocab.eos_id
-    k = np.repeat(np.arange(len(seqs)), lengths)
-    padded[np.arange(len(tokens)) + order * (k + 1) - 1] = tokens
+    k = np.repeat(np.arange(len(lengths)), lengths)
+    padded[np.arange(len(corpus.ids)) + order * (k + 1) - 1] = corpus.ids
     # the code of the window ending at each position; every position but
     # the padding emits
     codes = history_codes(np.lib.stride_tricks.sliding_window_view(padded, order),
@@ -519,7 +520,8 @@ def zero_gram_count(table: CountTable) -> int:
 
 def marginalize(table: CountTable) -> CountTable:
     """Project an order-n table to order n-1 by dropping the oldest context
-    symbol: the leading digit of each of its gram codes.
+    symbol: the leading digit of each of its gram codes.  The sort that sums
+    them also gives the table's `parents`, which are kept on it.
 
     Equivalent to recounting the corpus at order n-1, because BOS padding
     gives every position a full-length history at every order.
@@ -527,8 +529,12 @@ def marginalize(table: CountTable) -> CountTable:
     if table.order < 2:
         raise ValueError("cannot marginalize an order-1 table")
     order = table.order - 1
-    return CountTable.from_codes(order, table.vocab, table.gram_codes % table.base ** order,
-                                 table.count)
+    down, grams = CountTable.from_codes(order, table.vocab, table.gram_codes % table.base ** order,
+                                        table.count, return_inverse=True)
+    rows = np.empty(len(table.ids), dtype=np.intp)
+    rows[table.hist] = down.hist[grams]
+    vars(table)["parents"] = rows, grams
+    return down
 
 
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
@@ -723,13 +729,6 @@ def read_cells(path: str, columns: dict) -> tuple:
     return comment, vocab, hists, hist, out, [np.concatenate(col) for col in values]
 
 
-def _lines(text: str) -> list[str]:
-    """A block's lines, each with its "\n" but for an unended last one."""
-    lines = [line + "\n" for line in text.split("\n")]
-    lines[-1] = lines[-1][:-1]
-    return lines if lines[-1] else lines[:-1]
-
-
 def _dtype(parse) -> type:
     """The array dtype of a column `parse` reads: int64 for int, else float64."""
     return np.int64 if parse is int else np.float64
@@ -738,7 +737,8 @@ def _dtype(parse) -> type:
 def _first_defect(path: str, columns: dict, block: str) -> ValueError:
     """The error naming `path` and the first line of `block`, in file order,
     that has the wrong number of columns or a value its parser refuses."""
-    for line in _lines(block):
+    # each line with its "\n", but for an unended last one
+    for line in re.findall(r"[^\n]*\n|[^\n]+\Z", block):
         texts = line.rstrip("\n").split("\t")
         if len(texts) != len(columns) + 2:
             return ValueError(f"{path}: expected {len(columns) + 2} columns in {line!r}")

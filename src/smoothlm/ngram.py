@@ -381,15 +381,11 @@ def _first_bad(negative: np.ndarray, sums: np.ndarray, hists, name: str) -> None
     if not bad.any():
         return
     i = int(np.argmax(bad))
-    where = f"history {_history(hists[i])}" if hists is not None else f"row {i}"
+    where = f"history {tuple(np.asarray(hists[i]).tolist())}" if hists is not None else f"row {i}"
     where = f"{name} {where}" if name else where
     if negative[i]:
         raise NormalizationError(f"{where}: negative probability")
     raise NormalizationError(f"{where}: probabilities sum to {float(sums[i])!r}, not 1")
-
-
-def _history(h) -> History:
-    return tuple(h.tolist()) if isinstance(h, np.ndarray) else h
 
 
 def _stack_rows(table: Mapping[History, np.ndarray], out_dim: int) -> np.ndarray:

@@ -74,6 +74,12 @@ def _report(theorem_id, trials, max_err, tol, seed) -> VerificationReport:
 # random instances
 
 
+def corpus_of(vocab: Vocabulary, sequences: Sequence[Sequence[int]]) -> Corpus:
+    """The Corpus of token-id sequences, for the generators here and the tests."""
+    return Corpus(vocab, np.array([i for s in sequences for i in s], dtype=np.intp),
+                  np.array([len(s) for s in sequences], dtype=np.intp))
+
+
 def random_corpus(
     rng: np.random.Generator,
     max_symbols: int = 3,
@@ -83,11 +89,8 @@ def random_corpus(
     n_sym = int(rng.integers(1, max_symbols + 1))
     vocab = Vocabulary(symbols=tuple(_LETTERS[:n_sym]))
     m = int(rng.integers(1, max_sequences + 1))
-    seqs = tuple(
-        tuple(int(s) for s in rng.integers(0, n_sym, size=int(rng.integers(0, max_len + 1))))
-        for _ in range(m)
-    )
-    return Corpus(vocab=vocab, sequences=seqs)
+    return corpus_of(vocab, [rng.integers(0, n_sym, size=int(rng.integers(0, max_len + 1)))
+                             for _ in range(m)])
 
 
 def random_bigram_lm(
@@ -114,11 +117,8 @@ def synthetic_corpus(
     vocab = Vocabulary(symbols=tuple(_LETTERS[:n_symbols]))
     w = 1.0 / (1.0 + np.arange(n_symbols))
     w /= w.sum()
-    seqs = []
-    for _ in range(n_sequences):
-        length = int(rng.integers(1, max_len + 1))
-        seqs.append(tuple(int(s) for s in rng.choice(n_symbols, size=length, p=w)))
-    return Corpus(vocab=vocab, sequences=tuple(seqs))
+    return corpus_of(vocab, [rng.choice(n_symbols, size=int(rng.integers(1, max_len + 1)), p=w)
+                             for _ in range(n_sequences)])
 
 
 def markov_zipf_lines(

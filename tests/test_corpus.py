@@ -35,7 +35,7 @@ from smoothlm.decompose import build_regularizer
 from smoothlm.neural import TabularSoftmaxLM, TrainConfig, train
 from smoothlm.ngram import empirical_conditional, perplexity
 from smoothlm.smoothers import METHODS, smooth
-from smoothlm.verify import count_substrings, markov_zipf_lines
+from smoothlm.verify import corpus_of, count_substrings, markov_zipf_lines
 
 
 def oracle_substring_count(sequences, query):
@@ -126,7 +126,7 @@ def corpora_and_orders(draw):
     seqs = draw(st.lists(st.lists(st.integers(0, n_sym - 1), max_size=10),
                          min_size=1, max_size=6))
     vocab = Vocabulary(symbols=tuple(f"s{i}" for i in range(n_sym)))
-    return Corpus(vocab=vocab, sequences=tuple(map(tuple, seqs))), draw(st.integers(1, 8))
+    return corpus_of(vocab, seqs), draw(st.integers(1, 8))
 
 
 class TestVocabulary:
@@ -166,7 +166,8 @@ class TestVocabulary:
 
 def test_corpus_of_no_sequences_rejected():
     with pytest.raises(EmptyCorpusError, match="^empty corpus$"):
-        Corpus(vocab=Vocabulary(symbols=("a",)), sequences=())
+        Corpus(Vocabulary(symbols=("a",)), np.array([], dtype=np.intp),
+               np.array([], dtype=np.intp))
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2,)])
@@ -180,27 +181,58 @@ def test_history_ids_of_another_width_rejected(shape):
     (((0, 1), (1, 2, 0), (3,)), 2),         # BOS's id
     (((0,), (), (1, -1, 3)), -1),
     (((1, 3), (2,)), 3),                   # EOS's id, before another bad one
-    (((0, 1), (1, 10**30)), 10**30),        # past int64
 ])
 def test_corpus_names_its_first_bad_id(sequences, bad):
     # the first id, in sequence order, that is not a symbol's
     with pytest.raises(ValueError, match=f"^id {bad} is not a non-sentinel vocabulary id$"):
-        Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=sequences)
+        corpus_of(Vocabulary(symbols=("a", "b")), sequences)
 
 
-@pytest.mark.parametrize("sequences, bad", [
-    (((1.5, 0), (True,)), "1.5"),   # counting would truncate 1.5 to id 1
-    (((0,), (True,)), "True"),
-    (((1.0, 0),), "1.0"),
+def test_corpus_names_an_id_past_int64():
+    # an unsigned id is compared before it is cast to intp, where it wraps
+    ids = np.array([0, 1, 1, 2 ** 64 - 1], dtype=np.uint64)
+    with pytest.raises(ValueError, match=f"^id {2 ** 64 - 1} is not a non-sentinel vocabulary"):
+        Corpus(Vocabulary(symbols=("a", "b")), ids, np.array([2, 2]))
+
+
+@pytest.mark.parametrize("ids, lengths, message", [
+    # counting would truncate 1.5 to id 1, and read True and 1.0 as id 1
+    pytest.param(np.array([1.5, 0, 1]), np.array([2, 1]),
+                 "ids must be a 1-D integer array, got 1-D float64", id="float-fraction"),
+    pytest.param(np.array([True]), np.array([1]),
+                 "ids must be a 1-D integer array, got 1-D bool", id="bool"),
+    pytest.param(np.array([1.0, 0.0]), np.array([2]),
+                 "ids must be a 1-D integer array, got 1-D float64", id="float"),
+    pytest.param(np.array([0, True], dtype=object), np.array([2]),
+                 "ids must be a 1-D integer array, got 1-D object", id="object"),
+    pytest.param([0, 1], np.array([2]),
+                 "ids must be a 1-D integer array, got list", id="list"),
+    pytest.param(np.array([[0, 1]]), np.array([2]),
+                 "ids must be a 1-D integer array, got 2-D int64", id="2-D"),
+    pytest.param(np.array([0, 1]), np.array([1.0, 1.0]),
+                 "lengths must be a 1-D integer array, got 1-D float64",
+                 id="float-lengths"),
+    pytest.param(np.array([0, 1]), np.array([3, -1]),
+                 "lengths must be nonnegative and sum to the 2 ids", id="negative-length"),
+    pytest.param(np.array([0, 1]), np.array([1]),
+                 "lengths must be nonnegative and sum to the 2 ids", id="short-lengths"),
+    pytest.param(np.array([0, 1]), np.array([2, 1]),
+                 "lengths must be nonnegative and sum to the 2 ids", id="long-lengths"),
+    pytest.param(np.array([0, 1]), np.array([2 ** 64 - 1, 3], dtype=np.uint64),
+                 "lengths must be nonnegative and sum to the 2 ids", id="wrapping-lengths"),
 ])
-def test_corpus_refuses_an_id_that_is_not_an_integer(sequences, bad):
-    with pytest.raises(ValueError, match=f"^id {bad} is not a non-sentinel vocabulary id$"):
-        Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=sequences)
+def test_corpus_refuses_an_id_that_is_not_an_integer(ids, lengths, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Corpus(Vocabulary(symbols=("a", "b")), ids, lengths)
 
 
 def test_corpus_takes_numpy_integer_ids():
-    c = Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=((np.int64(1), 0),))
-    assert count_ngrams(c, 1).gram_count == {((), 1): 1, ((), 0): 1, ((), c.vocab.eos_id): 1}
+    # ids and lengths of any integer dtype, kept as intp
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+        c = Corpus(Vocabulary(symbols=("a", "b")), np.array([1, 0], dtype=dtype),
+                   np.array([2], dtype=dtype))
+        assert c.ids.dtype == c.lengths.dtype == np.intp
+        assert count_ngrams(c, 1).gram_count == {((), 1): 1, ((), 0): 1, ((), c.vocab.eos_id): 1}
 
 
 class TestCountSubstrings:
@@ -239,7 +271,7 @@ class TestCountSubstrings:
                 tuple(int(x) for x in rng.integers(0, 3, size=int(rng.integers(0, 7))))
                 for _ in range(m)
             )
-            corpus = Corpus(vocab=vocab, sequences=seqs)
+            corpus = corpus_of(vocab, seqs)
             for qlen in range(0, 4):
                 for _ in range(5):
                     q = tuple(int(x) for x in rng.integers(0, 3, size=qlen))
@@ -313,7 +345,7 @@ class TestCountNgrams:
                 tuple(int(x) for x in rng.integers(0, 2, size=int(rng.integers(0, 6))))
                 for _ in range(4)
             )
-            corpus = Corpus(vocab=vocab, sequences=seqs)
+            corpus = corpus_of(vocab, seqs)
             t = count_ngrams(corpus, order)
             assert sum(t.history_count.values()) == corpus.total_emissions
             row_sums = Counter()
@@ -391,7 +423,7 @@ def corpora_and_wide_orders(draw):
                          min_size=1, max_size=6))
     vocab = Vocabulary(symbols=tuple(f"s{i}" for i in range(n_sym)))
     order = draw(st.sampled_from([*range(1, 9), wide, wide + 1, wide + 2]))
-    return Corpus(vocab=vocab, sequences=tuple(map(tuple, seqs))), order
+    return corpus_of(vocab, seqs), order
 
 
 @settings(max_examples=150, deadline=None)
@@ -415,11 +447,19 @@ def test_parents_are_the_suffix_rows_and_grams(data):
 
 
 def test_smoothing_and_decomposing_make_no_search(monkeypatch):
+    # each level's parents come from the sort that builds its marginal, so
+    # reading them runs no np.searchsorted
+    table = count_ngrams(corpus_from_lines(markov_zipf_lines(300, 50, 0)), 3)
+    searches = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *args, **kw: searches.append(1) or searchsorted(*args, **kw))
+    for t in tables_down_to_unigram(table)[1:]:
+        t.parents
+    assert searches == []
     # the backoff smoothers read each level's parents off the table, and a
     # bundle reads each LM's values on its own grams, so neither runs
     # sorted_search, the search of history and cell codes
-    table = count_ngrams(corpus_from_lines(markov_zipf_lines(300, 50, 0)), 3)
-    tables_down_to_unigram(table)
     emp = empirical_conditional(table)
     calls = []
     search = corpus_module.sorted_search
@@ -583,7 +623,8 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity():
     bundles = [build_regularizer(empirical_conditional(t), smooth(t, "add_lambda"), t, 1.0, 1.0)
                for t in tables]
     keys = [row_index(c.vocab, 1, tables[0].hists) for _ in range(2)]
-    for one, two in (tables, keys, [b.rows for b in bundles], bundles):
+    corpora = [corpus_from_lines(["a b", "b a"]), corpus_of(c.vocab, c.sequences)]
+    for one, two in (tables, keys, [b.rows for b in bundles], bundles, corpora):
         assert one == one and one != two
         assert hash(one) == object.__hash__(one)
         assert len({one, two, one}) == 2

@@ -21,6 +21,7 @@ from smoothlm.ngram import (ConditionalLM, UnseenHistoryError, empirical_conditi
                             perplexity, uniform_backstop)
 from smoothlm.neural import TabularSoftmaxLM
 from smoothlm.smoothers import METHODS, KatzConfigError, smooth
+from smoothlm.verify import corpus_of
 
 
 def wide_width(n_sym: int) -> int:
@@ -43,8 +44,8 @@ def cases(draw):
         return tuple(map(tuple, seqs))
 
     # "a a" makes (a, a), the history the aliasing ids below spell, seen
-    train = Corpus(vocab=vocab, sequences=((0, 0),) + sequences(0))
-    return train, Corpus(vocab=vocab, sequences=sequences(1)), order
+    train = corpus_of(vocab, ((0, 0),) + sequences(0))
+    return train, corpus_of(vocab, sequences(1)), order
 
 
 @st.composite
@@ -282,7 +283,7 @@ def test_shuffled_queries_find_what_sorted_ones_do(data):
 
 def test_codes_reach_python_ints_only_past_2_to_the_63():
     # two symbols: base 4, and 4^31 = 2^62 < 2^63 <= 4^32
-    corpus = Corpus(vocab=Vocabulary(symbols=("a", "b")), sequences=((0, 1, 1), (1,)))
+    corpus = corpus_of(Vocabulary(symbols=("a", "b")), ((0, 1, 1), (1,)))
     assert count_ngrams(corpus, 32).codes.dtype == np.int64
     assert count_ngrams(corpus, 33).codes.dtype == object
     lm = smooth(count_ngrams(corpus, 33), "kneser_essen_ney")
@@ -293,7 +294,7 @@ def test_codes_reach_python_ints_only_past_2_to_the_63():
 def test_out_of_range_ids_never_alias_a_seen_history():
     # in base 4, (-1, 4) has the code of (0, 0)
     v = Vocabulary(symbols=("a", "b"))
-    corpus = Corpus(vocab=v, sequences=((0, 0, 0),))
+    corpus = corpus_of(v, ((0, 0, 0),))
     table = count_ngrams(corpus, 3)
     assert (0, 0) in table.hists
     for lookup in (smooth(table, "katz").rows, TabularSoftmaxLM.for_table(table).rows):
@@ -306,7 +307,7 @@ def test_out_of_range_ids_never_alias_a_seen_history():
 def test_an_unseen_suffix_is_named_in_order_of_first_appearance():
     # a level with no backstop below another names the first history of the
     # batch whose suffix it lacks, not the least one
-    corpus = Corpus(vocab=Vocabulary(symbols=("a", "b", "c")), sequences=((0, 0),))
+    corpus = corpus_of(Vocabulary(symbols=("a", "b", "c")), ((0, 0),))
     tables = tables_down_to_unigram(count_ngrams(corpus, 3))
     lower = empirical_conditional(tables[1])
     lm = ConditionalLM(3, corpus.vocab, (tables[2], empirical_conditional(tables[2]).matrix),
@@ -320,7 +321,7 @@ def test_keys_of_another_width_or_base_are_refused():
     # a RowKeys used to pass through as the keys unchecked: an order-3 LM
     # on an order-2 table answered rows([(a, b)]) with the row of (b,)
     v = Vocabulary(symbols=("a", "b"))
-    order2 = count_ngrams(Corpus(vocab=v, sequences=((0, 1, 1), (1,))), 2)
+    order2 = count_ngrams(corpus_of(v, ((0, 1, 1), (1,))), 2)
     rows = np.full((len(order2.ids), v.out_dim), 1.0 / v.out_dim)
     width = "histories of width 1 in base 4 are not of length 2 over this vocabulary"
     with pytest.raises(ValueError, match=width):

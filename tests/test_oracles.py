@@ -6,8 +6,9 @@ A test that compares a kernel with itself cannot fail when the kernel is
 wrong, so each oracle recounts or re-sums by its own loop.  The source
 checks read the package with `ast` and fail when an oracle names a
 pipeline kernel, when a pipeline module imports `verify`, when package
-code reads the dict views kept only for `perfbench/` and the tests, or
-when a source file needs a grammar newer than Python 3.10's."""
+code reads the dict views kept only for `perfbench/` and the tests (or a
+corpus's `sequences`, kept for the oracles), or when a source file needs
+a grammar newer than Python 3.10's."""
 
 import ast
 import dataclasses
@@ -167,6 +168,11 @@ def test_dict_views_are_read_only_where_defined():
         for node in ast.walk(parsed(path.stem)):
             if isinstance(node, ast.Attribute) and node.attr in VIEWS and not is_self(node):
                 assert path.stem == VIEWS[node.attr], f"{path.name}:{node.lineno} .{node.attr}"
+    # a corpus's `sequences` view is read only by the oracles
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(parsed(path.stem)):
+            if isinstance(node, ast.Attribute) and node.attr == "sequences":
+                assert path.stem in ("corpus", "verify"), f"{path.name}:{node.lineno}"
     # nor does a pipeline module read the `hists` or `index` view of a table
     # or a model in a loop: histories are looked up by code, all at once
     for path in SRC.glob("*.py"):

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothlm.corpus import (Corpus, Vocabulary, count_ngrams, read_count_table,
-                             write_count_table, zero_gram_count)
+from smoothlm.corpus import (Vocabulary, count_ngrams, read_count_table, write_count_table,
+                             zero_gram_count)
 from smoothlm.decompose import RECON_ATOL, build_regularizer
 from smoothlm.ngram import (
     PROB_ATOL,
@@ -42,7 +42,7 @@ from smoothlm.smoothers import (
     smooth_add_lambda,
     smooth_kneser_essen_ney,
 )
-from smoothlm.verify import string_logprob
+from smoothlm.verify import corpus_of, string_logprob
 
 
 @st.composite
@@ -51,7 +51,7 @@ def corpora(draw):
     seqs = draw(st.lists(st.lists(st.integers(0, n_sym - 1), max_size=8),
                          min_size=1, max_size=8))
     vocab = Vocabulary(symbols=tuple("abcdefgh"[:n_sym]))
-    return Corpus(vocab=vocab, sequences=tuple(tuple(s) for s in seqs))
+    return corpus_of(vocab, seqs)
 
 
 orders = st.integers(1, 3)
@@ -237,7 +237,7 @@ def train_and_heldout(draw):
         return tuple(tuple(s) for s in seqs)
 
     held = sequences(n_sym - 1) + ((n_sym - 1,),)
-    return Corpus(vocab=vocab, sequences=sequences(n_sym - 2)), Corpus(vocab=vocab, sequences=held)
+    return corpus_of(vocab, sequences(n_sym - 2)), corpus_of(vocab, held)
 
 
 @given(train_and_heldout(), orders)
