@@ -13,8 +13,7 @@ import importlib
 _EXPORTS = {
     "corpus": ["Corpus", "CountTable", "Vocabulary", "corpus_from_lines", "count_ngrams",
                "load_corpus"],
-    "decompose": ["RegularizerBundle", "SignedDecomposition", "build_regularizer",
-                  "signed_decompose"],
+    "decompose": ["RegularizerBundle", "SignedDecomposition", "build_regularizer"],
     "neural": ["FeedForwardLM", "TabularSoftmaxLM", "TrainConfig", "train"],
     "ngram": ["ConditionalLM", "empirical_conditional", "perplexity"],
     "smoothers": ["smooth", "smooth_add_lambda", "smooth_good_turing",

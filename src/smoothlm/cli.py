@@ -310,6 +310,8 @@ def cmd_verify(args) -> int:
     # a NaN tolerance fails every check and an infinite one passes any
     if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     given = {"trials": args.trials, "tolerance": args.tolerance}
     ok = True
     for name in names:
@@ -367,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_grid)
 
     v = sub.add_parser("verify", help="run the numerical identity checks")
-    v.add_argument("--all", action="store_true", help="run every check (default)")
-    v.add_argument("--theorem", help="one of T1, COR, T2, T3, CE_LINEARITY")
+    which = v.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every check (default)")
+    which.add_argument("--theorem", help="one of T1, COR, T2, T3, CE_LINEARITY")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int)
     v.add_argument("--tolerance", type=float, help="override pass tolerance")

@@ -466,11 +466,14 @@ def corpus_from_lines(lines: Iterable[str], vocab: Vocabulary | None = None) -> 
 
 
 def load_corpus(path: str, vocab: Vocabulary | None = None) -> Corpus:
-    """Load a UTF-8, one-sequence-per-line corpus file."""
+    """Load a UTF-8, one-sequence-per-line corpus file.  A line ends at a
+    newline only (text mode reads CRLF and a lone CR as one): a form feed,
+    a vertical tab or U+2028 within a line parts two tokens."""
     with open(path, encoding="utf-8") as f:
-        # splitlines drops the terminal newline without creating a phantom
-        # empty line; interior blank lines still reach the skip counter
-        return corpus_from_lines(f.read().splitlines(), vocab=vocab)
+        lines = f.read().split("\n")
+    # the newline ending the last line leaves an empty piece, not a line;
+    # interior blank lines still reach the skip counter
+    return corpus_from_lines(lines[:-1] if not lines[-1] else lines, vocab=vocab)
 
 
 def count_ngrams(corpus: Corpus, order: int) -> CountTable:

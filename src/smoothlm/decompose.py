@@ -6,17 +6,17 @@ Any smoothed conditional p~ relates to its empirical counterpart p through
 
 where p_plus carries the added mass (normalized), p_minus the removed mass,
 and Z+ == Z- is their common scale (the total-variation distance between p
-and p~).  `_split_difference`, the one split, works on the cells where p
-may be nonzero, since q - p is q itself elsewhere; `signed_decompose`, its
-entry point on raw arrays, checks both inputs first.  Aggregating one
-decomposition per observed history, weighted by that history's occurrence
-count, yields an additive regularizer that can be attached to any
-differentiable conditional model.  `build_regularizer` takes an empirical
-and a smoothed LM keyed by one count table and splits them on its grams, in
-O(grams).  A RegularizerBundle keeps the count table, the smoothed LM and
-that split, and the table's row totals are the weights; the dense
-SignedDecomposition of its rows, whose matrices follow the table's sorted
-histories, is built on first read, for `write_decomposition` only.
+and p~).  Aggregating one decomposition per observed history, weighted by
+that history's occurrence count, yields an additive regularizer that can be
+attached to any differentiable conditional model.  `build_regularizer`, the
+one split, takes an empirical and a smoothed LM keyed by one count table and
+splits them on its grams, in O(grams): off the grams p is 0, so p~ - p is
+p~ itself there, and its mass adds to Z+ only.  A RegularizerBundle keeps
+the count table, the smoothed LM and that split, and the table's row totals
+are the weights; the dense SignedDecomposition of its rows, whose matrices
+follow the table's sorted histories, is built on first read, for
+`write_decomposition` only.  The identity checks in `verify` split a pair
+of vectors by their own code.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import CountTable, History, write_cells
-from .ngram import ConditionalLM, check_distributions
+from .ngram import ConditionalLM
 
 RECON_ATOL = 1e-12
 
@@ -49,76 +49,6 @@ class SignedDecomposition:
     p_minus: np.ndarray
     z_plus: float | np.ndarray
     z_minus: float | np.ndarray
-
-
-def signed_decompose(empirical, smoothed) -> SignedDecomposition:
-    """Split smoothed - empirical into normalized positive and negative
-    parts along the last axis, for a pair of vectors or a pair of
-    (rows x emissions) matrices: the public entry point on raw arrays,
-    which checks that both inputs are distributions, row by row, and then
-    splits them with `_split_difference` on the empirical input's nonzero
-    cells."""
-    p, q = _pair(empirical, smoothed)
-    vector, dim = p.ndim == 1, p.shape[-1]
-    p, q = p.reshape(-1, dim), q.reshape(-1, dim)
-    check_distributions(p, name="empirical")
-    check_distributions(q, name="smoothed")
-    support = np.flatnonzero(p)
-    pos = q + 0.0
-    pos.reshape(-1)[support] = 0.0
-    row = support // dim
-    dec = _dense_split(pos, support, row, *_split_difference(
-        p.reshape(-1)[support], q.reshape(-1)[support], row, pos.sum(axis=1)))
-    if vector:
-        return SignedDecomposition(dec.p_plus[0], dec.p_minus[0], float(dec.z_plus[0]),
-                                   float(dec.z_minus[0]))
-    return dec
-
-
-def _pair(empirical, smoothed) -> tuple[np.ndarray, np.ndarray]:
-    """The two inputs as float arrays of one shape, vectors or matrices."""
-    p = np.asarray(empirical, dtype=float)
-    q = np.asarray(smoothed, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if p.ndim not in (1, 2):
-        raise ValueError(f"need a vector or a matrix, got shape {p.shape}")
-    return p, q
-
-
-def _split_difference(p: np.ndarray, q: np.ndarray, row: np.ndarray, rest: np.ndarray) -> tuple:
-    """The split of q - p over the cells where p may be nonzero, whose
-    values p and q hold, `row` naming the row of each: q - p on those
-    cells, and Z+ and Z- per row, the sums of its positive and negative
-    parts.  Off the cells p is 0, so q - p is q itself, nonnegative, and
-    `rest`, each row's mass of q there, adds to Z+ only.  The caller has
-    checked both inputs' rows to be distributions."""
-    diff = q - p
-    n = len(rest)
-    return (diff, np.bincount(row, np.maximum(diff, 0.0), n) + rest,
-            np.bincount(row, np.maximum(np.negative(diff), 0.0), n))
-
-
-def _dense_split(pos: np.ndarray, support: np.ndarray, row: np.ndarray, diff: np.ndarray,
-                 z_plus: np.ndarray, z_minus: np.ndarray) -> SignedDecomposition:
-    """The dense SignedDecomposition of a split on the `support` cells:
-    `pos`, a fresh matrix of the smoothed rows plus 0.0 (which makes a -0.0
-    the +0.0 that max(q - 0.0, 0.0) gives), takes the positive part of
-    `diff` on them, and p_minus holds its negative part there and zeros
-    elsewhere, each row divided by its Z (a part with Z zero is +0.0
-    throughout)."""
-    pos.reshape(-1)[support] = np.maximum(diff, 0.0)
-    neg = np.zeros(pos.shape)
-    neg.reshape(-1)[support] = np.maximum(np.negative(diff), 0.0)
-    scales = []
-    for m, z in ((pos, z_plus), (neg, z_minus)):
-        zero = z == 0.0
-        m[zero] = 0.0
-        scales.append(np.where(zero, 1.0, z))
-    pos /= scales[0][:, None]
-    # p_minus is zero off the support
-    neg.reshape(-1)[support] /= scales[1][row]
-    return SignedDecomposition(pos, neg, z_plus, z_minus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +78,27 @@ class RegularizerBundle:
 
     @cached_property
     def rows(self) -> SignedDecomposition:
+        """The dense split: p_plus is the smoothed rows plus 0.0 (which
+        makes a -0.0 the +0.0 that max(q - 0.0, 0.0) gives) with the
+        positive part of `diff` on the grams, and p_minus the negative part
+        of `diff` on the grams and zeros elsewhere, each row divided by its
+        Z (a part with Z zero is +0.0 throughout)."""
         t = self.keys
+        cells = t.hist * t.vocab.out_dim + t.out
         pos = self.lm.fresh_rows()
-        pos += 0.0  # a -0.0 cell becomes +0.0
-        return _dense_split(pos, t.hist * t.vocab.out_dim + t.out, t.hist, self.diff,
-                            self.z_plus, self.z_minus)
+        pos += 0.0
+        pos.reshape(-1)[cells] = np.maximum(self.diff, 0.0)
+        neg = np.zeros(pos.shape)
+        neg.reshape(-1)[cells] = np.maximum(np.negative(self.diff), 0.0)
+        scales = []
+        for m, z in ((pos, self.z_plus), (neg, self.z_minus)):
+            zero = z == 0.0
+            m[zero] = 0.0
+            scales.append(np.where(zero, 1.0, z))
+        pos /= scales[0][:, None]
+        # p_minus is zero off the grams
+        neg.reshape(-1)[cells] /= scales[1][t.hist]
+        return SignedDecomposition(pos, neg, self.z_plus, self.z_minus)
 
     @cached_property
     def per_history(self) -> dict[History, SignedDecomposition]:
@@ -190,10 +136,12 @@ def build_regularizer(
             raise ValueError(f"the {name} model's rows are not the count table's histories")
         if not lm.checked:
             lm.check(name)
+    diff = smoothed_lm.gram_cells - empirical_lm.gram_cells
+    rest = smoothed_lm.off_mass
     return RegularizerBundle(
-        table, smoothed_lm,
-        *_split_difference(empirical_lm.gram_cells, smoothed_lm.gram_cells, table.hist,
-                           smoothed_lm.off_mass),
+        table, smoothed_lm, diff,
+        np.bincount(table.hist, np.maximum(diff, 0.0), len(rest)) + rest,
+        np.bincount(table.hist, np.maximum(np.negative(diff), 0.0), len(rest)),
         gamma_plus=gamma_plus, gamma_minus=gamma_minus,
     )
 

@@ -2,11 +2,13 @@
 piece of code that exists only to check the pipeline.
 
 The oracles (`count_substrings`, `empirical_prefix`, `string_logprob`, the
-KL and cross-entropy helpers and `objective_value`, the loss of each
-training objective) recount the corpus or re-sum by their own loops and
-call no pipeline kernel, so that a test comparing a kernel with one of
+KL and cross-entropy helpers, `objective_value`, the loss of each
+training objective, and `signed_split`, the signed split of one pair of
+vectors by its definition) recount the corpus or re-sum by their own loops
+and call no pipeline kernel, so that a test comparing a kernel with one of
 them can fail when the kernel is wrong.  No pipeline module imports this
-one.
+one, and this one imports nothing from `decompose`: the T3 and
+CE_LINEARITY checks split by `signed_split`, not by the code they check.
 
 Each checker draws seeded random instances, evaluates both sides of an
 identity by routes that share no code with the operation under test, and
@@ -35,7 +37,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Corpus, CountTable, History, Vocabulary, count_ngrams
-from .decompose import signed_decompose
 from .ngram import ConditionalLM, UnseenHistoryError, empirical_conditional
 from .smoothers import smooth_add_lambda
 
@@ -335,6 +336,18 @@ def objective_value(model, corpus: Corpus, config, smoothed: ConditionalLM | Non
     return total
 
 
+def signed_split(empirical, smoothed) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(p_plus, p_minus, Z+, Z-) of one pair of distribution vectors, by
+    the definition: the positive and negative parts of smoothed - empirical
+    and their sums, each part divided by its sum (all zeros when it is 0)."""
+    diff = np.asarray(smoothed, float) - np.asarray(empirical, float)
+    parts = np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+    z_plus, z_minus = (float(part.sum()) for part in parts)
+    p_plus, p_minus = (part / z if z > 0.0 else np.zeros_like(part)
+                       for part, z in zip(parts, (z_plus, z_minus)))
+    return p_plus, p_minus, z_plus, z_minus
+
+
 def signed_sides(f: Callable[[np.ndarray], float], empirical, smoothed) -> tuple[float, float]:
     """(f(p~), f(p) + Z+ f(p_plus) - Z- f(p_minus)) for one distribution pair.
     `f` may return an array, such as its values for several q; the sides are
@@ -344,13 +357,13 @@ def signed_sides(f: Callable[[np.ndarray], float], empirical, smoothed) -> tuple
     in the split.  With f = KL(. || q) their difference lhs - rhs does not
     depend on q; it is rhs - lhs of the sides with f = entropy.
     """
-    dec = signed_decompose(empirical, smoothed)
+    p_plus, p_minus, z_plus, z_minus = signed_split(empirical, smoothed)
     lhs = f(np.asarray(smoothed, float))
     rhs = f(np.asarray(empirical, float))
-    if dec.z_plus > 0:
-        rhs += dec.z_plus * f(dec.p_plus)
-    if dec.z_minus > 0:
-        rhs -= dec.z_minus * f(dec.p_minus)
+    if z_plus > 0:
+        rhs += z_plus * f(p_plus)
+    if z_minus > 0:
+        rhs -= z_minus * f(p_minus)
     return lhs, rhs
 
 
@@ -560,8 +573,8 @@ def check_ce_linearity(
         q = rng.dirichlet(np.ones(len(p)))
         lhs, rhs = signed_sides(lambda v: cross_entropy(v, q), p, p_tilde)
         max_err = max(max_err, abs(lhs - rhs))
-        dec = signed_decompose(p, p_tilde)
-        recon = p + dec.z_plus * dec.p_plus - dec.z_minus * dec.p_minus
+        p_plus, p_minus, z_plus, z_minus = signed_split(p, p_tilde)
+        recon = p + z_plus * p_plus - z_minus * p_minus
         max_err = max(max_err, float(np.abs(recon - p_tilde).max()))
     return _report("CE_LINEARITY", trials, max_err, tolerance, seed)
 

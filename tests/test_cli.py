@@ -821,17 +821,25 @@ class TestVerifyCommand:
         assert main(["verify", "--theorem", "T3", "--trials", "0"]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
-    def test_bad_tolerance_exit_2_before_any_check(self, capsys, monkeypatch, value):
+    @pytest.mark.parametrize("flags, message", [
+        *[pytest.param([f"--tolerance={value}"], "tolerance must be finite and >= 0", id=value)
+          for value in ["nan", "-1", "inf", "-inf"]],
+        # numpy refused a negative seed with an error that named no flag
+        pytest.param(["--seed=-1"], "seed must be >= 0", id="seed=-1"),
+        # --all --theorem T3 ran T3 alone
+        pytest.param(["--all", "--theorem", "T3"], "not allowed with argument",
+                     id="all-and-theorem"),
+    ])
+    def test_bad_tolerance_exit_2_before_any_check(self, capsys, monkeypatch, flags, message):
         # NaN and -1 used to print FAIL and exit 1, and inf passed every check
         def check(**kwargs):
             raise AssertionError("a check ran")
 
         for name in verify.CHECKS:
             monkeypatch.setitem(verify.CHECKS, name, check)
-        assert main(["verify", f"--tolerance={value}"]) == 2
+        assert main(["verify", *flags]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "tolerance must be finite and >= 0" in err
+        assert out == "" and message in err
 
     @pytest.mark.parametrize("flags, kwargs", [
         (["--theorem", "T1", "--trials", "5", "--tolerance", "0"],

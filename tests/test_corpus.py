@@ -602,6 +602,15 @@ class TestCorpusIO:
         assert c.M == 2
         assert c.vocab.symbols == ("a", "b")
 
+    def test_a_line_ends_at_a_newline_only(self, tmp_path):
+        # str.splitlines also breaks at these, which made one line two sequences
+        p = tmp_path / "corpus.txt"
+        p.write_text("a\x0cb c\nb\u2028a\n", encoding="utf-8")
+        assert load_corpus(str(p)).sequences == ((0, 1, 2), (1, 0))
+        p.write_text("a\x0bb\x1cc\x1dc\nb\x1ea\x85b\u2029a\n\n", encoding="utf-8")
+        c = load_corpus(str(p))
+        assert c.sequences == ((0, 1, 2, 2), (1, 0, 1, 0)) and c.skipped_lines == 1
+
     def test_tsv_roundtrip_byte_identical(self, tmp_path):
         c = corpus_from_lines(["a b a", "b a", "c"])
         t = count_ngrams(c, 2)

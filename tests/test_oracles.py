@@ -5,10 +5,10 @@ independent of the code they check.
 A test that compares a kernel with itself cannot fail when the kernel is
 wrong, so each oracle recounts or re-sums by its own loop.  The source
 checks read the package with `ast` and fail when an oracle names a
-pipeline kernel, when a pipeline module imports `verify`, when package
-code reads the dict views kept only for `perfbench/` and the tests (or a
-corpus's `sequences`, kept for the oracles), or when a source file needs
-a grammar newer than Python 3.10's."""
+pipeline kernel, when `verify` imports `decompose`, when a pipeline module
+imports `verify`, when package code reads the dict views kept only for
+`perfbench/` and the tests (or a corpus's `sequences`, kept for the
+oracles), or when a source file needs a grammar newer than Python 3.10's."""
 
 import ast
 import dataclasses
@@ -35,11 +35,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "smoothlm"
 
 ORACLES = ("count_substrings", "string_logprob", "PrefixProbability", "empirical_prefix",
-           "cross_entropy", "entropy", "kl_divergence", "objective_value")
+           "cross_entropy", "entropy", "kl_divergence", "objective_value", "signed_split",
+           "signed_sides")
 # the pipeline code the oracles check, and any smooth_<method>
-KERNELS = {"_objective_weights", "batch_loss_grads", "signed_decompose", "_split_difference",
-           "build_regularizer", "smooth", "table_perplexity", "perplexity", "count_ngrams",
-           "dense_counts"}
+KERNELS = {"_objective_weights", "batch_loss_grads", "build_regularizer", "smooth",
+           "table_perplexity", "perplexity", "count_ngrams", "dense_counts"}
 # each dict view, and the module that defines it
 VIEWS = {"table": "ngram", "gram_count": "corpus", "history_count": "corpus",
          "per_history": "decompose"}
@@ -140,6 +140,11 @@ def test_only_the_cli_imports_verify():
     # is first read, by name through importlib, so no import statement names it
     importers = {p.stem for p in SRC.glob("*.py") if "verify" in package_imports(parsed(p.stem))}
     assert importers <= {"cli"}
+
+
+def test_verify_splits_by_its_own_code():
+    # T3 and CE_LINEARITY check the split, so they may not run decompose's
+    assert "decompose" not in package_imports(parsed("verify"))
 
 
 @pytest.mark.parametrize("oracle", ORACLES)

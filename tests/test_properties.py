@@ -4,9 +4,10 @@ against a per-position recount, per-cell oracles written from gram_count,
 held-out perplexity against the per-token string_logprob, held-out cells
 against held-out rows, held-out rows against a walk to each history's longest
 seen suffix, each level's check and split from its parts against its dense
-rows, each backoff chain rebuilt from its levels' parts against itself, and
+rows, each backoff chain rebuilt from its levels' parts against itself,
 the masses GT, SGT and Katz sum over the grams against the sums of
-their dense rows."""
+their dense rows, and each bundle's split on the grams against the split
+of each pair of dense rows by its definition."""
 
 import math
 import os
@@ -42,7 +43,7 @@ from smoothlm.smoothers import (
     smooth_add_lambda,
     smooth_kneser_essen_ney,
 )
-from smoothlm.verify import corpus_of, string_logprob
+from smoothlm.verify import corpus_of, signed_split, string_logprob
 
 
 @st.composite
@@ -115,6 +116,30 @@ def test_every_smoother_gives_distributions_that_decompose(corpus, order):
             recon = emp.table[h] + dec.z_plus * dec.p_plus - dec.z_minus * dec.p_minus
             assert np.abs(recon - lm.table[h]).max() <= RECON_ATOL, method
             assert abs(dec.z_plus - dec.z_minus) <= RECON_ATOL, method
+
+
+@given(corpora(), orders)
+def test_the_split_on_the_grams_is_the_split_by_definition(corpus, order):
+    # build_regularizer splits on the grams, adding the smoothed mass off
+    # them to Z+; the oracle splits each pair of dense rows by the definition
+    table = count_ngrams(corpus, order)
+    emp = empirical_conditional(table)
+    for method in METHODS:
+        if method == "kneser_essen_ney" and order < 2:
+            continue
+        try:
+            lm = smooth(table, method)
+        except KatzConfigError:
+            continue
+        bundle = build_regularizer(emp, lm, table, 1.0, 1.0)
+        rows = bundle.rows
+        for i in range(len(table.ids)):
+            p_plus, p_minus, z_plus, z_minus = signed_split(emp.matrix[i], lm.matrix[i])
+            assert abs(bundle.z_plus[i] - z_plus) <= RECON_ATOL, (method, i)
+            assert abs(bundle.z_minus[i] - z_minus) <= RECON_ATOL, (method, i)
+            for got, want in ((rows.p_plus[i], p_plus), (rows.p_minus[i], p_minus)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=RECON_ATOL,
+                                           err_msg=f"{method} row {i}")
 
 
 @given(corpora(), st.integers(1, 4))
