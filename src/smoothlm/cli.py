@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -20,8 +21,9 @@ import math
 import os
 import sys
 
-from . import decompose as dec
-from . import neural, verify
+# each command imports the other modules it runs when it runs, so `count`
+# loads only these two; RunConfig, a neural.TrainConfig, is defined on first
+# use (PEP 562)
 from .corpus import count_ngrams, load_corpus, read_count_table, write_count_table
 from .ngram import (
     NormalizationError,
@@ -30,7 +32,6 @@ from .ngram import (
     read_conditional_lm,
     write_conditional_lm,
 )
-from .smoothers import METHODS, method_params, smooth
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -46,6 +47,8 @@ def cmd_count(args) -> int:
 
 
 def _smoothed_lm(args):
+    from .smoothers import method_params, smooth
+
     if args.counts and args.order is not None:
         raise ValueError("--order goes with --corpus; a count file fixes its own order")
     order = None if args.counts else 2 if args.order is None else args.order
@@ -65,6 +68,8 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import decompose as dec
+
     table, lm = _smoothed_lm(args)
     bundle = dec.build_regularizer(empirical_conditional(table), lm, table, 1.0, 1.0)
     dec.write_decomposition(bundle, args.out)
@@ -75,39 +80,56 @@ def cmd_decompose(args) -> int:
 ARCHS = ("tabular", "feedforward")
 
 
-@dataclasses.dataclass
-class RunConfig(neural.TrainConfig):
-    """The options of one `train` run, or of each `grid` cell: TrainConfig's
-    fields plus the model's and the paths.  Its fields are the config-file
-    keys and the flags of both commands, and their defaults are the only
-    defaults; an lr left out or null resolves to 0.5 for the tabular model
-    and 0.05 for the feedforward one."""
+def __getattr__(name: str):
+    if name == "RunConfig":
+        return _run_config_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-    lr: float | None = None
-    order: int = 2
-    arch: str = "feedforward"
-    embed_dim: int = 16
-    hidden_dim: int = 32
-    corpus_path: str | None = None   # null means none given
-    heldout_path: str | None = None
-    out_dir: str | None = None
 
-    def __post_init__(self):
-        if self.lr is None:
-            self.lr = 0.5 if self.arch == "tabular" else 0.05
+@functools.cache
+def _run_config_class() -> type:
+    """cli.RunConfig, defined on first use, as it subclasses
+    neural.TrainConfig."""
+    from .neural import BUNDLE_OBJECTIVES, TrainConfig
+    from .smoothers import method_params
 
-    def validate(self) -> None:
-        super().validate()
-        if self.arch not in ARCHS:
-            raise ValueError(f"unknown architecture {self.arch!r}")
-        for key, low in (("order", 2 if self.arch == "feedforward" else 1), ("embed_dim", 1),
-                         ("hidden_dim", 1)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
-        if self.objective in neural.BUNDLE_OBJECTIVES:
-            if self.method is None:
-                raise ValueError(f"objective {self.objective} needs a smoothing method")
-            method_params(self.method, self.method_params, self.order)
+    @dataclasses.dataclass
+    class RunConfig(TrainConfig):
+        """The options of one `train` run, or of each `grid` cell:
+        TrainConfig's fields plus the model's and the paths.  Its fields are
+        the config-file keys and the flags of both commands, and their
+        defaults are the only defaults; an lr left out or null resolves to
+        0.5 for the tabular model and 0.05 for the feedforward one."""
+
+        lr: float | None = None
+        order: int = 2
+        arch: str = "feedforward"
+        embed_dim: int = 16
+        hidden_dim: int = 32
+        corpus_path: str | None = None   # null means none given
+        heldout_path: str | None = None
+        out_dir: str | None = None
+
+        def __post_init__(self):
+            if self.lr is None:
+                self.lr = 0.5 if self.arch == "tabular" else 0.05
+
+        def validate(self) -> None:
+            super().validate()
+            if self.arch not in ARCHS:
+                raise ValueError(f"unknown architecture {self.arch!r}")
+            for key, low in (("order", 2 if self.arch == "feedforward" else 1),
+                             ("embed_dim", 1), ("hidden_dim", 1)):
+                if getattr(self, key) < low:
+                    raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
+            if self.objective in BUNDLE_OBJECTIVES:
+                if self.method is None:
+                    raise ValueError(f"objective {self.objective} needs a smoothing method")
+                method_params(self.method, self.method_params, self.order)
+
+    # pickled by name, as a grid hands its cells to its workers
+    RunConfig.__qualname__ = "RunConfig"
+    return RunConfig
 
 
 # the flag type of each RunConfig annotation; any other is read as a string
@@ -115,7 +137,7 @@ _FLAG_TYPES = {"int": int, "float": float, "float | None": float, "dict | None":
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(RunConfig):
+    for f in dataclasses.fields(_run_config_class()):
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                        type=_FLAG_TYPES.get(f.type, str))
 
@@ -123,6 +145,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def _run_config(args, **defaults) -> RunConfig:
     """`defaults`, overridden by the keys of the `--config` file, overridden
     by the flags given."""
+    RunConfig = _run_config_class()
     values = dict(defaults)
     if args.config is not None:
         with open(args.config, encoding="utf-8") as f:
@@ -144,6 +167,8 @@ def _run_config(args, **defaults) -> RunConfig:
 
 
 def _model_for(config: RunConfig, table):
+    from . import neural
+
     if config.arch == "tabular":
         return neural.TabularSoftmaxLM.for_table(table)
     return neural.FeedForwardLM(config.order, table.vocab, config.embed_dim, config.hidden_dim,
@@ -161,6 +186,8 @@ class _TrainingData:
     so a later call sees rewritten input files."""
 
     def __init__(self, config: RunConfig):
+        from . import neural
+
         corpus = load_corpus(config.corpus_path)
         self.table = count_ngrams(corpus, config.order)
         self.heldout = None
@@ -171,6 +198,8 @@ class _TrainingData:
         self.workspace = neural.Workspace()
 
     def _bundle(self, config):
+        from . import neural
+
         key = json.dumps(config.method_params, sort_keys=True)
         if key not in self._bundles:
             self._bundles[key] = neural.make_bundle_for(self.table, self.table.order, config)
@@ -178,6 +207,8 @@ class _TrainingData:
                                    gamma_minus=config.gamma_minus)
 
     def train(self, config: RunConfig):
+        from . import neural
+
         bundle = self._bundle(config) if config.objective in neural.BUNDLE_OBJECTIVES else None
         return neural.train(_model_for(config, self.table), self.table, config, bundle,
                             self.heldout, workspace=self.workspace)
@@ -192,6 +223,8 @@ def _write_metrics(metrics, path):
 
 
 def cmd_train(args) -> int:
+    from . import neural
+
     config = _run_config(args)
     config.validate()
     if not config.corpus_path:
@@ -211,7 +244,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = neural.load_model(args.model) if args.model else read_conditional_lm(args.lm)
+    if args.model:
+        from . import neural
+
+        model = neural.load_model(args.model)
+    else:
+        model = read_conditional_lm(args.lm)
     ppl = perplexity(model, load_corpus(args.corpus, vocab=model.vocab))
     print(f"perplexity\t{ppl:.10g}")
     return EXIT_OK
@@ -302,6 +340,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     names = [args.theorem.upper()] if args.theorem else list(verify.CHECKS)
     if names[0] not in verify.CHECKS:
         raise ValueError(f"unknown theorem id {args.theorem!r}; choose from {sorted(verify.CHECKS)}")
@@ -325,7 +365,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command.  Given the one to parse, the commands
+    whose flags need another module (the smoothers' names, RunConfig's
+    fields) are listed without their flags unless it is theirs, so that
+    their modules are not loaded for another command."""
     p = argparse.ArgumentParser(prog="smoothlm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -338,6 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, text in (("smooth", cmd_smooth, "build a smoothed conditional LM"),
                            ("decompose", cmd_decompose, "signed decomposition of a smoother")):
         s = sub.add_parser(name, help=text)
+        if command not in (None, name):
+            continue
+        from .smoothers import METHODS
+
         source = s.add_mutually_exclusive_group(required=True)
         source.add_argument("--counts", help="count TSV from `count`")
         source.add_argument("--corpus", help="a corpus file, counted at --order")
@@ -349,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
         s.set_defaults(fn=fn)
 
     t = sub.add_parser("train", help="train a neural conditional model")
-    t.add_argument("--config", help="JSON run config; flags override its keys")
-    _add_run_flags(t)
-    t.set_defaults(fn=cmd_train)
+    if command in (None, "train"):
+        t.add_argument("--config", help="JSON run config; flags override its keys")
+        _add_run_flags(t)
+        t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="perplexity of a saved model or LM TSV")
     model = e.add_mutually_exclusive_group(required=True)
@@ -361,12 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_eval)
 
     g = sub.add_parser("grid", help="hyperparameter grid over gamma pairs")
-    g.add_argument("--config", required=True, help="JSON run config; flags override its keys")
-    g.add_argument("--cap", type=int, default=100)
-    g.add_argument("--workers", type=int, default=1,
-                   help="process-pool size; output order is combination order either way")
-    _add_run_flags(g)
-    g.set_defaults(fn=cmd_grid)
+    if command in (None, "grid"):
+        g.add_argument("--config", required=True,
+                       help="JSON run config; flags override its keys")
+        g.add_argument("--cap", type=int, default=100)
+        g.add_argument("--workers", type=int, default=1,
+                       help="process-pool size; output order is combination order either way")
+        _add_run_flags(g)
+        g.set_defaults(fn=cmd_grid)
 
     v = sub.add_parser("verify", help="run the numerical identity checks")
     which = v.add_mutually_exclusive_group()
@@ -380,9 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _training_errors() -> tuple:
+    """neural.TrainingError, a diverging run's, once training has loaded
+    neural; no other command raises it."""
+    neural = sys.modules.get(f"{__package__}.neural")
+    return () if neural is None else (neural.TrainingError,)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the first word that is not an option is the command, as no option
+    # before it takes a value
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse's own exit: 2 for a usage error, 0 for --help
         return exc.code
     try:
@@ -393,7 +455,7 @@ def main(argv=None) -> int:
         # plain ValueError naming the file
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, OSError, KeyError, neural.TrainingError) as exc:
+    except (ValueError, OSError, KeyError, *_training_errors()) as exc:
         # a diverging run (TrainingError) comes of the learning rate or
         # init scale the user gave
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,11 @@ model's rows are named by a RowKeys, whose `find` looks histories up by
 their codes, searching them in sorted order (sorted_search); a CountTable
 is the RowKeys of its own histories, and keeps the backoff structure the
 smoothers read without a search: its `marginal` and, from the same sort,
-its `parents` there.  A corpus's sequences, the history tuples and the
-table's count dicts are views for `perfbench/`, the tests and the oracles.
+its `parents` there.  A table places held-out data in the levels of that
+chain once (`locate`, a Placement: each held-out history's row and each
+held-out gram's index at every level), and keeps the placement for every
+LM built on it.  A corpus's sequences, the history tuples and the table's
+count dicts are views for `perfbench/`, the tests and the oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import logging
 import numbers
 import re
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -189,15 +193,15 @@ class RowKeys:
     def find(self, ids: np.ndarray) -> np.ndarray:
         """The row of each history of `ids`, an (N, width) array of ids
         that history_ids has checked, or -1 where it names no row."""
-        codes = history_codes(ids, self.base)
-        if not len(self.codes):
-            return np.full(len(codes), -1, dtype=np.intp)
-        at = sorted_search(self.codes, codes)
-        np.minimum(at, len(self.codes) - 1, out=at)
-        found = self.codes[at] == codes
-        rows = at if self.code_rows is None else self.code_rows[at]
-        rows[~found] = -1
-        return rows
+        return self.rows_of(history_codes(ids, self.base))
+
+    def rows_of(self, codes: np.ndarray) -> np.ndarray:
+        """The row of each history code of `codes`, or -1 where it names no
+        row."""
+        at = sorted_index(self.codes, codes)
+        if self.code_rows is None:
+            return at
+        return np.where(at < 0, -1, self.code_rows[at])
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,6 +341,96 @@ class CountTable(RowKeys):
         counts[self.hist, self.out] = self.count
         return counts
 
+    def locate(self, data: Corpus | CountTable) -> Placement:
+        """The Placement of held-out data, a corpus or its table at this
+        order, in the levels of this table's backoff chain (the keys of the
+        LMs built on it).  Its top-level queries, the held-out table's
+        history and gram codes, come sorted, so each of the two searches
+        there takes no argsort (see sorted_search).  It is kept, keyed by
+        the identity of `data`, for as long as both live, so every LM of
+        this table scores the data through one count and one search per
+        level; a new table places the data again.  The placement keeps a table it counted, not
+        `data`, which can then be let go."""
+        placements = vars(self).setdefault("_placements", weakref.WeakKeyDictionary())
+        place = placements.get(data)
+        if place is None:
+            held = table_at(data, self.order, self.vocab)
+            place = placements[data] = Placement(held.ids, held.codes, held.hist, held.out,
+                                                 self.base, held.gram_codes)
+            place._table = held if held is not data else weakref.ref(held)
+        return place
+
+    def __getstate__(self) -> dict:
+        # placements are weakly keyed, so they do not pickle; a copy places
+        # its data again
+        state = dict(vars(self))
+        state.pop("_placements", None)
+        return state
+
+
+class Placement:
+    """Queries placed in the levels of a backoff chain: histories, by their
+    ids and codes (see history_codes) in base `base`, and cells (hist[g],
+    out[g]) of them, whose gram codes are their histories' codes with the
+    emitted id as one more digit.  For the keys of a level, histories of
+    width k - 1 no wider than the queries', `rows(keys)` gives the row there
+    of each query history's length-(k-1) suffix, its code less the leading
+    digits, and `grams(table)`, for a count table of order k, the index in
+    its `gram_codes` of each cell's length-k suffix gram; each is -1 where
+    there is none, and each is searched for once per keys, on first read,
+    and kept while the keys live.  The cells' gram codes are worked out
+    unless given.  CountTable.locate gives a held-out table's, with the
+    table as `table`; ConditionalLM.cells makes one of any queries."""
+
+    def __init__(self, ids: np.ndarray, codes: np.ndarray, hist: np.ndarray, out: np.ndarray,
+                 base: int, gram_codes: np.ndarray | None = None):
+        self.ids, self.codes, self.hist, self.out, self.base = ids, codes, hist, out, base
+        self._gram_codes = gram_codes
+        self._table = None
+        self._rows = weakref.WeakKeyDictionary()
+        self._grams = weakref.WeakKeyDictionary()
+
+    @property
+    def table(self) -> CountTable | None:
+        """The held-out table of a placement made by CountTable.locate."""
+        table = self._table
+        return table() if isinstance(table, weakref.ref) else table
+
+    def rows(self, keys: RowKeys) -> np.ndarray:
+        """The row in `keys` of each query history's suffix, -1 where unseen."""
+        rows = self._rows.get(keys)
+        if rows is None:
+            width = keys.ids.shape[1]
+            if width == 0:
+                # every history's suffix is (), the one history a width-0
+                # RowKeys can hold
+                rows = np.full(len(self.codes), 0 if len(keys.codes) else -1, dtype=np.intp)
+            else:
+                rows = keys.rows_of(self._suffixes(self.codes, self.ids.shape[1], width))
+            self._rows[keys] = rows
+        return rows
+
+    def grams(self, table: CountTable) -> np.ndarray:
+        """The index in `table`'s gram_codes of each cell's suffix gram, -1
+        where the table has none."""
+        grams = self._grams.get(table)
+        if grams is None:
+            width = self.ids.shape[1] + 1
+            if self._gram_codes is None:
+                codes = self.codes.astype(_code_dtype(self.base, width), copy=False)[self.hist]
+                # the emitted id: EOS's index, base - 2, is its id less 1
+                self._gram_codes = codes * self.base + np.where(
+                    self.out == self.base - 2, self.base - 1, self.out)
+            grams = self._grams[table] = sorted_index(
+                table.gram_codes, self._suffixes(self._gram_codes, width, table.order))
+        return grams
+
+    def _suffixes(self, codes: np.ndarray, width: int, suffix: int) -> np.ndarray:
+        """The codes of the last `suffix` digits of `width`-digit codes."""
+        if suffix == width:
+            return codes
+        return (codes % self.base ** suffix).astype(_code_dtype(self.base, suffix), copy=False)
+
 
 def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = True
                     ) -> np.ndarray:
@@ -393,10 +487,24 @@ def history_codes(ids: np.ndarray, base: int) -> np.ndarray:
 def sorted_search(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """np.searchsorted(a, v), by one search of the queries `v` in sorted
     order, whose positions are scattered back: each query's search starts
-    where the one before it ended, and reads memory in order."""
+    where the one before it ended, and reads memory in order.  Queries
+    already in order take no argsort."""
+    if (v[1:] >= v[:-1]).all():
+        return np.searchsorted(a, v)
     sort = np.argsort(v)
     at = np.empty(len(v), dtype=np.intp)
     at[sort] = np.searchsorted(a, v[sort])
+    return at
+
+
+def sorted_index(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The index in the sorted, distinct `a` of each of `v`, or -1 where it
+    is absent, by one sorted_search."""
+    if not len(a):
+        return np.full(len(v), -1, dtype=np.intp)
+    at = sorted_search(a, v)
+    np.minimum(at, len(a) - 1, out=at)
+    at[a[at] != v] = -1
     return at
 
 

@@ -444,8 +444,9 @@ def _train_counts(model, table, config, bundle, heldout, ws):
         # each epoch's forward runs over the table's histories and then the
         # held-out histories training lacks; held-out row i is row place[i]
         # of that forward, so held-out gram g is cell (place[hist[g]], out[g])
-        # of its q
-        place = table.find(heldout.ids)
+        # of its q; the rows are the top level of the table's placement of
+        # the held-out table, which every model trained on the table shares
+        place = table.locate(heldout).rows(table).copy()
         lacking = place < 0
         place[lacking] = len(idx) + np.arange(np.count_nonzero(lacking))
         idx = np.concatenate([idx, model.lookup(heldout.ids[lacking])])

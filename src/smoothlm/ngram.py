@@ -1,7 +1,10 @@
 """Conditional n-gram language models and their evaluation.
 
 Hosts the empirical conditional (count-ratio) model, perplexity (one path,
-`table_perplexity`) and the LM TSV reader and writer.  Natural log
+`table_perplexity`) and the LM TSV reader and writer.  An LM scores cells
+in one descent of its backstop chain, bottom up, by gathers over a
+corpus.Placement of the queries; an LM built on a count table scores
+held-out data through the placement the table keeps of it.  Natural log
 throughout.
 """
 
@@ -14,9 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, CountTable, History, RowKeys, Vocabulary, check_histories,
-                     history_ids, read_cells, row_index, sorted_search, table_at,
-                     write_cells)
+from .corpus import (Corpus, CountTable, History, Placement, RowKeys, Vocabulary,
+                     check_histories, history_codes, history_ids, read_cells, row_index,
+                     table_at, write_cells)
 
 PROB_ATOL = 1e-9
 
@@ -207,14 +210,6 @@ class ConditionalLM:
             return self.base[rows]
         return np.take(self.backstop.matrix, self.keys.parents[0][rows], axis=0)
 
-    def _base_cells(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """A fresh array of the base cells (rows[g], out[g])."""
-        if self.base is None:
-            return np.ones(len(rows))
-        if isinstance(self.base, np.ndarray):
-            return self.base[rows, out]
-        return self.backstop.cells(self.backstop.keys, self.keys.parents[0][rows], out)
-
     @property
     def gram_cells(self) -> np.ndarray:
         """The cells on the grams of the keys, a count table, with no
@@ -225,27 +220,6 @@ class ConditionalLM:
         if self.seen is not None:
             return self.seen
         return self.base[self.keys.hist, self.keys.out]
-
-    def _cells(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The cells (rows[g], out[g]) of this level's own rows, as `matrix`
-        holds them: a gram's seen value, else its base cell times a, divided
-        by d, in that order."""
-        p = np.empty(len(rows))
-        off = np.ones(len(rows), dtype=bool)
-        if self.seen is not None:
-            # the grams' flat cell indices are sorted
-            grams = self.keys.hist * self.vocab.out_dim + self.keys.out
-            cell = rows * self.vocab.out_dim + out
-            g = np.minimum(sorted_search(grams, cell), len(grams) - 1)
-            on = grams[g] == cell
-            p[on] = self.seen[g[on]]
-            off = ~on
-        rows, out = rows[off], out[off]
-        q = self._base_cells(rows, out)
-        q *= self.a[rows] if np.ndim(self.a) else self.a
-        q /= self.d[rows] if np.ndim(self.d) else self.d
-        p[off] = q
-        return p
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -313,24 +287,57 @@ class ConditionalLM:
               out: np.ndarray) -> np.ndarray:
         """The probability of emission index out[g] after history
         keys[hist[g]], for each g: rows(keys)[hist, out], bit for bit,
-        without a row.  One `keys.find`; a seen cell is its stored value, an
-        unseen cell of a seen history its base cell times a, divided by d
-        (a parent cell comes from the backstop's `cells`), and the cells of
-        unseen histories come from one backstop `cells` call over the
-        suffixes of the distinct unseen histories."""
-        if keys is self.keys:
-            return self._cells(hist, out)
-        ids, found, unseen = self._find(keys)
-        if not unseen.any():
-            return self._cells(found[hist], out)
-        # the unseen histories, renumbered in order, are the backstop's keys
-        at = np.cumsum(unseen) - 1
-        backs_off = unseen[hist]
-        p = np.empty(len(hist))
-        p[backs_off] = self.backstop.cells(ids[unseen, self.order - self.backstop.order:],
-                                           at[hist[backs_off]], out[backs_off])
-        stays = ~backs_off
-        p[stays] = self._cells(found[hist[stays]], out[stays])
+        without a row.  The keys' histories and the cells are placed in
+        each level of the backstop chain (a Placement: one search for the
+        histories and, on a level of a count table, one for the cells), and
+        `placed_cells` gathers them."""
+        ids = history_ids(self.vocab, self.order - 1, keys)
+        base = self.vocab.n_symbols + 2
+        # a RowKeys in code order holds each row's code
+        codes = keys.codes if isinstance(keys, RowKeys) and keys.code_rows is None \
+            else history_codes(ids, base)
+        return self.placed_cells(Placement(ids, codes, hist, out, base))
+
+    def placed_cells(self, place: Placement) -> np.ndarray:
+        """The cells of `place`, queries of this LM's order: each cell's
+        value at the highest level of the backstop chain that holds its
+        history's suffix.  With no backstop below a level, a history
+        unseen there and at every level above raises UnseenHistoryError,
+        naming the suffix of the first.  The levels are then scored bottom
+        up, by gathers: a cell on a level's grams takes its seen value,
+        another cell of a seen history its base cell times a, divided by
+        d (the base cell is 1, the given matrix's cell or, on the
+        backstop, the value of the level below), and a cell of an unseen
+        history the value of the level below."""
+        levels, lm, reach = [], self, None
+        while lm is not None:
+            rows = place.rows(lm.keys)
+            unseen = rows < 0 if reach is None else reach & (rows < 0)
+            if lm.backstop is None and unseen.any():
+                first = place.ids[np.argmax(unseen), self.order - lm.order:]
+                raise UnseenHistoryError(tuple(first.tolist()))
+            levels.append((lm, rows))
+            lm, reach = lm.backstop, unseen
+        p = np.empty(len(place.hist))
+        for lm, rows in reversed(levels):
+            rows = rows[place.hist]
+            off = rows >= 0
+            if lm.seen is not None:
+                grams = place.grams(lm.keys)
+                on = grams >= 0
+                off &= ~on
+            rows = rows[off]
+            if lm.base is None:
+                q = np.ones(len(rows))
+            elif isinstance(lm.base, np.ndarray):
+                q = lm.base[rows, place.out[off]]
+            else:
+                q = p[off]
+            q *= lm.a[rows] if np.ndim(lm.a) else lm.a
+            q /= lm.d[rows] if np.ndim(lm.d) else lm.d
+            if lm.seen is not None:
+                p[on] = lm.seen[grams[on]]
+            p[off] = q
         return p
 
     def _find(self, hists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,8 +414,14 @@ def empirical_conditional(table: CountTable) -> ConditionalLM:
 def perplexity(model, data: Corpus | CountTable) -> float:
     """exp of per-emission negative log-likelihood (one EOS per sequence) of
     a conditional model, an LM or a neural model, on a corpus or its count
-    table at the model's order: `model.cells` of the table's grams, scored
-    by table_perplexity.  The data must use the model's vocabulary."""
+    table at the model's order: the model's cells of the table's grams,
+    scored by table_perplexity.  An LM built on a count table scores the
+    table's placement of the data (CountTable.locate), which counts a
+    corpus once for every LM of the table; any other model scores
+    `model.cells`.  The data must use the model's vocabulary."""
+    if isinstance(model, ConditionalLM) and isinstance(model.keys, CountTable):
+        place = model.keys.locate(data)
+        return table_perplexity(model.placed_cells(place), place.table)
     t = table_at(data, model.order, model.vocab)
     return table_perplexity(model.cells(t, t.hist, t.out), t)
 

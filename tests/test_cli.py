@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothlm import neural, verify
+from smoothlm import neural, smoothers, verify
 from smoothlm.cli import RunConfig, build_parser, main
 from smoothlm.corpus import corpus_from_lines, count_ngrams, load_corpus
 from smoothlm.ngram import NormalizationError
@@ -126,13 +126,12 @@ class TestSmooth:
     @pytest.mark.parametrize("command", ["smooth", "decompose", "train", "grid"])
     def test_normalization_breach_exit_3(self, tiny, tmp_path, capsys, monkeypatch, command):
         # a smoother's bad rows are a bug whichever command smooths; `train`
-        # and `grid` smooth in neural.make_bundle_for, and used to exit 2
-        import smoothlm.cli as cli_mod
-
+        # and `grid` smooth in neural.make_bundle_for, and used to exit 2;
+        # `smooth` and `decompose` reach smoothers.smooth when they run
         def broken_smooth(table, method, params=None):
             raise NormalizationError("history a: probabilities sum to 0.7, not 1")
 
-        monkeypatch.setattr(cli_mod, "smooth", broken_smooth)
+        monkeypatch.setattr(smoothers, "smooth", broken_smooth)
         monkeypatch.setattr(neural, "smooth", broken_smooth)
         out = tmp_path / "out"
         if command in ("smooth", "decompose"):
@@ -151,12 +150,10 @@ class TestSmooth:
 
     def test_plain_value_error_naming_a_sum_exit_2(self, tiny, tmp_path, capsys, monkeypatch):
         # only the typed error is an invariant breach, whatever a message says
-        import smoothlm.cli as cli_mod
-
         def bad_params(table, method, params=None):
             raise ValueError("weights must sum to 1")
 
-        monkeypatch.setattr(cli_mod, "smooth", bad_params)
+        monkeypatch.setattr(smoothers, "smooth", bad_params)
         code = main(["smooth", "--corpus", str(tiny), "--order", "2",
                      "--method", "addlambda", "--out", str(tmp_path / "x.tsv")])
         assert code == 2

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlm import corpus as corpus_module
-from smoothlm import ngram as ngram_module
 from smoothlm.corpus import (
     Corpus,
     CountTable,
@@ -468,14 +467,24 @@ def test_smoothing_and_decomposing_make_no_search(monkeypatch):
         calls.append(len(v))
         return search(a, v)
 
-    for module in (corpus_module, ngram_module):
-        monkeypatch.setattr(module, "sorted_search", counted)
-    for method in METHODS:
-        build_regularizer(emp, smooth(table, method), table, 1.0, 1.0)
+    monkeypatch.setattr(corpus_module, "sorted_search", counted)
+    lms = [smooth(table, method) for method in METHODS]
+    for lm in lms:
+        build_regularizer(emp, lm, table, 1.0, 1.0)
     assert calls == []
-    # a held-out corpus's histories are still searched for
-    perplexity(emp, table)
-    assert calls
+    # the six LMs score a held-out corpus through the table's one placement
+    # of it: one count, and at most one search of its histories and one of
+    # its grams per level of the chain
+    lines = markov_zipf_lines(300, 50, 0)
+    held = corpus_from_lines([" ".join(ln.split()[::-1]) for ln in lines], vocab=table.vocab)
+    counts = []
+    monkeypatch.setattr(corpus_module, "count_ngrams",
+                        lambda *args: counts.append(1) or count_ngrams(*args))
+    searches.clear()
+    for lm in lms:
+        perplexity(lm, held)
+    assert len(counts) == 1
+    assert len(searches) <= 2 * len(tables_down_to_unigram(table))
 
 
 def test_backoff_smoothers_of_one_table_share_its_marginals(monkeypatch):

@@ -8,7 +8,10 @@ wrong-length histories, and histories whose naive code aliases a seen one.
 Orders near 32 make the codes of a two- to four-symbol vocabulary pass
 2^63, so that they are Python ints."""
 
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from smoothlm.corpus import (Corpus, CountTable, Vocabulary, count_ngrams,
                              tables_down_to_unigram)
 from smoothlm.ngram import (ConditionalLM, UnseenHistoryError, empirical_conditional,
-                            perplexity, uniform_backstop)
+                            perplexity, table_perplexity, uniform_backstop)
 from smoothlm.neural import TabularSoftmaxLM
 from smoothlm.smoothers import METHODS, KatzConfigError, smooth
 from smoothlm.verify import corpus_of
@@ -289,6 +292,20 @@ def test_codes_reach_python_ints_only_past_2_to_the_63():
     lm = smooth(count_ngrams(corpus, 33), "kneser_essen_ney")
     assert lm.backstop.keys.codes.dtype == np.int64
     np.testing.assert_array_equal(lm.rows(lm.keys.hists[::-1]), lm.matrix[::-1])
+    # held-out histories unseen at several depths: the placement's suffix
+    # codes are cut from Python-int codes, and its cells are the rows'
+    held = corpus_of(corpus.vocab, ((1, 1, 0, 1), (0, 0), (1, 0, 0, 1, 1), (0,)))
+    t = count_ngrams(held, 33)
+    assert t.gram_codes.dtype == object
+    place, levels, level = lm.keys.locate(held), [], lm
+    while level is not None:
+        levels.append(place.rows(level.keys) >= 0)
+        level = level.backstop
+    # the depth of the first level holding each held-out history's suffix
+    assert len(set(np.argmax(levels, axis=0).tolist()) - {0}) >= 2
+    want = table_perplexity(lm.rows(t)[t.hist, t.out], t)
+    assert perplexity(lm, held).hex() == want.hex()
+    assert perplexity(lm, t).hex() == want.hex()
 
 
 def test_out_of_range_ids_never_alias_a_seen_history():
@@ -338,3 +355,39 @@ def test_keys_of_another_width_or_base_are_refused():
             ConditionalLM(2, wider, (keys, np.full((len(rows), 4), 0.25)))
         with pytest.raises(ValueError, match=base):
             TabularSoftmaxLM(2, wider, keys)
+
+
+def test_a_table_keeps_one_placement_of_its_data_while_both_live():
+    # every LM of a table scores held-out data through the table's one
+    # placement of it; a new table of the same corpus places the data
+    # again, and the placement goes when the data goes, a corpus (whose
+    # count the placement keeps) or a table (which it does not keep)
+    vocab = Vocabulary(symbols=("a", "b", "c"))
+    train = corpus_of(vocab, ((0, 1, 2, 0), (1, 1, 0), (2, 0)))
+    table = count_ngrams(train, 3)
+    for counted in (False, True):
+        held = corpus_of(vocab, ((2, 1, 0), (0, 0, 1, 2)))
+        held = count_ngrams(held, 3) if counted else held
+        place = table.locate(held)
+        for method in METHODS:
+            perplexity(smooth(table, method), held)
+            assert table.locate(held) is place
+        assert count_ngrams(train, 3).locate(held) is not place
+        assert (place.table is held) == counted
+        gone = weakref.ref(held), weakref.ref(place)
+        del held, place
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None]
+
+
+def test_a_table_with_placements_pickles():
+    # a grid hands its tables to its workers by pickling them; a copy
+    # places the data again, and scores it as the original does
+    vocab = Vocabulary(symbols=("a", "b", "c"))
+    table = count_ngrams(corpus_of(vocab, ((0, 1, 2, 0), (1, 1, 0), (2, 0))), 3)
+    held = corpus_of(vocab, ((2, 1, 0), (0, 0, 1, 2)))
+    lm = smooth(table, "kneser_essen_ney")
+    want = perplexity(lm, held)
+    copy_lm = pickle.loads(pickle.dumps(lm))
+    assert copy_lm.keys.locate(held) is not table.locate(held)
+    assert perplexity(copy_lm, held) == want

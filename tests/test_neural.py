@@ -446,6 +446,24 @@ def test_training_looks_histories_up_once_per_run(monkeypatch):
     assert finds[0] > 0 and finds[0] == finds[1]
 
 
+def test_runs_on_one_table_share_its_placement_of_the_held_out_table(monkeypatch):
+    # training places the held-out histories with the top level of the
+    # table's placement of the held-out table: a second run searches for
+    # none, and an mle run builds no marginal, which it does not read
+    corpus = corpus_from_lines(["a b c", "b c a a", "c c b"])
+    table = count_ngrams(corpus, 3)
+    heldout = count_ngrams(corpus_from_lines(["c b a", "a a c b"], vocab=corpus.vocab), 3)
+    search = np.searchsorted
+    searches = []
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v: searches.append(a is table.codes) or search(a, v))
+    config = TrainConfig(objective="mle", epochs=3)
+    for _ in range(2):
+        train(FeedForwardLM(3, corpus.vocab, 4, 4, seed=0), table, config, heldout=heldout)
+    assert searches == [True]
+    assert "marginal" not in vars(table)
+
+
 @pytest.mark.parametrize("key, value", [("patience", 0), ("patience", -3), ("seed", -1),
                                         ("epochs", 0)])
 def test_out_of_range_train_config_rejected(key, value):

@@ -39,6 +39,20 @@ def test_importing_corpus_loads_only_corpus(tmp_path):
     assert loaded_in_fresh_interpreter(code) == ["smoothlm", "smoothlm.corpus"]
 
 
+def test_count_command_loads_only_what_it_runs(tmp_path):
+    # count reads a corpus and writes its table: no smoother, model,
+    # decomposition or check module is loaded, and ngram only for the class
+    # of the error that exits 3
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\nb a\n", encoding="utf-8")
+    argv = ["count", "--corpus", str(corpus), "--order", "2", "--out", str(tmp_path / "c.tsv")]
+    code = ("import contextlib, io, smoothlm.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert smoothlm.cli.main({argv!r}) == 0")
+    assert loaded_in_fresh_interpreter(code) == ["smoothlm", "smoothlm.cli", "smoothlm.corpus",
+                                                 "smoothlm.ngram"]
+
+
 def test_importing_the_package_loads_no_module():
     assert loaded_in_fresh_interpreter("import smoothlm") == ["smoothlm"]
 
