@@ -288,8 +288,8 @@ class ConditionalLM:
         """The probability of emission index out[g] after history
         keys[hist[g]], for each g: rows(keys)[hist, out], bit for bit,
         without a row.  The keys' histories and the cells are placed in
-        each level of the backstop chain (a Placement: one search for the
-        histories and, on a level of a count table, one for the cells), and
+        each level of the backstop chain (a Placement: one lookup of the
+        histories and, on a level of a count table, one of the cells), and
         `placed_cells` gathers them."""
         ids = history_ids(self.vocab, self.order - 1, keys)
         base = self.vocab.n_symbols + 2

@@ -487,6 +487,41 @@ def test_smoothing_and_decomposing_make_no_search(monkeypatch):
     assert len(searches) <= 2 * len(tables_down_to_unigram(table))
 
 
+def test_small_integer_keys_are_indexed_not_sorted(monkeypatch):
+    # on an order-3 table over 300 symbols, the smoothers take counts-of-
+    # counts and each gram's count index from a bincount, and the codes
+    # below the top level (under base^2 = 91,204) are few enough for a
+    # direct-address table: placing held-out data there sorts and searches
+    # nothing, and the top level searches only the grams, whose queries
+    # come sorted
+    lines = markov_zipf_lines(1000, 300, 0)
+    table = count_ngrams(corpus_from_lines(lines), 3)
+    tables = tables_down_to_unigram(table)
+    held = count_ngrams(corpus_from_lines(markov_zipf_lines(1000, 300, 1), vocab=table.vocab), 3)
+    calls = []
+
+    def counted(name):
+        real = getattr(np, name)
+
+        def call(*args, **kw):
+            calls.append((name, kw.get("return_inverse", False)))
+            return real(*args, **kw)
+        return call
+
+    for name in ("unique", "argsort", "searchsorted"):
+        monkeypatch.setattr(np, name, counted(name))
+    for method in METHODS:
+        smooth(table, method)
+    assert ("unique", True) not in calls
+    calls.clear()
+    place = table.locate(held)
+    for t in tables[:-1]:
+        place.rows(t), place.grams(t)
+    assert calls == []
+    place.rows(table), place.grams(table)
+    assert calls == [("searchsorted", False)]
+
+
 def test_backoff_smoothers_of_one_table_share_its_marginals(monkeypatch):
     # JM, Katz and KEN each descend an order-3 table to order 1, through
     # the table's cached marginal and its marginal's

@@ -6,20 +6,23 @@ CountTable.parents, and each LM's values on its own grams), over random
 tables and query batches.  The batches mix seen, unseen, out-of-range and
 wrong-length histories, and histories whose naive code aliases a seen one.
 Orders near 32 make the codes of a two- to four-symbol vocabulary pass
-2^63, so that they are Python ints."""
+2^63, so that they are Python ints.  Code lookups by direct address and
+count indices by bincount are checked against a dict and np.unique."""
 
 import gc
 import math
 import pickle
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothlm.corpus import (Corpus, CountTable, Vocabulary, count_ngrams,
-                             tables_down_to_unigram)
+from smoothlm import corpus as corpus_module
+from smoothlm.corpus import (DIRECT_ADDRESS_SPAN, Corpus, CountTable, Vocabulary, count_ngrams,
+                             distinct_counts, sorted_index, tables_down_to_unigram)
 from smoothlm.ngram import (ConditionalLM, UnseenHistoryError, empirical_conditional,
                             perplexity, table_perplexity, uniform_backstop)
 from smoothlm.neural import TabularSoftmaxLM
@@ -391,3 +394,61 @@ def test_a_table_with_placements_pickles():
     copy_lm = pickle.loads(pickle.dumps(lm))
     assert copy_lm.keys.locate(held) is not table.locate(held)
     assert perplexity(copy_lm, held) == want
+
+
+@st.composite
+def codes_to_look_up(draw):
+    """Sorted distinct int64 keys, with the largest on either side of
+    sorted_index's size rule, and queries among them, absent from them and
+    past the last of them; either may be empty."""
+    bound = draw(st.sampled_from([40, 80 * DIRECT_ADDRESS_SPAN, 2 ** 62]))
+    keys = sorted(draw(st.sets(st.integers(0, bound), max_size=40)))
+    top = keys[-1] if keys else 10
+    among = st.sampled_from(keys) if keys else st.nothing()
+    queries = draw(st.lists(among | st.integers(0, min(2 * top + 2, 2 ** 63 - 1)), max_size=40))
+    return np.array(keys, dtype=np.int64), np.array(queries, dtype=np.int64)
+
+
+@given(codes_to_look_up())
+def test_direct_address_and_search_find_the_same_index(data):
+    # int64 codes within the size rule are looked up by direct address and
+    # others searched; object-dtype codes, which codes past 2^63 are, are
+    # always searched; each answer is a dict lookup's
+    keys, queries = data
+    index = {k: i for i, k in enumerate(keys.tolist())}
+    want = [index.get(q, -1) for q in queries.tolist()]
+    found = len(keys) > 0
+    direct = found and keys[-1] <= DIRECT_ADDRESS_SPAN * (len(keys) + len(queries))
+    for a, v, searched in ((keys, queries, found and not direct),
+                           (keys.astype(object), queries.astype(object), found)):
+        with mock.patch.object(corpus_module, "sorted_search",
+                               wraps=corpus_module.sorted_search) as search:
+            got = sorted_index(a, v)
+        assert got.dtype == np.intp and got.tolist() == want
+        assert search.called == searched
+
+
+def test_the_size_rule_admits_a_largest_key_of_exactly_the_span():
+    # 2 keys and 4 queries: a direct-address table of 6 spans' slots at most
+    for top, searched in ((6 * DIRECT_ADDRESS_SPAN, False), (6 * DIRECT_ADDRESS_SPAN + 1, True)):
+        keys, queries = np.array([0, top]), np.array([top + 1, top, 1, 0])
+        with mock.patch.object(corpus_module, "sorted_search",
+                               wraps=corpus_module.sorted_search) as search:
+            assert sorted_index(keys, queries).tolist() == [-1, 1, -1, 0]
+        assert search.called == searched
+
+
+@st.composite
+def counts_to_index(draw):
+    """Counts, integers >= 1, whose largest lies on either side of
+    distinct_counts' size rule; they may be empty."""
+    bound = draw(st.sampled_from([5, 80 * DIRECT_ADDRESS_SPAN, 2 ** 40]))
+    return np.array(draw(st.lists(st.integers(1, bound), max_size=40)), dtype=np.int64)
+
+
+@given(counts_to_index())
+def test_the_bincount_index_of_counts_is_np_unique(counts):
+    values, inverse = distinct_counts(counts)
+    want_values, want_inverse = np.unique(counts, return_inverse=True)
+    assert values.tolist() == want_values.tolist()
+    assert inverse.tolist() == want_inverse.tolist()

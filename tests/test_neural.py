@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothlm import corpus as corpus_module
 from smoothlm import neural
 from smoothlm.corpus import CountTable, RowKeys, corpus_from_lines, count_ngrams
 from smoothlm.decompose import build_regularizer
@@ -448,15 +449,15 @@ def test_training_looks_histories_up_once_per_run(monkeypatch):
 
 def test_runs_on_one_table_share_its_placement_of_the_held_out_table(monkeypatch):
     # training places the held-out histories with the top level of the
-    # table's placement of the held-out table: a second run searches for
-    # none, and an mle run builds no marginal, which it does not read
+    # table's placement of the held-out table: a second run looks up none,
+    # and an mle run builds no marginal, which it does not read
     corpus = corpus_from_lines(["a b c", "b c a a", "c c b"])
     table = count_ngrams(corpus, 3)
     heldout = count_ngrams(corpus_from_lines(["c b a", "a a c b"], vocab=corpus.vocab), 3)
-    search = np.searchsorted
+    lookup = corpus_module.sorted_index
     searches = []
-    monkeypatch.setattr(np, "searchsorted",
-                        lambda a, v: searches.append(a is table.codes) or search(a, v))
+    monkeypatch.setattr(corpus_module, "sorted_index",
+                        lambda a, v: searches.append(a is table.codes) or lookup(a, v))
     config = TrainConfig(objective="mle", epochs=3)
     for _ in range(2):
         train(FeedForwardLM(3, corpus.vocab, 4, 4, seed=0), table, config, heldout=heldout)

@@ -1,7 +1,8 @@
 """Hypothesis properties of the table layers and their TSV files over random
 small corpora (2-8 symbols, orders 1-3), with the count arrays checked
-against a per-position recount, per-cell oracles written from gram_count,
-held-out perplexity against the per-token string_logprob, held-out cells
+against a per-position recount, per-cell oracles written from gram_count
+(add-lambda, KEN) or from the recount (Good-Turing and Katz, rows and
+held-out cells), held-out perplexity against the per-token string_logprob, held-out cells
 against held-out rows, held-out rows against a walk to each history's longest
 seen suffix, each level's check and split from its parts against its dense
 rows, each backoff chain rebuilt from its levels' parts against itself,
@@ -312,6 +313,133 @@ def test_cells_are_the_cells_of_the_rows(data, order):
     with pytest.raises(UnseenHistoryError) as by_cells:
         emp.cells(t, t.hist, t.out)
     assert by_cells.value.args == by_rows.value.args
+
+
+# The Good-Turing and Katz oracles below count from recount's padded
+# windows and encode today's formulas, zero cells and clamps included;
+# ROADMAP item 13, which makes both smoothers total and positive, changes
+# them in the open.
+
+
+def emission_counts(grams, vocab):
+    """{history: [count of each emission index]} of recount's grams, and
+    {count c: N_c, the number of grams seen c times}."""
+    rows = {}
+    for (h, x), c in grams.items():
+        rows.setdefault(h, [0] * vocab.out_dim)[vocab.out_index(x)] = c
+    return rows, Counter(grams.values())
+
+
+def gt_oracle(corpus, order):
+    """Good-Turing rows, one cell at a time: a cell seen c times weighs
+    r* = (c+1) N_{c+1} / N_c, which is 0 wherever N_{c+1} = 0, an unseen
+    cell N_1 / N_0 (0 when every cell is seen), and each history's weights
+    are divided by their sum, its seen cells' in emission order and then
+    its unseen cells'; a row of no weight is uniform."""
+    vocab = corpus.vocab
+    counts, n = emission_counts(recount(corpus, order), vocab)
+    n0 = len(counts) * vocab.out_dim - sum(n.values())
+    unseen = n[1] / n0 if n0 > 0 else 0.0
+    rows = {}
+    for h, cs in counts.items():
+        w = [(c + 1) * n[c + 1] / n[c] if c else unseen for c in cs]
+        total = sum(wc for wc, c in zip(w, cs) if c) + unseen * cs.count(0)
+        rows[h] = [wc / total for wc in w] if total > 0 else [1 / vocab.out_dim] * vocab.out_dim
+    return [rows]
+
+
+def katz_oracle(corpus, order, k):
+    """Katz rows per order, or None where a discount is undefined.  Order
+    1 is the maximum-likelihood row.  Above it, a count c <= k is discounted
+    by d_c = (r*_c / c - A) / (1 - A), A = (k+1) N_{k+1} / N_1, and d_c < 0
+    is clamped to 0; counts above k keep d = 1.  A history keeps d_c c / total
+    on each seen cell.  When its leftover 1 - (the kept mass, summed in
+    emission order) is positive and its parent row has mass on the unseen
+    cells, that mass gets the leftover in proportion to the parent row.
+    Otherwise a row with a leftover renormalizes its kept cells, or is its
+    parent row when nothing was kept."""
+    vocab = corpus.vocab
+    unigram = emission_counts(recount(corpus, 1), vocab)[0][()]
+    levels = [{(): [c / sum(unigram) for c in unigram]}]
+    for m in range(2, order + 1):
+        counts, n = emission_counts(recount(corpus, m), vocab)
+        if n[k + 1] and not n[1]:
+            return None
+        ratio = (k + 1) * n[k + 1] / n[1] if n[k + 1] else 0.0
+        if ratio >= 1.0:
+            return None
+
+        def discount(c):
+            if c > k:
+                return 1.0
+            d = ((c + 1) * n[c + 1] / n[c] / c - ratio) / (1.0 - ratio)
+            return 0.0 if d < 0.0 else d
+
+        rows = {}
+        for h, cs in counts.items():
+            parent = levels[-1][h[1:]]
+            kept = [discount(c) * c / sum(cs) if c else 0.0 for c in cs]
+            kept_mass = sum(kc for kc, c in zip(kept, cs) if c)
+            leftover = 1.0 - kept_mass
+            unseen_mass = sum(p for p, c in zip(parent, cs) if not c)
+            if leftover > 0.0 and unseen_mass > 0.0:
+                rows[h] = [kc if c else p * leftover / unseen_mass
+                           for kc, c, p in zip(kept, cs, parent)]
+            elif leftover != 0.0 and kept_mass <= 0.0:
+                rows[h] = parent
+            else:
+                scale = kept_mass if leftover != 0.0 else 1.0
+                rows[h] = [kc / scale if c else 0.0 for kc, c in zip(kept, cs)]
+        levels.append(rows)
+    return levels
+
+
+def oracle_row(levels, h):
+    """The row of history h at the highest order that saw its suffix: the
+    last of `levels` holds h's order, each one before it the order below;
+    a history seen at none backs off to the uniform row, as GT's do."""
+    for drop, rows in enumerate(reversed(levels)):
+        if h[drop:] in rows:
+            return rows[h[drop:]]
+    n = len(next(iter(levels[0].values())))
+    return [1 / n] * n
+
+
+def check_against_oracle(lm, levels, held, order, rtol):
+    """lm.rows of the training and held-out histories, and lm.cells of the
+    held-out cells, against the oracle's rows: bit for bit with rtol 0."""
+    t = count_ngrams(held, order)
+    hists = sorted(set(lm.keys.hists) | set(t.hists))
+    want = np.array([oracle_row(levels, h) for h in hists])
+    cells = np.array([oracle_row(levels, t.hists[r])[j] for r, j in zip(t.hist, t.out)])
+    for got, expected in ((lm.rows(hists), want), (lm.cells(t, t.hist, t.out), cells)):
+        if rtol:
+            np.testing.assert_allclose(got, expected, rtol=rtol, atol=0)
+        else:
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@given(train_and_heldout(), orders)
+def test_good_turing_cells_are_the_oracles(data, order):
+    # bit for bit: the oracle divides each weight by a sum in the kernel's
+    # order, and a cell takes one multiply and one divide either way
+    train, held = data
+    lm = smooth(count_ngrams(train, order), "good_turing")
+    check_against_oracle(lm, gt_oracle(train, order), held, order, rtol=0)
+
+
+@given(train_and_heldout(), orders, st.integers(1, 4))
+def test_katz_cells_are_the_oracles(data, order, k):
+    # within 1e-12: the kernel takes a parent row's unseen mass as its mass
+    # less its cells on the grams, the oracle as the sum of its unseen cells
+    train, held = data
+    levels = katz_oracle(train, order, k)
+    table = count_ngrams(train, order)
+    if levels is None:
+        with pytest.raises(KatzConfigError):
+            smooth(table, "katz", {"k": k})
+        return
+    check_against_oracle(smooth(table, "katz", {"k": k}), levels, held, order, rtol=1e-12)
 
 
 @given(train_and_heldout(), st.integers(1, 4), st.data())
