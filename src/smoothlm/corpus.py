@@ -387,8 +387,9 @@ class Placement:
     there is none, and each is looked up once per keys (sorted_index: by
     direct address where the level's codes are small, as every level
     below an order-3 top over a few hundred symbols has them, else by a
-    search), on first read, and kept while the keys live.  The cells'
-    gram codes are worked out unless given.  CountTable.locate gives a
+    search), on first read, and kept while the keys live, as are the
+    gathers `level` makes of them for scoring the cells.  The cells' gram
+    codes are worked out unless given.  CountTable.locate gives a
     held-out table's, with the table as `table`; ConditionalLM.cells makes
     one of any queries."""
 
@@ -399,6 +400,7 @@ class Placement:
         self._table = None
         self._rows = weakref.WeakKeyDictionary()
         self._grams = weakref.WeakKeyDictionary()
+        self._levels = weakref.WeakKeyDictionary()
 
     @property
     def table(self) -> CountTable | None:
@@ -434,6 +436,26 @@ class Placement:
             grams = self._grams[table] = sorted_index(
                 table.gram_codes, self._suffixes(self._gram_codes, width, table.order))
         return grams
+
+    def level(self, keys: RowKeys, on_grams: bool) -> tuple:
+        """The cells as a level of `keys` sees them: the indices of the
+        cells whose history's suffix has a row there and that are not on
+        its grams, those rows and the cells' emission indices, and, with
+        `on_grams` (`keys` a count table with seen values on its grams),
+        the indices of the cells on its grams and their gram index there,
+        else two None.  Every LM of one keys' level reads the same ones."""
+        kept = self._levels.setdefault(keys, {})
+        if on_grams not in kept:
+            rows = self.rows(keys)[self.hist]
+            off, on, grams = rows >= 0, None, None
+            if on_grams:
+                grams = self.grams(keys)
+                on = np.flatnonzero(grams >= 0)
+                grams = grams[on]
+                off[on] = False
+            off = np.flatnonzero(off)
+            kept[on_grams] = off, rows[off], self.out[off], on, grams
+        return kept[on_grams]
 
     def _suffixes(self, codes: np.ndarray, width: int, suffix: int) -> np.ndarray:
         """The codes of the last `suffix` digits of `width`-digit codes."""

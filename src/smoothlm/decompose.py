@@ -61,10 +61,12 @@ class RegularizerBundle:
     there, and `z_plus` and `z_minus` the sums of its positive and negative
     parts per history, where Z+ also counts the smoothed mass off the grams
     (`lm.off_mass`).  Training reads these, `lm` and the gammas; a grid's
-    cells are `dataclasses.replace` copies, which share `lm`.  `rows`, the
-    dense SignedDecomposition that `write_decomposition` reads, has row i
-    of its matrices belong to the table's history i, of weight
-    keys.totals[i].  It, and `per_history`, mapping each history to a
+    cells are `dataclasses.replace` copies, which share `lm` and `derived`,
+    a dict where training keeps what it works out of the split alone, once
+    for every copy.  `rows`, the dense SignedDecomposition that
+    `write_decomposition` reads, has row i of its matrices belong to the
+    table's history i, of weight keys.totals[i].  It, and `per_history`,
+    mapping each history to a
     SignedDecomposition of views into `rows` for `perfbench/` and the
     tests, are built on first read."""
 
@@ -75,6 +77,7 @@ class RegularizerBundle:
     z_minus: np.ndarray = field(repr=False)
     gamma_plus: float
     gamma_minus: float
+    derived: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def rows(self) -> SignedDecomposition:

@@ -33,13 +33,20 @@ take k + 1 forwards.
 
 An epoch allocates no (rows x |V|+1) array.  The forward, the loss, the
 gradient, alpha and the best checkpoint live in a Workspace that every
-epoch of a run reuses, and that a grid hands from cell to cell.  The
-forward stops at the shifted logits z', log s and q, and the loss is
-sum_h A_h log s_h - sum alpha . z' with A = alpha.sum(1), computed once per
-run, so log q is never written out.  q, the delta and every gradient and
-parameter keep the bits of the unfused expressions; the loss moves in its
-last bits.  `rows`, `cells` and `perplexity` run the same forward in a
-fresh Workspace, so what they return is their own.
+epoch of a run reuses, and that a grid hands from cell to cell.  A step
+writes four passes over the (rows x |V|+1) arrays: z -= max, exp, and the
+delta's two.  The feedforward bias is added inside the output matmul,
+[a, 1] @ [W2; b2].  The forward stops at the shifted logits z', exp z'
+and its row sums s.  The loss is sum_h A_h log s_h - sum alpha . z' with
+A = alpha.sum(1), computed once per run, and alpha . z' is one read.  The
+delta is exp z' (A / s) - alpha, so neither q nor log q is written out.
+`rows`, `cells` and each epoch's held-out cells divide exp z' by s
+themselves, so q and the perplexity of given parameters keep their bits;
+the delta, every gradient, the parameters after a step and the loss move
+in their last bits.  (The feedforward logits are BLAS's product, equal to
+a @ W2 + b2 bit for bit where its kernel sums the inner dimension in
+order.)  `rows`, `cells` and `perplexity` run the same forward in a fresh
+Workspace, so what they return is their own.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,28 +149,30 @@ class Workspace:
 
 
 def _log_softmax(z: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise softmax with max subtraction: the shifted logits z', written
-    over `z`, each row's log s = log sum exp z', and q = exp z' / s, in
-    `ws`.  log q is z' - log s, which no pass writes out."""
+    """Row-wise softmax with max subtraction, short of its division: the
+    shifted logits z', written over `z`, and in `ws` each row's sum s of
+    exp z' (buffer "s") and exp z' itself (buffer "exp").  q is
+    exp z' / s and log q is z' - log s; no pass writes either out."""
     z -= z.max(axis=1, keepdims=True)
-    q = np.exp(z, out=ws.get("q", z.shape))
-    s = q.sum(axis=1, keepdims=True)
-    q /= s
-    return z, np.log(s), q
+    ez = np.exp(z, out=ws.get("exp", z.shape))
+    s = np.sum(ez, axis=1, keepdims=True, out=ws.get("s", (len(z), 1)))
+    return z, s, ez
 
 
-def _loss_delta(alpha, alpha_sums, z, log_s, q, ws) -> tuple[float, np.ndarray]:
+def _loss_delta(alpha, alpha_sums, z, s, ez, ws) -> tuple[float, np.ndarray]:
     """The loss sum alpha . -log q = sum_h A_h log s_h - sum alpha . z', with
     A = alpha.sum(1) with its dims kept (`alpha_sums`, computed here unless
-    given), and its gradient in the logits, A q - alpha, which takes over
-    the loss's scratch array in `ws`."""
+    given), and its gradient in the logits, A q - alpha, in `ws`.  The
+    alpha . z' term is one read of both arrays, and the delta is
+    exp z' (A / s) - alpha, so q is never written.  einsum scales the
+    rows by A / s with the bits of np.multiply's row broadcast, in about
+    two thirds of its time at 301 x 301."""
     if alpha_sums is None:
         alpha_sums = alpha.sum(axis=1, keepdims=True)
-    t = np.multiply(alpha, z, out=ws.get("delta", alpha.shape))
-    loss = float((alpha_sums * log_s).sum() - t.sum())
-    np.multiply(alpha_sums, q, out=t)
-    t -= alpha
-    return loss, t
+    loss = float((alpha_sums * np.log(s)).sum() - np.einsum("ij,ij->", alpha, z))
+    delta = np.einsum("ij,i->ij", ez, (alpha_sums / s)[:, 0], out=ws.get("delta", alpha.shape))
+    delta -= alpha
+    return loss, delta
 
 
 class _Model:
@@ -171,21 +180,25 @@ class _Model:
     ngram.ConditionalLM: `order`, `vocab`, `rows` and `cells`.  Each
     architecture's `lookup` checks a batch of histories once and returns
     what its `forward` reads; `forward` is the one batched pass that
-    `rows`, `cells` and `batch_loss_grads` run, and its last value is q.
-    A pass writes into the Workspace it is given; without one it gets a
-    fresh one, so what `rows` and `cells` return is their own."""
+    `rows`, `cells` and `batch_loss_grads` run, and its last two values
+    are s and exp z' (see `_log_softmax`), which `rows` and `cells` divide
+    themselves.  A pass writes into the Workspace it is given; without one
+    it gets a fresh one, so what `rows` and `cells` return is their own."""
 
     def rows(self, hists: RowKeys | np.ndarray | Sequence[History]) -> np.ndarray:
         """q(.|h) for each of `hists` (history tuples, an id array or a count
         table), one row each; ValueError for a history that is not order-1
         symbol or BOS ids."""
-        return self.forward(self.lookup(hists))[-1]
+        s, ez = self.forward(self.lookup(hists))[-2:]
+        ez /= s
+        return ez
 
     def cells(self, keys: RowKeys | np.ndarray | Sequence[History], hist: np.ndarray,
               out: np.ndarray) -> np.ndarray:
         """q(out[g] | keys[hist[g]]) for each g, from the rows of `keys`,
         since the softmax needs the whole row anyway."""
-        return self.forward(self.lookup(keys))[-1][hist, out]
+        s, ez = self.forward(self.lookup(keys))[-2:]
+        return ez[hist, out] / s[hist, 0]
 
 
 class TabularSoftmaxLM(_Model):
@@ -218,7 +231,7 @@ class TabularSoftmaxLM(_Model):
         return self.keys.find(history_ids(self.vocab, self.order - 1, hists))
 
     def forward(self, idx, ws: Workspace | None = None):
-        """(z', log s, q) of the rows `idx` of a lookup, as `_log_softmax`
+        """(z', s, exp z') of the rows `idx` of a lookup, as `_log_softmax`
         gives them.  Row -1 is a zero logit row, whose softmax is the
         uniform row."""
         ws = ws or Workspace()
@@ -233,18 +246,18 @@ class TabularSoftmaxLM(_Model):
 
     def batch_loss_grads(self, idx, alpha, ws: Workspace | None = None, alpha_sums=None):
         """Loss sum_i alpha_i . -log q(.|h_i) over the first len(alpha) rows
-        of a lookup `idx`, its gradient, and q of all of `idx`, from one
-        forward, with `alpha_sums` as `_loss_delta` takes it.  A row -1 has
-        no parameters, so its delta goes to a spare row past the logits that
-        the gradient leaves out."""
+        of a lookup `idx`, its gradient, and exp z' of all of `idx`, from
+        one forward, whose s is left in `ws`, with `alpha_sums` as
+        `_loss_delta` takes it.  A row -1 has no parameters, so its delta
+        goes to a spare row past the logits that the gradient leaves out."""
         ws = ws or Workspace()
-        z, log_s, q = self.forward(idx, ws)
+        z, s, ez = self.forward(idx, ws)
         n = len(alpha)
-        loss, delta = _loss_delta(alpha, alpha_sums, z[:n], log_s[:n], q[:n], ws)
+        loss, delta = _loss_delta(alpha, alpha_sums, z[:n], s[:n], ez[:n], ws)
         g = ws.get("g", (len(self.logits) + 1, self.vocab.out_dim))
         g.fill(0.0)
         g[idx[:n]] = delta
-        return loss, {"logits": g[:-1]}, q
+        return loss, {"logits": g[:-1]}, ez
 
 
 class FeedForwardLM(_Model):
@@ -252,7 +265,10 @@ class FeedForwardLM(_Model):
 
     q(.|h) = softmax(tanh(concat(E[h]) @ W1 + b1) @ W2 + b2).  The embedding
     table has one row per vocabulary id including BOS (the EOS row exists
-    but is never indexed, since `rows` rejects EOS in a history).
+    but is never indexed, since `rows` rejects EOS in a history).  W2 and
+    b2 are the first rows and the last row of one array `W2b`, views of
+    it made on each read, so that the forward adds b2 inside its matmul,
+    [a, 1] @ W2b, and a copy or a pickle of the model keeps them so.
     """
 
     architecture = "feedforward"
@@ -273,8 +289,18 @@ class FeedForwardLM(_Model):
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         rng = np.random.default_rng(seed)
-        for name, shape in self.shapes(order, vocab, embed_dim, hidden_dim).items():
-            setattr(self, name, rng.uniform(-init_scale, init_scale, size=shape))
+        draws = {name: rng.uniform(-init_scale, init_scale, size=shape)
+                 for name, shape in self.shapes(order, vocab, embed_dim, hidden_dim).items()}
+        self.E, self.W1, self.b1 = draws["E"], draws["W1"], draws["b1"]
+        self.W2b = np.vstack([draws["W2"], draws["b2"]])
+
+    @property
+    def W2(self) -> np.ndarray:
+        return self.W2b[:-1]
+
+    @property
+    def b2(self) -> np.ndarray:
+        return self.W2b[-1]
 
     @staticmethod
     def shapes(order: int, vocab: Vocabulary, embed_dim: int, hidden_dim: int) -> dict:
@@ -290,30 +316,34 @@ class FeedForwardLM(_Model):
         return history_ids(self.vocab, self.order - 1, hists)
 
     def forward(self, idx, ws: Workspace | None = None):
-        """(embeddings, hidden layer, z', log s, q) of the histories `idx`
+        """(embeddings, hidden layer, z', s, exp z') of the histories `idx`
         of a lookup, the last three as `_log_softmax` gives them."""
         ws = ws or Workspace()
-        n, k = len(idx), self.order - 1
+        n, k, h = len(idx), self.order - 1, self.hidden_dim
         # the lookup checked every id, so mode="clip" clips none; it takes
         # the rows unbuffered
         e = np.take(self.E, idx, axis=0, out=ws.get("e", (n, k, self.embed_dim)), mode="clip")
         e = e.reshape(n, k * self.embed_dim)
-        a = np.matmul(e, self.W1, out=ws.get("a", (n, self.hidden_dim)))
+        # the hidden layer is the first h columns of [a, 1], whose product
+        # with W2b is a @ W2 + b2
+        a1 = ws.get("a", (n, h + 1))
+        a1[:, h] = 1.0
+        a = np.matmul(e, self.W1, out=a1[:, :h])
         a += self.b1
         np.tanh(a, out=a)
-        z = np.matmul(a, self.W2, out=ws.get("z", (n, self.vocab.out_dim)))
-        z += self.b2
+        z = np.matmul(a1, self.W2b, out=ws.get("z", (n, self.vocab.out_dim)))
         return e, a, *_log_softmax(z, ws)
 
     def batch_loss_grads(self, idx, alpha, ws: Workspace | None = None, alpha_sums=None):
         """Loss sum_i alpha_i . -log q(.|h_i) over the first len(alpha)
-        histories of a lookup `idx`, its gradient, and q of all of `idx`,
-        from one forward, with `alpha_sums` as `_loss_delta` takes it."""
+        histories of a lookup `idx`, its gradient, and exp z' of all of
+        `idx`, from one forward, whose s is left in `ws`, with `alpha_sums`
+        as `_loss_delta` takes it."""
         ws = ws or Workspace()
-        e, a, z, log_s, q = self.forward(idx, ws)
+        e, a, z, s, ez = self.forward(idx, ws)
         n = len(alpha)
         idx, e, a = idx[:n], e[:n], a[:n]
-        loss, delta2 = _loss_delta(alpha, alpha_sums, z[:n], log_s[:n], q[:n], ws)
+        loss, delta2 = _loss_delta(alpha, alpha_sums, z[:n], s[:n], ez[:n], ws)
         gW2 = np.matmul(a.T, delta2, out=ws.get("gW2", self.W2.shape))
         gb2 = delta2.sum(axis=0)
         dz1 = np.matmul(delta2, self.W2.T, out=ws.get("dz1", a.shape))
@@ -328,7 +358,7 @@ class FeedForwardLM(_Model):
         d = self.embed_dim
         for j in range(self.order - 1):
             np.add.at(gE, idx[:, j], de[:, j * d:(j + 1) * d])
-        return loss, {"E": gE, "W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}, q
+        return loss, {"E": gE, "W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}, ez
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +404,44 @@ def _objective_weights(
     if config.objective == "smoothed_target":
         return np.multiply(lm.matrix, w[:, None], out=alpha), -float(np.dot(w, lm.entropy))
     gp, gm = bundle.gamma_plus, bundle.gamma_minus
+    split = _split_parts(bundle)
     np.multiply(lm.matrix, gp, out=alpha)
     alpha *= w[:, None]
-    hist, n = table.hist, len(w)
-    up, down = np.maximum(bundle.diff, 0.0), np.maximum(np.negative(bundle.diff), 0.0)
-    alpha[hist, table.out] = table.count / N + w[hist] * (gp * up - gm * down)
-    # sum x log x of each part: the positive one is s off the grams
-    plus = np.bincount(hist, _xlogx(up) - _xlogx(lm.gram_cells), n) - lm.entropy
-    minus = np.bincount(hist, _xlogx(down), n)
-    return alpha, (gm * float(np.dot(w, _xlogx(bundle.z_minus) - minus))
-                   - gp * float(np.dot(w, _xlogx(bundle.z_plus) - plus)))
+    np.put(alpha, split.cells,
+           table.count / N + w[table.hist] * (gp * split.up - gm * split.down))
+    return alpha, gm * split.minus - gp * split.plus
+
+
+class _SplitParts(NamedTuple):
+    """What the split objective's alpha and constant take from a bundle
+    alone, not its gammas: each gram's flat cell index in alpha, the
+    positive and negative parts of `diff`, and the constant's factors of
+    g+ and g-, sum_h w_h (Z log Z - sum x log x) over each part x of mass
+    Z, where the positive part is s off the grams."""
+    cells: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    plus: float
+    minus: float
+
+
+def _split_parts(bundle: RegularizerBundle) -> _SplitParts:
+    """The bundle's _SplitParts, worked out on first use and kept in
+    `bundle.derived`, which its `dataclasses.replace` copies share."""
+    parts = bundle.derived.get("split")
+    if parts is None:
+        table, lm = bundle.keys, bundle.lm
+        N = table.total_tokens
+        hist, w = table.hist, table.totals / N
+        up, down = np.maximum(bundle.diff, 0.0), np.maximum(np.negative(bundle.diff), 0.0)
+        # sum x log x of each part: the positive one is s off the grams
+        plus = np.bincount(hist, _xlogx(up) - _xlogx(lm.gram_cells), len(w)) - lm.entropy
+        minus = np.bincount(hist, _xlogx(down), len(w))
+        parts = bundle.derived["split"] = _SplitParts(
+            hist * table.vocab.out_dim + table.out, up, down,
+            float(np.dot(w, _xlogx(bundle.z_plus) - plus)),
+            float(np.dot(w, _xlogx(bundle.z_minus) - minus)))
+    return parts
 
 
 def make_bundle_for(
@@ -450,12 +508,21 @@ def _train_counts(model, table, config, bundle, heldout, ws):
         lacking = place < 0
         place[lacking] = len(idx) + np.arange(np.count_nonzero(lacking))
         idx = np.concatenate([idx, model.lookup(heldout.ids[lacking])])
-        cells = place[heldout.hist], heldout.out
+        # the cell's q is exp z' there over its row's s, which the forward
+        # leaves undivided: one gather of each, by flat index
+        cell_rows = place[heldout.hist]
+        cells = cell_rows * model.vocab.out_dim + heldout.out
     metrics = TrainMetrics()
     params = model.param_arrays()
     best_ppl = math.inf
     best_params = None
     stale = 0
+
+    def heldout_ppl(s: np.ndarray, ez: np.ndarray) -> float:
+        """The held-out perplexity of a forward's s and exp z'."""
+        q = np.take(ez, cells)
+        q /= np.take(s, cell_rows)
+        return table_perplexity(q, heldout)
 
     def patience_ran_out(ppl: float) -> bool:
         """Record the held-out perplexity of the current parameters, those
@@ -481,9 +548,9 @@ def _train_counts(model, table, config, bundle, heldout, ws):
             # one forward at theta_epoch: its held-out rows give the
             # perplexity of the previous epoch, its training rows this
             # epoch's step
-            loss, grads, q = model.batch_loss_grads(idx, alpha, ws, alpha_sums)
+            loss, grads, ez = model.batch_loss_grads(idx, alpha, ws, alpha_sums)
             if epoch and heldout is not None and \
-                    patience_ran_out(table_perplexity(q[cells], heldout)):
+                    patience_ran_out(heldout_ppl(ws.get("s", (len(idx), 1)), ez)):
                 break
             loss += const
             if not math.isfinite(loss):
@@ -496,7 +563,7 @@ def _train_counts(model, table, config, bundle, heldout, ws):
         else:
             # every epoch ran: the last one's perplexity takes one more forward
             if heldout is not None:
-                patience_ran_out(table_perplexity(model.forward(idx, ws)[-1][cells], heldout))
+                patience_ran_out(heldout_ppl(*model.forward(idx, ws)[-2:]))
     if best_params is not None:
         for name, arr in params.items():
             arr[...] = best_params[name]

@@ -316,27 +316,21 @@ class ConditionalLM:
             if lm.backstop is None and unseen.any():
                 first = place.ids[np.argmax(unseen), self.order - lm.order:]
                 raise UnseenHistoryError(tuple(first.tolist()))
-            levels.append((lm, rows))
+            levels.append(lm)
             lm, reach = lm.backstop, unseen
         p = np.empty(len(place.hist))
-        for lm, rows in reversed(levels):
-            rows = rows[place.hist]
-            off = rows >= 0
-            if lm.seen is not None:
-                grams = place.grams(lm.keys)
-                on = grams >= 0
-                off &= ~on
-            rows = rows[off]
+        for lm in reversed(levels):
+            off, rows, out, on, grams = place.level(lm.keys, lm.seen is not None)
             if lm.base is None:
                 q = np.ones(len(rows))
             elif isinstance(lm.base, np.ndarray):
-                q = lm.base[rows, place.out[off]]
+                q = lm.base[rows, out]
             else:
                 q = p[off]
             q *= lm.a[rows] if np.ndim(lm.a) else lm.a
             q /= lm.d[rows] if np.ndim(lm.d) else lm.d
-            if lm.seen is not None:
-                p[on] = lm.seen[grams[on]]
+            if on is not None:
+                p[on] = lm.seen[grams]
             p[off] = q
         return p
 

@@ -5,9 +5,11 @@ differences; training fixed points are checked against the closed forms
 they must recover (empirical conditionals for MLE, the add-lambda table for
 label smoothing, the smoothed table itself for target fitting)."""
 
+import copy
 import dataclasses
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -204,20 +206,21 @@ def step_case(arch, data):
     return model, hists, alpha, extra, table
 
 
-def unfused_log_softmax(z):
+def unfused_softmax(z):
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     s = e.sum(axis=1, keepdims=True)
-    return (z - m) - np.log(s), e / s
+    return z - m, s, e
 
 
 @pytest.mark.parametrize("arch", ["tabular", "feedforward"])
 @settings(max_examples=40)
 @given(data=st.data())
 def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
-    # the forward stops at the shifted logits z' and log s, and the step's
-    # loss and delta share one array; q, log q = z' - log s, the delta and
-    # every gradient keep the bits of the expressions that allocate one
+    # the forward stops at the shifted logits z', s and exp z', adding the
+    # feedforward bias inside the output matmul, z = [a, 1] @ [W2; b2];
+    # q = exp z' / s, log q = z' - log s, the delta exp z' (A / s) - alpha
+    # and every gradient keep the bits of the expressions that allocate one
     # array each.  The fused loss sum A log s - sum alpha . z' moves in its
     # last bits, relative to the size of the terms it sums
     model, hists, alpha, extra, _ = step_case(arch, data)
@@ -231,9 +234,10 @@ def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
         idx = np.asarray(batch, dtype=int).reshape(len(batch), model.order - 1)
         e = p["E"][idx].reshape(len(batch), -1)
         a = np.tanh(e @ p["W1"] + p["b1"])
-        z = a @ p["W2"] + p["b2"]
-    logq, q = unfused_log_softmax(z)
-    delta = alpha.sum(1, keepdims=True) * q[:n] - alpha
+        z = np.hstack([a, np.ones((len(a), 1))]) @ np.vstack([p["W2"], p["b2"]])
+    shifted, s, exp = unfused_softmax(z)
+    logq, q = shifted - np.log(s), exp / s
+    delta = exp[:n] * (alpha.sum(1, keepdims=True) / s[:n]) - alpha
     if arch == "tabular":
         g = np.zeros_like(p["logits"])
         g[idx[:n]] = delta
@@ -249,15 +253,18 @@ def test_step_has_the_bits_of_the_unfused_expressions(arch, data):
                "b2": delta.sum(axis=0)}
     looked_up = model.lookup(batch)
     np.testing.assert_array_equal(looked_up, idx)
-    *_, fwd_z, fwd_log_s, fwd_q = model.forward(looked_up)
-    np.testing.assert_array_equal(fwd_z - fwd_log_s, logq)
-    np.testing.assert_array_equal(fwd_q, q)
+    *_, fwd_z, fwd_s, fwd_exp = model.forward(looked_up)
+    np.testing.assert_array_equal(fwd_z, shifted)
+    np.testing.assert_array_equal(fwd_s, s)
+    np.testing.assert_array_equal(fwd_exp, exp)
+    np.testing.assert_array_equal(fwd_z - np.log(fwd_s), logq)
+    np.testing.assert_array_equal(fwd_exp / fwd_s, q)
     np.testing.assert_array_equal(model.rows(batch), q)
-    loss, grads, step_q = model.batch_loss_grads(looked_up, alpha)
+    loss, grads, step_exp = model.batch_loss_grads(looked_up, alpha)
     sums = alpha.sum(axis=1, keepdims=True)
-    terms = np.abs(sums * fwd_log_s[:n]).sum() + np.abs(alpha * fwd_z[:n]).sum()
+    terms = np.abs(sums * np.log(fwd_s[:n])).sum() + np.abs(alpha * fwd_z[:n]).sum()
     assert abs(loss - float(-(alpha * logq[:n]).sum())) <= 1e-13 * terms
-    np.testing.assert_array_equal(step_q, q)
+    np.testing.assert_array_equal(step_exp, exp)
     assert grads.keys() == ref.keys()
     for name, g in ref.items():
         np.testing.assert_array_equal(grads[name], g)
@@ -304,7 +311,7 @@ def test_passes_leave_parameters_and_alpha_alone(arch, data):
     trained = TabularSoftmaxLM.for_table(table) if arch == "tabular" else \
         FeedForwardLM(model.order, model.vocab, 3, 4, seed=1)
     train(trained, table, config, heldout=table, workspace=ws)
-    assert {"alpha", "delta", "q"} <= ws.buffers.keys()
+    assert {"alpha", "delta", "exp", "s"} <= ws.buffers.keys()
     escaped = [model.rows(batch), model.cells(table, table.hist, table.out),
                trained.rows(batch), *trained.param_arrays().values()]
     for out in escaped:
@@ -841,6 +848,29 @@ class TestSerialization:
             np.testing.assert_array_equal(arr, m2.param_arrays()[k])
         q1, q2 = m.rows([(0, 1)]), m2.rows([(0, 1)])
         np.testing.assert_array_equal(q1, q2)
+
+    def test_output_weights_and_bias_stay_views_of_the_forward_array(self, tmp_path):
+        # W2 and b2 are the first rows and the last row of the W2b that the
+        # forward multiplies, in a model as made, deep-copied, pickled and
+        # loaded, so a step on them is a step of the forward; the first
+        # parameters are one uniform draw each, in `shapes` order
+        c = toy()
+        m = FeedForwardLM(3, c.vocab, 5, 7, seed=4, init_scale=0.2)
+        rng = np.random.default_rng(4)
+        for name, shape in FeedForwardLM.shapes(3, c.vocab, 5, 7).items():
+            np.testing.assert_array_equal(m.param_arrays()[name],
+                                          rng.uniform(-0.2, 0.2, size=shape))
+        p = tmp_path / "ff.json"
+        save_model(m, str(p))
+        want = np.vstack([m.W2, m.b2])
+        for other in (m, copy.deepcopy(m), pickle.loads(pickle.dumps(m)), load_model(str(p))):
+            params = other.param_arrays()
+            np.testing.assert_array_equal(other.W2b, want)
+            assert other.W2b.shape == (7 + 1, c.vocab.out_dim)
+            params["W2"][...] = 1.0
+            params["b2"][...] = 2.0
+            assert (other.W2b[:-1] == 1.0).all() and (other.W2b[-1] == 2.0).all()
+            assert all(np.shares_memory(other.W2b, v) for v in (other.W2, other.b2))
 
 
 def loop_objective_weights(table, config, bundle):
