@@ -180,7 +180,7 @@ class _TrainingData:
     count tables of the training and held-out corpora, and one regularizer
     bundle per method_params value, of which each model takes a copy with
     its own gammas (the decomposition does not depend on them; the copies
-    share the smoothed LM, and the bundles the table's cached marginals),
+    share the smoothed LM, and the bundles the table's marginals),
     and one training workspace, which every model's epochs write into.
     A grid call keeps one of these for its cells and drops it when it ends,
     so a later call sees rewritten input files."""

@@ -6,25 +6,24 @@ histories are formed, EOS only as the terminal event of each sequence.
 All counting conventions downstream (conditional distributions, smoothing,
 training weights) are defined in terms of the tables built here.
 
-A CountTable is its sorted gram arrays, which CountTable.from_codes builds
-by the one sort of integer gram codes from every source, and keeps those
-codes: a corpus's padded id stream (its windows' history_codes), a
-higher-order table's kept codes less their leading digit, and a count
-file's cells (through from_grams, which checks them first).  A
-model's rows are named by a RowKeys, whose `find` looks histories up by
-their codes (sorted_index): by direct address where the codes are small
-integers, as below the top level of a chain over a few hundred symbols,
-else by searching them in sorted order (sorted_search); a CountTable
-is the RowKeys of its own histories, and keeps the backoff structure the
-smoothers read without a search: its `marginal` and, from the same sort,
-its `parents` there.  A table places held-out data in the levels of that
-chain once (`locate`, a Placement: each held-out history's row and each
-held-out gram's index at every level), and keeps the placement for every
-LM built on it.  Small integer keys are indexed, not sorted, throughout:
-distinct_counts gives the smoothers counts-of-counts from one bincount,
-and check_histories ORs a history's few id columns.  A corpus's
-sequences, the history tuples and the table's count dicts are views for
-`perfbench/`, the tests and the oracles.
+A CountTable is its sorted gram arrays, standing on its marginal, the
+table one order down, and so on to order 1: the backoff chain the
+smoothers read.  Each history and gram of the chain is one int64 code,
+its oldest id and its suffix's index one level down (Pauls & Klein 2011,
+section 3), so codes sort as their id tuples do at every order, and a
+table's `parents` are their remainders.  CountTable.build makes every
+chain bottom-up, from a corpus's padded windows or, through from_grams,
+which checks them first, a count file's cells.  A model's rows are named
+by a RowKeys, whose `find`, like a table's placement of held-out data
+(`locate`, kept for every LM of the table), walks the queries up the
+levels, looking each up by code (sorted_index): by direct address where
+the codes are small integers, as below the top of an order-3 chain over a
+few hundred symbols, else by a search in sorted order (sorted_search).
+Small integer keys are indexed, not sorted, throughout: distinct gives
+the smoothers counts-of-counts, and `build` each window's gram below the
+top, from one bincount, and check_histories ORs a history's few id
+columns.  A corpus's sequences, the history tuples and the table's count
+dicts are views for `perfbench/`, the tests and the oracles.
 """
 
 from __future__ import annotations
@@ -172,21 +171,25 @@ class Corpus:
 
 @dataclass(frozen=True, eq=False)
 class RowKeys:
-    """The histories naming the rows of a matrix: row i is history ids[i].
-    Each history is kept as its code, the mixed-radix number its ids spell
-    in base `base` (|V|+2, above every id; see history_codes); `codes` holds
-    them sorted, each once, and `code_rows` the row of each, or None when
-    the rows are in code order.  `find` looks histories up by their
-    codes (sorted_index: by direct address or binary search).  The tuple
-    `hists` and the dict `index`, mapping each history to its row, are
-    views built on first read for `perfbench/`, the tests and the oracles;
-    no pipeline code reads them per history.  Keys compare and hash by
-    identity, as the pipeline compares them with `is`."""
+    """The histories naming the rows of a matrix: row i is history ids[i],
+    ids of `vocab`.  Keys of width w > 0 stand on `below`, the keys one id
+    narrower holding each history's parent (the history without its
+    oldest id), in code order, and so on to width 0, whose one history ()
+    has the code 0.  A history's code is its oldest id times
+    len(below.codes) plus its parent's row there, so codes sort as the id
+    tuples do and are int64 at any width.  `codes` holds them sorted, each
+    once, and `code_rows` the row of each, or None when the rows are in
+    code order.  The tuple `hists` and the dict `index`, mapping each
+    history to its row, are views built on first read for `perfbench/`,
+    the tests and the oracles; no pipeline code reads them per history.
+    Keys compare and hash by identity, as the pipeline compares them with
+    `is`."""
 
     ids: np.ndarray
     codes: np.ndarray
-    base: int
     code_rows: np.ndarray | None
+    below: RowKeys | None
+    vocab: Vocabulary
 
     @cached_property
     def hists(self) -> tuple[History, ...]:
@@ -199,15 +202,7 @@ class RowKeys:
     def find(self, ids: np.ndarray) -> np.ndarray:
         """The row of each history of `ids`, an (N, width) array of ids
         that history_ids has checked, or -1 where it names no row."""
-        return self.rows_of(history_codes(ids, self.base))
-
-    def rows_of(self, codes: np.ndarray) -> np.ndarray:
-        """The row of each history code of `codes`, or -1 where it names no
-        row."""
-        at = sorted_index(self.codes, codes)
-        if self.code_rows is None:
-            return at
-        return np.where(at < 0, -1, self.code_rows[at])
+        return Placement(ids).rows(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,21 +211,22 @@ class CountTable(RowKeys):
     positions whose length-(n-1) padded history is h and whose emitted id
     (a symbol or EOS) is x.  The table is its grams, and its histories are
     its RowKeys, in code order: row i is history ids[i], with row total
-    totals[i]; gram g adds count[g] at row hist[g], emission index out[g],
-    and its code, the history's ids then the emitted id (EOS's own id, not
-    its index) in base `base`, is gram_codes[g].  Invariant, set by
-    from_codes, the one sort: the histories pass check_histories, are
-    sorted and each has a gram; the grams are sorted by (row, emission
-    index), each once, with a count of at least 1.  As
+    totals[i]; gram g adds count[g] at row hist[g], emission index out[g].
+    Invariant, set by `build`: the histories are sorted and each has a
+    gram; the grams are sorted by (row, emission index), each once, with a
+    count of at least 1; and the histories pass check_histories, as
+    count_ngrams forms only such histories and from_grams checks them.  As
     BOS and EOS's emission index are both n_symbols, this is the order of
     sorting the (history, emitted id) pairs, and `hists` is
-    sorted(history_count).  Above order 1 a table has a backoff structure,
-    built on first read and kept: `marginal`, and `parents`, which maps
-    each history and each gram to its parent there (Chen & Goodman 1998,
-    section 2.8), as KenLM's context pointers do."""
+    sorted(history_count).
+
+    Above order 1 a table stands on its `marginal` (its `below`), built
+    with it.  A gram's code, in `gram_codes`, is its emission index at
+    order 1, and above it its oldest id times the number of grams one order
+    down plus the index there of its parent gram (the gram without that
+    id), so `parents` (Chen & Goodman 1998, section 2.8) are remainders."""
 
     order: int
-    vocab: Vocabulary
     hist: np.ndarray
     out: np.ndarray
     count: np.ndarray
@@ -238,59 +234,55 @@ class CountTable(RowKeys):
     gram_codes: np.ndarray
 
     @classmethod
-    def from_codes(cls, order: int, vocab: Vocabulary, codes: np.ndarray,
-                   counts: np.ndarray | None = None, return_inverse: bool = False
-                   ) -> CountTable | tuple[CountTable, np.ndarray]:
-        """The table of the grams whose codes (see history_codes: a
-        history's ids, then the emitted id, in base |V|+2) are `codes`, each
-        occurring once, or counts[g] times; equal codes are summed.  This is
-        the one sort of every table: np.sort and run lengths without
-        `counts`, else argsort and add.reduceat, which with `return_inverse`
-        also gives each code's gram, as np.unique does.  The distinct codes are
-        kept, sorted, as `gram_codes`.  The history ids are read back off
-        the codes' digits with // and %, which act on Python-int codes too,
-        and check_histories runs once on the distinct histories; the caller
-        vouches that every digit is in range and that the last is an
-        emittable id."""
-        base = vocab.n_symbols + 2
-        codes = codes.astype(_code_dtype(base, order), copy=False)
+    def build(cls, vocab: Vocabulary, windows: Sequence[np.ndarray],
+              counts: np.ndarray | None = None) -> CountTable:
+        """The table of the windows of ids whose `order` columns, oldest
+        first, are `windows`, each a history's ids and then its emitted id,
+        occurring once, or counts[i] times; equal windows are summed.  Their
+        grams are coded from order 1 up (see _suffix_codes), the top order by
+        np.sort and run lengths, or argsort and add.reduceat with `counts`,
+        and each order's table is read off its distinct gram codes and the
+        table below.  The caller vouches that every id is in range."""
+        levels, codes = _suffix_codes([*windows[:-1], np.minimum(windows[-1], vocab.n_symbols)])
+        grams = []
+        for level, index in levels:
+            if counts is None:
+                count = np.bincount(index, minlength=len(level))
+            else:
+                count = np.zeros(len(level), dtype=np.int64)
+                np.add.at(count, index, counts)
+            grams.append((level, count))
         sort = None if counts is None else np.argsort(codes)
         codes = np.sort(codes) if sort is None else codes[sort]
-        new_gram = np.concatenate(([True], codes[1:] != codes[:-1]))
-        first = np.flatnonzero(new_gram)
+        first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
         count = np.diff(first, append=len(codes)) if sort is None else \
             np.add.reduceat(counts[sort], first)
-        codes = codes[first]
-        # a gram's code is its history's code, then one more digit
-        hist_codes = codes // base
-        new_hist = np.concatenate(([True], hist_codes[1:] != hist_codes[:-1]))
-        hist_codes = hist_codes[new_hist].astype(_code_dtype(base, order - 1), copy=False)
-        hist_ids = np.empty((len(hist_codes), order - 1), dtype=np.intp)
-        rest = hist_codes
-        for j in reversed(range(order - 1)):
-            hist_ids[:, j] = rest % base
-            rest = rest // base
-        check_histories(vocab, order - 1, hist_ids)
-        out = (codes % base).astype(np.intp, copy=False)
-        table = cls(
-            ids=hist_ids, codes=hist_codes, base=base, code_rows=None, order=order,
-            vocab=vocab, hist=np.cumsum(new_hist) - 1,
-            out=np.minimum(out, vocab.n_symbols),  # EOS's index is n_symbols
-            count=count, totals=np.add.reduceat(count, np.flatnonzero(new_hist)),
-            gram_codes=codes)
-        if not return_inverse:
-            return table
-        inverse = np.empty(len(sort), dtype=np.intp)
-        inverse[sort] = np.cumsum(new_gram) - 1
-        return table, inverse
+        grams.append((codes[first], count))
+        table = None
+        for order, (gram_codes, count) in enumerate(grams, 1):
+            if table is None:
+                # order 1: the one history (), and each gram's code its emission index
+                out, hist_codes = gram_codes.astype(np.intp), np.zeros(len(gram_codes), np.int64)
+            else:
+                # a gram's history is its oldest id and its parent gram's history
+                oldest, parent = np.divmod(gram_codes, len(table.gram_codes))
+                out, parent_rows = table.out[parent], table.hist[parent]
+                hist_codes = oldest * len(table.codes) + parent_rows
+            new_hist = np.concatenate(([True], hist_codes[1:] != hist_codes[:-1]))
+            first = np.flatnonzero(new_hist)
+            ids = np.empty((1, 0), dtype=np.intp) if table is None else \
+                np.column_stack([oldest[first], table.ids[parent_rows[first]]])
+            table = cls(ids=ids, codes=hist_codes[first], code_rows=None, below=table,
+                        vocab=vocab, order=order, hist=np.cumsum(new_hist) - 1, out=out,
+                        count=count, totals=np.add.reduceat(count, first), gram_codes=gram_codes)
+        return table
 
     @classmethod
     def from_grams(cls, order: int, vocab: Vocabulary, keys, counts) -> CountTable:
         """The table of the (N, order) ids `keys`, each row a history and
         then its emitted id, occurring counts[g] times; equal rows are
-        summed.  The rows are checked to be in range, since the code of an
-        out-of-range id can be that of another history, and then counted
-        by from_codes."""
+        summed.  The rows are checked to be in range before `build` counts
+        them, and the histories, the BOS rule too, after."""
         keys, counts = np.asarray(keys, dtype=np.intp), np.asarray(counts, dtype=np.int64)
         if order < 1 or not len(counts) or keys.shape != (len(counts), order):
             raise ValueError(f"need one count per row of a nonempty (N, {order}) gram array")
@@ -304,7 +296,9 @@ class CountTable(RowKeys):
         if bad.any():
             # name the first bad history in sorted order
             check_histories(vocab, order - 1, np.unique(hist_ids[bad], axis=0))
-        return cls.from_codes(order, vocab, history_codes(keys, n + 2), counts)
+        table = cls.build(vocab, keys.T, counts)
+        check_histories(vocab, order - 1, table.ids)
+        return table
 
     @property
     def total_tokens(self) -> int:
@@ -313,22 +307,25 @@ class CountTable(RowKeys):
     @cached_property
     def count_of_counts(self) -> dict[int, int]:
         """{i: number of grams occurring exactly i times}."""
-        values, inverse = distinct_counts(self.count)
+        values, inverse = distinct(self.count)
         return dict(zip(values.tolist(), np.bincount(inverse, minlength=len(values)).tolist()))
 
-    @cached_property
+    @property
     def marginal(self) -> CountTable:
-        """The table one order down (see marginalize), built on first read,
-        so the backoff smoothers of one table share one chain of tables."""
-        return marginalize(self)
+        """The table one order down, `below`, the recount at order n-1 (BOS
+        padding gives every position a full-length history at every order)."""
+        if self.below is None:
+            raise ValueError("cannot marginalize an order-1 table")
+        return self.below
 
     @cached_property
     def parents(self) -> tuple[np.ndarray, np.ndarray]:
         """The row in `marginal` of each history's parent (the history
-        without its oldest symbol), and the index there of each gram's
-        parent gram (the same emission), kept by marginalize from its sort."""
-        self.marginal
-        return vars(self)["parents"]
+        without its oldest id), and the index there of each gram's parent
+        gram (the same emission): the remainders of `codes` and
+        `gram_codes`."""
+        below = self.marginal
+        return self.codes % len(below.codes), self.gram_codes % len(below.gram_codes)
 
     @cached_property
     def gram_count(self) -> dict[tuple[History, int], int]:
@@ -351,7 +348,7 @@ class CountTable(RowKeys):
         """The Placement of held-out data, a corpus or its table at this
         order, in the levels of this table's backoff chain (the keys of the
         LMs built on it).  Its top-level queries, the held-out table's
-        history and gram codes, come sorted, so a search there takes no
+        histories and grams, come sorted, so a search there takes no
         argsort (see sorted_search).  It is kept, keyed by the identity of
         `data`, for as long as both live, so every LM of this table scores
         the data through one count and one lookup of its histories and one
@@ -362,8 +359,7 @@ class CountTable(RowKeys):
         place = placements.get(data)
         if place is None:
             held = table_at(data, self.order, self.vocab)
-            place = placements[data] = Placement(held.ids, held.codes, held.hist, held.out,
-                                                 self.base, held.gram_codes)
+            place = placements[data] = Placement(held.ids, held.hist, held.out)
             place._table = held if held is not data else weakref.ref(held)
         return place
 
@@ -377,26 +373,21 @@ class CountTable(RowKeys):
 
 class Placement:
     """Queries placed in the levels of a backoff chain: histories, by their
-    ids and codes (see history_codes) in base `base`, and cells (hist[g],
-    out[g]) of them, whose gram codes are their histories' codes with the
-    emitted id as one more digit.  For the keys of a level, histories of
-    width k - 1 no wider than the queries', `rows(keys)` gives the row there
-    of each query history's length-(k-1) suffix, its code less the leading
-    digits, and `grams(table)`, for a count table of order k, the index in
-    its `gram_codes` of each cell's length-k suffix gram; each is -1 where
-    there is none, and each is looked up once per keys (sorted_index: by
-    direct address where the level's codes are small, as every level
-    below an order-3 top over a few hundred symbols has them, else by a
-    search), on first read, and kept while the keys live, as are the
-    gathers `level` makes of them for scoring the cells.  The cells' gram
-    codes are worked out unless given.  CountTable.locate gives a
-    held-out table's, with the table as `table`; ConditionalLM.cells makes
-    one of any queries."""
+    (N, width) ids, and cells (hist[g], out[g]) of them.  For the keys of
+    a level, histories of width k - 1 no wider than the queries',
+    `rows(keys)` gives the row there of each query history's length-(k-1)
+    suffix, and `grams(table)`, for a count table of order k, the index
+    among its grams of each cell's length-k suffix gram; each is -1 where
+    there is none.  Both walk up the levels from width 0 as codes are made,
+    a suffix whose parent is missing being missing, and look each level up
+    once per keys (sorted_index), on first read, kept while the keys live,
+    as are the gathers `level` makes of them for scoring the cells.
+    CountTable.locate gives a held-out table's, with the table as `table`;
+    RowKeys.find and ConditionalLM.cells make one of any queries."""
 
-    def __init__(self, ids: np.ndarray, codes: np.ndarray, hist: np.ndarray, out: np.ndarray,
-                 base: int, gram_codes: np.ndarray | None = None):
-        self.ids, self.codes, self.hist, self.out, self.base = ids, codes, hist, out, base
-        self._gram_codes = gram_codes
+    def __init__(self, ids: np.ndarray, hist: np.ndarray | None = None,
+                 out: np.ndarray | None = None):
+        self.ids, self.hist, self.out = ids, hist, out
         self._table = None
         self._rows = weakref.WeakKeyDictionary()
         self._grams = weakref.WeakKeyDictionary()
@@ -412,13 +403,15 @@ class Placement:
         """The row in `keys` of each query history's suffix, -1 where unseen."""
         rows = self._rows.get(keys)
         if rows is None:
-            width = keys.ids.shape[1]
-            if width == 0:
-                # every history's suffix is (), the one history a width-0
-                # RowKeys can hold
-                rows = np.full(len(self.codes), 0 if len(keys.codes) else -1, dtype=np.intp)
+            if keys.below is None:
+                # width 0: every history's suffix is (), the one key there can be
+                rows = np.full(len(self.ids), 0 if len(keys.codes) else -1, dtype=np.intp)
             else:
-                rows = keys.rows_of(self._suffixes(self.codes, self.ids.shape[1], width))
+                oldest = self.ids[:, self.ids.shape[1] - keys.ids.shape[1]]
+                rows = _index_above(keys.codes, len(keys.below.codes), oldest,
+                                    self.rows(keys.below))
+                if keys.code_rows is not None:
+                    rows = np.where(rows < 0, -1, keys.code_rows[rows])
             self._rows[keys] = rows
         return rows
 
@@ -427,14 +420,14 @@ class Placement:
         where the table has none."""
         grams = self._grams.get(table)
         if grams is None:
-            width = self.ids.shape[1] + 1
-            if self._gram_codes is None:
-                codes = self.codes.astype(_code_dtype(self.base, width), copy=False)[self.hist]
-                # the emitted id: EOS's index, base - 2, is its id less 1
-                self._gram_codes = codes * self.base + np.where(
-                    self.out == self.base - 2, self.base - 1, self.out)
-            grams = self._grams[table] = sorted_index(
-                table.gram_codes, self._suffixes(self._gram_codes, width, table.order))
+            if table.below is None:
+                # order 1: a gram's code is its emission index
+                grams = sorted_index(table.gram_codes, self.out)
+            else:
+                oldest = self.ids[self.hist, self.ids.shape[1] + 1 - table.order]
+                grams = _index_above(table.gram_codes, len(table.below.gram_codes), oldest,
+                                     self.grams(table.below))
+            self._grams[table] = grams
         return grams
 
     def level(self, keys: RowKeys, on_grams: bool) -> tuple:
@@ -456,12 +449,6 @@ class Placement:
             off = np.flatnonzero(off)
             kept[on_grams] = off, rows[off], self.out[off], on, grams
         return kept[on_grams]
-
-    def _suffixes(self, codes: np.ndarray, width: int, suffix: int) -> np.ndarray:
-        """The codes of the last `suffix` digits of `width`-digit codes."""
-        if suffix == width:
-            return codes
-        return (codes % self.base ** suffix).astype(_code_dtype(self.base, suffix), copy=False)
 
 
 def check_histories(vocab: Vocabulary, length: int, hists, bos_prefix: bool = True
@@ -502,38 +489,30 @@ def _any_in_row(mask: np.ndarray) -> np.ndarray:
 
 def history_ids(vocab: Vocabulary, length: int, hists: RowKeys | np.ndarray | Sequence[History]
                 ) -> np.ndarray:
-    """The (N, length) id array of `hists`: a RowKeys' own ids, or those of
-    history tuples or an id array once check_histories (without the BOS
-    rule) has passed them, so every id is below the code base."""
+    """The (N, length) id array of `hists`: a RowKeys' own ids, if they are
+    `length` ids of this vocabulary, or those of history tuples or an id
+    array once check_histories (without the BOS rule) has passed them."""
     if isinstance(hists, RowKeys):
-        if hists.base != vocab.n_symbols + 2 or hists.ids.shape[1] != length:
-            raise ValueError(f"histories of width {hists.ids.shape[1]} in base {hists.base} "
-                             f"are not of length {length} over this vocabulary")
+        if hists.vocab != vocab or hists.ids.shape[1] != length:
+            raise ValueError(f"histories of width {hists.ids.shape[1]} over "
+                             f"{hists.vocab.n_symbols} symbols are not of length {length} "
+                             "over this vocabulary")
         return hists.ids
     return check_histories(vocab, length, hists, bos_prefix=False)
 
 
-def history_codes(ids: np.ndarray, base: int) -> np.ndarray:
-    """The code of each row of an (N, w) array of ids in [0, base): the
-    number sum_j ids[:, j] base^(w-1-j), so codes sort as their rows do.
-    They are int64, or Python ints (an object array) where base^w reaches
-    2^63, so that no code overflows."""
-    dtype = _code_dtype(base, ids.shape[1])
-    codes = np.zeros(len(ids), dtype=dtype)
-    for col in ids.T:
-        codes *= base
-        codes += col.astype(dtype, copy=False)
-    return codes
-
-
 # sorted_index looks codes up by direct address while its table has at most
-# this many slots per key and query, and distinct_counts counts by bincount
-# while its bins are as few per count.  Measured on int64 codes, 300-50,000
+# this many slots per key and query.  Measured on int64 codes, 300-50,000
 # keys and 500-50,000 queries (numpy 2.4, one core of a 2-vCPU Xeon VM):
 # at 16 slots the direct lookup is 1.1-1.9x as fast as sorted_search with
 # the queries in order and 2-5x with them shuffled, and from 24-32 slots on
 # it can be the slower; its table holds at most 128 bytes per key and query
 DIRECT_ADDRESS_SPAN = 16
+# distinct finds values by bincount, not by sorting them, while its bins are
+# at most this many per value.  On uniform int64 values, 8,500 and 100,000
+# of them (same VM), np.sort and its runs took 1.6x a bincount's time at 1
+# bin per value, 0.7-1.2x at 2, 0.5x at 4 and 0.2-0.3x at 16
+DISTINCT_SPAN = 2
 
 
 def sorted_search(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -550,18 +529,17 @@ def sorted_search(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def sorted_index(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The index in the sorted, distinct, nonnegative codes `a` of each of
-    the codes `v`, or -1 where it is absent.  Integer codes whose largest
-    key is at most DIRECT_ADDRESS_SPAN times len(a) + len(v) are looked up
-    by direct address, as KenLM's PROBING structure looks up an n-gram by
-    one index: each key's index is scattered into a table of one slot per
-    code up to the largest key, then one -1 slot, and each query gathers
-    its slot, a query past the last key clipped to the -1 slot.  Other
-    codes, object-dtype ones past 2^63 among them, take one
-    sorted_search."""
+    """The index in the sorted, distinct, nonnegative integer codes `a` of
+    each of the nonnegative codes `v`, or -1 where it is absent.  Codes
+    whose largest key is at most DIRECT_ADDRESS_SPAN times len(a) + len(v)
+    are looked up by direct address, as KenLM's PROBING structure looks up
+    an n-gram by one index: each key's index is scattered into a table of
+    one slot per code up to the largest key, then one -1 slot, and each
+    query gathers its slot, a query past the last key clipped to the -1
+    slot.  Others take one sorted_search."""
     if not len(a):
         return np.full(len(v), -1, dtype=np.intp)
-    if a.dtype.kind == v.dtype.kind == "i" and a[-1] <= DIRECT_ADDRESS_SPAN * (len(a) + len(v)):
+    if a[-1] <= DIRECT_ADDRESS_SPAN * (len(a) + len(v)):
         slot = np.full(a[-1] + 2, -1, dtype=np.intp)
         slot[a] = np.arange(len(a))
         return np.take(slot, v, mode="clip")
@@ -571,33 +549,45 @@ def sorted_index(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return at
 
 
-def distinct_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(counts, return_inverse=True) of counts, integers >= 1: the
-    distinct counts in increasing order and the index among them of each.
-    Counts whose largest is at most DIRECT_ADDRESS_SPAN times their number
-    are indexed by one np.bincount, whose nonzero bins are the distinct
-    counts and whose running number of them gives each count's index;
-    larger ones are sorted."""
-    if not len(counts) or counts.max() > DIRECT_ADDRESS_SPAN * len(counts):
-        return np.unique(counts, return_inverse=True)
-    present = np.bincount(counts) > 0
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[counts]
-
-
-def _code_dtype(base: int, width: int):
-    return object if base ** width >= 2 ** 63 else np.int64
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) of nonnegative integers, such
+    as counts or codes.  While the largest is at most DIRECT_ADDRESS_SPAN
+    times their number, the distinct values (the nonzero bins of one
+    np.bincount while it is at most DISTINCT_SPAN times, else np.sort's
+    runs) are indexed by a table of one slot per value, as sorted_index
+    looks codes up; larger values take np.unique."""
+    top = values.max() if len(values) else 0
+    if top > DIRECT_ADDRESS_SPAN * len(values) or not len(values):
+        return np.unique(values, return_inverse=True)
+    if top <= DISTINCT_SPAN * len(values):
+        found = np.flatnonzero(np.bincount(values))
+    else:
+        found = np.sort(values)
+        found = found[np.concatenate(([True], found[1:] != found[:-1]))]
+    slot = np.empty(top + 1, dtype=np.intp)
+    slot[found] = np.arange(len(found))
+    return found, slot[values]
 
 
 def row_index(vocab: Vocabulary, length: int, hists: RowKeys | Sequence[History]) -> RowKeys:
     """The RowKeys of a model's rows, named by history tuples, an id array
     or a RowKeys (a count table), admitted as history_ids admits a lookup's
-    histories; a RowKeys then passes through.  ValueError for a history
-    listed twice, which would name two rows."""
+    histories; a RowKeys then passes through.  The keys stand on the
+    distinct suffixes of the histories, in code order, one level per
+    width.  ValueError for a history listed twice, which would name two
+    rows."""
     ids = history_ids(vocab, length, hists)
     if isinstance(hists, RowKeys):
         return hists
-    base = vocab.n_symbols + 2
-    codes = history_codes(ids, base)
+    below, codes = None, np.zeros(len(ids), dtype=np.int64)
+    if length:
+        levels, codes = _suffix_codes(list(ids.T))
+        below = RowKeys(np.empty((1, 0), dtype=np.intp), np.zeros(1, dtype=np.int64), None, None,
+                        vocab)
+        for level, _ in levels:
+            oldest, parent = np.divmod(level, len(below.codes))
+            ids_below = np.column_stack([oldest, below.ids[parent]])
+            below = RowKeys(ids_below, level, None, below, vocab)
     sort = np.argsort(codes)
     codes = codes[sort]
     twice = codes[1:] == codes[:-1]
@@ -605,7 +595,35 @@ def row_index(vocab: Vocabulary, length: int, hists: RowKeys | Sequence[History]
         # the first listed of the histories listed more than once
         i = sort[np.r_[twice, False] | np.r_[False, twice]].min()
         raise ValueError(f"history {tuple(ids[i].tolist())} is listed more than once")
-    return RowKeys(ids, codes, base, None if (sort == np.arange(len(sort))).all() else sort)
+    code_rows = None if (sort == np.arange(len(sort))).all() else sort
+    return RowKeys(ids, codes, code_rows, below, vocab)
+
+
+def _suffix_codes(cols: list[np.ndarray]) -> tuple[list, np.ndarray]:
+    """The codes of the rows whose ids, oldest first, are the columns
+    `cols`, after, for each narrower width k = 1, ..., len(cols) - 1, the
+    sorted distinct codes of the rows' width-k suffixes and each row's
+    index among them (see distinct).  A code is the oldest id times the
+    number of distinct suffixes one id narrower (1 at width 0) plus its own
+    suffix's index there, so codes sort as the suffixes do."""
+    levels, n, index = [], 1, 0
+    for col in cols[:0:-1]:
+        level, index = distinct(col * n + index)
+        levels.append((level, index))
+        n = len(level)
+    return levels, cols[0] * n + index
+
+
+def _index_above(codes: np.ndarray, n_below: int, oldest: np.ndarray, below: np.ndarray
+                 ) -> np.ndarray:
+    """The index in the sorted codes `codes` of the key whose oldest id is
+    oldest[i] and whose own suffix has the index below[i] among the n_below
+    keys one id narrower, or -1 where below[i] is -1 or there is no such
+    key."""
+    at = np.full(len(below), -1, dtype=np.intp)
+    hit = np.flatnonzero(below >= 0)
+    at[hit] = sorted_index(codes, oldest[hit] * n_below + below[hit])
+    return at
 
 
 def _first(hists: np.ndarray, bad: np.ndarray) -> History:
@@ -678,11 +696,10 @@ def count_ngrams(corpus: Corpus, order: int) -> CountTable:
     padded[ends - 1] = vocab.eos_id
     k = np.repeat(np.arange(len(lengths)), lengths)
     padded[np.arange(len(corpus.ids)) + order * (k + 1) - 1] = corpus.ids
-    # the code of the window ending at each position; every position but
-    # the padding emits
-    codes = history_codes(np.lib.stride_tricks.sliding_window_view(padded, order),
-                          vocab.n_symbols + 2)
-    return CountTable.from_codes(order, vocab, codes[padded[order - 1:] != vocab.bos_id])
+    # the window ending at each position that emits, every one but the
+    # padding's, one column at a time
+    start = np.flatnonzero(padded[order - 1:] != vocab.bos_id)
+    return CountTable.build(vocab, [padded[start + j] for j in range(order)])
 
 
 def table_at(data: Corpus | CountTable, order: int, vocab: Vocabulary | None = None
@@ -705,28 +722,9 @@ def zero_gram_count(table: CountTable) -> int:
     return len(table.ids) * table.vocab.out_dim - len(table.count)
 
 
-def marginalize(table: CountTable) -> CountTable:
-    """Project an order-n table to order n-1 by dropping the oldest context
-    symbol: the leading digit of each of its gram codes.  The sort that sums
-    them also gives the table's `parents`, which are kept on it.
-
-    Equivalent to recounting the corpus at order n-1, because BOS padding
-    gives every position a full-length history at every order.
-    """
-    if table.order < 2:
-        raise ValueError("cannot marginalize an order-1 table")
-    order = table.order - 1
-    down, grams = CountTable.from_codes(order, table.vocab, table.gram_codes % table.base ** order,
-                                        table.count, return_inverse=True)
-    rows = np.empty(len(table.ids), dtype=np.intp)
-    rows[table.hist] = down.hist[grams]
-    vars(table)["parents"] = rows, grams
-    return down
-
-
 def tables_down_to_unigram(table: CountTable) -> list[CountTable]:
     """All orders table.order, ..., 1, index k-1 holding the order-k table:
-    each table's cached `marginal`, so the chain is built once per table."""
+    the table's chain of marginals."""
     tables = [table]
     while tables[-1].order > 1:
         tables.append(tables[-1].marginal)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import (Corpus, CountTable, History, Placement, RowKeys, Vocabulary,
-                     check_histories, history_codes, history_ids, read_cells, row_index,
+                     check_histories, history_ids, read_cells, row_index,
                      table_at, write_cells)
 
 PROB_ATOL = 1e-9
@@ -291,12 +291,8 @@ class ConditionalLM:
         each level of the backstop chain (a Placement: one lookup of the
         histories and, on a level of a count table, one of the cells), and
         `placed_cells` gathers them."""
-        ids = history_ids(self.vocab, self.order - 1, keys)
-        base = self.vocab.n_symbols + 2
-        # a RowKeys in code order holds each row's code
-        codes = keys.codes if isinstance(keys, RowKeys) and keys.code_rows is None \
-            else history_codes(ids, base)
-        return self.placed_cells(Placement(ids, codes, hist, out, base))
+        return self.placed_cells(Placement(history_ids(self.vocab, self.order - 1, keys),
+                                           hist, out))
 
     def placed_cells(self, place: Placement) -> np.ndarray:
         """The cells of `place`, queries of this LM's order: each cell's

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CountTable, distinct_counts, tables_down_to_unigram, zero_gram_count
+from .corpus import CountTable, distinct, tables_down_to_unigram, zero_gram_count
 from .ngram import ConditionalLM, uniform_backstop
 
 log = logging.getLogger(__name__)
@@ -172,7 +172,7 @@ def _renormalized(tab: CountTable, weight_of_count, unseen_weight: float) -> tup
     """The seen cells, a and d of a level whose seen cells weigh
     weight_of_count(count) and unseen ones `unseen_weight`, each history
     renormalized; an all-zero row falls back to uniform."""
-    counts, inverse = distinct_counts(tab.count)
+    counts, inverse = distinct(tab.count)
     weights = np.array([weight_of_count(int(c)) for c in counts], dtype=float)[inverse]
     n = len(tab.ids)
     sums = np.bincount(tab.hist, weights, n) \
@@ -355,7 +355,7 @@ def _katz_discounts(tab: CountTable, k: int, counts: np.ndarray) -> np.ndarray:
         raise KatzConfigError(
             f"k={k}: discount denominator 1 - (k+1) r_(k+1)/r_1 = {1 - ratio:.4g} <= 0"
         )
-    values, inverse = distinct_counts(counts)
+    values, inverse = distinct(counts)
     d = np.ones(len(values))
     for i, c in enumerate(values.tolist()):
         if c <= k:

@@ -23,7 +23,6 @@ from smoothlm.corpus import (
     corpus_from_lines,
     count_ngrams,
     load_corpus,
-    marginalize,
     read_count_table,
     row_index,
     tables_down_to_unigram,
@@ -66,10 +65,15 @@ def toy_corpus():
 
 
 def assert_same_table(got: CountTable, want: CountTable) -> None:
-    """Every field of the two tables equal, each array of the same dtype."""
+    """Every field of the two tables equal, each array of the same dtype,
+    and so every table of their chains of marginals."""
     for f in fields(CountTable):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, np.ndarray):
+        if f.name == "below":
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert_same_table(a, b)
+        elif isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f.name
         else:
             assert type(a) is type(b) and a == b, f.name
@@ -88,37 +92,49 @@ def window_counts(corpus, order):
 
 
 def oracle_table(vocab, order, grams):
-    """The CountTable of {(history, emitted id): count}, field by field:
-    histories sorted, codes as Python ints spelling them in base |V|+2,
-    grams sorted by (history, emission index), each gram's code spelling
-    its history's ids and then its emitted id."""
-    base, width = vocab.n_symbols + 2, order - 1
+    """The CountTable of {(history, emitted id): count}, field by field,
+    standing on the oracle table of the grams less their oldest ids one
+    order down: histories sorted, grams sorted by (history, emission
+    index), and each code spelled by its rule.  A history's code is its
+    oldest id times the number of histories one order down plus the row
+    there of the history without it, and () has the code 0; a gram's is
+    its emission index at order 1, and above it its oldest id times the
+    number of grams one order down plus the index there of the gram
+    without it."""
     hists = sorted({h for h, _ in grams})
     row = {h: i for i, h in enumerate(hists)}
     cells = sorted((row[h], vocab.out_index(x), c, x) for (h, x), c in grams.items())
     totals = Counter()
     for (h, _), c in grams.items():
         totals[h] += c
-
-    def spelled(ids):
-        return sum(i * base ** (len(ids) - 1 - j) for j, i in enumerate(ids))
-
-    def code_array(codes, w):
-        return np.array(codes, dtype=object if base ** w >= 2 ** 63 else np.int64)
-
+    below = None
+    if order == 1:
+        codes = [0]
+        gram_codes = [j for _, j, _, _ in cells]
+    else:
+        lower = Counter()
+        for (h, x), c in grams.items():
+            lower[h[1:], x] += c
+        below = oracle_table(vocab, order - 1, lower)
+        row_below = {h: i for i, h in enumerate(below.hists)}
+        gram_below = {(below.hists[r], j): g
+                      for g, (r, j) in enumerate(zip(below.hist.tolist(), below.out.tolist()))}
+        codes = [h[0] * len(below.codes) + row_below[h[1:]] for h in hists]
+        gram_codes = [hists[r][0] * len(below.gram_codes) + gram_below[hists[r][1:], j]
+                      for r, j, _, _ in cells]
     return CountTable(
-        ids=np.array(hists, dtype=np.intp).reshape(len(hists), width),
-        codes=code_array([spelled(h) for h in hists], width),
-        base=base, code_rows=None, order=order, vocab=vocab,
+        ids=np.array(hists, dtype=np.intp).reshape(len(hists), order - 1),
+        codes=np.array(codes, dtype=np.int64), code_rows=None, below=below, vocab=vocab,
+        order=order,
         hist=np.array([r for r, _, _, _ in cells], dtype=np.intp),
         out=np.array([j for _, j, _, _ in cells], dtype=np.intp),
         count=np.array([c for _, _, c, _ in cells], dtype=np.int64),
         totals=np.array([totals[h] for h in hists], dtype=np.int64),
-        gram_codes=code_array([spelled(hists[r] + (x,)) for r, _, _, x in cells], order))
+        gram_codes=np.array(gram_codes, dtype=np.int64))
 
 
-# 600 symbols: (|V|+2)^7 passes 2^63, so the gram codes at orders 7 and 8
-# and the history codes at order 8 are Python ints
+# 600 symbols: (|V|+2)^7 passes 2^63, where codes spelling the ids in base
+# |V|+2 would overflow int64 at orders 7 and 8; the codes stay int64
 @st.composite
 def corpora_and_orders(draw):
     n_sym = draw(st.sampled_from([1, 4, 600]))
@@ -329,7 +345,8 @@ class TestCountNgrams:
         t = count_ngrams(c, order)
         assert_same_table(t, oracle_table(c.vocab, order, window_counts(c, order)))
         if c.vocab.n_symbols == 600 and order == 8:
-            assert t.codes.dtype == object
+            for level in tables_down_to_unigram(t):
+                assert level.codes.dtype == level.gram_codes.dtype == np.int64
 
     def test_numpy_integer_order_is_stored_as_int(self):
         t = count_ngrams(toy_corpus(), np.int64(2))
@@ -406,16 +423,15 @@ class TestMarginalize:
         c, order = data
         t = count_ngrams(c, order)
         while t.order > 1:
-            t = marginalize(t)
+            t = t.marginal
             assert_same_table(t, count_ngrams(c, t.order))
 
 
 @st.composite
 def corpora_and_wide_orders(draw):
     """A corpus of up to four symbols or of 600, and an order from 1 to 8 or
-    from the least whose gram codes reach 2^63 to two past it, where a
-    table's codes, its marginal's gram codes or its marginal's history codes
-    are Python ints."""
+    from the least at which codes spelling a gram's ids in base |V|+2 would
+    reach 2^63 to two past it."""
     n_sym = draw(st.sampled_from([1, 2, 4, 600]))
     wide = next(w for w in range(1, 64) if (n_sym + 2) ** w >= 2 ** 63)
     seqs = draw(st.lists(st.lists(st.integers(0, n_sym - 1), max_size=10),
@@ -446,8 +462,8 @@ def test_parents_are_the_suffix_rows_and_grams(data):
 
 
 def test_smoothing_and_decomposing_make_no_search(monkeypatch):
-    # each level's parents come from the sort that builds its marginal, so
-    # reading them runs no np.searchsorted
+    # each level's parents are the remainders of its codes, so reading them
+    # runs no np.searchsorted
     table = count_ngrams(corpus_from_lines(markov_zipf_lines(300, 50, 0)), 3)
     searches = []
     searchsorted = np.searchsorted
@@ -524,16 +540,18 @@ def test_small_integer_keys_are_indexed_not_sorted(monkeypatch):
 
 def test_backoff_smoothers_of_one_table_share_its_marginals(monkeypatch):
     # JM, Katz and KEN each descend an order-3 table to order 1, through
-    # the table's cached marginal and its marginal's
+    # the table's marginal and its marginal's, built with the table: one
+    # build counts all three orders, and smoothing builds no table
     calls = []
-    monkeypatch.setattr(corpus_module, "marginalize",
-                        lambda t: calls.append(t.order) or marginalize(t))
+    build = CountTable.build
+    monkeypatch.setattr(CountTable, "build", lambda *args: calls.append(1) or build(*args))
     table = count_ngrams(corpus_from_lines(["a b c a", "b b a", "c a"]), 3)
     unigrams, bigrams, _ = tables_down_to_unigram(table)
+    assert table.marginal is bigrams and bigrams.marginal is unigrams
     for method in ("jelinek_mercer", "katz", "kneser_essen_ney"):
         lm = smooth(table, method)
         assert lm.backstop.keys is bigrams and lm.backstop.backstop.keys is unigrams
-    assert calls == [3, 2]
+    assert calls == [1]
 
 
 class TestFromGrams:

@@ -5,9 +5,10 @@ smoothers read with no search (each count table's parent map,
 CountTable.parents, and each LM's values on its own grams), over random
 tables and query batches.  The batches mix seen, unseen, out-of-range and
 wrong-length histories, and histories whose naive code aliases a seen one.
-Orders near 32 make the codes of a two- to four-symbol vocabulary pass
-2^63, so that they are Python ints.  Code lookups by direct address and
-count indices by bincount are checked against a dict and np.unique."""
+At orders near 32, codes spelling the ids of a two- to four-symbol
+vocabulary in base |V|+2 would pass 2^63; the codes stay int64.  Code
+lookups by direct address and value indices by bincount are checked
+against a dict and np.unique."""
 
 import gc
 import math
@@ -21,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlm import corpus as corpus_module
-from smoothlm.corpus import (DIRECT_ADDRESS_SPAN, Corpus, CountTable, Vocabulary, count_ngrams,
-                             distinct_counts, sorted_index, tables_down_to_unigram)
+from smoothlm.corpus import (DIRECT_ADDRESS_SPAN, Corpus, CountTable, Placement, Vocabulary,
+                             count_ngrams, distinct, row_index, sorted_index,
+                             tables_down_to_unigram)
 from smoothlm.ngram import (ConditionalLM, UnseenHistoryError, empirical_conditional,
                             perplexity, table_perplexity, uniform_backstop)
 from smoothlm.neural import TabularSoftmaxLM
@@ -31,14 +33,16 @@ from smoothlm.verify import corpus_of
 
 
 def wide_width(n_sym: int) -> int:
-    """The least history width whose codes in base n_sym + 2 reach 2^63."""
+    """The least width at which codes spelling ids in base n_sym + 2 would
+    reach 2^63."""
     return next(w for w in range(1, 64) if (n_sym + 2) ** w >= 2 ** 63)
 
 
 @st.composite
 def cases(draw):
-    """A training corpus, a held-out corpus and an order; the orders past 4
-    give gram codes, or gram and history codes, of Python ints."""
+    """A training corpus, a held-out corpus and an order; at the orders past
+    4, codes spelling a gram's ids, or a history's too, in base |V|+2 would
+    pass 2^63."""
     n_sym = draw(st.integers(2, 4))
     w = wide_width(n_sym)
     order = draw(st.sampled_from([1, 2, 3, 4, w, w + 1]))
@@ -72,7 +76,8 @@ def batches(draw, table: CountTable):
         batch.append(draw(st.lists(st.integers(0, vocab.bos_id), min_size=max(width - 1, 0),
                                    max_size=width + 1).filter(lambda h: len(h) != width)))
     elif bad == "alias":
-        # (h0 - 1, h1 + base, ...) spells the code of the seen (h0, h1, ...)
+        # in base |V|+2, (h0 - 1, h1 + base, ...) spells the digit code of
+        # the seen (h0, h1, ...)
         h = list(draw(st.sampled_from(seen)))
         h[0] -= 1
         h[1] += vocab.n_symbols + 2
@@ -288,19 +293,20 @@ def test_shuffled_queries_find_what_sorted_ones_do(data):
         np.testing.assert_array_equal(want.view(np.int64), np.array(by_dict).view(np.int64))
 
 
-def test_codes_reach_python_ints_only_past_2_to_the_63():
-    # two symbols: base 4, and 4^31 = 2^62 < 2^63 <= 4^32
+def test_codes_stay_int64_past_2_to_the_63():
+    # two symbols: base 4, and 4^31 = 2^62 < 2^63 <= 4^32, where codes
+    # spelling the ids in base |V|+2 would overflow int64
     corpus = corpus_of(Vocabulary(symbols=("a", "b")), ((0, 1, 1), (1,)))
     assert count_ngrams(corpus, 32).codes.dtype == np.int64
-    assert count_ngrams(corpus, 33).codes.dtype == object
+    assert count_ngrams(corpus, 33).codes.dtype == np.int64
     lm = smooth(count_ngrams(corpus, 33), "kneser_essen_ney")
     assert lm.backstop.keys.codes.dtype == np.int64
     np.testing.assert_array_equal(lm.rows(lm.keys.hists[::-1]), lm.matrix[::-1])
-    # held-out histories unseen at several depths: the placement's suffix
-    # codes are cut from Python-int codes, and its cells are the rows'
+    # held-out histories unseen at several depths: the placement walks the
+    # 33 levels of the chain, and its cells are the rows'
     held = corpus_of(corpus.vocab, ((1, 1, 0, 1), (0, 0), (1, 0, 0, 1, 1), (0,)))
     t = count_ngrams(held, 33)
-    assert t.gram_codes.dtype == object
+    assert t.gram_codes.dtype == np.int64
     place, levels, level = lm.keys.locate(held), [], lm
     while level is not None:
         levels.append(place.rows(level.keys) >= 0)
@@ -310,6 +316,91 @@ def test_codes_reach_python_ints_only_past_2_to_the_63():
     want = table_perplexity(lm.rows(t)[t.hist, t.out], t)
     assert perplexity(lm, held).hex() == want.hex()
     assert perplexity(lm, t).hex() == want.hex()
+
+
+@st.composite
+def chains_and_queries(draw):
+    """A table at order 1-4 over 2-4 symbols, of a corpus that never uses
+    the last, and queries of its width: each of the histories, repeated and
+    in any order, is unseen from a drawn depth up, as the id just before a
+    suffix seen at that depth is the unused symbol, and every depth from 0
+    to the width is some query's longest seen suffix; and cells of the
+    queries, at any emission index."""
+    n_sym, order = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    vocab = Vocabulary(symbols=tuple("abcd"[:n_sym]))
+    seqs = draw(st.lists(st.lists(st.integers(0, n_sym - 2), max_size=8), min_size=1,
+                         max_size=6))
+    table = count_ngrams(corpus_of(vocab, tuple(map(tuple, seqs))), order)
+    tables, width = tables_down_to_unigram(table), order - 1
+    any_id = st.integers(0, vocab.bos_id)
+    queries = []
+    for depth in draw(st.lists(st.integers(0, width), max_size=8)) + list(range(width + 1)):
+        lead = [] if depth == width else [n_sym - 1]
+        front = draw(st.lists(any_id, min_size=width - depth - len(lead),
+                              max_size=width - depth - len(lead)))
+        queries.append(tuple(front + lead) + draw(st.sampled_from(tables[depth].hists)))
+    draw(st.randoms()).shuffle(queries)
+    hist = draw(st.lists(st.integers(0, len(queries) - 1), min_size=1, max_size=20))
+    out = draw(st.lists(st.integers(0, n_sym), min_size=len(hist), max_size=len(hist)))
+    return tables, queries, np.array(hist, dtype=np.intp), np.array(out, dtype=np.intp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains_and_queries())
+def test_codes_sort_as_tuples_and_lookups_are_a_dict_of_tuples(data):
+    # every level's history and gram codes, and the codes of keys listed
+    # out of order, sort as their id tuples do; RowKeys.find and a
+    # Placement, walking up the levels, give each level's row of each
+    # query's suffix and index of each cell's suffix gram as a dict of
+    # tuples does
+    tables, queries, hist, out = data
+    width = len(queries[0])
+    ids = np.array(queries, dtype=np.intp).reshape(len(queries), width)
+    place = Placement(ids, hist, out)
+    depths = np.zeros(len(queries), dtype=np.intp)
+    for t in tables:
+        k = t.order - 1
+        grams = [(t.hists[r], j) for r, j in zip(t.hist.tolist(), t.out.tolist())]
+        assert list(t.hists) == sorted(set(t.hists)) and grams == sorted(set(grams))
+        assert (np.diff(t.codes) > 0).all() and (np.diff(t.gram_codes) > 0).all()
+        assert t.codes.dtype == t.gram_codes.dtype == np.int64
+        rows = [t.index.get(q[width - k:], -1) for q in queries]
+        gram = {g: i for i, g in enumerate(grams)}
+        assert t.find(ids[:, width - k:]).tolist() == rows
+        assert place.rows(t).tolist() == rows
+        assert place.grams(t).tolist() == [gram.get((queries[r][width - k:], j), -1)
+                                           for r, j in zip(hist.tolist(), out.tolist())]
+        depths[np.array(rows) >= 0] = k
+    assert set(depths.tolist()) == set(range(width + 1))
+    listed = list(dict.fromkeys(queries))
+    keys = row_index(tables[0].vocab, width, listed)
+    in_code_order = range(len(listed)) if keys.code_rows is None else keys.code_rows.tolist()
+    assert [listed[r] for r in in_code_order] == sorted(listed)
+    assert (np.diff(keys.codes) > 0).all()
+    want = [listed.index(q) for q in queries]
+    assert keys.find(ids).tolist() == Placement(ids).rows(keys).tolist() == want
+
+
+def test_an_order_4_table_over_60000_types_keeps_int64_codes():
+    # 30,000 lines of 1-20 Zipf-distributed ids over 60,000 symbols: codes
+    # spelling the grams' ids in base |V|+2 would pass 2^63 at order 4
+    # ((60,002)^4 > 2^63); every level's codes are int64, and its parents
+    # are the suffix rows and grams
+    n = 60_000
+    rng = np.random.default_rng(0)
+    lengths = rng.integers(1, 21, size=30_000)
+    p = 1.0 / np.arange(1, n + 1)
+    ids = rng.choice(n, size=int(lengths.sum()), p=p / p.sum())
+    vocab = Vocabulary(symbols=tuple(f"w{i}" for i in range(n)))
+    table = count_ngrams(Corpus(vocab, ids, lengths), 4)
+    assert (n + 2) ** 4 >= 2 ** 63
+    tables = tables_down_to_unigram(table)
+    for t in tables:
+        assert t.codes.dtype == t.gram_codes.dtype == np.int64
+    for down, t in zip(tables, tables[1:]):
+        rows, grams = t.parents
+        np.testing.assert_array_equal(down.ids[rows], t.ids[:, 1:])
+        np.testing.assert_array_equal(down.out[grams], t.out)
 
 
 def test_out_of_range_ids_never_alias_a_seen_history():
@@ -344,15 +435,15 @@ def test_keys_of_another_width_or_base_are_refused():
     v = Vocabulary(symbols=("a", "b"))
     order2 = count_ngrams(corpus_of(v, ((0, 1, 1), (1,))), 2)
     rows = np.full((len(order2.ids), v.out_dim), 1.0 / v.out_dim)
-    width = "histories of width 1 in base 4 are not of length 2 over this vocabulary"
+    width = "histories of width 1 over 2 symbols are not of length 2 over this vocabulary"
     with pytest.raises(ValueError, match=width):
         ConditionalLM(3, v, (order2, rows), backstop=uniform_backstop(v))
     with pytest.raises(ValueError, match=width):
         TabularSoftmaxLM(3, v, order2)
-    # the keys of the same width in another vocabulary's base, a count
-    # table's or those of histories listed by hand
+    # the keys of the same width over another vocabulary, a count table's
+    # or those of histories listed by hand
     wider = Vocabulary(symbols=("a", "b", "c"))
-    base = "histories of width 1 in base 4 are not of length 1 over this vocabulary"
+    base = "histories of width 1 over 2 symbols are not of length 1 over this vocabulary"
     listed = ConditionalLM(2, v, (order2.hists, rows)).keys
     for keys in (order2, listed):
         with pytest.raises(ValueError, match=base):
@@ -412,21 +503,18 @@ def codes_to_look_up(draw):
 
 @given(codes_to_look_up())
 def test_direct_address_and_search_find_the_same_index(data):
-    # int64 codes within the size rule are looked up by direct address and
-    # others searched; object-dtype codes, which codes past 2^63 are, are
-    # always searched; each answer is a dict lookup's
+    # codes within the size rule are looked up by direct address and others
+    # searched; each answer is a dict lookup's
     keys, queries = data
     index = {k: i for i, k in enumerate(keys.tolist())}
     want = [index.get(q, -1) for q in queries.tolist()]
     found = len(keys) > 0
     direct = found and keys[-1] <= DIRECT_ADDRESS_SPAN * (len(keys) + len(queries))
-    for a, v, searched in ((keys, queries, found and not direct),
-                           (keys.astype(object), queries.astype(object), found)):
-        with mock.patch.object(corpus_module, "sorted_search",
-                               wraps=corpus_module.sorted_search) as search:
-            got = sorted_index(a, v)
-        assert got.dtype == np.intp and got.tolist() == want
-        assert search.called == searched
+    with mock.patch.object(corpus_module, "sorted_search",
+                           wraps=corpus_module.sorted_search) as search:
+        got = sorted_index(keys, queries)
+    assert got.dtype == np.intp and got.tolist() == want
+    assert search.called == (found and not direct)
 
 
 def test_the_size_rule_admits_a_largest_key_of_exactly_the_span():
@@ -442,14 +530,14 @@ def test_the_size_rule_admits_a_largest_key_of_exactly_the_span():
 @st.composite
 def counts_to_index(draw):
     """Counts, integers >= 1, whose largest lies on either side of
-    distinct_counts' size rule; they may be empty."""
+    the size rule of distinct; they may be empty."""
     bound = draw(st.sampled_from([5, 80 * DIRECT_ADDRESS_SPAN, 2 ** 40]))
     return np.array(draw(st.lists(st.integers(1, bound), max_size=40)), dtype=np.int64)
 
 
 @given(counts_to_index())
 def test_the_bincount_index_of_counts_is_np_unique(counts):
-    values, inverse = distinct_counts(counts)
+    values, inverse = distinct(counts)
     want_values, want_inverse = np.unique(counts, return_inverse=True)
     assert values.tolist() == want_values.tolist()
     assert inverse.tolist() == want_inverse.tolist()

@@ -456,20 +456,22 @@ def test_training_looks_histories_up_once_per_run(monkeypatch):
 
 def test_runs_on_one_table_share_its_placement_of_the_held_out_table(monkeypatch):
     # training places the held-out histories with the top level of the
-    # table's placement of the held-out table: a second run looks up none,
-    # and an mle run builds no marginal, which it does not read
+    # table's placement of the held-out table, which walks up the table's
+    # chain: the first run looks their suffixes up once per level of
+    # width 1 and up, ending at the table's own, and a second run looks up
+    # none
     corpus = corpus_from_lines(["a b c", "b c a a", "c c b"])
     table = count_ngrams(corpus, 3)
     heldout = count_ngrams(corpus_from_lines(["c b a", "a a c b"], vocab=corpus.vocab), 3)
     lookup = corpus_module.sorted_index
     searches = []
     monkeypatch.setattr(corpus_module, "sorted_index",
-                        lambda a, v: searches.append(a is table.codes) or lookup(a, v))
+                        lambda a, v: searches.append(a) or lookup(a, v))
     config = TrainConfig(objective="mle", epochs=3)
     for _ in range(2):
         train(FeedForwardLM(3, corpus.vocab, 4, 4, seed=0), table, config, heldout=heldout)
-    assert searches == [True]
-    assert "marginal" not in vars(table)
+        assert [a is t.codes for a, t in zip(searches, (table.marginal, table))] == [True] * 2
+        assert len(searches) == 2
 
 
 @pytest.mark.parametrize("key, value", [("patience", 0), ("patience", -3), ("seed", -1),

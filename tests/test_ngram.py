@@ -12,7 +12,7 @@ import pytest
 from smoothlm import ngram, verify
 from smoothlm.cli import main
 from smoothlm.corpus import (CountTable, Vocabulary, corpus_from_lines, count_ngrams,
-                             load_corpus, marginalize)
+                             load_corpus)
 from smoothlm.ngram import (
     ConditionalLM,
     NormalizationError,
@@ -129,11 +129,13 @@ class TestLevel:
     def test_refuses_a_backstop_of_another_table(self):
         # a backstop keyed by a count table is the LM of the table's
         # marginal, whose rows the table's `parents` name; the LM of an
-        # equal table built apart, or of the table two orders down, is not
-        table = count_ngrams(corpus_from_lines(verify.markov_zipf_lines(40, 5, 0)), 3)
+        # equal table built apart (a recount one order down), or of the
+        # table two orders down, is not
+        corpus = corpus_from_lines(verify.markov_zipf_lines(40, 5, 0))
+        table = count_ngrams(corpus, 3)
         lm = smooth(table, "jm")
         ConditionalLM.level(table, lm.seen, lm.a, lm.d, lm.backstop)
-        for backstop in (smooth(marginalize(table), "jm"), lm.backstop.backstop):
+        for backstop in (smooth(count_ngrams(corpus, 2), "jm"), lm.backstop.backstop):
             with pytest.raises(ValueError, match="marginal"):
                 ConditionalLM.level(table, lm.seen, lm.a, lm.d, backstop)
 

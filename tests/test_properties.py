@@ -1,14 +1,15 @@
 """Hypothesis properties of the table layers and their TSV files over random
 small corpora (2-8 symbols, orders 1-3), with the count arrays checked
 against a per-position recount, per-cell oracles written from gram_count
-(add-lambda, KEN) or from the recount (Good-Turing and Katz, rows and
-held-out cells), held-out perplexity against the per-token string_logprob, held-out cells
-against held-out rows, held-out rows against a walk to each history's longest
-seen suffix, each level's check and split from its parts against its dense
-rows, each backoff chain rebuilt from its levels' parts against itself,
-the masses GT, SGT and Katz sum over the grams against the sums of
-their dense rows, and each bundle's split on the grams against the split
-of each pair of dense rows by its definition."""
+(add-lambda, KEN) or from the recount (Good-Turing, Katz and
+Jelinek-Mercer, rows and held-out cells), held-out perplexity against
+the per-token string_logprob, held-out cells against held-out rows,
+held-out rows against a walk to each history's longest seen suffix, each
+level's check and split from its parts against its dense rows, each
+backoff chain rebuilt from its levels' parts against itself, the masses
+GT, SGT and Katz sum over the grams against the sums of their dense rows,
+and each bundle's split on the grams against the split of each pair of
+dense rows by its definition."""
 
 import math
 import os
@@ -440,6 +441,33 @@ def test_katz_cells_are_the_oracles(data, order, k):
             smooth(table, "katz", {"k": k})
         return
     check_against_oracle(smooth(table, "katz", {"k": k}), levels, held, order, rtol=1e-12)
+
+
+def jm_oracle(corpus, order, lambdas):
+    """Jelinek-Mercer rows per order, one cell at a time, by the defining
+    recursion: at a history h seen at order n, p_n(x | h) = lambda_n p_ML(x
+    | h) + (1 - lambda_n) p_{n-1}(x | h[1:]), where p_{n-1} is the row
+    oracle_row gives h[1:] one order down and p_0 is uniform; a history
+    unseen at order n takes p_{n-1} (oracle_row's backoff)."""
+    vocab = corpus.vocab
+    levels = []
+    for n in range(1, order + 1):
+        lam, rows = lambdas[n - 1], {}
+        for h, cs in emission_counts(recount(corpus, n), vocab)[0].items():
+            parent = oracle_row(levels, h[1:]) if levels else [1 / vocab.out_dim] * vocab.out_dim
+            rows[h] = [lam * (c / sum(cs)) + (1 - lam) * p for c, p in zip(cs, parent)]
+        levels.append(rows)
+    return levels
+
+
+@given(train_and_heldout(), st.integers(1, 4),
+       st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_jelinek_mercer_cells_are_the_oracles(data, order, lambdas):
+    # bit for bit: each cell is the same two products summed, and an
+    # unseen cell's ML term adds an exact 0
+    train, held = data
+    lm = smooth(count_ngrams(train, order), "jelinek_mercer", {"lambdas": lambdas[:order]})
+    check_against_oracle(lm, jm_oracle(train, order, lambdas), held, order, rtol=0)
 
 
 @given(train_and_heldout(), st.integers(1, 4), st.data())
